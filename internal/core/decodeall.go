@@ -36,38 +36,44 @@ func decodeAllWorkers(src CaptureSource, sampleRate float64, targetFreqs []float
 	if len(targetFreqs) == 0 {
 		return nil, fmt.Errorf("core: no targets")
 	}
-	decs := make([]*Decoder, len(targetFreqs))
-	for i, f := range targetFreqs {
-		decs[i] = NewDecoder(sampleRate, f)
+	// One slice holds every target's chip accumulator and, after them,
+	// one sweep buffer per worker; one more holds every target's
+	// decoder and the slot its per-query outcome lands in.
+	const chips = phy.FrameChips
+	workers = max(1, min(workers, len(targetFreqs)))
+	buf := make([]float64, (len(targetFreqs)+2*workers)*chips)
+	sweeps := buf[len(targetFreqs)*chips:]
+	type target struct {
+		dec   Decoder
+		done  bool
+		frame *phy.Frame // this query's decode, if it succeeded
+		err   error      // this query's failure, if fatal
 	}
-	type outcome struct {
-		frame *phy.Frame
-		err   error
+	targets := make([]target, len(targetFreqs))
+	for i, f := range targetFreqs {
+		targets[i].dec = makeDecoder(sampleRate, f, buf[i*chips:(i+1)*chips])
 	}
 	out := make(map[float64]DecodeResult, len(targetFreqs))
 	remaining := len(targetFreqs)
-	results := make([]outcome, len(targetFreqs))
 	// One closure for the whole run: the per-query capture flows in via
 	// the captured variable, so the query loop allocates nothing.
 	var capture []complex128
-	combine := func(i int) {
-		results[i] = outcome{}
-		dec := decs[i]
-		if dec == nil {
+	combine := func(w, i int) {
+		t := &targets[i]
+		t.frame, t.err = nil, nil
+		if t.done {
 			return
 		}
-		if err := dec.Add(capture); err != nil {
-			// This target's spike vanished (e.g. the car left);
-			// keep the others going.
+		if err := t.dec.add(capture, sweeps[2*chips*w:2*chips*(w+1)]); err != nil {
+			// This target's spike vanished (e.g. the car left) or the
+			// capture is corrupt; keep the others going.
 			return
 		}
-		f, err := dec.TryDecode()
+		f, err := t.dec.TryDecode()
 		if err == nil {
-			results[i].frame = f
-			return
-		}
-		if !errors.Is(err, ErrNeedMoreCollisions) {
-			results[i].err = err
+			t.frame = f
+		} else if !errors.Is(err, ErrNeedMoreCollisions) {
+			t.err = err
 		}
 	}
 	for q := 0; q < maxQueries && remaining > 0; q++ {
@@ -76,14 +82,15 @@ func decodeAllWorkers(src CaptureSource, sampleRate float64, targetFreqs []float
 		if err != nil {
 			return nil, fmt.Errorf("core: query %d: %w", q, err)
 		}
-		parallelFor(len(decs), workers, combine)
-		for i, res := range results {
-			if res.err != nil {
-				return nil, res.err
+		parallelForWorkers(len(targets), workers, combine)
+		for i := range targets {
+			t := &targets[i]
+			if t.err != nil {
+				return nil, t.err
 			}
-			if res.frame != nil {
-				out[targetFreqs[i]] = DecodeResult{Frame: res.frame, Queries: decs[i].N()}
-				decs[i] = nil
+			if t.frame != nil {
+				out[targetFreqs[i]] = DecodeResult{Frame: t.frame, Queries: t.dec.N()}
+				t.done = true
 				remaining--
 			}
 		}

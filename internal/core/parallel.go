@@ -8,21 +8,16 @@ import (
 	"caraoke/internal/rfsim"
 )
 
-// parallelFor runs fn(0..n-1) across at most workers goroutines. With
+// parallelForWorkers runs fn(worker, i) for i in 0..n-1 across at most
+// workers goroutines, with worker in [0, min(workers, n)). With
 // workers ≤ 1 (or a single item) it degenerates to a plain loop on the
 // calling goroutine, so serial and parallel paths share one body.
 // Iterations must be independent; callers keep determinism by writing
 // results into index-addressed slots and merging in index order after
-// the barrier.
-func parallelFor(n, workers int, fn func(i int)) {
-	parallelForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// parallelForWorkers is parallelFor with the worker's identity passed
-// to the body: fn(worker, i) with worker in [0, min(workers, n)).
-// Work-stealing makes the worker→item assignment nondeterministic, so
-// the worker index must only select scratch state whose contents are
-// fully overwritten per item — never influence result values.
+// the barrier. Work-stealing makes the worker→item assignment
+// nondeterministic, so the worker index must only select scratch state
+// whose contents are fully overwritten per item — never influence
+// result values.
 func parallelForWorkers(n, workers int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n

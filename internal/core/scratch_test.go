@@ -127,37 +127,54 @@ func TestTryDecodeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDecoderResetMatchesFresh: decoding through a Reset decoder gives
-// the same frames and query counts as fresh decoders, and the frame
-// returned before the Reset stays intact afterwards.
+// the same frames, query counts and chip accumulators, to the bit, as
+// fresh decoders — even when the run before the Reset combined captures
+// of another length — and the frame returned before the Reset stays
+// intact afterwards.
 func TestDecoderResetMatchesFresh(t *testing.T) {
 	caps, freqs, _, param := decodeFixture(t, 4025, 3, 60)
-	decode := func(dec *Decoder) (*phy.Frame, int) {
+	decode := func(dec *Decoder) (*phy.Frame, int, []float64) {
 		for _, c := range caps {
 			if err := dec.Add(c.Reference()); err != nil {
 				t.Fatal(err)
 			}
 			if f, err := dec.TryDecode(); err == nil {
-				return f, dec.N()
+				return f, dec.N(), append([]float64(nil), dec.acc...)
 			}
 		}
 		t.Fatalf("target %g Hz undecodable in fixture", dec.target)
-		return nil, 0
+		return nil, 0, nil
 	}
+	// The reused decoder starts out on truncated captures: the capture
+	// length is combined state, and a Reset must drop it with the rest.
 	reused := NewDecoder(param.SampleRate, freqs[0])
+	short := caps[0].Reference()[:1500]
+	if err := reused.Add(short); err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.Add(caps[1].Reference()); err == nil {
+		t.Error("capture length changed mid-run and was accepted")
+	}
+	if _, err := reused.TryDecode(); err != phy.ErrShortEnvelope {
+		t.Errorf("TryDecode on 1500-sample captures: %v, want bare phy.ErrShortEnvelope", err)
+	}
 	var frames []*phy.Frame
 	var queries []int
-	for i, f := range freqs {
-		if i > 0 {
-			reused.Reset(f)
-		}
-		fr, n := decode(reused)
+	var accs [][]float64
+	for _, f := range freqs {
+		reused.Reset(f)
+		fr, n, acc := decode(reused)
 		frames = append(frames, fr)
 		queries = append(queries, n)
+		accs = append(accs, acc)
 	}
 	for i, f := range freqs {
-		fresh, n := decode(NewDecoder(param.SampleRate, f))
+		fresh, n, acc := decode(NewDecoder(param.SampleRate, f))
 		if *frames[i] != *fresh || queries[i] != n {
 			t.Errorf("target %g Hz: reused decoder (%v, %d queries), fresh (%v, %d)", f, frames[i], queries[i], fresh, n)
+		}
+		if !reflect.DeepEqual(accs[i], acc) {
+			t.Errorf("target %g Hz: reused decoder's chip accumulator differs from a fresh one's", f)
 		}
 	}
 	// Frames decoded before a Reset must not alias decoder state.
@@ -374,16 +391,41 @@ func BenchmarkSparseVsDense(b *testing.B) {
 	}
 }
 
-// BenchmarkTryDecode measures the per-query decode attempt on the
-// CRC-miss path — the §8 hot loop. Same fixture as the BENCH_8.json
-// before/after rows.
-func BenchmarkTryDecode(b *testing.B) {
+// BenchmarkDecoderAdd measures combining one more capture into a
+// target's accumulator — the sweep that is most of DecodeAll. Same
+// fixture as BenchmarkTryDecode.
+func BenchmarkDecoderAdd(b *testing.B) {
 	caps, freqs, _, param := decodeFixture(b, 907, 4, 8)
 	dec := NewDecoder(param.SampleRate, freqs[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dec.Add(caps[i%len(caps)].Reference()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTryDecode measures the per-query decode attempt — the other
+// half of the §8 hot loop — on the BENCH_8.json fixture: a clean
+// target, whose every attempt passes the checksum and parses a frame.
+func BenchmarkTryDecode(b *testing.B) { benchTryDecode(b, true) }
+
+// BenchmarkTryDecodeMiss aims between the fixture's devices, where
+// every attempt fails — as nearly every attempt does while a decoder
+// is still combining.
+func BenchmarkTryDecodeMiss(b *testing.B) { benchTryDecode(b, false) }
+
+func benchTryDecode(b *testing.B, hit bool) {
+	caps, freqs, _, param := decodeFixture(b, 907, 4, 8)
+	target := 987e3
+	if hit {
+		target = freqs[0]
+	}
+	dec := NewDecoder(param.SampleRate, target)
 	if err := dec.Add(caps[0].Reference()); err != nil {
 		b.Fatal(err)
 	}
-	dec.TryDecode() // warm the envelope/demod scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

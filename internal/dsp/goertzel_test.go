@@ -85,3 +85,47 @@ func BenchmarkGoertzel2048(b *testing.B) {
 		Goertzel(x, 0.123)
 	}
 }
+
+// TestGoertzelChips: for chips of 1 to 9 samples, with and without a
+// tail past the last chip (and with no chips at all), every chip sum
+// equals the direct Σ x[t]·e^{−2πi f t} over that chip's samples, and
+// the returned total equals Goertzel's spike over the whole input — to
+// the bit at four samples per chip with no tail, where the two walks
+// are the same arithmetic.
+func TestGoertzelChips(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const f = 0.1237
+	for spc := 1; spc <= 9; spc++ {
+		for _, shape := range []struct{ chips, tail int }{{512, 0}, {512, 7}, {300, 1000}, {5, 2}, {0, 40}} {
+			x := randomSignal(rng, shape.chips*spc+shape.tail)
+			re, im := make([]float64, shape.chips), make([]float64, shape.chips)
+			got := GoertzelChips(x, f, spc, re, im)
+			want := Goertzel(x, f)
+			if tol := 1e-10 * float64(len(x)); cmplx.Abs(got-want) > tol {
+				t.Errorf("spc %d, %d chips + %d: total %v, Goertzel %v", spc, shape.chips, shape.tail, got, want)
+			}
+			if spc == 4 && shape.tail == 0 && got != want {
+				t.Errorf("%d chips of 4: total %v is not Goertzel's %v to the bit", shape.chips, got, want)
+			}
+			for c := range re {
+				var direct complex128
+				for t := c * spc; t < (c+1)*spc; t++ {
+					direct += x[t] * cmplx.Exp(complex(0, -2*math.Pi*f*float64(t)))
+				}
+				if d := cmplx.Abs(complex(re[c], im[c]) - direct); d > 1e-10 {
+					t.Fatalf("spc %d, %d chips + %d: chip %d sums to %v, direct DFT %v", spc, shape.chips, shape.tail, c, complex(re[c], im[c]), direct)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkGoertzelChips2048(b *testing.B) {
+	rng := rand.New(rand.NewSource(99))
+	x := randomSignal(rng, 2048)
+	re, im := make([]float64, 512), make([]float64, 512)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GoertzelChips(x, 0.123, 4, re, im)
+	}
+}

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -101,5 +102,112 @@ func TestDemodScratchSteadyStateAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s path allocates %.1f objects/op, want 0", name, allocs)
 		}
+	}
+}
+
+// TestDemodulateChipsMatchesSoftOracle: on chip energies of every kind
+// the combiner produces — clean, noisy, payload and preamble both
+// corrupt, tied chips, NaNs — DemodulateChips returns what the
+// allocating DemodulateSoft → DecodeFrame chain returns: the same frame,
+// or the same sentinel (bare), the preamble's taking precedence.
+func TestDemodulateChipsMatchesSoftOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	counts := map[error]int{}
+	for trial := 0; trial < 400; trial++ {
+		bits, err := scratchTestFrame(rng).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		energy := make([]float64, FrameChips, FrameChips+3)
+		for i, c := range ManchesterEncode(bits) {
+			energy[i] = 4 * float64(c)
+		}
+		// Noise from none to enough to flip a few dozen bits, sometimes
+		// confined to the payload so the preamble check passes.
+		sigma := []float64{0, 1, 2, 4}[trial%4]
+		from := 0
+		if trial%3 == 0 {
+			from = PreambleBits * ChipsPerBit
+		}
+		for i := from; i < len(energy); i++ {
+			energy[i] += sigma * rng.NormFloat64()
+		}
+		switch trial % 5 {
+		case 1: // a tied pair decides 1
+			b := rng.Intn(FrameBits)
+			energy[2*b+1] = energy[2*b]
+		case 2: // a NaN chip decides 0
+			energy[rng.Intn(FrameChips)] = math.NaN()
+		case 3: // chips past the frame are ignored
+			energy = append(energy, 9, -9, 9)
+		}
+
+		soft, err := DemodulateSoft(energy[:FrameChips])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := DecodeFrame(soft)
+		got, gotErr := DemodulateChips(energy)
+		switch {
+		case wantErr == nil:
+			if gotErr != nil || got != *want {
+				t.Fatalf("trial %d: got (%+v, %v), oracle %+v", trial, got, gotErr, *want)
+			}
+			counts[nil]++
+		case errors.Is(wantErr, ErrBadPreamble):
+			if gotErr != ErrBadPreamble {
+				t.Fatalf("trial %d: got %v, oracle %v", trial, gotErr, wantErr)
+			}
+			counts[ErrBadPreamble]++
+		case errors.Is(wantErr, ErrBadCRC):
+			if gotErr != ErrBadCRC {
+				t.Fatalf("trial %d: got %v, oracle %v", trial, gotErr, wantErr)
+			}
+			counts[ErrBadCRC]++
+		default:
+			t.Fatalf("trial %d: unexpected oracle error %v", trial, wantErr)
+		}
+	}
+	for _, kind := range []error{nil, ErrBadPreamble, ErrBadCRC} {
+		if counts[kind] < 20 {
+			t.Errorf("only %d of the trials ended in %v; the comparison does not cover it", counts[kind], kind)
+		}
+	}
+
+	if _, err := DemodulateChips(make([]float64, FrameChips-1)); err != ErrShortEnvelope {
+		t.Errorf("one chip short of a frame: got %v, want bare ErrShortEnvelope", err)
+	}
+	energy := make([]float64, FrameChips)
+	if allocs := testing.AllocsPerRun(20, func() { DemodulateChips(energy) }); allocs != 0 {
+		t.Errorf("DemodulateChips allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// BenchmarkDemodulateChips times the decision half on a frame that
+// parses ("hit"), one whose payload fails the checksum ("crc-miss") and
+// one that fails at the preamble ("preamble-miss").
+func BenchmarkDemodulateChips(b *testing.B) {
+	bits, err := scratchTestFrame(rand.New(rand.NewSource(37))).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	hit := make([]float64, FrameChips)
+	for i, c := range ManchesterEncode(bits) {
+		hit[i] = float64(c)
+	}
+	flipped := func(bit int) []float64 {
+		e := append([]float64(nil), hit...)
+		e[2*bit], e[2*bit+1] = e[2*bit+1], e[2*bit]
+		return e
+	}
+	for _, tc := range []struct {
+		name   string
+		energy []float64
+	}{{"hit", hit}, {"crc-miss", flipped(PreambleBits + 100)}, {"preamble-miss", flipped(3)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				DemodulateChips(tc.energy)
+			}
+		})
 	}
 }

@@ -41,6 +41,8 @@ const (
 	ChipsPerBit = 2
 	// ChipDuration is the duration of one Manchester chip.
 	ChipDuration = BitDuration / ChipsPerBit // 1 µs
+	// FrameChips is the total response length in Manchester chips.
+	FrameChips = FrameBits * ChipsPerBit
 )
 
 // Carrier-band constants from §3 and §5.

@@ -6,7 +6,7 @@
 //
 // The package is a facade over the internal subsystems:
 //
-//   - internal/dsp — FFT/sparse-FFT, Goertzel, spectral peaks, the §5
+//   - internal/dsp — FFT, Goertzel, spectral peaks, the §5
 //     dual-window occupancy test
 //   - internal/phy — the 256-bit OOK/Manchester transponder protocol
 //   - internal/rfsim — complex-baseband channel simulation (the

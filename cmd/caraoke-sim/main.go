@@ -44,7 +44,7 @@ func main() {
 	speedLimit := flag.Float64("speed-limit", 13, "speed-service limit, m/s")
 	shards := flag.Int("shards", collector.DefaultShards, "collector store shards (results identical for any value)")
 	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = single-report frames)")
-	lockstep := flag.Bool("lockstep", false, "legacy global per-epoch barrier instead of per-reader pipelines (results identical; the determinism oracle)")
+	lockstep := flag.Bool("lockstep", false, "per-epoch barrier in the one run loop: no reader starts epoch e+1 until all have uplinked e (results identical; the determinism oracle)")
 	pipeline := flag.Int("pipeline", 0, "per-reader epoch lookahead in pipelined mode (0 = default depth; results identical for any value)")
 	partitions := flag.Int("partitions", 0, "collector partitions (0 or 1 = single collector; ≥2 = consistent-hash cluster; query answers identical for any count)")
 	killPartition := flag.Int("kill-partition", 0, "with -partitions ≥2 and -kill-at-seq: the partition the failover drill kills")
@@ -231,9 +231,9 @@ func main() {
 
 	// The HTTP front end: -serve publishes the finished run's query
 	// surface; -loadtest hammers it with a seeded client fleet and
-	// prints the latency summary (the BENCH_9.json numbers). Both run
-	// with the clock frozen at the run's end so speed max-age filters
-	// operate in simulated time and answers stay deterministic.
+	// prints the latency summary. Both run with the clock frozen at the
+	// run's end so speed max-age filters operate in simulated time and
+	// answers stay deterministic.
 	if *serveAddr != "" || *loadtest {
 		park := collector.NewParkingService()
 		for spot, id := range res.ParkedSpots {

@@ -3,8 +3,8 @@ package api
 // The load harness: a seeded fleet of concurrent HTTP clients driving
 // the serving layer with the query mix a deployed city would see —
 // find-my-car lookups over a popular-id distribution, speed checks on
-// the decoded CFOs, parking polls — and reporting the latency
-// percentiles and throughput BENCH_9.json records.
+// the decoded CFOs, parking polls — and reporting latency percentiles
+// and throughput.
 
 import (
 	"fmt"
@@ -37,7 +37,7 @@ type LoadConfig struct {
 	Spots  []int
 }
 
-// LoadSummary is a finished load run, JSON-shaped for BENCH_9.json.
+// LoadSummary is a finished load run, JSON-shaped for reports.
 type LoadSummary struct {
 	Clients       int            `json:"clients"`
 	Requests      int            `json:"requests"`

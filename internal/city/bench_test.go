@@ -6,8 +6,8 @@ import (
 )
 
 // runThroughput runs the city end to end b.N times and reports
-// delivered telemetry per wall-clock second — the metric BENCH_6.json
-// tracks for the lockstep-vs-pipelined comparison.
+// delivered telemetry per wall-clock second — the metric of the
+// lockstep-vs-pipelined comparison.
 func runThroughput(b *testing.B, cfg Config) {
 	b.Helper()
 	b.ReportAllocs()

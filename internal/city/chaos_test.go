@@ -59,8 +59,8 @@ func TestChaosReproducible(t *testing.T) {
 }
 
 // TestChaosLockstepPipelinedIdentical extends the determinism oracle
-// to the failure model: the legacy lockstep loop and the pipelined
-// loop must agree on every chaos counter, because each reader's frame
+// to the failure model: the run loop with and without its lockstep
+// barrier must agree on every chaos counter, because each reader's frame
 // order, churn schedule, and clock history depend only on its own
 // epoch sequence.
 func TestChaosLockstepPipelinedIdentical(t *testing.T) {

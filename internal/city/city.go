@@ -14,8 +14,8 @@
 // the shared world (vehicle kinematics, the §9 claim partition) and
 // hands each reader per-epoch device snapshots through a bounded
 // queue; the collector ingests the resulting out-of-order batches
-// keyed by (ReaderID, Seq). Config.Lockstep restores the legacy
-// global per-epoch barrier as the determinism oracle.
+// keyed by (ReaderID, Seq). Config.Lockstep adds a global per-epoch
+// barrier to that loop as the determinism oracle.
 //
 // The harness is deterministic: all randomness flows from Config.Seed
 // through per-subsystem RNG streams (one for city construction, one per
@@ -122,11 +122,12 @@ type Config struct {
 	// report frame per epoch, the legacy wire behavior). Results are
 	// identical for any value; only framing and syscall counts change.
 	Batch int
-	// Lockstep restores the legacy run loop: every reader marches
-	// through a global barrier each epoch (capture → decode → uplink,
-	// then wait for all readers) so the slowest reader sets the city's
-	// clock. It is the determinism oracle for the default pipelined
-	// mode — both produce identical Results for the same seed.
+	// Lockstep adds a per-epoch barrier to the one run loop: the
+	// coordinator holds epoch e+1 back until every active reader has
+	// finished epoch e (capture → decode → uplink), so the slowest
+	// reader sets the city's clock. It is the determinism oracle for
+	// the default pipelined mode — both produce identical Results for
+	// the same seed.
 	Lockstep bool
 	// Pipeline is the per-reader epoch lookahead in pipelined mode: how
 	// many epochs a fast reader may run ahead of the slowest before the
@@ -250,9 +251,8 @@ type vehicle struct {
 
 // post is one deployed reader with its private RNG stream (what keeps
 // the concurrent measurement fan-out deterministic), decode log, and
-// run statistics. Everything here is touched only by the goroutine
-// currently executing this reader's epoch — per-epoch spawns in
-// lockstep mode, one long-lived pipeline goroutine otherwise.
+// run statistics. Everything here is touched only by this reader's
+// long-lived measurement goroutine.
 type post struct {
 	rd           *reader.Reader
 	rng          *rand.Rand
@@ -411,8 +411,8 @@ func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
 // step costs O(vehicles + readers × in-range density) instead of
 // O(readers × vehicles). Candidates are visited in fleet order —
 // vehicles first, then parked cars — which is exactly the linear
-// scan's order, so the partition is identical (claimLinear remains as
-// the equality oracle).
+// scan's order, so the partition is identical (the linear scan lives
+// on in grid_test.go as the equality oracle).
 func (s *Sim) claim() [][]*transponder.Device {
 	return s.claimMask(nil)
 }
@@ -453,25 +453,6 @@ func (s *Sim) activeDevices() []*transponder.Device {
 	}
 	devs = append(devs, s.parked...)
 	return devs
-}
-
-// claimLinear is the pre-index O(readers × vehicles) claim scan, kept
-// as the oracle the grid index is tested against (and benchmarked
-// over).
-func (s *Sim) claimLinear() [][]*transponder.Device {
-	devs := s.activeDevices()
-	claims := make([][]*transponder.Device, len(s.posts))
-	taken := make(map[*transponder.Device]bool)
-	for i, p := range s.posts {
-		center := p.rd.Center()
-		for _, d := range devs {
-			if !taken[d] && d.Pos.Dist(center) <= s.cfg.Range {
-				claims[i] = append(claims[i], d)
-				taken[d] = true
-			}
-		}
-	}
-	return claims
 }
 
 // IntersectionStats summarizes one intersection's traffic over a run.
@@ -578,11 +559,10 @@ type epochJob struct {
 // uplink per reader, and every reader running its capture → decode →
 // uplink loop as an independent pipeline (epoch N+1 capture overlaps
 // epoch N decode and uplink; sends ride an async per-reader queue).
-// Config.Lockstep instead reproduces the legacy global per-epoch
-// barrier — the determinism oracle: both modes produce identical
-// Results for the same seed. Run blocks until every reader's final
-// report has landed in the store (a per-reader sequence check, not a
-// global count).
+// Config.Lockstep adds a global per-epoch barrier to the same loop —
+// the determinism oracle: both modes produce identical Results for the
+// same seed. Run blocks until every reader's final report has landed in
+// the store (a per-reader sequence check, not a global count).
 func (s *Sim) Run() (*Result, error) {
 	epochs := int(s.cfg.Duration / s.cfg.Epoch)
 	ids := make([]uint32, len(s.posts))
@@ -640,13 +620,7 @@ func (s *Sim) Run() (*Result, error) {
 		clients[i] = c
 	}
 
-	var err error
-	if s.cfg.Lockstep {
-		err = s.runLockstep(cr, clients, epochs)
-	} else {
-		err = s.runPipelined(cr, clients, epochs)
-	}
-	if err != nil {
+	if err := s.runPipelined(cr, clients, epochs); err != nil {
 		return nil, err
 	}
 	// The uplinks are real TCP, so sends complete before the server has
@@ -809,59 +783,7 @@ func drainTimeout(epochs, readers int) time.Duration {
 	return 10*time.Second + time.Duration(epochs)*time.Duration(readers)*200*time.Microsecond
 }
 
-// runLockstep is the legacy epoch loop: advance kinematics, claim,
-// fan out one measurement goroutine per reader, barrier, repeat. Kept
-// as the oracle the pipelined mode is tested against — including under
-// chaos, where both modes must produce identical delivery counters.
-func (s *Sim) runLockstep(cr *chaosRun, clients []*collector.Client, epochs int) error {
-	steps := int(s.cfg.Epoch / s.cfg.Step)
-	now := time.Duration(0)
-	for e := 0; e < epochs; e++ {
-		for t := 0; t < steps; t++ {
-			s.step(s.cfg.Step)
-		}
-		now += s.cfg.Epoch
-		active := cr.activeMask(s.posts, e)
-		claims := s.claimMask(active)
-		job := epochJob{epoch: e, stamp: baseTime.Add(now), decode: s.decodeAt(e)}
-		errs := make([]error, len(s.posts))
-		var wg sync.WaitGroup
-		for i := range s.posts {
-			if active != nil && !active[i] {
-				continue // churned out this epoch: no measurement, no seq
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				j := job
-				j.devs = claims[i]
-				rep, err := s.measureEpoch(s.posts[i], j)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = s.uplink(s.posts[i], clients[i], rep)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			// A degraded uplink is telemetry loss, not a dead city: the
-			// client already counted the drop; the run carries on.
-			if err != nil && !errors.Is(err, collector.ErrUplinkDegraded) {
-				return err
-			}
-		}
-	}
-	// Flush reports still coalescing in the uplink batches.
-	for i, c := range clients {
-		if err := c.Flush(); err != nil && !errors.Is(err, collector.ErrUplinkDegraded) {
-			return fmt.Errorf("city: reader %d uplink flush: %w", s.posts[i].rd.ID, err)
-		}
-	}
-	return nil
-}
-
-// runPipelined is the default run loop. The coordinator goroutine owns
+// runPipelined is the run loop. The coordinator goroutine owns
 // all global state — vehicle kinematics and the claim partition — and
 // walks it epoch by epoch, handing each reader a snapshot of its
 // claimed devices through a bounded work queue. Each reader owns two
@@ -872,7 +794,9 @@ func (s *Sim) runLockstep(cr *chaosRun, clients []*collector.Client, epochs int)
 // thing is owned by exactly one loop: the coordinator mutates vehicles
 // and real devices, each reader consumes its private RNG stream in
 // epoch order against frozen snapshots, and the store keys ingest by
-// (ReaderID, Seq).
+// (ReaderID, Seq). Config.Lockstep makes the coordinator wait, after
+// dispatching each epoch, until every reader it fed has uplinked that
+// epoch's report — same loop, no lookahead.
 func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int) error {
 	steps := int(s.cfg.Epoch / s.cfg.Step)
 	depth := s.cfg.Pipeline
@@ -885,6 +809,10 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 	measureErrs := make([]error, n)
 	sendErrs := make([]error, n)
 	var measureWG, sendWG sync.WaitGroup
+	// uplinked carries one token per report a sender has finished with;
+	// only the Lockstep barrier drains it, so only Lockstep senders fill
+	// it (at most one token per reader is ever outstanding).
+	uplinked := make(chan struct{}, n)
 	for i := range s.posts {
 		work[i] = make(chan epochJob, depth)
 		sendq[i] = make(chan *telemetry.Report, depth)
@@ -911,17 +839,17 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 			defer sendWG.Done()
 			p, up := s.posts[i], clients[i]
 			for rep := range sendq[i] {
-				if err := s.uplink(p, up, rep); err != nil {
-					// Degraded ≠ dead: the client counted the loss and
-					// keeps accepting (and dropping) sends; the reader
-					// keeps measuring. Only a real protocol error — a
-					// legacy client with no Redial — aborts the run.
-					if errors.Is(err, collector.ErrUplinkDegraded) {
-						continue
-					}
+				// Degraded ≠ dead: the client counted the loss and keeps
+				// accepting (and dropping) sends; the reader keeps
+				// measuring. Only a real protocol error — a legacy
+				// client with no Redial — aborts the run.
+				if err := s.uplink(p, up, rep); err != nil && !errors.Is(err, collector.ErrUplinkDegraded) {
 					sendErrs[i] = err
 					cancel()
 					return
+				}
+				if s.cfg.Lockstep {
+					uplinked <- struct{}{}
 				}
 			}
 			if err := up.Flush(); err != nil && !errors.Is(err, collector.ErrUplinkDegraded) {
@@ -942,6 +870,7 @@ coordinate:
 		active := cr.activeMask(s.posts, e)
 		claims := s.claimMask(active)
 		job := epochJob{epoch: e, stamp: baseTime.Add(now), decode: s.decodeAt(e)}
+		fed := 0
 		for i := range s.posts {
 			if active != nil && !active[i] {
 				continue // churned out: the reader simply gets no job
@@ -953,8 +882,20 @@ coordinate:
 			}
 			select {
 			case work[i] <- j:
+				fed++
 			case <-ctx.Done():
 				break coordinate
+			}
+		}
+		if s.cfg.Lockstep {
+			// The barrier: kinematics stay at epoch e until every reader
+			// fed above has measured and uplinked it.
+			for ; fed > 0; fed-- {
+				select {
+				case <-uplinked:
+				case <-ctx.Done():
+					break coordinate
+				}
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package city
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -29,7 +31,7 @@ func assertResultsEqual(t *testing.T, a, b *Result, what string) {
 }
 
 // TestPipelinedMatchesLockstep is the determinism oracle the tentpole
-// rests on: the pipelined default and the legacy lockstep barrier must
+// rests on: the pipelined default and the lockstep barrier must
 // produce identical Results for the same seed — decode epochs, parked
 // cars, batched uplinks, and deep lookahead included.
 func TestPipelinedMatchesLockstep(t *testing.T) {
@@ -103,6 +105,94 @@ func TestPipelinedSkewedReaderMatchesLockstep(t *testing.T) {
 		if len(counts) != epochs {
 			t.Errorf("reader %d retained %d reports, want %d", id, len(counts), epochs)
 		}
+	}
+}
+
+// TestLockstepBarrierHoldsReadersBack proves Lockstep is a barrier and
+// not a no-op — which the result-equality tests above cannot see, since
+// both modes produce the same Result by design. Reader 2 stalls inside
+// epoch 1. Without Lockstep the other readers must run ahead of it (by
+// at most Pipeline epochs plus the one in hand and the one being fed);
+// with Lockstep none may enter epoch 2 until reader 2 is through its
+// stall.
+func TestLockstepBarrierHoldsReadersBack(t *testing.T) {
+	const slow, stallEpoch, depth = 2, 1, 3
+	cfg := Config{
+		Readers: 3, Vehicles: 12, Duration: 8 * time.Second, Seed: 42,
+		DecodeEvery: -1, Pipeline: depth,
+	}
+
+	// Pipelined: the stall ends only when a fast reader is seen ahead.
+	var mu sync.Mutex
+	stalled, ranAhead, furthest := false, false, 0
+	ahead := make(chan struct{})
+	cfg.measureDelay = func(readerID uint32, epoch int) time.Duration {
+		if readerID == slow && epoch == stallEpoch {
+			mu.Lock()
+			stalled = true
+			mu.Unlock()
+			select {
+			case <-ahead:
+			case <-time.After(10 * time.Second):
+			}
+			mu.Lock()
+			stalled = false
+			mu.Unlock()
+			return 0
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if stalled && epoch > furthest {
+			furthest = epoch
+			if !ranAhead && epoch > stallEpoch {
+				ranAhead = true
+				close(ahead)
+			}
+		}
+		return 0
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !ranAhead {
+		t.Error("pipelined: no reader ran ahead of the stalled one")
+	}
+	if bound := stallEpoch + depth + 1; furthest > bound {
+		t.Errorf("pipelined: a reader reached epoch %d while reader %d stalled in epoch %d; Pipeline %d bounds it to %d",
+			furthest, slow, stallEpoch, depth, bound)
+	}
+
+	// Lockstep: the same stall, on a timer; nobody may pass it.
+	var released atomic.Bool
+	var early atomic.Int64
+	cfg.Lockstep = true
+	cfg.measureDelay = func(readerID uint32, epoch int) time.Duration {
+		switch {
+		case readerID == slow && epoch == stallEpoch:
+			time.Sleep(100 * time.Millisecond)
+			released.Store(true)
+		case epoch > stallEpoch && !released.Load():
+			early.Add(1)
+		}
+		return 0
+	}
+	// A barrier that strands its senders hangs the run; bound the wait
+	// so that shows up as this test failing, not as the suite timing out.
+	ran := make(chan error, 1)
+	go func() {
+		_, err := Run(cfg)
+		ran <- err
+	}()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("lockstep: run still going after 30 s (%d early epoch entries so far)", early.Load())
+	}
+	if n := early.Load(); n > 0 {
+		t.Errorf("lockstep: %d epoch entries past epoch %d while reader %d was still inside it", n, stallEpoch, slow)
 	}
 }
 

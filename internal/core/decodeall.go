@@ -19,17 +19,19 @@ import (
 // the shared set. The result maps each requested CFO to its decode,
 // with Queries recording how many collisions that id needed.
 func DecodeAll(src CaptureSource, sampleRate float64, targetFreqs []float64, maxQueries int) (map[float64]DecodeResult, error) {
-	return decodeAllWorkers(src, sampleRate, targetFreqs, maxQueries, 1)
+	return DecodeAllParallel(src, sampleRate, targetFreqs, maxQueries, 1)
 }
 
-// decodeAllWorkers is the shared implementation behind DecodeAll and
-// DecodeAllParallel. Captures are acquired serially (they model
-// successive reader queries and must stay ordered), then each live
-// target combines the new collision and re-attempts its decode —
-// independent per-target work that fans out across the pool. Per-target
-// outcomes land in index-addressed slots and merge after the barrier,
-// so results do not depend on goroutine scheduling.
-func decodeAllWorkers(src CaptureSource, sampleRate float64, targetFreqs []float64, maxQueries, workers int) (map[float64]DecodeResult, error) {
+// DecodeAllParallel is DecodeAll with the per-target work fanned out
+// across workers goroutines (anything below one means serial). Captures
+// are acquired serially (they model successive reader queries and must
+// stay ordered), then each live target combines the new collision and
+// re-attempts its decode — independent per-target work that fans out
+// across the pool. Each target's decoder consumes the same captures in
+// the same order at any worker count, and per-target outcomes land in
+// index-addressed slots and merge after the barrier, so the decoded
+// frames and per-id query counts do not depend on goroutine scheduling.
+func DecodeAllParallel(src CaptureSource, sampleRate float64, targetFreqs []float64, maxQueries, workers int) (map[float64]DecodeResult, error) {
 	if maxQueries <= 0 {
 		return nil, fmt.Errorf("core: maxQueries %d must be positive", maxQueries)
 	}

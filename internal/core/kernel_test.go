@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestAnalyzeCapturesSteadyStateAllocs: the multi-query analysis on a
 // warmed Scratch — the batched fused-spectrum stage included —
@@ -22,58 +19,6 @@ func TestAnalyzeCapturesSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state AnalyzeCaptures allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestRadix2FFTKnobDecisions exercises the Params-level escape hatch:
-// routing the whole analysis chain through the radix-2 reference
-// kernel must reproduce the radix-4 kernel's decisions — same spikes,
-// same bins, same one-vs-many classifications — with frequencies and
-// magnitudes agreeing to rounding error.
-func TestRadix2FFTKnobDecisions(t *testing.T) {
-	s := newTestScene(t, 4102)
-	mcs := s.collideQueries(s.placedDevices(14), 6)
-	p2 := s.param
-	p2.Radix2FFT = true
-	a, err := AnalyzeCaptures(mcs, s.param)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AnalyzeCaptures(mcs, p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("spike count diverges across kernels: radix-4 %d, radix-2 %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Bin != b[i].Bin || a[i].Multiple != b[i].Multiple {
-			t.Errorf("spike %d decision diverges: radix-4 {bin %d multiple %v}, radix-2 {bin %d multiple %v}",
-				i, a[i].Bin, a[i].Multiple, b[i].Bin, b[i].Multiple)
-		}
-		if math.Abs(a[i].Freq-b[i].Freq) > 1e-3 {
-			t.Errorf("spike %d freq diverges beyond rounding: %g vs %g", i, a[i].Freq, b[i].Freq)
-		}
-		if math.Abs(a[i].Mag-b[i].Mag) > 1e-6*(a[i].Mag+1) {
-			t.Errorf("spike %d mag diverges beyond rounding: %g vs %g", i, a[i].Mag, b[i].Mag)
-		}
-	}
-	// The single-capture entry point honors the knob too.
-	ac, err := AnalyzeCapture(mcs[0], s.param)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := AnalyzeCapture(mcs[0], p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ac) != len(bc) {
-		t.Fatalf("single-capture spike count diverges: %d vs %d", len(ac), len(bc))
-	}
-	for i := range ac {
-		if ac[i].Bin != bc[i].Bin || ac[i].Multiple != bc[i].Multiple {
-			t.Errorf("single-capture spike %d decision diverges", i)
-		}
 	}
 }
 

@@ -34,10 +34,12 @@ func AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params) ([]Spike, error) {
 }
 
 // AnalyzeCaptures is the pooled implementation behind the package-level
-// AnalyzeCaptures and AnalyzeCapturesParallel. The two expensive stages
-// — one FFT per capture and the per-peak refinement/occupancy chain
-// (a few dozen Goertzel filters per peak per capture) — are
-// embarrassingly parallel; everything else stays serial. Per-capture
+// AnalyzeCaptures, fanned out across workers goroutines (anything below
+// one means serial). The two expensive stages — one FFT per capture and
+// the per-peak refinement/occupancy chain (a few dozen Goertzel filters
+// per peak per capture) — are embarrassingly parallel; everything else
+// stays serial. A capture holding a non-finite sample is refused with
+// ErrNonFiniteCapture before any result buffer is touched. Per-capture
 // spectra accumulate in capture order and per-peak results merge in
 // peak order, so any worker count produces bit-identical spikes. Each
 // worker goroutine runs on its own sub-scratch (DSP plan and buffers),
@@ -68,10 +70,6 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 		workers = 1
 	}
 	sc.growWorkers(workers)
-	sc.plan.Radix2 = p.Radix2FFT
-	for w := range sc.workers {
-		sc.workers[w].plan.Radix2 = p.Radix2FFT
-	}
 	// Root-mean-square magnitude spectrum across queries. Each worker
 	// runs the batched SpectrumManyInto over one static contiguous chunk
 	// of captures, amortizing the plan lookup and keeping the stage
@@ -102,6 +100,15 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 	}
 	for i := range views {
 		views[i] = nil // don't pin the captures past this call
+	}
+	last := mcs[len(mcs)-1]
+	for i := range specs {
+		if !finitePow(specs[i].Pows[0]) {
+			return nil, fmt.Errorf("core: capture %d: %w", i, ErrNonFiniteCapture)
+		}
+	}
+	if !finiteStreams(last.Antennas[1:]) {
+		return nil, fmt.Errorf("core: capture %d: %w", len(mcs)-1, ErrNonFiniteCapture)
 	}
 	acc := grow(sc.acc, n)
 	sc.acc = acc
@@ -140,7 +147,6 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 		peaks = rejectClockImages(peaks, avg.BinWidth(), p.ClockImageRatio)
 	}
 
-	last := mcs[len(mcs)-1]
 	binW := avg.BinWidth()
 	strongest := strongestMag(peaks)
 	nAnt := len(last.Antennas)

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"caraoke/internal/rfsim"
 )
 
 // parallelForWorkers runs fn(worker, i) for i in 0..n-1 across at most
@@ -76,29 +73,4 @@ func parallelChunksWorkers(n, workers int, fn func(worker, lo, hi int)) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
-}
-
-// AnalyzeCapturesParallel is AnalyzeCaptures with the two hot stages —
-// the per-capture FFTs and the per-peak refinement/occupancy chain —
-// fanned out across a worker pool. Results are merged in index order,
-// so the output is identical to the serial path for any worker count.
-// workers ≤ 0 uses one worker per available CPU.
-func AnalyzeCapturesParallel(mcs []*rfsim.MultiCapture, p Params, workers int) ([]Spike, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var sc Scratch
-	return sc.AnalyzeCaptures(mcs, p, workers)
-}
-
-// DecodeAllParallel is DecodeAll with the per-target combine/decode
-// work of each shared collision fanned out across a worker pool. Each
-// target's decoder consumes the same captures in the same order as the
-// serial path, so the decoded frames and per-id query counts are
-// identical. workers ≤ 0 uses one worker per available CPU.
-func DecodeAllParallel(src CaptureSource, sampleRate float64, targetFreqs []float64, maxQueries, workers int) (map[float64]DecodeResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return decodeAllWorkers(src, sampleRate, targetFreqs, maxQueries, workers)
 }

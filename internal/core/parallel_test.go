@@ -58,7 +58,8 @@ func TestAnalyzeCapturesParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 8} {
-		par, err := AnalyzeCapturesParallel(mcs, s.param, workers)
+		var sc Scratch
+		par, err := sc.AnalyzeCaptures(mcs, s.param, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -78,7 +79,7 @@ func TestDecodeAllParallelMatchesSerial(t *testing.T) {
 	if len(serial) != len(devs) {
 		t.Fatalf("serial decoded %d of %d", len(serial), len(devs))
 	}
-	for _, workers := range []int{0, 2, 4, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		par, err := DecodeAllParallel(cannedSource(caps), param.SampleRate, freqs, len(caps), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -102,18 +103,20 @@ func TestDecodeAllParallelMatchesSerial(t *testing.T) {
 
 func TestDecodeAllParallelErrors(t *testing.T) {
 	src := func() ([]complex128, error) { return make([]complex128, 2048), nil }
-	if _, err := DecodeAllParallel(src, 4e6, []float64{1e5}, 0, 4); err == nil {
-		t.Error("zero maxQueries accepted")
-	}
-	if _, err := DecodeAllParallel(src, 4e6, nil, 5, 4); err == nil {
-		t.Error("no targets accepted")
-	}
-	out, err := DecodeAllParallel(src, 4e6, []float64{1e5, 2e5}, 3, 4)
-	if err == nil {
-		t.Error("undecodable targets reported as success")
-	}
-	if len(out) != 0 {
-		t.Errorf("%d unexpected decodes", len(out))
+	for _, workers := range []int{1, 2, 8} {
+		if _, err := DecodeAllParallel(src, 4e6, []float64{1e5}, 0, workers); err == nil {
+			t.Errorf("workers=%d: zero maxQueries accepted", workers)
+		}
+		if _, err := DecodeAllParallel(src, 4e6, nil, 5, workers); err == nil {
+			t.Errorf("workers=%d: no targets accepted", workers)
+		}
+		out, err := DecodeAllParallel(src, 4e6, []float64{1e5, 2e5}, 3, workers)
+		if err == nil {
+			t.Errorf("workers=%d: undecodable targets reported as success", workers)
+		}
+		if len(out) != 0 {
+			t.Errorf("workers=%d: %d unexpected decodes", workers, len(out))
+		}
 	}
 }
 
@@ -134,7 +137,7 @@ func BenchmarkDecodeAll(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := decodeAllWorkers(cannedSource(caps), param.SampleRate, freqs, len(caps), workers)
+				_, err := DecodeAllParallel(cannedSource(caps), param.SampleRate, freqs, len(caps), workers)
 				if err != nil {
 					b.Fatal(err)
 				}

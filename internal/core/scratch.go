@@ -16,9 +16,8 @@ import "caraoke/internal/dsp"
 // and remain valid only until the next call on the same Scratch.
 // Callers that retain spikes past that point — e.g. queuing them into
 // asynchronous telemetry — must deep-copy. The package-level
-// AnalyzeCapture / AnalyzeCaptures / AnalyzeCapturesParallel wrappers
-// run on a throwaway Scratch and therefore still hand ownership to the
-// caller, exactly as before.
+// AnalyzeCapture / AnalyzeCaptures wrappers run on a throwaway Scratch
+// and therefore hand ownership to the caller.
 //
 // A Scratch is NOT safe for concurrent use. The parallel stages inside
 // AnalyzeCaptures hand each worker goroutine its own sub-scratch, so a
@@ -36,11 +35,10 @@ type Scratch struct {
 	strict    map[int]bool // bins found by the strict sharpness sweep
 	tentative map[int]bool // bins found only by the relaxed sweep
 
-	sparsePk []dsp.Peak   // peaks synthesized from sparse-FFT tones
-	chans    []complex128 // arena backing Spike.Channels
-	spikes   []Spike      // result buffer
-	results  []Spike      // per-peak slots for the parallel merge
-	keep     []bool       // which slots survived
+	chans   []complex128 // arena backing Spike.Channels
+	spikes  []Spike      // result buffer
+	results []Spike      // per-peak slots for the parallel merge
+	keep    []bool       // which slots survived
 
 	job peakJob // shared inputs of the per-peak stage (cleared after use)
 

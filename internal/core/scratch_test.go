@@ -1,13 +1,15 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"caraoke/internal/phy"
+	"caraoke/internal/rfsim"
 )
 
 // copySpikes deep-copies a scratch-backed result so it survives further
@@ -227,75 +229,94 @@ func TestDecodeWithSICScratchReuse(t *testing.T) {
 	}
 }
 
-// TestSparseDetectFindsStrongSpikes smoke-tests the ablation knob.
-// Manchester data sidebands make the collision spectrum only
-// approximately sparse, so the sparse path recovers the strongest
-// carriers rather than all of them — the test pins the useful
-// contract: at least one spike, every sparse spike within one bin of
-// a dense-path spike (no false positives), and never more spikes than
-// dense. This degraded recovery is exactly why SparseDetect defaults
-// off (see BENCH_8.json for the speed side of the ablation).
-func TestSparseDetectFindsStrongSpikes(t *testing.T) {
-	s := newTestScene(t, 4027)
-	devs := s.placedDevices(5)
-	for i, d := range devs {
-		d.CarrierHz = phy.BandLow + 150e3 + float64(i)*180e3
+// poisoned returns a deep copy of mc with one sample of the given
+// antenna replaced by v.
+func poisoned(mc *rfsim.MultiCapture, antenna int, v float64) *rfsim.MultiCapture {
+	out := &rfsim.MultiCapture{SampleRate: mc.SampleRate}
+	for _, st := range mc.Antennas {
+		out.Antennas = append(out.Antennas, append([]complex128(nil), st...))
 	}
-	mc := s.collide(devs)
-	dense, err := AnalyzeCapture(mc, s.param)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := s.param
-	sp.SparseDetect = true
-	sparse, err := AnalyzeCapture(mc, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sparse) == 0 {
-		t.Fatal("sparse path found no spikes")
-	}
-	if len(sparse) > len(dense) {
-		t.Fatalf("sparse found %d spikes, dense only %d", len(sparse), len(dense))
-	}
-	binW := s.param.SampleRate / float64(len(mc.Reference()))
-	for _, sp := range sparse {
-		matched := false
-		for _, d := range dense {
-			if diff := d.Freq - sp.Freq; diff <= binW && diff >= -binW {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			t.Errorf("sparse spike at %.0f Hz matches no dense spike", sp.Freq)
-		}
-	}
+	out.Antennas[antenna][len(out.Antennas[antenna])/3] = complex(v, 0)
+	return out
 }
 
-// allocBudgets mirrors the alloc_budget section of BENCH_10.json: the
-// checked-in steady-state allocation ceilings CI enforces.
-type allocBudgets struct {
-	AllocBudget struct {
-		AnalyzeCapture  float64 `json:"analyze_capture_allocs_per_op"`
-		AnalyzeCaptures float64 `json:"analyze_captures_allocs_per_op"`
-		TryDecode       float64 `json:"try_decode_allocs_per_op"`
-	} `json:"alloc_budget"`
+// TestAnalyzeRefusesNonFiniteCapture: one NaN or +Inf sample — in the
+// reference antenna of any capture of the window, or in another antenna
+// of the capture the channels are read from — is refused with
+// ErrNonFiniteCapture instead of reading as an empty road, and leaves
+// the Scratch as it found it: good → bad → good equals good → good to
+// the bit.
+func TestAnalyzeRefusesNonFiniteCapture(t *testing.T) {
+	s := newTestScene(t, 4029)
+	mcs := s.collideQueries(s.placedDevices(10), 6)
+	want, err := AnalyzeCaptures(mcs, s.param)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture found no spikes")
+	}
+	wantOne, err := AnalyzeCapture(mcs[0], s.param)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(mcs) - 1
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, tc := range []struct{ capture, antenna int }{{2, 0}, {last, 0}, {last, 1}} {
+			window := append([]*rfsim.MultiCapture(nil), mcs...)
+			window[tc.capture] = poisoned(mcs[tc.capture], tc.antenna, bad)
+			for _, workers := range []int{1, 3} {
+				name := fmt.Sprintf("%v capture %d antenna %d workers %d", bad, tc.capture, tc.antenna, workers)
+				var sc Scratch
+				if _, err := sc.AnalyzeCaptures(mcs, s.param, workers); err != nil {
+					t.Fatal(err)
+				}
+				spikes, err := sc.AnalyzeCaptures(window, s.param, workers)
+				if !errors.Is(err, ErrNonFiniteCapture) || spikes != nil {
+					t.Fatalf("%s: got %d spikes, err %v; want ErrNonFiniteCapture", name, len(spikes), err)
+				}
+				if !strings.Contains(err.Error(), fmt.Sprintf("capture %d", tc.capture)) {
+					t.Errorf("%s: error %q does not name the capture", name, err)
+				}
+				got, err := sc.AnalyzeCaptures(mcs, s.param, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: analysis after the refused window differs from a fresh one", name)
+				}
+			}
+		}
+		for antenna := 0; antenna < 2; antenna++ {
+			var sc Scratch
+			if _, err := sc.AnalyzeCapture(mcs[0], s.param); err != nil {
+				t.Fatal(err)
+			}
+			spikes, err := sc.AnalyzeCapture(poisoned(mcs[0], antenna, bad), s.param)
+			if !errors.Is(err, ErrNonFiniteCapture) || spikes != nil {
+				t.Fatalf("%v antenna %d: single capture got %d spikes, err %v; want ErrNonFiniteCapture", bad, antenna, len(spikes), err)
+			}
+			got, err := sc.AnalyzeCapture(mcs[0], s.param)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, wantOne) {
+				t.Errorf("%v antenna %d: single-capture analysis after the refused capture differs from a fresh one", bad, antenna)
+			}
+		}
+	}
 }
 
 // TestAllocBudget is the CI regression gate for the perf trajectory:
-// steady-state allocations must not regress above the ceilings checked
-// in with BENCH_10.json (which carries the PR 8 ceilings forward and
-// adds the warmed multi-query path).
+// the three steady-state hot paths — single-capture analysis, warmed
+// multi-query analysis, and the per-query decode attempt — allocate
+// nothing.
 func TestAllocBudget(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_10.json")
-	if err != nil {
-		t.Fatalf("reading alloc budget baseline: %v", err)
-	}
-	var b allocBudgets
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatalf("parsing BENCH_10.json: %v", err)
-	}
+	const (
+		analyzeCaptureBudget  = 0
+		analyzeCapturesBudget = 0
+		tryDecodeBudget       = 0
+	)
 	s := newTestScene(t, 4028)
 	mc := s.collide(s.placedDevices(10))
 	var sc Scratch
@@ -304,8 +325,8 @@ func TestAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, func() {
 		sc.AnalyzeCapture(mc, s.param)
-	}); got > b.AllocBudget.AnalyzeCapture {
-		t.Errorf("AnalyzeCapture: %.1f allocs/op exceeds checked-in budget %.1f", got, b.AllocBudget.AnalyzeCapture)
+	}); got > analyzeCaptureBudget {
+		t.Errorf("AnalyzeCapture: %.1f allocs/op exceeds budget %d", got, analyzeCaptureBudget)
 	}
 	mcs := s.collideQueries(s.placedDevices(10), 6)
 	var scq Scratch
@@ -314,8 +335,8 @@ func TestAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, func() {
 		scq.AnalyzeCaptures(mcs, s.param, 1)
-	}); got > b.AllocBudget.AnalyzeCaptures {
-		t.Errorf("AnalyzeCaptures: %.1f allocs/op exceeds checked-in budget %.1f", got, b.AllocBudget.AnalyzeCaptures)
+	}); got > analyzeCapturesBudget {
+		t.Errorf("AnalyzeCaptures: %.1f allocs/op exceeds budget %d", got, analyzeCapturesBudget)
 	}
 	dec := NewDecoder(s.param.SampleRate, 987e3)
 	if err := dec.Add(mc.Reference()); err != nil {
@@ -323,15 +344,14 @@ func TestAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, func() {
 		dec.TryDecode()
-	}); got > b.AllocBudget.TryDecode {
-		t.Errorf("TryDecode: %.1f allocs/op exceeds checked-in budget %.1f", got, b.AllocBudget.TryDecode)
+	}); got > tryDecodeBudget {
+		t.Errorf("TryDecode: %.1f allocs/op exceeds budget %d", got, tryDecodeBudget)
 	}
 }
 
 // BenchmarkAnalyzeCapture measures the single-capture analysis: the
 // pooled steady state against the allocating throwaway-scratch entry
-// point. The delta is the tentpole's headline number (BENCH_8.json
-// records this scene — seed 811, 12 devices — before and after).
+// point, on the seed-811, 12-device scene.
 func BenchmarkAnalyzeCapture(b *testing.B) {
 	s := newTestScene(b, 811)
 	mc := s.collide(s.placedDevices(12))
@@ -358,39 +378,6 @@ func BenchmarkAnalyzeCapture(b *testing.B) {
 	})
 }
 
-// BenchmarkSparseVsDense is the sfft ablation on the detection stage:
-// the same capture analyzed with the dense pooled path and with
-// SparseDetect on. Recorded in BENCH_8.json; dense wins at Caraoke's
-// 2048-sample captures, so SparseDetect defaults off.
-func BenchmarkSparseVsDense(b *testing.B) {
-	s := newTestScene(b, 811)
-	devs := s.placedDevices(5)
-	for i, d := range devs {
-		d.CarrierHz = phy.BandLow + 150e3 + float64(i)*180e3
-	}
-	mc := s.collide(devs)
-	sparseParam := s.param
-	sparseParam.SparseDetect = true
-	for _, tc := range []struct {
-		name  string
-		param Params
-	}{{"dense", s.param}, {"sparse", sparseParam}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var sc Scratch
-			if _, err := sc.AnalyzeCapture(mc, tc.param); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sc.AnalyzeCapture(mc, tc.param); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDecoderAdd measures combining one more capture into a
 // target's accumulator — the sweep that is most of DecodeAll. Same
 // fixture as BenchmarkTryDecode.
@@ -407,7 +394,7 @@ func BenchmarkDecoderAdd(b *testing.B) {
 }
 
 // BenchmarkTryDecode measures the per-query decode attempt — the other
-// half of the §8 hot loop — on the BENCH_8.json fixture: a clean
+// half of the §8 hot loop — on the four-device decode fixture: a clean
 // target, whose every attempt passes the checksum and parses a frame.
 func BenchmarkTryDecode(b *testing.B) { benchTryDecode(b, true) }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -53,50 +54,42 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty capture")
 	}
-	sc.plan.Radix2 = p.Radix2FFT
 	// The tentative set survives from the previous call; empty it
 	// without allocating. It is only ever populated by the relaxed
 	// sweep below (a nil map reads as empty).
 	clear(sc.tentative)
-	var peaks []dsp.Peak
-	var binW float64
-	if p.SparseDetect {
-		var err error
-		peaks, binW, err = sc.sparsePeaks(ref, p)
-		if err != nil {
-			return nil, err
+	sc.plan.SpectrumInto(&sc.spec, ref, p.SampleRate)
+	spec := &sc.spec
+	if !finitePow(spec.Pows[0]) || !finiteStreams(mc.Antennas[1:]) {
+		return nil, ErrNonFiniteCapture
+	}
+	binW := spec.BinWidth()
+	peaks := sc.plan.FindPeaks(spec, p.Peaks)
+	// Second, relaxed-sharpness sweep: carriers barely above a large
+	// collision's data floor. These candidates must later prove
+	// themselves a tone or a beating pair.
+	if p.RelaxedSharpness > 0 && p.RelaxedSharpness < p.Peaks.Sharpness {
+		// Record the strict winners first: the relaxed sweep reuses
+		// the plan's peak buffer.
+		if sc.strict == nil {
+			sc.strict = make(map[int]bool, len(peaks))
 		}
-	} else {
-		sc.plan.SpectrumInto(&sc.spec, ref, p.SampleRate)
-		spec := &sc.spec
-		binW = spec.BinWidth()
-		peaks = sc.plan.FindPeaks(spec, p.Peaks)
-		// Second, relaxed-sharpness sweep: carriers barely above a large
-		// collision's data floor. These candidates must later prove
-		// themselves a tone or a beating pair.
-		if p.RelaxedSharpness > 0 && p.RelaxedSharpness < p.Peaks.Sharpness {
-			// Record the strict winners first: the relaxed sweep reuses
-			// the plan's peak buffer.
-			if sc.strict == nil {
-				sc.strict = make(map[int]bool, len(peaks))
-			}
-			clear(sc.strict)
-			for _, pk := range peaks {
-				sc.strict[pk.Bin] = true
-			}
-			relaxed := p.Peaks
-			relaxed.Sharpness = p.RelaxedSharpness
-			all := sc.plan.FindPeaks(spec, relaxed)
-			for _, pk := range all {
-				if !sc.strict[pk.Bin] {
-					if sc.tentative == nil {
-						sc.tentative = make(map[int]bool)
-					}
-					sc.tentative[pk.Bin] = true
+		clear(sc.strict)
+		for _, pk := range peaks {
+			sc.strict[pk.Bin] = true
+		}
+		relaxed := p.Peaks
+		relaxed.Sharpness = p.RelaxedSharpness
+		all := sc.plan.FindPeaks(spec, relaxed)
+		for _, pk := range all {
+			if !sc.strict[pk.Bin] {
+				if sc.tentative == nil {
+					sc.tentative = make(map[int]bool)
 				}
+				sc.tentative[pk.Bin] = true
 			}
-			peaks = all
 		}
+		peaks = all
 	}
 	if p.ClockImageReject {
 		peaks = rejectClockImages(peaks, binW, p.ClockImageRatio)
@@ -138,32 +131,29 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 	return spikes, nil
 }
 
-// sparsePeaks runs the sparse-FFT ablation path: detect candidate
-// spikes via bucket aliasing (sub-linear in the capture length) instead
-// of the dense FFT, then synthesize dsp.Peak values at the nearest fine
-// bins so the rest of the pipeline — refinement, channels, occupancy —
-// is shared with the dense path. Gated behind Params.SparseDetect;
-// see BENCH_8.json for the ablation that keeps it off by default.
-func (sc *Scratch) sparsePeaks(ref []complex128, p Params) ([]dsp.Peak, float64, error) {
-	tones, err := dsp.SparseFFT(ref, p.SampleRate, p.Sparse)
-	if err != nil {
-		return nil, 0, err
-	}
-	n := len(ref)
-	binW := p.SampleRate / float64(n)
-	peaks := sc.sparsePk[:0]
-	for _, t := range tones {
-		if p.Peaks.MaxFreq > 0 && t.Freq > p.Peaks.MaxFreq {
-			continue
+// ErrNonFiniteCapture reports a capture holding a NaN or ±Inf sample —
+// a saturated or faulted front end. Analysis refuses it rather than
+// report the empty road its poisoned spectrum would otherwise read as.
+var ErrNonFiniteCapture = errors.New("core: capture has a non-finite sample")
+
+// finitePow reports whether the power of spectrum bin 0 is finite. Bin
+// 0 sums every sample, so one non-finite sample anywhere in a stream
+// makes it NaN or Inf: the transform doubles as the stream's guard.
+func finitePow(pw float64) bool {
+	return !math.IsNaN(pw) && !math.IsInf(pw, 0)
+}
+
+// finiteStreams reports whether every sample of every stream is finite.
+// It guards the antennas no transform runs over, whose samples reach
+// Spike.Channels through the channel estimate alone.
+func finiteStreams(streams [][]complex128) bool {
+	var z float64
+	for _, x := range streams {
+		for _, v := range x {
+			z += real(v)*0 + imag(v)*0 // 0 for a finite sample, NaN otherwise
 		}
-		bin := int(math.Round(t.Freq / binW))
-		if bin < 0 || bin >= n {
-			continue
-		}
-		peaks = append(peaks, dsp.Peak{Bin: bin, Freq: float64(bin) * binW, Val: t.Amp, Mag: cmplx.Abs(t.Amp)})
 	}
-	sc.sparsePk = peaks
-	return peaks, binW, nil
+	return z == 0
 }
 
 // suppressResolvedNeighbors clears the Multiple flag of spikes whose

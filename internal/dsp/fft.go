@@ -1,7 +1,7 @@
 // Package dsp provides the signal-processing primitives Caraoke is built
-// on: fast Fourier transforms (dense and sparse), single-bin DFT
-// evaluation (Goertzel), window functions, spectral peak detection, and
-// the dual-window bin-occupancy test of §5 of the paper.
+// on: fast Fourier transforms, single-bin DFT evaluation (Goertzel),
+// window functions, spectral peak detection, and the dual-window
+// bin-occupancy test of §5 of the paper.
 //
 // All routines operate on complex baseband samples represented as
 // []complex128. The package has no dependencies outside the standard
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/cmplx"
 	"sync"
 )
 
@@ -32,9 +33,8 @@ import (
 //
 // Radix-4 reorders the butterfly additions relative to the classic
 // radix-2 kernel, so bins agree with it only to rounding error (a few
-// ULPs), not bit-for-bit. The radix-2 kernel is retained as the
-// reference oracle (see transformRadix2) and as the Plan.Radix2 /
-// core Params.Radix2FFT fallback.
+// ULPs), not bit-for-bit; the test suite keeps a radix-2 oracle to
+// assert that bound.
 type FFTPlan struct {
 	n    int
 	logN int
@@ -46,9 +46,6 @@ type FFTPlan struct {
 	// the butterfly loop. invStages holds the conjugates.
 	fwdStages [][]complex128
 	invStages [][]complex128
-	// twiddle backs the retained radix-2 reference kernel:
-	// e^{-2πi k/n} for k in [0, n/2), strided by n/size per stage.
-	twiddle []complex128
 }
 
 // NewFFTPlan creates a plan for transforms of length n. n must be a
@@ -59,17 +56,12 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 		return nil, fmt.Errorf("dsp: FFT length %d is not a positive power of two", n)
 	}
 	p := &FFTPlan{
-		n:       n,
-		logN:    bits.TrailingZeros(uint(n)),
-		rev:     make([]int, n),
-		twiddle: make([]complex128, n/2),
+		n:    n,
+		logN: bits.TrailingZeros(uint(n)),
+		rev:  make([]int, n),
 	}
 	for i := 0; i < n; i++ {
 		p.rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - p.logN))
-	}
-	for k := 0; k < n/2; k++ {
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		p.twiddle[k] = complex(c, s)
 	}
 	p.buildStages()
 	return p, nil
@@ -391,50 +383,6 @@ func (p *FFTPlan) transformSpectrum(dst []complex128, mags, pows []float64, src 
 	}
 }
 
-// transformRadix2 runs the retained radix-2 reference kernel: the
-// branch-free-in-nothing, strided-twiddle loop the radix-4 kernel
-// replaced. It is the test oracle for ULP-bounded agreement and the
-// production fallback behind Plan.Radix2 / core Params.Radix2FFT.
-func (p *FFTPlan) transformRadix2(dst, src []complex128) {
-	p.runRadix2(dst, src, false)
-}
-
-// inverseRadix2 is the radix-2 counterpart of Inverse.
-func (p *FFTPlan) inverseRadix2(dst, src []complex128) {
-	p.runRadix2(dst, src, true)
-	inv := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
-// runRadix2 is the pre-overhaul kernel, kept verbatim: iterative
-// radix-2 Cooley-Tukey with a strided walk of the shared twiddle table
-// and per-element conjugation on the inverse path.
-func (p *FFTPlan) runRadix2(dst, src []complex128, inverse bool) {
-	if len(dst) != p.n || len(src) != p.n {
-		panic(fmt.Sprintf("dsp: FFT buffer length %d/%d, plan length %d", len(dst), len(src), p.n))
-	}
-	p.bitrev(dst, src)
-	for size := 2; size <= p.n; size <<= 1 {
-		half := size >> 1
-		step := p.n / size
-		for start := 0; start < p.n; start += size {
-			tw := 0
-			for k := start; k < start+half; k++ {
-				w := p.twiddle[tw]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				odd := dst[k+half] * w
-				dst[k+half] = dst[k] - odd
-				dst[k] += odd
-				tw += step
-			}
-		}
-	}
-}
-
 // binPow returns |v|² without the overflow guards of cmplx.Abs — bin
 // values in this package are bounded by capture length × amplitude,
 // far from either float64 extreme. Every magnitude the detection
@@ -446,9 +394,9 @@ func binPow(v complex128) float64 {
 }
 
 // fftPlans caches one immutable FFTPlan per power-of-two length for
-// the whole process: the convenience FFT/IFFT entry points, Bluestein
-// padding, and the sparse-FFT bucket transforms all reuse them instead
-// of rebuilding twiddle and bit-reversal tables per call.
+// the whole process: the convenience FFT/IFFT entry points and
+// Bluestein padding reuse them instead of rebuilding twiddle and
+// bit-reversal tables per call.
 var fftPlans sync.Map // int -> *FFTPlan
 
 // cachedPlan returns the process-wide shared plan for power-of-two
@@ -468,86 +416,44 @@ func cachedPlan(n int) (*FFTPlan, error) {
 
 // FFT computes the forward DFT of x, returning a fresh slice. Power-of-two
 // lengths use the cached radix-4 plan for the length; any other length
-// falls back to the Bluestein chirp-z algorithm. A zero-length input
-// yields a zero-length output.
+// runs the Bluestein chirp-z algorithm through a throwaway Plan. A
+// zero-length input yields a zero-length output.
 func FFT(x []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
+	out := make([]complex128, n)
 	if n&(n-1) == 0 {
 		p, _ := cachedPlan(n)
-		out := make([]complex128, n)
 		p.Transform(out, x)
 		return out
 	}
-	return bluestein(x, false)
+	new(Plan).FFTInto(out, x)
+	return out
 }
 
 // IFFT computes the inverse DFT of x (scaled by 1/N), returning a fresh
-// slice.
+// slice. Non-power-of-two lengths use the identity
+// IDFT(x) = conj(DFT(conj(x)))/N over the forward Bluestein path.
 func IFFT(x []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
+	out := make([]complex128, n)
 	if n&(n-1) == 0 {
 		p, _ := cachedPlan(n)
-		out := make([]complex128, n)
 		p.Inverse(out, x)
 		return out
 	}
-	out := bluestein(x, true)
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
+	for i, v := range x {
+		out[i] = cmplx.Conj(v)
 	}
-	return out
-}
-
-// bluestein evaluates a DFT of arbitrary length as a convolution,
-// which is in turn computed with a power-of-two FFT.
-func bluestein(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// chirp[k] = e^{sign·πi k²/n}
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// Reduce k² mod 2n before multiplying to avoid precision loss
-		// for large n.
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		s, c := math.Sincos(sign * math.Pi * float64(kk) / float64(n))
-		chirp[k] = complex(c, s)
-	}
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		cc := complex(real(chirp[k]), -imag(chirp[k]))
-		b[k] = cc
-		if k > 0 {
-			b[m-k] = cc
-		}
-	}
-	p, _ := cachedPlan(m)
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	p.Transform(fa, a)
-	p.Transform(fb, b)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	p.Inverse(fa, fa)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = fa[k] * chirp[k]
+	out = FFT(out)
+	inv := 1 / float64(n)
+	for i, v := range out {
+		out[i] = complex(real(v)*inv, -imag(v)*inv)
 	}
 	return out
 }

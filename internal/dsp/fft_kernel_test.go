@@ -28,6 +28,16 @@ func maxBinDiff(a, b []complex128) float64 {
 	return m
 }
 
+// naiveTol is the agreement bound between a fast transform of x and
+// DFTNaive(x): rounding error scaled by the input's total magnitude.
+func naiveTol(x []complex128) float64 {
+	scale := 0.0
+	for _, v := range x {
+		scale += cmplx.Abs(v)
+	}
+	return 1e-11 * (scale + 1)
+}
+
 // TestKernelMatchesNaiveRandomLengths is the property test of the
 // overhaul: for random lengths — powers of two through the radix-4
 // kernel, everything else through Bluestein — the transform must match
@@ -42,11 +52,7 @@ func TestKernelMatchesNaiveRandomLengths(t *testing.T) {
 		x := kernelSignal(rng, n)
 		got := FFT(x)
 		want := DFTNaive(x)
-		scale := 0.0
-		for _, v := range x {
-			scale += cmplx.Abs(v)
-		}
-		tol := 1e-11 * (scale + 1)
+		tol := naiveTol(x)
 		if d := maxBinDiff(got, want); d > tol {
 			t.Errorf("n=%d: FFT vs naive DFT max bin diff %g > %g", n, d, tol)
 		}
@@ -78,39 +84,98 @@ func TestKernelParsevalRandomLengths(t *testing.T) {
 	}
 }
 
-// TestKernelVsRadix2OracleULP pins the radix-4 kernel to the retained
-// radix-2 reference within a tight rounding-error envelope, forward and
+// radix2Oracle is the kernel the radix-4 transform replaced, kept
+// verbatim as the test-side reference: iterative radix-2 Cooley-Tukey
+// with a strided walk of its own e^{-2πik/n} table and per-element
+// conjugation on the inverse path. Only the bit-reversal permutation is
+// borrowed from the production plan.
+type radix2Oracle struct {
+	p       *FFTPlan
+	twiddle []complex128 // e^{-2πi k/n} for k in [0, n/2)
+}
+
+func newRadix2Oracle(tb testing.TB, n int) *radix2Oracle {
+	tb.Helper()
+	p, err := NewFFTPlan(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	o := &radix2Oracle{p: p, twiddle: make([]complex128, n/2)}
+	for k := range o.twiddle {
+		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		o.twiddle[k] = complex(c, s)
+	}
+	return o
+}
+
+func (o *radix2Oracle) transform(dst, src []complex128) { o.run(dst, src, false) }
+
+func (o *radix2Oracle) inverse(dst, src []complex128) {
+	o.run(dst, src, true)
+	inv := complex(1/float64(o.p.n), 0)
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+func (o *radix2Oracle) run(dst, src []complex128, inverse bool) {
+	n := o.p.n
+	o.p.bitrev(dst, src)
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			tw := 0
+			for k := start; k < start+half; k++ {
+				w := o.twiddle[tw]
+				if inverse {
+					w = complex(real(w), -imag(w))
+				}
+				odd := dst[k+half] * w
+				dst[k+half] = dst[k] - odd
+				dst[k] += odd
+				tw += step
+			}
+		}
+	}
+}
+
+// TestKernelVsRadix2OracleULP pins the radix-4 kernel to the radix-2
+// reference within a tight rounding-error envelope, forward and
 // inverse, at every power-of-two size the pipeline uses. The bound is
 // relative to the spectrum's largest magnitude — a few dozen ULPs, far
-// below anything a detection threshold can see.
+// below anything a detection threshold can see. Bluestein lengths, whose
+// padded transforms run the same kernel, are held to the naive DFT
+// through Plan.FFTInto.
 func TestKernelVsRadix2OracleULP(t *testing.T) {
 	rng := rand.New(rand.NewSource(1003))
 	for n := 1; n <= 4096; n <<= 1 {
-		p, err := NewFFTPlan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		o := newRadix2Oracle(t, n)
+		p := o.p
 		x := kernelSignal(rng, n)
 		fwd := make([]complex128, n)
 		ref := make([]complex128, n)
 		p.Transform(fwd, x)
-		p.transformRadix2(ref, x)
-		var peak float64
-		for _, v := range ref {
-			if m := cmplx.Abs(v); m > peak {
-				peak = m
-			}
-		}
-		tol := 64 * 0x1p-52 * (peak + 1)
+		o.transform(ref, x)
+		tol := 64 * 0x1p-52 * (maxAbs(ref) + 1)
 		if d := maxBinDiff(fwd, ref); d > tol {
 			t.Errorf("n=%d forward: radix-4 vs radix-2 max bin diff %g > %g", n, d, tol)
 		}
 		inv := make([]complex128, n)
 		invRef := make([]complex128, n)
 		p.Inverse(inv, fwd)
-		p.inverseRadix2(invRef, ref)
+		o.inverse(invRef, ref)
 		if d := maxBinDiff(inv, invRef); d > 64*0x1p-52*(maxAbs(invRef)+1) {
 			t.Errorf("n=%d inverse: radix-4 vs radix-2 max diff %g", n, d)
+		}
+	}
+	pl := NewPlan()
+	for _, n := range []int{600, 2500} {
+		x := kernelSignal(rng, n)
+		got := make([]complex128, n)
+		pl.FFTInto(got, x)
+		if d, tol := maxBinDiff(got, DFTNaive(x)), naiveTol(x); d > tol {
+			t.Errorf("n=%d Bluestein: FFTInto vs naive DFT max bin diff %g > %g", n, d, tol)
 		}
 	}
 }
@@ -207,81 +272,39 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 // TestSpectrumIntoFusedCaches checks the fused pass contract: bins
 // bit-identical to the allocating NewSpectrum, and the Mags/Pows caches
 // exactly equal to the one canonical magnitude expression — on the
-// radix-4 path, the Bluestein path, and the radix-2 fallback.
+// radix-4 path and the Bluestein path.
 func TestSpectrumIntoFusedCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(1006))
-	for _, tc := range []struct {
-		n      int
-		radix2 bool
-	}{{2048, false}, {8, false}, {4, false}, {600, false}, {2048, true}, {600, true}} {
-		x := kernelSignal(rng, tc.n)
-		pl := &Plan{Radix2: tc.radix2}
+	for _, n := range []int{2048, 8, 4, 600} {
+		x := kernelSignal(rng, n)
+		pl := NewPlan()
 		var s Spectrum
 		pl.SpectrumInto(&s, x, 4e6)
-		if len(s.Mags) != tc.n || len(s.Pows) != tc.n {
-			t.Fatalf("n=%d radix2=%v: caches not filled (%d/%d)", tc.n, tc.radix2, len(s.Mags), len(s.Pows))
+		if len(s.Mags) != n || len(s.Pows) != n {
+			t.Fatalf("n=%d: caches not filled (%d/%d)", n, len(s.Mags), len(s.Pows))
 		}
 		for k, v := range s.Bins {
 			if pw := binPow(v); s.Pows[k] != pw || s.Mags[k] != math.Sqrt(pw) {
-				t.Fatalf("n=%d radix2=%v bin %d: cache mismatch", tc.n, tc.radix2, k)
+				t.Fatalf("n=%d bin %d: cache mismatch", n, k)
 			}
 		}
-		if !tc.radix2 {
-			ref := NewSpectrum(x, 4e6)
-			for k := range ref.Bins {
-				if s.Bins[k] != ref.Bins[k] {
-					t.Fatalf("n=%d bin %d: fused bins %v != NewSpectrum %v", tc.n, k, s.Bins[k], ref.Bins[k])
-				}
+		ref := NewSpectrum(x, 4e6)
+		for k := range ref.Bins {
+			if s.Bins[k] != ref.Bins[k] {
+				t.Fatalf("n=%d bin %d: fused bins %v != NewSpectrum %v", n, k, s.Bins[k], ref.Bins[k])
 			}
-		}
-	}
-}
-
-// TestPlanRadix2Fallback checks the escape hatch: a Radix2 plan's
-// transforms are bit-identical to the reference kernel at every
-// surface, including through Bluestein's internal FFTs.
-func TestPlanRadix2Fallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(1007))
-	for _, n := range []int{2048, 600} {
-		x := kernelSignal(rng, n)
-		pl := &Plan{Radix2: true}
-		dst := make([]complex128, n)
-		pl.FFTInto(dst, x)
-		var want []complex128
-		if n&(n-1) == 0 {
-			p, _ := NewFFTPlan(n)
-			want = make([]complex128, n)
-			p.transformRadix2(want, x)
-		} else {
-			// The reference for a Bluestein length is a second fallback
-			// plan: determinism of the radix-2 path is what matters.
-			pl2 := &Plan{Radix2: true}
-			want = make([]complex128, n)
-			pl2.FFTInto(want, x)
-		}
-		for k := range want {
-			if dst[k] != want[k] {
-				t.Fatalf("n=%d bin %d: radix-2 fallback not deterministic/reference", n, k)
-			}
-		}
-		// The fallback must stay within the oracle envelope of the
-		// production kernel.
-		prod := FFT(x)
-		peak := maxAbs(prod)
-		tol := 512 * 0x1p-52 * (peak + 1)
-		if d := maxBinDiff(dst, prod); d > tol {
-			t.Errorf("n=%d: radix-2 vs radix-4 diff %g > %g", n, d, tol)
 		}
 	}
 }
 
 // BenchmarkFFTPlan is the kernel microbench of the perf trajectory:
-// the radix-4 production kernel against the retained radix-2 reference
+// the radix-4 production kernel against the test-side radix-2 reference
 // at the capture length, plus the batched and fused entry points.
 func BenchmarkFFTPlan(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 2048
-	p, _ := NewFFTPlan(n)
+	oracle := newRadix2Oracle(b, n)
+	p := oracle.p
 	src := kernelSignal(rng, n)
 	dst := make([]complex128, n)
 	b.Run("radix4", func(b *testing.B) {
@@ -293,7 +316,7 @@ func BenchmarkFFTPlan(b *testing.B) {
 	b.Run("radix2ref", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p.transformRadix2(dst, src)
+			oracle.transform(dst, src)
 		}
 	})
 	b.Run("inverse", func(b *testing.B) {
@@ -335,7 +358,11 @@ func BenchmarkSpectrumInto(b *testing.B) {
 			pl.FFTInto(s.Bins, src)
 			s.Mags = growFloatSlice(s.Mags, n)
 			s.Pows = growFloatSlice(s.Pows, n)
-			fillMagsPows(s.Mags, s.Pows, s.Bins)
+			for k, v := range s.Bins {
+				pw := binPow(v)
+				s.Pows[k] = pw
+				s.Mags[k] = math.Sqrt(pw)
+			}
 		}
 	})
 }

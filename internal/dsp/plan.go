@@ -14,25 +14,15 @@ import (
 // ClassifyBin allocates nothing.
 //
 // Every pooled method is bit-identical to its allocating package-level
-// counterpart (FFT, NewSpectrum, FindPeaks, ClassifyBin): the same
-// arithmetic runs in the same order over the same values, only the
-// buffer lifetimes differ. The allocating entry points remain as
-// determinism oracles and for one-shot callers.
+// counterpart (FFT, NewSpectrum, FindPeaks, ClassifyBin): those are
+// thin one-shot wrappers over the same implementation, so only the
+// buffer lifetimes differ.
 //
 // A Plan is NOT safe for concurrent use: give each worker goroutine its
 // own. The zero value is ready to use. Slices returned by FindPeaks are
 // owned by the plan and are valid only until its next call; callers
 // that retain them must copy.
 type Plan struct {
-	// Radix2 routes every transform this plan runs through the retained
-	// radix-2 reference kernel instead of the radix-4 production kernel.
-	// It is the platform escape hatch behind core Params.Radix2FFT: the
-	// two kernels agree to a few ULPs (asserted in tests), but if a
-	// platform's decisions ever disagree, flipping this restores the
-	// pre-overhaul arithmetic exactly. The FFTPlan tables themselves are
-	// shared and immutable; the flag lives here, per worker.
-	Radix2 bool
-
 	ffts  map[int]*FFTPlan
 	blues map[int]*bluesteinPlan
 
@@ -92,15 +82,10 @@ func (pl *Plan) FFTInto(dst, src []complex128) {
 		return
 	}
 	if n&(n-1) == 0 {
-		p := pl.fftPlan(n)
-		if pl.Radix2 {
-			p.transformRadix2(dst, src)
-			return
-		}
-		p.Transform(dst, src)
+		pl.fftPlan(n).Transform(dst, src)
 		return
 	}
-	pl.bluePlan(n).forward(dst, src, pl.Radix2)
+	pl.bluePlan(n).forward(dst, src)
 }
 
 // SpectrumInto computes the spectrum of a capture into s, reusing
@@ -120,15 +105,10 @@ func (pl *Plan) SpectrumInto(s *Spectrum, samples []complex128, sampleRate float
 		return
 	}
 	if n&(n-1) == 0 {
-		if !pl.Radix2 {
-			pl.fftPlan(n).transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
-			return
-		}
-		pl.fftPlan(n).transformRadix2(s.Bins, samples)
-		fillMagsPows(s.Mags, s.Pows, s.Bins)
+		pl.fftPlan(n).transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
 		return
 	}
-	pl.bluePlan(n).forwardSpectrum(s.Bins, s.Mags, s.Pows, samples, pl.Radix2)
+	pl.bluePlan(n).forwardSpectrum(s.Bins, s.Mags, s.Pows, samples)
 }
 
 // SpectrumManyInto computes one spectrum per capture, the batched
@@ -144,7 +124,7 @@ func (pl *Plan) SpectrumManyInto(specs []Spectrum, captures [][]complex128, samp
 	var fp *FFTPlan
 	for i, samples := range captures {
 		n := len(samples)
-		if n == 0 || n&(n-1) != 0 || pl.Radix2 {
+		if n == 0 || n&(n-1) != 0 {
 			pl.SpectrumInto(&specs[i], samples, sampleRate)
 			continue
 		}
@@ -157,17 +137,6 @@ func (pl *Plan) SpectrumManyInto(specs []Spectrum, captures [][]complex128, samp
 			fp = pl.fftPlan(n)
 		}
 		fp.transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
-	}
-}
-
-// fillMagsPows is the unfused magnitude sweep for paths that cannot
-// fuse into a butterfly stage (the radix-2 fallback kernel). Values are
-// identical to the fused stores: the same binPow/Sqrt per bin.
-func fillMagsPows(mags, pows []float64, bins []complex128) {
-	for k, v := range bins {
-		pw := binPow(v)
-		pows[k] = pw
-		mags[k] = math.Sqrt(pw)
 	}
 }
 
@@ -317,19 +286,18 @@ func (pl *Plan) ClassifyBin(samples []complex128, sampleRate, freqHz float64, p 
 type bluesteinPlan struct {
 	n     int
 	chirp []complex128 // e^{-πi k²/n}
-	fb    []complex128 // FFT of the kernel sequence b (radix-4 kernel)
-	fbR2  []complex128 // same, computed by the radix-2 reference kernel
+	fb    []complex128 // FFT of the kernel sequence b
 	a     []complex128 // work: chirp-premultiplied, zero-padded input
 	fa    []complex128 // work: forward FFT / convolution result
 	fft   *FFTPlan     // power-of-two plan of the padded length m
 }
 
-// newBluesteinPlan precomputes the tables exactly as bluestein(x,
-// false) does per call, so the pooled transform is bit-identical to
-// the allocating one.
+// newBluesteinPlan precomputes the chirp and kernel tables for length n.
 func newBluesteinPlan(n int) *bluesteinPlan {
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
+		// Reduce k² mod 2n before multiplying to avoid precision loss
+		// for large n.
 		kk := (int64(k) * int64(k)) % int64(2*n)
 		s, c := math.Sincos(-math.Pi * float64(kk) / float64(n))
 		chirp[k] = complex(c, s)
@@ -352,15 +320,10 @@ func newBluesteinPlan(n int) *bluesteinPlan {
 	}
 	fb := make([]complex128, m)
 	fft.Transform(fb, b)
-	// The radix-2 escape hatch must reproduce the pre-overhaul
-	// arithmetic exactly, which includes the kernel table itself.
-	fbR2 := make([]complex128, m)
-	fft.transformRadix2(fbR2, b)
 	return &bluesteinPlan{
 		n:     n,
 		chirp: chirp,
 		fb:    fb,
-		fbR2:  fbR2,
 		a:     make([]complex128, m),
 		fa:    make([]complex128, m),
 		fft:   fft,
@@ -369,10 +332,8 @@ func newBluesteinPlan(n int) *bluesteinPlan {
 
 // forward evaluates the forward DFT of src into dst, reusing the
 // cached tables. dst and src must both have length n and not alias.
-// radix2 routes the internal power-of-two transforms through the
-// reference kernel (the Plan.Radix2 escape hatch).
-func (bp *bluesteinPlan) forward(dst, src []complex128, radix2 bool) {
-	bp.convolve(src, radix2)
+func (bp *bluesteinPlan) forward(dst, src []complex128) {
+	bp.convolve(src)
 	for k := 0; k < bp.n; k++ {
 		dst[k] = bp.fa[k] * bp.chirp[k]
 	}
@@ -381,8 +342,8 @@ func (bp *bluesteinPlan) forward(dst, src []complex128, radix2 bool) {
 // forwardSpectrum is forward with the magnitude/power stores fused
 // into the final unchirp loop — the Bluestein arm of the fused
 // SpectrumInto pass. Bins are identical to forward's.
-func (bp *bluesteinPlan) forwardSpectrum(dst []complex128, mags, pows []float64, src []complex128, radix2 bool) {
-	bp.convolve(src, radix2)
+func (bp *bluesteinPlan) forwardSpectrum(dst []complex128, mags, pows []float64, src []complex128) {
+	bp.convolve(src)
 	for k := 0; k < bp.n; k++ {
 		v := bp.fa[k] * bp.chirp[k]
 		dst[k] = v
@@ -394,26 +355,16 @@ func (bp *bluesteinPlan) forwardSpectrum(dst []complex128, mags, pows []float64,
 
 // convolve runs the shared chirp-premultiply → FFT → kernel product →
 // inverse FFT steps, leaving the convolution result in bp.fa.
-func (bp *bluesteinPlan) convolve(src []complex128, radix2 bool) {
+func (bp *bluesteinPlan) convolve(src []complex128) {
 	for k := 0; k < bp.n; k++ {
 		bp.a[k] = src[k] * bp.chirp[k]
 	}
 	clear(bp.a[bp.n:])
-	fb := bp.fb
-	if radix2 {
-		fb = bp.fbR2
-		bp.fft.transformRadix2(bp.fa, bp.a)
-	} else {
-		bp.fft.Transform(bp.fa, bp.a)
-	}
+	bp.fft.Transform(bp.fa, bp.a)
 	for i := range bp.fa {
-		bp.fa[i] *= fb[i]
+		bp.fa[i] *= bp.fb[i]
 	}
-	if radix2 {
-		bp.fft.inverseRadix2(bp.fa, bp.fa)
-	} else {
-		bp.fft.Inverse(bp.fa, bp.fa)
-	}
+	bp.fft.Inverse(bp.fa, bp.fa)
 }
 
 // growComplexSlice returns x resized to length n, reusing its backing

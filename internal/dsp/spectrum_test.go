@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// Tone is one component of a toneSignal fixture: a complex amplitude on
+// the scale of a dense FFT bin value (amplitude × capture length) at a
+// continuous frequency in Hz.
+type Tone struct {
+	Freq float64
+	Amp  complex128
+}
+
 // toneSignal synthesizes a sum of complex tones with additive noise.
 func toneSignal(rng *rand.Rand, n int, sampleRate, noise float64, tones []Tone) []complex128 {
 	x := make([]complex128, n)
@@ -117,6 +125,32 @@ func TestNoiseFloorScalesWithNoise(t *testing.T) {
 	hi := NewSpectrum(toneSignal(rng, 2048, 4e6, 1.0, nil), 4e6).NoiseFloor()
 	if hi < 5*lo {
 		t.Errorf("noise floor did not scale: lo=%g hi=%g", lo, hi)
+	}
+}
+
+// TestMedianMag pins the noise floor — the median bin magnitude — to
+// known values, even and odd lengths and the empty spectrum included,
+// on both the planless and the pooled path.
+func TestMedianMag(t *testing.T) {
+	cases := []struct {
+		in   []complex128
+		want float64
+	}{
+		{nil, 0},
+		{[]complex128{3}, 3},
+		{[]complex128{1, 5, 3}, 3},
+		{[]complex128{1, 2, 3, 4}, 2.5},
+		{[]complex128{complex(3, 4)}, 5},
+	}
+	pl := NewPlan()
+	for _, c := range cases {
+		s := &Spectrum{Bins: c.in, SampleRate: 4e6}
+		if got := s.NoiseFloor(); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("NoiseFloor(%v) = %g, want %g", c.in, got, c.want)
+		}
+		if got := pl.NoiseFloor(s); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Plan.NoiseFloor(%v) = %g, want %g", c.in, got, c.want)
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func (r *Reader) Query(devs []*transponder.Device, rng *rand.Rand) (*rfsim.Multi
 		txs = append(txs, tx)
 	}
 	cfg := r.Capture
-	cfg.Workers = r.workerCount()
+	cfg.Workers = r.Workers
 	if r.scratch == nil {
 		// One scratch per reader: a reader issues captures strictly one
 		// at a time (queries within an epoch, epochs within its
@@ -132,21 +132,11 @@ func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand
 		// next Measure; Report deep-copies what telemetry retains.
 		r.analyze = &core.Scratch{}
 	}
-	spikes, err := r.analyze.AnalyzeCaptures(mcs, r.Params, r.workerCount())
+	spikes, err := r.analyze.AnalyzeCaptures(mcs, r.Params, r.Workers)
 	if err != nil {
 		return core.CountResult{}, err
 	}
 	return core.CountFromSpikes(spikes), nil
-}
-
-// workerCount clamps Workers to the pool size the core entry points
-// expect (≥ 1; their own ≤ 0 convention means "one per CPU", which is
-// not this field's contract).
-func (r *Reader) workerCount() int {
-	if r.Workers < 1 {
-		return 1
-	}
-	return r.Workers
 }
 
 // DecodeIDs runs the §8 collision decoder against the current scene:
@@ -167,7 +157,7 @@ func (r *Reader) DecodeIDs(devs []*transponder.Device, freqs []float64, maxQueri
 		}
 		return mc.Reference(), nil
 	}
-	out, err := core.DecodeAllParallel(src, r.Params.SampleRate, freqs, maxQueries, r.workerCount())
+	out, err := core.DecodeAllParallel(src, r.Params.SampleRate, freqs, maxQueries, r.Workers)
 	if err != nil && !errors.Is(err, core.ErrNeedMoreCollisions) {
 		return nil, fmt.Errorf("reader %d: %w", r.ID, err)
 	}

@@ -46,7 +46,7 @@ func main() {
 	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = single-report frames)")
 	lockstep := flag.Bool("lockstep", false, "per-epoch barrier in the one run loop: no reader starts epoch e+1 until all have uplinked e (results identical; the determinism oracle)")
 	pipeline := flag.Int("pipeline", 0, "per-reader epoch lookahead in pipelined mode (0 = default depth; results identical for any value)")
-	partitions := flag.Int("partitions", 0, "collector partitions (0 or 1 = single collector; ≥2 = consistent-hash cluster; query answers identical for any count)")
+	partitions := flag.Int("partitions", 1, "collector partitions (1 = single collector; ≥2 spreads readers over a consistent-hash ring; query answers identical for any count)")
 	killPartition := flag.Int("kill-partition", 0, "with -partitions ≥2 and -kill-at-seq: the partition the failover drill kills")
 	killAtSeq := flag.Int("kill-at-seq", 0, "kill -kill-partition once an uplink frame opens past this seq; its readers rehome to the ring successor (0 = no kill)")
 	serveAddr := flag.String("serve", "", "after the run, serve the HTTP query API on this address (e.g. :8080) with the clock frozen at the run's end")
@@ -126,7 +126,7 @@ func main() {
 
 	fmt.Printf("city: %d readers on %d intersections, %d vehicles (+%d parked), %d epochs (%s simulated) in %.1fs wall\n",
 		*readers, len(res.PerIntersection), *vehicles, *parked, res.Epochs, *duration, wall.Seconds())
-	if cl := res.Cluster; cl != nil {
+	if cl := res.Cluster; cl.NumPartitions() >= 2 {
 		fmt.Printf("cluster: %d partitions |", cl.NumPartitions())
 		for i := 0; i < cl.NumPartitions(); i++ {
 			fmt.Printf(" p%d: %d readers", i, cl.ReadersOn(i))

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("decoded %d ids across the city\n", len(res.Decoded))
 	if len(res.Decoded) > 0 {
 		id := res.Decoded[0].ID
-		if sgt, ok := res.Store.FindCar(id); ok {
+		if sgt, ok := res.Directory().FindCar(id); ok {
 			fmt.Printf("find-my-car: %#x last seen by reader %d at %s\n",
 				id, sgt.ReaderID, sgt.Seen.Format("15:04:05"))
 		}

@@ -3,10 +3,11 @@
 // intersections whose pole-mounted readers run concurrently, each
 // synthesizing its own collision captures from the vehicles inside its
 // interrogation zone and streaming telemetry reports over real TCP
-// into the collector backend. It is the scaffold the production-scale
-// load work drives: each reader runs its measurement pipeline (capture
-// synthesis → FFT → spike extraction → §5 count → optional §8
-// collision decode → uplink) as an independent goroutine pair, so a
+// into the collector tier (internal/cluster, one partition by default).
+// It is the scaffold the production-scale load work drives: each reader
+// runs its measurement pipeline (capture synthesis → FFT → spike
+// extraction → §5 count → optional §8 collision decode → uplink) as an
+// independent goroutine pair, so a
 // reader's epoch N+1 capture overlaps its epoch N decode and uplink
 // and no reader ever waits on another — the paper's §10/§12.5
 // deployment model, where every reader duty-cycles independently and
@@ -109,9 +110,8 @@ type Config struct {
 	// Shards is the collector store's shard count (default: the
 	// collector's DefaultShards). Results are identical for any value.
 	Shards int
-	// Partitions is the collector-tier process count. 0 or 1 runs the
-	// legacy single collector — byte-identical to a build without this
-	// field. ≥ 2 runs a partitioned tier (internal/cluster): readers
+	// Partitions is the collector-tier process count (default 1, a
+	// single collector). The tier is always an internal/cluster: readers
 	// home onto partitions by consistent-hashing their intersection's
 	// grid cell, uplinks route to the home partition, and queries merge
 	// across partitions. Merged query answers are identical for any
@@ -119,8 +119,8 @@ type Config struct {
 	Partitions int
 	// Batch is how many telemetry reports a reader coalesces into one
 	// batch frame before flushing its uplink (default 1 = a single-
-	// report frame per epoch, the legacy wire behavior). Results are
-	// identical for any value; only framing and syscall counts change.
+	// report frame per epoch). Results are identical for any value; only
+	// framing and syscall counts change.
 	Batch int
 	// Lockstep adds a per-epoch barrier to the one run loop: the
 	// coordinator holds epoch e+1 back until every active reader has
@@ -187,6 +187,9 @@ func (c Config) withDefaults() Config {
 	if c.Keep == 0 {
 		c.Keep = 8192
 	}
+	if c.Partitions == 0 {
+		c.Partitions = 1
+	}
 	if c.Batch == 0 {
 		c.Batch = 1
 	}
@@ -227,7 +230,7 @@ func (c *Config) validate() error {
 	if c.Chaos.KillAtSeq > 0 && c.Partitions < 2 {
 		return fmt.Errorf("city: killing a partition needs a partitioned run (partitions %d)", c.Partitions)
 	}
-	if c.Partitions >= 2 && c.Chaos.KillAtSeq > 0 && c.Chaos.KillPartition >= c.Partitions {
+	if c.Chaos.KillAtSeq > 0 && c.Chaos.KillPartition >= c.Partitions {
 		return fmt.Errorf("city: kill partition %d outside [0,%d)", c.Chaos.KillPartition, c.Partitions)
 	}
 	return c.Chaos.validate()
@@ -398,7 +401,7 @@ func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
 	return geom.V(st.fixed+2, w, 0)
 }
 
-// claim refreshes transponder positions and assigns each equipped
+// claimMask refreshes transponder positions and assigns each equipped
 // device to at most one reader for the coming epoch — the §9 reader
 // CSMA guarantee that overlapping readers never query the same scene
 // simultaneously. Claiming in reader-id order keeps the partition
@@ -413,15 +416,11 @@ func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
 // vehicles first, then parked cars — which is exactly the linear
 // scan's order, so the partition is identical (the linear scan lives
 // on in grid_test.go as the equality oracle).
-func (s *Sim) claim() [][]*transponder.Device {
-	return s.claimMask(nil)
-}
-
-// claimMask is claim with a churn mask: a reader marked inactive this
-// epoch claims nothing, so its in-range devices fall to a later
-// (overlapping) reader in id order or go unread — exactly what a
-// departed parked-car RSU's zone looks like. A nil mask means every
-// reader is on, and the partition is identical to the pre-churn claim.
+//
+// active is the churn mask: a reader marked inactive this epoch claims
+// nothing, so its in-range devices fall to a later (overlapping) reader
+// in id order or go unread — exactly what a departed parked-car RSU's
+// zone looks like. A nil mask means every reader is on.
 func (s *Sim) claimMask(active []bool) [][]*transponder.Device {
 	idx := newClaimIndex(s.cfg.Range, s.activeDevices())
 	claims := make([][]*transponder.Device, len(s.posts))
@@ -487,15 +486,15 @@ type Result struct {
 	// ParkedSpots maps parking-spot index → occupant id, for spots
 	// whose occupant the readers managed to decode.
 	ParkedSpots map[int]uint64
-	// Store is the collector backend after ingest of a single-collector
-	// run; nil when the run was partitioned (see Cluster). Poles maps
-	// reader ids to road-plane positions (what a SpeedService needs).
+	// Store is the one partition's store of a single-collector run
+	// (Cluster.Partition(0).Store); nil when the tier has ≥ 2 partitions
+	// and no single store holds the run. Poles maps reader ids to
+	// road-plane positions (what a SpeedService needs).
 	Store      *collector.Store
 	Poles      map[uint32]geom.Vec2
 	Start, End time.Time
-	// Cluster is the partitioned collector tier of a Partitions ≥ 2 run
-	// — servers stopped, per-partition stores still queryable. Nil for
-	// a single-collector run.
+	// Cluster is the run's collector tier — servers stopped,
+	// per-partition stores still queryable.
 	Cluster *cluster.Cluster
 	// Uplinks is the per-reader delivery accounting of a chaos run —
 	// client, wire, store, and churn vantage points reconciled. Nil for
@@ -506,15 +505,15 @@ type Result struct {
 	Failover *FailoverStats
 }
 
-// Directory returns the run's sighting query surface: the cluster's
-// merged query plane when the run was partitioned, the single store
-// otherwise. Services (SpeedService, the HTTP API) built on this work
-// unchanged over one collector or many.
+// Directory returns the run's sighting query surface: the single store
+// when one partition holds the whole run (no merge to pay for), the
+// cluster's merged query plane otherwise. Services (SpeedService, the
+// HTTP API) built on this work unchanged over one collector or many.
 func (r *Result) Directory() collector.Directory {
-	if r.Cluster != nil {
-		return r.Cluster
+	if r.Store != nil {
+		return r.Store
 	}
-	return r.Store
+	return r.Cluster
 }
 
 // FailoverStats summarizes a run's armed partition kill: whether any
@@ -555,14 +554,15 @@ type epochJob struct {
 	devs   []*transponder.Device
 }
 
-// Run executes the simulation: an in-process collector server, one TCP
+// Run executes the simulation: an in-process collector tier, one TCP
 // uplink per reader, and every reader running its capture → decode →
 // uplink loop as an independent pipeline (epoch N+1 capture overlaps
 // epoch N decode and uplink; sends ride an async per-reader queue).
 // Config.Lockstep adds a global per-epoch barrier to the same loop —
 // the determinism oracle: both modes produce identical Results for the
 // same seed. Run blocks until every reader's final report has landed in
-// the store (a per-reader sequence check, not a global count).
+// its partition's store (a per-reader sequence check, not a global
+// count).
 func (s *Sim) Run() (*Result, error) {
 	epochs := int(s.cfg.Duration / s.cfg.Epoch)
 	ids := make([]uint32, len(s.posts))
@@ -571,48 +571,29 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	cr := newChaosRun(s.cfg, epochs, ids) // nil on the clean path
 
-	// Backend: one collector server, or a partitioned tier of them.
-	var (
-		store *collector.Store
-		cl    *cluster.Cluster
-		addr  string
-	)
-	if s.cfg.Partitions >= 2 {
-		var err error
-		cl, err = cluster.New(cluster.Config{
-			Partitions: s.cfg.Partitions,
-			Keep:       s.cfg.Keep,
-			Shards:     s.cfg.Shards,
-			Logf:       func(string, ...any) {}, // keep harness output clean
-		})
-		if err != nil {
+	cl, err := cluster.New(cluster.Config{
+		Partitions: s.cfg.Partitions,
+		Keep:       s.cfg.Keep,
+		Shards:     s.cfg.Shards,
+		Logf:       func(string, ...any) {}, // keep harness output clean
+	})
+	if err != nil {
+		return nil, fmt.Errorf("city: %w", err)
+	}
+	defer cl.Stop()
+	for _, p := range s.posts {
+		cl.Register(p.rd.ID, s.cellOf(p))
+	}
+	if s.cfg.Chaos.KillAtSeq > 0 {
+		plan := cluster.FailoverPlan{Partition: s.cfg.Chaos.KillPartition, AtSeq: uint32(s.cfg.Chaos.KillAtSeq)}
+		if err := cl.SetFailover(plan); err != nil {
 			return nil, fmt.Errorf("city: %w", err)
 		}
-		defer cl.Stop()
-		for _, p := range s.posts {
-			cl.Register(p.rd.ID, s.cellOf(p))
-		}
-		if s.cfg.Chaos.KillAtSeq > 0 {
-			plan := cluster.FailoverPlan{Partition: s.cfg.Chaos.KillPartition, AtSeq: uint32(s.cfg.Chaos.KillAtSeq)}
-			if err := cl.SetFailover(plan); err != nil {
-				return nil, fmt.Errorf("city: %w", err)
-			}
-		}
-	} else {
-		store = collector.NewShardedStore(s.cfg.Keep, s.cfg.Shards)
-		srv := collector.NewServer(store)
-		srv.Logf = func(string, ...any) {} // keep harness output clean
-		a, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("city: %w", err)
-		}
-		defer srv.Stop()
-		addr = a.String()
 	}
 
 	clients := make([]*collector.Client, len(s.posts))
 	for i, p := range s.posts {
-		c, err := s.dialUplink(cr, cl, p, addr)
+		c, err := s.dialUplink(cr, cl, p)
 		if err != nil {
 			return nil, fmt.Errorf("city: uplink %d: %w", i, err)
 		}
@@ -633,76 +614,43 @@ func (s *Sim) Run() (*Result, error) {
 	if timeout == 0 {
 		timeout = drainTimeout(epochs, len(s.posts))
 	}
-	if err := s.drain(cr, cl, store, clients, epochs, timeout); err != nil {
+	if err := s.drain(cr, cl, clients, epochs, timeout); err != nil {
 		return nil, err
 	}
 	produced := 0
 	for _, p := range s.posts {
 		produced += p.reports
 	}
-	res := s.summarize(store, produced, epochs)
-	res.Cluster = cl
-	if cl != nil && s.cfg.Chaos.KillAtSeq > 0 {
-		res.Failover = s.failoverStats(cl, cr, clients, epochs)
-	}
+	res := s.summarize(cl, produced, epochs)
+	res.Failover = s.failoverStats(cl, cr, clients, epochs)
 	if cr != nil {
-		var counts ingestCounts = store
-		if cl != nil {
-			counts = cl
-		}
-		res.Uplinks = cr.uplinkStats(s.posts, clients, counts, epochs)
+		res.Uplinks = cr.uplinkStats(s.posts, clients, cl, epochs)
 	}
 	return res, nil
 }
 
-// drain blocks until every uplinked report has landed in the run's
-// backend. Single collector: the legacy store barriers. Partitioned:
-// the cluster-wide composition — each reader's expected seq set splits
-// by partition ownership (a rehomed reader's pre-cut prefix barriers on
-// the dead partition's store, its suffix on the successor) and the
-// per-partition barriers run concurrently.
-func (s *Sim) drain(cr *chaosRun, cl *cluster.Cluster, store *collector.Store, clients []*collector.Client, epochs int, timeout time.Duration) error {
-	switch {
-	case cl == nil && cr == nil:
-		// Clean path: lossless, so the exact high-water barrier holds.
-		want := make(map[uint32]uint32, len(s.posts))
-		for _, p := range s.posts {
-			want[p.rd.ID] = uint32(epochs)
-		}
-		if err := store.WaitHighWater(want, timeout); err != nil {
-			return fmt.Errorf("city: %w", err)
-		}
-	case cl == nil:
-		// Chaos path: injected loss makes an exact barrier a guaranteed
-		// hang, so drain gap-tolerantly — distinct reports up to the
-		// accounted loss budget — then wait for every wire copy
-		// (duplicates included) so the dedupe counters are settled and
-		// reproducible before anyone reads them.
-		want, budget, copies := cr.drainTargets(s.posts, clients, epochs)
-		if err := store.WaitDelivered(want, budget, timeout); err != nil {
-			return fmt.Errorf("city: %w", err)
-		}
-		if err := store.WaitCopies(copies, timeout); err != nil {
-			return fmt.Errorf("city: %w", err)
-		}
-	case cr == nil:
-		// Partitioned, lossless (possibly with a failover cut, which
-		// loses nothing: pre-cut frames land on the dead partition,
-		// post-cut frames are redelivered to the successor). The cluster
-		// splits the high-water barrier by seq ownership.
-		want := make(map[uint32]uint32, len(s.posts))
-		for _, p := range s.posts {
-			want[p.rd.ID] = uint32(epochs)
-		}
-		if err := cl.WaitHighWater(want, timeout); err != nil {
-			return fmt.Errorf("city: %w", err)
-		}
-	default:
-		// Partitioned chaos: per-partition gap-tolerant barriers with
-		// seq-localized loss and duplicate budgets.
-		if err := cr.clusterDrain(cl, s.posts, clients, epochs, timeout); err != nil {
-			return err
-		}
+// drain blocks until every uplinked report has landed in the collector
+// tier. Each reader's expected seq set splits by partition ownership (a
+// rehomed reader's pre-cut prefix barriers on the dead partition's
+// store, its suffix on the successor) and the per-partition store
+// barriers run concurrently; with one partition the split is the
+// identity and the barrier is that store's own.
+func (s *Sim) drain(cr *chaosRun, cl *cluster.Cluster, clients []*collector.Client, epochs int, timeout time.Duration) error {
+	if cr != nil {
+		// Injected loss makes an exact barrier a guaranteed hang, so drain
+		// gap-tolerantly with seq-localized loss and duplicate budgets.
+		return cr.clusterDrain(cl, s.posts, clients, epochs, timeout)
+	}
+	// Lossless (possibly with a failover cut, which loses nothing:
+	// pre-cut frames land on the dead partition, post-cut frames are
+	// redelivered to the successor), so the exact high-water barrier
+	// holds.
+	want := make(map[uint32]uint32, len(s.posts))
+	for _, p := range s.posts {
+		want[p.rd.ID] = uint32(epochs)
+	}
+	if err := cl.WaitHighWater(want, timeout); err != nil {
+		return fmt.Errorf("city: %w", err)
 	}
 	return nil
 }
@@ -715,18 +663,15 @@ func (s *Sim) cellOf(p *post) string {
 	return fmt.Sprintf("cell-%d-%d", p.intersection%s.gw, p.intersection/s.gw)
 }
 
-// dialUplink opens one reader's uplink against the run's backend. On a
-// cluster the dial resolves the reader's current home on every
-// (re)connect — that re-resolution is the failover mechanism: a rehomed
-// reader's redial lands on the ring successor. Layering is client →
-// failover guard → fault injector → TCP, so a cut frame is never
+// dialUplink opens one reader's uplink against the collector tier. The
+// dial resolves the reader's current home on every (re)connect — that
+// re-resolution is the failover mechanism: a rehomed reader's redial
+// lands on the ring successor. Layering is client → failover guard →
+// fault injector (chaos runs only) → TCP, so a cut frame is never
 // charged to the injector's loss accounting and an injector-killed
 // frame retries against the same home until the cut is actually
 // crossed.
-func (s *Sim) dialUplink(cr *chaosRun, cl *cluster.Cluster, p *post, addr string) (*collector.Client, error) {
-	if cl == nil {
-		return cr.dial(p, addr)
-	}
+func (s *Sim) dialUplink(cr *chaosRun, cl *cluster.Cluster, p *post) (*collector.Client, error) {
 	id := p.rd.ID
 	dial := func() (net.Conn, error) {
 		return net.DialTimeout("tcp", cl.AddrFor(id), 5*time.Second)
@@ -743,7 +688,8 @@ func (s *Sim) dialUplink(cr *chaosRun, cl *cluster.Cluster, p *post, addr string
 	})
 }
 
-// failoverStats reconciles the partition-kill summary after the drain.
+// failoverStats reconciles the partition-kill summary after the drain;
+// nil when the run armed no kill.
 func (s *Sim) failoverStats(cl *cluster.Cluster, cr *chaosRun, clients []*collector.Client, epochs int) *FailoverStats {
 	plan, ok := cl.Plan()
 	if !ok {
@@ -762,7 +708,7 @@ func (s *Sim) failoverStats(cl *cluster.Cluster, cr *chaosRun, clients []*collec
 			continue
 		}
 		total := uint32(epochs)
-		if cr != nil && cr.sched != nil {
+		if cr != nil {
 			total = uint32(cr.sched.ActiveEpochs(id, epochs))
 		}
 		if split := cl.OwnershipSplit(id, total); len(split) == 2 {
@@ -813,6 +759,14 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 	// only the Lockstep barrier drains it, so only Lockstep senders fill
 	// it (at most one token per reader is ever outstanding).
 	uplinked := make(chan struct{}, n)
+	// Under chaos, degraded ≠ dead: the client counted the loss, the
+	// drain's budget absorbs it, and the reader keeps measuring (its
+	// sends are accepted and dropped). A clean run drains over the
+	// lossless barrier, which a dropped report would only hang until its
+	// timeout — there every send error aborts the run.
+	tolerated := func(err error) bool {
+		return cr != nil && errors.Is(err, collector.ErrUplinkDegraded)
+	}
 	for i := range s.posts {
 		work[i] = make(chan epochJob, depth)
 		sendq[i] = make(chan *telemetry.Report, depth)
@@ -839,11 +793,7 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 			defer sendWG.Done()
 			p, up := s.posts[i], clients[i]
 			for rep := range sendq[i] {
-				// Degraded ≠ dead: the client counted the loss and keeps
-				// accepting (and dropping) sends; the reader keeps
-				// measuring. Only a real protocol error — a legacy
-				// client with no Redial — aborts the run.
-				if err := s.uplink(p, up, rep); err != nil && !errors.Is(err, collector.ErrUplinkDegraded) {
+				if err := s.uplink(p, up, rep); err != nil && !tolerated(err) {
 					sendErrs[i] = err
 					cancel()
 					return
@@ -852,7 +802,7 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 					uplinked <- struct{}{}
 				}
 			}
-			if err := up.Flush(); err != nil && !errors.Is(err, collector.ErrUplinkDegraded) {
+			if err := up.Flush(); err != nil && !tolerated(err) {
 				sendErrs[i] = fmt.Errorf("city: reader %d uplink flush: %w", p.rd.ID, err)
 				cancel()
 			}
@@ -997,7 +947,7 @@ func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 }
 
 // uplink queues one report on a reader's client, flushing per the
-// batch policy. Batch = 1 sends the legacy single-report frame; larger
+// batch policy. Batch = 1 sends a single-report frame per epoch; larger
 // batches coalesce, paying one frame per Batch epochs. Both land the
 // same reports, so results are identical either way.
 func (s *Sim) uplink(p *post, up *collector.Client, rep *telemetry.Report) error {
@@ -1018,15 +968,18 @@ func (s *Sim) uplink(p *post, up *collector.Client, rep *telemetry.Report) error
 
 // summarize folds the collector state into per-intersection statistics
 // and merges the per-reader decode logs in a fixed order.
-func (s *Sim) summarize(store *collector.Store, total, epochs int) *Result {
+func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 	res := &Result{
 		Epochs:       epochs,
 		TotalReports: total,
 		ParkedSpots:  make(map[int]uint64),
-		Store:        store,
+		Cluster:      cl,
 		Poles:        s.poles,
 		Start:        baseTime,
 		End:          baseTime.Add(time.Duration(epochs) * s.cfg.Epoch),
+	}
+	if cl.NumPartitions() == 1 {
+		res.Store = cl.Partition(0).Store
 	}
 	stats := make([]IntersectionStats, s.k)
 	for ix := range stats {

@@ -116,7 +116,7 @@ func TestClaimDisjoint(t *testing.T) {
 	}
 	for tick := 0; tick < 5; tick++ {
 		s.step(2 * time.Second)
-		claims := s.claim()
+		claims := s.claimMask(nil)
 		seen := make(map[uint64]int)
 		for ri, devs := range claims {
 			for _, d := range devs {

@@ -46,7 +46,7 @@ func TestClaimGridMatchesLinear(t *testing.T) {
 		}
 		for tick := 0; tick < 6; tick++ {
 			s.step(1500 * time.Millisecond)
-			grid := s.claim()
+			grid := s.claimMask(nil)
 			linear := s.claimLinear()
 			if len(grid) != len(linear) {
 				t.Fatalf("shape %d tick %d: %d vs %d readers", ci, tick, len(grid), len(linear))
@@ -106,7 +106,7 @@ func BenchmarkClaim(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("grid/vehicles=%d", vehicles), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.claim()
+				s.claimMask(nil)
 			}
 		})
 		b.Run(fmt.Sprintf("linear/vehicles=%d", vehicles), func(b *testing.B) {

@@ -14,6 +14,7 @@ import (
 
 	"caraoke/internal/cluster"
 	"caraoke/internal/collector"
+	"caraoke/internal/faults"
 )
 
 // invarianceConfig is a city big enough to spread readers over several
@@ -82,32 +83,41 @@ func queryFingerprint(t *testing.T, res *Result) string {
 	return b.String()
 }
 
-// TestPartitionCountInvariance is the tentpole's correctness contract:
-// the same seeded city run against one collector, two partitions, and
-// four partitions must produce identical run statistics and answer
-// every directory query identically — including speed checks, whose
-// sighting pairs may straddle partitions.
+// TestPartitionCountInvariance is the collector tier's correctness
+// contract: the same seeded city run against the default tier and
+// against one, two, and four partitions must produce identical run
+// statistics and answer every directory query identically — including
+// speed checks, whose sighting pairs may straddle partitions.
 func TestPartitionCountInvariance(t *testing.T) {
 	base, err := Run(invarianceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Store == nil || base.Cluster != nil {
-		t.Fatal("single-collector run should use the legacy store backend")
+	if base.Store == nil || base.Store != base.Cluster.Partition(0).Store {
+		t.Fatal("the default tier should be one partition whose store is Result.Store")
 	}
 	want := queryFingerprint(t, base)
 	if len(base.Decoded) == 0 {
 		t.Fatal("no cars decoded — the invariance check is vacuous")
 	}
-	for _, parts := range []int{2, 4} {
+	for _, parts := range []int{1, 2, 4} {
 		cfg := invarianceConfig()
 		cfg.Partitions = parts
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("partitions=%d: %v", parts, err)
 		}
-		if res.Cluster == nil || res.Store != nil {
-			t.Fatalf("partitions=%d: expected a cluster backend", parts)
+		if got := res.Cluster.NumPartitions(); got != parts {
+			t.Fatalf("partitions=%d: tier has %d partitions", parts, got)
+		}
+		// Result.Store is set exactly when one partition's store holds
+		// the whole run.
+		var wantStore *collector.Store
+		if parts == 1 {
+			wantStore = res.Cluster.Partition(0).Store
+		}
+		if res.Store != wantStore {
+			t.Fatalf("partitions=%d: Result.Store = %p, want %p", parts, res.Store, wantStore)
 		}
 		if !reflect.DeepEqual(res.PerIntersection, base.PerIntersection) {
 			t.Errorf("partitions=%d: per-intersection stats diverge", parts)
@@ -119,7 +129,7 @@ func TestPartitionCountInvariance(t *testing.T) {
 			t.Errorf("partitions=%d: parked spots diverge", parts)
 		}
 		if got := queryFingerprint(t, res); got != want {
-			t.Errorf("partitions=%d: merged query answers diverge from single collector:\n--- single\n%s--- partitioned\n%s", parts, want, got)
+			t.Errorf("partitions=%d: merged query answers diverge from the default tier:\n--- default\n%s--- partitions=%d\n%s", parts, want, parts, got)
 		}
 		if parts == 4 {
 			spread := 0
@@ -132,6 +142,24 @@ func TestPartitionCountInvariance(t *testing.T) {
 				t.Errorf("all readers homed on one of %d partitions — the merge path went unexercised", parts)
 			}
 		}
+	}
+
+	// The default tier and an explicit single partition are one code
+	// path under injected faults too: same loss, redelivery, dedupe and
+	// churn accounting, reader by reader.
+	chaos := invarianceConfig()
+	chaos.Chaos = Chaos{Faults: faults.Config{DropRate: 0.15, KillEvery: 3}, ChurnRate: 0.2}
+	def, err := Run(chaos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Partitions = 1
+	one, err := Run(chaos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def.Uplinks, one.Uplinks) || len(def.Uplinks) == 0 {
+		t.Errorf("chaos accounting differs between the default tier and partitions=1:\n%+v\n%+v", def.Uplinks, one.Uplinks)
 	}
 }
 

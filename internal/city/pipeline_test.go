@@ -215,7 +215,7 @@ func TestStepWrapLargeStep(t *testing.T) {
 		}
 	}
 	// And the claim geometry still works on top of wrapped positions.
-	if claims := s.claim(); len(claims) != 1 {
+	if claims := s.claimMask(nil); len(claims) != 1 {
 		t.Fatalf("claims = %d sets", len(claims))
 	}
 }

@@ -288,10 +288,11 @@ func (c *Cluster) admit(readerID uint32, minSeq, maxSeq uint32) (cut bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.plan == nil || c.homeLocked(readerID) != c.plan.Partition {
-		// Raced a concurrent... no: a reader's uplink is single-
-		// goroutine, so its own home cannot change under it. This guard
-		// only fires if admit is called on a stale conn after a cut,
-		// which the client's redial contract excludes; forward.
+		// Invariant: a cutConn guards only a reader homed on the doomed
+		// partition, and that home moves only when the reader's own
+		// frame crosses the cut — after which its single-goroutine
+		// client drops the conn and redials. A write on a stale conn
+		// breaks that contract; forward it rather than cut twice.
 		return false
 	}
 	if minSeq != 0 && minSeq > c.plan.AtSeq {

@@ -134,10 +134,10 @@ func (s *Server) acceptLoop(ctx context.Context) {
 // reconnects and retries.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
-	go func() {
-		<-ctx.Done()
-		conn.Close() // unblock reads on shutdown
-	}()
+	// Unblock reads on shutdown; released when the connection ends, so a
+	// long-lived server does not accumulate one watcher per past reader.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 	for {
 		if s.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {

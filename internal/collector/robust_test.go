@@ -28,11 +28,11 @@ func TestStoreDedupesRedelivery(t *testing.T) {
 	s := NewStore(8)
 	r := robustReport(7, 3)
 	s.Add(r)
-	s.Add(r)                                      // single-frame redelivery
-	s.AddBatch([]*telemetry.Report{r})            // batched redelivery
-	s.Add(robustReport(7, 4))                     // a fresh seq still lands
-	if got := s.Ingested(); got != 2 {
-		t.Errorf("Ingested = %d, want 2 distinct reports", got)
+	s.Add(r)                           // single-frame redelivery
+	s.AddBatch([]*telemetry.Report{r}) // batched redelivery
+	s.Add(robustReport(7, 4))          // a fresh seq still lands
+	if got := s.SeqsReceived(7); got != 2 {
+		t.Errorf("SeqsReceived(7) = %d, want 2 distinct reports", got)
 	}
 	if got := s.TotalReports(); got != 2 {
 		t.Errorf("TotalReports = %d, want 2", got)
@@ -112,8 +112,8 @@ func TestWaitCopies(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if s.Ingested() != 1 || s.Deduped(2) != 1 {
-		t.Errorf("ingested %d deduped %d, want 1 and 1", s.Ingested(), s.Deduped(2))
+	if s.SeqsReceived(2) != 1 || s.Deduped(2) != 1 {
+		t.Errorf("received %d deduped %d, want 1 and 1", s.SeqsReceived(2), s.Deduped(2))
 	}
 }
 
@@ -165,8 +165,8 @@ func TestClientReconnectRedelivers(t *testing.T) {
 	if got := store.Deduped(1); got != 4 {
 		t.Errorf("Deduped = %d, want 4", got)
 	}
-	if got := store.Ingested(); got != n {
-		t.Errorf("Ingested = %d, want %d (dedupe must absorb redelivery)", got, n)
+	if got := store.SeqsReceived(1); got != n {
+		t.Errorf("SeqsReceived(1) = %d, want %d (dedupe must absorb redelivery)", got, n)
 	}
 	if fs := inj.Stats("uplink"); fs.Conns != 5 || fs.Kills != 4 {
 		t.Errorf("injector stats = %+v, want 5 conns, 4 kills", fs)
@@ -292,7 +292,7 @@ func TestServerIdleTimeoutReapsHalfOpen(t *testing.T) {
 	if err := telemetry.WriteFrame(conn, robustReport(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WaitIngested(1, 5*time.Second); err != nil {
+	if err := store.WaitHighWater(map[uint32]uint32{1: 1}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// …then go silent. The server must close its side; our read unblocks
@@ -303,7 +303,7 @@ func TestServerIdleTimeoutReapsHalfOpen(t *testing.T) {
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("server kept the idle connection open past the idle deadline")
 	}
-	if got := store.Ingested(); got != 1 {
-		t.Errorf("Ingested = %d, want the pre-idle report kept", got)
+	if got := store.SeqsReceived(1); got != 1 {
+		t.Errorf("SeqsReceived(1) = %d, want the pre-idle report kept", got)
 	}
 }

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestAcceptLoopSurvivesTemporaryErrors(t *testing.T) {
 	if err := c.Send(&telemetry.Report{ReaderID: 3, Seq: 1, Timestamp: at(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WaitIngested(1, 5*time.Second); err != nil {
+	if err := store.WaitHighWater(map[uint32]uint32{3: 1}, 5*time.Second); err != nil {
 		t.Fatalf("report never ingested after temporary accept errors: %v", err)
 	}
 	if got := store.Latest(3); got == nil || got.Seq != 1 {
@@ -105,7 +106,7 @@ func TestServerIngestsBatchFrames(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WaitIngested(6, 5*time.Second); err != nil {
+	if err := store.WaitHighWater(map[uint32]uint32{1: 5, 2: 9}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Latest(1); got == nil || got.Seq != 5 {
@@ -113,6 +114,46 @@ func TestServerIngestsBatchFrames(t *testing.T) {
 	}
 	if got := store.Latest(2); got == nil || got.Seq != 9 {
 		t.Fatalf("reader 2 latest = %+v", got)
+	}
+}
+
+// TestServeConnReleasesWatcher: a connection that ends must take its
+// shutdown watcher with it while the server keeps running — a
+// long-lived collector with reconnecting readers would otherwise park
+// one goroutine per connection ever accepted until Stop.
+func TestServeConnReleasesWatcher(t *testing.T) {
+	store := NewStore(8)
+	srv := NewServer(store)
+	srv.Logf = t.Logf
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+
+	const cycles = 50
+	base := runtime.NumGoroutine()
+	for seq := uint32(1); seq <= cycles; seq++ {
+		c, err := Dial(addr.String(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(&telemetry.Report{ReaderID: 1, Seq: seq, Timestamp: at(0)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.WaitHighWater(map[uint32]uint32{1: seq}, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	// The serve goroutines see EOF asynchronously; give them a moment.
+	const slack = 3
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base+slack && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base+slack {
+		t.Errorf("%d goroutines after %d connect/close cycles, %d before — closed connections left watchers behind", got, cycles, base)
 	}
 }
 

@@ -41,10 +41,10 @@ func TestShardedStoreEquality(t *testing.T) {
 	if a, b := one.TotalReports(), many.TotalReports(); a != b {
 		t.Fatalf("TotalReports diverge: %d vs %d", a, b)
 	}
-	if a, b := one.Ingested(), many.Ingested(); a != b {
-		t.Fatalf("Ingested diverge: %d vs %d", a, b)
-	}
 	for id := uint32(1); id <= 9; id++ {
+		if a, b := one.SeqsReceived(id), many.SeqsReceived(id); a != b {
+			t.Fatalf("SeqsReceived(%d) diverge: %d vs %d", id, a, b)
+		}
 		if a, b := one.Latest(id), many.Latest(id); a.Seq != b.Seq {
 			t.Fatalf("Latest(%d) diverge: %d vs %d", id, a.Seq, b.Seq)
 		}
@@ -114,25 +114,42 @@ func TestShardedStoreConcurrent(t *testing.T) {
 		perWriter = 300
 		readerIDs = 23 // spans every shard of 5 several times over
 	)
+	// The writers' frames are laid out up front so the barrier can be
+	// told each reader's final high-water mark. A batch companion takes a
+	// seq in a disjoint range: the store dedupes repeated (reader, seq)
+	// pairs, and this test stresses concurrency, not redelivery.
+	plans := make([][][]*telemetry.Report, writers)
+	want := make(map[uint32]uint32)
+	for w := range plans {
+		for i := 0; i < perWriter; i++ {
+			r := shardReport(uint32((w*perWriter+i)%readerIDs)+1, i)
+			frame := []*telemetry.Report{r}
+			if i%10 == 0 {
+				frame = append(frame, shardReport(r.ReaderID, i+perWriter))
+				i++ // the frame carries two
+			}
+			plans[w] = append(plans[w], frame)
+			for _, r := range frame {
+				if r.Seq > want[r.ReaderID] {
+					want[r.ReaderID] = r.Seq
+				}
+			}
+		}
+	}
 	done := make(chan error, 1)
 	go func() {
-		done <- s.WaitIngested(writers*perWriter, 30*time.Second)
+		done <- s.WaitHighWater(want, 30*time.Second)
 	}()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				r := shardReport(uint32((w*perWriter+i)%readerIDs)+1, i)
-				if i%10 == 0 {
-					// The batch companion takes a seq in a disjoint range:
-					// the store dedupes repeated (reader, seq) pairs, and
-					// this test stresses concurrency, not redelivery.
-					s.AddBatch([]*telemetry.Report{r, shardReport(r.ReaderID, i+perWriter)})
-					i++ // AddBatch ingested two
+			for _, frame := range plans[w] {
+				if len(frame) > 1 {
+					s.AddBatch(frame)
 				} else {
-					s.Add(r)
+					s.Add(frame[0])
 				}
 			}
 		}(w)
@@ -148,35 +165,39 @@ func TestShardedStoreConcurrent(t *testing.T) {
 				s.FindCar(uint64(q+1)<<8 | 1)
 				s.SightingsByCFO(float64(1000*(q+1)), 10)
 				s.TotalReports()
-				s.Ingested()
+				s.SeqsReceived(uint32(q + 1))
 			}
 		}(q)
 	}
 	wg.Wait()
 	if err := <-done; err != nil {
-		t.Fatalf("WaitIngested: %v", err)
+		t.Fatalf("WaitHighWater: %v", err)
 	}
-	if got := s.Ingested(); got != writers*perWriter {
+	got := 0
+	for id := uint32(1); id <= readerIDs; id++ {
+		got += s.SeqsReceived(id)
+	}
+	if got != writers*perWriter {
 		t.Errorf("ingested %d, want %d", got, writers*perWriter)
 	}
 }
 
-// TestWaitIngestedTimesOut: a barrier that can never be satisfied must
+// TestWaitHighWaterTimesOut: a barrier that can never be satisfied must
 // come back with an error at the deadline, not hang.
-func TestWaitIngestedTimesOut(t *testing.T) {
+func TestWaitHighWaterTimesOut(t *testing.T) {
 	s := NewStore(8)
-	s.Add(shardReport(1, 0))
+	s.Add(shardReport(1, 1))
 	start := time.Now()
-	err := s.WaitIngested(2, 50*time.Millisecond)
+	err := s.WaitHighWater(map[uint32]uint32{1: 2}, 50*time.Millisecond)
 	if err == nil {
-		t.Fatal("WaitIngested returned nil without the count being reached")
+		t.Fatal("WaitHighWater returned nil without the mark being reached")
 	}
 	if e := time.Since(start); e > 5*time.Second {
-		t.Fatalf("WaitIngested took %v to time out", e)
+		t.Fatalf("WaitHighWater took %v to time out", e)
 	}
 	// Satisfied barriers return immediately even with zero timeout
 	// headroom left.
-	if err := s.WaitIngested(1, time.Millisecond); err != nil {
+	if err := s.WaitHighWater(map[uint32]uint32{1: 1}, time.Millisecond); err != nil {
 		t.Fatalf("satisfied barrier errored: %v", err)
 	}
 }

@@ -36,14 +36,13 @@ type Store struct {
 	shards []storeShard
 	keep   int
 
-	// ingestMu guards the run-barrier state: the ingest counter, the
-	// per-reader sequence high-water marks, the (ReaderID, Seq) dedupe
-	// sets, and the condition the Wait* barriers sleep on. Kept apart
+	// ingestMu guards the run-barrier state: the per-reader sequence
+	// high-water marks, the (ReaderID, Seq) dedupe sets and arrival
+	// counters, and the condition the Wait* barriers sleep on. Kept apart
 	// from the shard locks so a waiter never blocks writers on
 	// unrelated shards.
 	ingestMu sync.Mutex
 	ingestCv *sync.Cond
-	ingested int
 	// high[reader] is the largest Report.Seq ingested from that reader —
 	// the per-reader completion marks WaitHighWater checks, robust to
 	// out-of-order arrival across readers because each reader's uplink
@@ -103,9 +102,6 @@ func NewShardedStore(keep, shards int) *Store {
 	s.ingestCv = sync.NewCond(&s.ingestMu)
 	return s
 }
-
-// NumShards returns the shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
 
 func (s *Store) shardFor(readerID uint32) *storeShard {
 	return &s.shards[int(readerID)%len(s.shards)]
@@ -171,7 +167,6 @@ func (s *Store) ingest(rs []*telemetry.Report) {
 	}
 
 	s.ingestMu.Lock()
-	s.ingested += len(fresh)
 	for _, r := range fresh {
 		s.recv[r.ReaderID]++
 		s.copies[r.ReaderID]++
@@ -284,16 +279,6 @@ func (s *Store) TotalReports() int {
 	return n
 }
 
-// Ingested returns the number of distinct reports ever accepted
-// (duplicates excluded), independent of retention — the barrier
-// harnesses use to confirm every uplinked report has landed before
-// reading results out.
-func (s *Store) Ingested() int {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	return s.ingested
-}
-
 // SeqsReceived returns the number of distinct reports accepted from a
 // reader (its expected-seq set's realized size).
 func (s *Store) SeqsReceived(readerID uint32) int {
@@ -363,26 +348,13 @@ func (s *Store) waitOn(timeout time.Duration, reached func() bool, lagErr func()
 	return nil
 }
 
-// WaitIngested blocks until the store has ingested at least want
-// reports, or the timeout elapses. It is the event-driven run barrier:
-// every Add/AddBatch that lands while someone waits broadcasts on a
-// condition variable, so the waiter wakes the instant the count is
-// reached instead of sleep-polling.
-func (s *Store) WaitIngested(want int, timeout time.Duration) error {
-	return s.waitOn(timeout,
-		func() bool { return s.ingested >= want },
-		func() error {
-			return fmt.Errorf("collector: ingested %d of %d reports before timeout", s.ingested, want)
-		})
-}
-
 // WaitHighWater blocks until every reader in want has delivered a
 // report with Seq ≥ its wanted mark, or the timeout elapses. It is the
-// per-reader completion barrier for pipelined ingest: unlike the global
-// WaitIngested count, it cannot be satisfied by one reader's surplus
-// masking another's missing uplink, and it is insensitive to the order
-// in which readers' batches interleave on the wire. The error, if any,
-// names each lagging reader and how far it got.
+// per-reader completion barrier for pipelined ingest: unlike a global
+// report count, it cannot be satisfied by one reader's surplus masking
+// another's missing uplink, and it is insensitive to the order in which
+// readers' batches interleave on the wire. The error, if any, names
+// each lagging reader and how far it got.
 //
 // WaitHighWater assumes lossless delivery: if any report is lost the
 // mark is never reached and the barrier burns its whole timeout. Runs

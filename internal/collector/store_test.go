@@ -116,8 +116,8 @@ func TestStoreTrimSteadyState(t *testing.T) {
 	if got := s.Latest(1).Seq; got != 10*keep-1 {
 		t.Errorf("latest seq %d, want %d", got, 10*keep-1)
 	}
-	if got := s.Ingested(); got != 10*keep {
-		t.Errorf("ingested counter %d, want %d (must not be capped by retention)", got, 10*keep)
+	if got := s.SeqsReceived(1); got != 10*keep {
+		t.Errorf("received counter %d, want %d (must not be capped by retention)", got, 10*keep)
 	}
 	if got := s.TotalReports(); got != keep {
 		t.Errorf("retained %d reports, want %d", got, keep)

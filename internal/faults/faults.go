@@ -33,7 +33,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 )
@@ -154,18 +153,6 @@ func (in *Injector) Stats(stream string) StreamStats {
 		return *st
 	}
 	return StreamStats{}
-}
-
-// Streams returns the names of every stream dialed so far, sorted.
-func (in *Injector) Streams() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.stats))
-	for name := range in.stats {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (in *Injector) streamLocked(name string) *StreamStats {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 
 	"caraoke/internal/dsp"
 	"caraoke/internal/rfsim"
@@ -21,10 +20,11 @@ import (
 //     realization per query — its Rayleigh maxima shrink by √K
 //     relative to the spikes, which is what keeps counting accurate at
 //     40+ colliders.
-//   - The §5 dual-window occupancy test is re-run on every capture and
-//     majority-voted. Oscillator phases re-randomize at each reply, so
-//     a same-bin pair that happens to beat invisibly in one query is
-//     caught in the others.
+//   - The §5 dual-window occupancy test is re-run capture by capture
+//     and put to a 40 % vote (captures past the point where the vote is
+//     settled are not classified). Oscillator phases re-randomize at
+//     each reply, so a same-bin pair that happens to beat invisibly in
+//     one query is caught in the others.
 //
 // Channels are taken from the last capture (callers doing AoA on a
 // specific query should use AnalyzeCapture on that capture).
@@ -36,15 +36,16 @@ func AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params) ([]Spike, error) {
 // AnalyzeCaptures is the pooled implementation behind the package-level
 // AnalyzeCaptures, fanned out across workers goroutines (anything below
 // one means serial). The two expensive stages — one FFT per capture and
-// the per-peak refinement/occupancy chain (a few dozen Goertzel filters
-// per peak per capture) — are embarrassingly parallel; everything else
-// stays serial. A capture holding a non-finite sample is refused with
-// ErrNonFiniteCapture before any result buffer is touched. Per-capture
-// spectra accumulate in capture order and per-peak results merge in
-// peak order, so any worker count produces bit-identical spikes. Each
-// worker goroutine runs on its own sub-scratch (DSP plan and buffers),
-// so the pooled path is race-free at any worker count; the result obeys
-// the Scratch ownership contract.
+// the per-peak refinement/occupancy chain (one de-rotation per peak per
+// capture through a dsp.ProbeBank; see refinePeak) — are embarrassingly
+// parallel; everything else stays serial. A ragged capture (antenna
+// streams of different lengths) or one holding a non-finite sample
+// (ErrNonFiniteCapture) is refused before any result buffer is touched.
+// Per-capture spectra accumulate in capture order and per-peak results
+// merge in peak order, so any worker count produces bit-identical
+// spikes. Each worker goroutine runs on its own sub-scratch (DSP plan,
+// probe bank and buffers), so the pooled path is race-free at any
+// worker count; the result obeys the Scratch ownership contract.
 func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers int) ([]Spike, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -55,19 +56,53 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 	if len(mcs) == 1 {
 		return sc.AnalyzeCapture(mcs[0], p)
 	}
+	if workers < 1 {
+		workers = 1
+	}
+	if err := sc.detectPeaks(mcs, p, workers); err != nil {
+		return nil, err
+	}
+	if workers <= 1 {
+		// Closure-free serial path: a func literal handed to the fan-out
+		// escapes into goroutines, so merely constructing it would
+		// heap-allocate even when it ends up called inline.
+		for pi := range sc.job.peaks {
+			sc.refinePeak(0, pi)
+		}
+	} else {
+		parallelForWorkers(len(sc.job.peaks), workers, sc.refinePeak)
+	}
+	binW := sc.job.binW
+	sc.job = peakJob{} // don't pin the captures past this call
+	spikes := sc.spikes[:0]
+	for pi := range sc.results {
+		if sc.keep[pi] {
+			spikes = append(spikes, sc.results[pi])
+		}
+	}
+	suppressResolvedNeighbors(spikes, binW, p.Occupancy.WindowFrac)
+	sc.spikes = spikes
+	return spikes, nil
+}
+
+// detectPeaks is the first stage of AnalyzeCaptures: validate the
+// window, transform every capture, average the spectra, find the peaks,
+// and leave in sc.job — with sc.chans, sc.results and sc.keep sized to
+// match — everything refinePeak needs.
+func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int) error {
 	n := 0
 	for i, mc := range mcs {
 		if mc == nil || len(mc.Antennas) == 0 || len(mc.Antennas[0]) == 0 {
-			return nil, fmt.Errorf("core: capture %d is empty", i)
+			return fmt.Errorf("core: capture %d is empty", i)
 		}
 		if n == 0 {
 			n = len(mc.Antennas[0])
 		} else if len(mc.Antennas[0]) != n {
-			return nil, fmt.Errorf("core: capture %d length %d differs from %d", i, len(mc.Antennas[0]), n)
+			return fmt.Errorf("core: capture %d length %d differs from %d", i, len(mc.Antennas[0]), n)
 		}
-	}
-	if workers < 1 {
-		workers = 1
+		if err := checkRagged(mc); err != nil {
+			return fmt.Errorf("core: capture %d: %w", i, err)
+		}
 	}
 	sc.growWorkers(workers)
 	// Root-mean-square magnitude spectrum across queries. Each worker
@@ -85,9 +120,7 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 		views[i] = mc.Antennas[0]
 	}
 	if workers <= 1 {
-		// Closure-free serial path: the literal below escapes into
-		// goroutines, so merely constructing it would heap-allocate
-		// even when it ends up called inline.
+		// Closure-free, as the refinement loop in AnalyzeCaptures.
 		sc.workers[0].plan.SpectrumManyInto(specs, views, p.SampleRate)
 	} else {
 		// Capture the rate, not p: p's address is taken elsewhere, so
@@ -104,11 +137,11 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 	last := mcs[len(mcs)-1]
 	for i := range specs {
 		if !finitePow(specs[i].Pows[0]) {
-			return nil, fmt.Errorf("core: capture %d: %w", i, ErrNonFiniteCapture)
+			return fmt.Errorf("core: capture %d: %w", i, ErrNonFiniteCapture)
 		}
 	}
 	if !finiteStreams(last.Antennas[1:]) {
-		return nil, fmt.Errorf("core: capture %d: %w", len(mcs)-1, ErrNonFiniteCapture)
+		return fmt.Errorf("core: capture %d: %w", len(mcs)-1, ErrNonFiniteCapture)
 	}
 	acc := grow(sc.acc, n)
 	sc.acc = acc
@@ -147,43 +180,21 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 		peaks = rejectClockImages(peaks, avg.BinWidth(), p.ClockImageRatio)
 	}
 
-	binW := avg.BinWidth()
-	strongest := strongestMag(peaks)
 	nAnt := len(last.Antennas)
-	chans := grow(sc.chans, len(peaks)*nAnt)
-	sc.chans = chans
-	results := grow(sc.results, len(peaks))
-	sc.results = results
-	keep := grow(sc.keep, len(peaks))
-	sc.keep = keep
+	sc.chans = grow(sc.chans, len(peaks)*nAnt)
+	sc.results = grow(sc.results, len(peaks))
+	sc.keep = grow(sc.keep, len(peaks))
 	sc.job = peakJob{
 		mcs:       mcs,
 		p:         p,
 		peaks:     peaks,
 		last:      last,
-		binW:      binW,
-		strongest: strongest,
+		binW:      avg.BinWidth(),
+		strongest: strongestMag(peaks),
 		nAnt:      nAnt,
 		n:         n,
 	}
-	if workers <= 1 {
-		// Closure-free serial path — see the spectrum stage above.
-		for pi := range peaks {
-			sc.refinePeak(0, pi)
-		}
-	} else {
-		parallelForWorkers(len(peaks), workers, sc.refinePeak)
-	}
-	sc.job = peakJob{} // don't pin the captures past this call
-	spikes := sc.spikes[:0]
-	for pi := range results {
-		if keep[pi] {
-			spikes = append(spikes, results[pi])
-		}
-	}
-	suppressResolvedNeighbors(spikes, binW, p.Occupancy.WindowFrac)
-	sc.spikes = spikes
-	return spikes, nil
+	return nil
 }
 
 // peakJob carries the shared inputs of the per-peak refinement stage so
@@ -206,6 +217,16 @@ type peakJob struct {
 // channel estimates, occupancy vote, shoulder test, purity vote — for
 // peak pi on worker w's scratch, writing into sc.results/sc.keep slot
 // pi. Inputs come from sc.job; see peakJob.
+//
+// Every gate quantity is a DFT of antenna 0 at the refined frequency
+// plus a small fixed offset, so the worker's dsp.ProbeBank is tuned to
+// that frequency once per peak and each capture is de-rotated once:
+// the occupancy test's window and reference probes and the shoulder's
+// centre and ±1-bin probes are then sums and near-zero DFT bins of the
+// de-rotated capture (exactly — see ProbeBank), and the centre doubles
+// as the purity test's. Only purity's two off-grid ±0.75-bin probes
+// remain Goertzel walks. What a spike reports — Freq, Mag, Channels —
+// does not come from the bank.
 func (sc *Scratch) refinePeak(w, pi int) {
 	job := &sc.job
 	ws := &sc.workers[w]
@@ -219,8 +240,7 @@ func (sc *Scratch) refinePeak(w, pi int) {
 		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], p.SampleRate, pk))
 	}
 	ws.freqs = freqs
-	sort.Float64s(freqs)
-	freq := freqs[len(freqs)/2]
+	freq := dsp.SelectFloat(freqs, len(freqs)/2)
 
 	nAnt := job.nAnt
 	s := Spike{
@@ -237,55 +257,57 @@ func (sc *Scratch) refinePeak(w, pi int) {
 	// re-randomize between queries, so a pair invisible in one
 	// query beats in others; per-capture detection falls in large
 	// collisions, while the per-capture false-positive rate stays
-	// low — hence a 40 % quorum rather than a strict majority.
+	// low — hence a 40 % quorum rather than a strict majority. A
+	// capture is classified only while its verdict can still change the
+	// outcome (quorumOpen).
+	//
+	// Shoulder test, in the same pass: the DFT of a lone carrier has an
+	// exact null ±1 bin from its refined frequency, while a second tone
+	// merged into the same peak fills that null. RMS-average across
+	// captures (CFOs are fixed; only phases change) — all of them, vote
+	// settled or not, unless the vote already says Multiple.
+	bank := &ws.bank
+	bank.Tune(p.SampleRate, freq, job.n)
+	centres := grow(ws.centres, len(mcs))
+	ws.centres = centres
 	votes := 0
-	for _, mc := range mcs {
-		if ws.plan.ClassifyBin(mc.Antennas[0], p.SampleRate, freq, p.Occupancy) == dsp.OccupancyMultiple {
+	var c2, s2 float64
+	for qi, mc := range mcs {
+		bank.Load(mc.Antennas[0])
+		if quorumOpen(votes, qi, len(mcs)) && bank.Occupancy(p.Occupancy) == dsp.OccupancyMultiple {
 			votes++
+			if quorumMet(votes, len(mcs)) {
+				break
+			}
 		}
+		c, side := bank.Shoulder()
+		centres[qi] = c
+		c2 += c * c
+		s2 += side * side
 	}
-	s.Multiple = 10*votes >= 4*len(mcs)
-	// Shoulder test: the DFT of a lone carrier has an exact null
-	// ±1 bin from its refined frequency, while a second tone merged
-	// into the same peak fills that null. RMS-average across
-	// captures (CFOs are fixed; only phases change), with the
-	// threshold raised above the collision floor for weak spikes.
-	if !s.Multiple {
-		var c2, s2 float64
-		for _, mc := range mcs {
-			st := mc.Antennas[0]
-			c := cmplx.Abs(dsp.Goertzel(st, freq/p.SampleRate))
-			lo := cmplx.Abs(dsp.Goertzel(st, (freq-job.binW)/p.SampleRate))
-			hi := cmplx.Abs(dsp.Goertzel(st, (freq+job.binW)/p.SampleRate))
-			c2 += c * c
-			if lo > hi {
-				s2 += lo * lo
-			} else {
-				s2 += hi * hi
-			}
+	s.Multiple = quorumMet(votes, len(mcs))
+	if !s.Multiple && c2 > 0 {
+		shoulder := math.Sqrt(s2 / c2)
+		// The expected shoulder of a lone carrier is set by the local
+		// collision floor (max of two Rayleigh draws ≈ 1.3× the per-bin
+		// level); require 2× headroom above it before declaring a
+		// merged companion, raising the threshold above the collision
+		// floor for weak spikes.
+		local := localFloorInto(&sc.avg, pk.Bin, &ws.vals)
+		thresh := 0.45
+		if adaptive := 2.6 * local / math.Sqrt(c2/float64(len(mcs))); adaptive > thresh {
+			thresh = adaptive
 		}
-		if c2 > 0 {
-			shoulder := math.Sqrt(s2 / c2)
-			// The expected shoulder of a lone carrier is set by
-			// the local collision floor (max of two Rayleigh draws
-			// ≈ 1.3× the per-bin level); require 2× headroom above
-			// it before declaring a merged companion.
-			local := localFloorInto(&sc.avg, pk.Bin, &ws.vals)
-			thresh := 0.45
-			if adaptive := 2.6 * local / math.Sqrt(c2/float64(len(mcs))); adaptive > thresh {
-				thresh = adaptive
-			}
-			if shoulder > thresh {
-				s.Multiple = true
-			}
+		if shoulder > thresh {
+			s.Multiple = true
 		}
 	}
 	// Tone-purity vote for weak spikes that look single: a carrier
 	// is pure in every capture; a data-floor maximum is not.
 	if !s.Multiple && pk.Mag < p.PurityMaxRel*job.strongest && p.PurityMin > 0 {
 		pure := 0
-		for _, mc := range mcs {
-			if purity(mc.Antennas[0], p.SampleRate, freq, job.binW) >= p.PurityMin {
+		for qi, mc := range mcs {
+			if purity(centres[qi], mc.Antennas[0], p.SampleRate, freq, job.binW) >= p.PurityMin {
 				pure++
 			}
 		}
@@ -295,6 +317,18 @@ func (sc *Scratch) refinePeak(w, pi int) {
 	}
 	sc.results[pi] = s
 	sc.keep[pi] = true
+}
+
+// quorumMet reports whether votes Multiple verdicts out of k captures
+// reach the 40 % occupancy quorum.
+func quorumMet(votes, k int) bool { return 10*votes >= 4*k }
+
+// quorumOpen reports whether the quorum over k captures is still
+// undecided after seen of them cast votes Multiple verdicts: not yet
+// met, and not yet out of reach even if every remaining capture votes
+// Multiple. At k = 10 a lone carrier (no votes) closes after 7.
+func quorumOpen(votes, seen, k int) bool {
+	return !quorumMet(votes, k) && quorumMet(votes+k-seen, k)
 }
 
 // localFloorInto estimates the collision floor near bin k as the median
@@ -312,11 +346,10 @@ func localFloorInto(spec *dsp.Spectrum, k int, buf *[]float64) float64 {
 		}
 	}
 	*buf = vals
-	sort.Float64s(vals)
 	if len(vals) == 0 {
 		return 0
 	}
-	return vals[len(vals)/2]
+	return dsp.SelectFloat(vals, len(vals)/2)
 }
 
 func strongestMag(peaks []dsp.Peak) float64 {

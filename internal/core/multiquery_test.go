@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"caraoke/internal/phy"
@@ -19,6 +22,77 @@ func TestAnalyzeCapturesErrors(t *testing.T) {
 	b := &rfsim.MultiCapture{Antennas: [][]complex128{make([]complex128, 1024)}}
 	if _, err := AnalyzeCaptures([]*rfsim.MultiCapture{a, b}, p); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	// A ragged capture — one antenna stream shorter or longer than
+	// antenna 0 — would have its channel estimate scaled by 2/n of the
+	// wrong n. It is refused, naming capture and antenna, whichever
+	// capture of the window it is and on the single-capture path too,
+	// and a warmed Scratch's previous result is left alone.
+	s := newTestScene(t, 604)
+	mcs := s.collideQueries(s.placedDevices(5), 4)
+	var sc Scratch
+	before, err := sc.AnalyzeCaptures(mcs, s.param, 1)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("fixture: %d spikes, err %v", len(before), err)
+	}
+	want := copySpikes(before)
+	for _, tc := range []struct{ capture, antenna, delta int }{{0, 1, -1}, {2, 2, +5}, {3, 1, -100}} {
+		window := append([]*rfsim.MultiCapture(nil), mcs...)
+		ragged := &rfsim.MultiCapture{SampleRate: mcs[tc.capture].SampleRate}
+		for a, st := range mcs[tc.capture].Antennas {
+			if a == tc.antenna {
+				st = append(st[:len(st):len(st)], make([]complex128, 100)...)[:len(st)+tc.delta]
+			}
+			ragged.Antennas = append(ragged.Antennas, st)
+		}
+		window[tc.capture] = ragged
+		for _, workers := range []int{1, 2} {
+			spikes, err := sc.AnalyzeCaptures(window, s.param, workers)
+			if err == nil || spikes != nil {
+				t.Fatalf("%+v workers %d: ragged capture accepted (%d spikes)", tc, workers, len(spikes))
+			}
+			for _, part := range []string{fmt.Sprintf("capture %d", tc.capture), fmt.Sprintf("antenna %d", tc.antenna)} {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("%+v: error %q does not name %s", tc, err, part)
+				}
+			}
+		}
+		if _, err := sc.AnalyzeCapture(ragged, s.param); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("antenna %d", tc.antenna)) {
+			t.Errorf("%+v: single-capture path: err %v", tc, err)
+		}
+		if _, err := AnalyzeCaptures([]*rfsim.MultiCapture{ragged}, s.param); err == nil {
+			t.Errorf("%+v: one-capture window accepted", tc)
+		}
+		if !reflect.DeepEqual(before, want) {
+			t.Fatalf("%+v: refused capture disturbed the previous result", tc)
+		}
+	}
+}
+
+// TestQuorumEarlyStop: over every sequence of per-capture verdicts for
+// windows of 2…12 captures, classifying only while quorumOpen and then
+// asking quorumMet gives the exhaustive vote's decision, and no sequence
+// classifies a capture after the decision is settled. At ten captures a
+// lone carrier stops after seven.
+func TestQuorumEarlyStop(t *testing.T) {
+	for k := 2; k <= 12; k++ {
+		for seq := 0; seq < 1<<k; seq++ {
+			all, votes, classified := 0, 0, 0
+			for qi := 0; qi < k; qi++ {
+				verdict := seq >> qi & 1
+				all += verdict
+				if quorumOpen(votes, qi, k) {
+					classified++
+					votes += verdict
+				}
+			}
+			if got, want := quorumMet(votes, k), 10*all >= 4*k; got != want {
+				t.Fatalf("k=%d verdicts %0*b: early-stopped vote says %v, exhaustive %v", k, k, seq, got, want)
+			}
+			if seq == 0 && k == 10 && classified != 7 {
+				t.Errorf("k=10, no Multiple verdicts: classified %d captures, want 7", classified)
+			}
+		}
 	}
 }
 

@@ -49,7 +49,9 @@ func decodeFixture(t testing.TB, seed int64, nDevs, nCaps int) ([]*rfsim.MultiCa
 	return caps, freqs, devs, s.param
 }
 
-func TestAnalyzeCapturesParallelMatchesSerial(t *testing.T) {
+// TestAnalyzeCapturesWorkersMatchSerial: Scratch.AnalyzeCaptures gives
+// the same spikes, to the bit, at any worker count.
+func TestAnalyzeCapturesWorkersMatchSerial(t *testing.T) {
 	s := newTestScene(t, 811)
 	devs := s.placedDevices(12)
 	mcs := s.collideQueries(devs, 10)

@@ -46,12 +46,15 @@ type Scratch struct {
 }
 
 // workerScratch is the per-goroutine slice of a Scratch: its own DSP
-// plan (Goertzel-free stages share nothing, ClassifyBin needs its own
-// probe buffer) plus the refinement and local-floor buffers.
+// plan for the batched spectrum stage, its own probe bank (phasor,
+// de-rotation and fold buffers) for the per-peak gates, plus the
+// refinement and local-floor buffers.
 type workerScratch struct {
-	plan  dsp.Plan
-	freqs []float64 // per-capture refined frequencies, for the median
-	vals  []float64 // localFloor neighborhood magnitudes
+	plan    dsp.Plan
+	bank    dsp.ProbeBank
+	freqs   []float64 // per-capture refined frequencies, for the median
+	centres []float64 // per-capture |DFT| at the refined frequency
+	vals    []float64 // localFloor neighborhood magnitudes
 }
 
 // growWorkers ensures at least n per-worker scratches exist.

@@ -310,12 +310,16 @@ func TestAnalyzeRefusesNonFiniteCapture(t *testing.T) {
 // TestAllocBudget is the CI regression gate for the perf trajectory:
 // the three steady-state hot paths — single-capture analysis, warmed
 // multi-query analysis, and the per-query decode attempt — allocate
-// nothing.
+// nothing. With two workers the multi-query analysis pays for its two
+// fan-outs (goroutines, closures, wait groups — 13 objects, as before
+// the probe bank) and nothing else: each worker's bank, like the serial
+// one, is warm after the first window.
 func TestAllocBudget(t *testing.T) {
 	const (
-		analyzeCaptureBudget  = 0
-		analyzeCapturesBudget = 0
-		tryDecodeBudget       = 0
+		analyzeCaptureBudget    = 0
+		analyzeCapturesBudget   = 0
+		analyzeCapturesW2Budget = 13
+		tryDecodeBudget         = 0
 	)
 	s := newTestScene(t, 4028)
 	mc := s.collide(s.placedDevices(10))
@@ -337,6 +341,17 @@ func TestAllocBudget(t *testing.T) {
 		scq.AnalyzeCaptures(mcs, s.param, 1)
 	}); got > analyzeCapturesBudget {
 		t.Errorf("AnalyzeCaptures: %.1f allocs/op exceeds budget %d", got, analyzeCapturesBudget)
+	}
+	var scw Scratch
+	for i := 0; i < 3; i++ { // peaks are work-stolen: give both workers' banks a turn
+		if _, err := scw.AnalyzeCaptures(mcs, s.param, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		scw.AnalyzeCaptures(mcs, s.param, 2)
+	}); got > analyzeCapturesW2Budget {
+		t.Errorf("AnalyzeCaptures, 2 workers: %.1f allocs/op exceeds budget %d", got, analyzeCapturesW2Budget)
 	}
 	dec := NewDecoder(s.param.SampleRate, 987e3)
 	if err := dec.Add(mc.Reference()); err != nil {

@@ -54,6 +54,9 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty capture")
 	}
+	if err := checkRagged(mc); err != nil {
+		return nil, fmt.Errorf("core: capture: %w", err)
+	}
 	// The tentative set survives from the previous call; empty it
 	// without allocating. It is only ever populated by the relaxed
 	// sweep below (a nil map reads as empty).
@@ -117,7 +120,7 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 		// same-bin collision.
 		s.Multiple = sc.plan.ClassifyBin(ref, p.SampleRate, freq, p.Occupancy) == dsp.OccupancyMultiple
 		if sc.tentative[pk.Bin] && !s.Multiple && p.PurityMin > 0 {
-			if purity(ref, p.SampleRate, freq, binW) < p.PurityMin {
+			if purity(centreMag(ref, p.SampleRate, freq), ref, p.SampleRate, freq, binW) < p.PurityMin {
 				continue // neither tone-like nor a beating pair
 			}
 		}
@@ -184,12 +187,28 @@ func suppressResolvedNeighbors(spikes []Spike, binWidth, windowFrac float64) {
 	}
 }
 
-// purity measures how tone-like the signal at freq is: the ratio of the
-// DFT magnitude at freq to the larger of the magnitudes 0.75 bins to
-// either side. A pure tone scores ≈1/|sinc(0.75)| ≈ 3.3; broadband data
-// humps score ≈1.
-func purity(ref []complex128, sampleRate, freq, binWidth float64) float64 {
-	center := cmplx.Abs(dsp.Goertzel(ref, freq/sampleRate))
+// checkRagged refuses a capture whose antenna streams differ in length:
+// the channel estimates scale every stream by 2/n of antenna 0's n.
+func checkRagged(mc *rfsim.MultiCapture) error {
+	for a, st := range mc.Antennas {
+		if len(st) != len(mc.Antennas[0]) {
+			return fmt.Errorf("antenna %d has %d samples, antenna 0 has %d", a, len(st), len(mc.Antennas[0]))
+		}
+	}
+	return nil
+}
+
+// centreMag is the DFT magnitude of ref at freq: purity's numerator
+// where no probe bank already holds it.
+func centreMag(ref []complex128, sampleRate, freq float64) float64 {
+	return cmplx.Abs(dsp.Goertzel(ref, freq/sampleRate))
+}
+
+// purity measures how tone-like the signal at freq is: the ratio of
+// center, the DFT magnitude at freq, to the larger of the magnitudes
+// 0.75 bins to either side. A pure tone scores ≈1/|sinc(0.75)| ≈ 3.3;
+// broadband data humps score ≈1.
+func purity(center float64, ref []complex128, sampleRate, freq, binWidth float64) float64 {
 	lo := cmplx.Abs(dsp.Goertzel(ref, (freq-0.75*binWidth)/sampleRate))
 	hi := cmplx.Abs(dsp.Goertzel(ref, (freq+0.75*binWidth)/sampleRate))
 	side := lo
@@ -221,7 +240,7 @@ func rejectImpureGhosts(ref []complex128, p Params, binWidth float64, spikes []S
 			out = append(out, s)
 			continue
 		}
-		if purity(ref, p.SampleRate, s.Freq, binWidth) < p.PurityMin {
+		if purity(centreMag(ref, p.SampleRate, s.Freq), ref, p.SampleRate, s.Freq, binWidth) < p.PurityMin {
 			continue // broadband ghost, not a carrier
 		}
 		out = append(out, s)

@@ -1,10 +1,5 @@
 package dsp
 
-import (
-	"math"
-	"math/cmplx"
-)
-
 // Occupancy classifies how many transponder tones share one FFT bin.
 // Caraoke only needs to distinguish "exactly one" from "two or more"
 // (§5: a multi-occupied bin is counted as two; only three-or-more in one
@@ -39,8 +34,8 @@ type OccupancyParams struct {
 	// match.
 	ConsistencyTol float64
 	// KMag and KCons scale the self-calibrated interference floor (see
-	// ClassifyBin) into the magnitude and consistency gates. The wider
-	// of the fixed tolerance and the calibrated gate applies.
+	// ProbeBank.Occupancy) into the magnitude and consistency gates. The
+	// wider of the fixed tolerance and the calibrated gate applies.
 	KMag  float64
 	KCons float64
 }
@@ -79,108 +74,11 @@ func (p *OccupancyParams) setDefaults() {
 	}
 }
 
-// ClassifyBin applies the time-shift test of §5 to the tone at frequency
-// freqHz within the capture. The DFT at that frequency is measured over
-// a base window starting at sample 0 and over two shifted windows. The
-// Fourier phase-rotation property means a single tone keeps its
-// magnitude (‖R(f)‖ = ‖R(f)·e^{2πifτ}‖) and rotates quadratically
-// (ρ₂ = ρ₁² when the second shift is double the first), while two tones
-// sharing the bin rotate by different phases, beating in magnitude and
-// breaking the quadratic phase relation.
-//
-// During a collision the windows also contain the *other* transponders'
-// OOK data, whose short-window level is structured and capture-specific
-// — no analytic model fits it. The test therefore self-calibrates: it
-// measures the same windows at reference frequencies offset by integer
-// multiples of the window bin width (where a tone at freqHz has exactly
-// zero Dirichlet leakage), takes the median as the interference floor
-// W, and requires magnitude changes to exceed KMag·W and consistency
-// residuals to exceed KCons·W/m₀ before declaring the bin
-// multi-occupied.
+// ClassifyBin applies the time-shift test of §5 (see
+// ProbeBank.Occupancy) to the tone at frequency freqHz within the
+// capture. It is a thin allocating wrapper over Plan.ClassifyBin, the
+// pooled variant per-worker hot paths use.
 func ClassifyBin(samples []complex128, sampleRate, freqHz float64, p OccupancyParams) Occupancy {
-	occ, _ := classifyBin(samples, sampleRate, freqHz, p, nil)
-	return occ
-}
-
-// classifyBin is the shared implementation behind ClassifyBin and
-// Plan.ClassifyBin. refs is the (possibly nil) reusable buffer for the
-// self-calibration probes; the grown buffer is returned so pooled
-// callers can retain it.
-func classifyBin(samples []complex128, sampleRate, freqHz float64, p OccupancyParams, refs []float64) (Occupancy, []float64) {
-	n := len(samples)
-	if n == 0 {
-		return OccupancySingle, refs
-	}
-	p.setDefaults()
-	winLen := int(float64(n) * p.WindowFrac)
-	if winLen < 4 {
-		winLen = n
-	}
-	fNorm := freqHz / sampleRate
-
-	starts := [3]int{0}
-	for i, frac := range p.Shifts {
-		start := int(float64(n) * frac)
-		if start+winLen > n {
-			start = n - winLen
-		}
-		if start <= 0 {
-			return OccupancySingle, refs
-		}
-		starts[i+1] = start
-	}
-
-	var r [3]complex128
-	var m [3]float64
-	for i, start := range starts {
-		r[i] = GoertzelWindow(samples, fNorm, start, winLen)
-		m[i] = cmplx.Abs(r[i])
-	}
-	if m[0] == 0 {
-		return OccupancySingle, refs
-	}
-
-	// Self-calibrated interference floor: same windows, at frequencies
-	// ±k window-bins away (k = 2, 3, 4, 5), where the probe tone's
-	// window DFT is zero.
-	winBin := sampleRate / float64(winLen)
-	for _, k := range [...]float64{2, 3, 4, 5} {
-		for _, sign := range [...]float64{-1, 1} {
-			rf := (freqHz + sign*k*winBin) / sampleRate
-			if rf <= 0 || rf >= 1 {
-				continue
-			}
-			for _, start := range starts {
-				refs = append(refs, cmplx.Abs(GoertzelWindow(samples, rf, start, winLen)))
-			}
-		}
-	}
-	w := medianFloat(refs)
-
-	magGate := p.RelTolerance * m[0]
-	if g := p.KMag * w; g > magGate {
-		magGate = g
-	}
-	for i := 1; i < 3; i++ {
-		if math.Abs(m[i]-m[0]) > magGate {
-			return OccupancyMultiple, refs
-		}
-	}
-
-	consGate := p.ConsistencyTol
-	if g := p.KCons * w / m[0]; g > consGate {
-		consGate = g
-	}
-	var rho [2]complex128
-	for i := 1; i < 3; i++ {
-		// Remove the expected rotation at the probe frequency so ρ
-		// carries only the residual (true minus probe) rotation; the
-		// quadratic relation is preserved either way.
-		expected := cmplx.Exp(complex(0, -2*math.Pi*fNorm*float64(starts[i])))
-		rho[i-1] = r[i] / r[0] * expected
-	}
-	if cmplx.Abs(rho[1]-rho[0]*rho[0]) > consGate {
-		return OccupancyMultiple, refs
-	}
-	return OccupancySingle, refs
+	var pl Plan
+	return pl.ClassifyBin(samples, sampleRate, freqHz, p)
 }

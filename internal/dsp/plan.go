@@ -8,10 +8,10 @@ import (
 // Plan is a per-worker DSP scratch: it caches FFT twiddle/bit-reversal
 // tables (and Bluestein chirp tables for non-power-of-two lengths) by
 // transform length and owns the reusable magnitude, sort, neighborhood,
-// reference-probe, and peak buffers the spectral pipeline otherwise
-// allocates per call. Once a plan has seen a capture shape, re-running
-// the same shape through FFTInto, SpectrumInto, FindPeaks, and
-// ClassifyBin allocates nothing.
+// and peak buffers, and the occupancy probe bank, the spectral pipeline
+// otherwise allocates per call. Once a plan has seen a capture shape,
+// re-running the same shape through FFTInto, SpectrumInto, FindPeaks,
+// and ClassifyBin allocates nothing.
 //
 // Every pooled method is bit-identical to its allocating package-level
 // counterpart (FFT, NewSpectrum, FindPeaks, ClassifyBin): those are
@@ -29,8 +29,9 @@ type Plan struct {
 	mags   []float64 // per-bin magnitude cache, bin order
 	sorted []float64 // sort scratch for the noise-floor median
 	neigh  []float64 // FindPeaks neighborhood statistics
-	refs   []float64 // ClassifyBin self-calibration probes
 	peaks  []Peak    // FindPeaks result buffer
+
+	bank ProbeBank // ClassifyBin phasor, de-rotation and fold buffers
 }
 
 // NewPlan returns an empty plan; tables and buffers grow on demand and
@@ -271,12 +272,13 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 }
 
 // ClassifyBin is the pooled equivalent of the package-level
-// ClassifyBin: identical classification, with the reference-probe
-// magnitudes collected in plan-owned scratch.
+// ClassifyBin: identical classification, on the plan's probe bank
+// (tune to freqHz, de-rotate the capture once, read every window and
+// reference probe of ProbeBank.Occupancy off the result).
 func (pl *Plan) ClassifyBin(samples []complex128, sampleRate, freqHz float64, p OccupancyParams) Occupancy {
-	occ, refs := classifyBin(samples, sampleRate, freqHz, p, pl.refs[:0])
-	pl.refs = refs[:0]
-	return occ
+	pl.bank.Tune(sampleRate, freqHz, len(samples))
+	pl.bank.Load(samples)
+	return pl.bank.Occupancy(p)
 }
 
 // bluesteinPlan caches the length-dependent tables of the forward

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 )
 
 // Spectrum is the frequency-domain view of a fixed-length capture. Bins
@@ -184,18 +183,83 @@ func FindPeaks(s *Spectrum, p PeakParams) []Peak {
 	return out
 }
 
-// medianFloat returns the median of x, reordering x in the process.
+// medianFloat returns the median of x (the mean of the middle two for
+// an even count), reordering x in the process.
 func medianFloat(x []float64) float64 {
-	sort.Float64s(x)
 	n := len(x)
 	if n == 0 {
 		return 0
 	}
+	hi := SelectFloat(x, n/2)
 	if n%2 == 1 {
-		return x[n/2]
+		return hi
 	}
-	return 0.5 * (x[n/2-1] + x[n/2])
+	// The other middle value is the largest of those left below x[n/2].
+	lo := x[0]
+	for _, v := range x[1 : n/2] {
+		if floatLess(lo, v) {
+			lo = v
+		}
+	}
+	return 0.5 * (lo + hi)
 }
+
+// SelectFloat reorders x in place so that x[k] holds the value
+// sort.Float64s would leave there — no element before it greater, none
+// after it smaller — and returns it, without sorting the rest: a
+// median-of-three quickselect narrows to a short range around k, which
+// an insertion sort finishes. The handful of values the per-peak
+// medians take (a dozen frequencies, two dozen probe magnitudes) are a
+// single insertion sort.
+func SelectFloat(x []float64, k int) float64 {
+	lo, hi := 0, len(x)-1
+	for hi-lo >= 32 {
+		// Median of three to x[lo+1], sentinels at both ends, then a
+		// Hoare partition of what lies between.
+		mid := lo + (hi-lo)/2
+		x[mid], x[lo+1] = x[lo+1], x[mid]
+		if floatLess(x[hi], x[lo]) {
+			x[lo], x[hi] = x[hi], x[lo]
+		}
+		if floatLess(x[hi], x[lo+1]) {
+			x[lo+1], x[hi] = x[hi], x[lo+1]
+		}
+		if floatLess(x[lo+1], x[lo]) {
+			x[lo], x[lo+1] = x[lo+1], x[lo]
+		}
+		pivot := x[lo+1]
+		i, j := lo+1, hi
+		for {
+			for i++; floatLess(x[i], pivot); i++ {
+			}
+			for j--; floatLess(pivot, x[j]); j-- {
+			}
+			if j < i {
+				break
+			}
+			x[i], x[j] = x[j], x[i]
+		}
+		x[lo+1], x[j] = x[j], pivot
+		if j >= k {
+			hi = j - 1
+		}
+		if j <= k {
+			lo = i
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		v := x[i]
+		j := i
+		for ; j > lo && floatLess(v, x[j-1]); j-- {
+			x[j] = x[j-1]
+		}
+		x[j] = v
+	}
+	return x[k]
+}
+
+// floatLess is sort.Float64s's order: ascending, NaNs first.
+func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
 
 // RefineFreq improves a peak's frequency estimate beyond bin resolution
 // by comparing the phase of the tone between two half-length windows of

@@ -42,8 +42,7 @@ func main() {
 	decodeBudget := flag.Int("decode-budget", 120, "max collisions combined per decode run")
 	equipped := flag.Float64("equipped", 1, "fraction of cars carrying a transponder")
 	speedLimit := flag.Float64("speed-limit", 13, "speed-service limit, m/s")
-	shards := flag.Int("shards", collector.DefaultShards, "collector store shards (results identical for any value)")
-	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = single-report frames)")
+	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = one report per frame)")
 	lockstep := flag.Bool("lockstep", false, "per-epoch barrier in the one run loop: no reader starts epoch e+1 until all have uplinked e (results identical; the determinism oracle)")
 	pipeline := flag.Int("pipeline", 0, "per-reader epoch lookahead in pipelined mode (0 = default depth; results identical for any value)")
 	partitions := flag.Int("partitions", 1, "collector partitions (1 = single collector; ≥2 spreads readers over a consistent-hash ring; query answers identical for any count)")
@@ -99,7 +98,6 @@ func main() {
 		DecodeEvery:    *decodeEvery,
 		DecodeBudget:   *decodeBudget,
 		UnequippedFrac: 1 - *equipped,
-		Shards:         *shards,
 		Batch:          *batch,
 		Lockstep:       *lockstep,
 		Pipeline:       *pipeline,

@@ -107,9 +107,6 @@ type Config struct {
 	// Keep is the collector's per-reader report retention (default
 	// 8192).
 	Keep int
-	// Shards is the collector store's shard count (default: the
-	// collector's DefaultShards). Results are identical for any value.
-	Shards int
 	// Partitions is the collector-tier process count (default 1, a
 	// single collector). The tier is always an internal/cluster: readers
 	// home onto partitions by consistent-hashing their intersection's
@@ -118,8 +115,8 @@ type Config struct {
 	// partition count.
 	Partitions int
 	// Batch is how many telemetry reports a reader coalesces into one
-	// batch frame before flushing its uplink (default 1 = a single-
-	// report frame per epoch). Results are identical for any value; only
+	// frame before flushing its uplink (0 or 1 = one report per frame,
+	// one frame per epoch). Results are identical for any value; only
 	// framing and syscall counts change.
 	Batch int
 	// Lockstep adds a per-epoch barrier to the one run loop: the
@@ -190,9 +187,6 @@ func (c Config) withDefaults() Config {
 	if c.Partitions == 0 {
 		c.Partitions = 1
 	}
-	if c.Batch == 0 {
-		c.Batch = 1
-	}
 	if c.Pipeline == 0 {
 		c.Pipeline = 4
 	}
@@ -218,8 +212,8 @@ func (c *Config) validate() error {
 	if c.Block <= 0 || c.Range <= 0 {
 		return fmt.Errorf("city: block %g and range %g must be positive", c.Block, c.Range)
 	}
-	if c.Batch < 0 || c.Shards < 0 {
-		return fmt.Errorf("city: batch %d and shards %d must be non-negative", c.Batch, c.Shards)
+	if c.Batch < 0 {
+		return fmt.Errorf("city: batch %d must be non-negative", c.Batch)
 	}
 	if c.Pipeline < 0 || c.DrainTimeout < 0 {
 		return fmt.Errorf("city: pipeline %d and drain timeout %v must be non-negative", c.Pipeline, c.DrainTimeout)
@@ -574,7 +568,6 @@ func (s *Sim) Run() (*Result, error) {
 	cl, err := cluster.New(cluster.Config{
 		Partitions: s.cfg.Partitions,
 		Keep:       s.cfg.Keep,
-		Shards:     s.cfg.Shards,
 		Logf:       func(string, ...any) {}, // keep harness output clean
 	})
 	if err != nil {
@@ -946,17 +939,10 @@ func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 	return rep, nil
 }
 
-// uplink queues one report on a reader's client, flushing per the
-// batch policy. Batch = 1 sends a single-report frame per epoch; larger
-// batches coalesce, paying one frame per Batch epochs. Both land the
-// same reports, so results are identical either way.
+// uplink queues one report on a reader's client and flushes once Batch
+// are pending: one frame per Batch epochs. Every batch size lands the
+// same reports, so results are identical for any value.
 func (s *Sim) uplink(p *post, up *collector.Client, rep *telemetry.Report) error {
-	if s.cfg.Batch <= 1 {
-		if err := up.Send(rep); err != nil {
-			return fmt.Errorf("city: reader %d uplink: %w", p.rd.ID, err)
-		}
-		return nil
-	}
 	up.Queue(rep)
 	if up.Pending() >= s.cfg.Batch {
 		if err := up.Flush(); err != nil {

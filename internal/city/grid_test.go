@@ -67,9 +67,9 @@ func TestClaimGridMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestCityBatchAndShardsDeterministic: batching uplinks and sharding
-// the store are wire/layout changes only — a run with both cranked up
-// must match the default run's results exactly.
+// TestCityBatchAndShardsDeterministic: batching uplinks is a wire
+// change only — a run with it cranked up must match the default run's
+// results exactly.
 func TestCityBatchAndShardsDeterministic(t *testing.T) {
 	base, err := Run(testConfig())
 	if err != nil {
@@ -77,7 +77,6 @@ func TestCityBatchAndShardsDeterministic(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Batch = 4
-	cfg.Shards = 3
 	batched, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func TestCityBatchAndShardsDeterministic(t *testing.T) {
 		t.Fatalf("report counts diverge: %d vs %d", base.TotalReports, batched.TotalReports)
 	}
 	if !reflect.DeepEqual(base.PerIntersection, batched.PerIntersection) {
-		t.Errorf("batching/sharding changed results:\nbase:    %+v\nbatched: %+v",
+		t.Errorf("batching changed results:\nbase:    %+v\nbatched: %+v",
 			base.PerIntersection, batched.PerIntersection)
 	}
 	if !reflect.DeepEqual(base.Decoded, batched.Decoded) {

@@ -46,7 +46,7 @@ func TestPipelinedMatchesLockstep(t *testing.T) {
 		},
 		"batched+deep": {
 			Readers: 4, Vehicles: 30, Duration: 5 * time.Second, Seed: 3,
-			DecodeEvery: -1, Batch: 3, Pipeline: 8, Shards: 2,
+			DecodeEvery: -1, Batch: 3, Pipeline: 8,
 		},
 	}
 	for name, cfg := range cfgs {

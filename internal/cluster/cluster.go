@@ -27,9 +27,9 @@ type Config struct {
 	// VNodes is the virtual-node count per partition on the hash ring
 	// (default DefaultVNodes).
 	VNodes int
-	// Keep and Shards configure each partition's store (collector
-	// defaults apply when zero).
-	Keep, Shards int
+	// Keep is each partition store's per-reader retention (the
+	// collector default applies when zero).
+	Keep int
 	// Logf, if set, receives every partition server's connection-level
 	// diagnostics.
 	Logf func(format string, args ...any)
@@ -97,7 +97,7 @@ func New(cfg Config) (*Cluster, error) {
 		ownedOld: make(map[uint32]uint32),
 	}
 	for i := 0; i < cfg.Partitions; i++ {
-		store := collector.NewShardedStore(cfg.Keep, cfg.Shards)
+		store := collector.NewStore(cfg.Keep)
 		srv := collector.NewServer(store)
 		if cfg.Logf != nil {
 			srv.Logf = cfg.Logf

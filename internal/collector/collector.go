@@ -1,9 +1,9 @@
 // Package collector implements the city-side backend: a TCP server
 // ingesting reader reports over the telemetry protocol, an in-memory
-// store (sharded by reader id, see store.go), and the smart-city
-// services the paper motivates — traffic counting per intersection,
-// parking occupancy, find-my-car, and speed checks across reader pairs
-// (§1, §4).
+// store (one delivery ledger per reader id, see store.go), and the
+// smart-city services the paper motivates — traffic counting per
+// intersection, parking occupancy, find-my-car, and speed checks across
+// reader pairs (§1, §4).
 package collector
 
 import (
@@ -128,10 +128,9 @@ func (s *Server) acceptLoop(ctx context.Context) {
 	}
 }
 
-// serveConn ingests frames from one reader connection — single-report
-// and batch frames in any mix. A corrupt frame aborts the connection
-// (the framing cannot be resynchronized safely); the reader's client
-// reconnects and retries.
+// serveConn ingests frames from one reader connection. A corrupt frame
+// aborts the connection (the framing cannot be resynchronized safely);
+// the reader's client reconnects and retries.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	// Unblock reads on shutdown; released when the connection ends, so a
@@ -224,9 +223,10 @@ type ClientStats struct {
 }
 
 // Client is a reader-side uplink connection. It can send reports one
-// frame each (Send) or coalesce several into one batch frame (Queue +
-// Flush, or SendBatch) — the batching path a duty-cycled reader uses to
-// pay one frame per uplink burst instead of one per report.
+// frame each (Send, a batch of one) or coalesce several into one frame
+// (Queue + Flush, or SendBatch) — the batching path a duty-cycled
+// reader uses to pay one frame per uplink burst instead of one per
+// report.
 //
 // With Redial set the client is an at-least-once sender: a failed
 // frame write reconnects with jittered exponential backoff and
@@ -291,23 +291,23 @@ func (c *Client) armDeadline() error {
 	return c.conn.SetWriteDeadline(time.Now().Add(c.WriteTimeout))
 }
 
-// Send uploads one report as a single-report frame.
+// Send uploads one report as a frame of its own.
 func (c *Client) Send(r *telemetry.Report) error {
-	return c.deliver([]*telemetry.Report{r}, true)
+	return c.deliver([]*telemetry.Report{r})
 }
 
-// SendBatch uploads a batch of reports as one version-2 frame.
+// SendBatch uploads a batch of reports as one frame.
 func (c *Client) SendBatch(rs []*telemetry.Report) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	return c.deliver(rs, false)
+	return c.deliver(rs)
 }
 
 // deliver writes one frame carrying rs, retrying through Redial per
 // the retry policy. Without Redial it preserves the legacy contract:
 // the first error is returned and recovery belongs to the caller.
-func (c *Client) deliver(rs []*telemetry.Report, single bool) error {
+func (c *Client) deliver(rs []*telemetry.Report) error {
 	if c.degraded {
 		c.stats.Dropped += len(rs)
 		return ErrUplinkDegraded
@@ -315,9 +315,6 @@ func (c *Client) deliver(rs []*telemetry.Report, single bool) error {
 	write := func() error {
 		if err := c.armDeadline(); err != nil {
 			return fmt.Errorf("collector: send: %w", err)
-		}
-		if single {
-			return telemetry.WriteFrame(c.conn, rs[0])
 		}
 		return telemetry.WriteBatch(c.conn, rs)
 	}
@@ -394,7 +391,7 @@ func (c *Client) Queue(r *telemetry.Report) {
 // Pending returns the number of queued reports.
 func (c *Client) Pending() int { return len(c.pending) }
 
-// Flush sends every queued report in one batch frame and empties the
+// Flush sends every queued report in one frame and empties the
 // queue. On a retryable path the client already reconnected and
 // redelivered internally; if it degraded instead, the queue is counted
 // as dropped and cleared, and ErrUplinkDegraded comes back. Only a
@@ -404,13 +401,13 @@ func (c *Client) Flush() error {
 	if len(c.pending) == 0 {
 		return nil
 	}
-	err := c.deliver(c.pending, false)
+	err := c.deliver(c.pending)
 	if err != nil && !errors.Is(err, ErrUplinkDegraded) {
 		return err
 	}
 	// A bare re-slice would keep every flushed *Report pinned in the
 	// backing array until a later Queue overwrites its slot — the same
-	// leak class Store.addToShard trims with clear(). At city scale a
+	// leak class readerLog.insert trims with clear(). At city scale a
 	// long-lived uplink would otherwise hold its largest-ever batch of
 	// dead reports (spikes, channel estimates and all) forever.
 	clear(c.pending)

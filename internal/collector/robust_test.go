@@ -2,7 +2,9 @@ package collector
 
 import (
 	"errors"
+	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +91,58 @@ func TestWaitDeliveredLossBudget(t *testing.T) {
 	s.Add(robustReport(1, 3))
 	if err := <-done; err != nil {
 		t.Fatalf("WaitDelivered after straggler: %v", err)
+	}
+}
+
+// TestMissingSeqsBounds: the [1, max] scan must end at every max —
+// including MaxUint32, where a uint32 loop counter wraps to 0 and never
+// terminates.
+func TestMissingSeqsBounds(t *testing.T) {
+	s := NewStore(8)
+	for _, seq := range []uint32{2, 3, 5} {
+		s.Add(robustReport(1, seq))
+	}
+	for _, tc := range []struct {
+		reader, max uint32
+		want        []uint32
+	}{
+		{1, 0, nil},
+		{1, 1, []uint32{1}},
+		{1, 6, []uint32{1, 4, 6}},
+		{9, 0, nil}, // a reader never heard from
+		{9, 1, []uint32{1}},
+	} {
+		if got := s.MissingSeqs(tc.reader, tc.max); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("MissingSeqs(%d, %d) = %v, want %v", tc.reader, tc.max, got, tc.want)
+		}
+	}
+	// The top of the range, on a reader that has (as far as its ledger
+	// knows) delivered everything up to eight short of MaxUint32 and
+	// then a handful more, the last seq included.
+	const top = math.MaxUint32
+	s.readers[4] = &readerLog{seen: seqSet{floor: top - 8}}
+	for _, seq := range []uint32{top - 6, top - 5, top - 2, top} {
+		s.Add(robustReport(4, seq))
+	}
+	done := make(chan []uint32, 1)
+	go func() { done <- s.MissingSeqs(4, top) }()
+	select {
+	case got := <-done:
+		if want := []uint32{top - 7, top - 4, top - 3, top - 1}; !reflect.DeepEqual(got, want) {
+			t.Errorf("MissingSeqs(4, MaxUint32) = %v, want %v", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("MissingSeqs(id, MaxUint32) did not return")
+	}
+	// Closing the gaps walks the floor to MaxUint32 and stops there.
+	for _, seq := range []uint32{top - 7, top - 4, top - 3, top - 1} {
+		s.Add(robustReport(4, seq))
+	}
+	if seen := s.readers[4].seen; seen.floor != top || len(seen.words) != 0 {
+		t.Errorf("floor %d with %d words, want MaxUint32 and none", seen.floor, len(seen.words))
+	}
+	if got := s.MissingSeqs(4, top); got != nil {
+		t.Errorf("MissingSeqs at a full ledger = %v", got)
 	}
 }
 
@@ -289,7 +343,7 @@ func TestServerIdleTimeoutReapsHalfOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := telemetry.WriteFrame(conn, robustReport(1, 1)); err != nil {
+	if err := telemetry.WriteBatch(conn, []*telemetry.Report{robustReport(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.WaitHighWater(map[uint32]uint32{1: 1}, 5*time.Second); err != nil {

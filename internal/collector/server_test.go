@@ -70,7 +70,8 @@ func TestAcceptLoopSurvivesTemporaryErrors(t *testing.T) {
 }
 
 // TestServerIngestsBatchFrames: one connection carrying a mix of
-// version-1 and version-2 frames must land every report.
+// one-report (Send) and multi-report (Flush, SendBatch) frames must land
+// every report.
 func TestServerIngestsBatchFrames(t *testing.T) {
 	store := NewStore(100)
 	srv := NewServer(store)

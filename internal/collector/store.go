@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -10,185 +11,161 @@ import (
 	"caraoke/internal/telemetry"
 )
 
-// DefaultShards is the shard count NewStore uses. Reader ids are dense
-// and sequential in every deployment shape this repo models, so modulo
-// sharding spreads them evenly.
-const DefaultShards = 8
-
-// storeShard holds the retained history for the reader ids that hash to
-// it, behind its own lock — writers on different shards never contend.
-type storeShard struct {
-	mu      sync.RWMutex
-	history map[uint32][]*telemetry.Report
+// seqSet is the set of sequence numbers (≥ 1) ingested from one reader —
+// the dedupe key that makes at-least-once redelivery idempotent. It is a
+// contiguous floor (every seq ≤ floor is in the set) plus a sparse map
+// of 64-seq bitmap words for the seqs above it, so its size follows the
+// reader's loss, not its lifetime: in-order delivery only ever advances
+// the floor and keeps no map entry, a lost seq pins one word per 64
+// later seqs until it is redelivered, and a hostile Seq = MaxUint32
+// costs one word, never a dense allocation.
+type seqSet struct {
+	floor uint32
+	words map[uint32]uint64 // seq>>6 → bit seq&63, seqs above floor only
 }
 
-// Store keeps the most recent reports per reader, sharded by reader id
-// so concurrent connections contend only when they land on the same
-// shard. A secondary index maps decoded transponder ids to their latest
-// sighting, so find-my-car is a map lookup instead of a scan over every
-// reader's whole history.
-//
-// Determinism contract: shard count never affects results. Every query
-// either touches a single reader (one shard) or folds shards through a
-// sort (Readers) or a per-reader keyed map (SightingsByCFO), so the
-// merge order is fixed regardless of P.
+func (s *seqSet) has(seq uint32) bool {
+	return seq <= s.floor || s.words[seq>>6]&(1<<(seq&63)) != 0
+}
+
+// add inserts seq and reports whether it was new.
+func (s *seqSet) add(seq uint32) bool {
+	if s.has(seq) {
+		return false
+	}
+	if seq != s.floor+1 {
+		if s.words == nil {
+			s.words = make(map[uint32]uint64)
+		}
+		s.words[seq>>6] |= 1 << (seq & 63)
+		return true
+	}
+	// The floor advances over seq, then over every seq already waiting
+	// directly above it, releasing their words as they empty.
+	s.floor = seq
+	for s.floor != math.MaxUint32 && s.has(s.floor+1) {
+		s.floor++
+		w, bit := s.floor>>6, uint64(1)<<(s.floor&63)
+		if s.words[w] &^= bit; s.words[w] == 0 {
+			delete(s.words, w)
+		}
+	}
+	return true
+}
+
+// readerLog is everything the store keeps about one reader: its retained
+// history and its delivery ledger.
+type readerLog struct {
+	// history is the retained window, in Seq order (see insert).
+	history []*telemetry.Report
+	// seen dedupes (ReaderID, Seq). Seq 0 marks pre-sequencing senders
+	// and bypasses it (every such report is accepted).
+	seen seqSet
+	// high is the largest Report.Seq ingested — the completion mark
+	// WaitHighWater checks, robust to out-of-order arrival across
+	// readers because each reader's uplink stamps its own monotone
+	// sequence.
+	high uint32
+	// recv counts distinct reports accepted, copies every arrival
+	// including duplicates, deduped their difference — the duplicates
+	// absorbed.
+	recv, copies, deduped int
+}
+
+// Store keeps the most recent reports per reader in one ledger entry
+// per reader id. A secondary index maps decoded transponder ids to
+// their latest sighting, so find-my-car is a map lookup instead of a
+// scan over every reader's whole history.
 type Store struct {
-	shards []storeShard
-	keep   int
+	keep int
 
-	// ingestMu guards the run-barrier state: the per-reader sequence
-	// high-water marks, the (ReaderID, Seq) dedupe sets and arrival
-	// counters, and the condition the Wait* barriers sleep on. Kept apart
-	// from the shard locks so a waiter never blocks writers on
-	// unrelated shards.
-	ingestMu sync.Mutex
-	ingestCv *sync.Cond
-	// high[reader] is the largest Report.Seq ingested from that reader —
-	// the per-reader completion marks WaitHighWater checks, robust to
-	// out-of-order arrival across readers because each reader's uplink
-	// stamps its own monotone sequence.
-	high    map[uint32]uint32
+	// mu guards readers and every readerLog behind it. Its write side
+	// is also the locker of cv, the condition the Wait* barriers sleep
+	// on; waiters counts them so ingest only broadcasts when someone
+	// listens.
+	mu      sync.RWMutex
+	cv      *sync.Cond
 	waiters int
-	// seen[reader] is the set of sequence numbers ever ingested from
-	// that reader — the dedupe key that makes at-least-once redelivery
-	// idempotent. Seq 0 marks pre-sequencing senders and bypasses
-	// dedupe (every such report is accepted).
-	seen map[uint32]map[uint32]struct{}
-	// recv[reader] counts distinct reports accepted; copies[reader]
-	// counts every arrival including duplicates; deduped[reader] is
-	// their difference — the duplicates absorbed. recv advances only
-	// after the report is visible in its shard, so a barrier that
-	// returns guarantees the data is queryable.
-	recv    map[uint32]int
-	copies  map[uint32]int
-	deduped map[uint32]int
+	readers map[uint32]*readerLog
 
-	// idMu guards the transponder-id → latest-sighting index. Unlike
-	// retained history, the index survives retention trims: a parked
-	// car's last sighting stays queryable however much traffic has
-	// flowed since (§4's find-my-car wants exactly that).
+	// idMu guards the transponder-id → latest-sighting index; ingest
+	// takes it nested inside mu, queries take it alone. Unlike retained
+	// history, the index survives retention trims: a parked car's last
+	// sighting stays queryable however much traffic has flowed since
+	// (§4's find-my-car wants exactly that).
 	idMu sync.RWMutex
 	byID map[uint64]CarSighting
 }
 
-// NewStore creates a store retaining up to keep reports per reader,
-// with DefaultShards shards.
+// NewStore creates a store retaining up to keep reports per reader.
 func NewStore(keep int) *Store {
-	return NewShardedStore(keep, DefaultShards)
-}
-
-// NewShardedStore creates a store with an explicit shard count (≤ 0
-// falls back to DefaultShards).
-func NewShardedStore(keep, shards int) *Store {
 	if keep <= 0 {
 		keep = 1024
 	}
-	if shards <= 0 {
-		shards = DefaultShards
-	}
 	s := &Store{
-		shards:  make([]storeShard, shards),
 		keep:    keep,
-		high:    make(map[uint32]uint32),
+		readers: make(map[uint32]*readerLog),
 		byID:    make(map[uint64]CarSighting),
-		seen:    make(map[uint32]map[uint32]struct{}),
-		recv:    make(map[uint32]int),
-		copies:  make(map[uint32]int),
-		deduped: make(map[uint32]int),
 	}
-	for i := range s.shards {
-		s.shards[i].history = make(map[uint32][]*telemetry.Report)
-	}
-	s.ingestCv = sync.NewCond(&s.ingestMu)
+	s.cv = sync.NewCond(&s.mu)
 	return s
 }
 
-func (s *Store) shardFor(readerID uint32) *storeShard {
-	return &s.shards[int(readerID)%len(s.shards)]
-}
+// DefaultShards and NewShardedStore are the deprecated spelling of
+// NewStore that perfbench/ still compiles against; the store has no
+// shards and the count is ignored.
+const DefaultShards = 1
+
+func NewShardedStore(keep, _ int) *Store { return NewStore(keep) }
 
 // Add ingests one report.
 func (s *Store) Add(r *telemetry.Report) {
-	s.ingest([]*telemetry.Report{r})
+	s.AddBatch([]*telemetry.Report{r})
 }
 
-// AddBatch ingests a batch, advancing the ingest barrier once. Batches
-// from different readers may arrive in any interleaving — each report
-// is keyed by (ReaderID, Seq), so per-reader history order and the
-// high-water marks come out the same regardless. A report whose
-// (ReaderID, Seq) was already ingested is dropped and counted in
-// Deduped — redelivered batches from an at-least-once uplink are
-// idempotent.
+// AddBatch is the one ingest path: a single acquisition of mu per call,
+// waking the barriers once. Batches from different readers may arrive
+// in any interleaving — each report is keyed by (ReaderID, Seq), so
+// per-reader history order and the high-water marks come out the same
+// regardless. A report whose (ReaderID, Seq) was already ingested is
+// dropped and counted in Deduped — redelivered batches from an
+// at-least-once uplink are idempotent.
+//
+// The dedupe claim and the insert share the critical section, so two
+// connections racing the same redelivered sequence admit exactly one
+// copy. The counters advance only after the report is in its history
+// and in the sighting index, and the barriers wake under the same lock:
+// one that returns never races a report that is counted but not yet
+// queryable, by Latest or by FindCar.
 func (s *Store) AddBatch(rs []*telemetry.Report) {
-	s.ingest(rs)
-}
-
-// ingest is the shared Add/AddBatch path, in three phases. Phase 1
-// claims each report's (ReaderID, Seq) in the dedupe set under
-// ingestMu, so two connections racing the same redelivered sequence
-// admit exactly one copy. Phase 2 inserts the admitted reports into
-// their shards and the sighting index without holding ingestMu. Phase
-// 3 advances the barrier counters and wakes waiters — only after the
-// shard insert, so a barrier that returns never races a report that is
-// counted but not yet queryable.
-func (s *Store) ingest(rs []*telemetry.Report) {
-	fresh := rs
-	copied := false
-	var dupIDs []uint32
-	s.ingestMu.Lock()
-	for i, r := range rs {
-		dup := false
-		if r.Seq != 0 {
-			set := s.seen[r.ReaderID]
-			if set == nil {
-				set = make(map[uint32]struct{})
-				s.seen[r.ReaderID] = set
-			}
-			if _, dup = set[r.Seq]; !dup {
-				set[r.Seq] = struct{}{}
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range rs {
+		lg := s.readers[r.ReaderID]
+		if lg == nil {
+			lg = &readerLog{}
+			s.readers[r.ReaderID] = lg
 		}
-		if dup {
-			if !copied {
-				// First duplicate: stop aliasing the caller's slice.
-				fresh = append(make([]*telemetry.Report, 0, len(rs)-1), rs[:i]...)
-				copied = true
-			}
-			dupIDs = append(dupIDs, r.ReaderID)
-		} else if copied {
-			fresh = append(fresh, r)
+		lg.copies++
+		if r.Seq != 0 && !lg.seen.add(r.Seq) {
+			lg.deduped++
+			continue
 		}
-	}
-	s.ingestMu.Unlock()
-
-	for _, r := range fresh {
-		s.addToShard(r)
+		lg.insert(r, s.keep)
 		s.indexSightings(r)
-	}
-
-	s.ingestMu.Lock()
-	for _, r := range fresh {
-		s.recv[r.ReaderID]++
-		s.copies[r.ReaderID]++
-		if r.Seq > s.high[r.ReaderID] {
-			s.high[r.ReaderID] = r.Seq
+		lg.recv++
+		if r.Seq > lg.high {
+			lg.high = r.Seq
 		}
-	}
-	for _, id := range dupIDs {
-		s.copies[id]++
-		s.deduped[id]++
 	}
 	if s.waiters > 0 {
-		s.ingestCv.Broadcast()
+		s.cv.Broadcast()
 	}
-	s.ingestMu.Unlock()
 }
 
-func (s *Store) addToShard(r *telemetry.Report) {
-	sh := s.shardFor(r.ReaderID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	h := append(sh.history[r.ReaderID], r)
+// insert appends r to the retained window and trims it to keep.
+func (lg *readerLog) insert(r *telemetry.Report, keep int) {
+	h := append(lg.history, r)
 	// A report can arrive behind its reader's tail (a retried batch, a
 	// reader re-uplinking over a second path). Sequence-keyed insertion
 	// keeps each reader's retained window in Seq order so CountSeries
@@ -199,17 +176,17 @@ func (s *Store) addToShard(r *telemetry.Report) {
 		copy(h[i+1:], h[i:n])
 		h[i] = r
 	}
-	if len(h) > s.keep {
+	if len(h) > keep {
 		// Trim by copying the tail to the front of the backing array.
 		// A plain re-slice (h = h[len(h)-keep:]) walks the retained
 		// window down the array instead, pinning every dropped report
 		// until the slice next reallocates — at a busy reader that is
 		// up to keep dead reports (spikes and all) held live at a time.
-		n := copy(h, h[len(h)-s.keep:])
+		n := copy(h, h[len(h)-keep:])
 		clear(h[n:]) // drop stale pointers beyond the window
 		h = h[:n]
 	}
-	sh.history[r.ReaderID] = h
+	lg.history = h
 }
 
 // indexSightings records the report's decoded spikes in the
@@ -256,52 +233,53 @@ func SightingWins(a, b CarSighting) bool {
 	return a.ReaderID < b.ReaderID
 }
 
+// entry returns a copy of a reader's log for reading; a reader never
+// heard from reads as the zero log. The caller holds mu.
+func (s *Store) entry(readerID uint32) readerLog {
+	if lg := s.readers[readerID]; lg != nil {
+		return *lg
+	}
+	return readerLog{}
+}
+
+// ledger is entry under the read lock.
+func (s *Store) ledger(readerID uint32) readerLog {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.entry(readerID)
+}
+
 // HighWater returns the largest Report.Seq ingested from a reader
 // (zero when none, or when the reader does not stamp sequences).
-func (s *Store) HighWater(readerID uint32) uint32 {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	return s.high[readerID]
+func (s *Store) HighWater(readerID uint32) uint32 { return s.ledger(readerID).high }
+
+// SeqsReceived returns the number of distinct reports accepted from a
+// reader (its expected-seq set's realized size).
+func (s *Store) SeqsReceived(readerID uint32) int { return s.ledger(readerID).recv }
+
+// Deduped returns the number of duplicate reports absorbed from a
+// reader — redelivered (ReaderID, Seq) pairs the dedupe key rejected.
+func (s *Store) Deduped(readerID uint32) int { return s.ledger(readerID).deduped }
+
+// DedupedTotal sums Deduped over all readers.
+func (s *Store) DedupedTotal() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, lg := range s.readers {
+		n += lg.deduped
+	}
+	return n
 }
 
 // TotalReports returns the number of retained reports across all
 // readers (retention trims per-reader history to the keep window).
 func (s *Store) TotalReports() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, h := range sh.history {
-			n += len(h)
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// SeqsReceived returns the number of distinct reports accepted from a
-// reader (its expected-seq set's realized size).
-func (s *Store) SeqsReceived(readerID uint32) int {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	return s.recv[readerID]
-}
-
-// Deduped returns the number of duplicate reports absorbed from a
-// reader — redelivered (ReaderID, Seq) pairs the dedupe key rejected.
-func (s *Store) Deduped(readerID uint32) int {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	return s.deduped[readerID]
-}
-
-// DedupedTotal sums Deduped over all readers.
-func (s *Store) DedupedTotal() int {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	n := 0
-	for _, d := range s.deduped {
-		n += d
+	for _, lg := range s.readers {
+		n += len(lg.history)
 	}
 	return n
 }
@@ -310,42 +288,69 @@ func (s *Store) DedupedTotal() int {
 // from a reader — the realized loss a chaos run charges against its
 // loss budget.
 func (s *Store) MissingSeqs(readerID uint32, max uint32) []uint32 {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	seen := s.entry(readerID).seen
 	var missing []uint32
-	set := s.seen[readerID]
-	for seq := uint32(1); seq <= max; seq++ {
-		if _, ok := set[seq]; !ok {
-			missing = append(missing, seq)
+	// Nothing at or below the floor is missing. The loop variable is
+	// wider than a seq so that max = MaxUint32 ends the loop instead
+	// of wrapping to 0.
+	for seq := uint64(seen.floor) + 1; seq <= uint64(max); seq++ {
+		if !seen.has(uint32(seq)) {
+			missing = append(missing, uint32(seq))
 		}
 	}
 	return missing
 }
 
-// waitOn is the shared barrier loop: it sleeps on the ingest condition
-// until reached() (evaluated under ingestMu) holds or the timeout
-// elapses, in which case it returns lagErr(). sync.Cond has no timed
+// waitFor is the one barrier loop: it sleeps on the ingest condition
+// until counter reads at least want[id] for every reader in want, or
+// the timeout elapses, in which case it returns each lagging reader's
+// progress (nil means the barrier was reached). sync.Cond has no timed
 // wait; an AfterFunc broadcast bounds the sleep and the loop re-checks
 // the deadline on every wake.
-func (s *Store) waitOn(timeout time.Duration, reached func() bool, lagErr func() error) error {
+func waitFor[N int | uint32](s *Store, timeout time.Duration, want map[uint32]N, counter func(readerLog) N) map[uint32]N {
 	deadline := time.Now().Add(timeout)
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.waiters++
 	defer func() { s.waiters-- }()
 	timer := time.AfterFunc(timeout, func() {
-		s.ingestMu.Lock()
-		s.ingestCv.Broadcast()
-		s.ingestMu.Unlock()
+		s.mu.Lock()
+		s.cv.Broadcast()
+		s.mu.Unlock()
 	})
 	defer timer.Stop()
-	for !reached() {
-		if !time.Now().Before(deadline) {
-			return lagErr()
+	lag := make(map[uint32]N) // one map per call, not one per wake-up
+	for {
+		clear(lag)
+		for id, n := range want {
+			if got := counter(s.entry(id)); got < n {
+				lag[id] = got
+			}
 		}
-		s.ingestCv.Wait()
+		if len(lag) == 0 {
+			return nil
+		}
+		if !time.Now().Before(deadline) {
+			return lag
+		}
+		s.cv.Wait()
 	}
-	return nil
+}
+
+// lagError renders a timed-out barrier: head, then one line per lagging
+// reader in a fixed order. A nil lag (barrier reached) is no error.
+func lagError[N int | uint32](head string, lag map[uint32]N, line func(id uint32, got N) string) error {
+	if lag == nil {
+		return nil
+	}
+	lines := make([]string, 0, len(lag))
+	for id, got := range lag {
+		lines = append(lines, line(id, got))
+	}
+	sort.Strings(lines)
+	return fmt.Errorf("collector: "+head+": %s", strings.Join(lines, "; "))
 }
 
 // WaitHighWater blocks until every reader in want has delivered a
@@ -360,25 +365,10 @@ func (s *Store) waitOn(timeout time.Duration, reached func() bool, lagErr func()
 // mark is never reached and the barrier burns its whole timeout. Runs
 // that inject or tolerate loss use WaitDelivered instead.
 func (s *Store) WaitHighWater(want map[uint32]uint32, timeout time.Duration) error {
-	return s.waitOn(timeout,
-		func() bool {
-			for id, seq := range want {
-				if s.high[id] < seq {
-					return false
-				}
-			}
-			return true
-		},
-		func() error {
-			var lag []string
-			for id, seq := range want {
-				if got := s.high[id]; got < seq {
-					lag = append(lag, fmt.Sprintf("reader %d at seq %d of %d", id, got, seq))
-				}
-			}
-			sort.Strings(lag)
-			return fmt.Errorf("collector: %d readers behind at timeout: %s", len(lag), strings.Join(lag, "; "))
-		})
+	lag := waitFor(s, timeout, want, func(lg readerLog) uint32 { return lg.high })
+	return lagError(fmt.Sprintf("%d readers behind at timeout", len(lag)), lag, func(id, got uint32) string {
+		return fmt.Sprintf("reader %d at seq %d of %d", id, got, want[id])
+	})
 }
 
 // WaitDelivered is the gap-tolerant drain barrier: it blocks until
@@ -391,33 +381,14 @@ func (s *Store) WaitHighWater(want map[uint32]uint32, timeout time.Duration) err
 // hung until timeout; with an all-zero budget the condition is exactly
 // "every report landed".
 func (s *Store) WaitDelivered(want map[uint32]uint32, budget map[uint32]int, timeout time.Duration) error {
-	need := func(id uint32) int {
-		n := int(want[id]) - budget[id]
-		if n < 0 {
-			n = 0
-		}
-		return n
+	need := make(map[uint32]int, len(want))
+	for id, n := range want {
+		need[id] = max(int(n)-budget[id], 0)
 	}
-	return s.waitOn(timeout,
-		func() bool {
-			for id := range want {
-				if s.recv[id] < need(id) {
-					return false
-				}
-			}
-			return true
-		},
-		func() error {
-			var lag []string
-			for id := range want {
-				if got := s.recv[id]; got < need(id) {
-					lag = append(lag, fmt.Sprintf("reader %d delivered %d of %d (loss budget %d)",
-						id, got, want[id], budget[id]))
-				}
-			}
-			sort.Strings(lag)
-			return fmt.Errorf("collector: %d readers behind at timeout: %s", len(lag), strings.Join(lag, "; "))
-		})
+	lag := waitFor(s, timeout, need, func(lg readerLog) int { return lg.recv })
+	return lagError(fmt.Sprintf("%d readers behind at timeout", len(lag)), lag, func(id uint32, got int) string {
+		return fmt.Sprintf("reader %d delivered %d of %d (loss budget %d)", id, got, want[id], budget[id])
+	})
 }
 
 // WaitCopies blocks until every reader in want has landed at least
@@ -425,50 +396,30 @@ func (s *Store) WaitDelivered(want map[uint32]uint32, budget map[uint32]int, tim
 // to let redelivered duplicates settle before reading the dedupe
 // counters, so the counters they assert on are exactly reproducible.
 func (s *Store) WaitCopies(want map[uint32]int, timeout time.Duration) error {
-	return s.waitOn(timeout,
-		func() bool {
-			for id, n := range want {
-				if s.copies[id] < n {
-					return false
-				}
-			}
-			return true
-		},
-		func() error {
-			var lag []string
-			for id, n := range want {
-				if got := s.copies[id]; got < n {
-					lag = append(lag, fmt.Sprintf("reader %d at %d of %d copies", id, got, n))
-				}
-			}
-			sort.Strings(lag)
-			return fmt.Errorf("collector: copies still in flight at timeout: %s", strings.Join(lag, "; "))
-		})
+	lag := waitFor(s, timeout, want, func(lg readerLog) int { return lg.copies })
+	return lagError("copies still in flight at timeout", lag, func(id uint32, got int) string {
+		return fmt.Sprintf("reader %d at %d of %d copies", id, got, want[id])
+	})
 }
 
 // Latest returns the most recent report from a reader, or nil.
 func (s *Store) Latest(readerID uint32) *telemetry.Report {
-	sh := s.shardFor(readerID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	h := sh.history[readerID]
-	if len(h) == 0 {
-		return nil
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if h := s.entry(readerID).history; len(h) > 0 {
+		return h[len(h)-1]
 	}
-	return h[len(h)-1]
+	return nil
 }
 
 // Readers lists reader ids seen so far, sorted.
 func (s *Store) Readers() []uint32 {
 	var ids []uint32
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id := range sh.history {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	for id := range s.readers {
+		ids = append(ids, id)
 	}
+	s.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
@@ -476,10 +427,9 @@ func (s *Store) Readers() []uint32 {
 // CountSeries returns (timestamp, count) pairs from a reader within
 // [from, to] — the raw material of the paper's Fig 12 traffic plot.
 func (s *Store) CountSeries(readerID uint32, from, to time.Time) (ts []time.Time, counts []int) {
-	sh := s.shardFor(readerID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, r := range sh.history[readerID] {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, r := range s.entry(readerID).history {
 		if r.Timestamp.Before(from) || r.Timestamp.After(to) {
 			continue
 		}
@@ -549,33 +499,23 @@ func (s *Store) SightingsSnapshot() map[uint64]CarSighting {
 
 // SightingsByCFO returns, for each reader, its most recent spike whose
 // CFO is within tol of freq — the cross-reader association step used
-// by two-pole localization and speed checks (§6–§7).
+// by two-pole localization and speed checks (§6–§7). The answer is
+// keyed by reader, so map iteration order never reaches it.
 func (s *Store) SightingsByCFO(freq, tol float64) map[uint32]CarSighting {
 	out := make(map[uint32]CarSighting)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for readerID, h := range sh.history {
-			for j := len(h) - 1; j >= 0; j-- {
-				r := h[j]
-				hit := false
-				for _, sp := range r.Spikes {
-					d := sp.FreqHz - freq
-					if d < 0 {
-						d = -d
-					}
-					if d <= tol {
-						out[readerID] = CarSighting{ReaderID: readerID, Seen: r.Timestamp, FreqHz: sp.FreqHz}
-						hit = true
-						break
-					}
-				}
-				if hit {
-					break
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+readers:
+	for readerID, lg := range s.readers {
+		for j := len(lg.history) - 1; j >= 0; j-- {
+			r := lg.history[j]
+			for _, sp := range r.Spikes {
+				if math.Abs(sp.FreqHz-freq) <= tol {
+					out[readerID] = CarSighting{ReaderID: readerID, Seen: r.Timestamp, FreqHz: sp.FreqHz}
+					continue readers
 				}
 			}
 		}
-		sh.mu.RUnlock()
 	}
 	return out
 }
@@ -584,8 +524,7 @@ func (s *Store) SightingsByCFO(freq, tol float64) map[uint32]CarSighting {
 // hook for the retention regression tests, which assert on the backing
 // array itself.
 func (s *Store) historyFor(readerID uint32) []*telemetry.Report {
-	sh := s.shardFor(readerID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.history[readerID]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.entry(readerID).history
 }

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -59,47 +61,76 @@ func normalize(r *Report) Report {
 	return c
 }
 
-// TestReadBatchAcceptsSingleFrames: a collector reading through
-// ReadBatch must ingest legacy version-1 frames from the same
-// connection — the backward-compatibility contract.
-func TestReadBatchAcceptsSingleFrames(t *testing.T) {
+// v1Frame is r's frame under the retired version byte 1 — valid in
+// everything else, so only the version check can refuse it.
+func v1Frame(t testing.TB, r *Report) []byte {
 	var buf bytes.Buffer
-	rs := batchReports(3)
-	if err := WriteFrame(&buf, rs[0]); err != nil {
+	if err := WriteBatch(&buf, []*Report{r}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBatch(&buf, rs[1:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&buf, rs[2]); err != nil {
-		t.Fatal(err)
-	}
-	var got []*Report
-	for buf.Len() > 0 {
-		batch, err := ReadBatch(&buf)
-		if err != nil {
-			t.Fatal(err)
+	frame := buf.Bytes()
+	frame[4] = 1
+	return frame
+}
+
+// TestReadBatchRefusesVersion1: a version-1 header is refused on the
+// header alone. The pipe delivers the nine header bytes and then
+// nothing, so a reader that asked for a single payload byte before
+// deciding would block until the test times out.
+func TestReadBatchRefusesVersion1(t *testing.T) {
+	frame := v1Frame(t, batchReports(1)[0])
+	pr, pw := io.Pipe()
+	defer pr.Close() // releases both goroutines whatever happens
+	go pw.Write(frame[:headerSize])
+	errc := make(chan error, 1)
+	go func() {
+		_, err := ReadBatch(pr)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version-1 frame: %v, want ErrBadVersion", err)
 		}
-		got = append(got, batch...)
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadBatch requested payload bytes of a version-1 frame")
 	}
-	want := []uint32{rs[0].Seq, rs[1].Seq, rs[2].Seq, rs[2].Seq}
-	if len(got) != 4 {
-		t.Fatalf("read %d reports, want 4 (mixed single and batch frames)", len(got))
-	}
-	for i, r := range got {
-		if r.Seq != want[i] {
-			t.Errorf("report %d: seq %d, want %d", i, r.Seq, want[i])
-		}
+	// The whole frame on a plain stream is refused the same way.
+	if _, err := ReadBatch(bytes.NewReader(frame)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("version-1 frame: %v, want ErrBadVersion", err)
 	}
 }
 
-func TestReadFrameRejectsBatchFrames(t *testing.T) {
+// TestBatchOfOneGolden pins the bytes of a one-report frame — what
+// Client.Send puts on the wire — so the format cannot drift silently:
+// header (magic "CARA" little-endian, version 2, payload length), the
+// payload (report count 1, report length, report) and its CRC-32C.
+func TestBatchOfOneGolden(t *testing.T) {
+	r := &Report{
+		ReaderID:  7,
+		Seq:       42,
+		Timestamp: time.Unix(0, 1439798401000000500),
+		Count:     3,
+		Spikes: []SpikeRecord{
+			{FreqHz: 214.5e3, Channels: []complex128{complex(0.5, -0.25), complex(-1, 2)}},
+			{FreqHz: 812.25e3, Multiple: true, DecodedID: 0xE5A1910DB480015, Channels: []complex128{complex(3, 4)}},
+		},
+	}
+	const golden = "415241430274000000" + // magic, version 2, payload length 0x74
+		"010000006c000000" + // 1 report of 0x6c bytes
+		"070000002a000000f4cbc76f0431fb13030000000200000000000000202f0a4100000000000000000002000000000000e03f000000000000d0bf000000000000f0bf000000000000004000000000b4c9284101150048db10195a0e0100000000000008400000000000001040" +
+		"4429de0f" // CRC-32C of the payload
 	var buf bytes.Buffer
-	if err := WriteBatch(&buf, batchReports(2)); err != nil {
+	if err := WriteBatch(&buf, []*Report{r}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("ReadFrame on a batch frame: %v, want ErrBadVersion", err)
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("one-report frame drifted:\n got %s\nwant %s", got, golden)
+	}
+	raw, _ := hex.DecodeString(golden)
+	got, err := ReadBatch(bytes.NewReader(raw))
+	if err != nil || len(got) != 1 || !reflect.DeepEqual(normalize(got[0]), normalize(r)) {
+		t.Fatalf("golden frame reads back as %+v (%v)", got, err)
 	}
 }
 

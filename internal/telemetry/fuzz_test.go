@@ -71,34 +71,51 @@ func FuzzReportRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip drives the framed wire format (magic, version,
-// length, CRC): whatever ReadFrame accepts must re-frame identically.
+// FuzzFrameRoundTrip drives the framed wire format the collector
+// actually reads (magic, version, length, batch payload, CRC): it must
+// never panic, a frame of any version but BatchVersion must be
+// rejected, and whatever ReadBatch accepts must re-frame to an equal
+// report list.
 func FuzzFrameRoundTrip(f *testing.F) {
-	for _, r := range fuzzSeedReports() {
+	seeds := fuzzSeedReports()
+	frames := [][]*Report{nil, seeds}
+	for _, r := range seeds {
+		frames = append(frames, []*Report{r})
+	}
+	for _, rs := range frames {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, r); err != nil {
+		if err := WriteBatch(&buf, rs); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
+	f.Add(v1Frame(f, seeds[1]))
 	f.Add([]byte{0x41, 0x52, 0x41, 0x43}) // magic, truncated
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := ReadFrame(bytes.NewReader(data))
+		rs, err := ReadBatch(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		if data[4] != BatchVersion {
+			t.Fatalf("accepted a version-%d frame", data[4])
+		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, r); err != nil {
+		if err := WriteBatch(&buf, rs); err != nil {
 			t.Fatalf("accepted frame fails to re-frame: %v", err)
 		}
-		r2, err := ReadFrame(&buf)
+		rs2, err := ReadBatch(&buf)
 		if err != nil {
-			t.Fatalf("re-framed report rejected: %v", err)
+			t.Fatalf("re-framed batch rejected: %v", err)
 		}
-		b1, err1 := r.Marshal()
-		b2, err2 := r2.Marshal()
-		if err1 != nil || err2 != nil || !bytes.Equal(b1, b2) {
-			t.Fatalf("frame round trip changed the report: %x vs %x (%v, %v)", b1, b2, err1, err2)
+		if len(rs2) != len(rs) {
+			t.Fatalf("frame round trip changed the batch: %d reports, then %d", len(rs), len(rs2))
+		}
+		for i := range rs {
+			b1, err1 := rs[i].Marshal()
+			b2, err2 := rs2[i].Marshal()
+			if err1 != nil || err2 != nil || !bytes.Equal(b1, b2) {
+				t.Fatalf("frame round trip changed report %d: %x vs %x (%v, %v)", i, b1, b2, err1, err2)
+			}
 		}
 	})
 }

@@ -7,7 +7,10 @@
 //
 // The seeds mirror fuzzSeedReports in fuzz_test.go: an empty report, a
 // typical multi-spike report, and an extreme-values report, in both
-// payload (FuzzReportRoundTrip) and framed (FuzzFrameRoundTrip) form.
+// payload (FuzzReportRoundTrip) and framed (FuzzFrameRoundTrip) form —
+// each as a frame of one, all three as one frame, and the typical
+// report's frame under the retired version byte 1, which the reader
+// must reject.
 package main
 
 import (
@@ -49,12 +52,20 @@ func main() {
 			log.Fatal(err)
 		}
 		write("FuzzReportRoundTrip", fmt.Sprintf("seed-report-%d", i), payload)
-		var buf bytes.Buffer
-		if err := telemetry.WriteFrame(&buf, r); err != nil {
-			log.Fatal(err)
-		}
-		write("FuzzFrameRoundTrip", fmt.Sprintf("seed-frame-%d", i), buf.Bytes())
+		write("FuzzFrameRoundTrip", fmt.Sprintf("seed-frame-%d", i), frame(r))
 	}
+	write("FuzzFrameRoundTrip", "seed-frame-all", frame(reports...))
+	v1 := frame(reports[1])
+	v1[4] = 1 // the retired version byte on an otherwise valid frame
+	write("FuzzFrameRoundTrip", "seed-frame-v1", v1)
+}
+
+func frame(rs ...*telemetry.Report) []byte {
+	var buf bytes.Buffer
+	if err := telemetry.WriteBatch(&buf, rs); err != nil {
+		log.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func write(fuzzName, seedName string, data []byte) {

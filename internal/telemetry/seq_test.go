@@ -14,15 +14,15 @@ func TestSeqRoundTripExtremes(t *testing.T) {
 	for _, seq := range []uint32{0, 1, 1<<31 - 1, 1<<32 - 1} {
 		in := &Report{ReaderID: 3, Seq: seq, Timestamp: stamp, Count: 2}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, in); err != nil {
+		if err := WriteBatch(&buf, []*Report{in}); err != nil {
 			t.Fatal(err)
 		}
-		out, err := ReadFrame(&buf)
+		out, err := ReadBatch(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Seq != seq {
-			t.Errorf("seq %d round-tripped to %d", seq, out.Seq)
+		if len(out) != 1 || out[0].Seq != seq {
+			t.Errorf("seq %d round-tripped to %+v", seq, out)
 		}
 	}
 }

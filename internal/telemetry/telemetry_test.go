@@ -92,20 +92,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r := randomReport(rng)
 		want = append(want, r)
-		if err := WriteFrame(&buf, r); err != nil {
+		if err := WriteBatch(&buf, []*Report{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		got, err := ReadFrame(&buf)
+		got, err := ReadBatch(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !reportsEqual(want[i], got) {
+		if len(got) != 1 || !reportsEqual(want[i], got[0]) {
 			t.Fatalf("frame %d mismatch", i)
 		}
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, err := ReadBatch(&buf); !errors.Is(err, io.EOF) {
 		t.Errorf("expected EOF after all frames, got %v", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestReadFrameDetectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := randomReport(rng)
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, r); err != nil {
+	if err := WriteBatch(&buf, []*Report{r}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -123,30 +123,30 @@ func TestReadFrameDetectsCorruption(t *testing.T) {
 	if len(raw) > 20 {
 		mut := append([]byte(nil), raw...)
 		mut[12] ^= 0xFF
-		if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrBadCRC) {
+		if _, err := ReadBatch(bytes.NewReader(mut)); !errors.Is(err, ErrBadCRC) {
 			t.Errorf("payload corruption: got %v, want ErrBadCRC", err)
 		}
 	}
 	// Break the magic.
 	mut := append([]byte(nil), raw...)
 	mut[0] ^= 0xFF
-	if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrBadMagic) {
+	if _, err := ReadBatch(bytes.NewReader(mut)); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("magic corruption: got %v, want ErrBadMagic", err)
 	}
 	// Wrong version.
 	mut = append([]byte(nil), raw...)
 	mut[4] = 99
-	if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrBadVersion) {
+	if _, err := ReadBatch(bytes.NewReader(mut)); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("version: got %v, want ErrBadVersion", err)
 	}
 	// Truncated stream.
-	if _, err := ReadFrame(bytes.NewReader(raw[:len(raw)-2])); err == nil {
+	if _, err := ReadBatch(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Error("truncated frame accepted")
 	}
 	// Oversized length field.
 	mut = append([]byte(nil), raw...)
 	mut[5], mut[6], mut[7], mut[8] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadBatch(bytes.NewReader(mut)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize: got %v, want ErrTooLarge", err)
 	}
 }

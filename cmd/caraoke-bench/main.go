@@ -9,51 +9,39 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
+
+	"caraoke/internal/experiments"
 )
 
 func main() {
+	var names []string
+	for _, e := range experiments.All {
+		names = append(names, e.Name)
+	}
 	runs := flag.Int("runs", 10, "Monte-Carlo runs per data point")
 	seed := flag.Int64("seed", 1, "base RNG seed")
-	only := flag.String("only", "", "run a single experiment (fig04, tbl05, fig08, fig11, fig12, fig13, fig14, fig15, fig16, tbl07, tbl09, tbl12)")
+	only := flag.String("only", "", "run a single experiment ("+strings.Join(names, ", ")+")")
 	flag.Parse()
 
-	run := func(name string, fn func() error) {
-		if *only != "" && *only != name {
-			return
-		}
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Println()
-	}
-
-	run("fig04", func() error {
-		r, err := experimentsRunFig04(*seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		return nil
-	})
-	run("tbl05", func() error { return printTbl05(*seed) })
-	run("fig08", func() error { return printFig08(*seed) })
-	run("fig11", func() error { return printFig11(*seed, *runs) })
-	run("fig12", func() error { return printFig12(*seed) })
-	run("fig13", func() error { return printFig13(*seed, *runs) })
-	run("fig14", func() error { return printFig14(*seed, *runs) })
-	run("fig15", func() error { return printFig15(*seed, *runs) })
-	run("fig16", func() error { return printFig16(*seed, *runs) })
-	run("tbl07", func() error { return printTbl07() })
-	run("tbl09", func() error { return printTbl09(*seed) })
-	run("tbl12", func() error { return printTbl12() })
-
+	todo := experiments.All
 	if *only != "" {
-		// Validate the -only flag did something.
-		switch *only {
-		case "fig04", "tbl05", "fig08", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tbl07", "tbl09", "tbl12":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
+		todo = nil
+		for _, e := range experiments.All {
+			if e.Name == *only {
+				todo = []experiments.Experiment{e}
+			}
+		}
+		if todo == nil {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", *only, strings.Join(names, ", "))
 			os.Exit(2)
 		}
+	}
+	for _, e := range todo {
+		t, err := e.Run(*seed, *runs)
+		if err != nil {
+			log.Fatalf("%s: %v", e.Name, err)
+		}
+		fmt.Println(t.Render())
 	}
 }

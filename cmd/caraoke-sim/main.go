@@ -12,16 +12,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"caraoke/internal/api"
@@ -37,21 +34,16 @@ func main() {
 	duration := flag.Duration("duration", 30*time.Second, "simulated time")
 	seed := flag.Int64("seed", 1, "RNG seed; same seed ⇒ identical run")
 	queries := flag.Int("queries", 10, "queries per reader active window (§10)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "DSP worker goroutines per reader (1 = serial)")
+	workers := flag.Int("workers", 0, "DSP worker goroutines per reader (0 = city.Config's default, 1 = serial; results identical for any value, only wall-clock changes)")
 	decodeEvery := flag.Int("decode-every", 5, "run the §8 id decoder every k-th epoch (negative disables)")
 	decodeBudget := flag.Int("decode-budget", 120, "max collisions combined per decode run")
 	equipped := flag.Float64("equipped", 1, "fraction of cars carrying a transponder")
 	speedLimit := flag.Float64("speed-limit", 13, "speed-service limit, m/s")
-	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = one report per frame)")
-	lockstep := flag.Bool("lockstep", false, "per-epoch barrier in the one run loop: no reader starts epoch e+1 until all have uplinked e (results identical; the determinism oracle)")
-	pipeline := flag.Int("pipeline", 0, "per-reader epoch lookahead in pipelined mode (0 = default depth; results identical for any value)")
+	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = one report per frame; results identical, only framing changes)")
 	partitions := flag.Int("partitions", 1, "collector partitions (1 = single collector; ≥2 spreads readers over a consistent-hash ring; query answers identical for any count)")
 	killPartition := flag.Int("kill-partition", 0, "with -partitions ≥2 and -kill-at-seq: the partition the failover drill kills")
 	killAtSeq := flag.Int("kill-at-seq", 0, "kill -kill-partition once an uplink frame opens past this seq; its readers rehome to the ring successor (0 = no kill)")
 	serveAddr := flag.String("serve", "", "after the run, serve the HTTP query API on this address (e.g. :8080) with the clock frozen at the run's end")
-	loadtest := flag.Bool("loadtest", false, "after the run, drive the HTTP API with a seeded concurrent load test and print the summary JSON")
-	loadClients := flag.Int("loadtest-clients", 256, "with -loadtest: concurrent clients")
-	loadRequests := flag.Int("loadtest-requests", 0, "with -loadtest: total requests across all clients (0 = 100 × clients)")
 	chaos := flag.Bool("chaos", false, "switch on the failure model (seeded fault injection; same seed ⇒ identical loss/recovery stats)")
 	loss := flag.Float64("loss", 0.05, "with -chaos: per-frame probability an uplink frame is silently dropped")
 	killInterval := flag.Int("kill-interval", 25, "with -chaos: kill each uplink connection on every k-th frame (0 never)")
@@ -99,8 +91,6 @@ func main() {
 		DecodeBudget:   *decodeBudget,
 		UnequippedFrac: 1 - *equipped,
 		Batch:          *batch,
-		Lockstep:       *lockstep,
-		Pipeline:       *pipeline,
 		Partitions:     *partitions,
 	}
 	if *chaos {
@@ -203,92 +193,28 @@ func main() {
 	}
 
 	// Parking service: decoded curbside occupants open billable
-	// sessions spanning the run.
-	if len(res.ParkedSpots) > 0 {
-		park := collector.NewParkingService()
-		for spot := 0; spot < *parked; spot++ {
-			id, ok := res.ParkedSpots[spot]
-			if !ok {
-				continue
-			}
-			if err := park.Arrive(spot, id, res.Start); err != nil {
-				log.Fatal(err)
-			}
+	// sessions spanning the run; -serve keeps them open.
+	park := collector.NewParkingService()
+	for spot, id := range res.ParkedSpots {
+		if err := park.Arrive(spot, id, res.Start); err != nil {
+			log.Fatal(err)
 		}
-		for spot := 0; spot < *parked; spot++ {
-			if _, ok := park.Occupied(spot); !ok {
-				continue
-			}
-			id, dur, err := park.Depart(spot, res.End)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("parking: spot %d held by %#x, billed %s\n", spot, id, dur)
-		}
+	}
+	for _, ses := range park.Sessions() {
+		fmt.Printf("parking: spot %d held by %#x, billed %s\n", ses.Spot, ses.ID, res.End.Sub(ses.Since))
 	}
 
 	// The HTTP front end: -serve publishes the finished run's query
-	// surface; -loadtest hammers it with a seeded client fleet and
-	// prints the latency summary. Both run with the clock frozen at the
-	// run's end so speed max-age filters operate in simulated time and
-	// answers stay deterministic.
-	if *serveAddr != "" || *loadtest {
-		park := collector.NewParkingService()
-		for spot, id := range res.ParkedSpots {
-			if err := park.Arrive(spot, id, res.Start); err != nil {
-				log.Fatal(err)
-			}
-		}
+	// surface with the clock frozen at the run's end, so speed max-age
+	// filters operate in simulated time and answers stay deterministic.
+	if *serveAddr != "" {
 		apiSrv := api.New(api.Config{
 			Directory: res.Directory(),
 			Speed:     svc,
 			Parking:   park,
 			Now:       func() time.Time { return res.End },
 		})
-
-		if *loadtest {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				log.Fatal(err)
-			}
-			hs := &http.Server{Handler: apiSrv}
-			go hs.Serve(ln)
-			var ids []uint64
-			var freqs []float64
-			for _, d := range res.Decoded {
-				ids = append(ids, d.ID)
-				freqs = append(freqs, d.FreqHz)
-			}
-			var spots []int
-			for spot := range res.ParkedSpots {
-				spots = append(spots, spot)
-			}
-			sort.Ints(spots)
-			sum, err := api.RunLoad(api.LoadConfig{
-				BaseURL:  "http://" + ln.Addr().String(),
-				Clients:  *loadClients,
-				Requests: *loadRequests,
-				Seed:     *seed,
-				CarIDs:   ids,
-				Freqs:    freqs,
-				Spots:    spots,
-			})
-			hs.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-			js, err := json.Marshal(sum)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("loadtest summary: %s\n", js)
-			hits, misses := apiSrv.CacheStats()
-			fmt.Printf("loadtest cache: hits %d misses %d\n", hits, misses)
-		}
-
-		if *serveAddr != "" {
-			log.Printf("serving query API on %s (try /healthz, /car/{id}, /speed?freq=..., /parking)", *serveAddr)
-			log.Fatal(http.ListenAndServe(*serveAddr, apiSrv))
-		}
+		log.Printf("serving query API on %s (try /healthz, /car/{id}, /speed?freq=..., /parking)", *serveAddr)
+		log.Fatal(http.ListenAndServe(*serveAddr, apiSrv))
 	}
 }

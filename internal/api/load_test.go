@@ -1,10 +1,12 @@
 package api
 
-// The load harness: a seeded fleet of concurrent HTTP clients driving
-// the serving layer with the query mix a deployed city would see —
-// find-my-car lookups over a popular-id distribution, speed checks on
-// the decoded CFOs, parking polls — and reporting latency percentiles
-// and throughput.
+// The driver of TestLoadConcurrent: a seeded fleet of concurrent HTTP
+// clients driving the serving layer with the query mix a deployed city
+// would see — find-my-car lookups over a popular-id distribution, speed
+// checks on the decoded CFOs, parking polls — and reporting latency
+// percentiles and throughput. (The load generator of record is the perf
+// harness's query_mix workload; this one exists to put the handlers
+// under -race.)
 
 import (
 	"fmt"
@@ -37,19 +39,19 @@ type LoadConfig struct {
 	Spots  []int
 }
 
-// LoadSummary is a finished load run, JSON-shaped for reports.
+// LoadSummary is a finished load run.
 type LoadSummary struct {
-	Clients       int            `json:"clients"`
-	Requests      int            `json:"requests"`
-	Errors        int            `json:"errors"`
-	WallSeconds   float64        `json:"wall_seconds"`
-	ThroughputRPS float64        `json:"throughput_rps"`
-	P50Ms         float64        `json:"p50_ms"`
-	P90Ms         float64        `json:"p90_ms"`
-	P99Ms         float64        `json:"p99_ms"`
-	MaxMs         float64        `json:"max_ms"`
-	Status        map[string]int `json:"status"`
-	Server5xx     int            `json:"server_5xx"`
+	Clients       int
+	Requests      int
+	Errors        int
+	WallSeconds   float64
+	ThroughputRPS float64
+	P50Ms         float64
+	P90Ms         float64
+	P99Ms         float64
+	MaxMs         float64
+	Status        map[string]int
+	Server5xx     int
 }
 
 // RunLoad drives the server with cfg.Clients concurrent clients and

@@ -59,7 +59,7 @@ func BenchmarkCityThroughput(b *testing.B) {
 	}
 	b.Run("lockstep", func(b *testing.B) {
 		cfg := base
-		cfg.Lockstep = true
+		cfg.lockstep = true
 		runThroughput(b, cfg)
 	})
 	b.Run("pipelined", func(b *testing.B) {
@@ -71,17 +71,17 @@ func BenchmarkCityThroughput(b *testing.B) {
 // dwells injected (uniform 0–400 ms active-window offsets, seeded per
 // reader and epoch, identical in both modes). This is the workload the
 // lockstep barrier actually hurts: every epoch ends only when the
-// latest of 64 wakers has reported, while per-reader pipelines overlap
+// latest of 64 wakers has reported, while free-running readers overlap
 // one reader's dwell with every other reader's compute and dwell.
 func BenchmarkCityDutyCycled(b *testing.B) {
 	base := Config{
 		Readers: 64, Vehicles: 1000, Duration: 24 * time.Second,
-		Seed: 1, Queries: 3, DecodeEvery: -1, Batch: 4, Pipeline: 32,
+		Seed: 1, Queries: 3, DecodeEvery: -1, Batch: 4,
 		measureDelay: dutyCycleDwell(1, 400*time.Millisecond),
 	}
 	b.Run("lockstep", func(b *testing.B) {
 		cfg := base
-		cfg.Lockstep = true
+		cfg.lockstep = true
 		runThroughput(b, cfg)
 	})
 	b.Run("pipelined", func(b *testing.B) {

@@ -27,8 +27,8 @@ import (
 // Chaos configures the failure model of a run. The zero value injects
 // nothing and leaves every clean-run code path untouched.
 type Chaos struct {
-	// Faults injects frame-level uplink faults: silent drops, forwarded
-	// kills (the duplicate-producing case), and delivery delay.
+	// Faults injects frame-level uplink faults: silent drops and
+	// forwarded kills (the duplicate-producing case).
 	// Faults.Seed is ignored — the run's Config.Seed drives injection,
 	// preserving the one-seed-reproduces-everything contract.
 	Faults faults.Config
@@ -117,8 +117,8 @@ type UplinkStats struct {
 
 // chaosRun is the live fault state of one Run: the injector, the churn
 // schedule, and the per-reader wire accounting harvested from injector
-// events. lost and dup are written under mu by the sender goroutines'
-// synchronous event callbacks and read only after the senders join.
+// events. lost and dup are written under mu by the reader goroutines'
+// synchronous event callbacks and read only after the readers join.
 // They record the faulted reports' sequence numbers, not just counts:
 // in a partitioned run a seq localizes its loss or duplicate to the one
 // partition that owns it, which is what lets per-partition drain
@@ -303,7 +303,7 @@ func (cr *chaosRun) uplinkStats(posts []*post, clients []*collector.Client, cl *
 // RNG stream its NTP exchanges consume. Both streams are derived from
 // the run seed and the reader id only — never from the measurement
 // RNG — so switching drift on cannot perturb counts or decodes, and a
-// reader's sync history is identical in lockstep and pipelined modes
+// reader's sync history is identical however the readers interleave
 // (each reader syncs in its own epoch order).
 func initClocks(cfg Config, posts []*post) {
 	if cfg.Chaos.DriftPPM <= 0 {

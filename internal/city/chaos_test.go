@@ -1,10 +1,13 @@
 package city
 
 import (
+	"errors"
+	"net"
 	"reflect"
 	"testing"
 	"time"
 
+	"caraoke/internal/collector"
 	"caraoke/internal/faults"
 )
 
@@ -66,7 +69,7 @@ func TestChaosReproducible(t *testing.T) {
 func TestChaosLockstepPipelinedIdentical(t *testing.T) {
 	pipeCfg := chaosConfig()
 	lockCfg := chaosConfig()
-	lockCfg.Lockstep = true
+	lockCfg.lockstep = true
 	pipe, err := Run(pipeCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -282,5 +285,113 @@ func TestChaosZeroValueIsClean(t *testing.T) {
 		!reflect.DeepEqual(plain.Decoded, zero.Decoded) ||
 		plain.TotalReports != zero.TotalReports {
 		t.Error("zero chaos config changed clean-run results")
+	}
+}
+
+// TestChaosDegradedUplinkKeepsMeasuring: under chaos a reader whose
+// uplink exhausts its retry budget is degraded, not dead. Killing every
+// frame of every connection (KillEvery 1) fails each reader's first send
+// and all of its redials, so every client gives up on its first report —
+// yet the run must return nil, every reader must still measure every
+// epoch, the drain must settle inside the accounted loss (a drain that
+// waited for the dropped reports would time out and fail Run), and the
+// whole accounting must be a pure function of the seed, with and
+// without the lockstep barrier.
+func TestChaosDegradedUplinkKeepsMeasuring(t *testing.T) {
+	cfg := testConfig()
+	cfg.Batch = 2
+	cfg.Chaos = Chaos{Faults: faults.Config{KillEvery: 1}}
+	run := func(cfg Config) *Result {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("a degraded uplink aborted the chaos run: %v", err)
+		}
+		return res
+	}
+	a := run(cfg)
+	for _, ix := range a.PerIntersection {
+		if want := a.Epochs * len(ix.Readers); ix.Reports != want {
+			t.Errorf("intersection %d produced %d reports, want %d: a degraded reader stopped measuring",
+				ix.Index, ix.Reports, want)
+		}
+	}
+	for _, u := range a.Uplinks {
+		if u.ClientDropped == 0 {
+			t.Errorf("reader %d: no client-side drops — its uplink never degraded (%+v)", u.ReaderID, u)
+		}
+		// Every kill forwards its frame first, so the doomed first batch
+		// did land (and its redeliveries were deduped); everything after
+		// it was dropped at the client and never reached the wire.
+		if u.Received != cfg.Batch || u.Deduped == 0 || u.Delivered != 0 {
+			t.Errorf("reader %d: received %d (want the first batch of %d), deduped %d, delivered %d",
+				u.ReaderID, u.Received, cfg.Batch, u.Deduped, u.Delivered)
+		}
+		if u.ClientDropped != a.Epochs {
+			t.Errorf("reader %d: client dropped %d of %d reports", u.ReaderID, u.ClientDropped, a.Epochs)
+		}
+	}
+
+	b := run(cfg)
+	lockCfg := cfg
+	lockCfg.lockstep = true
+	lock := run(lockCfg)
+	for what, other := range map[string]*Result{"second run": b, "lockstep": lock} {
+		assertResultsEqual(t, a, other, what)
+		if !reflect.DeepEqual(a.Uplinks, other.Uplinks) {
+			t.Errorf("%s: uplink accounting diverges:\n%+v\n%+v", what, a.Uplinks, other.Uplinks)
+		}
+	}
+}
+
+// TestCleanRunSendErrorAborts is the other half of the degraded-uplink
+// rule: a clean run drains over the lossless barrier, so there any send
+// error — the raw write error of a client without a redial hook, or a
+// retry budget running out — must abort the run loop, and even a chaos
+// run tolerates only the degraded kind.
+func TestCleanRunSendErrorAborts(t *testing.T) {
+	deadConn := func() (net.Conn, error) {
+		client, server := net.Pipe()
+		server.Close() // every write fails: io.ErrClosedPipe
+		return client, nil
+	}
+	cfg := Config{Readers: 1, Vehicles: 4, Duration: 3 * time.Second, Seed: 5, DecodeEvery: -1}
+	chaos := cfg
+	chaos.Chaos = Chaos{Faults: faults.Config{DropRate: 0.1}}
+	cases := []struct {
+		name     string
+		cfg      Config
+		redial   bool
+		degraded bool // the error the run loop must surface
+	}{
+		{"clean/raw write error", cfg, false, false},
+		{"clean/retry budget exhausted", cfg, true, true},
+		{"chaos/raw write error", chaos, false, false},
+	}
+	for _, tc := range cases {
+		s, err := NewSim(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, err := collector.DialFunc(deadConn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up.Retry = collector.RetryPolicy{Attempts: 2, BackoffMin: time.Millisecond, BackoffMax: time.Millisecond}
+		if !tc.redial {
+			up.Redial = nil
+		}
+		epochs := int(tc.cfg.Duration / epochLen)
+		cr := newChaosRun(s.cfg, epochs, []uint32{1})
+		err = s.runPipelined(cr, []*collector.Client{up}, epochs)
+		up.Close()
+		if err == nil {
+			t.Errorf("%s: the run loop swallowed the send error", tc.name)
+		} else if got := errors.Is(err, collector.ErrUplinkDegraded); got != tc.degraded {
+			t.Errorf("%s: run loop returned %v (degraded=%v, want %v)", tc.name, err, got, tc.degraded)
+		}
+		if s.posts[0].reports != 1 {
+			t.Errorf("%s: reader measured %d epochs past a fatal send error, want to stop at 1", tc.name, s.posts[0].reports)
+		}
 	}
 }

@@ -6,26 +6,25 @@
 // into the collector tier (internal/cluster, one partition by default).
 // It is the scaffold the production-scale load work drives: each reader
 // runs its measurement pipeline (capture synthesis → FFT → spike
-// extraction → §5 count → optional §8 collision decode → uplink) as an
-// independent goroutine pair, so a
-// reader's epoch N+1 capture overlaps its epoch N decode and uplink
-// and no reader ever waits on another — the paper's §10/§12.5
-// deployment model, where every reader duty-cycles independently and
-// ships results over a cheap backhaul. A coordinator goroutine owns
-// the shared world (vehicle kinematics, the §9 claim partition) and
-// hands each reader per-epoch device snapshots through a bounded
-// queue; the collector ingests the resulting out-of-order batches
-// keyed by (ReaderID, Seq). Config.Lockstep adds a global per-epoch
-// barrier to that loop as the determinism oracle.
+// extraction → §5 count → optional §8 collision decode → uplink) in
+// one goroutine of its own: it measures an epoch, ships the report, and
+// takes the next, and no reader ever waits on another — the paper's
+// §10/§12.5 deployment model, where every reader duty-cycles
+// independently and ships results over a cheap backhaul. A coordinator
+// goroutine owns the shared world (vehicle kinematics, the §9 claim
+// partition) and hands each reader per-epoch device snapshots through a
+// bounded queue; the collector ingests the resulting out-of-order
+// batches keyed by (ReaderID, Seq).
 //
 // The harness is deterministic: all randomness flows from Config.Seed
 // through per-subsystem RNG streams (one for city construction, one per
 // reader), each reader consumes its stream in epoch order against
 // frozen snapshots, and every cross-goroutine merge happens in a fixed
-// order — two runs with the same configuration, pipelined or lockstep,
-// produce identical per-intersection counts and identical decoded-id
-// sets, which is what makes the harness usable as a regression
-// scenario and not just a demo.
+// order — two runs with the same configuration produce identical
+// per-intersection counts and identical decoded-id sets however the
+// scheduler interleaves the readers (the tests prove it against a
+// per-epoch barrier), which is what makes the harness usable as a
+// regression scenario and not just a demo.
 package city
 
 import (
@@ -48,10 +47,32 @@ import (
 	"caraoke/internal/transponder"
 )
 
-// margin is how far (meters) each street extends beyond its outermost
-// intersection before wrapping; vehicles leaving one end re-enter the
-// other, keeping the fleet size constant for the whole run.
-const margin = 60
+// The city's fixed scales. They are constants, not Config fields: a run
+// is described by what changes its result or its wire traffic.
+const (
+	// margin is how far (meters) each street extends beyond its
+	// outermost intersection before wrapping; vehicles leaving one end
+	// re-enter the other, keeping the fleet size constant for the whole
+	// run.
+	margin = 60
+	// tick is the vehicle-kinematics step.
+	tick = 100 * time.Millisecond
+	// epochLen is the measurement cadence: every epoch each reader runs
+	// one §10 active window.
+	epochLen = time.Second
+	// blockM is the street-grid spacing in meters.
+	blockM = 200.0
+	// rangeM is the interrogation radius in meters a reader claims
+	// transponders within (the paper's ~100 ft).
+	rangeM = 30.0
+	// noiseSigma is the per-sample receiver noise.
+	noiseSigma = 2e-6
+	// lookahead is how many epochs a fast reader may run ahead of the
+	// slowest before the coordinator stops feeding it. Bounded lookahead
+	// keeps the snapshot working set proportional to readers × lookahead;
+	// results are identical for any depth.
+	lookahead = 4
+)
 
 // baseTime anchors simulated timestamps (the morning of the paper's
 // Fig 12 traffic trace). A fixed epoch keeps reports, and therefore
@@ -70,13 +91,9 @@ type Config struct {
 	// Parked adds stationary curbside cars near intersection 0 — the
 	// street-parking workload (occupancy + find-my-car).
 	Parked int
-	// Duration is simulated time (default 30s).
+	// Duration is simulated time, in whole one-second epochs (default
+	// 30s).
 	Duration time.Duration
-	// Step is the vehicle-kinematics tick (default 100ms).
-	Step time.Duration
-	// Epoch is the measurement cadence: every epoch each reader runs
-	// one §10 active window (default 1s).
-	Epoch time.Duration
 	// Queries per active window (§10 allows up to 10; default 10).
 	Queries int
 	// Workers is each reader's DSP worker-pool size (default 1 =
@@ -85,13 +102,6 @@ type Config struct {
 	// Seed drives every random choice in the run; any value,
 	// including zero, is a valid (and reproducible) seed.
 	Seed int64
-	// Block is the street-grid spacing in meters (default 200).
-	Block float64
-	// Range is the interrogation radius in meters a reader claims
-	// transponders within (default 30, the paper's ~100 ft).
-	Range float64
-	// NoiseSigma is the per-sample receiver noise (default 2e-6).
-	NoiseSigma float64
 	// UnequippedFrac is the fraction of vehicles NOT carrying a
 	// transponder. The zero value means every car is equipped; US
 	// deployments run 0.11–0.30 unequipped (§1). (Phrased negatively
@@ -119,24 +129,6 @@ type Config struct {
 	// one frame per epoch). Results are identical for any value; only
 	// framing and syscall counts change.
 	Batch int
-	// Lockstep adds a per-epoch barrier to the one run loop: the
-	// coordinator holds epoch e+1 back until every active reader has
-	// finished epoch e (capture → decode → uplink), so the slowest
-	// reader sets the city's clock. It is the determinism oracle for
-	// the default pipelined mode — both produce identical Results for
-	// the same seed.
-	Lockstep bool
-	// Pipeline is the per-reader epoch lookahead in pipelined mode: how
-	// many epochs a fast reader may run ahead of the slowest before the
-	// coordinator stops feeding it (default 4). Bounded lookahead keeps
-	// the snapshot working set proportional to Readers × Pipeline.
-	// Results are identical for any depth.
-	Pipeline int
-	// DrainTimeout bounds the end-of-run wait for every uplinked report
-	// to land in the collector. Zero scales the default with the run
-	// size (epochs × readers) so a city-day drain is not failed by a
-	// wall-clock constant sized for a smoke test.
-	DrainTimeout time.Duration
 	// Chaos switches on the failure model: uplink fault injection,
 	// reader churn, and clock drift (see chaos.go). The zero value is
 	// the clean run — bit-identical to a build without this field.
@@ -147,6 +139,12 @@ type Config struct {
 	// models duty-cycle dwell, backhaul jitter, or a deliberately slow
 	// reader. Simulated time and therefore results are unaffected.
 	measureDelay func(readerID uint32, epoch int) time.Duration
+	// lockstep is the determinism oracle, set only by this package's
+	// tests: the coordinator holds epoch e+1 back until every reader it
+	// fed has measured and uplinked epoch e, so the slowest reader sets
+	// the city's clock. A run with it and a run without must produce
+	// identical Results.
+	lockstep bool
 }
 
 // withDefaults fills zero fields.
@@ -154,26 +152,11 @@ func (c Config) withDefaults() Config {
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
 	}
-	if c.Step == 0 {
-		c.Step = 100 * time.Millisecond
-	}
-	if c.Epoch == 0 {
-		c.Epoch = time.Second
-	}
 	if c.Queries == 0 {
 		c.Queries = 10
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
-	}
-	if c.Block == 0 {
-		c.Block = 200
-	}
-	if c.Range == 0 {
-		c.Range = 30
-	}
-	if c.NoiseSigma == 0 {
-		c.NoiseSigma = 2e-6
 	}
 	if c.DecodeEvery == 0 {
 		c.DecodeEvery = 5
@@ -187,9 +170,6 @@ func (c Config) withDefaults() Config {
 	if c.Partitions == 0 {
 		c.Partitions = 1
 	}
-	if c.Pipeline == 0 {
-		c.Pipeline = 4
-	}
 	return c
 }
 
@@ -200,8 +180,8 @@ func (c *Config) validate() error {
 	if c.Vehicles < 0 || c.Parked < 0 {
 		return fmt.Errorf("city: negative fleet (%d vehicles, %d parked)", c.Vehicles, c.Parked)
 	}
-	if c.Step <= 0 || c.Epoch < c.Step || c.Duration < c.Epoch {
-		return fmt.Errorf("city: need step ≤ epoch ≤ duration, got %v / %v / %v", c.Step, c.Epoch, c.Duration)
+	if c.Duration < epochLen {
+		return fmt.Errorf("city: duration %v is shorter than one %v epoch", c.Duration, epochLen)
 	}
 	if c.Queries < 1 {
 		return fmt.Errorf("city: queries %d must be positive", c.Queries)
@@ -209,14 +189,8 @@ func (c *Config) validate() error {
 	if c.UnequippedFrac < 0 || c.UnequippedFrac > 1 {
 		return fmt.Errorf("city: unequipped fraction %g outside [0,1]", c.UnequippedFrac)
 	}
-	if c.Block <= 0 || c.Range <= 0 {
-		return fmt.Errorf("city: block %g and range %g must be positive", c.Block, c.Range)
-	}
 	if c.Batch < 0 {
 		return fmt.Errorf("city: batch %d must be non-negative", c.Batch)
-	}
-	if c.Pipeline < 0 || c.DrainTimeout < 0 {
-		return fmt.Errorf("city: pipeline %d and drain timeout %v must be non-negative", c.Pipeline, c.DrainTimeout)
 	}
 	if c.Partitions < 0 {
 		return fmt.Errorf("city: partitions %d must be non-negative", c.Partitions)
@@ -297,13 +271,13 @@ func NewSim(cfg Config) (*Sim, error) {
 	gh := (k + gw - 1) / gw
 	s := &Sim{cfg: cfg, gw: gw, gh: gh, k: k, poles: make(map[uint32]geom.Vec2)}
 
-	hLen := float64(gw-1)*cfg.Block + 2*margin
-	vLen := float64(gh-1)*cfg.Block + 2*margin
+	hLen := float64(gw-1)*blockM + 2*margin
+	vLen := float64(gh-1)*blockM + 2*margin
 	for row := 0; row < gh; row++ {
-		s.streets = append(s.streets, street{horizontal: true, fixed: float64(row) * cfg.Block, length: hLen})
+		s.streets = append(s.streets, street{horizontal: true, fixed: float64(row) * blockM, length: hLen})
 	}
 	for col := 0; col < gw; col++ {
-		s.streets = append(s.streets, street{horizontal: false, fixed: float64(col) * cfg.Block, length: vLen})
+		s.streets = append(s.streets, street{horizontal: false, fixed: float64(col) * blockM, length: vLen})
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -336,12 +310,12 @@ func NewSim(cfg Config) (*Sim, error) {
 	for j := 0; j < cfg.Readers; j++ {
 		ix := j / 2
 		col, row := ix%gw, ix/gw
-		cx, cy := float64(col)*cfg.Block, float64(row)*cfg.Block
+		cx, cy := float64(col)*blockM, float64(row)*blockM
 		rc := reader.Config{
 			ID:         uint32(j + 1),
 			PoleHeight: 3.8,
 			TiltDeg:    60,
-			NoiseSigma: cfg.NoiseSigma,
+			NoiseSigma: noiseSigma,
 			Workers:    cfg.Workers,
 		}
 		if j%2 == 0 { // watches the horizontal street through (cx, cy)
@@ -416,14 +390,14 @@ func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
 // in id order or go unread — exactly what a departed parked-car RSU's
 // zone looks like. A nil mask means every reader is on.
 func (s *Sim) claimMask(active []bool) [][]*transponder.Device {
-	idx := newClaimIndex(s.cfg.Range, s.activeDevices())
+	idx := newClaimIndex(rangeM, s.activeDevices())
 	claims := make([][]*transponder.Device, len(s.posts))
 	taken := make(map[*transponder.Device]bool)
 	for i, p := range s.posts {
 		if active != nil && !active[i] {
 			continue
 		}
-		for _, d := range idx.within(p.rd.Center(), s.cfg.Range) {
+		for _, d := range idx.within(p.rd.Center(), rangeM) {
 			if !taken[d] {
 				claims[i] = append(claims[i], d)
 				taken[d] = true
@@ -536,7 +510,7 @@ type FailoverStats struct {
 	Redelivered int
 }
 
-// epochJob is one epoch of work handed to a reader pipeline: the
+// epochJob is one epoch of work handed to a reader: the
 // simulated timestamp, whether this is a §8 decode epoch, and the
 // claimed devices snapshotted at claim time — frozen positions and
 // battery, shared immutable envelopes — so the reader can measure
@@ -550,15 +524,11 @@ type epochJob struct {
 
 // Run executes the simulation: an in-process collector tier, one TCP
 // uplink per reader, and every reader running its capture → decode →
-// uplink loop as an independent pipeline (epoch N+1 capture overlaps
-// epoch N decode and uplink; sends ride an async per-reader queue).
-// Config.Lockstep adds a global per-epoch barrier to the same loop —
-// the determinism oracle: both modes produce identical Results for the
-// same seed. Run blocks until every reader's final report has landed in
-// its partition's store (a per-reader sequence check, not a global
-// count).
+// uplink loop in a goroutine of its own (see runPipelined). Run blocks
+// until every reader's final report has landed in its partition's store
+// (a per-reader sequence check, not a global count).
 func (s *Sim) Run() (*Result, error) {
-	epochs := int(s.cfg.Duration / s.cfg.Epoch)
+	epochs := int(s.cfg.Duration / epochLen)
 	ids := make([]uint32, len(s.posts))
 	for i, p := range s.posts {
 		ids[i] = p.rd.ID
@@ -603,11 +573,7 @@ func (s *Sim) Run() (*Result, error) {
 	// history: a run longer than the store's keep window trims old
 	// reports, but every report still has to land — and no reader's
 	// surplus can mask another reader's missing uplink.
-	timeout := s.cfg.DrainTimeout
-	if timeout == 0 {
-		timeout = drainTimeout(epochs, len(s.posts))
-	}
-	if err := s.drain(cr, cl, clients, epochs, timeout); err != nil {
+	if err := s.drain(cr, cl, clients, epochs); err != nil {
 		return nil, err
 	}
 	produced := 0
@@ -628,7 +594,8 @@ func (s *Sim) Run() (*Result, error) {
 // store, its suffix on the successor) and the per-partition store
 // barriers run concurrently; with one partition the split is the
 // identity and the barrier is that store's own.
-func (s *Sim) drain(cr *chaosRun, cl *cluster.Cluster, clients []*collector.Client, epochs int, timeout time.Duration) error {
+func (s *Sim) drain(cr *chaosRun, cl *cluster.Cluster, clients []*collector.Client, epochs int) error {
+	timeout := drainTimeout(epochs, len(s.posts))
 	if cr != nil {
 		// Injected loss makes an exact barrier a guaranteed hang, so drain
 		// gap-tolerantly with seq-localized loss and duplicate budgets.
@@ -714,7 +681,7 @@ func (s *Sim) failoverStats(cl *cluster.Cluster, cr *chaosRun, clients []*collec
 	return fs
 }
 
-// drainTimeout is the default end-of-run ingest deadline: a floor for
+// drainTimeout is the end-of-run ingest deadline: a floor for
 // tiny runs plus headroom that grows with the number of reports in
 // flight, so a city-day at 64 readers is not failed by a constant
 // sized for a smoke test.
@@ -722,34 +689,31 @@ func drainTimeout(epochs, readers int) time.Duration {
 	return 10*time.Second + time.Duration(epochs)*time.Duration(readers)*200*time.Microsecond
 }
 
-// runPipelined is the run loop. The coordinator goroutine owns
-// all global state — vehicle kinematics and the claim partition — and
-// walks it epoch by epoch, handing each reader a snapshot of its
-// claimed devices through a bounded work queue. Each reader owns two
-// goroutines: a measurement loop (capture → analyze → decode) and an
-// uplink sender, connected by a buffered report queue, so a reader's
-// epoch N+1 capture overlaps its own epoch N uplink and nothing ever
-// waits for another reader. Determinism holds because every mutable
-// thing is owned by exactly one loop: the coordinator mutates vehicles
-// and real devices, each reader consumes its private RNG stream in
-// epoch order against frozen snapshots, and the store keys ingest by
-// (ReaderID, Seq). Config.Lockstep makes the coordinator wait, after
-// dispatching each epoch, until every reader it fed has uplinked that
-// epoch's report — same loop, no lookahead.
+// runPipelined is the run loop. The coordinator goroutine owns all
+// global state — vehicle kinematics and the claim partition — and walks
+// it epoch by epoch, handing each reader a snapshot of its claimed
+// devices through a bounded work queue, up to lookahead epochs ahead of
+// the slowest reader. Each reader is one goroutine — the §10 device:
+// take a job, measure (capture → analyze → decode), uplink the report,
+// take the next; flush what is still queued when the work runs out —
+// and nothing ever waits for another reader. Determinism holds because
+// every mutable thing is owned by exactly one loop: the coordinator
+// mutates vehicles and real devices, each reader consumes its private
+// RNG stream in epoch order against frozen snapshots and writes its
+// uplink in that same order, and the store keys ingest by
+// (ReaderID, Seq). The lockstep test hook makes the coordinator wait,
+// after dispatching each epoch, until every reader it fed has uplinked
+// that epoch's report — same loop, no lookahead.
 func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int) error {
-	steps := int(s.cfg.Epoch / s.cfg.Step)
-	depth := s.cfg.Pipeline
 	n := len(s.posts)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	work := make([]chan epochJob, n)
-	sendq := make([]chan *telemetry.Report, n)
-	measureErrs := make([]error, n)
-	sendErrs := make([]error, n)
-	var measureWG, sendWG sync.WaitGroup
-	// uplinked carries one token per report a sender has finished with;
-	// only the Lockstep barrier drains it, so only Lockstep senders fill
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	// uplinked carries one token per report a reader has finished with;
+	// only the lockstep barrier drains it, so only lockstep readers fill
 	// it (at most one token per reader is ever outstanding).
 	uplinked := make(chan struct{}, n)
 	// Under chaos, degraded ≠ dead: the client counted the loss, the
@@ -761,42 +725,27 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 		return cr != nil && errors.Is(err, collector.ErrUplinkDegraded)
 	}
 	for i := range s.posts {
-		work[i] = make(chan epochJob, depth)
-		sendq[i] = make(chan *telemetry.Report, depth)
-		measureWG.Add(1)
+		work[i] = make(chan epochJob, lookahead)
+		wg.Add(1)
 		go func(i int) {
-			defer measureWG.Done()
-			defer close(sendq[i])
-			for job := range work[i] {
-				rep, err := s.measureEpoch(s.posts[i], job)
-				if err != nil {
-					measureErrs[i] = err
-					cancel()
-					return
-				}
-				select {
-				case sendq[i] <- rep:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}(i)
-		sendWG.Add(1)
-		go func(i int) {
-			defer sendWG.Done()
+			defer wg.Done()
 			p, up := s.posts[i], clients[i]
-			for rep := range sendq[i] {
-				if err := s.uplink(p, up, rep); err != nil && !tolerated(err) {
-					sendErrs[i] = err
+			for job := range work[i] {
+				rep, err := s.measureEpoch(p, job)
+				if err == nil {
+					err = s.uplink(p, up, rep)
+				}
+				if err != nil && !tolerated(err) {
+					errs[i] = err
 					cancel()
 					return
 				}
-				if s.cfg.Lockstep {
+				if s.cfg.lockstep {
 					uplinked <- struct{}{}
 				}
 			}
 			if err := up.Flush(); err != nil && !tolerated(err) {
-				sendErrs[i] = fmt.Errorf("city: reader %d uplink flush: %w", p.rd.ID, err)
+				errs[i] = fmt.Errorf("city: reader %d uplink flush: %w", p.rd.ID, err)
 				cancel()
 			}
 		}(i)
@@ -806,10 +755,10 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 	now := time.Duration(0)
 coordinate:
 	for e := 0; e < epochs; e++ {
-		for t := 0; t < steps; t++ {
-			s.step(s.cfg.Step)
+		for t := 0; t < int(epochLen/tick); t++ {
+			s.step(tick)
 		}
-		now += s.cfg.Epoch
+		now += epochLen
 		active := cr.activeMask(s.posts, e)
 		claims := s.claimMask(active)
 		job := epochJob{epoch: e, stamp: baseTime.Add(now), decode: s.decodeAt(e)}
@@ -830,7 +779,7 @@ coordinate:
 				break coordinate
 			}
 		}
-		if s.cfg.Lockstep {
+		if s.cfg.lockstep {
 			// The barrier: kinematics stay at epoch e until every reader
 			// fed above has measured and uplinked it.
 			for ; fed > 0; fed-- {
@@ -845,17 +794,8 @@ coordinate:
 	for i := range work {
 		close(work[i])
 	}
-	measureWG.Wait()
-	sendWG.Wait()
-	for i := range s.posts {
-		if measureErrs[i] != nil {
-			return measureErrs[i]
-		}
-		if sendErrs[i] != nil {
-			return sendErrs[i]
-		}
-	}
-	return coordErr
+	wg.Wait()
+	return errors.Join(append(errs, coordErr)...)
 }
 
 // decodeAt reports whether epoch e runs the §8 collision decoder.
@@ -904,7 +844,7 @@ func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 		// error the cross-reader speed service actually inherits (§7).
 		// Periodic NTP resyncs slew it back to tens-of-ms accuracy;
 		// both consume only this reader's private streams in its own
-		// epoch order, so lockstep and pipelined runs drift identically.
+		// epoch order, so drift is independent of reader interleaving.
 		if k := s.cfg.Chaos.ResyncEvery; k > 0 && job.epoch > 0 && job.epoch%k == 0 {
 			if _, err := clock.Sync(p.clk, job.stamp, clock.DefaultSyncParams(), p.syncRNG); err != nil {
 				return nil, fmt.Errorf("city: reader %d clock sync: %w", p.rd.ID, err)
@@ -962,7 +902,7 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 		Cluster:      cl,
 		Poles:        s.poles,
 		Start:        baseTime,
-		End:          baseTime.Add(time.Duration(epochs) * s.cfg.Epoch),
+		End:          baseTime.Add(time.Duration(epochs) * epochLen),
 	}
 	if cl.NumPartitions() == 1 {
 		res.Store = cl.Partition(0).Store
@@ -970,7 +910,7 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 	stats := make([]IntersectionStats, s.k)
 	for ix := range stats {
 		col, row := ix%s.gw, ix/s.gw
-		stats[ix] = IntersectionStats{Index: ix, X: float64(col) * s.cfg.Block, Y: float64(row) * s.cfg.Block}
+		stats[ix] = IntersectionStats{Index: ix, X: float64(col) * blockM, Y: float64(row) * blockM}
 	}
 	for _, p := range s.posts {
 		st := &stats[p.intersection]

@@ -19,7 +19,7 @@ func (s *Sim) claimLinear() [][]*transponder.Device {
 	for i, p := range s.posts {
 		center := p.rd.Center()
 		for _, d := range devs {
-			if !taken[d] && d.Pos.Dist(center) <= s.cfg.Range {
+			if !taken[d] && d.Pos.Dist(center) <= rangeM {
 				claims[i] = append(claims[i], d)
 				taken[d] = true
 			}

@@ -165,8 +165,9 @@ func TestPartitionCountInvariance(t *testing.T) {
 
 // failoverConfig arms a partition kill on the partition owning the
 // first intersection's cell, so readers 1 and 2 are guaranteed to be
-// homed on the doomed partition.
-func failoverConfig(t *testing.T) (Config, int) {
+// homed on the doomed partition. It also returns that partition's
+// original population, read off the ring.
+func failoverConfig(t *testing.T) (Config, int, []uint32) {
 	t.Helper()
 	ring, err := cluster.NewRing(2, 0)
 	if err != nil {
@@ -177,7 +178,17 @@ func failoverConfig(t *testing.T) (Config, int) {
 	cfg.Partitions = 2
 	cfg.Chaos.KillPartition = doomed
 	cfg.Chaos.KillAtSeq = 3
-	return cfg, doomed
+	sim, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var homed []uint32
+	for _, p := range sim.posts {
+		if ring.Owner(sim.cellOf(p)) == doomed {
+			homed = append(homed, p.rd.ID)
+		}
+	}
+	return cfg, doomed, homed
 }
 
 // TestPartitionFailoverDeterministic kills a partition at seq 3 of 6
@@ -187,7 +198,7 @@ func failoverConfig(t *testing.T) (Config, int) {
 // exactly one reconnect and one redelivery, and a second run reproduces
 // every counter bit-for-bit.
 func TestPartitionFailoverDeterministic(t *testing.T) {
-	cfg, doomed := failoverConfig(t)
+	cfg, doomed, wantRehomed := failoverConfig(t)
 	run := func(cfg Config) *Result {
 		t.Helper()
 		res, err := Run(cfg)
@@ -205,12 +216,6 @@ func TestPartitionFailoverDeterministic(t *testing.T) {
 	// Every reader homed on the doomed partition outlives the cut (all
 	// produce 6 > 3 seqs), so the rehomed set is exactly the doomed
 	// partition's original population.
-	var wantRehomed []uint32
-	for id := uint32(1); id <= uint32(cfg.Readers); id++ {
-		if res.Cluster.OriginOf(id) == doomed {
-			wantRehomed = append(wantRehomed, id)
-		}
-	}
 	if !reflect.DeepEqual(fo.Rehomed, wantRehomed) {
 		t.Fatalf("rehomed = %v, want %v", fo.Rehomed, wantRehomed)
 	}
@@ -247,7 +252,7 @@ func TestPartitionFailoverDeterministic(t *testing.T) {
 	}
 
 	lockCfg := cfg
-	lockCfg.Lockstep = true
+	lockCfg.lockstep = true
 	lock := run(lockCfg)
 	if !reflect.DeepEqual(lock.Failover, fo) {
 		t.Errorf("failover counters differ across run modes:\npipelined: %+v\nlockstep:  %+v", fo, lock.Failover)
@@ -296,7 +301,7 @@ func TestPartitionFailoverUnderChaos(t *testing.T) {
 	}
 
 	lockCfg := cfg
-	lockCfg.Lockstep = true
+	lockCfg.lockstep = true
 	lock := run(lockCfg)
 	if !reflect.DeepEqual(lock.Uplinks, a.Uplinks) {
 		t.Errorf("chaos accounting differs across run modes:\npipelined: %+v\nlockstep:  %+v", a.Uplinks, lock.Uplinks)

@@ -30,10 +30,10 @@ func assertResultsEqual(t *testing.T, a, b *Result, what string) {
 	}
 }
 
-// TestPipelinedMatchesLockstep is the determinism oracle the tentpole
-// rests on: the pipelined default and the lockstep barrier must
+// TestPipelinedMatchesLockstep is the determinism oracle the run loop
+// rests on: free-running readers and the lockstep barrier hook must
 // produce identical Results for the same seed — decode epochs, parked
-// cars, batched uplinks, and deep lookahead included.
+// cars and batched uplinks included.
 func TestPipelinedMatchesLockstep(t *testing.T) {
 	cfgs := map[string]Config{
 		"plain": {
@@ -44,14 +44,14 @@ func TestPipelinedMatchesLockstep(t *testing.T) {
 			Readers: 2, Vehicles: 10, Parked: 4, Duration: 6 * time.Second,
 			Seed: 7, DecodeEvery: 2,
 		},
-		"batched+deep": {
+		"batched": {
 			Readers: 4, Vehicles: 30, Duration: 5 * time.Second, Seed: 3,
-			DecodeEvery: -1, Batch: 3, Pipeline: 8,
+			DecodeEvery: -1, Batch: 3,
 		},
 	}
 	for name, cfg := range cfgs {
 		lock := cfg
-		lock.Lockstep = true
+		lock.lockstep = true
 		a, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s pipelined: %v", name, err)
@@ -64,7 +64,7 @@ func TestPipelinedMatchesLockstep(t *testing.T) {
 	}
 }
 
-// TestPipelinedSkewedReaderMatchesLockstep drives the pipelined mode
+// TestPipelinedSkewedReaderMatchesLockstep drives the run loop
 // with one deliberately slow reader (injected per-measure delay), so
 // fast readers run several epochs ahead and their batches land out of
 // order relative to the straggler's. The store must key everything by
@@ -75,7 +75,7 @@ func TestPipelinedMatchesLockstep(t *testing.T) {
 func TestPipelinedSkewedReaderMatchesLockstep(t *testing.T) {
 	cfg := Config{
 		Readers: 3, Vehicles: 24, Duration: 5 * time.Second, Seed: 42,
-		DecodeEvery: 2, Batch: 2, Pipeline: 6,
+		DecodeEvery: 2, Batch: 2,
 	}
 	skewed := cfg
 	skewed.measureDelay = func(readerID uint32, epoch int) time.Duration {
@@ -89,7 +89,7 @@ func TestPipelinedSkewedReaderMatchesLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	lock := cfg
-	lock.Lockstep = true
+	lock.lockstep = true
 	b, err := Run(lock)
 	if err != nil {
 		t.Fatal(err)
@@ -108,18 +108,18 @@ func TestPipelinedSkewedReaderMatchesLockstep(t *testing.T) {
 	}
 }
 
-// TestLockstepBarrierHoldsReadersBack proves Lockstep is a barrier and
-// not a no-op — which the result-equality tests above cannot see, since
-// both modes produce the same Result by design. Reader 2 stalls inside
-// epoch 1. Without Lockstep the other readers must run ahead of it (by
-// at most Pipeline epochs plus the one in hand and the one being fed);
-// with Lockstep none may enter epoch 2 until reader 2 is through its
+// TestLockstepBarrierHoldsReadersBack proves the lockstep hook is a
+// barrier and not a no-op — which the result-equality tests above cannot
+// see, since both produce the same Result by design. Reader 2 stalls
+// inside epoch 1. Without the hook the other readers must run ahead of
+// it (by at most lookahead epochs plus the one in hand and the one being
+// fed); with it none may enter epoch 2 until reader 2 is through its
 // stall.
 func TestLockstepBarrierHoldsReadersBack(t *testing.T) {
-	const slow, stallEpoch, depth = 2, 1, 3
+	const slow, stallEpoch = 2, 1
 	cfg := Config{
 		Readers: 3, Vehicles: 12, Duration: 8 * time.Second, Seed: 42,
-		DecodeEvery: -1, Pipeline: depth,
+		DecodeEvery: -1,
 	}
 
 	// Pipelined: the stall ends only when a fast reader is seen ahead.
@@ -157,15 +157,15 @@ func TestLockstepBarrierHoldsReadersBack(t *testing.T) {
 	if !ranAhead {
 		t.Error("pipelined: no reader ran ahead of the stalled one")
 	}
-	if bound := stallEpoch + depth + 1; furthest > bound {
-		t.Errorf("pipelined: a reader reached epoch %d while reader %d stalled in epoch %d; Pipeline %d bounds it to %d",
-			furthest, slow, stallEpoch, depth, bound)
+	if bound := stallEpoch + lookahead + 1; furthest > bound {
+		t.Errorf("pipelined: a reader reached epoch %d while reader %d stalled in epoch %d; lookahead %d bounds it to %d",
+			furthest, slow, stallEpoch, lookahead, bound)
 	}
 
 	// Lockstep: the same stall, on a timer; nobody may pass it.
 	var released atomic.Bool
 	var early atomic.Int64
-	cfg.Lockstep = true
+	cfg.lockstep = true
 	cfg.measureDelay = func(readerID uint32, epoch int) time.Duration {
 		switch {
 		case readerID == slow && epoch == stallEpoch:

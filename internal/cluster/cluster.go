@@ -183,18 +183,6 @@ func (c *Cluster) homeLocked(readerID uint32) int {
 	return part
 }
 
-// OriginOf returns the partition the reader was homed on at
-// registration (its home before any failover).
-func (c *Cluster) OriginOf(readerID uint32) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	part, ok := c.origin[readerID]
-	if !ok {
-		panic(fmt.Sprintf("cluster: reader %d was never registered", readerID))
-	}
-	return part
-}
-
 // AddrFor returns the ingest address of the reader's current home — the
 // resolution step a reader's redial performs, which is how a rehomed
 // reader's reconnect lands on the successor.

@@ -224,9 +224,8 @@ type ClientStats struct {
 
 // Client is a reader-side uplink connection. It can send reports one
 // frame each (Send, a batch of one) or coalesce several into one frame
-// (Queue + Flush, or SendBatch) — the batching path a duty-cycled
-// reader uses to pay one frame per uplink burst instead of one per
-// report.
+// (Queue + Flush) — the batching path a duty-cycled reader uses to pay
+// one frame per uplink burst instead of one per report.
 //
 // With Redial set the client is an at-least-once sender: a failed
 // frame write reconnects with jittered exponential backoff and
@@ -279,10 +278,6 @@ func DialFunc(dial func() (net.Conn, error)) (*Client, error) {
 // Stats returns a snapshot of the client's delivery counters.
 func (c *Client) Stats() ClientStats { return c.stats }
 
-// Degraded reports whether the client has exhausted a retry budget and
-// is now dropping every send.
-func (c *Client) Degraded() bool { return c.degraded }
-
 // armDeadline applies the write deadline for one frame write.
 func (c *Client) armDeadline() error {
 	if c.WriteTimeout <= 0 {
@@ -294,14 +289,6 @@ func (c *Client) armDeadline() error {
 // Send uploads one report as a frame of its own.
 func (c *Client) Send(r *telemetry.Report) error {
 	return c.deliver([]*telemetry.Report{r})
-}
-
-// SendBatch uploads a batch of reports as one frame.
-func (c *Client) SendBatch(rs []*telemetry.Report) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	return c.deliver(rs)
 }
 
 // deliver writes one frame carrying rs, retrying through Redial per

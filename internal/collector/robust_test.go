@@ -225,7 +225,7 @@ func TestClientReconnectRedelivers(t *testing.T) {
 	if fs := inj.Stats("uplink"); fs.Conns != 5 || fs.Kills != 4 {
 		t.Errorf("injector stats = %+v, want 5 conns, 4 kills", fs)
 	}
-	if c.Degraded() {
+	if c.degraded {
 		t.Error("client degraded despite successful redelivery")
 	}
 }
@@ -251,7 +251,7 @@ func TestClientDegradesPastBudget(t *testing.T) {
 	if !errors.Is(err, ErrUplinkDegraded) {
 		t.Fatalf("send over dead uplink = %v, want ErrUplinkDegraded", err)
 	}
-	if !c.Degraded() {
+	if !c.degraded {
 		t.Error("client not marked degraded")
 	}
 	start := time.Now()
@@ -290,7 +290,7 @@ func TestClientWithoutRedialKeepsLegacyContract(t *testing.T) {
 	if err == nil || errors.Is(err, ErrUplinkDegraded) {
 		t.Fatalf("legacy send error = %v, want the raw write error", err)
 	}
-	if c.Degraded() {
+	if c.degraded {
 		t.Error("legacy client must never degrade")
 	}
 	c.Queue(robustReport(1, 2))

@@ -70,7 +70,7 @@ func TestAcceptLoopSurvivesTemporaryErrors(t *testing.T) {
 }
 
 // TestServerIngestsBatchFrames: one connection carrying a mix of
-// one-report (Send) and multi-report (Flush, SendBatch) frames must land
+// one-report (Send) and multi-report (Queue + Flush) frames must land
 // every report.
 func TestServerIngestsBatchFrames(t *testing.T) {
 	store := NewStore(100)
@@ -102,9 +102,7 @@ func TestServerIngestsBatchFrames(t *testing.T) {
 	if c.Pending() != 0 {
 		t.Fatalf("pending after flush = %d", c.Pending())
 	}
-	if err := c.SendBatch([]*telemetry.Report{
-		{ReaderID: 2, Seq: 9, Timestamp: at(9)},
-	}); err != nil {
+	if err := c.Send(&telemetry.Report{ReaderID: 2, Seq: 9, Timestamp: at(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.WaitHighWater(map[uint32]uint32{1: 5, 2: 9}, 5*time.Second); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"caraoke/internal/dsp"
 	"caraoke/internal/rfsim"
@@ -370,13 +369,4 @@ func CountAcrossQueries(mcs []*rfsim.MultiCapture, p Params) (CountResult, error
 		return CountResult{}, err
 	}
 	return CountFromSpikes(spikes), nil
-}
-
-// SpikePower returns the spike's channel power on the reference
-// antenna, a proxy for proximity useful when ranking spikes.
-func SpikePower(s Spike) float64 {
-	if len(s.Channels) == 0 {
-		return 0
-	}
-	return cmplx.Abs(s.Channels[0]) * cmplx.Abs(s.Channels[0])
 }

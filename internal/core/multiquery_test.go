@@ -164,16 +164,6 @@ func TestSuppressResolvedNeighbors(t *testing.T) {
 	}
 }
 
-func TestSpikePower(t *testing.T) {
-	if got := SpikePower(Spike{}); got != 0 {
-		t.Errorf("empty spike power %g", got)
-	}
-	s := Spike{Channels: []complex128{3 + 4i}}
-	if got := SpikePower(s); got != 25 {
-		t.Errorf("power %g, want 25", got)
-	}
-}
-
 func TestCountAcrossQueriesMatchesGroundTruth(t *testing.T) {
 	s := newTestScene(t, 603)
 	devs := s.placedDevices(6)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 	"sync"
 )
 
@@ -50,7 +49,7 @@ type FFTPlan struct {
 
 // NewFFTPlan creates a plan for transforms of length n. n must be a
 // power of two and at least 1. One-shot callers should prefer the
-// package-level FFT/IFFT, which cache plans per length.
+// package-level FFT, which caches plans per length.
 func NewFFTPlan(n int) (*FFTPlan, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dsp: FFT length %d is not a positive power of two", n)
@@ -394,7 +393,7 @@ func binPow(v complex128) float64 {
 }
 
 // fftPlans caches one immutable FFTPlan per power-of-two length for
-// the whole process: the convenience FFT/IFFT entry points and
+// the whole process: the convenience FFT entry point and
 // Bluestein padding reuse them instead of rebuilding twiddle and
 // bit-reversal tables per call.
 var fftPlans sync.Map // int -> *FFTPlan
@@ -430,31 +429,6 @@ func FFT(x []complex128) []complex128 {
 		return out
 	}
 	new(Plan).FFTInto(out, x)
-	return out
-}
-
-// IFFT computes the inverse DFT of x (scaled by 1/N), returning a fresh
-// slice. Non-power-of-two lengths use the identity
-// IDFT(x) = conj(DFT(conj(x)))/N over the forward Bluestein path.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	if n&(n-1) == 0 {
-		p, _ := cachedPlan(n)
-		p.Inverse(out, x)
-		return out
-	}
-	for i, v := range x {
-		out[i] = cmplx.Conj(v)
-	}
-	out = FFT(out)
-	inv := 1 / float64(n)
-	for i, v := range out {
-		out[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
 	return out
 }
 

@@ -56,7 +56,7 @@ func TestKernelMatchesNaiveRandomLengths(t *testing.T) {
 		if d := maxBinDiff(got, want); d > tol {
 			t.Errorf("n=%d: FFT vs naive DFT max bin diff %g > %g", n, d, tol)
 		}
-		back := IFFT(got)
+		back := ifft(got)
 		if d := maxBinDiff(back, x); d > tol {
 			t.Errorf("n=%d: IFFT(FFT(x)) round-trip max diff %g > %g", n, d, tol)
 		}
@@ -251,7 +251,7 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 						return
 					}
 				}
-				back := IFFT(got)
+				back := ifft(got)
 				tol := 1e-9 * float64(lengths[i])
 				for k := range back {
 					if cmplx.Abs(back[k]-inputs[i][k]) > tol {

@@ -171,56 +171,3 @@ func TestRefineFreqSubBinAccuracy(t *testing.T) {
 		t.Errorf("refined frequency off by %g Hz (bin width %g)", d, s.BinWidth())
 	}
 }
-
-func TestWindowGain(t *testing.T) {
-	if g := Rectangular(64).Gain(); math.Abs(g-1) > 1e-12 {
-		t.Errorf("rectangular gain = %g, want 1", g)
-	}
-	if g := Hann(4096).Gain(); math.Abs(g-0.5) > 1e-3 {
-		t.Errorf("Hann gain = %g, want ≈0.5", g)
-	}
-	if g := Hamming(4096).Gain(); math.Abs(g-0.54) > 1e-3 {
-		t.Errorf("Hamming gain = %g, want ≈0.54", g)
-	}
-	if g := Window(nil).Gain(); g != 0 {
-		t.Errorf("empty window gain = %g, want 0", g)
-	}
-}
-
-func TestWindowApply(t *testing.T) {
-	w := Hann(8)
-	src := make([]complex128, 8)
-	for i := range src {
-		src[i] = complex(1, 1)
-	}
-	dst := make([]complex128, 8)
-	w.Apply(dst, src)
-	for i := range dst {
-		want := complex(w[i], w[i])
-		if cmplx.Abs(dst[i]-want) > 1e-12 {
-			t.Errorf("dst[%d] = %v, want %v", i, dst[i], want)
-		}
-	}
-	// In-place application.
-	w.Apply(src, src)
-	if maxDiff(src, dst) > 1e-12 {
-		t.Error("in-place window application differs")
-	}
-}
-
-func TestWindowApplyLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	Hann(8).Apply(make([]complex128, 4), make([]complex128, 4))
-}
-
-func TestWindowSingleElement(t *testing.T) {
-	for _, w := range []Window{Hann(1), Hamming(1), Rectangular(1)} {
-		if len(w) != 1 || w[0] != 1 {
-			t.Errorf("single-element window = %v, want [1]", w)
-		}
-	}
-}

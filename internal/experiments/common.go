@@ -1,9 +1,8 @@
 // Package experiments reproduces every table and figure of the
 // paper's evaluation (§12) plus its analytical claims, using the
 // simulation substrates. Each experiment returns a structured result
-// with a Rows method for tabular rendering; cmd/caraoke-bench prints
-// them all and the root bench_test.go wraps each in a testing.B
-// benchmark. EXPERIMENTS.md records paper-versus-measured values.
+// with a Table method for tabular rendering; All is the registry
+// cmd/caraoke-bench loops over to print them.
 package experiments
 
 import (

@@ -246,3 +246,27 @@ func TestTableRender(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryRunsEveryExperiment: each registered experiment has a
+// unique name and renders a titled, non-empty table at the smallest
+// Monte-Carlo depth — the registry is all caraoke-bench knows.
+func TestRegistryRunsEveryExperiment(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, e := range All {
+		if seen[e.Name] {
+			t.Errorf("experiment %q registered twice", e.Name)
+		}
+		seen[e.Name] = true
+		tab, err := e.Run(1, 1)
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if tab.Title == "" || len(tab.Cells) == 0 {
+			t.Errorf("%s: empty table %+v", e.Name, tab)
+		}
+	}
+	if len(All) != 12 {
+		t.Errorf("registry holds %d experiments, the evaluation has 12", len(All))
+	}
+}

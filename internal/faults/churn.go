@@ -11,8 +11,8 @@ type epochSpan struct{ from, to int }
 // ChurnSchedule decides reader presence per epoch — the parked-car RSU
 // population model where readers join and leave the fleet mid-run. The
 // schedule is fixed at construction from a seed, so the same seed
-// always produces the same churn, independent of how the run is
-// executed (lockstep or pipelined).
+// always produces the same churn, independent of how the run's readers
+// interleave.
 //
 // A nil *ChurnSchedule is valid and means "no churn": every reader is
 // active every epoch.

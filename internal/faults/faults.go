@@ -6,7 +6,7 @@
 //
 //   - An Injector that wraps reader uplink connections (net.Conn) and,
 //     driven by per-connection seeded RNG streams, silently drops
-//     frames, delays them, and kills connections mid-run. A killed
+//     frames and kills connections mid-run. A killed
 //     connection is abandoned half-open — no FIN reaches the peer —
 //     which is exactly how a reader dying mid-uplink looks to the
 //     collector.
@@ -34,7 +34,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // ErrInjectedKill is the error a killed connection's writes return. It
@@ -60,14 +59,11 @@ type Config struct {
 	// that makes at-least-once senders produce duplicates. 0 never
 	// kills.
 	KillEvery int
-	// Delay is the maximum per-frame delivery delay; each frame sleeps
-	// a seeded uniform duration in [0, Delay) before being written.
-	Delay time.Duration
 }
 
 // Active reports whether the config injects any fault at all.
 func (c Config) Active() bool {
-	return c.DropRate > 0 || c.KillEvery > 0 || c.Delay > 0
+	return c.DropRate > 0 || c.KillEvery > 0
 }
 
 // Validate rejects configs outside the model.
@@ -75,8 +71,8 @@ func (c Config) Validate() error {
 	if c.DropRate < 0 || c.DropRate > 1 {
 		return fmt.Errorf("faults: drop rate %g outside [0,1]", c.DropRate)
 	}
-	if c.KillEvery < 0 || c.Delay < 0 {
-		return fmt.Errorf("faults: kill interval %d and delay %v must be non-negative", c.KillEvery, c.Delay)
+	if c.KillEvery < 0 {
+		return fmt.Errorf("faults: kill interval %d must be non-negative", c.KillEvery)
 	}
 	return nil
 }
@@ -166,7 +162,7 @@ func (in *Injector) streamLocked(name string) *StreamStats {
 
 // WrapDial returns a dialer that wraps every connection dial produces
 // with this injector's faults. Connections on a stream are numbered in
-// dial order; a single-goroutine caller (a reader's uplink sender)
+// dial order; a single-goroutine caller (a reader's measure-and-uplink loop)
 // therefore gets a fully deterministic injection schedule.
 func (in *Injector) WrapDial(stream string, dial func() (net.Conn, error)) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
@@ -229,9 +225,6 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	c.inj.streamLocked(c.stream).Frames++
 	c.inj.mu.Unlock()
 
-	if cfg.Delay > 0 {
-		time.Sleep(time.Duration(c.rng.Int63n(int64(cfg.Delay))))
-	}
 	kill := cfg.KillEvery > 0 && c.frames%cfg.KillEvery == 0
 	if !kill && cfg.DropRate > 0 && c.rng.Float64() < cfg.DropRate {
 		c.note(Drop, b)

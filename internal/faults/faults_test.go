@@ -234,7 +234,7 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	for _, bad := range []Config{{DropRate: -0.1}, {DropRate: 1.5}, {KillEvery: -1}, {Delay: -1}} {
+	for _, bad := range []Config{{DropRate: -0.1}, {DropRate: 1.5}, {KillEvery: -1}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("config %+v accepted", bad)
 		}

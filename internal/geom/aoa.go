@@ -31,13 +31,6 @@ func AoAFromPhase(deltaPhi, spacing, wavelength float64) (alpha float64, clipped
 	return math.Acos(c), clipped
 }
 
-// PhaseFromAoA is the inverse of AoAFromPhase: the phase difference a
-// plane wave arriving at spatial angle alpha produces across two
-// antennas spaced `spacing` apart.
-func PhaseFromAoA(alpha, spacing, wavelength float64) float64 {
-	return 2 * math.Pi * spacing / wavelength * math.Cos(alpha)
-}
-
 // WrapPhase reduces a phase to (−π, π].
 func WrapPhase(phi float64) float64 {
 	phi = math.Mod(phi, 2*math.Pi)

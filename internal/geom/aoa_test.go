@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// phaseFromAoA is the forward model AoAFromPhase inverts: the phase
+// difference a plane wave arriving at spatial angle alpha produces
+// across two antennas spaced `spacing` apart.
+func phaseFromAoA(alpha, spacing, wavelength float64) float64 {
+	return 2 * math.Pi * spacing / wavelength * math.Cos(alpha)
+}
+
 func TestAoAPhaseRoundTripProperty(t *testing.T) {
 	lambda := Wavelength(915e6)
 	spacing := lambda / 2
@@ -17,7 +24,7 @@ func TestAoAPhaseRoundTripProperty(t *testing.T) {
 		if alpha < 0.01 || alpha > math.Pi-0.01 {
 			return true // grazing angles amplify rounding; skip
 		}
-		phi := PhaseFromAoA(alpha, spacing, lambda)
+		phi := phaseFromAoA(alpha, spacing, lambda)
 		got, clipped := AoAFromPhase(phi, spacing, lambda)
 		return !clipped && almostEq(got, alpha, 1e-9)
 	}

@@ -58,18 +58,3 @@ func pathGain(d, wavelength float64) complex128 {
 	phase := -2 * math.Pi * d / wavelength
 	return complex(a, 0) * cmplx.Exp(complex(0, phase))
 }
-
-// SNRdB converts a signal amplitude and per-sample complex noise sigma
-// into an SNR in dB (noise power 2σ² for independent I/Q components).
-func SNRdB(signalAmp, noiseSigma float64) float64 {
-	if noiseSigma == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(signalAmp*signalAmp/(2*noiseSigma*noiseSigma))
-}
-
-// NoiseSigmaForSNR returns the per-component noise sigma that yields
-// the requested SNR in dB for a given signal amplitude.
-func NoiseSigmaForSNR(signalAmp, snrDB float64) float64 {
-	return signalAmp / math.Sqrt(2*math.Pow(10, snrDB/10))
-}

@@ -84,16 +84,3 @@ func TestChannelMultipathSuperposition(t *testing.T) {
 		t.Error("multipath channel is not the superposition of path gains")
 	}
 }
-
-func TestSNRHelpersRoundTrip(t *testing.T) {
-	amp := 0.02
-	for _, snr := range []float64{-10, 0, 15, 40} {
-		sigma := NoiseSigmaForSNR(amp, snr)
-		if got := SNRdB(amp, sigma); math.Abs(got-snr) > 1e-9 {
-			t.Errorf("SNR round trip: want %g dB, got %g", snr, got)
-		}
-	}
-	if !math.IsInf(SNRdB(1, 0), 1) {
-		t.Error("zero noise should give +Inf SNR")
-	}
-}

@@ -36,8 +36,8 @@ import (
 
 // Re-exported core types.
 type (
-	// Params configures capture analysis (sample rate, LO, detection
-	// thresholds).
+	// Params holds a reader front end's physical values (sample rate,
+	// LO, wavelength); the detector itself has no settings.
 	Params = core.Params
 	// Spike is one transponder's footprint in a collision: CFO plus
 	// per-antenna channels.

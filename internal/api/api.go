@@ -25,10 +25,11 @@ import (
 	"caraoke/internal/collector"
 )
 
-// Default cache TTLs per route. Car sightings change at epoch cadence;
+// The cache TTLs per route. Car sightings change at epoch cadence;
 // speed answers fold a "now" into the max-age filter so they expire
 // faster; parking sessions are the most commonly polled and cheapest to
-// recompute.
+// recompute. DefaultCacheSize bounds the cache entry count: a full
+// cache serves new keys uncached rather than evicting hot ones.
 const (
 	DefaultCarTTL     = time.Second
 	DefaultSpeedTTL   = 500 * time.Millisecond
@@ -46,13 +47,6 @@ type Config struct {
 	Speed *collector.SpeedService
 	// Parking, when set, backs GET /parking and GET /parking/{spot}.
 	Parking *collector.ParkingService
-	// CarTTL, SpeedTTL, ParkingTTL override the per-route cache TTLs
-	// (zero takes the defaults above).
-	CarTTL, SpeedTTL, ParkingTTL time.Duration
-	// CacheSize bounds the cache entry count (default DefaultCacheSize).
-	// A full cache serves new keys uncached rather than evicting hot
-	// ones.
-	CacheSize int
 	// Now, when set, replaces the wall clock — both for cache expiry and
 	// for the speed check's max-age filter. Tests and simulations inject
 	// a frozen or simulated clock here.
@@ -71,25 +65,13 @@ func New(cfg Config) *Server {
 	if cfg.Directory == nil {
 		panic("api: Config.Directory is required")
 	}
-	if cfg.CarTTL == 0 {
-		cfg.CarTTL = DefaultCarTTL
-	}
-	if cfg.SpeedTTL == 0 {
-		cfg.SpeedTTL = DefaultSpeedTTL
-	}
-	if cfg.ParkingTTL == 0 {
-		cfg.ParkingTTL = DefaultParkingTTL
-	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = DefaultCacheSize
-	}
-	s := &Server{cfg: cfg, cache: newTTLCache(cfg.CacheSize), mux: http.NewServeMux()}
+	s := &Server{cfg: cfg, cache: newTTLCache(DefaultCacheSize), mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.Handle("GET /car/{id}", s.cached(cfg.CarTTL, s.handleCar))
-	s.mux.Handle("GET /speed", s.cached(cfg.SpeedTTL, s.handleSpeed))
-	s.mux.Handle("GET /parking", s.cached(cfg.ParkingTTL, s.handleParking))
-	s.mux.Handle("GET /parking/{spot}", s.cached(cfg.ParkingTTL, s.handleParkingSpot))
+	s.mux.Handle("GET /car/{id}", s.cached(DefaultCarTTL, s.handleCar))
+	s.mux.Handle("GET /speed", s.cached(DefaultSpeedTTL, s.handleSpeed))
+	s.mux.Handle("GET /parking", s.cached(DefaultParkingTTL, s.handleParking))
+	s.mux.Handle("GET /parking/{spot}", s.cached(DefaultParkingTTL, s.handleParkingSpot))
 	return s
 }
 

@@ -120,7 +120,6 @@ func TestCacheTTL(t *testing.T) {
 	cfg := testBackend(t)
 	now := apiBase.Add(10 * time.Second)
 	cfg.Now = func() time.Time { return now }
-	cfg.CarTTL = time.Second
 	srv := New(cfg)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -133,7 +132,7 @@ func TestCacheTTL(t *testing.T) {
 	if hits, misses := srv.CacheStats(); hits != 1 || misses != 1 {
 		t.Fatalf("cache counters = %d hits / %d misses, want 1/1", hits, misses)
 	}
-	now = now.Add(2 * time.Second) // past the TTL: entry expires
+	now = now.Add(2 * DefaultCarTTL) // past the TTL: entry expires
 	_, third := get(t, ts, "/car/0xaa1")
 	if first != third {
 		t.Fatalf("recomputed answer differs from original:\n%s\n%s", first, third)
@@ -151,9 +150,8 @@ func TestCacheTTL(t *testing.T) {
 // TestCacheBounded: a full cache serves new keys uncached instead of
 // growing without bound.
 func TestCacheBounded(t *testing.T) {
-	cfg := testBackend(t)
-	cfg.CacheSize = 8
-	srv := New(cfg)
+	srv := New(testBackend(t))
+	srv.cache.max = 8
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for i := 0; i < 100; i++ {

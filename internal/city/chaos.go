@@ -6,8 +6,11 @@ package city
 // assertable. Everything here derives from Config.Seed, so two chaos
 // runs with the same configuration produce identical delivered /
 // dropped / redelivered / deduped counters; and everything is gated on
-// Chaos.Active(), so a clean run takes exactly the code path (and
-// produces exactly the bytes) it did before this layer existed.
+// Chaos.Active(): a clean run builds no injector, schedule or drifting
+// clock and prints the same bytes with the layer compiled in. The two
+// kinds of run still differ in one rule of the shared run loop: clean,
+// any send error aborts; under chaos a degraded uplink is a counted
+// loss and the reader keeps measuring.
 
 import (
 	"bytes"

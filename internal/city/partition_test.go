@@ -169,7 +169,7 @@ func TestPartitionCountInvariance(t *testing.T) {
 // original population, read off the ring.
 func failoverConfig(t *testing.T) (Config, int, []uint32) {
 	t.Helper()
-	ring, err := cluster.NewRing(2, 0)
+	ring, err := cluster.NewRing(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPartitionFailoverDeterministic(t *testing.T) {
 // exercises the per-partition gap-tolerant drain with seq-localized
 // loss budgets.
 func TestPartitionFailoverUnderChaos(t *testing.T) {
-	ring, err := cluster.NewRing(2, 0)
+	ring, err := cluster.NewRing(2)
 	if err != nil {
 		t.Fatal(err)
 	}

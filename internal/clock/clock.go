@@ -7,7 +7,6 @@
 package clock
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -51,22 +50,18 @@ func (c *Clock) Adjust(delta time.Duration) {
 	c.offset += delta
 }
 
-// SyncParams models an NTP exchange over a cellular link.
-type SyncParams struct {
-	// RTTMean and RTTJitter describe the round-trip time distribution.
+// The NTP exchange over a cellular link, per the paper's LTE deployment
+// assumption.
+const (
+	// rttMean and rttJitter describe the round-trip time distribution.
 	// LTE links give tens of ms RTTs with comparable jitter, which
 	// bounds sync accuracy to "tens of ms" (§6/§7).
-	RTTMean   time.Duration
-	RTTJitter time.Duration
-	// Asymmetry is the fraction of RTT by which the forward and return
+	rttMean   = 60 * time.Millisecond
+	rttJitter = 30 * time.Millisecond
+	// asymmetry is the fraction of RTT by which the forward and return
 	// paths can differ; path asymmetry is NTP's irreducible error.
-	Asymmetry float64
-}
-
-// DefaultSyncParams matches the paper's LTE deployment assumption.
-func DefaultSyncParams() SyncParams {
-	return SyncParams{RTTMean: 60 * time.Millisecond, RTTJitter: 30 * time.Millisecond, Asymmetry: 0.3}
-}
+	asymmetry = 0.3
+)
 
 // Sync performs one simulated NTP exchange against a perfect time
 // server at trueTime and slews the clock toward server time. It
@@ -76,16 +71,13 @@ func DefaultSyncParams() SyncParams {
 // only for symmetric paths; the residual error is half the path
 // asymmetry, which is what keeps the readers at tens-of-ms accuracy
 // rather than microseconds.
-func Sync(c *Clock, trueTime time.Time, p SyncParams, rng *rand.Rand) (time.Duration, error) {
-	if p.RTTMean <= 0 {
-		return 0, fmt.Errorf("clock: RTT mean must be positive")
-	}
-	rtt := p.RTTMean + time.Duration(rng.NormFloat64()*float64(p.RTTJitter))
+func Sync(c *Clock, trueTime time.Time, rng *rand.Rand) time.Duration {
+	rtt := rttMean + time.Duration(rng.NormFloat64()*float64(rttJitter))
 	if rtt < time.Millisecond {
 		rtt = time.Millisecond
 	}
 	// Split the RTT asymmetrically between the two directions.
-	asym := 1 + p.Asymmetry*(2*rng.Float64()-1)
+	asym := 1 + asymmetry*(2*rng.Float64()-1)
 	fwd := time.Duration(float64(rtt) / 2 * asym)
 	ret := rtt - fwd
 
@@ -98,5 +90,5 @@ func Sync(c *Clock, trueTime time.Time, p SyncParams, rng *rand.Rand) (time.Dura
 
 	theta := (t1.Sub(t0) + t2.Sub(t3)) / 2
 	c.Adjust(theta)
-	return c.Offset(clientArrive), nil
+	return c.Offset(clientArrive)
 }

@@ -24,9 +24,6 @@ var ErrPartitionKilled = errors.New("cluster: partition killed (failover cut)")
 type Config struct {
 	// Partitions is the collector process count (≥ 1).
 	Partitions int
-	// VNodes is the virtual-node count per partition on the hash ring
-	// (default DefaultVNodes).
-	VNodes int
 	// Keep is each partition store's per-reader retention (the
 	// collector default applies when zero).
 	Keep int
@@ -85,7 +82,7 @@ type Cluster struct {
 // own loopback port. Stop shuts the servers down; the stores remain
 // queryable after Stop (the query plane does not need live ingest).
 func New(cfg Config) (*Cluster, error) {
-	ring, err := NewRing(cfg.Partitions, cfg.VNodes)
+	ring, err := NewRing(cfg.Partitions)
 	if err != nil {
 		return nil, err
 	}

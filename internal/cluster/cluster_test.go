@@ -20,11 +20,11 @@ func at(sec int) time.Time {
 // shape, and vnodes spread cells over partitions without a runaway
 // winner.
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	a, err := NewRing(4, 0)
+	a, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := NewRing(4, 0)
+	b, _ := NewRing(4)
 	counts := make([]int, 4)
 	const cells = 2000
 	for i := 0; i < cells; i++ {
@@ -47,7 +47,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 // each to a live partition; every other key keeps its owner — the
 // consistent-hashing property failover relies on.
 func TestRingFailoverRemap(t *testing.T) {
-	r, err := NewRing(4, 0)
+	r, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestCrossPartitionSpeedPair(t *testing.T) {
 
 	// Find one cell per partition so the two readers are guaranteed to
 	// live apart.
-	ring, _ := NewRing(2, 0)
+	ring, _ := NewRing(2)
 	cellOn := map[int]string{}
 	for i := 0; len(cellOn) < 2 && i < 1000; i++ {
 		cell := fmt.Sprintf("speed-cell-%d", i)

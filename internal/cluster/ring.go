@@ -24,11 +24,11 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per partition on the hash
-// ring. More vnodes smooth the cell→partition balance; the default
-// keeps the ring small while bounding the largest partition's share at
-// a few percent over fair for city-scale cell counts.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per partition on the hash ring. More
+// vnodes smooth the cell→partition balance; 64 keeps the ring small
+// while bounding the largest partition's share at a few percent over
+// fair for city-scale cell counts.
+const vnodes = 64
 
 // ringPoint is one virtual node: a partition's stake on the hash
 // circle.
@@ -49,16 +49,12 @@ type Ring struct {
 }
 
 // NewRing builds a ring over nparts partitions with vnodes virtual
-// nodes each (≤ 0 takes DefaultVNodes). The ring is a pure function of
-// (nparts, vnodes): every construction with the same shape hashes keys
-// identically, which is what lets two processes agree on routing
-// without coordination.
-func NewRing(nparts, vnodes int) (*Ring, error) {
+// nodes each. The ring is a pure function of nparts: every construction
+// with the same partition count hashes keys identically, which is what
+// lets two processes agree on routing without coordination.
+func NewRing(nparts int) (*Ring, error) {
 	if nparts < 1 {
 		return nil, fmt.Errorf("cluster: need at least one partition, got %d", nparts)
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	r := &Ring{nparts: nparts, points: make([]ringPoint, 0, nparts*vnodes)}
 	for p := 0; p < nparts; p++ {

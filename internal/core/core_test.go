@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"caraoke/internal/geom"
@@ -85,10 +86,18 @@ func TestParamsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative wavelength accepted")
 	}
-	bad = DefaultParams()
-	bad.ClockImageRatio = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("clock-image ratio ≥ 1 accepted")
+}
+
+// TestParamsSurface pins Params to the three physical values callers
+// read. A detection threshold is a constant (params.go), not a field:
+// no caller ever set one.
+func TestParamsSurface(t *testing.T) {
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Params{})) {
+		got = append(got, f.Name)
+	}
+	if want := []string{"SampleRate", "ReaderLO", "Wavelength"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Params fields = %v, want exactly %v", got, want)
 	}
 }
 

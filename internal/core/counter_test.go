@@ -95,16 +95,6 @@ func TestClockImageRejection(t *testing.T) {
 	if res.Count != 1 {
 		t.Errorf("counted %d for one all-zero-payload transponder (clock images not rejected?)", res.Count)
 	}
-	// With rejection disabled the images may (legitimately) surface.
-	noReject := s.param
-	noReject.ClockImageReject = false
-	res2, err := CountTransponders(s.collide([]*transponder.Device{d}), noReject)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Count < res.Count {
-		t.Errorf("rejection increased the count: %d vs %d", res2.Count, res.Count)
-	}
 }
 
 func TestRejectClockImagesKeepsLegitimatePeaks(t *testing.T) {
@@ -115,12 +105,12 @@ func TestRejectClockImagesKeepsLegitimatePeaks(t *testing.T) {
 		{Bin: 100, Freq: 100 * binW, Mag: 1000},
 		{Bin: 356, Freq: 100*binW + 500e3, Mag: 800},
 	}
-	if got := rejectClockImages(peaks, binW, 0.25); len(got) != 2 {
+	if got := rejectClockImages(peaks, binW); len(got) != 2 {
 		t.Errorf("comparable 500 kHz-spaced peaks reduced to %d", len(got))
 	}
 	// A weak peak exactly 500 kHz from a 10× stronger one is an image.
 	peaks[1].Mag = 50
-	if got := rejectClockImages(peaks, binW, 0.25); len(got) != 1 || got[0].Bin != 100 {
+	if got := rejectClockImages(peaks, binW); len(got) != 1 || got[0].Bin != 100 {
 		t.Errorf("clock image not rejected: %+v", got)
 	}
 }

@@ -79,7 +79,7 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 			spikes = append(spikes, sc.results[pi])
 		}
 	}
-	suppressResolvedNeighbors(spikes, binW, p.Occupancy.WindowFrac)
+	suppressResolvedNeighbors(spikes, binW)
 	sc.spikes = spikes
 	return spikes, nil
 }
@@ -163,21 +163,7 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int)
 		avg.Bins[k] = complex(m, 0)
 		avg.Mags[k] = m
 	}
-
-	// On a K-query-averaged spectrum the floor is smooth (variance
-	// shrinks with K), so the sensitive detector is a MAD-scaled
-	// excess over the local median rather than a magnitude ratio: a
-	// weak carrier at a large collision's floor adds only ~2.5× the
-	// local level, but tens of MADs of the smoothed floor.
-	peakP := p.Peaks
-	peakP.Threshold = 2
-	peakP.Sharpness = 1 // ratio test off; ExcessSigma selects
-	peakP.ExcessSigma = 5
-	peakP.SharpRadius = 16
-	peaks := sc.plan.FindPeaks(avg, peakP)
-	if p.ClockImageReject {
-		peaks = rejectClockImages(peaks, avg.BinWidth(), p.ClockImageRatio)
-	}
+	peaks := rejectClockImages(sc.plan.FindPeaks(avg, averagedPeaks), avg.BinWidth())
 
 	nAnt := len(last.Antennas)
 	sc.chans = grow(sc.chans, len(peaks)*nAnt)
@@ -185,7 +171,7 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int)
 	sc.keep = grow(sc.keep, len(peaks))
 	sc.job = peakJob{
 		mcs:       mcs,
-		p:         p,
+		rate:      p.SampleRate,
 		peaks:     peaks,
 		last:      last,
 		binW:      avg.BinWidth(),
@@ -203,7 +189,7 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int)
 // when the serial path ends up invoking it inline.)
 type peakJob struct {
 	mcs       []*rfsim.MultiCapture
-	p         Params
+	rate      float64
 	peaks     []dsp.Peak
 	last      *rfsim.MultiCapture
 	binW      float64
@@ -229,14 +215,13 @@ type peakJob struct {
 func (sc *Scratch) refinePeak(w, pi int) {
 	job := &sc.job
 	ws := &sc.workers[w]
-	mcs := job.mcs
-	p := &job.p
+	mcs, rate := job.mcs, job.rate
 	sc.keep[pi] = false
 	pk := job.peaks[pi]
 	// Median refined frequency across captures.
 	freqs := ws.freqs[:0]
 	for _, mc := range mcs {
-		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], p.SampleRate, pk))
+		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], rate, pk))
 	}
 	ws.freqs = freqs
 	freq := dsp.SelectFloat(freqs, len(freqs)/2)
@@ -250,7 +235,7 @@ func (sc *Scratch) refinePeak(w, pi int) {
 	}
 	scale := complex(2/float64(job.n), 0)
 	for a, stream := range job.last.Antennas {
-		s.Channels[a] = dsp.Goertzel(stream, freq/p.SampleRate) * scale
+		s.Channels[a] = dsp.Goertzel(stream, freq/rate) * scale
 	}
 	// Vote over the per-capture occupancy tests. Oscillator phases
 	// re-randomize between queries, so a pair invisible in one
@@ -266,14 +251,14 @@ func (sc *Scratch) refinePeak(w, pi int) {
 	// captures (CFOs are fixed; only phases change) — all of them, vote
 	// settled or not, unless the vote already says Multiple.
 	bank := &ws.bank
-	bank.Tune(p.SampleRate, freq, job.n)
+	bank.Tune(rate, freq, job.n)
 	centres := grow(ws.centres, len(mcs))
 	ws.centres = centres
 	votes := 0
 	var c2, s2 float64
 	for qi, mc := range mcs {
 		bank.Load(mc.Antennas[0])
-		if quorumOpen(votes, qi, len(mcs)) && bank.Occupancy(p.Occupancy) == dsp.OccupancyMultiple {
+		if quorumOpen(votes, qi, len(mcs)) && bank.Occupancy() == dsp.OccupancyMultiple {
 			votes++
 			if quorumMet(votes, len(mcs)) {
 				break
@@ -303,10 +288,10 @@ func (sc *Scratch) refinePeak(w, pi int) {
 	}
 	// Tone-purity vote for weak spikes that look single: a carrier
 	// is pure in every capture; a data-floor maximum is not.
-	if !s.Multiple && pk.Mag < p.PurityMaxRel*job.strongest && p.PurityMin > 0 {
+	if !s.Multiple && pk.Mag < purityMaxRel*job.strongest {
 		pure := 0
 		for qi, mc := range mcs {
-			if purity(centres[qi], mc.Antennas[0], p.SampleRate, freq, job.binW) >= p.PurityMin {
+			if purity(centres[qi], mc.Antennas[0], rate, freq, job.binW) >= purityMin {
 				pure++
 			}
 		}

@@ -149,18 +149,12 @@ func TestSuppressResolvedNeighbors(t *testing.T) {
 		{Freq: 102 * binW, Multiple: true}, // 2 bins away: same window bin
 		{Freq: 300 * binW, Multiple: true}, // isolated: flag must survive
 	}
-	suppressResolvedNeighbors(spikes, binW, 0.25)
+	suppressResolvedNeighbors(spikes, binW)
 	if spikes[0].Multiple || spikes[1].Multiple {
 		t.Error("adjacent resolved spikes kept their Multiple flags")
 	}
 	if !spikes[2].Multiple {
 		t.Error("isolated spike lost its Multiple flag")
-	}
-	// Zero window fraction falls back to the default reach.
-	spikes2 := []Spike{{Freq: 0, Multiple: true}, {Freq: 3 * binW, Multiple: true}}
-	suppressResolvedNeighbors(spikes2, binW, 0)
-	if spikes2[0].Multiple {
-		t.Error("default reach not applied")
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 	"caraoke/internal/phy"
 )
 
-// Params configures capture analysis.
+// Params holds the three physical values of a reader's front end. The
+// detector has no settings: §5's thresholds are the constants below.
 type Params struct {
 	// SampleRate of the captures, Hz (prototype: 4 MHz).
 	SampleRate float64
@@ -25,52 +26,15 @@ type Params struct {
 	ReaderLO float64
 	// Wavelength of the nominal carrier, for AoA conversion.
 	Wavelength float64
-	// Peaks tunes spike detection.
-	Peaks dsp.PeakParams
-	// Occupancy tunes the §5 dual-window one-vs-many bin test.
-	Occupancy dsp.OccupancyParams
-	// ClockImageReject drops weak spikes that sit one Manchester bit
-	// rate (500 kHz) away from a much stronger spike: residual clock
-	// lines of the stronger transponder's data, not devices.
-	ClockImageReject bool
-	// ClockImageRatio is the maximum weak/strong magnitude ratio for a
-	// spike to be eligible for clock-image rejection.
-	ClockImageRatio float64
-	// Purity applies a tone-purity test to weak spikes that passed the
-	// occupancy test as single: a genuine carrier concentrates its
-	// energy in one fine frequency bin (the DFT 0.75 bins away is only
-	// ≈30 % of the peak), while a hump of a stronger transponder's
-	// data spectrum is broadband and roughly flat at that offset.
-	// Spikes weaker than PurityMaxRel × the strongest spike and with
-	// peak-to-sidelobe ratio below PurityMin are discarded as data
-	// ghosts. Strong spikes and multi-occupied bins are never tested,
-	// so the §5 same-bin counting path is unaffected.
-	PurityMaxRel float64
-	PurityMin    float64
-	// RelaxedSharpness enables a second, lower-sharpness peak sweep.
-	// In large collisions the aggregate data floor rises with √m and a
-	// genuine carrier may clear its local neighborhood by less than
-	// the strict Peaks.Sharpness ratio; candidates found only by the
-	// relaxed sweep are kept when they prove themselves a tone (purity
-	// ≥ PurityMin) or a beating same-bin pair (occupancy multiple).
-	// Zero disables the second sweep.
-	RelaxedSharpness float64
 }
 
 // DefaultParams returns the prototype configuration: 4 MHz sampling, LO
 // at 914.3 MHz, λ at 915 MHz.
 func DefaultParams() Params {
 	return Params{
-		SampleRate:       4e6,
-		ReaderLO:         phy.BandLow,
-		Wavelength:       geom.Wavelength(phy.NominalCarrier),
-		Peaks:            dsp.DefaultPeakParams(),
-		Occupancy:        dsp.DefaultOccupancyParams(),
-		ClockImageReject: true,
-		ClockImageRatio:  0.25,
-		PurityMaxRel:     0.35,
-		PurityMin:        1.8,
-		RelaxedSharpness: 2.2,
+		SampleRate: 4e6,
+		ReaderLO:   phy.BandLow,
+		Wavelength: geom.Wavelength(phy.NominalCarrier),
 	}
 }
 
@@ -82,8 +46,42 @@ func (p *Params) Validate() error {
 	if p.Wavelength <= 0 {
 		return fmt.Errorf("core: wavelength %g must be positive", p.Wavelength)
 	}
-	if p.ClockImageRatio < 0 || p.ClockImageRatio >= 1 {
-		return fmt.Errorf("core: clock-image ratio %g out of [0,1)", p.ClockImageRatio)
-	}
 	return nil
 }
+
+// The three peak sweeps of the analysis.
+var (
+	// strictPeaks finds a capture's unambiguous carriers.
+	strictPeaks = dsp.DefaultPeakParams()
+	// relaxedPeaks is the second sweep of the same spectrum. In large
+	// collisions the aggregate data floor rises with √m and a genuine
+	// carrier may clear its local neighborhood by less than the strict
+	// sharpness ratio; candidates only this sweep finds are kept when
+	// they prove themselves a tone (purity ≥ purityMin) or a beating
+	// same-bin pair (occupancy multiple).
+	relaxedPeaks = dsp.PeakParams{Threshold: 4, Sharpness: 2.2, SharpRadius: 10}
+	// averagedPeaks sweeps the spectrum averaged over a window's K
+	// queries. There the floor is smooth (variance shrinks with K), so
+	// the sensitive detector is a MAD-scaled excess over the local
+	// median rather than a magnitude ratio (Sharpness 1 turns the ratio
+	// test off): a weak carrier at a large collision's floor adds only
+	// ~2.5× the local level, but tens of MADs of the smoothed floor.
+	averagedPeaks = dsp.PeakParams{Threshold: 2, Sharpness: 1, SharpRadius: 16, ExcessSigma: 5}
+)
+
+const (
+	// clockImageRatio is the largest weak/strong magnitude ratio at
+	// which a spike one Manchester bit rate (500 kHz) from a stronger
+	// one is dropped as that transponder's residual clock line.
+	clockImageRatio = 0.25
+	// The tone-purity test: a genuine carrier concentrates its energy
+	// in one fine frequency bin (the DFT 0.75 bins away is only ≈30 % of
+	// the peak), while a hump of a stronger transponder's data spectrum
+	// is broadband and roughly flat at that offset. Spikes weaker than
+	// purityMaxRel × the strongest and with a peak-to-sidelobe ratio
+	// below purityMin are discarded as data ghosts. Strong spikes and
+	// multi-occupied bins are never tested, so the §5 same-bin counting
+	// path is unaffected.
+	purityMaxRel = 0.35
+	purityMin    = 1.8
+)

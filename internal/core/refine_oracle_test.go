@@ -18,10 +18,10 @@ import (
 // spike and whether it is kept.
 func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 	job := &sc.job
-	mcs, p, pk := job.mcs, &job.p, job.peaks[pi]
+	mcs, rate, pk := job.mcs, job.rate, job.peaks[pi]
 	var freqs []float64
 	for _, mc := range mcs {
-		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], p.SampleRate, pk))
+		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], rate, pk))
 	}
 	sort.Float64s(freqs)
 	freq := freqs[len(freqs)/2]
@@ -29,11 +29,11 @@ func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 	s := Spike{Freq: freq, Bin: pk.Bin, Mag: pk.Mag, Channels: make([]complex128, job.nAnt)}
 	scale := complex(2/float64(job.n), 0)
 	for a, stream := range job.last.Antennas {
-		s.Channels[a] = dsp.Goertzel(stream, freq/p.SampleRate) * scale
+		s.Channels[a] = dsp.Goertzel(stream, freq/rate) * scale
 	}
 	votes := 0
 	for _, mc := range mcs {
-		if dsp.ClassifyBin(mc.Antennas[0], p.SampleRate, freq, p.Occupancy) == dsp.OccupancyMultiple {
+		if dsp.ClassifyBin(mc.Antennas[0], rate, freq) == dsp.OccupancyMultiple {
 			votes++
 		}
 	}
@@ -42,9 +42,9 @@ func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 		var c2, s2 float64
 		for _, mc := range mcs {
 			st := mc.Antennas[0]
-			c := cmplx.Abs(dsp.Goertzel(st, freq/p.SampleRate))
-			lo := cmplx.Abs(dsp.Goertzel(st, (freq-job.binW)/p.SampleRate))
-			hi := cmplx.Abs(dsp.Goertzel(st, (freq+job.binW)/p.SampleRate))
+			c := cmplx.Abs(dsp.Goertzel(st, freq/rate))
+			lo := cmplx.Abs(dsp.Goertzel(st, (freq-job.binW)/rate))
+			hi := cmplx.Abs(dsp.Goertzel(st, (freq+job.binW)/rate))
 			c2 += c * c
 			s2 += math.Max(lo, hi) * math.Max(lo, hi)
 		}
@@ -68,11 +68,11 @@ func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 			}
 		}
 	}
-	if !s.Multiple && pk.Mag < p.PurityMaxRel*job.strongest && p.PurityMin > 0 {
+	if !s.Multiple && pk.Mag < purityMaxRel*job.strongest {
 		pure := 0
 		for _, mc := range mcs {
 			st := mc.Antennas[0]
-			if purity(centreMag(st, p.SampleRate, freq), st, p.SampleRate, freq, job.binW) >= p.PurityMin {
+			if purity(centreMag(st, rate, freq), st, rate, freq, job.binW) >= purityMin {
 				pure++
 			}
 		}

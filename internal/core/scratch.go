@@ -32,8 +32,7 @@ type Scratch struct {
 	acc   []float64      // power accumulator across captures
 	avg   dsp.Spectrum   // RMS-averaged spectrum
 
-	strict    map[int]bool // bins found by the strict sharpness sweep
-	tentative map[int]bool // bins found only by the relaxed sweep
+	strict map[int]bool // bins found by the strict sharpness sweep
 
 	chans   []complex128 // arena backing Spike.Channels
 	spikes  []Spike      // result buffer

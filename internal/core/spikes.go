@@ -57,46 +57,24 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 	if err := checkRagged(mc); err != nil {
 		return nil, fmt.Errorf("core: capture: %w", err)
 	}
-	// The tentative set survives from the previous call; empty it
-	// without allocating. It is only ever populated by the relaxed
-	// sweep below (a nil map reads as empty).
-	clear(sc.tentative)
 	sc.plan.SpectrumInto(&sc.spec, ref, p.SampleRate)
 	spec := &sc.spec
 	if !finitePow(spec.Pows[0]) || !finiteStreams(mc.Antennas[1:]) {
 		return nil, ErrNonFiniteCapture
 	}
 	binW := spec.BinWidth()
-	peaks := sc.plan.FindPeaks(spec, p.Peaks)
-	// Second, relaxed-sharpness sweep: carriers barely above a large
-	// collision's data floor. These candidates must later prove
-	// themselves a tone or a beating pair.
-	if p.RelaxedSharpness > 0 && p.RelaxedSharpness < p.Peaks.Sharpness {
-		// Record the strict winners first: the relaxed sweep reuses
-		// the plan's peak buffer.
-		if sc.strict == nil {
-			sc.strict = make(map[int]bool, len(peaks))
-		}
-		clear(sc.strict)
-		for _, pk := range peaks {
-			sc.strict[pk.Bin] = true
-		}
-		relaxed := p.Peaks
-		relaxed.Sharpness = p.RelaxedSharpness
-		all := sc.plan.FindPeaks(spec, relaxed)
-		for _, pk := range all {
-			if !sc.strict[pk.Bin] {
-				if sc.tentative == nil {
-					sc.tentative = make(map[int]bool)
-				}
-				sc.tentative[pk.Bin] = true
-			}
-		}
-		peaks = all
+	// Record the strict sweep's winners first: the relaxed sweep reuses
+	// the plan's peak buffer. What only the relaxed sweep finds —
+	// carriers barely above a large collision's data floor — must later
+	// prove itself a tone or a beating pair.
+	if sc.strict == nil {
+		sc.strict = make(map[int]bool)
 	}
-	if p.ClockImageReject {
-		peaks = rejectClockImages(peaks, binW, p.ClockImageRatio)
+	clear(sc.strict)
+	for _, pk := range sc.plan.FindPeaks(spec, strictPeaks) {
+		sc.strict[pk.Bin] = true
 	}
+	peaks := rejectClockImages(sc.plan.FindPeaks(spec, relaxedPeaks), binW)
 	nAnt := len(mc.Antennas)
 	chans := grow(sc.chans, len(peaks)*nAnt)
 	sc.chans = chans
@@ -118,18 +96,15 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 		// The occupancy test self-calibrates its tolerances from the
 		// capture so other transponders' data does not masquerade as a
 		// same-bin collision.
-		s.Multiple = sc.plan.ClassifyBin(ref, p.SampleRate, freq, p.Occupancy) == dsp.OccupancyMultiple
-		if sc.tentative[pk.Bin] && !s.Multiple && p.PurityMin > 0 {
-			if purity(centreMag(ref, p.SampleRate, freq), ref, p.SampleRate, freq, binW) < p.PurityMin {
-				continue // neither tone-like nor a beating pair
-			}
+		s.Multiple = sc.plan.ClassifyBin(ref, p.SampleRate, freq) == dsp.OccupancyMultiple
+		if !sc.strict[pk.Bin] && !s.Multiple &&
+			purity(centreMag(ref, p.SampleRate, freq), ref, p.SampleRate, freq, binW) < purityMin {
+			continue // neither tone-like nor a beating pair
 		}
 		spikes = append(spikes, s)
 	}
-	if p.PurityMin > 0 && p.PurityMaxRel > 0 {
-		spikes = rejectImpureGhosts(ref, p, binW, spikes)
-	}
-	suppressResolvedNeighbors(spikes, binW, p.Occupancy.WindowFrac)
+	spikes = rejectImpureGhosts(ref, p.SampleRate, binW, spikes)
+	suppressResolvedNeighbors(spikes, binW)
 	sc.spikes = spikes
 	return spikes, nil
 }
@@ -161,16 +136,13 @@ func finiteStreams(streams [][]complex128) bool {
 
 // suppressResolvedNeighbors clears the Multiple flag of spikes whose
 // "companion" is simply another already-detected spike. The occupancy
-// test's analysis windows are 1/WindowFrac× shorter than the capture,
-// so two tones up to ~1/WindowFrac fine bins apart beat inside one
-// window bin even though the full-length FFT resolves them as two
-// separate peaks; counting both the two peaks and the beat would
+// test's analysis windows are 1/OccupancyWindowFrac× shorter than the
+// capture, so two tones up to about that many fine bins apart beat
+// inside one window bin even though the full-length FFT resolves them
+// as two separate peaks; counting both the two peaks and the beat would
 // double-count.
-func suppressResolvedNeighbors(spikes []Spike, binWidth, windowFrac float64) {
-	if windowFrac <= 0 || windowFrac > 1 {
-		windowFrac = 0.25
-	}
-	reach := (1/windowFrac + 1) * binWidth
+func suppressResolvedNeighbors(spikes []Spike, binWidth float64) {
+	reach := (1/dsp.OccupancyWindowFrac + 1) * binWidth
 	for i := range spikes {
 		if !spikes[i].Multiple {
 			continue
@@ -225,9 +197,9 @@ func purity(center float64, ref []complex128, sampleRate, freq, binWidth float64
 // tone-purity test: the DFT magnitude 0.75 bins to either side of a
 // genuine carrier falls to ≈30 % (Dirichlet sidelobe), while a
 // broadband data hump stays roughly flat. Only spikes below
-// PurityMaxRel of the strongest are tested, so the occupancy-based
+// purityMaxRel of the strongest are tested, so the occupancy-based
 // same-bin counting of §5 is untouched for real devices.
-func rejectImpureGhosts(ref []complex128, p Params, binWidth float64, spikes []Spike) []Spike {
+func rejectImpureGhosts(ref []complex128, sampleRate, binWidth float64, spikes []Spike) []Spike {
 	var strongest float64
 	for _, s := range spikes {
 		if s.Mag > strongest {
@@ -236,11 +208,8 @@ func rejectImpureGhosts(ref []complex128, p Params, binWidth float64, spikes []S
 	}
 	out := spikes[:0]
 	for _, s := range spikes {
-		if s.Multiple || s.Mag >= p.PurityMaxRel*strongest {
-			out = append(out, s)
-			continue
-		}
-		if purity(centreMag(ref, p.SampleRate, s.Freq), ref, p.SampleRate, s.Freq, binWidth) < p.PurityMin {
+		if !s.Multiple && s.Mag < purityMaxRel*strongest &&
+			purity(centreMag(ref, sampleRate, s.Freq), ref, sampleRate, s.Freq, binWidth) < purityMin {
 			continue // broadband ghost, not a carrier
 		}
 		out = append(out, s)
@@ -249,18 +218,18 @@ func rejectImpureGhosts(ref []complex128, p Params, binWidth float64, spikes []S
 }
 
 // rejectClockImages removes weak peaks that lie one Manchester bit rate
-// (±500 kHz, within ±2 bins) from a peak at least 1/ratio times
-// stronger. A transponder whose payload is locally unbalanced leaves a
-// residual clock line at that offset; it is data structure, not a
-// device.
-func rejectClockImages(peaks []dsp.Peak, binWidth, ratio float64) []dsp.Peak {
+// (±500 kHz, within ±2 bins) from a peak at least 1/clockImageRatio
+// times stronger. A transponder whose payload is locally unbalanced
+// leaves a residual clock line at that offset; it is data structure,
+// not a device.
+func rejectClockImages(peaks []dsp.Peak, binWidth float64) []dsp.Peak {
 	const clockHz = 500e3 // 1 / BitDuration
 	tol := 2 * binWidth
 	out := peaks[:0]
 	for _, pk := range peaks {
 		image := false
 		for _, other := range peaks {
-			if other.Bin == pk.Bin || pk.Mag >= ratio*other.Mag {
+			if other.Bin == pk.Bin || pk.Mag >= clockImageRatio*other.Mag {
 				continue
 			}
 			if math.Abs(math.Abs(pk.Freq-other.Freq)-clockHz) <= tol {

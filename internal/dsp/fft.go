@@ -26,9 +26,10 @@ import (
 // base pass when log2 N is odd) over the standard radix-2 bit-reversal
 // permutation. Each fused stage reads one contiguous, stage-major
 // twiddle table sequentially — (w, w², w³) triples in butterfly order —
-// instead of striding a shared table, and the inverse transform selects
-// a precomputed conjugate table once per call rather than conjugating
-// in the inner loop. Lengths 1, 2, 4, and 8 are fully unrolled.
+// instead of striding a shared table. Lengths 1, 2, 4, and 8 are fully
+// unrolled. There is no inverse kernel: IDFT(x) = conj(DFT(conj(x)))/N,
+// and the one caller that needs it (the Bluestein convolution) folds the
+// conjugations into loops it already runs.
 //
 // Radix-4 reorders the butterfly additions relative to the classic
 // radix-2 kernel, so bins agree with it only to rounding error (a few
@@ -42,9 +43,8 @@ type FFTPlan struct {
 	// order (block size 8 or 16 up to n, quadrupling). Stage tables hold
 	// 3·m entries for quarter-block m: the triple (w, w², w³) with
 	// w = e^{-2πi j/size} at consecutive indices, read sequentially by
-	// the butterfly loop. invStages holds the conjugates.
+	// the butterfly loop.
 	fwdStages [][]complex128
-	invStages [][]complex128
 }
 
 // NewFFTPlan creates a plan for transforms of length n. n must be a
@@ -80,7 +80,6 @@ func (p *FFTPlan) buildStages() {
 	for size := first; size <= p.n; size <<= 2 {
 		m := size >> 2
 		fwd := make([]complex128, 3*m)
-		inv := make([]complex128, 3*m)
 		for j := 0; j < m; j++ {
 			a := -2 * math.Pi * float64(j) / float64(size)
 			s1, c1 := math.Sincos(a)
@@ -89,12 +88,8 @@ func (p *FFTPlan) buildStages() {
 			fwd[3*j] = complex(c1, s1)
 			fwd[3*j+1] = complex(c2, s2)
 			fwd[3*j+2] = complex(c3, s3)
-			inv[3*j] = complex(c1, -s1)
-			inv[3*j+1] = complex(c2, -s2)
-			inv[3*j+2] = complex(c3, -s3)
 		}
 		p.fwdStages = append(p.fwdStages, fwd)
-		p.invStages = append(p.invStages, inv)
 	}
 }
 
@@ -105,17 +100,7 @@ func (p *FFTPlan) N() int { return p.n }
 // both have length N(); they may alias the same slice for an in-place
 // transform. The convention is X[k] = Σ x[t]·e^{-2πi kt/N} (no scaling).
 func (p *FFTPlan) Transform(dst, src []complex128) {
-	p.run(dst, src, false)
-}
-
-// Inverse computes the inverse DFT of src into dst, scaling by 1/N so
-// that Inverse(Transform(x)) == x.
-func (p *FFTPlan) Inverse(dst, src []complex128) {
-	p.run(dst, src, true)
-	inv := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= inv
-	}
+	p.run(dst, src)
 }
 
 // TransformMany computes one forward DFT per length-N() frame of the
@@ -128,14 +113,14 @@ func (p *FFTPlan) TransformMany(dst, src []complex128) {
 		panic(fmt.Sprintf("dsp: TransformMany buffer lengths %d/%d, plan length %d", len(dst), len(src), p.n))
 	}
 	for off := 0; off < len(src); off += p.n {
-		p.run(dst[off:off+p.n], src[off:off+p.n], false)
+		p.run(dst[off:off+p.n], src[off:off+p.n])
 	}
 }
 
 // run computes the DFT of src into dst with the radix-4 kernel:
 // bit-reversal copy, unrolled base pass, then the fused stages over
-// their per-direction twiddle tables.
-func (p *FFTPlan) run(dst, src []complex128, inverse bool) {
+// their twiddle tables.
+func (p *FFTPlan) run(dst, src []complex128) {
 	if len(dst) != p.n || len(src) != p.n {
 		panic(fmt.Sprintf("dsp: FFT buffer length %d/%d, plan length %d", len(dst), len(src), p.n))
 	}
@@ -144,7 +129,7 @@ func (p *FFTPlan) run(dst, src []complex128, inverse bool) {
 		return
 	}
 	p.bitrev(dst, src)
-	p.butterflies(dst, inverse)
+	p.butterflies(dst)
 }
 
 // bitrev copies src into dst in bit-reversed order; when dst aliases
@@ -164,69 +149,49 @@ func (p *FFTPlan) bitrev(dst, src []complex128) {
 }
 
 // butterflies runs the in-place butterfly passes over bit-reversed
-// data. The direction decides only which precomputed table set is read
-// and the sign of the ±i rotation — both resolved here, once per call,
-// never inside a stage loop.
-func (p *FFTPlan) butterflies(dst []complex128, inverse bool) {
+// data.
+func (p *FFTPlan) butterflies(dst []complex128) {
 	switch p.n {
 	case 2:
 		a, b := dst[0], dst[1]
 		dst[0], dst[1] = a+b, a-b
 		return
 	case 4:
-		base4(dst, inverse)
+		base4(dst)
 		return
 	case 8:
-		base8(dst, inverse)
+		base8(dst)
 		return
 	}
 	if p.logN&1 == 1 {
 		base2Pass(dst)
 	} else {
-		base4Pass(dst, inverse)
+		base4Pass(dst)
 	}
-	if inverse {
-		inverseStages(dst, p.invStages)
-	} else {
-		forwardStages(dst, p.fwdStages)
-	}
+	forwardStages(dst, p.fwdStages)
 }
 
 // base4 is the fully unrolled 4-point transform on bit-reversed data
 // (dst holds x0, x2, x1, x3).
-func base4(dst []complex128, inverse bool) {
+func base4(dst []complex128) {
 	a, b, c, d := dst[0], dst[1], dst[2], dst[3]
 	s0, t0 := a+b, a-b
 	s1, u := c+d, c-d
-	var t1 complex128
-	if inverse {
-		t1 = complex(-imag(u), real(u)) // +i·u
-	} else {
-		t1 = complex(imag(u), -real(u)) // -i·u
-	}
+	t1 := complex(imag(u), -real(u)) // -i·u
 	dst[0], dst[1], dst[2], dst[3] = s0+s1, t0+t1, s0-s1, t0-t1
 }
 
 // base8 is the fully unrolled 8-point transform on bit-reversed data:
 // two 4-point halves combined with the ±(√2/2)(1∓i) eighth roots.
-func base8(dst []complex128, inverse bool) {
-	base4(dst[:4], inverse)
-	base4(dst[4:], inverse)
+func base8(dst []complex128) {
+	base4(dst[:4])
+	base4(dst[4:])
 	const h = math.Sqrt2 / 2
 	e0, e1, e2, e3 := dst[0], dst[1], dst[2], dst[3]
 	o0, o1, o2, o3 := dst[4], dst[5], dst[6], dst[7]
-	var w1, w3 complex128
-	if inverse {
-		w1 = complex(h, h)                // e^{+πi/4}
-		w3 = complex(-h, h)               // e^{+3πi/4}
-		o2 = complex(-imag(o2), real(o2)) // +i·o2
-	} else {
-		w1 = complex(h, -h)               // e^{-πi/4}
-		w3 = complex(-h, -h)              // e^{-3πi/4}
-		o2 = complex(imag(o2), -real(o2)) // -i·o2
-	}
-	o1 *= w1
-	o3 *= w3
+	o1 *= complex(h, -h)              // e^{-πi/4}
+	o2 = complex(imag(o2), -real(o2)) // -i·o2
+	o3 *= complex(-h, -h)             // e^{-3πi/4}
 	dst[0], dst[4] = e0+o0, e0-o0
 	dst[1], dst[5] = e1+o1, e1-o1
 	dst[2], dst[6] = e2+o2, e2-o2
@@ -244,17 +209,7 @@ func base2Pass(dst []complex128) {
 
 // base4Pass is the twiddle-free size-4 stage run over the whole array
 // when log2 N is even: the radix-4 butterfly with w = 1.
-func base4Pass(dst []complex128, inverse bool) {
-	if inverse {
-		for i := 0; i < len(dst); i += 4 {
-			a, b, c, d := dst[i], dst[i+1], dst[i+2], dst[i+3]
-			s0, t0 := a+b, a-b
-			s1, u := c+d, c-d
-			t1 := complex(-imag(u), real(u))
-			dst[i], dst[i+1], dst[i+2], dst[i+3] = s0+s1, t0+t1, s0-s1, t0-t1
-		}
-		return
-	}
+func base4Pass(dst []complex128) {
 	for i := 0; i < len(dst); i += 4 {
 		a, b, c, d := dst[i], dst[i+1], dst[i+2], dst[i+3]
 		s0, t0 := a+b, a-b
@@ -264,7 +219,7 @@ func base4Pass(dst []complex128, inverse bool) {
 	}
 }
 
-// forwardStages runs the fused radix-4 stages with the forward tables.
+// forwardStages runs the fused radix-4 stages over their tables.
 // Per quarter-block index j the butterfly combines a, b, c, d at
 // strides m using the stage-major triple (w, w², w³):
 //
@@ -299,33 +254,6 @@ func forwardStages(dst []complex128, stages [][]complex128) {
 	}
 }
 
-// inverseStages is forwardStages with the conjugate tables and the +i
-// rotation — the only two direction-dependent pieces, both hoisted out
-// of the butterfly.
-func inverseStages(dst []complex128, stages [][]complex128) {
-	n := len(dst)
-	for _, tab := range stages {
-		m := len(tab) / 3
-		for start := 0; start < n; start += m << 2 {
-			blk := dst[start : start+m<<2]
-			ti := 0
-			for j := 0; j < m; j++ {
-				w1, w2, w3 := tab[ti], tab[ti+1], tab[ti+2]
-				ti += 3
-				a := blk[j]
-				b := w2 * blk[j+m]
-				c := w1 * blk[j+2*m]
-				d := w3 * blk[j+3*m]
-				s0, t0 := a+b, a-b
-				s1, u := c+d, c-d
-				t1 := complex(-imag(u), real(u)) // +i·u
-				blk[j], blk[j+2*m] = s0+s1, s0-s1
-				blk[j+m], blk[j+3*m] = t0+t1, t0-t1
-			}
-		}
-	}
-}
-
 // transformSpectrum is the fused detection-path transform: the forward
 // DFT of src into dst with |X[k]|² and |X[k]| written into pows and
 // mags directly from the final butterfly stage's outputs, while they
@@ -339,7 +267,7 @@ func (p *FFTPlan) transformSpectrum(dst []complex128, mags, pows []float64, src 
 		panic(fmt.Sprintf("dsp: transformSpectrum mags/pows length %d/%d, plan length %d", len(mags), len(pows), p.n))
 	}
 	if p.n < 16 {
-		p.run(dst, src, false)
+		p.run(dst, src)
 		for k, v := range dst {
 			pw := binPow(v)
 			pows[k] = pw
@@ -351,7 +279,7 @@ func (p *FFTPlan) transformSpectrum(dst []complex128, mags, pows []float64, src 
 	if p.logN&1 == 1 {
 		base2Pass(dst)
 	} else {
-		base4Pass(dst, false)
+		base4Pass(dst)
 	}
 	last := len(p.fwdStages) - 1
 	forwardStages(dst, p.fwdStages[:last])

@@ -12,7 +12,7 @@ func TestClassifyBinSingleTone(t *testing.T) {
 	fs := 4e6
 	freq := 500e3
 	x := toneSignal(rng, n, fs, 0.02, []Tone{{Freq: freq, Amp: complex(float64(n), 0)}})
-	if got := ClassifyBin(x, fs, freq, DefaultOccupancyParams()); got != OccupancySingle {
+	if got := ClassifyBin(x, fs, freq); got != OccupancySingle {
 		t.Errorf("single tone classified as %v", got)
 	}
 }
@@ -29,7 +29,7 @@ func TestClassifyBinTwoTonesSameBin(t *testing.T) {
 		{Freq: f1, Amp: complex(float64(n), 0)},
 		{Freq: f2, Amp: complex(0, float64(n))},
 	})
-	if got := ClassifyBin(x, fs, f1, DefaultOccupancyParams()); got != OccupancyMultiple {
+	if got := ClassifyBin(x, fs, f1); got != OccupancyMultiple {
 		t.Errorf("two-tone bin classified as %v", got)
 	}
 }
@@ -51,7 +51,7 @@ func TestClassifyBinTwoTonesStatistical(t *testing.T) {
 		single := toneSignal(rng, n, fs, 0.03, []Tone{
 			{Freq: f1, Amp: complex(float64(n), 0) * cis(phase1)},
 		})
-		if ClassifyBin(single, fs, f1, DefaultOccupancyParams()) == OccupancyMultiple {
+		if ClassifyBin(single, fs, f1) == OccupancyMultiple {
 			falsePositive++
 		}
 		// Separation between 0.15 and 0.95 bins: same-bin collision.
@@ -61,7 +61,7 @@ func TestClassifyBinTwoTonesStatistical(t *testing.T) {
 			{Freq: f1, Amp: complex(float64(n), 0) * cis(phase1)},
 			{Freq: f1 + sep, Amp: complex(float64(n), 0) * cis(phase2)},
 		})
-		if ClassifyBin(double, fs, f1+sep/2, DefaultOccupancyParams()) == OccupancySingle {
+		if ClassifyBin(double, fs, f1+sep/2) == OccupancySingle {
 			missed++
 		}
 	}
@@ -78,20 +78,8 @@ func TestClassifyBinTwoTonesStatistical(t *testing.T) {
 }
 
 func TestClassifyBinEmptyInput(t *testing.T) {
-	if got := ClassifyBin(nil, 4e6, 100e3, DefaultOccupancyParams()); got != OccupancySingle {
+	if got := ClassifyBin(nil, 4e6, 100e3); got != OccupancySingle {
 		t.Errorf("empty input classified as %v", got)
-	}
-}
-
-func TestClassifyBinDefaultsApplied(t *testing.T) {
-	// Zero-valued params should fall back to defaults rather than
-	// dividing by zero or classifying everything one way.
-	rng := rand.New(rand.NewSource(34))
-	n := 2048
-	fs := 4e6
-	x := toneSignal(rng, n, fs, 0.02, []Tone{{Freq: 300e3, Amp: complex(float64(n), 0)}})
-	if got := ClassifyBin(x, fs, 300e3, OccupancyParams{}); got != OccupancySingle {
-		t.Errorf("single tone with zero params classified as %v", got)
 	}
 }
 

@@ -162,27 +162,9 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 	if n == 0 {
 		return nil
 	}
-	if p.Threshold <= 0 {
-		p.Threshold = 4
-	}
-	if p.MinSeparation <= 0 {
-		p.MinSeparation = 1
-	}
-	if p.Sharpness <= 0 {
-		p.Sharpness = 4
-	}
-	if p.SharpGuard <= 0 {
-		p.SharpGuard = 2
-	}
-	if p.SharpRadius <= p.SharpGuard {
-		p.SharpRadius = p.SharpGuard + 6
-	}
-	limit := n
-	if p.MaxFreq > 0 {
-		limit = int(p.MaxFreq/s.BinWidth()) + 1
-		if limit > n {
-			limit = n
-		}
+	limit := int(maxPeakFreq/s.BinWidth()) + 1
+	if limit > n {
+		limit = n
 	}
 	// Per-bin magnitudes: the fused s.Mags cache is used directly when
 	// valid (it holds exactly math.Sqrt(binPow(bin)), the same value
@@ -210,20 +192,12 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 		if m <= cut {
 			continue
 		}
-		isMax := true
-		for d := 1; d <= p.MinSeparation && isMax; d++ {
-			if k-d >= 0 && mags[k-d] > m {
-				isMax = false
-			}
-			if k+d < n && mags[k+d] >= m {
-				isMax = false
-			}
-		}
-		if !isMax {
+		// Not a local maximum (of two equal adjacent bins the later wins).
+		if (k > 0 && mags[k-1] > m) || (k+1 < n && mags[k+1] >= m) {
 			continue
 		}
 		neighborhood = neighborhood[:0]
-		for d := p.SharpGuard + 1; d <= p.SharpRadius; d++ {
+		for d := sharpGuard + 1; d <= p.SharpRadius; d++ {
 			if k-d >= 0 {
 				neighborhood = append(neighborhood, mags[k-d])
 			}
@@ -251,7 +225,7 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 		}
 		peaks = append(peaks, Peak{Bin: k, Freq: s.BinFreq(k), Val: s.Bins[k], Mag: m})
 	}
-	if p.MinRelToStrongest > 0 && len(peaks) > 1 {
+	if len(peaks) > 1 {
 		var strongest float64
 		for _, pk := range peaks {
 			if pk.Mag > strongest {
@@ -260,7 +234,7 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 		}
 		kept := peaks[:0]
 		for _, pk := range peaks {
-			if pk.Mag >= p.MinRelToStrongest*strongest {
+			if pk.Mag >= minRelToStrongest*strongest {
 				kept = append(kept, pk)
 			}
 		}
@@ -275,10 +249,10 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 // ClassifyBin: identical classification, on the plan's probe bank
 // (tune to freqHz, de-rotate the capture once, read every window and
 // reference probe of ProbeBank.Occupancy off the result).
-func (pl *Plan) ClassifyBin(samples []complex128, sampleRate, freqHz float64, p OccupancyParams) Occupancy {
+func (pl *Plan) ClassifyBin(samples []complex128, sampleRate, freqHz float64) Occupancy {
 	pl.bank.Tune(sampleRate, freqHz, len(samples))
 	pl.bank.Load(samples)
-	return pl.bank.Occupancy(p)
+	return pl.bank.Occupancy()
 }
 
 // bluesteinPlan caches the length-dependent tables of the forward
@@ -290,7 +264,7 @@ type bluesteinPlan struct {
 	chirp []complex128 // e^{-πi k²/n}
 	fb    []complex128 // FFT of the kernel sequence b
 	a     []complex128 // work: chirp-premultiplied, zero-padded input
-	fa    []complex128 // work: forward FFT / convolution result
+	fa    []complex128 // work: forward FFT / conjugate of m× the convolution
 	fft   *FFTPlan     // power-of-two plan of the padded length m
 }
 
@@ -337,7 +311,7 @@ func newBluesteinPlan(n int) *bluesteinPlan {
 func (bp *bluesteinPlan) forward(dst, src []complex128) {
 	bp.convolve(src)
 	for k := 0; k < bp.n; k++ {
-		dst[k] = bp.fa[k] * bp.chirp[k]
+		dst[k] = bp.bin(k)
 	}
 }
 
@@ -347,7 +321,7 @@ func (bp *bluesteinPlan) forward(dst, src []complex128) {
 func (bp *bluesteinPlan) forwardSpectrum(dst []complex128, mags, pows []float64, src []complex128) {
 	bp.convolve(src)
 	for k := 0; k < bp.n; k++ {
-		v := bp.fa[k] * bp.chirp[k]
+		v := bp.bin(k)
 		dst[k] = v
 		pw := binPow(v)
 		pows[k] = pw
@@ -356,7 +330,9 @@ func (bp *bluesteinPlan) forwardSpectrum(dst []complex128, mags, pows []float64,
 }
 
 // convolve runs the shared chirp-premultiply → FFT → kernel product →
-// inverse FFT steps, leaving the convolution result in bp.fa.
+// inverse FFT steps. The inverse is conj(DFT(conj(·)))/m over the one
+// forward kernel: the first conjugation rides the kernel product here,
+// the second and the 1/m ride bin's unchirp multiply.
 func (bp *bluesteinPlan) convolve(src []complex128) {
 	for k := 0; k < bp.n; k++ {
 		bp.a[k] = src[k] * bp.chirp[k]
@@ -364,9 +340,17 @@ func (bp *bluesteinPlan) convolve(src []complex128) {
 	clear(bp.a[bp.n:])
 	bp.fft.Transform(bp.fa, bp.a)
 	for i := range bp.fa {
-		bp.fa[i] *= bp.fb[i]
+		v := bp.fa[i] * bp.fb[i]
+		bp.fa[i] = complex(real(v), -imag(v))
 	}
-	bp.fft.Inverse(bp.fa, bp.fa)
+	bp.fft.Transform(bp.fa, bp.fa)
+}
+
+// bin returns DFT bin k of convolve's input: the convolution result,
+// unchirped.
+func (bp *bluesteinPlan) bin(k int) complex128 {
+	inv := 1 / float64(len(bp.fa))
+	return complex(real(bp.fa[k])*inv, -imag(bp.fa[k])*inv) * bp.chirp[k]
 }
 
 // growComplexSlice returns x resized to length n, reusing its backing

@@ -86,8 +86,8 @@ func TestPlanFindPeaksMatches(t *testing.T) {
 	pl := NewPlan()
 	params := []PeakParams{
 		DefaultPeakParams(),
-		{Threshold: 2, Sharpness: 1, ExcessSigma: 5, SharpRadius: 16, MaxFreq: 1.2e6},
-		{Threshold: 3, MinSeparation: 2, Sharpness: 3, MinRelToStrongest: 0.1},
+		{Threshold: 2, Sharpness: 1, ExcessSigma: 5, SharpRadius: 16},
+		{Threshold: 3, Sharpness: 3, SharpRadius: 8},
 	}
 	for trial := 0; trial < 6; trial++ {
 		x := randSignal(rng, 2048, 1+trial%5)
@@ -139,20 +139,19 @@ func TestPlanNoiseFloorMatches(t *testing.T) {
 func TestPlanClassifyBinMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pl := NewPlan()
-	p := DefaultOccupancyParams()
 	for trial := 0; trial < 8; trial++ {
 		x := randSignal(rng, 2048, 1+trial%3)
 		freq := (0.02 + 0.1*rng.Float64()) * 4e6
-		want := ClassifyBin(x, 4e6, freq, p)
-		got := pl.ClassifyBin(x, 4e6, freq, p)
+		want := ClassifyBin(x, 4e6, freq)
+		got := pl.ClassifyBin(x, 4e6, freq)
 		if got != want {
 			t.Errorf("trial %d freq %.0f: pooled %v, oracle %v", trial, freq, got, want)
 		}
 	}
 	x := randSignal(rng, 2048, 2)
-	pl.ClassifyBin(x, 4e6, 3e5, p)
+	pl.ClassifyBin(x, 4e6, 3e5)
 	allocs := testing.AllocsPerRun(20, func() {
-		pl.ClassifyBin(x, 4e6, 3e5, p)
+		pl.ClassifyBin(x, 4e6, 3e5)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state ClassifyBin allocates %.1f objects/op, want 0", allocs)

@@ -115,8 +115,8 @@ func (b *ProbeBank) Load(x []complex128) {
 // measures the same windows at reference frequencies offset by integer
 // multiples of the window bin width (where a tone at freqHz has exactly
 // zero Dirichlet leakage), takes the median as the interference floor
-// W, and requires magnitude changes to exceed KMag·W and consistency
-// residuals to exceed KCons·W/m₀ before declaring the bin
+// W, and requires magnitude changes to exceed occKMag·W and consistency
+// residuals to exceed occKCons·W/m₀ before declaring the bin
 // multi-occupied.
 //
 // On the de-rotated capture the three window measurements are plain
@@ -125,18 +125,17 @@ func (b *ProbeBank) Load(x []complex128) {
 // probe frequency itself accrues between window starts is already
 // removed: ρᵢ = Sᵢ/S₀ carries only the residual (true minus probe)
 // rotation. The reference probes are DFT bins ±2…±5 of each window.
-func (b *ProbeBank) Occupancy(p OccupancyParams) Occupancy {
+func (b *ProbeBank) Occupancy() Occupancy {
 	n := len(b.y)
 	if n == 0 {
 		return OccupancySingle
 	}
-	p.setDefaults()
-	winLen := int(float64(n) * p.WindowFrac)
+	winLen := int(float64(n) * OccupancyWindowFrac)
 	if winLen < 4 {
 		winLen = n
 	}
 	starts := [3]int{0}
-	for i, frac := range p.Shifts {
+	for i, frac := range occShifts {
 		start := int(float64(n) * frac)
 		if start+winLen > n {
 			start = n - winLen
@@ -178,8 +177,8 @@ func (b *ProbeBank) Occupancy(p OccupancyParams) Occupancy {
 	}
 	w := medianFloat(refs)
 
-	magGate := p.RelTolerance * m[0]
-	if g := p.KMag * w; g > magGate {
+	magGate := occRelTolerance * m[0]
+	if g := occKMag * w; g > magGate {
 		magGate = g
 	}
 	for i := 1; i < 3; i++ {
@@ -188,8 +187,8 @@ func (b *ProbeBank) Occupancy(p OccupancyParams) Occupancy {
 		}
 	}
 
-	consGate := p.ConsistencyTol
-	if g := p.KCons * w / m[0]; g > consGate {
+	consGate := occConsistencyTol
+	if g := occKCons * w / m[0]; g > consGate {
 		consGate = g
 	}
 	rho1, rho2 := r[1]/r[0], r[2]/r[0]

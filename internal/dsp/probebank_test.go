@@ -14,20 +14,19 @@ import (
 // reference frequencies × 3 windows), the expected rotation of the
 // probe frequency divided out of ρ by hand. It returns the verdict and
 // the reference magnitudes it took the floor from.
-func classifyBinOracle(samples []complex128, sampleRate, freqHz float64, p OccupancyParams) (Occupancy, []float64) {
+func classifyBinOracle(samples []complex128, sampleRate, freqHz float64) (Occupancy, []float64) {
 	n := len(samples)
 	if n == 0 {
 		return OccupancySingle, nil
 	}
-	p.setDefaults()
-	winLen := int(float64(n) * p.WindowFrac)
+	winLen := int(float64(n) * OccupancyWindowFrac)
 	if winLen < 4 {
 		winLen = n
 	}
 	fNorm := freqHz / sampleRate
 
 	starts := [3]int{0}
-	for i, frac := range p.Shifts {
+	for i, frac := range occShifts {
 		start := int(float64(n) * frac)
 		if start+winLen > n {
 			start = n - winLen
@@ -63,8 +62,8 @@ func classifyBinOracle(samples []complex128, sampleRate, freqHz float64, p Occup
 	}
 	w := medianFloat(append([]float64(nil), refs...))
 
-	magGate := p.RelTolerance * m[0]
-	if g := p.KMag * w; g > magGate {
+	magGate := occRelTolerance * m[0]
+	if g := occKMag * w; g > magGate {
 		magGate = g
 	}
 	for i := 1; i < 3; i++ {
@@ -73,8 +72,8 @@ func classifyBinOracle(samples []complex128, sampleRate, freqHz float64, p Occup
 		}
 	}
 
-	consGate := p.ConsistencyTol
-	if g := p.KCons * w / m[0]; g > consGate {
+	consGate := occConsistencyTol
+	if g := occKCons * w / m[0]; g > consGate {
 		consGate = g
 	}
 	var rho [2]complex128
@@ -89,17 +88,21 @@ func classifyBinOracle(samples []complex128, sampleRate, freqHz float64, p Occup
 }
 
 // bankCase is one capture shape and probe frequency of the oracle
-// sweep.
+// sweep. windowFrac sizes the windows TestProbeBankMatchesGoertzel reads
+// through nearBins; the occupancy test's window is OccupancyWindowFrac,
+// so its oracle sweep takes only the cases at that fraction.
 type bankCase struct {
 	n          int
 	windowFrac float64
 	freq       float64 // Hz, at 4 MHz
 }
 
-// bankCases covers window lengths four divides (512, 128) and does not
-// (511, 250, 6), a full-length window, captures below Goertzel's
-// 16-sample grouped path, and probe frequencies within five window bins
-// of 0 and of the sample rate, where reference probes drop out.
+// bankCases covers window lengths four divides (512, 128, 1024) and does
+// not (511, 250, 614, 6), a full-length window (a set fraction of 1, and
+// what the occupancy test falls back to below 16 samples), captures below
+// Goertzel's 16-sample grouped path, and probe frequencies within five
+// window bins of 0 and of the sample rate, where reference probes drop
+// out.
 func bankCases(rng *rand.Rand) []bankCase {
 	const fs = 4e6
 	var cases []bankCase
@@ -107,8 +110,8 @@ func bankCases(rng *rand.Rand) []bankCase {
 		n    int
 		frac float64
 	}{
-		{2048, 0.25}, {2047, 0.25}, {1000, 0.25}, {512, 0.25}, {2048, 0.3}, {2048, 0.5},
-		{2048, 1}, {12, 0.5}, {15, 0.3}, {9, 0.25},
+		{2048, 0.25}, {2047, 0.25}, {1000, 0.25}, {512, 0.25}, {2456, 0.25}, {4096, 0.25},
+		{2048, 0.3}, {2048, 0.5}, {2048, 1}, {12, 0.5}, {15, 0.3}, {9, 0.25}, {12, 0.25},
 	} {
 		winBin := fs / (float64(shape.n) * shape.frac)
 		freqs := []float64{
@@ -194,17 +197,18 @@ func TestProbeBankOccupancyMatchesOracle(t *testing.T) {
 	dropped := 0
 	for round := 0; round < 4; round++ {
 		for _, tc := range bankCases(rng) {
+			if tc.windowFrac != OccupancyWindowFrac {
+				continue // a nearBins shape; the test's window is fixed
+			}
 			x := bankSignal(rng, tc.n, tc.freq)
 			var l1 float64
 			for _, v := range x {
 				l1 += cmplx.Abs(v)
 			}
-			p := DefaultOccupancyParams()
-			p.WindowFrac = tc.windowFrac
-			want, wantRefs := classifyBinOracle(x, fs, tc.freq, p)
+			want, wantRefs := classifyBinOracle(x, fs, tc.freq)
 			b.Tune(fs, tc.freq, tc.n)
 			b.Load(x)
-			got := b.Occupancy(p)
+			got := b.Occupancy()
 			verdicts[got]++
 			if got != want {
 				t.Errorf("%+v: bank %v, oracle %v", tc, got, want)
@@ -242,9 +246,8 @@ func TestProbeBankOccupancyMatchesOracle(t *testing.T) {
 // empty capture.
 func TestProbeBankRetune(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	p := DefaultOccupancyParams()
 	var reused ProbeBank
-	if got := reused.Occupancy(p); got != OccupancySingle {
+	if got := reused.Occupancy(); got != OccupancySingle {
 		t.Errorf("zero bank classified as %v", got)
 	}
 	for _, n := range []int{2048, 600, 2048, 1000} {
@@ -253,14 +256,14 @@ func TestProbeBankRetune(t *testing.T) {
 		var fresh ProbeBank
 		fresh.Tune(4e6, freq, n)
 		reused.Tune(4e6, freq, n)
-		if got := reused.Occupancy(p); got != OccupancySingle {
+		if got := reused.Occupancy(); got != OccupancySingle {
 			t.Errorf("n=%d: tuned but unloaded bank classified as %v", n, got)
 		}
 		fresh.Load(x)
 		reused.Load(x)
 		fc, fs := fresh.Shoulder()
 		rc, rs := reused.Shoulder()
-		if fresh.Occupancy(p) != reused.Occupancy(p) || fc != rc || fs != rs {
+		if fresh.Occupancy() != reused.Occupancy() || fc != rc || fs != rs {
 			t.Errorf("n=%d: reused bank diverges from a fresh one", n)
 		}
 	}
@@ -272,13 +275,12 @@ func TestProbeBankRetune(t *testing.T) {
 func TestProbeBankSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	xs := [][]complex128{randSignal(rng, 2048, 2), randSignal(rng, 1000, 2)}
-	p := DefaultOccupancyParams()
 	var b ProbeBank
 	run := func() {
 		for _, x := range xs {
 			b.Tune(4e6, 3e5, len(x))
 			b.Load(x)
-			b.Occupancy(p)
+			b.Occupancy()
 			b.Shoulder()
 		}
 	}
@@ -350,17 +352,16 @@ func TestSelectFloat(t *testing.T) {
 func BenchmarkClassifyBin(b *testing.B) {
 	rng := rand.New(rand.NewSource(76))
 	x := randSignal(rng, 2048, 3)
-	p := DefaultOccupancyParams()
 	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			classifyBinOracle(x, 4e6, 3e5, p)
+			classifyBinOracle(x, 4e6, 3e5)
 		}
 	})
 	b.Run("bank", func(b *testing.B) {
 		pl := NewPlan()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pl.ClassifyBin(x, 4e6, 3e5, p)
+			pl.ClassifyBin(x, 4e6, 3e5)
 		}
 	})
 	b.Run("bank-tuned", func(b *testing.B) {
@@ -369,7 +370,7 @@ func BenchmarkClassifyBin(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			bank.Load(x)
-			bank.Occupancy(p)
+			bank.Occupancy()
 		}
 	})
 }

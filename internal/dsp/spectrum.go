@@ -107,64 +107,59 @@ type Peak struct {
 	Mag  float64    // |Val|
 }
 
-// PeakParams tunes FindPeaks.
+// PeakParams is what differs between FindPeaks's callers: the strict
+// and relaxed sweeps of one capture and the sweep of a spectrum averaged
+// over several queries (internal/core). What no caller varies is a
+// constant below.
 type PeakParams struct {
 	// Threshold is the multiple of the noise floor a local maximum must
 	// exceed to count as a peak. The floor is the median bin magnitude,
 	// which in a collision tracks the aggregate OOK data spectrum, so
 	// the threshold self-scales with the number of colliders.
 	Threshold float64
-	// MinSeparation is the minimum number of bins between two reported
-	// peaks; within a conflict the larger magnitude wins.
-	MinSeparation int
-	// MaxFreq, if positive, limits the search to bins with center
-	// frequency in [0, MaxFreq]. Caraoke uses the 1.2 MHz CFO span.
-	MaxFreq float64
 	// Sharpness requires a peak to exceed the *median* of its nearby
-	// bins (between SharpGuard and SharpRadius bins away on each side)
+	// bins (between sharpGuard and SharpRadius bins away on each side)
 	// by this factor. A transponder's carrier spike is one bin wide,
 	// while the humps of its OOK data spectrum are broad; sharpness
 	// separates the two at any collision size. The neighborhood median
 	// (not mean) keeps a strong spike from masking a weak one nearby.
+	// Exactly 1 turns the ratio test off, for ExcessSigma to select.
 	Sharpness   float64
-	SharpGuard  int // bins adjacent to the peak excluded from the test
 	SharpRadius int // outer extent of the neighborhood
-	// MinRelToStrongest drops peaks below this fraction of the
-	// strongest surviving peak. A transponder's own data spectrum has
-	// realization-specific components reaching ~√N·(tail)/(N/2) ≈ 13 %
-	// of its carrier spike; within a reader's ~100-foot range the
-	// spread of genuine carrier amplitudes is bounded well above that,
-	// so the gate removes data ghosts without losing real devices.
-	// Zero disables the gate.
-	MinRelToStrongest float64
 	// ExcessSigma, when positive, requires a peak's magnitude to
 	// exceed its local median by this many local MADs (median absolute
 	// deviations). On spectra averaged over several queries the
 	// floor's variance shrinks with the number of averages while a
 	// carrier's excess does not, making this the most sensitive
-	// detector for weak spikes riding a high collision floor. Set
-	// Sharpness to exactly 1 to disable the ratio test when
-	// ExcessSigma carries the selectivity.
+	// detector for weak spikes riding a high collision floor.
 	ExcessSigma float64
 }
 
-// DefaultPeakParams are the parameters used by the Caraoke counting and
-// localization pipelines. The global threshold self-scales with the
-// aggregate data floor (median bin), and the sharpness ratio is set
-// just above the reach of Rayleigh-tail fluctuations of the colored OOK
-// data spectrum (P(bin > 4× local median) ≈ e⁻¹¹ per bin), so data
-// humps essentially never register while carrier spikes — √N ≈ 45×
-// above the per-bin data level for a lone transponder — always do.
+const (
+	// maxPeakFreq limits the search to bins with center frequency in
+	// [0, maxPeakFreq]: the 1.2 MHz CFO span above the reader LO.
+	maxPeakFreq = 1.2e6
+	// sharpGuard is the number of bins adjacent to a peak excluded from
+	// its sharpness neighborhood.
+	sharpGuard = 2
+	// minRelToStrongest drops peaks below this fraction of the
+	// strongest surviving peak. A transponder's own data spectrum has
+	// realization-specific components reaching ~√N·(tail)/(N/2) ≈ 13 %
+	// of its carrier spike; within a reader's ~100-foot range the
+	// spread of genuine carrier amplitudes is bounded well above that,
+	// so the gate removes data ghosts without losing real devices.
+	minRelToStrongest = 0.2
+)
+
+// DefaultPeakParams is the strict single-capture setting. The global
+// threshold self-scales with the aggregate data floor (median bin), and
+// the sharpness ratio is set just above the reach of Rayleigh-tail
+// fluctuations of the colored OOK data spectrum (P(bin > 4× local
+// median) ≈ e⁻¹¹ per bin), so data humps essentially never register
+// while carrier spikes — √N ≈ 45× above the per-bin data level for a
+// lone transponder — always do.
 func DefaultPeakParams() PeakParams {
-	return PeakParams{
-		Threshold:         4,
-		MinSeparation:     1,
-		MaxFreq:           1.2e6,
-		Sharpness:         4,
-		SharpGuard:        2,
-		SharpRadius:       10,
-		MinRelToStrongest: 0.2,
-	}
+	return PeakParams{Threshold: 4, Sharpness: 4, SharpRadius: 10}
 }
 
 // FindPeaks locates one-bin-wide local maxima that stand above both the

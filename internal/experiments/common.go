@@ -11,10 +11,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"caraoke/internal/core"
 	"caraoke/internal/geom"
-	"caraoke/internal/phy"
-	"caraoke/internal/rfsim"
+	"caraoke/internal/reader"
 	"caraoke/internal/transponder"
 )
 
@@ -61,38 +59,29 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// scene is the shared experimental fixture: a triangle-array reader on
-// a pole beside a road.
+// scene is the shared experimental fixture: a reader on a pole beside a
+// road, and the one random stream its devices and captures draw from.
 type scene struct {
-	params  core.Params
-	capture rfsim.CaptureConfig
-	array   rfsim.Array
-	rng     *rand.Rand
+	rd  *reader.Reader
+	rng *rand.Rand
 }
 
 func newScene(seed int64) (*scene, error) {
-	params := core.DefaultParams()
-	arr, err := rfsim.TriangleOnPole(geom.V(0, -5, 0), 3.8, geom.V(1, 0, 0), 60, params.Wavelength/2)
+	rd, err := reader.New(reader.Config{
+		ID: 1, PoleBase: geom.V(0, -5, 0), PoleHeight: 3.8,
+		RoadDir: geom.V(1, 0, 0), TiltDeg: 60, NoiseSigma: 2e-6,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &scene{
-		params: params,
-		capture: rfsim.CaptureConfig{
-			SampleRate: params.SampleRate,
-			NumSamples: phy.SamplesPerResponse(params.SampleRate),
-			Wavelength: params.Wavelength,
-			NoiseSigma: 2e-6,
-		},
-		array: arr,
-		rng:   rand.New(rand.NewSource(seed)),
-	}, nil
+	return &scene{rd: rd, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
 // ringDevices places m population-sampled transponders on a ring of
 // comparable distances around the pole — the amplitude regime of the
 // paper's Fig 11 methodology (individually collected signals summed in
-// post-processing).
+// post-processing). All of them are inside the reader's trigger range,
+// so rd.Query collides every one.
 func (s *scene) ringDevices(m int, firstSerial uint64) []*transponder.Device {
 	devs := transponder.NewPopulation(transponder.DefaultPopulationParams(), m, firstSerial, s.rng)
 	for _, d := range devs {
@@ -101,32 +90,6 @@ func (s *scene) ringDevices(m int, firstSerial uint64) []*transponder.Device {
 		d.Pos = geom.V(rad*math.Cos(ang), -5+rad*math.Sin(ang), 0)
 	}
 	return devs
-}
-
-// collide synthesizes one query's collision capture.
-func (s *scene) collide(devs []*transponder.Device) (*rfsim.MultiCapture, error) {
-	txs := make([]rfsim.Transmission, 0, len(devs))
-	for _, d := range devs {
-		tx, err := d.Reply(s.params.ReaderLO, s.params.SampleRate, 0, s.rng)
-		if err != nil {
-			return nil, err
-		}
-		txs = append(txs, tx)
-	}
-	return rfsim.Capture(s.capture, s.array, txs, s.rng)
-}
-
-// collideQueries synthesizes k successive queries.
-func (s *scene) collideQueries(devs []*transponder.Device, k int) ([]*rfsim.MultiCapture, error) {
-	mcs := make([]*rfsim.MultiCapture, 0, k)
-	for q := 0; q < k; q++ {
-		mc, err := s.collide(devs)
-		if err != nil {
-			return nil, err
-		}
-		mcs = append(mcs, mc)
-	}
-	return mcs, nil
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -85,20 +85,32 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	r, err := RunFig11(4, []int{5, 20, 45}, 6)
+	r, err := RunFig11(4, []int{5, 20, 40, 45}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Accuracy[0] < 0.95 {
-		t.Errorf("accuracy at m=5 is %.3f, want ≥0.95", r.Accuracy[0])
+	// Floors on the ring, pinned with margin under what this seed reads
+	// (1.000, 0.967, 0.900 at m = 5, 20, 40; seeds 5 and 6 read within
+	// 0.07 of that). The paper claims over 99 % below 40: the gap at 40
+	// is ROADMAP item 1, and these floors keep it from widening unseen.
+	for i, floor := range []float64{0.95, 0.90, 0.80} {
+		if r.Accuracy[i] < floor {
+			t.Errorf("accuracy at m=%d is %.3f, want ≥%.2f", r.M[i], r.Accuracy[i], floor)
+		}
 	}
-	if r.Accuracy[2] > r.Accuracy[0] {
-		t.Errorf("accuracy should degrade with m: %.3f at 5 vs %.3f at 45", r.Accuracy[0], r.Accuracy[2])
+	if r.Accuracy[3] > r.Accuracy[0] {
+		t.Errorf("accuracy should degrade with m: %.3f at 5 vs %.3f at 45", r.Accuracy[0], r.Accuracy[3])
 	}
 	// Multi-query generally beats single-query at high m; allow
 	// sampling noise at this Monte-Carlo depth.
-	if r.Accuracy[2] < r.AccuracySingle[2]-0.08 {
-		t.Errorf("multi-query (%.3f) far worse than single (%.3f) at m=45", r.Accuracy[2], r.AccuracySingle[2])
+	if r.Accuracy[3] < r.AccuracySingle[3]-0.08 {
+		t.Errorf("multi-query (%.3f) far worse than single (%.3f) at m=45", r.Accuracy[3], r.AccuracySingle[3])
+	}
+	// The table's note names the m where the ablation wins (45 here)
+	// instead of claiming it never does.
+	notes := strings.Join(r.Table().Notes, "\n")
+	if strings.Contains(notes, "everywhere") || !strings.Contains(notes, "single-query beats multi-query at m = 45") {
+		t.Errorf("Fig 11 note does not follow its rows: %q", notes)
 	}
 }
 

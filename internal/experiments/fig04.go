@@ -30,13 +30,13 @@ func RunFig04(seed int64) (*Fig04Result, error) {
 	devs := s.ringDevices(5, 100)
 	res := &Fig04Result{}
 	for _, d := range devs {
-		res.TrueCFOs = append(res.TrueCFOs, d.CFO(s.params.ReaderLO))
+		res.TrueCFOs = append(res.TrueCFOs, d.CFO(s.rd.Params.ReaderLO))
 	}
-	mc, err := s.collide(devs)
+	mc, err := s.rd.Query(devs, s.rng)
 	if err != nil {
 		return nil, err
 	}
-	spec := dsp.NewSpectrum(mc.Antennas[0], s.params.SampleRate)
+	spec := dsp.NewSpectrum(mc.Antennas[0], s.rd.Params.SampleRate)
 	maxP := 0.0
 	limit := spec.FreqBin(1.2e6)
 	for k := 0; k <= limit; k++ {
@@ -48,7 +48,7 @@ func RunFig04(seed int64) (*Fig04Result, error) {
 		res.SpectrumFreqs = append(res.SpectrumFreqs, spec.BinFreq(k))
 		res.SpectrumPower = append(res.SpectrumPower, spec.Power(k)/maxP)
 	}
-	spikes, err := core.AnalyzeCapture(mc, s.params)
+	spikes, err := core.AnalyzeCapture(mc, s.rd.Params)
 	if err != nil {
 		return nil, err
 	}

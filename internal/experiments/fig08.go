@@ -27,16 +27,16 @@ func RunFig08(seed int64, maxN int) (*Fig08Result, error) {
 	}
 	devs := s.ringDevices(5, 800)
 	// Ground-truth envelope of the target (device 0).
-	mc0, err := s.collide(devs)
+	mc0, err := s.rd.Query(devs, s.rng)
 	if err != nil {
 		return nil, err
 	}
-	spikes, err := core.AnalyzeCapture(mc0, s.params)
+	spikes, err := core.AnalyzeCapture(mc0, s.rd.Params)
 	if err != nil {
 		return nil, err
 	}
 	// Match the target's spike by CFO.
-	targetCFO := devs[0].CFO(s.params.ReaderLO)
+	targetCFO := devs[0].CFO(s.rd.Params.ReaderLO)
 	var freq float64
 	found := false
 	for _, sp := range spikes {
@@ -46,19 +46,19 @@ func RunFig08(seed int64, maxN int) (*Fig08Result, error) {
 		}
 	}
 	if !found {
-		freq = dsp.RefineFreq(mc0.Antennas[0], s.params.SampleRate, dsp.Peak{Freq: targetCFO})
+		freq = dsp.RefineFreq(mc0.Antennas[0], s.rd.Params.SampleRate, dsp.Peak{Freq: targetCFO})
 	}
-	env, err := devs[0].Reply(s.params.ReaderLO, s.params.SampleRate, 0, s.rng)
+	env, err := devs[0].Reply(s.rd.Params.ReaderLO, s.rd.Params.SampleRate, 0, s.rng)
 	if err != nil {
 		return nil, err
 	}
 	truth := env.Envelope
 
-	dec := core.NewDecoder(s.params.SampleRate, freq)
+	dec := core.NewDecoder(s.rd.Params.SampleRate, freq)
 	res := &Fig08Result{}
 	sum := make([]float64, len(truth))
 	for n := 1; n <= maxN; n++ {
-		mc, err := s.collide(devs)
+		mc, err := s.rd.Query(devs, s.rng)
 		if err != nil {
 			return nil, err
 		}
@@ -69,10 +69,10 @@ func RunFig08(seed int64, maxN int) (*Fig08Result, error) {
 		// SINR: project the accumulated real envelope onto the truth.
 		// The decoder's internal state is private; recompute the
 		// combination here for measurement purposes.
-		spike := dsp.Goertzel(mc.Antennas[0], freq/s.params.SampleRate)
+		spike := dsp.Goertzel(mc.Antennas[0], freq/s.rd.Params.SampleRate)
 		h := spike * complex(2/float64(len(truth)), 0)
 		w := complex(1, 0)
-		rot := complexExp(-2 * math.Pi * freq / s.params.SampleRate)
+		rot := complexExp(-2 * math.Pi * freq / s.rd.Params.SampleRate)
 		inv := 1 / h
 		for i, v := range mc.Antennas[0] {
 			sum[i] += real(v * w * inv)

@@ -36,7 +36,7 @@ func RunFig13(seed int64, runsPerSpot int) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	noTilt, err := rfsim.TriangleOnPole(geom.V(0, -5, 0), 3.8, geom.V(1, 0, 0), 0, s.params.Wavelength/2)
+	noTilt, err := rfsim.TriangleOnPole(geom.V(0, -5, 0), 3.8, geom.V(1, 0, 0), 0, s.rd.Params.Wavelength/2)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func RunFig13(seed int64, runsPerSpot int) (*Fig13Result, error) {
 				arr  rfsim.Array
 				dst  *[]float64
 				tilt bool
-			}{{s.array, &errs, true}, {noTilt, &errsNoTilt, false}} {
+			}{{s.rd.Array, &errs, true}, {noTilt, &errsNoTilt, false}} {
 				errDeg, err := measureAoAError(s, arrCase.arr, devs, target)
 				if err != nil {
 					continue // peak lost under collision; skip the run
@@ -87,26 +87,26 @@ func RunFig13(seed int64, runsPerSpot int) (*Fig13Result, error) {
 func measureAoAError(s *scene, arr rfsim.Array, devs []*transponder.Device, target *transponder.Device) (float64, error) {
 	txs := make([]rfsim.Transmission, 0, len(devs))
 	for _, d := range devs {
-		tx, err := d.Reply(s.params.ReaderLO, s.params.SampleRate, 0, s.rng)
+		tx, err := d.Reply(s.rd.Params.ReaderLO, s.rd.Params.SampleRate, 0, s.rng)
 		if err != nil {
 			return 0, err
 		}
 		txs = append(txs, tx)
 	}
-	mc, err := rfsim.Capture(s.capture, arr, txs, s.rng)
+	mc, err := rfsim.Capture(s.rd.Capture, arr, txs, s.rng)
 	if err != nil {
 		return 0, err
 	}
-	spikes, err := core.AnalyzeCapture(mc, s.params)
+	spikes, err := core.AnalyzeCapture(mc, s.rd.Params)
 	if err != nil {
 		return 0, err
 	}
-	cfo := target.CFO(s.params.ReaderLO)
+	cfo := target.CFO(s.rd.Params.ReaderLO)
 	for _, sp := range spikes {
 		if abs(sp.Freq-cfo) > 3000 {
 			continue
 		}
-		aoa, err := core.EstimateAoA(sp, arr, s.params.Wavelength)
+		aoa, err := core.EstimateAoA(sp, arr, s.rd.Params.Wavelength)
 		if err != nil {
 			return 0, err
 		}

@@ -33,7 +33,7 @@ func RunFig14(seed int64, runs int) (*Fig14Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lambda := s.params.Wavelength
+	lambda := s.rd.Params.Wavelength
 	center := geom.V(0, 0, 4)
 	aperture := music.CircularAperture(center, 0.7, 72)
 	res := &Fig14Result{Runs: runs}

@@ -40,12 +40,8 @@ func RunFig15(seed int64, speedsMPH []float64, runs int) (*Fig15Result, error) {
 			c1 := clock.New(time.Duration(rng.Intn(400)-200)*time.Millisecond, 25, base)
 			c2 := clock.New(time.Duration(rng.Intn(400)-200)*time.Millisecond, 25, base)
 			for i := 0; i < 3; i++ {
-				if _, err := clock.Sync(c1, base.Add(time.Duration(i)*time.Minute), clock.DefaultSyncParams(), rng); err != nil {
-					return nil, err
-				}
-				if _, err := clock.Sync(c2, base.Add(time.Duration(i)*time.Minute), clock.DefaultSyncParams(), rng); err != nil {
-					return nil, err
-				}
+				clock.Sync(c1, base.Add(time.Duration(i)*time.Minute), rng)
+				clock.Sync(c2, base.Add(time.Duration(i)*time.Minute), rng)
 			}
 			// The car passes pole 1 at t0 and pole 2 sep/v later; each
 			// pole localizes with a bounded along-road error.

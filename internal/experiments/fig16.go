@@ -39,15 +39,15 @@ func RunFig16(seed int64, ms []int, runs, maxQueries int) (*Fig16Result, error) 
 			serial += uint64(m)
 			target := devs[s.rng.Intn(m)]
 			// Locate the target's spike from an initial collision.
-			mc, err := s.collide(devs)
+			mc, err := s.rd.Query(devs, s.rng)
 			if err != nil {
 				return nil, err
 			}
-			spikes, err := core.AnalyzeCapture(mc, s.params)
+			spikes, err := core.AnalyzeCapture(mc, s.rd.Params)
 			if err != nil {
 				return nil, err
 			}
-			cfo := target.CFO(s.params.ReaderLO)
+			cfo := target.CFO(s.rd.Params.ReaderLO)
 			freq := cfo
 			for _, sp := range spikes {
 				if abs(sp.Freq-cfo) < 3000 {
@@ -56,13 +56,13 @@ func RunFig16(seed int64, ms []int, runs, maxQueries int) (*Fig16Result, error) 
 				}
 			}
 			src := func() ([]complex128, error) {
-				c, err := s.collide(devs)
+				c, err := s.rd.Query(devs, s.rng)
 				if err != nil {
 					return nil, err
 				}
 				return c.Antennas[0], nil
 			}
-			dr, err := core.DecodeCollision(src, s.params.SampleRate, freq, maxQueries)
+			dr, err := core.DecodeCollision(src, s.rd.Params.SampleRate, freq, maxQueries)
 			if err != nil {
 				res.Failures++
 				continue

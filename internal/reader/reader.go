@@ -47,7 +47,6 @@ type Config struct {
 	RoadDir    geom.Vec3 // along-street direction
 	TiltDeg    float64   // antenna-plane tilt (paper: 60°)
 	NoiseSigma float64   // receiver noise, linear amplitude per sample
-	ADCBits    int       // 12 in the prototype; 0 disables quantization
 	Workers    int       // DSP worker-pool size; ≤ 1 runs serial
 }
 
@@ -68,7 +67,6 @@ func New(cfg Config) (*Reader, error) {
 			NumSamples: phy.SamplesPerResponse(params.SampleRate),
 			Wavelength: params.Wavelength,
 			NoiseSigma: cfg.NoiseSigma,
-			ADCBits:    cfg.ADCBits,
 		},
 		QueryAmplitude: 1.0,
 		Workers:        cfg.Workers,

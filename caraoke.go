@@ -23,7 +23,6 @@
 package caraoke
 
 import (
-	"math"
 	"math/rand"
 
 	"caraoke/internal/core"
@@ -118,24 +117,4 @@ func Decode(src core.CaptureSource, p Params, targetFreq float64, maxQueries int
 // EstimateSpeed computes a car's speed from two sightings (§7).
 func EstimateSpeed(a, b Observation) (core.SpeedEstimate, error) {
 	return core.EstimateSpeed(a, b)
-}
-
-// CollisionCapture synthesizes one collision capture of m ring-placed
-// transponders around a default reader — a convenient fixture for
-// benchmarks and quick starts.
-func CollisionCapture(seed int64, m int) (*MultiCapture, error) {
-	rng := rand.New(rand.NewSource(seed))
-	r, err := NewReader(ReaderConfig{
-		ID: 1, PoleBase: V(0, -5, 0), PoleHeight: 3.8,
-		RoadDir: V(1, 0, 0), TiltDeg: 60, NoiseSigma: 2e-6,
-	})
-	if err != nil {
-		return nil, err
-	}
-	devs := transponder.NewPopulation(transponder.DefaultPopulationParams(), m, 100, rng)
-	for i, d := range devs {
-		ang := 2 * math.Pi * float64(i) / float64(m)
-		d.Pos = V(15*math.Cos(ang), -5+15*math.Sin(ang), 0)
-	}
-	return r.Query(devs, rng)
 }

@@ -1,12 +1,31 @@
 package caraoke
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
+func testReader(t *testing.T) *Reader {
+	t.Helper()
+	r, err := NewReader(ReaderConfig{
+		ID: 1, PoleBase: V(0, -5, 0), PoleHeight: 3.8,
+		RoadDir: V(1, 0, 0), TiltDeg: 60, NoiseSigma: 2e-6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestFacadeCountAndAnalyze(t *testing.T) {
-	mc, err := CollisionCapture(5, 5)
+	// Five transponders on a 15 m ring around the pole, one collision.
+	devs := NewTransponders(5, 5)
+	for i, d := range devs {
+		ang := 2 * math.Pi * float64(i) / float64(len(devs))
+		d.Pos = V(15*math.Cos(ang), -5+15*math.Sin(ang), 0)
+	}
+	mc, err := testReader(t).Query(devs, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +57,7 @@ func TestFacadeCountAndAnalyze(t *testing.T) {
 func TestFacadeEndToEndDecode(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(6))
-	r, err := NewReader(ReaderConfig{
-		ID: 1, PoleBase: V(0, -5, 0), PoleHeight: 3.8,
-		RoadDir: V(1, 0, 0), TiltDeg: 60, NoiseSigma: 2e-6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testReader(t)
 	devs := NewTransponders(3, 6)
 	for i, d := range devs {
 		d.Pos = V(8+5*float64(i), -2, 0)

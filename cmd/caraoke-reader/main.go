@@ -53,8 +53,10 @@ func main() {
 				log.Printf("measure: %v", err)
 				continue
 			}
+			// Send redials a lost collector itself; an error means the
+			// retry budget is spent and reports are being dropped.
 			if err := up.Send(rd.Report(res, time.Now())); err != nil {
-				log.Fatalf("uplink: %v", err)
+				log.Fatalf("uplink: %v; %+v", err, up.Stats())
 			}
 		case <-stop:
 			return

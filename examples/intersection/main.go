@@ -53,6 +53,7 @@ func main() {
 	warm := cfg.Timing.Cycle()
 	span := warm + 2*cfg.Timing.Cycle()
 	next := warm
+	var sent uint32 // Seq of the last report uplinked
 	for ix.Now() < span {
 		ix.Step(100 * time.Millisecond)
 		if ix.Now() < next {
@@ -69,13 +70,16 @@ func main() {
 		if err := up.Send(rep); err != nil {
 			log.Fatal(err)
 		}
+		sent = rep.Seq
 		_, pC := cfg.Timing.PhaseAt(ix.Now())
 		fmt.Printf("%4.0f  %-6s %4d  %7d\n", (ix.Now() - warm).Seconds(), pC, truth, res.Count)
 	}
 
-	// Give the TCP ingest a moment, then read the series back from the
+	// Once the last report is ingested, read the series back from the
 	// collector like a city dashboard would.
-	time.Sleep(100 * time.Millisecond)
+	if err := store.WaitHighWater(map[uint32]uint32{7: sent}, 5*time.Second); err != nil {
+		log.Fatal(err)
+	}
 	ts, counts := store.CountSeries(7, base, base.Add(span))
 	peak, total := 0, 0
 	for _, c := range counts {

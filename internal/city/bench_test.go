@@ -55,7 +55,7 @@ func dutyCycleDwell(seed int64, max time.Duration) func(uint32, int) time.Durati
 func BenchmarkCityThroughput(b *testing.B) {
 	base := Config{
 		Readers: 64, Vehicles: 10000, Duration: 3 * time.Second,
-		Seed: 1, Queries: 3, DecodeEvery: -1, Batch: 4,
+		Seed: 1, DecodeEvery: -1, Batch: 4,
 	}
 	b.Run("lockstep", func(b *testing.B) {
 		cfg := base
@@ -76,7 +76,7 @@ func BenchmarkCityThroughput(b *testing.B) {
 func BenchmarkCityDutyCycled(b *testing.B) {
 	base := Config{
 		Readers: 64, Vehicles: 1000, Duration: 24 * time.Second,
-		Seed: 1, Queries: 3, DecodeEvery: -1, Batch: 4,
+		Seed: 1, DecodeEvery: -1, Batch: 4,
 		measureDelay: dutyCycleDwell(1, 400*time.Millisecond),
 	}
 	b.Run("lockstep", func(b *testing.B) {

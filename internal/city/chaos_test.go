@@ -345,10 +345,9 @@ func TestChaosDegradedUplinkKeepsMeasuring(t *testing.T) {
 }
 
 // TestCleanRunSendErrorAborts is the other half of the degraded-uplink
-// rule: a clean run drains over the lossless barrier, so there any send
-// error — the raw write error of a client without a redial hook, or a
-// retry budget running out — must abort the run loop, and even a chaos
-// run tolerates only the degraded kind.
+// rule: a clean run drains over the lossless barrier, so there a retry
+// budget running out — the one error a client's send returns — must
+// abort the run loop where the reader stands.
 func TestCleanRunSendErrorAborts(t *testing.T) {
 	deadConn := func() (net.Conn, error) {
 		client, server := net.Pipe()
@@ -356,42 +355,22 @@ func TestCleanRunSendErrorAborts(t *testing.T) {
 		return client, nil
 	}
 	cfg := Config{Readers: 1, Vehicles: 4, Duration: 3 * time.Second, Seed: 5, DecodeEvery: -1}
-	chaos := cfg
-	chaos.Chaos = Chaos{Faults: faults.Config{DropRate: 0.1}}
-	cases := []struct {
-		name     string
-		cfg      Config
-		redial   bool
-		degraded bool // the error the run loop must surface
-	}{
-		{"clean/raw write error", cfg, false, false},
-		{"clean/retry budget exhausted", cfg, true, true},
-		{"chaos/raw write error", chaos, false, false},
+	s, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		s, err := NewSim(tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		up, err := collector.DialFunc(deadConn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		up.Retry = collector.RetryPolicy{Attempts: 2, BackoffMin: time.Millisecond, BackoffMax: time.Millisecond}
-		if !tc.redial {
-			up.Redial = nil
-		}
-		epochs := int(tc.cfg.Duration / epochLen)
-		cr := newChaosRun(s.cfg, epochs, []uint32{1})
-		err = s.runPipelined(cr, []*collector.Client{up}, epochs)
-		up.Close()
-		if err == nil {
-			t.Errorf("%s: the run loop swallowed the send error", tc.name)
-		} else if got := errors.Is(err, collector.ErrUplinkDegraded); got != tc.degraded {
-			t.Errorf("%s: run loop returned %v (degraded=%v, want %v)", tc.name, err, got, tc.degraded)
-		}
-		if s.posts[0].reports != 1 {
-			t.Errorf("%s: reader measured %d epochs past a fatal send error, want to stop at 1", tc.name, s.posts[0].reports)
-		}
+	up, err := collector.DialFunc(deadConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.Retry = collector.RetryPolicy{Attempts: 2, BackoffMin: time.Millisecond, BackoffMax: time.Millisecond}
+	epochs := int(cfg.Duration / epochLen)
+	err = s.runPipelined(nil, []*collector.Client{up}, epochs)
+	up.Close()
+	if !errors.Is(err, collector.ErrUplinkDegraded) {
+		t.Errorf("run loop returned %v, want the exhausted retry budget", err)
+	}
+	if s.posts[0].reports != 1 {
+		t.Errorf("reader measured %d epochs past a fatal send error, want to stop at 1", s.posts[0].reports)
 	}
 }

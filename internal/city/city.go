@@ -60,6 +60,10 @@ const (
 	// epochLen is the measurement cadence: every epoch each reader runs
 	// one §10 active window.
 	epochLen = time.Second
+	// windowQueries is the §10 active window: ten queries in 10 ms. The
+	// window detector's gates are calibrated for it — fewer queries
+	// count cars on an empty road (ROADMAP item 1c).
+	windowQueries = 10
 	// blockM is the street-grid spacing in meters.
 	blockM = 200.0
 	// rangeM is the interrogation radius in meters a reader claims
@@ -94,8 +98,6 @@ type Config struct {
 	// Duration is simulated time, in whole one-second epochs (default
 	// 30s).
 	Duration time.Duration
-	// Queries per active window (§10 allows up to 10; default 10).
-	Queries int
 	// Workers is each reader's DSP worker-pool size (default 1 =
 	// serial; results are identical for any value).
 	Workers int
@@ -152,9 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
 	}
-	if c.Queries == 0 {
-		c.Queries = 10
-	}
 	if c.Workers == 0 {
 		c.Workers = 1
 	}
@@ -182,9 +181,6 @@ func (c *Config) validate() error {
 	}
 	if c.Duration < epochLen {
 		return fmt.Errorf("city: duration %v is shorter than one %v epoch", c.Duration, epochLen)
-	}
-	if c.Queries < 1 {
-		return fmt.Errorf("city: queries %d must be positive", c.Queries)
 	}
 	if c.UnequippedFrac < 0 || c.UnequippedFrac > 1 {
 		return fmt.Errorf("city: unequipped fraction %g outside [0,1]", c.UnequippedFrac)
@@ -823,7 +819,7 @@ func (s *Sim) snapshot(p *post, devs []*transponder.Device) ([]*transponder.Devi
 	return out, nil
 }
 
-// measureEpoch runs one reader's epoch: a §10 active window (Queries
+// measureEpoch runs one reader's epoch: a §10 active window (ten
 // back-to-back queries, multi-query analysis, §5 count) and optionally
 // a §8 decode pass over the single-occupancy spikes. Everything it
 // touches — the post's reader, RNG, statistics, and the epoch's device
@@ -834,7 +830,7 @@ func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 			time.Sleep(d)
 		}
 	}
-	res, err := p.rd.Measure(job.devs, s.cfg.Queries, p.rng)
+	res, err := p.rd.Measure(job.devs, windowQueries, p.rng)
 	if err != nil {
 		return nil, fmt.Errorf("city: reader %d: %w", p.rd.ID, err)
 	}

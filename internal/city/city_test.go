@@ -163,8 +163,9 @@ func TestCityRunOutlivesRetention(t *testing.T) {
 	if sum != res.TotalReports {
 		t.Errorf("per-intersection reports sum to %d, want TotalReports %d", sum, res.TotalReports)
 	}
-	if got := res.Store.HighWater(res.PerIntersection[0].Readers[0]); got != 6 {
-		t.Errorf("high-water %d survives trimming, want 6", got)
+	id := res.PerIntersection[0].Readers[0]
+	if err := res.Store.WaitHighWater(map[uint32]uint32{id: 6}, 0); err != nil {
+		t.Errorf("high-water mark did not survive trimming: %v", err)
 	}
 }
 

@@ -98,8 +98,8 @@ func TestPipelinedSkewedReaderMatchesLockstep(t *testing.T) {
 
 	epochs := a.Epochs
 	for id := uint32(1); id <= 3; id++ {
-		if got := a.Store.HighWater(id); got != uint32(epochs) {
-			t.Errorf("reader %d high-water %d, want %d", id, got, epochs)
+		if got := a.Store.Latest(id).Seq; got != uint32(epochs) {
+			t.Errorf("reader %d latest seq %d, want %d", id, got, epochs)
 		}
 		_, counts := a.Store.CountSeries(id, a.Start, a.End)
 		if len(counts) != epochs {

@@ -227,52 +227,45 @@ type ClientStats struct {
 // (Queue + Flush) — the batching path a duty-cycled reader uses to pay
 // one frame per uplink burst instead of one per report.
 //
-// With Redial set the client is an at-least-once sender: a failed
-// frame write reconnects with jittered exponential backoff and
-// rewrites the frame, so a report is only lost if the retry budget
-// runs out (counted in Stats().Dropped) — or if the network swallowed
-// a frame whose write "succeeded", which no ack-free protocol can see;
-// the store's (ReaderID, Seq) dedupe makes the redelivery side of this
-// idempotent. A client belongs to one goroutine; nothing here is
-// synchronized.
+// A client is an at-least-once sender: a failed frame write reconnects
+// with jittered exponential backoff and rewrites the frame, so a
+// report is only lost if the retry budget runs out (counted in
+// Stats().Dropped) — or if the network swallowed a frame whose write
+// "succeeded", which no ack-free protocol can see; the store's
+// (ReaderID, Seq) dedupe makes the redelivery side of this idempotent.
+// A client belongs to one goroutine; nothing here is synchronized.
 type Client struct {
 	conn net.Conn
 	// WriteTimeout bounds each frame write; a deadline exceeded error
-	// fails the send. ≤ 0 disables the deadline. Dial sets
+	// fails the send. ≤ 0 disables the deadline. The constructors set
 	// DefaultWriteTimeout.
 	WriteTimeout time.Duration
-	// Redial, if set, reopens the uplink after a failed write (and
-	// enables the retry path). DialFunc sets it to its own dialer.
-	Redial func() (net.Conn, error)
 	// Retry shapes the reconnect loop; zero fields take defaults.
 	Retry RetryPolicy
-	// jitter randomizes backoff; defaults to the global source.
-	jitter *rand.Rand
+	// redial reopens the uplink after a failed write: the dialer the
+	// client was built with.
+	redial func() (net.Conn, error)
 
 	pending  []*telemetry.Report
 	stats    ClientStats
 	degraded bool
 }
 
-// Dial connects to a collector.
+// Dial connects to a collector over TCP; each connection attempt,
+// the first and every redial, is bounded by timeout.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("collector: dial: %w", err)
-	}
-	return &Client{conn: conn, WriteTimeout: DefaultWriteTimeout}, nil
+	return DialFunc(func() (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) })
 }
 
-// DialFunc connects through the given dialer and keeps it as the
-// client's Redial hook — the robust-uplink constructor. The fault-
-// injection harness passes a fault-wrapping dialer here; production
-// readers pass a plain one.
+// DialFunc connects through the given dialer and keeps it to reopen
+// the uplink after a failed write. The fault-injection harness passes a
+// fault-wrapping dialer here.
 func DialFunc(dial func() (net.Conn, error)) (*Client, error) {
 	conn, err := dial()
 	if err != nil {
 		return nil, fmt.Errorf("collector: dial: %w", err)
 	}
-	return &Client{conn: conn, WriteTimeout: DefaultWriteTimeout, Redial: dial}, nil
+	return &Client{conn: conn, WriteTimeout: DefaultWriteTimeout, redial: dial}, nil
 }
 
 // Stats returns a snapshot of the client's delivery counters.
@@ -291,9 +284,8 @@ func (c *Client) Send(r *telemetry.Report) error {
 	return c.deliver([]*telemetry.Report{r})
 }
 
-// deliver writes one frame carrying rs, retrying through Redial per
-// the retry policy. Without Redial it preserves the legacy contract:
-// the first error is returned and recovery belongs to the caller.
+// deliver writes one frame carrying rs, redialing and rewriting per
+// the retry policy. Its only error is ErrUplinkDegraded.
 func (c *Client) deliver(rs []*telemetry.Report) error {
 	if c.degraded {
 		c.stats.Dropped += len(rs)
@@ -310,9 +302,6 @@ func (c *Client) deliver(rs []*telemetry.Report) error {
 		c.stats.Delivered += len(rs)
 		return nil
 	}
-	if c.Redial == nil {
-		return err
-	}
 	attempts := c.Retry.Attempts
 	if attempts <= 0 {
 		attempts = DefaultRetryAttempts
@@ -326,11 +315,11 @@ func (c *Client) deliver(rs []*telemetry.Report) error {
 		maxBackoff = DefaultBackoffMax
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
-		time.Sleep(c.jittered(backoff))
+		time.Sleep(jittered(backoff))
 		if backoff *= 2; backoff > maxBackoff {
 			backoff = maxBackoff
 		}
-		conn, derr := c.Redial()
+		conn, derr := c.redial()
 		if derr != nil {
 			continue
 		}
@@ -352,21 +341,12 @@ func (c *Client) deliver(rs []*telemetry.Report) error {
 }
 
 // jittered spreads a backoff delay uniformly over [d/2, 3d/2).
-func (c *Client) jittered(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
+func jittered(d time.Duration) time.Duration {
 	half := int64(d) / 2
 	if half <= 0 {
 		return d
 	}
-	var j int64
-	if c.jitter != nil {
-		j = c.jitter.Int63n(2 * half)
-	} else {
-		j = rand.Int63n(2 * half)
-	}
-	return time.Duration(half + j)
+	return time.Duration(half + rand.Int63n(2*half))
 }
 
 // Queue buffers a report for the next Flush. Queue and Flush are not
@@ -379,19 +359,14 @@ func (c *Client) Queue(r *telemetry.Report) {
 func (c *Client) Pending() int { return len(c.pending) }
 
 // Flush sends every queued report in one frame and empties the
-// queue. On a retryable path the client already reconnected and
-// redelivered internally; if it degraded instead, the queue is counted
-// as dropped and cleared, and ErrUplinkDegraded comes back. Only a
-// non-degraded error (no Redial configured) preserves the queue for a
-// caller-driven retry after reconnect.
+// queue. The client reconnects and redelivers internally; if it
+// degrades instead, the queue is counted as dropped and cleared, and
+// ErrUplinkDegraded comes back.
 func (c *Client) Flush() error {
 	if len(c.pending) == 0 {
 		return nil
 	}
 	err := c.deliver(c.pending)
-	if err != nil && !errors.Is(err, ErrUplinkDegraded) {
-		return err
-	}
 	// A bare re-slice would keep every flushed *Report pinned in the
 	// backing array until a later Queue overwrites its slot — the same
 	// leak class readerLog.insert trims with clear(). At city scale a

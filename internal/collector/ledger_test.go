@@ -217,7 +217,6 @@ func TestStoreMatchesModel(t *testing.T) {
 				}
 				s.Latest(id)
 				s.Readers()
-				s.HighWater(id)
 				s.MissingSeqs(id, maxSeq)
 				s.SightingsByCFO(1e3*float64(id), 10)
 				s.FindCar(uint64(id) << 8)
@@ -280,8 +279,8 @@ func TestStoreMatchesModel(t *testing.T) {
 		if got := s.Deduped(id); got != copies[id]-wantRecv {
 			t.Errorf("reader %d: Deduped %d, model %d", id, got, copies[id]-wantRecv)
 		}
-		if got := s.HighWater(id); got != wantHigh {
-			t.Errorf("reader %d: HighWater %d, model %d", id, got, wantHigh)
+		if got := s.ledger(id).high; got != wantHigh {
+			t.Errorf("reader %d: high water %d, model %d", id, got, wantHigh)
 		}
 		if got := s.MissingSeqs(id, maxSeq); !reflect.DeepEqual(got, missing) {
 			t.Errorf("reader %d: MissingSeqs %v, model %v", id, got, missing)
@@ -396,8 +395,8 @@ func TestSeenSetStaysSmall(t *testing.T) {
 	}
 	// A hostile top-of-range seq costs one word.
 	s.Add(&telemetry.Report{ReaderID: 1, Seq: math.MaxUint32})
-	if len(seen.words) != 1 || s.HighWater(1) != math.MaxUint32 {
-		t.Fatalf("Seq MaxUint32: %d words, high water %d", len(seen.words), s.HighWater(1))
+	if len(seen.words) != 1 || s.ledger(1).high != math.MaxUint32 {
+		t.Fatalf("Seq MaxUint32: %d words, high water %d", len(seen.words), s.ledger(1).high)
 	}
 }
 

@@ -80,8 +80,8 @@ func TestStoreOutOfOrderSeq(t *testing.T) {
 	if got := s.Latest(7); got.Seq != 5 {
 		t.Errorf("Latest.Seq = %d, want 5", got.Seq)
 	}
-	if got := s.HighWater(7); got != 5 {
-		t.Errorf("HighWater = %d, want 5", got)
+	if got := s.ledger(7).high; got != 5 {
+		t.Errorf("high water = %d, want 5", got)
 	}
 }
 

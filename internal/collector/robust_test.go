@@ -228,6 +228,26 @@ func TestClientReconnectRedelivers(t *testing.T) {
 	if c.degraded {
 		t.Error("client degraded despite successful redelivery")
 	}
+
+	// The same contract from the constructor the reader daemon uses:
+	// Dial keeps its own dialer, so a connection that dies under the
+	// client is reopened, not reported.
+	d, err := Dial(addr.String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Retry = c.Retry
+	d.conn.Close()
+	if err := d.Send(robustReport(2, 1)); err != nil {
+		t.Fatalf("send over a dead Dial connection: %v", err)
+	}
+	if err := store.WaitDelivered(map[uint32]uint32{2: 1}, nil, 5*time.Second); err != nil {
+		t.Fatalf("WaitDelivered: %v", err)
+	}
+	if st := d.Stats(); st.Reconnects < 1 || st.Delivered != 1 || st.Dropped != 0 {
+		t.Errorf("Dial client stats = %+v, want ≥ 1 reconnect, 1 delivered, 0 dropped", st)
+	}
 }
 
 // TestClientDegradesPastBudget: when every redial fails, the client
@@ -276,29 +296,6 @@ func TestClientDegradesPastBudget(t *testing.T) {
 	}
 	if got := c.Stats().Dropped; got != 3 {
 		t.Errorf("Dropped = %d, want 3", got)
-	}
-}
-
-// TestClientWithoutRedialKeepsLegacyContract: no Redial hook, no retry
-// loop — the raw error comes back on the first failure and Flush
-// preserves the queue for a caller-driven retry, exactly as before.
-func TestClientWithoutRedialKeepsLegacyContract(t *testing.T) {
-	client, server := net.Pipe()
-	server.Close()
-	c := &Client{conn: client}
-	err := c.Send(robustReport(1, 1))
-	if err == nil || errors.Is(err, ErrUplinkDegraded) {
-		t.Fatalf("legacy send error = %v, want the raw write error", err)
-	}
-	if c.degraded {
-		t.Error("legacy client must never degrade")
-	}
-	c.Queue(robustReport(1, 2))
-	if err := c.Flush(); err == nil {
-		t.Fatal("legacy Flush over dead conn returned nil")
-	}
-	if c.Pending() != 1 {
-		t.Errorf("legacy Flush dropped the queue: %d pending, want 1", c.Pending())
 	}
 }
 

@@ -1,8 +1,10 @@
 package collector
 
 import (
+	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -169,7 +171,7 @@ func TestClientWriteDeadline(t *testing.T) {
 	go func() {
 		conn, err := ln.Accept()
 		if err == nil {
-			accepted <- conn // held open, never read: the stalled collector
+			accepted <- conn
 		}
 	}()
 	c, err := Dial(ln.Addr().String(), time.Second)
@@ -178,6 +180,12 @@ func TestClientWriteDeadline(t *testing.T) {
 	}
 	defer c.Close()
 	c.WriteTimeout = 100 * time.Millisecond
+	c.Retry = RetryPolicy{Attempts: 2, BackoffMin: time.Millisecond, BackoffMax: time.Millisecond}
+	stalled := <-accepted // held open, never read: the stalled collector
+	defer stalled.Close()
+	// No second collector to redial: the timeout must surface as a
+	// spent retry budget, not be retried away on a fresh connection.
+	ln.Close()
 
 	// A report big enough that repeated sends must overflow the kernel
 	// buffers of an unread connection.
@@ -191,13 +199,8 @@ func TestClientWriteDeadline(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if err := c.Send(big); err != nil {
-			if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-				t.Fatalf("send failed with %v, want a timeout", err)
-			}
-			select {
-			case conn := <-accepted:
-				conn.Close()
-			default:
+			if !errors.Is(err, ErrUplinkDegraded) || !strings.Contains(err.Error(), "timeout") {
+				t.Fatalf("send failed with %v, want a write timeout past the retry budget", err)
 			}
 			return
 		}

@@ -249,10 +249,6 @@ func (s *Store) ledger(readerID uint32) readerLog {
 	return s.entry(readerID)
 }
 
-// HighWater returns the largest Report.Seq ingested from a reader
-// (zero when none, or when the reader does not stamp sequences).
-func (s *Store) HighWater(readerID uint32) uint32 { return s.ledger(readerID).high }
-
 // SeqsReceived returns the number of distinct reports accepted from a
 // reader (its expected-seq set's realized size).
 func (s *Store) SeqsReceived(readerID uint32) int { return s.ledger(readerID).recv }

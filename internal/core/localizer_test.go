@@ -76,7 +76,7 @@ func TestEstimateAoAErrors(t *testing.T) {
 	if _, err := EstimateAoA(spike, s.arr, s.param.Wavelength); err == nil {
 		t.Error("channel/element mismatch accepted")
 	}
-	pairArr := rfsim.NewPairArray(geom.V(0, 0, 4), geom.V(1, 0, 0), 0.16)
+	pairArr := rfsim.Array{Elements: []geom.Vec3{geom.V(-0.08, 0, 4), geom.V(0.08, 0, 4)}}
 	zero := Spike{Channels: []complex128{0, 0}}
 	if _, err := EstimateAoA(zero, pairArr, s.param.Wavelength); err == nil {
 		t.Error("all-zero channels accepted")

@@ -25,6 +25,9 @@ import (
 //     each reply, so a same-bin pair that happens to beat invisibly in
 //     one query is caught in the others.
 //
+// The gates are calibrated for that window, K ≈ 8–10: with fewer
+// captures the averaged-spectrum sweep counts cars on an empty road.
+//
 // Channels are taken from the last capture (callers doing AoA on a
 // specific query should use AnalyzeCapture on that capture).
 func AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params) ([]Spike, error) {

@@ -103,20 +103,6 @@ func (p *FFTPlan) Transform(dst, src []complex128) {
 	p.run(dst, src)
 }
 
-// TransformMany computes one forward DFT per length-N() frame of the
-// concatenated src into the corresponding frame of dst. Both slices
-// must have the same length, a multiple of N(). Batching amortizes the
-// plan and table touches across the whole slice: the stage tables stay
-// cache-resident from one frame to the next.
-func (p *FFTPlan) TransformMany(dst, src []complex128) {
-	if len(dst) != len(src) || len(src)%p.n != 0 {
-		panic(fmt.Sprintf("dsp: TransformMany buffer lengths %d/%d, plan length %d", len(dst), len(src), p.n))
-	}
-	for off := 0; off < len(src); off += p.n {
-		p.run(dst[off:off+p.n], src[off:off+p.n])
-	}
-}
-
 // run computes the DFT of src into dst with the radix-4 kernel:
 // bit-reversal copy, unrolled base pass, then the fused stages over
 // their twiddle tables.
@@ -357,22 +343,5 @@ func FFT(x []complex128) []complex128 {
 		return out
 	}
 	new(Plan).FFTInto(out, x)
-	return out
-}
-
-// DFTNaive computes the DFT by direct summation. It is O(n²) and exists
-// for testing and for tiny inputs where planning overhead dominates.
-func DFTNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			s, c := math.Sincos(ang)
-			sum += x[t] * complex(c, s)
-		}
-		out[k] = sum
-	}
 	return out
 }

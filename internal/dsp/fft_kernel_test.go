@@ -168,7 +168,7 @@ func TestKernelVsRadix2OracleULP(t *testing.T) {
 			t.Errorf("n=%d inverse: radix-4 vs radix-2 max diff %g", n, d)
 		}
 	}
-	pl := NewPlan()
+	pl := new(Plan)
 	for _, n := range []int{600, 2500} {
 		x := kernelSignal(rng, n)
 		got := make([]complex128, n)
@@ -187,38 +187,6 @@ func maxAbs(x []complex128) float64 {
 		}
 	}
 	return m
-}
-
-// TestTransformManyMatchesTransform checks the batched entry point
-// frame by frame, and that a warmed plan batches without allocating
-// even when interleaved across lengths (plans are per-length; the
-// caller switching lengths must not disturb a warmed plan's
-// steady state).
-func TestTransformManyMatchesTransform(t *testing.T) {
-	rng := rand.New(rand.NewSource(1004))
-	p256, _ := NewFFTPlan(256)
-	p64, _ := NewFFTPlan(64)
-	src256 := kernelSignal(rng, 4*256)
-	src64 := kernelSignal(rng, 3*64)
-	dst256 := make([]complex128, len(src256))
-	dst64 := make([]complex128, len(src64))
-	p256.TransformMany(dst256, src256)
-	p64.TransformMany(dst64, src64)
-	for f := 0; f < 4; f++ {
-		want := make([]complex128, 256)
-		p256.Transform(want, src256[f*256:(f+1)*256])
-		for k := range want {
-			if dst256[f*256+k] != want[k] {
-				t.Fatalf("frame %d bin %d: TransformMany %v != Transform %v", f, k, dst256[f*256+k], want[k])
-			}
-		}
-	}
-	if got := testing.AllocsPerRun(20, func() {
-		p256.TransformMany(dst256, src256)
-		p64.TransformMany(dst64, src64)
-	}); got != 0 {
-		t.Errorf("TransformMany across two warmed plans: %.1f allocs/op, want 0", got)
-	}
 }
 
 // TestFFTRegistryConcurrency hammers the process-wide plan registry
@@ -276,7 +244,7 @@ func TestSpectrumIntoFusedCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(1006))
 	for _, n := range []int{2048, 8, 4, 600} {
 		x := kernelSignal(rng, n)
-		pl := NewPlan()
+		pl := new(Plan)
 		var s Spectrum
 		pl.SpectrumInto(&s, x, 4e6)
 		if len(s.Mags) != n || len(s.Pows) != n {
@@ -298,7 +266,7 @@ func TestSpectrumIntoFusedCaches(t *testing.T) {
 
 // BenchmarkFFTPlan is the kernel microbench of the perf trajectory:
 // the radix-4 production kernel against the test-side radix-2 reference
-// at the capture length, plus the batched and fused entry points.
+// at the capture length.
 func BenchmarkFFTPlan(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 2048
@@ -318,14 +286,6 @@ func BenchmarkFFTPlan(b *testing.B) {
 			oracle.transform(dst, src)
 		}
 	})
-	batch := kernelSignal(rng, 10*n)
-	batchDst := make([]complex128, 10*n)
-	b.Run("many10", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.TransformMany(batchDst, batch)
-		}
-	})
 }
 
 // BenchmarkSpectrumInto measures the fused transform+magnitude pass
@@ -334,7 +294,7 @@ func BenchmarkSpectrumInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
 	const n = 2048
 	src := kernelSignal(rng, n)
-	pl := NewPlan()
+	pl := new(Plan)
 	var s Spectrum
 	pl.SpectrumInto(&s, src, 4e6)
 	b.Run("fused", func(b *testing.B) {

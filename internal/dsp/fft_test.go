@@ -28,6 +28,23 @@ func maxDiff(a, b []complex128) float64 {
 	return m
 }
 
+// DFTNaive computes the DFT by direct summation: the O(n²) reference
+// every transform in this package is tested against.
+func DFTNaive(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			s, c := math.Sincos(ang)
+			sum += x[t] * complex(c, s)
+		}
+		out[k] = sum
+	}
+	return out
+}
+
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256, 1024} {

@@ -128,12 +128,3 @@ func renormPhasor(w complex128) complex128 {
 	mag := math.Hypot(real(w), imag(w))
 	return complex(real(w)/mag, imag(w)/mag)
 }
-
-// GoertzelWindow evaluates the DFT of x[start:start+length] at normalized
-// frequency f, with the phase referenced to the start of the window. It
-// is the primitive behind the dual-window occupancy test (§5): comparing
-// |GoertzelWindow(x, f, 0, L)| against |GoertzelWindow(x, f, τ, L)|
-// reveals whether one or several tones share the bin at f.
-func GoertzelWindow(x []complex128, f float64, start, length int) complex128 {
-	return Goertzel(x[start:start+length], f)
-}

@@ -35,6 +35,13 @@ func TestGoertzelFractionalFrequency(t *testing.T) {
 	}
 }
 
+// GoertzelWindow evaluates the DFT of x[start:start+length] at normalized
+// frequency f, with the phase referenced to the start of the window:
+// the one-probe reference the §5 probe bank is tested against.
+func GoertzelWindow(x []complex128, f float64, start, length int) complex128 {
+	return Goertzel(x[start:start+length], f)
+}
+
 func TestGoertzelWindowPhaseReference(t *testing.T) {
 	// For a pure tone, shifting the analysis window rotates the result
 	// by 2π·f·start but preserves magnitude — the foundation of the

@@ -34,10 +34,6 @@ type Plan struct {
 	bank ProbeBank // ClassifyBin phasor, de-rotation and fold buffers
 }
 
-// NewPlan returns an empty plan; tables and buffers grow on demand and
-// are retained across calls.
-func NewPlan() *Plan { return &Plan{} }
-
 // fftPlan returns the power-of-two plan for length n. The plan-local
 // map is a lock-free fast path over the process-wide registry, so
 // workers share one immutable table set per length instead of each
@@ -139,18 +135,6 @@ func (pl *Plan) SpectrumManyInto(specs []Spectrum, captures [][]complex128, samp
 		}
 		fp.transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
 	}
-}
-
-// NoiseFloor is the pooled equivalent of Spectrum.NoiseFloor: the
-// median bin magnitude. Both share one magnitude sweep
-// (Spectrum.magsInto), which reuses the fused s.Mags cache when valid;
-// only the sort scratch differs — plan-owned here, allocated there.
-func (pl *Plan) NoiseFloor(s *Spectrum) float64 {
-	if len(s.Bins) == 0 {
-		return 0
-	}
-	pl.sorted = s.magsInto(pl.sorted)
-	return medianFloat(pl.sorted)
 }
 
 // FindPeaks is the pooled equivalent of the package-level FindPeaks:

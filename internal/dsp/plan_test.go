@@ -36,7 +36,7 @@ func randSignal(rng *rand.Rand, n int, tones int) []complex128 {
 // naive DFT instead.
 func TestPlanFFTMatchesFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	pl := NewPlan()
+	pl := new(Plan)
 	lengths := []int{1, 2, 8, 256, 1000, 1024, 1536, 2048, 2500, 3000}
 	// Two passes so every cached table is exercised after creation.
 	for pass := 0; pass < 2; pass++ {
@@ -64,7 +64,7 @@ func TestPlanFFTMatchesFFT(t *testing.T) {
 // Bluestein (non-power-of-two) one — repeating it allocates nothing.
 func TestPlanFFTSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pl := NewPlan()
+	pl := new(Plan)
 	for _, n := range []int{2048, 2500} {
 		x := randSignal(rng, n, 2)
 		dst := make([]complex128, n)
@@ -83,7 +83,7 @@ func TestPlanFFTSteadyStateAllocs(t *testing.T) {
 // the MAD/excess detector used on averaged spectra.
 func TestPlanFindPeaksMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	pl := NewPlan()
+	pl := new(Plan)
 	params := []PeakParams{
 		DefaultPeakParams(),
 		{Threshold: 2, Sharpness: 1, ExcessSigma: 5, SharpRadius: 16},
@@ -111,7 +111,7 @@ func TestPlanFindPeaksSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randSignal(rng, 2048, 4)
 	spec := NewSpectrum(x, 4e6)
-	pl := NewPlan()
+	pl := new(Plan)
 	p := DefaultPeakParams()
 	pl.FindPeaks(spec, p)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -122,23 +122,11 @@ func TestPlanFindPeaksSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanNoiseFloorMatches: the pooled median equals the oracle's.
-func TestPlanNoiseFloorMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pl := NewPlan()
-	for _, n := range []int{64, 255, 2048} {
-		spec := NewSpectrum(randSignal(rng, n, 2), 4e6)
-		if got, want := pl.NoiseFloor(spec), spec.NoiseFloor(); got != want {
-			t.Errorf("n=%d: pooled floor %g, oracle %g", n, got, want)
-		}
-	}
-}
-
 // TestPlanClassifyBinMatches: the pooled dual-window occupancy test is
 // bit-identical to the allocating one, probe for probe.
 func TestPlanClassifyBinMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	pl := NewPlan()
+	pl := new(Plan)
 	for trial := 0; trial < 8; trial++ {
 		x := randSignal(rng, 2048, 1+trial%3)
 		freq := (0.02 + 0.1*rng.Float64()) * 4e6
@@ -164,7 +152,7 @@ func TestPlanClassifyBinMatches(t *testing.T) {
 // length's bins into another's.
 func TestPlanSpectrumReuseAcrossLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	pl := NewPlan()
+	pl := new(Plan)
 	var spec Spectrum
 	for trial := 0; trial < 3; trial++ {
 		for _, n := range []int{2048, 1000, 512, 2500} {
@@ -282,7 +270,7 @@ func BenchmarkPlanFFT(b *testing.B) {
 			}
 		})
 		b.Run(name+"/pooled", func(b *testing.B) {
-			pl := NewPlan()
+			pl := new(Plan)
 			dst := make([]complex128, n)
 			pl.FFTInto(dst, x)
 			b.ReportAllocs()

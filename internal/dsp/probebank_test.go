@@ -358,7 +358,7 @@ func BenchmarkClassifyBin(b *testing.B) {
 		}
 	})
 	b.Run("bank", func(b *testing.B) {
-		pl := NewPlan()
+		pl := new(Plan)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			pl.ClassifyBin(x, 4e6, 3e5)

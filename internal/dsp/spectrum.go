@@ -18,9 +18,8 @@ type Spectrum struct {
 	// Mags and Pows are derived caches of |Bins[k]| and |Bins[k]|²,
 	// filled by the fused transform pass in Plan.SpectrumInto. Each is
 	// valid if and only if its length equals len(Bins); code that
-	// mutates Bins must either refresh or truncate them. Mag, Power,
-	// NoiseFloor, and Plan.FindPeaks consult the caches before
-	// recomputing.
+	// mutates Bins must either refresh or truncate them. Mag, Power
+	// and Plan.FindPeaks consult the caches before recomputing.
 	Mags []float64
 	Pows []float64
 }
@@ -66,32 +65,6 @@ func (s *Spectrum) Power(k int) float64 {
 		return s.Pows[k]
 	}
 	return binPow(s.Bins[k])
-}
-
-// magsInto fills dst (grown to len(Bins)) with the bin magnitudes,
-// copying from the fused cache when valid. It is the one magnitude
-// sweep both NoiseFloor implementations share, so the planless method
-// and the pooled Plan path cannot drift apart.
-func (s *Spectrum) magsInto(dst []float64) []float64 {
-	dst = growFloatSlice(dst, len(s.Bins))
-	if len(s.Mags) == len(s.Bins) {
-		copy(dst, s.Mags)
-		return dst
-	}
-	for i, v := range s.Bins {
-		dst[i] = math.Sqrt(binPow(v))
-	}
-	return dst
-}
-
-// NoiseFloor estimates the noise magnitude level as the median bin
-// magnitude. The transponder spikes are sparse (a handful of bins out of
-// thousands), so the median is a robust noise statistic even during a
-// large collision. This planless method allocates a scratch magnitude
-// slice per call; hot paths should use Plan.NoiseFloor, which pools the
-// scratch and shares this implementation.
-func (s *Spectrum) NoiseFloor() float64 {
-	return medianFloat(s.magsInto(nil))
 }
 
 // String summarizes the spectrum for debugging.

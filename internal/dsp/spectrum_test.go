@@ -119,18 +119,9 @@ func TestFindPeaksNoiseOnly(t *testing.T) {
 	}
 }
 
-func TestNoiseFloorScalesWithNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	lo := NewSpectrum(toneSignal(rng, 2048, 4e6, 0.1, nil), 4e6).NoiseFloor()
-	hi := NewSpectrum(toneSignal(rng, 2048, 4e6, 1.0, nil), 4e6).NoiseFloor()
-	if hi < 5*lo {
-		t.Errorf("noise floor did not scale: lo=%g hi=%g", lo, hi)
-	}
-}
-
-// TestMedianMag pins the noise floor — the median bin magnitude — to
-// known values, even and odd lengths and the empty spectrum included,
-// on both the planless and the pooled path.
+// TestMedianMag pins the noise floor FindPeaks thresholds against — the
+// median bin magnitude — to known values, even and odd lengths and the
+// empty spectrum included.
 func TestMedianMag(t *testing.T) {
 	cases := []struct {
 		in   []complex128
@@ -142,14 +133,13 @@ func TestMedianMag(t *testing.T) {
 		{[]complex128{1, 2, 3, 4}, 2.5},
 		{[]complex128{complex(3, 4)}, 5},
 	}
-	pl := NewPlan()
 	for _, c := range cases {
-		s := &Spectrum{Bins: c.in, SampleRate: 4e6}
-		if got := s.NoiseFloor(); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("NoiseFloor(%v) = %g, want %g", c.in, got, c.want)
+		mags := make([]float64, len(c.in))
+		for i, v := range c.in {
+			mags[i] = math.Sqrt(binPow(v))
 		}
-		if got := pl.NoiseFloor(s); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Plan.NoiseFloor(%v) = %g, want %g", c.in, got, c.want)
+		if got := medianFloat(mags); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("median magnitude of %v = %g, want %g", c.in, got, c.want)
 		}
 	}
 }

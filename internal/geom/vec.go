@@ -36,15 +36,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
 // Dot returns the inner product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the vector product v×w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns |v|.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 

@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -29,26 +28,6 @@ func TestVec3Basics(t *testing.T) {
 	if got := (Vec3{3, 0, 4}).Unit(); !almostEq(got.Norm(), 1, 1e-12) {
 		t.Errorf("Unit norm = %v", got.Norm())
 	}
-}
-
-func TestVec3CrossOrthogonality(t *testing.T) {
-	fn := func(ax, ay, az, bx, by, bz float64) bool {
-		a := Vec3{clampf(ax), clampf(ay), clampf(az)}
-		b := Vec3{clampf(bx), clampf(by), clampf(bz)}
-		c := a.Cross(b)
-		return math.Abs(c.Dot(a)) < 1e-6 && math.Abs(c.Dot(b)) < 1e-6
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// clampf keeps quick-generated floats in a sane numeric range.
-func clampf(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return 1
-	}
-	return math.Mod(x, 1000)
 }
 
 func TestUnitPanicsOnZero(t *testing.T) {

@@ -61,38 +61,6 @@ func steering(positions []geom.Vec3, center geom.Vec3, wavelength, theta float64
 	return a
 }
 
-// Beamform computes the conventional (Bartlett) spatial spectrum
-// |a(θ)ᴴh|² over [minDeg, maxDeg] with the given grid step.
-func Beamform(h []complex128, positions []geom.Vec3, center geom.Vec3, wavelength float64, minDeg, maxDeg, stepDeg float64) (*Profile, error) {
-	if len(h) != len(positions) || len(h) == 0 {
-		return nil, fmt.Errorf("music: %d channels for %d positions", len(h), len(positions))
-	}
-	if stepDeg <= 0 || maxDeg <= minDeg {
-		return nil, fmt.Errorf("music: bad angle grid")
-	}
-	var prof Profile
-	maxP := 0.0
-	for deg := minDeg; deg <= maxDeg; deg += stepDeg {
-		a := steering(positions, center, wavelength, geom.Radians(deg))
-		var dot complex128
-		for i := range a {
-			dot += cmplx.Conj(a[i]) * h[i]
-		}
-		p := real(dot)*real(dot) + imag(dot)*imag(dot)
-		prof.AnglesDeg = append(prof.AnglesDeg, deg)
-		prof.Power = append(prof.Power, p)
-		if p > maxP {
-			maxP = p
-		}
-	}
-	if maxP > 0 {
-		for i := range prof.Power {
-			prof.Power[i] /= maxP
-		}
-	}
-	return &prof, nil
-}
-
 // MUSIC computes the single-snapshot MUSIC pseudospectrum
 // 1/(a(θ)ᴴ·(I − hhᴴ/‖h‖²)·a(θ)): the measured channel vector spans the
 // signal subspace and the pseudospectrum diverges where the steering

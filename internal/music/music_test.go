@@ -21,14 +21,14 @@ func TestCircularAperture(t *testing.T) {
 	}
 }
 
-func TestBeamformFindsLoSDirection(t *testing.T) {
+func TestMUSICFindsLoSDirection(t *testing.T) {
 	lambda := geom.Wavelength(915e6)
 	center := geom.V(0, 0, 4)
 	aperture := CircularAperture(center, 0.7, 72)
 	wantDeg := 30.0
 	tx := center.Add(geom.V(40*math.Cos(geom.Radians(wantDeg)), 40*math.Sin(geom.Radians(wantDeg)), -4))
 	h := MeasureChannels(tx, aperture, lambda, nil)
-	prof, err := Beamform(h, aperture, center, lambda, -100, 100, 0.5)
+	prof, err := MUSIC(h, aperture, center, lambda, -100, 100, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestBeamformFindsLoSDirection(t *testing.T) {
 		}
 	}
 	if got := prof.AnglesDeg[best]; math.Abs(got-wantDeg) > 3 {
-		t.Errorf("beamform peak at %.1f°, want %.1f°", got, wantDeg)
+		t.Errorf("profile peak at %.1f°, want %.1f°", got, wantDeg)
 	}
 }
 
@@ -75,8 +75,8 @@ func TestMUSICErrors(t *testing.T) {
 	if _, err := MUSIC(make([]complex128, 8), aperture, geom.V(0, 0, 4), lambda, -90, 90, 1); err == nil {
 		t.Error("zero channels accepted")
 	}
-	if _, err := Beamform(nil, nil, geom.Vec3{}, lambda, -90, 90, 1); err == nil {
-		t.Error("beamform with no data accepted")
+	if _, err := MUSIC(nil, nil, geom.Vec3{}, lambda, -90, 90, 1); err == nil {
+		t.Error("no data accepted")
 	}
 }
 

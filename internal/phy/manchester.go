@@ -21,28 +21,6 @@ func ManchesterEncode(bits Bits) Bits {
 	return chips
 }
 
-// ManchesterDecode collapses OOK chips back into data bits. It applies
-// hard decisions chip-pair by chip-pair; soft decoding over noisy
-// amplitudes lives in DemodulateSoft.
-func ManchesterDecode(chips Bits) (Bits, error) {
-	if len(chips)%ChipsPerBit != 0 {
-		return nil, fmt.Errorf("phy: chip stream length %d is not a multiple of %d", len(chips), ChipsPerBit)
-	}
-	bits := make(Bits, 0, len(chips)/ChipsPerBit)
-	for i := 0; i < len(chips); i += ChipsPerBit {
-		hi, lo := chips[i], chips[i+1]
-		switch {
-		case hi == 1 && lo == 0:
-			bits = append(bits, 1)
-		case hi == 0 && lo == 1:
-			bits = append(bits, 0)
-		default:
-			return nil, fmt.Errorf("phy: invalid Manchester chip pair (%d,%d) at bit %d", hi, lo, i/ChipsPerBit)
-		}
-	}
-	return bits, nil
-}
-
 // DemodulateSoft converts per-chip energy measurements into data bits
 // by comparing the two halves of each bit period: Manchester guarantees
 // exactly one half is "on", so the larger half decides the bit. This is

@@ -50,9 +50,6 @@ const (
 	// BandLow and BandHigh bound the transponder carrier frequencies.
 	BandLow  = 914.3e6 // Hz
 	BandHigh = 915.5e6 // Hz
-	// CFOSpan is the maximum carrier frequency offset between two
-	// transponders (1.2 MHz).
-	CFOSpan = BandHigh - BandLow
 	// NominalCarrier is the nominal operating frequency.
 	NominalCarrier = 915e6 // Hz
 )

@@ -16,7 +16,6 @@ const (
 	ActivePowerW = 0.900 // W, query + receive + processing
 	SleepPowerW  = 69e-6 // W, master clock and sleep timer only
 	SolarPowerW  = 0.500 // W, 6 cm × 7.5 cm panel in the sun
-	ActiveWindow = 10 * time.Millisecond
 )
 
 // DutyCycle describes the reader's measurement schedule.
@@ -95,19 +94,6 @@ func (b *Battery) Empty() bool { return b.ChargeJ <= 0 }
 
 // SolarProfile gives the harvested power at a given time of day.
 type SolarProfile func(t time.Time) float64
-
-// DayNight returns a profile harvesting `peak` watts between sunrise
-// and sunset hours (local), zero otherwise. Cloud factor scales the
-// peak (1 = clear sky).
-func DayNight(peak float64, sunrise, sunset int, cloud float64) SolarProfile {
-	return func(t time.Time) float64 {
-		h := t.Hour()
-		if h >= sunrise && h < sunset {
-			return peak * cloud
-		}
-		return 0
-	}
-}
 
 // SimResult summarizes a battery/solar simulation.
 type SimResult struct {

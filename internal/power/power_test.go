@@ -93,7 +93,12 @@ func TestSimulateDayNightSteadyState(t *testing.T) {
 	b := NewBattery(1.5)
 	b.ChargeJ = b.CapacityJ / 2
 	d := DutyCycle{Period: time.Second, ActiveTime: 10 * time.Millisecond}
-	profile := DayNight(SolarPowerW, 7, 19, 0.5) // half-cloudy days
+	profile := func(t time.Time) float64 { // half-cloudy days, dark nights
+		if h := t.Hour(); h >= 7 && h < 19 {
+			return SolarPowerW * 0.5
+		}
+		return 0
+	}
 	start := time.Date(2015, 8, 17, 0, 0, 0, 0, time.UTC)
 	res, err := Simulate(b, d, profile, start, 14*24*time.Hour, time.Minute)
 	if err != nil {

@@ -53,13 +53,6 @@ func (a Array) Pairs() []Pair {
 	return ps
 }
 
-// NewPairArray builds a two-element array centered at center with the
-// given baseline axis and spacing (λ/2 = 16.4 cm in the prototype).
-func NewPairArray(center, axis geom.Vec3, spacing float64) Array {
-	u := axis.Unit().Scale(spacing / 2)
-	return Array{Elements: []geom.Vec3{center.Sub(u), center.Add(u)}}
-}
-
 // NewTriangleArray builds the prototype's equilateral-triangle array.
 // The triangle lies in the plane spanned by u and v (orthonormalized
 // internally), centered at center, with the given side length. Vertex 0

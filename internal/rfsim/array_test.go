@@ -7,6 +7,15 @@ import (
 	"caraoke/internal/geom"
 )
 
+// NewPairArray builds a two-element array centered at center with the
+// given baseline axis and spacing (λ/2 = 16.4 cm in the prototype): the
+// one-baseline fixture of this package's tests. Every reader carries
+// the triangle.
+func NewPairArray(center, axis geom.Vec3, spacing float64) Array {
+	u := axis.Unit().Scale(spacing / 2)
+	return Array{Elements: []geom.Vec3{center.Sub(u), center.Add(u)}}
+}
+
 func TestNewPairArrayGeometry(t *testing.T) {
 	lambda := geom.Wavelength(915e6)
 	center := geom.V(1, 2, 3)

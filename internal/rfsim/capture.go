@@ -31,13 +31,6 @@ type CaptureConfig struct {
 	Wavelength float64 // carrier wavelength for geometric phase
 	NoiseSigma float64 // per-component AWGN sigma, linear
 	Reflectors []Reflector
-	// ADCBits, if positive, quantizes each antenna stream to this many
-	// bits (the prototype's AD7356 is 12-bit). Zero disables
-	// quantization.
-	ADCBits int
-	// ADCFullScale is the quantizer full-scale amplitude. Zero picks
-	// a scale from the capture's own peak (a crude AGC).
-	ADCFullScale float64
 	// Scratch, if non-nil, supplies reusable stage-one buffers (see
 	// SynthScratch). Output is bit-identical with or without it; only
 	// allocation traffic changes. One scratch serves one Capture call
@@ -47,8 +40,8 @@ type CaptureConfig struct {
 	// envelope-rotation/channel precomputation and per-antenna
 	// accumulation fan out across this many goroutines. ≤ 1 runs
 	// serial; the streams are bit-identical for any value because each
-	// antenna accumulates its transmissions in index order and noise /
-	// quantization stay on the calling goroutine.
+	// antenna accumulates its transmissions in index order and noise
+	// stays on the calling goroutine.
 	Workers int
 }
 
@@ -65,9 +58,6 @@ func (c *CaptureConfig) Validate() error {
 	}
 	if c.NoiseSigma < 0 {
 		return fmt.Errorf("rfsim: noise sigma %g must be non-negative", c.NoiseSigma)
-	}
-	if c.ADCBits < 0 || c.ADCBits > 24 {
-		return fmt.Errorf("rfsim: ADC bits %d out of range", c.ADCBits)
 	}
 	return nil
 }
@@ -95,8 +85,8 @@ func (mc *MultiCapture) Reference() []complex128 {
 //
 //	r_a(t) += h_{a,i} · A_i · env_i(t−t0_i) · e^{j(2π·CFO_i·t + φ_i)}
 //
-// with h the geometric channel (free-space plus reflectors). AWGN and
-// optional ADC quantization follow.
+// with h the geometric channel (free-space plus reflectors). AWGN
+// follows.
 //
 // Synthesis runs in two stages so cfg.Workers can fan it out without
 // changing a single bit of output: stage one computes each
@@ -104,9 +94,8 @@ func (mc *MultiCapture) Reference() []complex128 {
 // coefficients into index-addressed slots (iterations independent);
 // stage two gives each antenna stream to one worker, which accumulates
 // the transmissions in index order — the same float additions in the
-// same order as a serial run. Noise and quantization consume the
-// caller's RNG and therefore always run on the calling goroutine, in
-// antenna order.
+// same order as a serial run. Noise consumes the caller's RNG and
+// therefore always runs on the calling goroutine, in antenna order.
 func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand) (*MultiCapture, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -192,52 +181,11 @@ func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand)
 			addNoise(mc.Antennas[a], cfg.NoiseSigma, rng)
 		}
 	}
-	if cfg.ADCBits > 0 {
-		for a := range mc.Antennas {
-			QuantizeInPlace(mc.Antennas[a], cfg.ADCBits, cfg.ADCFullScale)
-		}
-	}
 	return mc, nil
 }
 
 func addNoise(dst []complex128, sigma float64, rng *rand.Rand) {
 	for i := range dst {
 		dst[i] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
-	}
-}
-
-// QuantizeInPlace models an ADC: each I/Q component is rounded to one
-// of 2^bits uniform levels across ±fullScale and clipped beyond. A
-// non-positive fullScale auto-ranges to the stream's peak magnitude
-// (crude AGC).
-func QuantizeInPlace(samples []complex128, bits int, fullScale float64) {
-	if len(samples) == 0 {
-		return
-	}
-	if fullScale <= 0 {
-		for _, s := range samples {
-			if a := math.Abs(real(s)); a > fullScale {
-				fullScale = a
-			}
-			if a := math.Abs(imag(s)); a > fullScale {
-				fullScale = a
-			}
-		}
-		if fullScale == 0 {
-			return
-		}
-	}
-	levels := float64(int64(1) << uint(bits-1)) // half-range level count
-	q := func(v float64) float64 {
-		n := math.Round(v / fullScale * levels)
-		if n > levels-1 {
-			n = levels - 1
-		} else if n < -levels {
-			n = -levels
-		}
-		return n / levels * fullScale
-	}
-	for i, s := range samples {
-		samples[i] = complex(q(real(s)), q(imag(s)))
 	}
 }

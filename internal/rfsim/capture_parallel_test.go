@@ -46,15 +46,14 @@ func parallelScene(tb testing.TB, seed int64, n int) (CaptureConfig, Array, []Tr
 }
 
 // TestCaptureParallelMatchesSerial: the synthesis fan-out must be
-// bit-identical to the serial path for every worker count, noise and
-// ADC quantization included (both consume the caller's RNG serially,
-// so the same seed must yield the same stream).
+// bit-identical to the serial path for every worker count, noise
+// included (it consumes the caller's RNG serially, so the same seed
+// must yield the same stream).
 func TestCaptureParallelMatchesSerial(t *testing.T) {
 	for _, withNoise := range []bool{false, true} {
 		cfg, arr, txs := parallelScene(t, 311, 24)
 		if withNoise {
 			cfg.NoiseSigma = 1e-5
-			cfg.ADCBits = 12
 		}
 		serial, err := Capture(cfg, arr, txs, rand.New(rand.NewSource(9)))
 		if err != nil {

@@ -211,54 +211,3 @@ func TestCaptureRejectsBadInput(t *testing.T) {
 		t.Error("negative noise accepted")
 	}
 }
-
-func TestQuantizeInPlace(t *testing.T) {
-	samples := []complex128{complex(0.5, -0.25), complex(2.0, 0), complex(-3.0, 0.1)}
-	QuantizeInPlace(samples, 12, 1.0)
-	// Clipping at ±1 full scale.
-	if real(samples[1]) > 1.0 || real(samples[2]) < -1.0 {
-		t.Errorf("clipping failed: %v", samples)
-	}
-	// Quantization error bounded by one LSB.
-	lsb := 1.0 / 2048
-	if math.Abs(real(samples[0])-0.5) > lsb || math.Abs(imag(samples[0])+0.25) > lsb {
-		t.Errorf("quantization error exceeds LSB: %v", samples[0])
-	}
-}
-
-func TestQuantizeAutoRange(t *testing.T) {
-	samples := []complex128{complex(0.002, 0), complex(-0.004, 0.001)}
-	orig := append([]complex128(nil), samples...)
-	QuantizeInPlace(samples, 12, 0)
-	for i := range samples {
-		if cmplx.Abs(samples[i]-orig[i]) > 0.004/1024 {
-			t.Errorf("auto-ranged quantization too coarse at %d: %v vs %v", i, samples[i], orig[i])
-		}
-	}
-	// All-zero stream must not divide by zero.
-	zeros := make([]complex128, 4)
-	QuantizeInPlace(zeros, 12, 0)
-	QuantizeInPlace(nil, 12, 0)
-}
-
-func TestCaptureADCQuantizationPreservesSpike(t *testing.T) {
-	cfg := testConfig()
-	cfg.NoiseSigma = 1e-6
-	cfg.ADCBits = 12
-	arr := NewPairArray(geom.V(0, 0, 4), geom.V(1, 0, 0), cfg.Wavelength/2)
-	rng := rand.New(rand.NewSource(11))
-	f := testFrame(rng, 7, 99)
-	tx := frameTransmission(t, f, 500e3, 0.3, 1, geom.V(12, 3, 0))
-	mc, err := Capture(cfg, arr, []Transmission{tx}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := dsp.NewSpectrum(mc.Antennas[0], cfg.SampleRate)
-	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
-	if len(peaks) == 0 {
-		t.Fatal("12-bit ADC destroyed the CFO spike: no peaks")
-	}
-	if top := strongestPeak(peaks); math.Abs(top.Freq-500e3) > spec.BinWidth() {
-		t.Fatalf("strongest peak at %g Hz after ADC, want 500 kHz", top.Freq)
-	}
-}

@@ -2,7 +2,7 @@
 // reader would digitize: transponder OOK envelopes carried on
 // device-specific carrier offsets, propagated over free-space (plus
 // optional specular multipath) to each antenna of the reader's array,
-// with additive white Gaussian noise and 12-bit ADC quantization.
+// with additive white Gaussian noise.
 //
 // It substitutes for the paper's over-the-air campus deployment. The
 // Caraoke algorithms consume only per-antenna baseband samples; this

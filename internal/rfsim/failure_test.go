@@ -60,41 +60,6 @@ func TestCaptureExtremeNoiseBuriesSpike(t *testing.T) {
 	}
 }
 
-func TestADCClippingDegradesGracefully(t *testing.T) {
-	// A full-scale set 20× too small clips hard; the spike should
-	// survive (clipping is odd-harmonic distortion, the carrier line
-	// remains) even though its amplitude is compressed.
-	cfg := testConfig()
-	cfg.ADCBits = 12
-	cfg.ADCFullScale = 1e-4 // |h| ≈ 2e-3 ≫ full scale
-	arr := NewPairArray(geom.V(0, 0, 4), geom.V(1, 0, 0), cfg.Wavelength/2)
-	rng := rand.New(rand.NewSource(23))
-	f := testFrame(rng, 1, 1)
-	cfo := 300 * 4e6 / 2048
-	tx := frameTransmission(t, f, cfo, 1.0, 1, geom.V(12, 0, 0))
-	mc, err := Capture(cfg, arr, []Transmission{tx}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All samples clipped to full scale.
-	for _, s := range mc.Antennas[0] {
-		if math.Abs(real(s)) > cfg.ADCFullScale+1e-12 || math.Abs(imag(s)) > cfg.ADCFullScale+1e-12 {
-			t.Fatalf("sample %v beyond full scale", s)
-		}
-	}
-	spec := dsp.NewSpectrum(mc.Antennas[0], cfg.SampleRate)
-	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
-	found := false
-	for _, p := range peaks {
-		if math.Abs(p.Freq-cfo) <= spec.BinWidth() {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("hard clipping destroyed the carrier line entirely")
-	}
-}
-
 func TestMultipathShiftsAoAModestly(t *testing.T) {
 	// A weak reflector perturbs but does not destroy the AoA (§12.2's
 	// outdoor LoS argument).

@@ -18,7 +18,6 @@ func TestCaptureScratchBitIdentical(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			cfg, arr, txs := parallelScene(t, int64(300+n), n)
 			cfg.NoiseSigma = 1e-5
-			cfg.ADCBits = 12
 			cfg.Workers = workers
 
 			ref, err := Capture(cfg, arr, txs, rand.New(rand.NewSource(9)))

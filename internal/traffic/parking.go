@@ -53,18 +53,6 @@ func (ps *ParkingStrip) Park(i int) error {
 	return nil
 }
 
-// Leave frees spot i.
-func (ps *ParkingStrip) Leave(i int) error {
-	if i < 0 || i >= ps.NumSpots {
-		return fmt.Errorf("traffic: spot %d out of range [0,%d)", i, ps.NumSpots)
-	}
-	if !ps.occupied[i] {
-		return fmt.Errorf("traffic: spot %d already free", i)
-	}
-	ps.occupied[i] = false
-	return nil
-}
-
 // Occupied reports spot i's state.
 func (ps *ParkingStrip) Occupied(i int) bool {
 	return i >= 0 && i < ps.NumSpots && ps.occupied[i]

@@ -150,9 +150,6 @@ func NewIntersection(cfg IntersectionConfig, rng *rand.Rand) (*Intersection, err
 // Now returns the simulation time.
 func (ix *Intersection) Now() time.Duration { return ix.now }
 
-// Cars returns the live cars (shared slice; do not mutate).
-func (ix *Intersection) Cars() []*Car { return ix.cars }
-
 // Step advances the simulation by dt.
 func (ix *Intersection) Step(dt time.Duration) {
 	sec := dt.Seconds()

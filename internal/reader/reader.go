@@ -35,7 +35,7 @@ type Reader struct {
 	Workers int
 
 	seq     uint32
-	scratch *rfsim.SynthScratch
+	txs     []rfsim.Transmission // Query's replies; Capture does not retain them
 	analyze *core.Scratch
 }
 
@@ -78,12 +78,8 @@ func (r *Reader) Center() geom.Vec3 { return r.Array.Center() }
 
 // Query triggers every in-range transponder once and captures the
 // collision. Out-of-range or battery-dead devices stay silent (§3).
-// The reader's Workers knob covers capture synthesis too: the config
-// handed to rfsim.Capture carries it, so a multi-worker reader fans
-// out envelope-rotation synthesis and per-antenna accumulation with
-// bit-identical results.
 func (r *Reader) Query(devs []*transponder.Device, rng *rand.Rand) (*rfsim.MultiCapture, error) {
-	var txs []rfsim.Transmission
+	r.txs = r.txs[:0]
 	center := r.Center()
 	for _, d := range devs {
 		if !d.TriggeredFrom(center, r.QueryAmplitude, r.Capture.Wavelength) {
@@ -93,19 +89,9 @@ func (r *Reader) Query(devs []*transponder.Device, rng *rand.Rand) (*rfsim.Multi
 		if err != nil {
 			return nil, fmt.Errorf("reader %d: %w", r.ID, err)
 		}
-		txs = append(txs, tx)
+		r.txs = append(r.txs, tx)
 	}
-	cfg := r.Capture
-	cfg.Workers = r.Workers
-	if r.scratch == nil {
-		// One scratch per reader: a reader issues captures strictly one
-		// at a time (queries within an epoch, epochs within its
-		// pipeline), so reusing the synthesis buffers across every
-		// query it ever makes is race-free and bit-identical.
-		r.scratch = rfsim.NewSynthScratch()
-	}
-	cfg.Scratch = r.scratch
-	return rfsim.Capture(cfg, r.Array, txs, rng)
+	return rfsim.Capture(r.Capture, r.Array, r.txs, rng)
 }
 
 // Measure performs one duty-cycle active window: `queries` back-to-back
@@ -124,8 +110,8 @@ func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand
 		mcs = append(mcs, mc)
 	}
 	if r.analyze == nil {
-		// Like the synthesis scratch: a reader measures strictly one
-		// epoch at a time, so one analysis scratch serves its lifetime.
+		// A reader measures strictly one epoch at a time, so one
+		// analysis scratch serves its lifetime.
 		// Spikes returned here are scratch-backed and valid until the
 		// next Measure; Report deep-copies what telemetry retains.
 		r.analyze = &core.Scratch{}

@@ -119,6 +119,37 @@ func TestEmptyRoadCountsZero(t *testing.T) {
 	}
 }
 
+// queryAllocCeiling is what one warmed Query of 24 in-range devices may
+// allocate: rfsim.Capture's four objects (TestCaptureAllocBudget) and
+// nothing of the reader's own. The parent (9e18237) read 14: it regrew
+// its transmission list from nil on every query.
+const queryAllocCeiling = 4
+
+// TestQueryAllocBudget holds Query to its ceiling, beside
+// rfsim.TestCaptureAllocBudget: counts do not depend on the host.
+func TestQueryAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := testReader(t, 1, geom.V(0, -5, 0))
+	devs := transponder.NewPopulation(transponder.DefaultPopulationParams(), 24, 100, rng)
+	for i, d := range devs {
+		d.Pos = geom.V(-23+2*float64(i), float64(i%3), 0)
+		if !d.TriggeredFrom(r.Center(), r.QueryAmplitude, r.Capture.Wavelength) {
+			t.Fatalf("fixture: device %d at %v is out of range", i, d.Pos)
+		}
+	}
+	if _, err := r.Query(devs, rng); err != nil { // warm: envelopes modulated, r.txs grown
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := r.Query(devs, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > queryAllocCeiling {
+		t.Errorf("Query allocates %.0f objects per call, ceiling %d", got, queryAllocCeiling)
+	}
+}
+
 func TestMACCarrierSensePreventsHarmfulCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const readers = 6

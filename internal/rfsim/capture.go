@@ -31,18 +31,6 @@ type CaptureConfig struct {
 	Wavelength float64 // carrier wavelength for geometric phase
 	NoiseSigma float64 // per-component AWGN sigma, linear
 	Reflectors []Reflector
-	// Scratch, if non-nil, supplies reusable stage-one buffers (see
-	// SynthScratch). Output is bit-identical with or without it; only
-	// allocation traffic changes. One scratch serves one Capture call
-	// at a time.
-	Scratch *SynthScratch
-	// Workers sets the synthesis worker-pool size: per-transmission
-	// envelope-rotation/channel precomputation and per-antenna
-	// accumulation fan out across this many goroutines. ≤ 1 runs
-	// serial; the streams are bit-identical for any value because each
-	// antenna accumulates its transmissions in index order and noise
-	// stays on the calling goroutine.
-	Workers int
 }
 
 // Validate checks the configuration.
@@ -86,16 +74,12 @@ func (mc *MultiCapture) Reference() []complex128 {
 //	r_a(t) += h_{a,i} · A_i · env_i(t−t0_i) · e^{j(2π·CFO_i·t + φ_i)}
 //
 // with h the geometric channel (free-space plus reflectors). AWGN
-// follows.
+// follows, drawn from the caller's RNG in antenna order.
 //
-// Synthesis runs in two stages so cfg.Workers can fan it out without
-// changing a single bit of output: stage one computes each
-// transmission's oscillator rotation and per-antenna channel
-// coefficients into index-addressed slots (iterations independent);
-// stage two gives each antenna stream to one worker, which accumulates
-// the transmissions in index order — the same float additions in the
-// same order as a serial run. Noise consumes the caller's RNG and
-// therefore always runs on the calling goroutine, in antenna order.
+// Synthesis is one pass: each transmission's oscillator runs once, as a
+// running value, and every antenna takes its sample from it. A sample
+// of a stream is the sum of its transmissions added in index order, so
+// the pass order fixes every bit of the output.
 func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand) (*MultiCapture, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -108,73 +92,39 @@ func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand)
 			return nil, fmt.Errorf("rfsim: transmission %d starts at negative sample %d", i, txs[i].StartSample)
 		}
 	}
+	// The streams are cut from one backing array, antenna a at
+	// buf[a*n:(a+1)*n]; the full-slice form keeps an append to one
+	// stream out of its neighbour.
+	n := cfg.NumSamples
+	buf := make([]complex128, len(array.Elements)*n)
 	mc := &MultiCapture{SampleRate: cfg.SampleRate}
 	mc.Antennas = make([][]complex128, len(array.Elements))
 	for a := range mc.Antennas {
-		mc.Antennas[a] = make([]complex128, cfg.NumSamples)
+		mc.Antennas[a] = buf[a*n : (a+1)*n : (a+1)*n]
 	}
 
-	// Stage one: per-transmission oscillator rotation (common to all
-	// antennas) and per-antenna channel coefficients. With a scratch the
-	// rows come from its retained buffers; every element is written
-	// before stage two reads it, so reuse cannot leak stale state.
-	var rots, chans [][]complex128
-	if sc := cfg.Scratch; sc != nil {
-		sc.rots = growRows(sc.rots, len(txs))
-		sc.chans = growRows(sc.chans, len(txs))
-		rots, chans = sc.rots, sc.chans
-	} else {
-		rots = make([][]complex128, len(txs))
-		chans = make([][]complex128, len(txs)) // chans[i][a] = h_{a,i} · A_i
-	}
-	parallelFor(len(txs), cfg.Workers, func(i int) {
+	hs := make([]complex128, len(array.Elements)) // hs[a] = h_{a,i} · A_i
+	for i := range txs {
 		tx := &txs[i]
-		rot := growRow(rots, i, len(tx.Envelope))
+		// Clip the envelope to the capture window before slicing: a
+		// transmission may start at or beyond the window's end.
+		if tx.StartSample >= n {
+			continue
+		}
+		env := tx.Envelope
+		if len(env) > n-tx.StartSample {
+			env = env[:n-tx.StartSample]
+		}
+		for a, el := range array.Elements {
+			hs[a] = Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0)
+		}
 		step := cmplx.Exp(complex(0, 2*math.Pi*tx.CFO/cfg.SampleRate))
 		w := cmplx.Exp(complex(0, tx.Phase))
 		// Advance to the start sample so CFO phase is continuous in
 		// capture time, not envelope time.
 		w *= cmplx.Exp(complex(0, 2*math.Pi*tx.CFO/cfg.SampleRate*float64(tx.StartSample)))
-		for s := range tx.Envelope {
-			rot[s] = w
-			w *= step
-		}
-		rots[i] = rot
-		hs := growRow(chans, i, len(array.Elements))
-		for a, el := range array.Elements {
-			hs[a] = Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0)
-		}
-		chans[i] = hs
-	})
-
-	// Stage two: per-antenna accumulation, transmissions in index order.
-	parallelFor(len(mc.Antennas), cfg.Workers, func(a int) {
-		dst := mc.Antennas[a]
-		for i := range txs {
-			tx := &txs[i]
-			h := chans[i][a]
-			rot := rots[i]
-			env := tx.Envelope
-			// Hoist the capture-window clip out of the sample loop.
-			n := len(env)
-			if tx.StartSample+n > cfg.NumSamples {
-				n = cfg.NumSamples - tx.StartSample
-			}
-			for s := 0; s < n; s++ {
-				switch e := env[s]; e {
-				case 0:
-				case 1:
-					// OOK chips are 0/1; multiplying h by complex(1, 0)
-					// is exact in IEEE arithmetic, so skipping it keeps
-					// the stream bit-identical while dropping a complex
-					// multiply from the hottest loop in the simulator.
-					dst[tx.StartSample+s] += h * rot[s]
-				default:
-					dst[tx.StartSample+s] += h * complex(e, 0) * rot[s]
-				}
-			}
-		}
-	})
+		addTone(buf[tx.StartSample:], n, env, hs, w, step)
+	}
 
 	if cfg.NoiseSigma > 0 {
 		for a := range mc.Antennas {
@@ -182,6 +132,35 @@ func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand)
 		}
 	}
 	return mc, nil
+}
+
+// addTone walks one transmission's clipped envelope with its oscillator
+// as a running value — w at the first sample, multiplied by step after
+// every sample, silent chips included — and adds hs[a]·env[s]·w into
+// antenna a's stream at dst[a*stride+s] for every non-zero chip.
+func addTone(dst []complex128, stride int, env []float64, hs []complex128, w, step complex128) {
+	for s, e := range env {
+		switch e {
+		case 0:
+		case 1:
+			// OOK chips are 0/1; multiplying h by complex(1, 0) is
+			// exact in IEEE arithmetic, so skipping it changes no bit
+			// and drops a complex multiply per antenna from the hottest
+			// loop in the simulator.
+			at := s
+			for _, h := range hs {
+				dst[at] += h * w
+				at += stride
+			}
+		default:
+			at := s
+			for _, h := range hs {
+				dst[at] += h * complex(e, 0) * w
+				at += stride
+			}
+		}
+		w *= step
+	}
 }
 
 func addNoise(dst []complex128, sigma float64, rng *rand.Rand) {

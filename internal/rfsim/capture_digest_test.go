@@ -2,6 +2,7 @@ package rfsim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -99,5 +100,65 @@ func TestCaptureDigest(t *testing.T) {
 	}
 	if got := h.Sum64(); got != captureDigest {
 		t.Errorf("capture digest %#x, want %#x: a synthesized sample moved", got, uint64(captureDigest))
+	}
+}
+
+// captureAllocCeiling is what one Capture of the 24-transmission
+// triangle scene may allocate: the MultiCapture, its antenna headers
+// and the one backing array the streams are cut from. The parent
+// (9e18237) read 53 on this test without a scratch — three streams plus
+// a rotation row and a coefficient row per transmission.
+const captureAllocCeiling = 4
+
+// TestCaptureAllocBudget holds Capture to its ceiling; the count does
+// not depend on the host, so it gates where a timing cannot.
+func TestCaptureAllocBudget(t *testing.T) {
+	cfg, arr, txs := triangleScene(t, 77, 24)
+	cfg.NoiseSigma = 1e-5
+	rng := rand.New(rand.NewSource(5))
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Capture(cfg, arr, txs, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > captureAllocCeiling {
+		t.Errorf("Capture allocates %.0f objects per call, ceiling %d", got, captureAllocCeiling)
+	}
+}
+
+// TestCaptureEmptyScene: zero transmissions must still produce a
+// (noise-only) capture of the full shape, each stream closed to append.
+func TestCaptureEmptyScene(t *testing.T) {
+	cfg, arr, _ := triangleScene(t, 1, 0)
+	cfg.NoiseSigma = 1e-5
+	mc, err := Capture(cfg, arr, nil, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mc.Antennas) != 3 || len(mc.Antennas[0]) != cfg.NumSamples {
+		t.Fatalf("capture shape %dx%d", len(mc.Antennas), len(mc.Antennas[0]))
+	}
+	// The streams share one backing array; an append must copy, not
+	// write into the next antenna.
+	if c := cap(mc.Antennas[0]); c != cfg.NumSamples {
+		t.Errorf("antenna 0 has capacity %d beyond its %d samples", c, cfg.NumSamples)
+	}
+}
+
+// BenchmarkCapture measures one capture as a reader issues it: the
+// triangle array, noise on, at a busy and a saturated intersection.
+func BenchmarkCapture(b *testing.B) {
+	for _, n := range []int{24, 48} {
+		b.Run(fmt.Sprintf("txs=%d", n), func(b *testing.B) {
+			cfg, arr, txs := triangleScene(b, 77, n)
+			cfg.NoiseSigma = 1e-5
+			rng := rand.New(rand.NewSource(5))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Capture(cfg, arr, txs, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -118,12 +118,12 @@ func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand)
 		for a, el := range array.Elements {
 			hs[a] = Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0)
 		}
-		step := cmplx.Exp(complex(0, 2*math.Pi*tx.CFO/cfg.SampleRate))
+		turn := 2 * math.Pi * tx.CFO / cfg.SampleRate // radians per sample
 		w := cmplx.Exp(complex(0, tx.Phase))
 		// Advance to the start sample so CFO phase is continuous in
 		// capture time, not envelope time.
-		w *= cmplx.Exp(complex(0, 2*math.Pi*tx.CFO/cfg.SampleRate*float64(tx.StartSample)))
-		addTone(buf[tx.StartSample:], n, env, hs, w, step)
+		w *= cmplx.Exp(complex(0, turn*float64(tx.StartSample)))
+		addTone(buf[tx.StartSample:], n, env, hs, w, cmplx.Exp(complex(0, turn)))
 	}
 
 	if cfg.NoiseSigma > 0 {

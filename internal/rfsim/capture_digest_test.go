@@ -103,11 +103,11 @@ func TestCaptureDigest(t *testing.T) {
 	}
 }
 
-// captureAllocCeiling is what one Capture of the 24-transmission
-// triangle scene may allocate: the MultiCapture, its antenna headers
-// and the one backing array the streams are cut from. The parent
-// (9e18237) read 53 on this test without a scratch — three streams plus
-// a rotation row and a coefficient row per transmission.
+// captureAllocCeiling is what one Capture may allocate, whatever the
+// scene: the MultiCapture, its antenna headers, the one backing array
+// the streams are cut from, and one row of channel coefficients. The
+// parent (9e18237) read 58 on this test, 8 with the scratch its readers
+// carried.
 const captureAllocCeiling = 4
 
 // TestCaptureAllocBudget holds Capture to its ceiling; the count does

@@ -28,8 +28,10 @@ import (
 // The cache TTLs per route. Car sightings change at epoch cadence;
 // speed answers fold a "now" into the max-age filter so they expire
 // faster; parking sessions are the most commonly polled and cheapest to
-// recompute. DefaultCacheSize bounds the cache entry count: a full
-// cache serves new keys uncached rather than evicting hot ones.
+// recompute. DefaultCacheSize bounds the cache entry count. A put
+// first sheds every expired entry, in expiry order off a min-heap; a
+// cache still full of live entries serves the new key uncached and
+// never evicts a live one.
 const (
 	DefaultCarTTL     = time.Second
 	DefaultSpeedTTL   = 500 * time.Millisecond
@@ -113,7 +115,7 @@ func (s *Server) cached(ttl time.Duration, h func(*http.Request) (int, any)) htt
 			http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
 			return
 		}
-		s.cache.put(key, status, body, now.Add(ttl))
+		s.cache.put(key, status, body, now, now.Add(ttl))
 		writeBody(w, status, body)
 	})
 }

@@ -18,6 +18,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -192,13 +193,15 @@ func (s *Server) handleSpeed(r *http.Request) (int, any) {
 		return http.StatusNotFound, apiError{Error: "speed service not configured"}
 	}
 	q := r.URL.Query()
+	// ParseFloat accepts "Inf" and "NaN": neither is a CFO or a
+	// tolerance, and an infinite frequency cannot be marshaled back.
 	freq, err := strconv.ParseFloat(q.Get("freq"), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(freq) || math.IsInf(freq, 0) {
 		return http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad freq %q", q.Get("freq"))}
 	}
 	tol := 500.0
 	if v := q.Get("tol"); v != "" {
-		if tol, err = strconv.ParseFloat(v, 64); err != nil || tol <= 0 {
+		if tol, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(tol) || math.IsInf(tol, 0) || tol <= 0 {
 			return http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad tol %q", v)}
 		}
 	}

@@ -84,6 +84,14 @@ func TestEndpoints(t *testing.T) {
 		{"/speed?freq=5000&tol=500", 200, []string{`"speed_mps":50`, `"over_limit":true`, `"from":1`, `"to":2`, `"decoded_id":"0xaa1"`}},
 		{"/speed?freq=9999&tol=10", 404, []string{`"error"`}},
 		{"/speed?freq=nope", 400, []string{`"error"`}},
+		// ParseFloat reads these; none is a CFO or a tolerance.
+		{"/speed?freq=Inf&tol=Inf", 400, []string{`"error":"bad freq \"Inf\""`}},
+		{"/speed?freq=-Inf", 400, []string{`"error":"bad freq \"-Inf\""`}},
+		{"/speed?freq=NaN", 400, []string{`"error":"bad freq \"NaN\""`}},
+		{"/speed?freq=5000&tol=NaN", 400, []string{`"error":"bad tol \"NaN\""`}},
+		{"/speed?freq=1e308&tol=Inf", 400, []string{`"error":"bad tol \"Inf\""`}},
+		{"/speed?freq=5000&tol=-Inf", 400, []string{`"error":"bad tol \"-Inf\""`}},
+		{"/speed?freq=5000&tol=0", 400, []string{`"error":"bad tol \"0\""`}},
 		{"/parking", 200, []string{`"spot":3`, `"id":"0xaa1"`, `"spot":7`, `"id":"0xcc3"`}},
 		{"/parking/7", 200, []string{`"occupied":true`, `"id":"0xcc3"`}},
 		{"/parking/5", 200, []string{`"occupied":false`}},
@@ -98,6 +106,36 @@ func TestEndpoints(t *testing.T) {
 			if !strings.Contains(body, w) {
 				t.Errorf("GET %s: body %s missing %q", c.path, body, w)
 			}
+		}
+	}
+}
+
+// TestSpeedRefusesNonFinite: with one sighting at each of two readers a
+// second apart, a tolerance of Inf matches both whatever the frequency.
+// A parser that let Inf through answered freq=Inf with a 500 (an
+// infinite FreqHz does not marshal) and freq=1e308 with a 200 speed for
+// a CFO no car has.
+func TestSpeedRefusesNonFinite(t *testing.T) {
+	store := collector.NewStore(0)
+	for i, freq := range []float64{5002, 5004} {
+		store.Add(&telemetry.Report{
+			ReaderID: uint32(i + 1), Seq: 1, Timestamp: apiBase.Add(time.Duration(i+1) * time.Second),
+			Count:  1,
+			Spikes: []telemetry.SpikeRecord{{FreqHz: freq}},
+		})
+	}
+	speed := collector.NewSpeedService(store, 15)
+	speed.RegisterReader(1, geom.P(0, 0))
+	speed.RegisterReader(2, geom.P(50, 0))
+	now := apiBase.Add(10 * time.Second)
+	ts := httptest.NewServer(New(Config{Directory: store, Speed: speed, Now: func() time.Time { return now }}))
+	defer ts.Close()
+	if status, body := get(t, ts, "/speed?freq=5000&tol=500"); status != 200 {
+		t.Fatalf("GET /speed on a finite query = %d %s, want 200", status, body)
+	}
+	for _, path := range []string{"/speed?freq=Inf&tol=Inf", "/speed?freq=1e308&tol=Inf", "/speed?freq=5000&tol=NaN"} {
+		if status, body := get(t, ts, path); status != 400 {
+			t.Errorf("GET %s = %d %s, want 400", path, status, body)
 		}
 	}
 }

@@ -18,7 +18,7 @@ var apiBase = time.Date(2015, 8, 17, 8, 0, 0, 0, time.UTC)
 
 // testBackend builds a small hand-fed backend: two readers sighting two
 // cars (one CFO pair fast enough to speed), and two parked cars.
-func testBackend(t *testing.T) Config {
+func testBackend(t testing.TB) Config {
 	t.Helper()
 	store := collector.NewStore(0)
 	add := func(reader uint32, seq int, freq float64, id uint64) {

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -11,10 +12,12 @@ import (
 // TestMain fails the package if any test leaves goroutines behind, as
 // internal/city's does: every test server, its connections and
 // the load driver's clients must be gone once the tests have returned.
+// A -fuzz run is not checked: the fuzzing engine leaves its own signal
+// watcher running.
 func TestMain(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
-	if code == 0 {
+	if code == 0 && flag.Lookup("test.fuzz").Value.String() == "" {
 		// Connection teardown finishes asynchronously; let it settle.
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -41,6 +43,36 @@ func TestCacheShedsExpired(t *testing.T) {
 	if n := c.len(); n != 1 {
 		t.Fatalf("cache holds %d entries after its TTLs passed and one put, want 1", n)
 	}
+}
+
+// TestCacheConcurrent shares one small cache between goroutines whose
+// clock moves, so gets, in-place updates, admissions and heap pops all
+// race each other; run under -race. The heap must be intact afterwards.
+func TestCacheConcurrent(t *testing.T) {
+	c := newTTLCache(32)
+	var ticks atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 20_000; i++ {
+				now := apiBase.Add(time.Duration(ticks.Add(1)) * time.Millisecond)
+				key := strconv.Itoa(rng.Intn(100))
+				if _, body, ok := c.get(key, now); ok && len(body) == 0 {
+					t.Error("hit with an empty body")
+					return
+				}
+				c.put(key, 200, []byte(key), now, now.Add(DefaultParkingTTL))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := c.len(); n > 32 {
+		t.Fatalf("cache grew to %d entries past its bound of 32", n)
+	}
+	checkHeap(t, c)
 }
 
 // BenchmarkCachePutFull puts a new key per iteration into a full

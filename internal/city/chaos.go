@@ -14,7 +14,6 @@ package city
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -61,7 +60,7 @@ type Chaos struct {
 	// makes the crash, the reroute, and every recovery counter
 	// seed-reproducible. KillAtSeq ≤ 0 arms nothing. The kill alone does
 	// not make Chaos.Active() true: it loses no reports, so a
-	// failover-only run still drains over the lossless barrier.
+	// failover-only run drains with zero loss and duplicate budgets.
 	KillPartition int
 	KillAtSeq     int
 }
@@ -172,6 +171,14 @@ func newChaosRun(cfg Config, epochs int, ids []uint32) *chaosRun {
 	return cr
 }
 
+// faulted returns the seqs of a reader's reports inside dropped frames
+// and inside killed (arrived, then resent) frames.
+func (cr *chaosRun) faulted(id uint32) (lost, dup []uint32) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	return cr.lost[id], cr.dup[id]
+}
+
 // activeMask returns the epoch's per-post online mask, or nil when no
 // churn is configured (every reader always on).
 func (cr *chaosRun) activeMask(posts []*post, epoch int) []bool {
@@ -183,95 +190,6 @@ func (cr *chaosRun) activeMask(posts []*post, epoch int) []bool {
 		mask[i] = cr.sched.Active(p.rd.ID, epoch)
 	}
 	return mask
-}
-
-// countInRange counts the seqs in [lo, hi] (inclusive, duplicates
-// counted — a frame killed twice is two extra copies).
-func countInRange(seqs []uint32, lo, hi uint32) int {
-	n := 0
-	for _, s := range seqs {
-		if s >= lo && s <= hi {
-			n++
-		}
-	}
-	return n
-}
-
-// clusterDrain composes the gap-tolerant barriers of a chaos run: each
-// reader's expected seq set (the epochs it was online for) splits by
-// partition ownership (cluster.OwnershipSplit), and each partition
-// waits only for the distinct-count, loss-budget, and copy targets of
-// the seq ranges it owns — distinct reports up to the accounted loss,
-// then every wire copy (duplicates included) so the dedupe counters are
-// settled and reproducible before anyone reads them. Every budget entry
-// localizes by sequence number: the injector event log records which
-// seqs each dropped or killed frame carried, a degraded client's
-// give-ups are the contiguous tail of its seq space (degradation is
-// permanent and Close abandons only queued reports), and a failover cut
-// is a prefix split — so loss attributed to a partition is exactly the
-// loss that would have landed there.
-func (cr *chaosRun) clusterDrain(cl *cluster.Cluster, posts []*post, clients []*collector.Client, epochs int, timeout time.Duration) error {
-	nparts := cl.NumPartitions()
-	want := make([]map[uint32]uint32, nparts)
-	budget := make([]map[uint32]int, nparts)
-	copies := make([]map[uint32]int, nparts)
-	for i := range want {
-		want[i] = make(map[uint32]uint32)
-		budget[i] = make(map[uint32]int)
-		copies[i] = make(map[uint32]int)
-	}
-	cr.mu.Lock()
-	for i, p := range posts {
-		id := p.rd.ID
-		st := clients[i].Stats()
-		total := uint32(cr.sched.ActiveEpochs(id, epochs))
-		if total == 0 {
-			continue
-		}
-		deliveredHi := uint32(0)
-		if dropped := uint32(st.Dropped); dropped < total {
-			deliveredHi = total - dropped
-		}
-		for _, rg := range cl.OwnershipSplit(id, total) {
-			distinct := int(rg.Hi - rg.Lo + 1)
-			lostIn := countInRange(cr.lost[id], rg.Lo, rg.Hi)
-			dupIn := countInRange(cr.dup[id], rg.Lo, rg.Hi)
-			droppedIn := 0
-			if rg.Hi > deliveredHi {
-				lo := rg.Lo
-				if lo <= deliveredHi {
-					lo = deliveredHi + 1
-				}
-				droppedIn = int(rg.Hi - lo + 1)
-			}
-			want[rg.Part][id] = uint32(distinct)
-			budget[rg.Part][id] = lostIn + droppedIn
-			copies[rg.Part][id] = (distinct - droppedIn) - lostIn + dupIn
-		}
-	}
-	cr.mu.Unlock()
-
-	errs := make([]error, nparts)
-	var wg sync.WaitGroup
-	for i := 0; i < nparts; i++ {
-		if len(want[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st := cl.Partition(i).Store
-			if err := st.WaitDelivered(want[i], budget[i], timeout); err != nil {
-				errs[i] = fmt.Errorf("city: partition %d: %w", i, err)
-				return
-			}
-			if err := st.WaitCopies(copies[i], timeout); err != nil {
-				errs[i] = fmt.Errorf("city: partition %d: %w", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // uplinkStats reconciles the final per-reader accounting for the

@@ -62,7 +62,7 @@ const (
 	epochLen = time.Second
 	// windowQueries is the §10 active window: ten queries in 10 ms. The
 	// window detector's gates are calibrated for it — fewer queries
-	// count cars on an empty road (ROADMAP item 1c).
+	// count cars on an empty road (reader's TestEmptyRoadCountsZero).
 	windowQueries = 10
 	// blockM is the street-grid spacing in meters.
 	blockM = 200.0
@@ -585,30 +585,96 @@ func (s *Sim) Run() (*Result, error) {
 }
 
 // drain blocks until every uplinked report has landed in the collector
-// tier. Each reader's expected seq set splits by partition ownership (a
-// rehomed reader's pre-cut prefix barriers on the dead partition's
-// store, its suffix on the successor) and the per-partition store
-// barriers run concurrently; with one partition the split is the
-// identity and the barrier is that store's own.
+// tier, and every wire copy with it. Each reader's expected seq set (the
+// epochs it was online for) splits by partition ownership
+// (cluster.OwnershipSplit: a rehomed reader's pre-cut prefix barriers on
+// the dead partition's store, its suffix on the successor), and each
+// partition waits, concurrently with the others, only for the seq ranges
+// it owns: distinct reports up to the accounted loss, then every copy
+// (duplicates included) so the dedupe counters are settled and
+// reproducible before anyone reads them. With one partition the split is
+// the identity.
+//
+// Every budget entry localizes by sequence number: the injector event
+// log records which seqs each dropped or killed frame carried, a
+// degraded client's give-ups are the contiguous tail of its seq space
+// (degradation is permanent and Close abandons only queued reports), and
+// a failover cut is a prefix split — so loss attributed to a partition
+// is exactly the loss that would have landed there. A clean run (nil cr)
+// has zero loss and duplicate budgets, which makes the barrier exactly
+// "every report landed".
 func (s *Sim) drain(cr *chaosRun, cl *cluster.Cluster, clients []*collector.Client, epochs int) error {
+	nparts := cl.NumPartitions()
+	want := make([]map[uint32]uint32, nparts)
+	budget := make([]map[uint32]int, nparts)
+	copies := make([]map[uint32]int, nparts)
+	for i := range want {
+		want[i] = make(map[uint32]uint32)
+		budget[i] = make(map[uint32]int)
+		copies[i] = make(map[uint32]int)
+	}
+	for i, p := range s.posts {
+		id := p.rd.ID
+		total, lost, dup := uint32(epochs), []uint32(nil), []uint32(nil)
+		if cr != nil {
+			total = uint32(cr.sched.ActiveEpochs(id, epochs))
+			lost, dup = cr.faulted(id)
+		}
+		if total == 0 {
+			continue
+		}
+		deliveredHi := uint32(0)
+		if dropped := uint32(clients[i].Stats().Dropped); dropped < total {
+			deliveredHi = total - dropped
+		}
+		for _, rg := range cl.OwnershipSplit(id, total) {
+			distinct := int(rg.Hi - rg.Lo + 1)
+			lostIn := countInRange(lost, rg.Lo, rg.Hi)
+			dupIn := countInRange(dup, rg.Lo, rg.Hi)
+			droppedIn := 0
+			if rg.Hi > deliveredHi {
+				droppedIn = int(rg.Hi - max(rg.Lo, deliveredHi+1) + 1)
+			}
+			want[rg.Part][id] = uint32(distinct)
+			budget[rg.Part][id] = lostIn + droppedIn
+			copies[rg.Part][id] = (distinct - droppedIn) - lostIn + dupIn
+		}
+	}
+
 	timeout := drainTimeout(epochs, len(s.posts))
-	if cr != nil {
-		// Injected loss makes an exact barrier a guaranteed hang, so drain
-		// gap-tolerantly with seq-localized loss and duplicate budgets.
-		return cr.clusterDrain(cl, s.posts, clients, epochs, timeout)
+	errs := make([]error, nparts)
+	var wg sync.WaitGroup
+	for i := 0; i < nparts; i++ {
+		if len(want[i]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st := cl.Partition(i).Store
+			if err := st.WaitDelivered(want[i], budget[i], timeout); err != nil {
+				errs[i] = fmt.Errorf("city: partition %d: %w", i, err)
+				return
+			}
+			if err := st.WaitCopies(copies[i], timeout); err != nil {
+				errs[i] = fmt.Errorf("city: partition %d: %w", i, err)
+			}
+		}(i)
 	}
-	// Lossless (possibly with a failover cut, which loses nothing:
-	// pre-cut frames land on the dead partition, post-cut frames are
-	// redelivered to the successor), so the exact high-water barrier
-	// holds.
-	want := make(map[uint32]uint32, len(s.posts))
-	for _, p := range s.posts {
-		want[p.rd.ID] = uint32(epochs)
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// countInRange counts the seqs in [lo, hi] (inclusive, duplicates
+// counted — a frame killed twice is two extra copies).
+func countInRange(seqs []uint32, lo, hi uint32) int {
+	n := 0
+	for _, s := range seqs {
+		if s >= lo && s <= hi {
+			n++
+		}
 	}
-	if err := cl.WaitHighWater(want, timeout); err != nil {
-		return fmt.Errorf("city: %w", err)
-	}
-	return nil
+	return n
 }
 
 // cellOf returns the grid-cell key a reader homes by: its
@@ -714,8 +780,8 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 	uplinked := make(chan struct{}, n)
 	// Under chaos, degraded ≠ dead: the client counted the loss, the
 	// drain's budget absorbs it, and the reader keeps measuring (its
-	// sends are accepted and dropped). A clean run drains over the
-	// lossless barrier, which a dropped report would only hang until its
+	// sends are accepted and dropped). A clean run drains with zero loss
+	// budgets, which a dropped report would only hang until their
 	// timeout — there every send error aborts the run.
 	tolerated := func(err error) bool {
 		return cr != nil && errors.Is(err, collector.ErrUplinkDegraded)

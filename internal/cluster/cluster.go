@@ -385,15 +385,6 @@ func (c *Cluster) Deduped(readerID uint32) int {
 	return n
 }
 
-// TotalReports sums retained reports across partitions.
-func (c *Cluster) TotalReports() int {
-	n := 0
-	for _, p := range c.parts {
-		n += p.Store.TotalReports()
-	}
-	return n
-}
-
 // ReadersOn returns how many registered readers currently call
 // partition i home.
 func (c *Cluster) ReadersOn(i int) int {

@@ -44,7 +44,6 @@ type ringPoint struct {
 // partition move to their ring successor and every other key stays
 // put.
 type Ring struct {
-	nparts int
 	points []ringPoint
 }
 
@@ -56,7 +55,7 @@ func NewRing(nparts int) (*Ring, error) {
 	if nparts < 1 {
 		return nil, fmt.Errorf("cluster: need at least one partition, got %d", nparts)
 	}
-	r := &Ring{nparts: nparts, points: make([]ringPoint, 0, nparts*vnodes)}
+	r := &Ring{points: make([]ringPoint, 0, nparts*vnodes)}
 	for p := 0; p < nparts; p++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("partition-%d/vnode-%d", p, v)), part: p})
@@ -73,9 +72,6 @@ func NewRing(nparts int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Partitions returns the partition count the ring was built over.
-func (r *Ring) Partitions() int { return r.nparts }
 
 // Owner returns the partition owning key: the first virtual node at or
 // clockwise of the key's hash.

@@ -268,18 +268,6 @@ func (s *Store) DedupedTotal() int {
 	return n
 }
 
-// TotalReports returns the number of retained reports across all
-// readers (retention trims per-reader history to the keep window).
-func (s *Store) TotalReports() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, lg := range s.readers {
-		n += len(lg.history)
-	}
-	return n
-}
-
 // MissingSeqs lists the sequence numbers in [1, max] never received
 // from a reader — the realized loss a chaos run charges against its
 // loss budget.
@@ -514,13 +502,4 @@ readers:
 		}
 	}
 	return out
-}
-
-// historyFor returns the live retained window for one reader — a test
-// hook for the retention regression tests, which assert on the backing
-// array itself.
-func (s *Store) historyFor(readerID uint32) []*telemetry.Report {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.entry(readerID).history
 }

@@ -10,6 +10,26 @@ import (
 	"caraoke/internal/telemetry"
 )
 
+// TotalReports returns the number of retained reports across all
+// readers (retention trims per-reader history to the keep window).
+func (s *Store) TotalReports() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, lg := range s.readers {
+		n += len(lg.history)
+	}
+	return n
+}
+
+// historyFor returns the live retained window for one reader: the
+// retention regression tests assert on the backing array itself.
+func (s *Store) historyFor(readerID uint32) []*telemetry.Report {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.entry(readerID).history
+}
+
 // TestStoreAddTrimsWithCopy is the regression test for the history
 // retention fix: trimming must copy the retained tail down the backing
 // array, not re-slice. A re-slice leaves every dropped report reachable

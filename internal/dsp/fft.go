@@ -93,11 +93,8 @@ func (p *FFTPlan) buildStages() {
 	}
 }
 
-// N returns the transform length of the plan.
-func (p *FFTPlan) N() int { return p.n }
-
 // Transform computes the forward DFT of src into dst. dst and src must
-// both have length N(); they may alias the same slice for an in-place
+// both have the plan's length; they may alias the same slice for an in-place
 // transform. The convention is X[k] = Σ x[t]·e^{-2πi kt/N} (no scaling).
 func (p *FFTPlan) Transform(dst, src []complex128) {
 	p.run(dst, src)

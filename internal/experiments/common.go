@@ -94,7 +94,6 @@ func (s *scene) ringDevices(m int, firstSerial uint64) []*transponder.Device {
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string {
 	return fmt.Sprintf("%.1f%%", 100*v)
 }

@@ -15,23 +15,6 @@ type Cone struct {
 	Alpha float64 // half-angle, radians, in (0, π)
 }
 
-// Contains reports whether p lies on the cone within tol radians of
-// angular error.
-func (c Cone) Contains(p Vec3, tol float64) bool {
-	r := p.Sub(c.Apex)
-	n := r.Norm()
-	if n == 0 {
-		return false
-	}
-	cosGot := r.Dot(c.Axis.Unit()) / n
-	if cosGot > 1 {
-		cosGot = 1
-	} else if cosGot < -1 {
-		cosGot = -1
-	}
-	return math.Abs(math.Acos(cosGot)-c.Alpha) <= tol
-}
-
 // Conic is a general plane conic A·x² + B·x·y + C·y² + D·x + E·y + F = 0
 // in road coordinates. The intersection of an AoA cone with the road
 // plane is such a curve: a hyperbola for a horizontal baseline (Eq 15),

@@ -6,6 +6,23 @@ import (
 	"testing"
 )
 
+// Contains reports whether p lies on the cone within tol radians of
+// angular error: the check the tests hold cone-plane intersections to.
+func (c Cone) Contains(p Vec3, tol float64) bool {
+	r := p.Sub(c.Apex)
+	n := r.Norm()
+	if n == 0 {
+		return false
+	}
+	cosGot := r.Dot(c.Axis.Unit()) / n
+	if cosGot > 1 {
+		cosGot = 1
+	} else if cosGot < -1 {
+		cosGot = -1
+	}
+	return math.Abs(math.Acos(cosGot)-c.Alpha) <= tol
+}
+
 // coneThrough builds the AoA cone that a transponder at p produces for
 // an antenna baseline at apex with the given axis.
 func coneThrough(apex, axis, p Vec3) Cone {

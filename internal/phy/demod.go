@@ -21,10 +21,10 @@ var (
 // DemodScratch owns the chip-energy buffer DemodulateFrame integrates
 // an envelope into. The zero value is ready to use; it is not safe for
 // concurrent use. Demodulation decisions are bit-identical to the
-// allocating DemodulateFrame — same integrations, same comparisons,
-// same CRC — only the buffer lifetime and the error surface differ
-// (bare sentinels instead of wrapped errors, a Frame value instead of
-// a pointer).
+// allocating oracle chain the package's tests keep — same integrations,
+// same comparisons, same CRC — only the buffer lifetime and the error
+// surface differ (bare sentinels instead of wrapped errors, a Frame
+// value instead of a pointer).
 type DemodScratch struct {
 	energy []float64 // per-chip integrated energy
 }
@@ -33,8 +33,7 @@ type DemodScratch struct {
 // → frame parse with CRC check. The frame is returned by value; on
 // steady-state reuse the call allocates nothing. Errors are the bare
 // sentinels ErrLowSampleRate, ErrShortEnvelope, ErrBadPreamble, and
-// ErrBadCRC, so callers keep using errors.Is exactly as with the
-// allocating chain.
+// ErrBadCRC.
 func (ds *DemodScratch) DemodulateFrame(env []float64, sampleRate float64) (Frame, error) {
 	spc := SamplesPerChip(sampleRate)
 	if spc < 1 {

@@ -79,15 +79,6 @@ func appendBits(dst Bits, v uint64, width int) Bits {
 	return dst
 }
 
-// readBits consumes `width` bits starting at offset, returning the value.
-func readBits(src Bits, offset, width int) uint64 {
-	var v uint64
-	for i := 0; i < width; i++ {
-		v = v<<1 | uint64(src[offset+i])
-	}
-	return v
-}
-
 // Pack converts a bit string whose length is a multiple of 8 into
 // bytes, MSB first.
 func (b Bits) Pack() []byte {
@@ -121,37 +112,4 @@ func (f *Frame) Encode() (Bits, error) {
 		panic(fmt.Sprintf("phy: encoded frame is %d bits, want %d", len(bits), FrameBits))
 	}
 	return bits, nil
-}
-
-// DecodeFrame parses a 256-bit wire form, checking preamble and CRC.
-// It returns ErrBadPreamble or ErrBadCRC (wrapped) on validation
-// failure; callers in the collision decoder treat either as "keep
-// averaging".
-func DecodeFrame(bits Bits) (*Frame, error) {
-	if len(bits) != FrameBits {
-		return nil, fmt.Errorf("phy: frame length %d bits, want %d", len(bits), FrameBits)
-	}
-	off := 0
-	pre := readBits(bits, off, PreambleBits)
-	off += PreambleBits
-	if uint16(pre) != Preamble {
-		return nil, fmt.Errorf("%w: got %#04x", ErrBadPreamble, pre)
-	}
-	f := &Frame{}
-	f.Programmable = readBits(bits, off, ProgrammableBits)
-	off += ProgrammableBits
-	f.Agency = uint16(readBits(bits, off, AgencyBits))
-	off += AgencyBits
-	f.Serial = readBits(bits, off, SerialBits)
-	off += SerialBits
-	f.Factory = readBits(bits, off, FactoryBits)
-	off += FactoryBits
-	f.Reserved = readBits(bits, off, ReservedBits)
-	off += ReservedBits
-	wantCRC := uint16(readBits(bits, off, CRCBits))
-	payload := bits[PreambleBits : PreambleBits+payloadBits]
-	if got := CRC16(payload.Pack()); got != wantCRC {
-		return nil, fmt.Errorf("%w: computed %#04x, frame carries %#04x", ErrBadCRC, got, wantCRC)
-	}
-	return f, nil
 }

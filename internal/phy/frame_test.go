@@ -2,6 +2,7 @@ package phy
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,47 @@ func randomFrame(rng *rand.Rand) *Frame {
 		Factory:      rng.Uint64(),
 		Reserved:     rng.Uint64() & (1<<ReservedBits - 1),
 	}
+}
+
+// DecodeFrame is the bit-level oracle of DemodulateChips' frame parse:
+// it reads a 256-bit wire form one bit at a time, checking preamble and
+// CRC, and returns ErrBadPreamble or ErrBadCRC wrapped.
+func DecodeFrame(bits Bits) (*Frame, error) {
+	if len(bits) != FrameBits {
+		return nil, fmt.Errorf("phy: frame length %d bits, want %d", len(bits), FrameBits)
+	}
+	off := 0
+	pre := readBits(bits, off, PreambleBits)
+	off += PreambleBits
+	if uint16(pre) != Preamble {
+		return nil, fmt.Errorf("%w: got %#04x", ErrBadPreamble, pre)
+	}
+	f := &Frame{}
+	f.Programmable = readBits(bits, off, ProgrammableBits)
+	off += ProgrammableBits
+	f.Agency = uint16(readBits(bits, off, AgencyBits))
+	off += AgencyBits
+	f.Serial = readBits(bits, off, SerialBits)
+	off += SerialBits
+	f.Factory = readBits(bits, off, FactoryBits)
+	off += FactoryBits
+	f.Reserved = readBits(bits, off, ReservedBits)
+	off += ReservedBits
+	wantCRC := uint16(readBits(bits, off, CRCBits))
+	payload := bits[PreambleBits : PreambleBits+payloadBits]
+	if got := CRC16(payload.Pack()); got != wantCRC {
+		return nil, fmt.Errorf("%w: computed %#04x, frame carries %#04x", ErrBadCRC, got, wantCRC)
+	}
+	return f, nil
+}
+
+// readBits consumes `width` bits starting at offset, returning the value.
+func readBits(src Bits, offset, width int) uint64 {
+	var v uint64
+	for i := 0; i < width; i++ {
+		v = v<<1 | uint64(src[offset+i])
+	}
+	return v
 }
 
 func TestFrameEncodeLength(t *testing.T) {

@@ -1,10 +1,33 @@
 package phy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// DemodulateSoft is the allocating oracle of DemodulateChips' bit
+// decisions. It converts per-chip energy measurements into data bits by
+// comparing the two halves of each bit period: Manchester guarantees
+// exactly one half is "on", so the larger half decides the bit. This is
+// robust to unknown absolute scale, which is what the coherent combiner
+// hands the decoder (§8: amplitudes are N·s(t) plus residual
+// interference).
+func DemodulateSoft(chipEnergy []float64) (Bits, error) {
+	if len(chipEnergy)%ChipsPerBit != 0 {
+		return nil, fmt.Errorf("phy: chip energy length %d is not a multiple of %d", len(chipEnergy), ChipsPerBit)
+	}
+	bits := make(Bits, 0, len(chipEnergy)/ChipsPerBit)
+	for i := 0; i < len(chipEnergy); i += ChipsPerBit {
+		if chipEnergy[i] >= chipEnergy[i+1] {
+			bits = append(bits, 1)
+		} else {
+			bits = append(bits, 0)
+		}
+	}
+	return bits, nil
+}
 
 func TestManchesterEncodeBasic(t *testing.T) {
 	chips := ManchesterEncode(Bits{1, 0})

@@ -1,11 +1,47 @@
 package phy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 const testSampleRate = 4e6
+
+// DemodulateEnvelope integrates a recovered real-valued envelope over
+// each chip period and makes per-bit Manchester decisions. The envelope
+// must be frame-aligned (the reader knows the response starts exactly
+// TurnaroundDelay after its query) and hold one full frame.
+func DemodulateEnvelope(env []float64, sampleRate float64) (Bits, error) {
+	spc := SamplesPerChip(sampleRate)
+	if spc < 1 {
+		return nil, fmt.Errorf("phy: sample rate %g Hz below one sample per chip", sampleRate)
+	}
+	chips := FrameBits * ChipsPerBit
+	if len(env) < chips*spc {
+		return nil, fmt.Errorf("phy: envelope holds %d samples, a frame needs %d", len(env), chips*spc)
+	}
+	energy := make([]float64, chips)
+	for c := 0; c < chips; c++ {
+		var sum float64
+		for s := 0; s < spc; s++ {
+			sum += env[c*spc+s]
+		}
+		energy[c] = sum
+	}
+	return DemodulateSoft(energy)
+}
+
+// DemodulateFrame is the allocating oracle of DemodScratch.DemodulateFrame:
+// envelope → chip energies → Manchester decisions → frame parse with CRC
+// check, each stage its own allocation and its own error text.
+func DemodulateFrame(env []float64, sampleRate float64) (*Frame, error) {
+	bits, err := DemodulateEnvelope(env, sampleRate)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeFrame(bits)
+}
 
 func TestTimingConstantsConsistent(t *testing.T) {
 	if got := FrameBits * BitDuration; got != ResponseDuration {

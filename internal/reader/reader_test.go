@@ -85,10 +85,10 @@ func TestReaderMeasureValidation(t *testing.T) {
 // reports no cars. The §10 window of ten queries holds that exactly;
 // the window detector's gates are calibrated only there (the same 200
 // windows count 673 cars at two queries and 155 at three, ROADMAP item
-// 1), which is why the window is a constant everywhere a run sets it.
+// 2), which is why the window is a constant everywhere a run sets it.
 // The single-capture detector behind caraoke.Count is not clean: it
 // reads 4 phantom cars in 200 empty captures at this seed, pinned so the
-// number cannot grow unseen — item 1c's fix moves it to 0.
+// number cannot grow unseen — item 2's fix moves it to 0.
 func TestEmptyRoadCountsZero(t *testing.T) {
 	r := testReader(t, 1, geom.V(0, -5, 0))
 	rng := rand.New(rand.NewSource(4))

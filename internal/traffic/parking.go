@@ -53,11 +53,6 @@ func (ps *ParkingStrip) Park(i int) error {
 	return nil
 }
 
-// Occupied reports spot i's state.
-func (ps *ParkingStrip) Occupied(i int) bool {
-	return i >= 0 && i < ps.NumSpots && ps.occupied[i]
-}
-
 // NearestSpot returns the index of the spot whose center is closest to
 // the road-plane point p, and the distance to it. Caraoke's smart
 // parking maps a localized car to a spot this way: 4° of AoA error is

@@ -8,6 +8,11 @@ import (
 	"caraoke/internal/geom"
 )
 
+// Occupied reports spot i's state.
+func (ps *ParkingStrip) Occupied(i int) bool {
+	return i >= 0 && i < ps.NumSpots && ps.occupied[i]
+}
+
 func TestLightTimingPhases(t *testing.T) {
 	lt := LightTiming{Green0: 15 * time.Second, Green1: 45 * time.Second, Yellow: 3 * time.Second}
 	if lt.Cycle() != 66*time.Second {

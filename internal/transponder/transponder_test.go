@@ -136,12 +136,13 @@ func TestPopulationFramesRoundTrip(t *testing.T) {
 	// Generated frames must encode/decode cleanly (dense payloads
 	// within field widths).
 	rng := rand.New(rand.NewSource(106))
+	var ds phy.DemodScratch
 	for _, d := range NewPopulation(DefaultPopulationParams(), 20, 5000, rng) {
-		bits, err := d.Frame.Encode()
+		env, err := phy.ModulateFrame(&d.Frame, 4e6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := phy.DecodeFrame(bits)
+		got, err := ds.DemodulateFrame(env, 4e6)
 		if err != nil {
 			t.Fatal(err)
 		}

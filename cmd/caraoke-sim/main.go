@@ -33,7 +33,6 @@ func main() {
 	parked := flag.Int("parked", 0, "stationary curbside cars near intersection 0")
 	duration := flag.Duration("duration", 30*time.Second, "simulated time")
 	seed := flag.Int64("seed", 1, "RNG seed; same seed ⇒ identical run")
-	workers := flag.Int("workers", 0, "DSP worker goroutines per reader (0 = city.Config's default, 1 = serial; results identical for any value, only wall-clock changes)")
 	decodeEvery := flag.Int("decode-every", 5, "run the §8 id decoder every k-th epoch (negative disables)")
 	decodeBudget := flag.Int("decode-budget", 120, "max collisions combined per decode run")
 	equipped := flag.Float64("equipped", 1, "fraction of cars carrying a transponder")
@@ -84,7 +83,6 @@ func main() {
 		Parked:         *parked,
 		Duration:       *duration,
 		Seed:           *seed,
-		Workers:        *workers,
 		DecodeEvery:    *decodeEvery,
 		DecodeBudget:   *decodeBudget,
 		UnequippedFrac: 1 - *equipped,

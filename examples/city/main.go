@@ -19,7 +19,6 @@ func main() {
 		Vehicles: 60,
 		Duration: 15 * time.Second,
 		Seed:     2015,
-		Workers:  2, // per-reader DSP pool; results identical to serial
 	})
 	if err != nil {
 		log.Fatal(err)

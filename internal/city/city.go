@@ -98,8 +98,8 @@ type Config struct {
 	// Duration is simulated time, in whole one-second epochs (default
 	// 30s).
 	Duration time.Duration
-	// Workers is each reader's DSP worker-pool size (default 1 =
-	// serial; results are identical for any value).
+	// Workers is ignored: each reader analyzes and decodes on its own
+	// goroutine. It stays for callers built against the worker pool.
 	Workers int
 	// Seed drives every random choice in the run; any value,
 	// including zero, is a valid (and reproducible) seed.
@@ -153,9 +153,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
 	}
 	if c.DecodeEvery == 0 {
 		c.DecodeEvery = 5
@@ -278,14 +275,7 @@ func NewSim(cfg Config) (*Sim, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pop := transponder.DefaultPopulationParams()
-	serial := uint64(1)
-	nextSerial := func() uint64 {
-		// Dense upper bits, sequential low 16 — the same shape as the
-		// deployed-tag serials internal/transponder documents.
-		sn := rng.Uint64()&^uint64(0xFFFF) | serial&0xFFFF
-		serial++
-		return sn
-	}
+	var serial uint64 // low bits of the next tag serial, counting from 1
 	for v := 0; v < cfg.Vehicles; v++ {
 		veh := &vehicle{
 			street: rng.Intn(len(s.streets)),
@@ -293,14 +283,16 @@ func NewSim(cfg Config) (*Sim, error) {
 		}
 		veh.s = rng.Float64() * s.streets[veh.street].length
 		if rng.Float64() >= cfg.UnequippedFrac {
-			veh.dev = transponder.NewRandomDevice(pop, nextSerial(), geom.Vec3{}, rng)
+			serial++
+			veh.dev = transponder.NewRandomDevice(pop, transponder.DenseSerial(rng, serial), geom.Vec3{}, rng)
 		}
 		s.vehicles = append(s.vehicles, veh)
 	}
 	for i := 0; i < cfg.Parked; i++ {
 		// Curbside rows of five, 6 m pitch, just inside reader 1's zone.
 		pos := geom.V(-22+6*float64(i%5), 8+3.5*float64(i/5), 0)
-		s.parked = append(s.parked, transponder.NewRandomDevice(pop, nextSerial(), pos, rng))
+		serial++
+		s.parked = append(s.parked, transponder.NewRandomDevice(pop, transponder.DenseSerial(rng, serial), pos, rng))
 	}
 
 	for j := 0; j < cfg.Readers; j++ {
@@ -312,7 +304,6 @@ func NewSim(cfg Config) (*Sim, error) {
 			PoleHeight: 3.8,
 			TiltDeg:    60,
 			NoiseSigma: noiseSigma,
-			Workers:    cfg.Workers,
 		}
 		if j%2 == 0 { // watches the horizontal street through (cx, cy)
 			rc.PoleBase = geom.V(cx-5, cy+2, 0)

@@ -35,9 +35,10 @@ type Server struct {
 	// Logf, if set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 	// IdleTimeout bounds the wait for the next frame on a connection;
-	// an idle connection is closed. NewServer sets DefaultIdleTimeout;
-	// ≤ 0 disables the deadline (a half-open peer then pins its
-	// goroutine until Stop).
+	// an idle connection is closed. The deadline covers a whole frame,
+	// not each read: a peer that trickles a frame slower than this is
+	// closed too. NewServer sets DefaultIdleTimeout; ≤ 0 disables the
+	// deadline (a half-open peer then pins its goroutine until Stop).
 	IdleTimeout time.Duration
 
 	ln     net.Listener

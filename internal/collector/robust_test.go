@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"net"
@@ -356,5 +357,76 @@ func TestServerIdleTimeoutReapsHalfOpen(t *testing.T) {
 	}
 	if got := store.SeqsReceived(1); got != 1 {
 		t.Errorf("SeqsReceived(1) = %d, want the pre-idle report kept", got)
+	}
+}
+
+// TestServerIdleTimeoutCutsSlowWriter: IdleTimeout covers a whole frame,
+// not each read. A peer that trickles one valid frame a byte every
+// 40 ms — each byte well inside the 150 ms timeout — is closed about one
+// IdleTimeout after it starts, long before the frame is complete, with
+// nothing ingested, and Stop still returns.
+func TestServerIdleTimeoutCutsSlowWriter(t *testing.T) {
+	const idle = 150 * time.Millisecond
+	store := NewStore(8)
+	srv := NewServer(store)
+	srv.Logf = t.Logf
+	srv.IdleTimeout = idle
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+
+	var frame bytes.Buffer
+	if err := telemetry.WriteBatch(&frame, []*telemetry.Report{robustReport(1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialTimeout("tcp", addr.String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	sent := make(chan int, 1)
+	go func() {
+		n := 0
+		for _, b := range frame.Bytes() {
+			if _, err := conn.Write([]byte{b}); err != nil {
+				break
+			}
+			n++
+			time.Sleep(40 * time.Millisecond)
+		}
+		sent <- n
+	}()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	cut := time.Since(start)
+	conn.Close() // ends the trickle
+	n := <-sent
+	if err == nil {
+		t.Fatal("read returned data from a server that never answers")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server kept a %d-byte trickle open for 5 s", n)
+	}
+	t.Logf("cut after %d of %d bytes, %v", n, frame.Len(), cut.Round(time.Millisecond))
+	if n >= frame.Len() {
+		t.Errorf("the whole %d-byte frame went in before the cut", frame.Len())
+	}
+	if cut > 3*idle {
+		t.Errorf("cut after %v, want about one IdleTimeout (%v)", cut, idle)
+	}
+	if got := store.TotalReports(); got != 0 {
+		t.Errorf("store holds %d reports, want the trickled frame refused", got)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		srv.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return after the slow writer was cut")
 	}
 }

@@ -4,7 +4,48 @@ import (
 	"testing"
 
 	"caraoke/internal/phy"
+	"caraoke/internal/rfsim"
+	"caraoke/internal/transponder"
 )
+
+// cannedSource replays pre-generated collision captures, so repeated
+// decodes consume byte-identical query sequences.
+func cannedSource(caps []*rfsim.MultiCapture) CaptureSource {
+	i := 0
+	return func() ([]complex128, error) {
+		mc := caps[i%len(caps)]
+		i++
+		return mc.Reference(), nil
+	}
+}
+
+// decodeFixture builds a shared collision scene with well-separated
+// CFOs plus the spike frequencies the decoders should target.
+func decodeFixture(t testing.TB, seed int64, nDevs, nCaps int) ([]*rfsim.MultiCapture, []float64, []*transponder.Device, Params) {
+	s := newTestScene(t, seed)
+	devs := s.placedDevices(nDevs)
+	for i, d := range devs {
+		// Spread the CFOs evenly across the band's lower MHz so every
+		// device yields a clean, decodable spike.
+		d.CarrierHz = phy.BandLow + 150e3 + float64(i)*(1.0e6/float64(nDevs))
+	}
+	spikes, err := AnalyzeCaptures(s.collideQueries(devs, 5), s.param)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spikes) != nDevs {
+		t.Fatalf("fixture found %d spikes for %d devices", len(spikes), nDevs)
+	}
+	freqs := make([]float64, len(spikes))
+	for i, sp := range spikes {
+		freqs[i] = sp.Freq
+	}
+	caps := make([]*rfsim.MultiCapture, nCaps)
+	for i := range caps {
+		caps[i] = s.collide(devs)
+	}
+	return caps, freqs, devs, s.param
+}
 
 func TestDecodeAllSharedCollisions(t *testing.T) {
 	// §12.4: decoding all colliders costs the same collisions as
@@ -76,5 +117,43 @@ func TestDecodeAllErrors(t *testing.T) {
 	}
 	if len(out) != 0 {
 		t.Errorf("%d unexpected decodes", len(out))
+	}
+}
+
+// TestDecodeAllParallelErrors: the error paths hold with several
+// targets sharing one collision stream — the case the former
+// worker-pool decoder split across goroutines and DecodeAll now
+// handles in one pass.
+func TestDecodeAllParallelErrors(t *testing.T) {
+	src := func() ([]complex128, error) { return make([]complex128, 2048), nil }
+	targets := []float64{1e5, 2e5}
+	if _, err := DecodeAll(src, 4e6, targets, 0); err == nil {
+		t.Error("zero maxQueries accepted")
+	}
+	if _, err := DecodeAll(src, 4e6, targets[:0], 5); err == nil {
+		t.Error("empty target list accepted")
+	}
+	out, err := DecodeAll(src, 4e6, targets, 3)
+	if err == nil {
+		t.Error("undecodable targets reported as success")
+	}
+	if len(out) != 0 {
+		t.Errorf("%d unexpected decodes", len(out))
+	}
+}
+
+// BenchmarkDecodeAll measures the §8 decode-everything path on
+// pre-generated captures, isolating the combine/decode hot path
+// (Goertzel channel estimate + CFO derotation + demodulation per
+// target per collision):
+//
+//	go test -bench BenchmarkDecodeAll -run ^$ ./internal/core/
+func BenchmarkDecodeAll(b *testing.B) {
+	caps, freqs, _, param := decodeFixture(b, 907, 8, 40)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeAll(cannedSource(caps), param.SampleRate, freqs, len(caps)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

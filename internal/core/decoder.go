@@ -42,7 +42,7 @@ type Decoder struct {
 	// sweep receives one capture's chip sums between the walk and the
 	// accumulation, real parts in its first phy.FrameChips entries and
 	// imaginary parts in its second. Nil in DecodeAll's decoders, which
-	// borrow their worker's.
+	// share one.
 	sweep []float64
 }
 

@@ -36,19 +36,18 @@ func AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params) ([]Spike, error) {
 }
 
 // AnalyzeCaptures is the pooled implementation behind the package-level
-// AnalyzeCaptures, fanned out across workers goroutines (anything below
-// one means serial). The two expensive stages — one FFT per capture and
-// the per-peak refinement/occupancy chain (one de-rotation per peak per
-// capture through a dsp.ProbeBank; see refinePeak) — are embarrassingly
-// parallel; everything else stays serial. A ragged capture (antenna
-// streams of different lengths) or one holding a non-finite sample
-// (ErrNonFiniteCapture) is refused before any result buffer is touched.
-// Per-capture spectra accumulate in capture order and per-peak results
-// merge in peak order, so any worker count produces bit-identical
-// spikes. Each worker goroutine runs on its own sub-scratch (DSP plan,
-// probe bank and buffers), so the pooled path is race-free at any
-// worker count; the result obeys the Scratch ownership contract.
-func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers int) ([]Spike, error) {
+// AnalyzeCaptures: one batched FFT pass over the captures, then the
+// per-peak refinement/occupancy chain (one de-rotation per peak per
+// capture through a dsp.ProbeBank; see refinePeak), all on the calling
+// goroutine. A ragged capture (antenna streams of different lengths) or
+// one holding a non-finite sample (ErrNonFiniteCapture) is refused
+// before any result buffer is touched. The result obeys the Scratch
+// ownership contract.
+//
+// The third argument is ignored: analysis is serial. It is kept, as
+// reader.Config.Workers and city.Config.Workers are, for callers built
+// against the worker-pool signature.
+func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, _ int) ([]Spike, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -58,30 +57,17 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 	if len(mcs) == 1 {
 		return sc.AnalyzeCapture(mcs[0], p)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if err := sc.detectPeaks(mcs, p, workers); err != nil {
+	if err := sc.detectPeaks(mcs, p); err != nil {
 		return nil, err
 	}
-	if workers <= 1 {
-		// Closure-free serial path: a func literal handed to the fan-out
-		// escapes into goroutines, so merely constructing it would
-		// heap-allocate even when it ends up called inline.
-		for pi := range sc.job.peaks {
-			sc.refinePeak(0, pi)
+	spikes := sc.spikes[:0]
+	for pi := range sc.job.peaks {
+		if s, ok := sc.refinePeak(pi); ok {
+			spikes = append(spikes, s)
 		}
-	} else {
-		parallelForWorkers(len(sc.job.peaks), workers, sc.refinePeak)
 	}
 	binW := sc.job.binW
 	sc.job = peakJob{} // don't pin the captures past this call
-	spikes := sc.spikes[:0]
-	for pi := range sc.results {
-		if sc.keep[pi] {
-			spikes = append(spikes, sc.results[pi])
-		}
-	}
 	suppressResolvedNeighbors(spikes, binW)
 	sc.spikes = spikes
 	return spikes, nil
@@ -89,9 +75,9 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 
 // detectPeaks is the first stage of AnalyzeCaptures: validate the
 // window, transform every capture, average the spectra, find the peaks,
-// and leave in sc.job — with sc.chans, sc.results and sc.keep sized to
-// match — everything refinePeak needs.
-func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int) error {
+// and leave in sc.job — with sc.chans sized to match — everything
+// refinePeak needs.
+func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 	n := 0
 	for i, mc := range mcs {
 		if mc == nil || len(mc.Antennas) == 0 || len(mc.Antennas[0]) == 0 {
@@ -106,12 +92,9 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int)
 			return fmt.Errorf("core: capture %d: %w", i, err)
 		}
 	}
-	sc.growWorkers(workers)
-	// Root-mean-square magnitude spectrum across queries. Each worker
-	// runs the batched SpectrumManyInto over one static contiguous chunk
-	// of captures, amortizing the plan lookup and keeping the stage
-	// tables cache-resident across its whole slice. Spectrum rows are
-	// index-addressed, so the bits are the same at any worker count.
+	// Root-mean-square magnitude spectrum across queries. The batched
+	// SpectrumManyInto amortizes the plan lookup and keeps the stage
+	// tables cache-resident from one capture to the next.
 	for len(sc.specs) < len(mcs) {
 		sc.specs = append(sc.specs, dsp.Spectrum{})
 	}
@@ -121,18 +104,7 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int)
 	for i, mc := range mcs {
 		views[i] = mc.Antennas[0]
 	}
-	if workers <= 1 {
-		// Closure-free, as the refinement loop in AnalyzeCaptures.
-		sc.workers[0].plan.SpectrumManyInto(specs, views, p.SampleRate)
-	} else {
-		// Capture the rate, not p: p's address is taken elsewhere, so
-		// naming it here would capture it by reference and move the
-		// whole Params to the heap on every call, serial path included.
-		rate := p.SampleRate
-		parallelChunksWorkers(len(mcs), workers, func(w, lo, hi int) {
-			sc.workers[w].plan.SpectrumManyInto(specs[lo:hi], views[lo:hi], rate)
-		})
-	}
+	sc.plan.SpectrumManyInto(specs, views, p.SampleRate)
 	for i := range views {
 		views[i] = nil // don't pin the captures past this call
 	}
@@ -170,8 +142,6 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int)
 
 	nAnt := len(last.Antennas)
 	sc.chans = grow(sc.chans, len(peaks)*nAnt)
-	sc.results = grow(sc.results, len(peaks))
-	sc.keep = grow(sc.keep, len(peaks))
 	sc.job = peakJob{
 		mcs:       mcs,
 		rate:      p.SampleRate,
@@ -185,11 +155,8 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params, workers int)
 	return nil
 }
 
-// peakJob carries the shared inputs of the per-peak refinement stage so
-// both the serial loop and the parallel fan-out reach them through the
-// Scratch pointer alone. (A closure capturing these as locals would be
-// heap-allocated per call — it escapes into worker goroutines — even
-// when the serial path ends up invoking it inline.)
+// peakJob carries the shared inputs of the per-peak refinement stage
+// from detectPeaks to refinePeak.
 type peakJob struct {
 	mcs       []*rfsim.MultiCapture
 	rate      float64
@@ -203,11 +170,11 @@ type peakJob struct {
 
 // refinePeak runs the full per-peak chain — median refined frequency,
 // channel estimates, occupancy vote, shoulder test, purity vote — for
-// peak pi on worker w's scratch, writing into sc.results/sc.keep slot
-// pi. Inputs come from sc.job; see peakJob.
+// peak pi, and reports its spike and whether it survived the gates.
+// Inputs come from sc.job; see peakJob.
 //
 // Every gate quantity is a DFT of antenna 0 at the refined frequency
-// plus a small fixed offset, so the worker's dsp.ProbeBank is tuned to
+// plus a small fixed offset, so the scratch's dsp.ProbeBank is tuned to
 // that frequency once per peak and each capture is de-rotated once:
 // the occupancy test's window and reference probes and the shoulder's
 // centre and ±1-bin probes are then sums and near-zero DFT bins of the
@@ -215,18 +182,16 @@ type peakJob struct {
 // as the purity test's. Only purity's two off-grid ±0.75-bin probes
 // remain Goertzel walks. What a spike reports — Freq, Mag, Channels —
 // does not come from the bank.
-func (sc *Scratch) refinePeak(w, pi int) {
+func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 	job := &sc.job
-	ws := &sc.workers[w]
 	mcs, rate := job.mcs, job.rate
-	sc.keep[pi] = false
 	pk := job.peaks[pi]
 	// Median refined frequency across captures.
-	freqs := ws.freqs[:0]
+	freqs := sc.freqs[:0]
 	for _, mc := range mcs {
 		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], rate, pk))
 	}
-	ws.freqs = freqs
+	sc.freqs = freqs
 	freq := dsp.SelectFloat(freqs, len(freqs)/2)
 
 	nAnt := job.nAnt
@@ -253,10 +218,10 @@ func (sc *Scratch) refinePeak(w, pi int) {
 	// merged into the same peak fills that null. RMS-average across
 	// captures (CFOs are fixed; only phases change) — all of them, vote
 	// settled or not, unless the vote already says Multiple.
-	bank := &ws.bank
+	bank := &sc.bank
 	bank.Tune(rate, freq, job.n)
-	centres := grow(ws.centres, len(mcs))
-	ws.centres = centres
+	centres := grow(sc.centres, len(mcs))
+	sc.centres = centres
 	votes := 0
 	var c2, s2 float64
 	for qi, mc := range mcs {
@@ -280,7 +245,7 @@ func (sc *Scratch) refinePeak(w, pi int) {
 		// level); require 2× headroom above it before declaring a
 		// merged companion, raising the threshold above the collision
 		// floor for weak spikes.
-		local := localFloorInto(&sc.avg, pk.Bin, &ws.vals)
+		local := localFloorInto(&sc.avg, pk.Bin, &sc.vals)
 		thresh := 0.45
 		if adaptive := 2.6 * local / math.Sqrt(c2/float64(len(mcs))); adaptive > thresh {
 			thresh = adaptive
@@ -299,11 +264,10 @@ func (sc *Scratch) refinePeak(w, pi int) {
 			}
 		}
 		if pure*2 <= len(mcs) {
-			return
+			return Spike{}, false
 		}
 	}
-	sc.results[pi] = s
-	sc.keep[pi] = true
+	return s, true
 }
 
 // quorumMet reports whether votes Multiple verdicts out of k captures

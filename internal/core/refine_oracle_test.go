@@ -89,7 +89,7 @@ func refineFixture(t testing.TB, seed int64, nDevs int) *Scratch {
 	s := newTestScene(t, seed)
 	mcs := s.collideQueries(s.placedDevices(nDevs), 10)
 	sc := new(Scratch)
-	if err := sc.detectPeaks(mcs, s.param, 1); err != nil {
+	if err := sc.detectPeaks(mcs, s.param); err != nil {
 		t.Fatal(err)
 	}
 	if len(sc.job.peaks) == 0 {
@@ -108,9 +108,9 @@ func TestRefinePeakMatchesOracle(t *testing.T) {
 		sc := refineFixture(t, 9500+int64(i), nDevs)
 		for pi := range sc.job.peaks {
 			want, wantKeep := sc.refinePeakOracle(pi)
-			sc.refinePeak(0, pi)
-			if sc.keep[pi] != wantKeep {
-				t.Errorf("%d devices, peak %d (bin %d): kept %v, oracle %v", nDevs, pi, want.Bin, sc.keep[pi], wantKeep)
+			got, keep := sc.refinePeak(pi)
+			if keep != wantKeep {
+				t.Errorf("%d devices, peak %d (bin %d): kept %v, oracle %v", nDevs, pi, want.Bin, keep, wantKeep)
 				continue
 			}
 			if !wantKeep {
@@ -121,7 +121,7 @@ func TestRefinePeakMatchesOracle(t *testing.T) {
 			if want.Multiple {
 				multiple++
 			}
-			if got := sc.results[pi]; !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%d devices, peak %d: spike %+v, oracle %+v", nDevs, pi, got, want)
 			}
 		}
@@ -136,10 +136,10 @@ func TestRefinePeakMatchesOracle(t *testing.T) {
 // shoulder and purity.
 func BenchmarkRefinePeak(b *testing.B) {
 	sc := refineFixture(b, 811, 24)
-	sc.refinePeak(0, 0) // warm the bank
+	sc.refinePeak(0) // warm the bank
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.refinePeak(0, i%len(sc.job.peaks))
+		sc.refinePeak(i % len(sc.job.peaks))
 	}
 }

@@ -50,16 +50,16 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 }
 
 // TestScratchAnalyzeCapturesReuseMatchesFresh covers the multi-query
-// averaging path, serial and parallel, across scenes of varying size.
+// averaging path across scenes of varying size.
 func TestScratchAnalyzeCapturesReuseMatchesFresh(t *testing.T) {
 	s := newTestScene(t, 4022)
 	var reused Scratch
-	for _, tc := range []struct{ nDevs, queries, workers int }{
-		{8, 5, 1}, {15, 3, 4}, {4, 8, 1}, {15, 5, 2},
+	for _, tc := range []struct{ nDevs, queries int }{
+		{8, 5}, {15, 3}, {4, 8}, {15, 5},
 	} {
 		devs := s.placedDevices(tc.nDevs)
 		mcs := s.collideQueries(devs, tc.queries)
-		got, err := reused.AnalyzeCaptures(mcs, s.param, tc.workers)
+		got, err := reused.AnalyzeCaptures(mcs, s.param, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,26 +265,24 @@ func TestAnalyzeRefusesNonFiniteCapture(t *testing.T) {
 		for _, tc := range []struct{ capture, antenna int }{{2, 0}, {last, 0}, {last, 1}} {
 			window := append([]*rfsim.MultiCapture(nil), mcs...)
 			window[tc.capture] = poisoned(mcs[tc.capture], tc.antenna, bad)
-			for _, workers := range []int{1, 3} {
-				name := fmt.Sprintf("%v capture %d antenna %d workers %d", bad, tc.capture, tc.antenna, workers)
-				var sc Scratch
-				if _, err := sc.AnalyzeCaptures(mcs, s.param, workers); err != nil {
-					t.Fatal(err)
-				}
-				spikes, err := sc.AnalyzeCaptures(window, s.param, workers)
-				if !errors.Is(err, ErrNonFiniteCapture) || spikes != nil {
-					t.Fatalf("%s: got %d spikes, err %v; want ErrNonFiniteCapture", name, len(spikes), err)
-				}
-				if !strings.Contains(err.Error(), fmt.Sprintf("capture %d", tc.capture)) {
-					t.Errorf("%s: error %q does not name the capture", name, err)
-				}
-				got, err := sc.AnalyzeCaptures(mcs, s.param, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: analysis after the refused window differs from a fresh one", name)
-				}
+			name := fmt.Sprintf("%v capture %d antenna %d", bad, tc.capture, tc.antenna)
+			var sc Scratch
+			if _, err := sc.AnalyzeCaptures(mcs, s.param, 1); err != nil {
+				t.Fatal(err)
+			}
+			spikes, err := sc.AnalyzeCaptures(window, s.param, 1)
+			if !errors.Is(err, ErrNonFiniteCapture) || spikes != nil {
+				t.Fatalf("%s: got %d spikes, err %v; want ErrNonFiniteCapture", name, len(spikes), err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("capture %d", tc.capture)) {
+				t.Errorf("%s: error %q does not name the capture", name, err)
+			}
+			got, err := sc.AnalyzeCaptures(mcs, s.param, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: analysis after the refused window differs from a fresh one", name)
 			}
 		}
 		for antenna := 0; antenna < 2; antenna++ {
@@ -310,16 +308,12 @@ func TestAnalyzeRefusesNonFiniteCapture(t *testing.T) {
 // TestAllocBudget is the CI regression gate for the perf trajectory:
 // the three steady-state hot paths — single-capture analysis, warmed
 // multi-query analysis, and the per-query decode attempt — allocate
-// nothing. With two workers the multi-query analysis pays for its two
-// fan-outs (goroutines, closures, wait groups — 13 objects, as before
-// the probe bank) and nothing else: each worker's bank, like the serial
-// one, is warm after the first window.
+// nothing.
 func TestAllocBudget(t *testing.T) {
 	const (
-		analyzeCaptureBudget    = 0
-		analyzeCapturesBudget   = 0
-		analyzeCapturesW2Budget = 13
-		tryDecodeBudget         = 0
+		analyzeCaptureBudget  = 0
+		analyzeCapturesBudget = 0
+		tryDecodeBudget       = 0
 	)
 	s := newTestScene(t, 4028)
 	mc := s.collide(s.placedDevices(10))
@@ -341,17 +335,6 @@ func TestAllocBudget(t *testing.T) {
 		scq.AnalyzeCaptures(mcs, s.param, 1)
 	}); got > analyzeCapturesBudget {
 		t.Errorf("AnalyzeCaptures: %.1f allocs/op exceeds budget %d", got, analyzeCapturesBudget)
-	}
-	var scw Scratch
-	for i := 0; i < 3; i++ { // peaks are work-stolen: give both workers' banks a turn
-		if _, err := scw.AnalyzeCaptures(mcs, s.param, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := testing.AllocsPerRun(10, func() {
-		scw.AnalyzeCaptures(mcs, s.param, 2)
-	}); got > analyzeCapturesW2Budget {
-		t.Errorf("AnalyzeCaptures, 2 workers: %.1f allocs/op exceeds budget %d", got, analyzeCapturesW2Budget)
 	}
 	dec := NewDecoder(s.param.SampleRate, 987e3)
 	if err := dec.Add(mc.Reference()); err != nil {

@@ -28,7 +28,7 @@ type Spike struct {
 // 0), sub-bin frequency refinement, per-antenna channel estimation at
 // the refined frequency, Manchester clock-image rejection, and the
 // dual-window occupancy test. It runs on a throwaway Scratch, so the
-// returned spikes (and their Channels) are caller-owned; per-worker hot
+// returned spikes (and their Channels) are caller-owned; per-reader hot
 // paths hold a Scratch and call its method directly.
 func AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, error) {
 	var sc Scratch

@@ -29,10 +29,6 @@ type Reader struct {
 	// sets the ~100-foot interrogation range together with transponder
 	// sensitivity.
 	QueryAmplitude float64
-	// Workers sets the DSP worker-pool size for capture analysis and
-	// collision decoding; ≤ 1 runs serial. Results are identical for
-	// any value — only wall-clock time changes.
-	Workers int
 
 	seq     uint32
 	txs     []rfsim.Transmission // Query's replies; Capture does not retain them
@@ -47,7 +43,9 @@ type Config struct {
 	RoadDir    geom.Vec3 // along-street direction
 	TiltDeg    float64   // antenna-plane tilt (paper: 60°)
 	NoiseSigma float64   // receiver noise, linear amplitude per sample
-	Workers    int       // DSP worker-pool size; ≤ 1 runs serial
+	// Workers is ignored: a reader analyzes and decodes on its own
+	// goroutine. It stays for callers built against the worker pool.
+	Workers int
 }
 
 // New builds a reader with the prototype's triangle array and capture
@@ -69,7 +67,6 @@ func New(cfg Config) (*Reader, error) {
 			NoiseSigma: cfg.NoiseSigma,
 		},
 		QueryAmplitude: 1.0,
-		Workers:        cfg.Workers,
 	}, nil
 }
 
@@ -116,7 +113,7 @@ func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand
 		// next Measure; Report deep-copies what telemetry retains.
 		r.analyze = &core.Scratch{}
 	}
-	spikes, err := r.analyze.AnalyzeCaptures(mcs, r.Params, r.Workers)
+	spikes, err := r.analyze.AnalyzeCaptures(mcs, r.Params, 1)
 	if err != nil {
 		return core.CountResult{}, err
 	}
@@ -141,7 +138,7 @@ func (r *Reader) DecodeIDs(devs []*transponder.Device, freqs []float64, maxQueri
 		}
 		return mc.Reference(), nil
 	}
-	out, err := core.DecodeAllParallel(src, r.Params.SampleRate, freqs, maxQueries, r.Workers)
+	out, err := core.DecodeAll(src, r.Params.SampleRate, freqs, maxQueries)
 	if err != nil && !errors.Is(err, core.ErrNeedMoreCollisions) {
 		return nil, fmt.Errorf("reader %d: %w", r.ID, err)
 	}

@@ -167,7 +167,8 @@ func (ix *Intersection) Step(dt time.Duration) {
 				Street:  a,
 			}
 			if ix.rng.Float64() < ix.cfg.TransponderFrac {
-				car.Device = transponder.NewRandomDevice(ix.pop, ix.nextSerial(), geom.Vec3{}, ix.rng)
+				car.Device = transponder.NewRandomDevice(ix.pop, transponder.DenseSerial(ix.rng, ix.serial), geom.Vec3{}, ix.rng)
+				ix.serial++
 			}
 			ix.cars = append(ix.cars, car)
 		}
@@ -187,12 +188,6 @@ func (ix *Intersection) Step(dt time.Duration) {
 	}
 	ix.cars = kept
 	ix.now += dt
-}
-
-func (ix *Intersection) nextSerial() uint64 {
-	s := ix.rng.Uint64()&^uint64(0xFFFF) | ix.serial&0xFFFF
-	ix.serial++
-	return s
 }
 
 // stepApproach advances all cars on one approach with a simple

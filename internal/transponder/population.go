@@ -57,17 +57,23 @@ func NewRandomDevice(p PopulationParams, serial uint64, pos geom.Vec3, rng *rand
 	return New(frame, SampleCarrier(p, rng), pos)
 }
 
+// DenseSerial returns a tag serial with random upper bits, drawn from
+// rng, and low as its low 16 bits. Callers count low up, so serials stay
+// unique, and the random upper bits are dense like the serial numbers
+// of deployed transponders. A serial with a long zero run would
+// concentrate its Manchester data spectrum into strong comb lines — an
+// artifact of toy ids, not of real tags.
+func DenseSerial(rng *rand.Rand, low uint64) uint64 {
+	return rng.Uint64()&^uint64(0xFFFF) | low&0xFFFF
+}
+
 // NewPopulation creates n random devices at the origin; callers place
-// them afterward. Serial uniqueness comes from sequential low 16 bits
-// (starting at firstSerial); the upper serial bits are random, like the
-// dense serial numbers of deployed transponders. A serial with a long
-// zero run would concentrate its Manchester data spectrum into strong
-// comb lines — an artifact of toy ids, not of real tags.
+// them afterward. Their serials are DenseSerial's, with low bits counting
+// up from firstSerial.
 func NewPopulation(p PopulationParams, n int, firstSerial uint64, rng *rand.Rand) []*Device {
 	devs := make([]*Device, n)
 	for i := range devs {
-		serial := rng.Uint64()&^uint64(0xFFFF) | (firstSerial+uint64(i))&0xFFFF
-		devs[i] = NewRandomDevice(p, serial, geom.Vec3{}, rng)
+		devs[i] = NewRandomDevice(p, DenseSerial(rng, firstSerial+uint64(i)), geom.Vec3{}, rng)
 	}
 	return devs
 }

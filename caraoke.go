@@ -85,7 +85,7 @@ func V(x, y, z float64) Vec3 { return geom.V(x, y, z) }
 
 // Count runs the §5 counting pipeline on one capture.
 func Count(mc *MultiCapture, p Params) (CountResult, error) {
-	return core.CountTransponders(mc, p)
+	return core.CountAcrossQueries([]*MultiCapture{mc}, p)
 }
 
 // CountAcrossQueries runs the counting pipeline over several
@@ -111,7 +111,8 @@ func EstimateAoA(s Spike, r *Reader, p Params) (AoAMeasurement, error) {
 // targetFreq by coherently combining collisions from src until the
 // checksum passes (§8).
 func Decode(src core.CaptureSource, p Params, targetFreq float64, maxQueries int) (DecodeResult, error) {
-	return core.DecodeCollision(src, p.SampleRate, targetFreq, maxQueries)
+	out, err := core.DecodeAll(src, p.SampleRate, []float64{targetFreq}, maxQueries)
+	return out[targetFreq], err
 }
 
 // EstimateSpeed computes a car's speed from two sightings (§7).

@@ -24,7 +24,6 @@ import (
 	"caraoke/internal/api"
 	"caraoke/internal/city"
 	"caraoke/internal/collector"
-	"caraoke/internal/faults"
 )
 
 func main() {
@@ -91,7 +90,8 @@ func main() {
 	}
 	if *chaos {
 		cfg.Chaos = city.Chaos{
-			Faults:      faults.Config{DropRate: *loss, KillEvery: *killInterval},
+			DropRate:    *loss,
+			KillEvery:   *killInterval,
 			ChurnRate:   *churn,
 			DriftPPM:    *driftPPM,
 			ResyncEvery: *resyncEvery,

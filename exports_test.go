@@ -24,7 +24,7 @@ import (
 var testOnlyAllowed = map[string]string{
 	"internal/core/sic.go": "ROADMAP item 2 wires SIC into the §5 count: on the ±27 m street, subtracting what DecodeAll recovers from a fresh " +
 		"10-query window moved the mean |count error| from 7.9 to 2.6 cars at m = 24 and from 18.3 to 8.0 at m = 40, and " +
-		"DecodeWithSIC recovered 216 ids to DecodeAll's 97 at m = 24, none wrong (Decoder.Reset is reached through it)",
+		"DecodeWithSIC recovered 216 ids to DecodeAll's 97 at m = 24, none wrong",
 	"core.EstimateSpeedTrack":         "reserved by ROADMAP item 3: the collector-side locate step feeds it a car's > 2 sightings",
 	"collector.ParkingService.Depart": "reserved by ROADMAP item 3: the locate step closes a session when a spot's holder is no longer sighted there",
 	"dsp.FindPeaks":                   "ROADMAP item 7 leaves alone the thin wrappers that share one implementation with their pooled form",

@@ -29,11 +29,12 @@ import (
 // Chaos configures the failure model of a run. The zero value injects
 // nothing and leaves every clean-run code path untouched.
 type Chaos struct {
-	// Faults injects frame-level uplink faults: silent drops and
-	// forwarded kills (the duplicate-producing case).
-	// Faults.Seed is ignored — the run's Config.Seed drives injection,
+	// DropRate and KillEvery inject frame-level uplink faults (see
+	// faults.Config): silent drops, and forwarded kills (the
+	// duplicate-producing case). The run's Config.Seed drives injection,
 	// preserving the one-seed-reproduces-everything contract.
-	Faults faults.Config
+	DropRate  float64
+	KillEvery int
 	// ChurnRate drives the parked-car RSU population: the per-reader,
 	// per-epoch probability of starting an offline span (the reader
 	// leaves mid-run and later rejoins). Offline readers measure
@@ -67,11 +68,16 @@ type Chaos struct {
 
 // Active reports whether any part of the failure model is switched on.
 func (c Chaos) Active() bool {
-	return c.Faults.Active() || c.ChurnRate > 0 || c.DriftPPM > 0
+	return c.faultConfig(0).Active() || c.ChurnRate > 0 || c.DriftPPM > 0
+}
+
+// faultConfig is the injector configuration of the uplink faults, seeded.
+func (c Chaos) faultConfig(seed int64) faults.Config {
+	return faults.Config{Seed: seed, DropRate: c.DropRate, KillEvery: c.KillEvery}
 }
 
 func (c Chaos) validate() error {
-	if err := c.Faults.Validate(); err != nil {
+	if err := c.faultConfig(0).Validate(); err != nil {
 		return err
 	}
 	if c.ChurnRate < 0 || c.ChurnRate > 1 {
@@ -145,9 +151,7 @@ func newChaosRun(cfg Config, epochs int, ids []uint32) *chaosRun {
 		lost:  make(map[uint32][]uint32),
 		dup:   make(map[uint32][]uint32),
 	}
-	fcfg := cfg.Chaos.Faults
-	fcfg.Seed = cfg.Seed
-	cr.inj = faults.New(fcfg)
+	cr.inj = faults.New(cfg.Chaos.faultConfig(cfg.Seed))
 	// Every injected event carries the faulted frame's bytes; parsing
 	// them back recovers exactly which reports were lost (the drain
 	// barrier's loss budget) or forwarded-then-resent (the expected

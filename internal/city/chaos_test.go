@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"caraoke/internal/collector"
-	"caraoke/internal/faults"
 )
 
 // chaosConfig is testConfig with the full failure model on: frame
@@ -17,7 +16,8 @@ import (
 func chaosConfig() Config {
 	cfg := testConfig()
 	cfg.Chaos = Chaos{
-		Faults:      faults.Config{DropRate: 0.15, KillEvery: 3},
+		DropRate:    0.15,
+		KillEvery:   3,
 		ChurnRate:   0.2,
 		DriftPPM:    50,
 		ResyncEvery: 2,
@@ -98,7 +98,7 @@ func TestChaosLockstepPipelinedIdentical(t *testing.T) {
 // contract end to end.
 func TestChaosKillsProduceNoLoss(t *testing.T) {
 	cfg := testConfig()
-	cfg.Chaos = Chaos{Faults: faults.Config{KillEvery: 3}}
+	cfg.Chaos = Chaos{KillEvery: 3}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestChaosKillsProduceNoLoss(t *testing.T) {
 // frames the wire ate, and the store's missing-sequence scan agrees.
 func TestChaosLossAccounted(t *testing.T) {
 	cfg := testConfig()
-	cfg.Chaos = Chaos{Faults: faults.Config{DropRate: 0.25}}
+	cfg.Chaos = Chaos{DropRate: 0.25}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestChaosZeroValueIsClean(t *testing.T) {
 func TestChaosDegradedUplinkKeepsMeasuring(t *testing.T) {
 	cfg := testConfig()
 	cfg.Batch = 2
-	cfg.Chaos = Chaos{Faults: faults.Config{KillEvery: 1}}
+	cfg.Chaos = Chaos{KillEvery: 1}
 	run := func(cfg Config) *Result {
 		t.Helper()
 		res, err := Run(cfg)

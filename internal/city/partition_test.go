@@ -14,7 +14,6 @@ import (
 
 	"caraoke/internal/cluster"
 	"caraoke/internal/collector"
-	"caraoke/internal/faults"
 )
 
 // invarianceConfig is a city big enough to spread readers over several
@@ -148,7 +147,7 @@ func TestPartitionCountInvariance(t *testing.T) {
 	// path under injected faults too: same loss, redelivery, dedupe and
 	// churn accounting, reader by reader.
 	chaos := invarianceConfig()
-	chaos.Chaos = Chaos{Faults: faults.Config{DropRate: 0.15, KillEvery: 3}, ChurnRate: 0.2}
+	chaos.Chaos = Chaos{DropRate: 0.15, KillEvery: 3, ChurnRate: 0.2}
 	def, err := Run(chaos)
 	if err != nil {
 		t.Fatal(err)

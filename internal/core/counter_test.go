@@ -88,7 +88,7 @@ func TestClockImageRejection(t *testing.T) {
 		Reserved:     rng.Uint64() & (1<<phy.ReservedBits - 1),
 	}
 	d := transponder.New(frame, phy.BandLow+500e3, s.placedDevices(1)[0].Pos)
-	res, err := CountTransponders(s.collide([]*transponder.Device{d}), s.param)
+	res, err := CountAcrossQueries([]*rfsim.MultiCapture{s.collide([]*transponder.Device{d})}, s.param)
 	if err != nil {
 		t.Fatal(err)
 	}

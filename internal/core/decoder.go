@@ -75,16 +75,6 @@ func makeDecoder(sampleRate, targetFreq float64, acc []float64) Decoder {
 // N returns how many collision captures have been combined.
 func (d *Decoder) N() int { return d.n }
 
-// Reset re-aims the decoder at a new target CFO, discarding all
-// combined state but keeping its buffers — the SIC loop decodes many
-// targets through one decoder without re-allocating.
-func (d *Decoder) Reset(targetFreq float64) {
-	d.target = targetFreq
-	d.acc = d.acc[:0]
-	d.captureLen = 0
-	d.n = 0
-}
-
 // Add combines one more collision capture (a single antenna's stream,
 // frame-aligned: the response begins at sample 0). Samples past the
 // frame's last chip, or short of a whole chip, inform the channel
@@ -137,8 +127,7 @@ func (d *Decoder) add(capture []complex128, sweep []float64) error {
 // interference still flips bits. The failing steady state — the common
 // case while combining — allocates nothing: the decisions are made
 // straight on the accumulated chip energies, and only a successful
-// decode allocates its returned Frame (which the caller therefore owns
-// even if the decoder is Reset and reused).
+// decode allocates its returned Frame, which the caller owns.
 func (d *Decoder) TryDecode() (*phy.Frame, error) {
 	if d.n == 0 {
 		return nil, fmt.Errorf("core: no captures combined yet")
@@ -172,31 +161,4 @@ type DecodeResult struct {
 	// With queries spaced phy.QueryPeriod apart, identification time
 	// is Queries × 1 ms (Fig 16's y-axis).
 	Queries int
-}
-
-// DecodeCollision repeatedly queries via src and coherently combines
-// the collisions until the target transponder's frame passes its
-// checksum or maxQueries is exhausted.
-func DecodeCollision(src CaptureSource, sampleRate, targetFreq float64, maxQueries int) (DecodeResult, error) {
-	if maxQueries <= 0 {
-		return DecodeResult{}, fmt.Errorf("core: maxQueries %d must be positive", maxQueries)
-	}
-	dec := NewDecoder(sampleRate, targetFreq)
-	for q := 0; q < maxQueries; q++ {
-		capture, err := src()
-		if err != nil {
-			return DecodeResult{}, fmt.Errorf("core: query %d: %w", q, err)
-		}
-		if err := dec.Add(capture); err != nil {
-			return DecodeResult{}, fmt.Errorf("core: query %d: %w", q, err)
-		}
-		f, err := dec.TryDecode()
-		if err == nil {
-			return DecodeResult{Frame: f, Queries: dec.N()}, nil
-		}
-		if !errors.Is(err, ErrNeedMoreCollisions) {
-			return DecodeResult{}, err
-		}
-	}
-	return DecodeResult{}, fmt.Errorf("core: frame not decodable after %d collisions: %w", maxQueries, ErrNeedMoreCollisions)
 }

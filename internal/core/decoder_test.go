@@ -17,6 +17,12 @@ func (s *testScene) collisionSource(devs []*transponder.Device) CaptureSource {
 	}
 }
 
+// decodeOne runs DecodeAll for the one target at freq.
+func decodeOne(src CaptureSource, sampleRate, freq float64, maxQueries int) (DecodeResult, error) {
+	out, err := DecodeAll(src, sampleRate, []float64{freq}, maxQueries)
+	return out[freq], err
+}
+
 func TestDecodeSingleTransponder(t *testing.T) {
 	s := newTestScene(t, 401)
 	devs := s.placedDevices(1)
@@ -24,7 +30,7 @@ func TestDecodeSingleTransponder(t *testing.T) {
 	if err != nil || len(spikes) != 1 {
 		t.Fatalf("spikes: %v %d", err, len(spikes))
 	}
-	res, err := DecodeCollision(s.collisionSource(devs), s.param.SampleRate, spikes[0].Freq, 10)
+	res, err := decodeOne(s.collisionSource(devs), s.param.SampleRate, spikes[0].Freq, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +54,7 @@ func TestDecodeCollisionPair(t *testing.T) {
 		t.Fatalf("spikes: %v %d", err, len(spikes))
 	}
 	for i, sp := range spikes {
-		res, err := DecodeCollision(s.collisionSource(devs), s.param.SampleRate, sp.Freq, 40)
+		res, err := decodeOne(s.collisionSource(devs), s.param.SampleRate, sp.Freq, 40)
 		if err != nil {
 			t.Fatalf("transponder %d: %v", i, err)
 		}
@@ -74,7 +80,7 @@ func TestDecodeFiveWayCollision(t *testing.T) {
 	if err != nil || len(spikes) != 5 {
 		t.Fatalf("spikes: %v %d", err, len(spikes))
 	}
-	res, err := DecodeCollision(s.collisionSource(devs), s.param.SampleRate, spikes[2].Freq, 120)
+	res, err := decodeOne(s.collisionSource(devs), s.param.SampleRate, spikes[2].Freq, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +145,10 @@ func TestDecoderErrors(t *testing.T) {
 	if err := dec.Add(make([]complex128, 100)); err == nil {
 		t.Error("length change accepted")
 	}
-	if _, err := DecodeCollision(func() ([]complex128, error) { return good, nil }, 4e6, 0, 0); err == nil {
-		t.Error("zero maxQueries accepted")
-	}
 }
 
 func TestDecodeCollisionGivesUp(t *testing.T) {
-	// Pure noise never passes the CRC; DecodeCollision must stop at
+	// Pure noise never passes the CRC; the decode must stop at
 	// maxQueries and say so.
 	s := newTestScene(t, 405)
 	noise := func() ([]complex128, error) {
@@ -155,7 +158,7 @@ func TestDecodeCollisionGivesUp(t *testing.T) {
 		}
 		return buf, nil
 	}
-	_, err := DecodeCollision(noise, s.param.SampleRate, 500e3, 3)
+	_, err := decodeOne(noise, s.param.SampleRate, 500e3, 3)
 	if err == nil {
 		t.Fatal("noise decoded successfully?!")
 	}

@@ -314,7 +314,8 @@ func strongestMag(peaks []dsp.Peak) float64 {
 }
 
 // CountAcrossQueries runs the counting pipeline over several successive
-// collision captures (§10: a reader's active window collects ~10).
+// collision captures (§10: a reader's active window collects ~10). One
+// capture is counted by the single-capture analysis, AnalyzeCapture.
 func CountAcrossQueries(mcs []*rfsim.MultiCapture, p Params) (CountResult, error) {
 	spikes, err := AnalyzeCaptures(mcs, p)
 	if err != nil {

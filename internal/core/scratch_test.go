@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"caraoke/internal/phy"
 	"caraoke/internal/rfsim"
 )
 
@@ -125,63 +124,6 @@ func TestTryDecodeSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Add allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestDecoderResetMatchesFresh: decoding through a Reset decoder gives
-// the same frames, query counts and chip accumulators, to the bit, as
-// fresh decoders — even when the run before the Reset combined captures
-// of another length — and the frame returned before the Reset stays
-// intact afterwards.
-func TestDecoderResetMatchesFresh(t *testing.T) {
-	caps, freqs, _, param := decodeFixture(t, 4025, 3, 60)
-	decode := func(dec *Decoder) (*phy.Frame, int, []float64) {
-		for _, c := range caps {
-			if err := dec.Add(c.Reference()); err != nil {
-				t.Fatal(err)
-			}
-			if f, err := dec.TryDecode(); err == nil {
-				return f, dec.N(), append([]float64(nil), dec.acc...)
-			}
-		}
-		t.Fatalf("target %g Hz undecodable in fixture", dec.target)
-		return nil, 0, nil
-	}
-	// The reused decoder starts out on truncated captures: the capture
-	// length is combined state, and a Reset must drop it with the rest.
-	reused := NewDecoder(param.SampleRate, freqs[0])
-	short := caps[0].Reference()[:1500]
-	if err := reused.Add(short); err != nil {
-		t.Fatal(err)
-	}
-	if err := reused.Add(caps[1].Reference()); err == nil {
-		t.Error("capture length changed mid-run and was accepted")
-	}
-	if _, err := reused.TryDecode(); err != phy.ErrShortEnvelope {
-		t.Errorf("TryDecode on 1500-sample captures: %v, want bare phy.ErrShortEnvelope", err)
-	}
-	var frames []*phy.Frame
-	var queries []int
-	var accs [][]float64
-	for _, f := range freqs {
-		reused.Reset(f)
-		fr, n, acc := decode(reused)
-		frames = append(frames, fr)
-		queries = append(queries, n)
-		accs = append(accs, acc)
-	}
-	for i, f := range freqs {
-		fresh, n, acc := decode(NewDecoder(param.SampleRate, f))
-		if *frames[i] != *fresh || queries[i] != n {
-			t.Errorf("target %g Hz: reused decoder (%v, %d queries), fresh (%v, %d)", f, frames[i], queries[i], fresh, n)
-		}
-		if !reflect.DeepEqual(accs[i], acc) {
-			t.Errorf("target %g Hz: reused decoder's chip accumulator differs from a fresh one's", f)
-		}
-	}
-	// Frames decoded before a Reset must not alias decoder state.
-	if frames[0].ID() == frames[1].ID() {
-		t.Error("distinct targets decoded identical IDs — frame aliases decoder scratch?")
 	}
 }
 

@@ -20,51 +20,13 @@ import (
 // neighbor (the near-far regime where plain spike counting loses
 // devices).
 
-// ReconstructTransmission synthesizes the baseband samples a decoded
-// transponder contributed to a capture: its Manchester/OOK envelope
-// carried at freq with the given complex channel, starting at sample 0.
-func ReconstructTransmission(frame *phy.Frame, freq float64, channel complex128, sampleRate float64, n int) ([]complex128, error) {
-	env, err := phy.ModulateFrame(frame, sampleRate)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, n)
-	rot := cmplx.Exp(complex(0, 2*math.Pi*freq/sampleRate))
-	w := complex(1, 0)
-	for i := 0; i < n; i++ {
-		if i < len(env) && env[i] != 0 {
-			out[i] = channel * w
-		}
-		w *= rot
-		if i&1023 == 1023 {
-			w /= complex(cmplx.Abs(w), 0)
-		}
-	}
-	return out, nil
-}
-
-// CancelTransponder subtracts a decoded transponder from a capture in
-// place. The per-capture channel is estimated from the spike at freq,
-// exactly as the decoder does; the returned channel estimate lets
-// callers audit the cancellation depth.
-func CancelTransponder(capture []complex128, frame *phy.Frame, freq, sampleRate float64) (complex128, error) {
-	if len(capture) == 0 {
-		return 0, fmt.Errorf("core: empty capture")
-	}
-	env, err := phy.ModulateFrame(frame, sampleRate)
-	if err != nil {
-		return 0, err
-	}
-	return cancelEnvelope(capture, env, freq, sampleRate)
-}
-
 // cancelEnvelope subtracts a transponder's known OOK envelope from a
 // capture in place, estimating its per-capture channel from the spike
-// at freq first. It fuses ReconstructTransmission's synthesis with the
-// subtraction — same phasor recurrence, same renormalization cadence,
-// bit-identical residual — without materializing the reconstruction,
-// and lets the SIC loop modulate each decoded frame once instead of
-// once per capture.
+// at freq first: the reconstruction — the envelope carried at freq with
+// that channel, a phasor recurrence renormalized every 1024 samples — is
+// subtracted as it is synthesized, never materialized, and the SIC loop
+// modulates each decoded frame once instead of once per capture. The
+// unfused synthesize-then-subtract pair is its oracle in sic_test.go.
 func cancelEnvelope(capture []complex128, env []float64, freq, sampleRate float64) (complex128, error) {
 	if len(capture) == 0 {
 		return 0, fmt.Errorf("core: empty capture")
@@ -107,10 +69,10 @@ func DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQueries int) (SICD
 }
 
 // DecodeWithSIC is the pooled SIC sweep: spike detection runs through
-// the scratch's buffers, one decoder (Reset between targets) serves
-// every round, and each decoded frame is modulated once and cancelled
-// from all captures via the fused envelope subtraction. Results are
-// identical to the allocating entry point.
+// the scratch's buffers, each round replays the stored captures through
+// DecodeAll for its one target, and each decoded frame is modulated once
+// and cancelled from all captures via the fused envelope subtraction.
+// Results are identical to the allocating entry point.
 func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQueries int) (SICDecodeResult, error) {
 	if err := p.Validate(); err != nil {
 		return SICDecodeResult{}, err
@@ -129,7 +91,6 @@ func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQuer
 	}
 	res := SICDecodeResult{Decoded: make(map[float64]DecodeResult)}
 	mc := &rfsim.MultiCapture{SampleRate: p.SampleRate, Antennas: [][]complex128{nil}}
-	var dec *Decoder
 	for round := 0; round < maxRounds; round++ {
 		res.Rounds = round + 1
 		// Detect spikes on the (progressively cleaned) first capture.
@@ -152,30 +113,21 @@ func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQuer
 		if target == nil {
 			break // every visible spike decoded
 		}
-		if dec == nil {
-			dec = NewDecoder(p.SampleRate, target.Freq)
-		} else {
-			dec.Reset(target.Freq)
+		next := 0
+		replay := func() ([]complex128, error) {
+			next++
+			return captures[next-1], nil
 		}
-		var frame *phy.Frame
-		used := 0
-		for _, c := range captures {
-			if err := dec.Add(c); err != nil {
-				continue
-			}
-			used = dec.N()
-			if f, err := dec.TryDecode(); err == nil {
-				frame = f
-				break
-			}
-		}
-		if frame == nil {
+		// A decode error only says this target did not decode.
+		decoded, _ := DecodeAll(replay, p.SampleRate, []float64{target.Freq}, len(captures))
+		dr, ok := decoded[target.Freq]
+		if !ok {
 			break // the strongest remaining spike is undecodable; stop
 		}
-		res.Decoded[target.Freq] = DecodeResult{Frame: frame, Queries: used}
+		res.Decoded[target.Freq] = dr
 		// Cancel it from every capture: modulate the decoded frame once,
 		// subtract its envelope from each.
-		env, err := phy.ModulateFrame(frame, p.SampleRate)
+		env, err := phy.ModulateFrame(dr.Frame, p.SampleRate)
 		if err != nil {
 			return res, err
 		}

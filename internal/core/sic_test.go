@@ -1,13 +1,95 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/cmplx"
 	"testing"
 
 	"caraoke/internal/dsp"
-	"caraoke/internal/geom"
 	"caraoke/internal/phy"
 )
+
+// ReconstructTransmission synthesizes the baseband samples a decoded
+// transponder contributed to a capture: its Manchester/OOK envelope
+// carried at freq with the given complex channel, starting at sample 0.
+// With CancelTransponder it is the unfused oracle of cancelEnvelope.
+func ReconstructTransmission(frame *phy.Frame, freq float64, channel complex128, sampleRate float64, n int) ([]complex128, error) {
+	env, err := phy.ModulateFrame(frame, sampleRate)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]complex128, n)
+	rot := cmplx.Exp(complex(0, 2*math.Pi*freq/sampleRate))
+	w := complex(1, 0)
+	for i := 0; i < n; i++ {
+		if i < len(env) && env[i] != 0 {
+			out[i] = channel * w
+		}
+		w *= rot
+		if i&1023 == 1023 {
+			w /= complex(cmplx.Abs(w), 0)
+		}
+	}
+	return out, nil
+}
+
+// CancelTransponder subtracts a decoded transponder from a capture in
+// place: the channel is estimated from the spike at freq, exactly as the
+// decoder does, then ReconstructTransmission's samples are subtracted.
+// It returns the channel estimate.
+func CancelTransponder(capture []complex128, frame *phy.Frame, freq, sampleRate float64) (complex128, error) {
+	if len(capture) == 0 {
+		return 0, fmt.Errorf("core: empty capture")
+	}
+	h := dsp.Goertzel(capture, freq/sampleRate) * complex(2/float64(len(capture)), 0)
+	if cmplx.Abs(h) == 0 {
+		return 0, fmt.Errorf("core: no spike at %g Hz to cancel", freq)
+	}
+	recon, err := ReconstructTransmission(frame, freq, h, sampleRate, len(capture))
+	if err != nil {
+		return 0, err
+	}
+	for i := range capture {
+		capture[i] -= recon[i]
+	}
+	return h, nil
+}
+
+// TestCancelEnvelopeMatchesOracle: the fused cancellation leaves the
+// same residual, to the bit, and reports the same channel as
+// synthesizing the reconstruction and subtracting it.
+func TestCancelEnvelopeMatchesOracle(t *testing.T) {
+	s := newTestScene(t, 804)
+	devs := s.placedDevices(3)
+	for _, mc := range s.collideQueries(devs, 3) {
+		for _, d := range devs {
+			freq := d.CFO(s.param.ReaderLO)
+			want := append([]complex128(nil), mc.Reference()...)
+			hWant, err := CancelTransponder(want, &d.Frame, freq, s.param.SampleRate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := phy.ModulateFrame(&d.Frame, s.param.SampleRate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := append([]complex128(nil), mc.Reference()...)
+			hGot, err := cancelEnvelope(got, env, freq, s.param.SampleRate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hGot != hWant {
+				t.Fatalf("channel %v, oracle %v", hGot, hWant)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("residual sample %d: %v, oracle %v", i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
 
 func TestCancelTransponderRemovesSignal(t *testing.T) {
 	s := newTestScene(t, 801)
@@ -38,17 +120,8 @@ func TestCancelTransponderRemovesSignal(t *testing.T) {
 	}
 	after := energy(stream)
 	if after > before/50 {
-		t.Errorf("cancellation removed only %.1f dB", 10*log10(before/after))
+		t.Errorf("cancellation removed only %.1f dB", 10*math.Log10(before/after))
 	}
-}
-
-func log10(x float64) float64 {
-	l := 0.0
-	for x >= 10 {
-		x /= 10
-		l++
-	}
-	return l
 }
 
 func TestDecodeWithSICRecoversNearFar(t *testing.T) {
@@ -56,13 +129,7 @@ func TestDecodeWithSICRecoversNearFar(t *testing.T) {
 	// hidden in the strong device's data floor (MinRelToStrongest gate)
 	// until the strong signal is cancelled.
 	s := newTestScene(t, 802)
-	devs := s.placedDevices(2)
-	devs[0].CarrierHz = phy.BandLow + 300e3
-	devs[1].CarrierHz = phy.BandLow + 800e3
-	devs[0].Pos = geom.V(5, -4, 0) // close and strong
-	devs[1].Pos = geom.V(28, 3, 0) // far and weak
-	devs[0].TxAmplitude = 2.0      // widen the gap further
-	devs[1].TxAmplitude = 0.5
+	devs := nearFarPair(s)
 
 	// Confirm the near-far setup hides the weak device from plain
 	// analysis.
@@ -73,15 +140,12 @@ func TestDecodeWithSICRecoversNearFar(t *testing.T) {
 	}
 	weakVisible := false
 	for _, sp := range plain {
-		if abs64(sp.Freq-devs[1].CFO(s.param.ReaderLO)) < 3000 {
+		if math.Abs(sp.Freq-devs[1].CFO(s.param.ReaderLO)) < 3000 {
 			weakVisible = true
 		}
 	}
 
-	src := func() ([]complex128, error) {
-		return s.collide(devs).Antennas[0], nil
-	}
-	res, err := DecodeWithSIC(src, s.param, 4, 60)
+	res, err := DecodeWithSIC(s.collisionSource(devs), s.param, 4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +162,6 @@ func TestDecodeWithSICRecoversNearFar(t *testing.T) {
 	if res.Rounds < 2 && !weakVisible {
 		t.Errorf("weak device appeared without cancellation in %d rounds?", res.Rounds)
 	}
-}
-
-func abs64(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func TestReconstructTransmissionMatchesCapture(t *testing.T) {
@@ -142,10 +199,10 @@ func TestSICValidation(t *testing.T) {
 	if _, err := DecodeWithSIC(src, DefaultParams(), 1, 0); err == nil {
 		t.Error("zero queries accepted")
 	}
-	if _, err := CancelTransponder(nil, &phy.Frame{}, 1e5, 4e6); err == nil {
+	if _, err := cancelEnvelope(nil, nil, 1e5, 4e6); err == nil {
 		t.Error("empty capture accepted")
 	}
-	if _, err := CancelTransponder(make([]complex128, 2048), &phy.Frame{}, 1e5, 4e6); err == nil {
+	if _, err := cancelEnvelope(make([]complex128, 2048), nil, 1e5, 4e6); err == nil {
 		t.Error("zero-spike capture accepted")
 	}
 }

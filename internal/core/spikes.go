@@ -253,15 +253,6 @@ type CountResult struct {
 	Spikes []Spike
 }
 
-// CountTransponders runs the counting pipeline of §5 on a capture.
-func CountTransponders(mc *rfsim.MultiCapture, p Params) (CountResult, error) {
-	spikes, err := AnalyzeCapture(mc, p)
-	if err != nil {
-		return CountResult{}, err
-	}
-	return CountFromSpikes(spikes), nil
-}
-
 // CountFromSpikes applies the §5 counting rule to extracted spikes:
 // a single-occupancy spike is one car, a multi-occupancy spike is
 // counted as two (three-or-more sharing one bin is the estimator's

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"caraoke/internal/core"
 	"caraoke/internal/geom"
 	"caraoke/internal/reader"
 	"caraoke/internal/transponder"
@@ -90,6 +91,17 @@ func (s *scene) ringDevices(m int, firstSerial uint64) []*transponder.Device {
 		d.Pos = geom.V(rad*math.Cos(ang), -5+rad*math.Sin(ang), 0)
 	}
 	return devs
+}
+
+// spikeNear returns the first spike within 3 kHz of a device's true
+// CFO: the pipeline's view of that device, if it found one.
+func spikeNear(spikes []core.Spike, cfo float64) (core.Spike, bool) {
+	for _, sp := range spikes {
+		if math.Abs(sp.Freq-cfo) < 3000 {
+			return sp, true
+		}
+	}
+	return core.Spike{}, false
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

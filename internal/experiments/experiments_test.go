@@ -18,7 +18,7 @@ func TestFig04FiveSpikes(t *testing.T) {
 	for _, cfo := range r.TrueCFOs {
 		found := false
 		for _, d := range r.DetectedCFOs {
-			if abs(d-cfo) < 3000 {
+			if math.Abs(d-cfo) < 3000 {
 				found = true
 				break
 			}
@@ -216,6 +216,23 @@ func TestFig16DecodingTimeGrows(t *testing.T) {
 	}
 	if r.Failures > 2 {
 		t.Errorf("%d decode failures", r.Failures)
+	}
+}
+
+// TestFig16NoDecodePrintsDash: at a collision size where no run decodes
+// within the budget, the table prints "—", not a 0.0 ms identification
+// time.
+func TestFig16NoDecodePrintsDash(t *testing.T) {
+	r, err := RunFig16(9, []int{10}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Failures != 2 {
+		t.Fatalf("%d of 2 runs failed to decode in one query; the fixture needs all to fail", r.Failures)
+	}
+	row := r.Table().Cells[0]
+	if row[1] != "—" || row[2] != "—" {
+		t.Errorf("row with no decode renders mean %q, max %q; want —", row[1], row[2])
 	}
 }
 

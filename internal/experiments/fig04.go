@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"caraoke/internal/core"
 	"caraoke/internal/dsp"
@@ -67,7 +68,7 @@ func (r *Fig04Result) Table() *Table {
 	for i, cfo := range r.TrueCFOs {
 		det := "—"
 		for _, d := range r.DetectedCFOs {
-			if abs(d-cfo) < 3000 {
+			if math.Abs(d-cfo) < 3000 {
 				det = f1(d / 1e3)
 				break
 			}
@@ -76,11 +77,4 @@ func (r *Fig04Result) Table() *Table {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("paper: 5 visible spikes; measured: %d detected", len(r.DetectedCFOs)))
 	return t
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

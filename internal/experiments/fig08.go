@@ -37,14 +37,8 @@ func RunFig08(seed int64, maxN int) (*Fig08Result, error) {
 	}
 	// Match the target's spike by CFO.
 	targetCFO := devs[0].CFO(s.rd.Params.ReaderLO)
-	var freq float64
-	found := false
-	for _, sp := range spikes {
-		if abs(sp.Freq-targetCFO) < 3000 {
-			freq, found = sp.Freq, true
-			break
-		}
-	}
+	sp, found := spikeNear(spikes, targetCFO)
+	freq := sp.Freq
 	if !found {
 		freq = dsp.RefineFreq(mc0.Antennas[0], s.rd.Params.SampleRate, dsp.Peak{Freq: targetCFO})
 	}

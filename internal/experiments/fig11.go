@@ -47,7 +47,7 @@ func RunFig11(seed int64, ms []int, runs int) (*Fig11Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			single, err := core.CountTransponders(mcs[0], s.rd.Params)
+			single, err := core.CountAcrossQueries(mcs[:1], s.rd.Params)
 			if err != nil {
 				return nil, err
 			}

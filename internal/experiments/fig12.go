@@ -76,10 +76,3 @@ func (r *Fig12Result) Table() *Table {
 		"paper: backlog accumulates during red and clears during green")
 	return t
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -101,19 +101,16 @@ func measureAoAError(s *scene, arr rfsim.Array, devs []*transponder.Device, targ
 	if err != nil {
 		return 0, err
 	}
-	cfo := target.CFO(s.rd.Params.ReaderLO)
-	for _, sp := range spikes {
-		if abs(sp.Freq-cfo) > 3000 {
-			continue
-		}
-		aoa, err := core.EstimateAoA(sp, arr, s.rd.Params.Wavelength)
-		if err != nil {
-			return 0, err
-		}
-		truth := trueAngleTo(arr, aoa.Pair, target.Pos)
-		return math.Abs(geom.Degrees(aoa.Alpha - truth)), nil
+	sp, ok := spikeNear(spikes, target.CFO(s.rd.Params.ReaderLO))
+	if !ok {
+		return 0, fmt.Errorf("target spike not found")
 	}
-	return 0, fmt.Errorf("target spike not found")
+	aoa, err := core.EstimateAoA(sp, arr, s.rd.Params.Wavelength)
+	if err != nil {
+		return 0, err
+	}
+	truth := trueAngleTo(arr, aoa.Pair, target.Pos)
+	return math.Abs(geom.Degrees(aoa.Alpha - truth)), nil
 }
 
 func trueAngleTo(arr rfsim.Array, pair rfsim.Pair, pos geom.Vec3) float64 {

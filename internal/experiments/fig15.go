@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"caraoke/internal/clock"
@@ -62,23 +64,15 @@ func RunFig15(seed int64, speedsMPH []float64, runs int) (*Fig15Result, error) {
 		// 90th percentile of |error|.
 		errs := make([]float64, len(est))
 		for i, e := range est {
-			d := e - mph
-			if d < 0 {
-				d = -d
-			}
-			errs[i] = d
+			errs[i] = math.Abs(e - mph)
 		}
-		for i := 1; i < len(errs); i++ {
-			for j := i; j > 0 && errs[j] < errs[j-1]; j-- {
-				errs[j], errs[j-1] = errs[j-1], errs[j]
-			}
-		}
+		sort.Float64s(errs)
 		p90 := 0.0
 		if len(errs) > 0 {
 			p90 = errs[int(0.9*float64(len(errs)-1))]
 		}
 		res.P90MPH = append(res.P90MPH, p90)
-		if rel := abs(mean-mph) / mph; rel > res.MaxRelError {
+		if rel := math.Abs(mean-mph) / mph; rel > res.MaxRelError {
 			res.MaxRelError = rel
 		}
 		if len(errs) > 0 {

@@ -7,6 +7,7 @@ import (
 
 	"caraoke/internal/core"
 	"caraoke/internal/geom"
+	"caraoke/internal/rfsim"
 	"caraoke/internal/transponder"
 )
 
@@ -108,7 +109,7 @@ func TestEmptyRoadCountsZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.CountTransponders(mc, r.Params)
+		res, err := core.CountAcrossQueries([]*rfsim.MultiCapture{mc}, r.Params)
 		if err != nil {
 			t.Fatal(err)
 		}

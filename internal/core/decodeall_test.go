@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"caraoke/internal/phy"
@@ -99,6 +100,34 @@ func TestDecodeAllSharedCollisions(t *testing.T) {
 	}
 	if queries != worst {
 		t.Errorf("issued %d queries, slowest id needed %d — collisions were not shared", queries, worst)
+	}
+}
+
+// TestDecodeAllReusedSourceBuffer: DecodeAll reads a capture only until
+// its next call of the source, so a source that overwrites one buffer
+// with every collision decodes exactly what fresh buffers decode.
+func TestDecodeAllReusedSourceBuffer(t *testing.T) {
+	caps, freqs, _, param := decodeFixture(t, 911, 8, 60)
+	want, err := DecodeAll(cannedSource(caps), param.SampleRate, freqs, len(caps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(freqs) {
+		t.Fatalf("fixture: %d of %d targets decoded", len(want), len(freqs))
+	}
+	buf := make([]complex128, len(caps[0].Reference()))
+	next := 0
+	reused := func() ([]complex128, error) {
+		copy(buf, caps[next].Reference())
+		next++
+		return buf, nil
+	}
+	got, err := DecodeAll(reused, param.SampleRate, freqs, len(caps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("one reused buffer decoded %v, fresh buffers %v", got, want)
 	}
 }
 

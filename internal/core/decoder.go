@@ -152,6 +152,13 @@ func (d *Decoder) TryDecode() (*phy.Frame, error) {
 // CaptureSource yields successive collision captures, one per reader
 // query. Implementations trigger a query and return the digitized
 // response window (a single antenna stream).
+//
+// Who owns the returned stream depends on the consumer. DecodeAll reads
+// a capture only until it calls the source again, so a source may hand
+// it one buffer overwritten by every query, as Reader.DecodeIDs does.
+// DecodeWithSIC keeps every capture it fetches and cancels decoded
+// transponders out of them in place, so its source must return
+// distinct slices it may modify.
 type CaptureSource func() ([]complex128, error)
 
 // DecodeResult reports a successful collision decode.

@@ -30,8 +30,12 @@ type Reader struct {
 	// sensitivity.
 	QueryAmplitude float64
 
-	seq     uint32
-	txs     []rfsim.Transmission // Query's replies; Capture does not retain them
+	seq uint32
+	txs []rfsim.Transmission // the latest query's replies; captures do not retain them
+	// window holds Measure's captures, every antenna, and ref the one
+	// reference stream DecodeIDs decodes; each query overwrites its own.
+	window  []*rfsim.MultiCapture
+	ref     rfsim.MultiCapture
 	analyze *core.Scratch
 }
 
@@ -56,7 +60,7 @@ func New(cfg Config) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reader: %w", err)
 	}
-	return &Reader{
+	r := &Reader{
 		ID:     cfg.ID,
 		Array:  arr,
 		Params: params,
@@ -67,15 +71,31 @@ func New(cfg Config) (*Reader, error) {
 			NoiseSigma: cfg.NoiseSigma,
 		},
 		QueryAmplitude: 1.0,
-	}, nil
+	}
+	if err := r.Capture.Validate(); err != nil {
+		return nil, fmt.Errorf("reader: %w", err)
+	}
+	return r, nil
 }
 
 // Center returns the antenna array center.
 func (r *Reader) Center() geom.Vec3 { return r.Array.Center() }
 
 // Query triggers every in-range transponder once and captures the
-// collision. Out-of-range or battery-dead devices stay silent (§3).
+// collision on every antenna, into a capture the caller owns.
 func (r *Reader) Query(devs []*transponder.Device, rng *rand.Rand) (*rfsim.MultiCapture, error) {
+	mc := new(rfsim.MultiCapture)
+	if err := r.query(mc, len(r.Array.Elements), devs, rng); err != nil {
+		return nil, err
+	}
+	return mc, nil
+}
+
+// query triggers every in-range transponder once and synthesizes the
+// collision into mc's first keep antennas. Out-of-range or battery-dead
+// devices stay silent (§3). Whatever keep is, rng advances as a full
+// capture advances it.
+func (r *Reader) query(mc *rfsim.MultiCapture, keep int, devs []*transponder.Device, rng *rand.Rand) error {
 	r.txs = r.txs[:0]
 	center := r.Center()
 	for _, d := range devs {
@@ -84,27 +104,29 @@ func (r *Reader) Query(devs []*transponder.Device, rng *rand.Rand) (*rfsim.Multi
 		}
 		tx, err := d.Reply(r.Params.ReaderLO, r.Params.SampleRate, 0, rng)
 		if err != nil {
-			return nil, fmt.Errorf("reader %d: %w", r.ID, err)
+			return fmt.Errorf("reader %d: %w", r.ID, err)
 		}
 		r.txs = append(r.txs, tx)
 	}
-	return rfsim.Capture(r.Capture, r.Array, r.txs, rng)
+	return rfsim.CaptureInto(mc, keep, r.Capture, r.Array, r.txs, rng)
 }
 
 // Measure performs one duty-cycle active window: `queries` back-to-back
 // queries (§10 allows up to 10 per 10 ms window), multi-query spike
-// analysis, and the §5 count.
+// analysis, and the §5 count. The window's captures are the reader's,
+// reused from one window to the next.
 func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand) (core.CountResult, error) {
 	if queries <= 0 {
 		return core.CountResult{}, fmt.Errorf("reader %d: queries must be positive", r.ID)
 	}
-	mcs := make([]*rfsim.MultiCapture, 0, queries)
-	for q := 0; q < queries; q++ {
-		mc, err := r.Query(devs, rng)
-		if err != nil {
+	for len(r.window) < queries {
+		r.window = append(r.window, new(rfsim.MultiCapture))
+	}
+	mcs := r.window[:queries]
+	for _, mc := range mcs {
+		if err := r.query(mc, len(r.Array.Elements), devs, rng); err != nil {
 			return core.CountResult{}, err
 		}
-		mcs = append(mcs, mc)
 	}
 	if r.analyze == nil {
 		// A reader measures strictly one epoch at a time, so one
@@ -127,16 +149,19 @@ func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand
 // undecodable within the budget are simply absent from the result —
 // §12.4's point is that the collisions are shared, so slow targets
 // never cost the fast ones extra queries.
+//
+// The decoder reads the reference antenna alone, so each query
+// synthesizes only that stream, into one the reader reuses: DecodeAll
+// reads a capture only until it asks for the next.
 func (r *Reader) DecodeIDs(devs []*transponder.Device, freqs []float64, maxQueries int, rng *rand.Rand) (map[float64]core.DecodeResult, error) {
 	if len(freqs) == 0 {
 		return nil, nil
 	}
 	src := func() ([]complex128, error) {
-		mc, err := r.Query(devs, rng)
-		if err != nil {
+		if err := r.query(&r.ref, 1, devs, rng); err != nil {
 			return nil, err
 		}
-		return mc.Reference(), nil
+		return r.ref.Reference(), nil
 	}
 	out, err := core.DecodeAll(src, r.Params.SampleRate, freqs, maxQueries)
 	if err != nil && !errors.Is(err, core.ErrNeedMoreCollisions) {

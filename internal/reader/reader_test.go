@@ -1,6 +1,7 @@
 package reader
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -80,6 +81,11 @@ func TestReaderMeasureValidation(t *testing.T) {
 	if _, err := New(Config{RoadDir: geom.V(0, 0, 1)}); err == nil {
 		t.Error("vertical road direction accepted")
 	}
+	for _, sigma := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{RoadDir: geom.V(1, 0, 0), NoiseSigma: sigma}); err == nil {
+			t.Errorf("noise sigma %g accepted", sigma)
+		}
+	}
 }
 
 // TestEmptyRoadCountsZero: a reader on a road with no transponders
@@ -120,24 +126,32 @@ func TestEmptyRoadCountsZero(t *testing.T) {
 	}
 }
 
-// queryAllocCeiling is what one warmed Query of 24 in-range devices may
-// allocate: rfsim.Capture's four objects (TestCaptureAllocBudget) and
-// nothing of the reader's own. The parent (9e18237) read 14: it regrew
-// its transmission list from nil on every query.
-const queryAllocCeiling = 4
-
-// TestQueryAllocBudget holds Query to its ceiling, beside
-// rfsim.TestCaptureAllocBudget: counts do not depend on the host.
-func TestQueryAllocBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	r := testReader(t, 1, geom.V(0, -5, 0))
-	devs := transponder.NewPopulation(transponder.DefaultPopulationParams(), 24, 100, rng)
+// inRange places n devices along the street in front of r, every one of
+// them triggered by its query.
+func inRange(t *testing.T, r *Reader, n int, rng *rand.Rand) []*transponder.Device {
+	t.Helper()
+	devs := transponder.NewPopulation(transponder.DefaultPopulationParams(), n, 100, rng)
 	for i, d := range devs {
 		d.Pos = geom.V(-23+2*float64(i), float64(i%3), 0)
 		if !d.TriggeredFrom(r.Center(), r.QueryAmplitude, r.Capture.Wavelength) {
 			t.Fatalf("fixture: device %d at %v is out of range", i, d.Pos)
 		}
 	}
+	return devs
+}
+
+// queryAllocCeiling is what one warmed Query of 24 in-range devices may
+// allocate: rfsim.Capture's three objects (TestCaptureAllocBudget) and
+// nothing of the reader's own. The parent (9e18237) read 14: it regrew
+// its transmission list from nil on every query.
+const queryAllocCeiling = 3
+
+// TestQueryAllocBudget holds Query to its ceiling, beside
+// rfsim.TestCaptureAllocBudget: counts do not depend on the host.
+func TestQueryAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := testReader(t, 1, geom.V(0, -5, 0))
+	devs := inRange(t, r, 24, rng)
 	if _, err := r.Query(devs, rng); err != nil { // warm: envelopes modulated, r.txs grown
 		t.Fatal(err)
 	}
@@ -148,6 +162,57 @@ func TestQueryAllocBudget(t *testing.T) {
 	})
 	if got > queryAllocCeiling {
 		t.Errorf("Query allocates %.0f objects per call, ceiling %d", got, queryAllocCeiling)
+	}
+}
+
+// measureAllocCeiling is what one warmed ten-query Measure of 24
+// in-range devices may allocate. Its captures are the reader's, reused
+// from window to window, and the analysis runs on the reader's scratch;
+// 66a6458, which synthesized every query into fresh streams, read 41.
+const measureAllocCeiling = 0
+
+// TestMeasureAllocBudget holds a warmed Measure to its ceiling: counts
+// do not depend on the host.
+func TestMeasureAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := testReader(t, 1, geom.V(0, -5, 0))
+	devs := inRange(t, r, 24, rng)
+	got := testing.AllocsPerRun(10, func() { // the warm-up run shapes the window
+		if _, err := r.Measure(devs, 10, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > measureAllocCeiling {
+		t.Errorf("Measure allocates %.0f objects per window, ceiling %d", got, measureAllocCeiling)
+	}
+}
+
+// TestDecodeIDsAllocsFlat: DecodeIDs synthesizes every decode query into
+// the reader's one reference stream, so what it allocates does not grow
+// with the query budget. The targets sit between the devices' carriers
+// and never decode, so every budget is spent in full; 66a6458, which
+// synthesized all three antennas into fresh streams per query, read 9
+// objects at one query and 86 at twenty.
+func TestDecodeIDsAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	r := testReader(t, 1, geom.V(0, -5, 0))
+	devs := inRange(t, r, 24, rng)
+	freqs := []float64{123.4e3, 456.7e3, 789.1e3}
+	allocs := func(budget int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			out, err := r.DecodeIDs(devs, freqs, budget, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != 0 {
+				t.Fatalf("fixture: %d of the off-carrier targets decoded", len(out))
+			}
+		})
+	}
+	one, twenty := allocs(1), allocs(20)
+	t.Logf("DecodeIDs allocates %.0f objects at a budget of 1 query, %.0f at 20", one, twenty)
+	if twenty > one {
+		t.Error("allocations grow with the query budget")
 	}
 }
 

@@ -53,14 +53,13 @@ func triangleScene(tb testing.TB, seed int64, n int) (CaptureConfig, Array, []Tr
 // move a bit of any sample.
 const captureDigest = 0xdde2dfdb0a4b58c7
 
-// TestCaptureDigest hashes math.Float64bits of every sample of seeded
-// captures, noiseless and noisy, of a scene that reaches every arm of
-// the synthesis loop: 24 frames whose staggered tails clip, one
-// transmission starting five samples before the window ends, one
-// starting exactly at its end and one beyond it (both add nothing, and
-// must not panic), and one envelope holding fractional values.
-func TestCaptureDigest(t *testing.T) {
-	cfg, arr, txs := triangleScene(t, 2411, 24)
+// digestScene is the scene TestCaptureDigest hashes: 24 frames whose
+// staggered tails clip, one transmission starting five samples before
+// the window ends, one starting exactly at its end and one beyond it
+// (both add nothing, and must not panic), and one envelope holding
+// fractional values.
+func digestScene(tb testing.TB) (CaptureConfig, Array, []Transmission) {
+	cfg, arr, txs := triangleScene(tb, 2411, 24)
 	late := txs[3]
 	late.CFO, late.StartSample = 61e3, cfg.NumSamples-5
 	atEnd := txs[5]
@@ -75,7 +74,14 @@ func TestCaptureDigest(t *testing.T) {
 		// sample take the fractional arm.
 		shaped.Envelope[s] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(s)/float64(len(shaped.Envelope)))
 	}
-	txs = append(txs, late, atEnd, beyond, shaped)
+	return cfg, arr, append(txs, late, atEnd, beyond, shaped)
+}
+
+// TestCaptureDigest hashes math.Float64bits of every sample of seeded
+// captures, noiseless and noisy, of digestScene, which reaches every arm
+// of the synthesis loop.
+func TestCaptureDigest(t *testing.T) {
+	cfg, arr, txs := digestScene(t)
 
 	h := fnv.New64a()
 	var buf [8]byte
@@ -103,15 +109,65 @@ func TestCaptureDigest(t *testing.T) {
 	}
 }
 
-// captureAllocCeiling is what one Capture may allocate, whatever the
-// scene: the MultiCapture, its antenna headers, the one backing array
-// the streams are cut from, and one row of channel coefficients. The
-// parent (9e18237) read 58 on this test, 8 with the scratch its readers
-// carried.
-const captureAllocCeiling = 4
+// TestCaptureIntoMatchesCapture pins CaptureInto's stream contract on
+// digestScene: for every kept prefix of the array, into streams dirtied
+// by an earlier call, the kept streams are bit-equal to Capture's and
+// the caller's RNG ends where Capture leaves it, so a reader that keeps
+// only the reference antenna draws the same random numbers after it.
+func TestCaptureIntoMatchesCapture(t *testing.T) {
+	cfg, arr, txs := digestScene(t)
+	var mc MultiCapture
+	for _, sigma := range []float64{0, 1e-5} {
+		cfg.NoiseSigma = sigma
+		rng := rand.New(rand.NewSource(9))
+		full, err := Capture(cfg, arr, txs, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := rng.Int63()
+		for keep := 1; keep <= len(arr.Elements); keep++ {
+			// The first call dirties mc, growing or shrinking it to keep
+			// streams; the second reuses them.
+			dirty := rand.New(rand.NewSource(int64(keep)))
+			if err := CaptureInto(&mc, keep, cfg, arr, txs[:keep], dirty); err != nil {
+				t.Fatal(err)
+			}
+			got := rand.New(rand.NewSource(9))
+			if err := CaptureInto(&mc, keep, cfg, arr, txs, got); err != nil {
+				t.Fatal(err)
+			}
+			if len(mc.Antennas) != keep || mc.SampleRate != cfg.SampleRate {
+				t.Fatalf("sigma %g keep %d: %d streams at %g Hz", sigma, keep, len(mc.Antennas), mc.SampleRate)
+			}
+			for a, s := range mc.Antennas {
+				for i, v := range s {
+					if w := full.Antennas[a][i]; !sameBits(v, w) {
+						t.Fatalf("sigma %g keep %d: antenna %d sample %d is %v, Capture's %v", sigma, keep, a, i, v, w)
+					}
+				}
+			}
+			if got.Int63() != next {
+				t.Errorf("sigma %g keep %d: the RNG ends elsewhere than after Capture", sigma, keep)
+			}
+		}
+	}
+}
 
-// TestCaptureAllocBudget holds Capture to its ceiling; the count does
-// not depend on the host, so it gates where a timing cannot.
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// captureAllocCeiling is what one Capture may allocate, whatever the
+// scene: the MultiCapture, its antenna headers and the one backing array
+// the streams are cut from; the channel rows live on the stack. The
+// parent (9e18237) read 58 on this test, 8 with the scratch its readers
+// carried, and 66a6458 read 4.
+const captureAllocCeiling = 3
+
+// TestCaptureAllocBudget holds Capture to its ceiling, and a warmed
+// CaptureInto, full or reference-only, to none; the counts do not depend
+// on the host, so they gate where a timing cannot.
 func TestCaptureAllocBudget(t *testing.T) {
 	cfg, arr, txs := triangleScene(t, 77, 24)
 	cfg.NoiseSigma = 1e-5
@@ -123,6 +179,17 @@ func TestCaptureAllocBudget(t *testing.T) {
 	})
 	if got > captureAllocCeiling {
 		t.Errorf("Capture allocates %.0f objects per call, ceiling %d", got, captureAllocCeiling)
+	}
+	for _, keep := range []int{1, len(arr.Elements)} {
+		var mc MultiCapture
+		got := testing.AllocsPerRun(20, func() { // the warm-up run shapes mc
+			if err := CaptureInto(&mc, keep, cfg, arr, txs, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("warmed CaptureInto keeping %d antennas allocates %.0f objects per call", keep, got)
+		}
 	}
 }
 
@@ -147,11 +214,14 @@ func TestCaptureEmptyScene(t *testing.T) {
 
 // BenchmarkCapture measures one capture as a reader issues it: the
 // triangle array, noise on, at a busy and a saturated intersection.
+// txs=N is Capture into fresh streams, as Reader.Query takes it; the
+// into rows reuse one MultiCapture, keeping all three antennas (a
+// reader's measurement window) or the reference alone (a decode query).
 func BenchmarkCapture(b *testing.B) {
 	for _, n := range []int{24, 48} {
+		cfg, arr, txs := triangleScene(b, 77, n)
+		cfg.NoiseSigma = 1e-5
 		b.Run(fmt.Sprintf("txs=%d", n), func(b *testing.B) {
-			cfg, arr, txs := triangleScene(b, 77, n)
-			cfg.NoiseSigma = 1e-5
 			rng := rand.New(rand.NewSource(5))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -160,5 +230,17 @@ func BenchmarkCapture(b *testing.B) {
 				}
 			}
 		})
+		for _, keep := range []int{len(arr.Elements), 1} {
+			b.Run(fmt.Sprintf("txs=%d,into,keep=%d", n, keep), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(5))
+				var mc MultiCapture
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := CaptureInto(&mc, keep, cfg, arr, txs, rng); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

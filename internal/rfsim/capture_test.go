@@ -189,6 +189,121 @@ func TestCaptureStartSampleShiftsEnvelope(t *testing.T) {
 	}
 }
 
+// serialCapture is the synthesis pass one transmission and one antenna
+// at a time, each sweep running the oscillator from the start: the
+// oracle the paired pass must equal bit for bit.
+func serialCapture(cfg CaptureConfig, arr Array, txs []Transmission) [][]complex128 {
+	n := cfg.NumSamples
+	out := make([][]complex128, len(arr.Elements))
+	for a := range out {
+		out[a] = make([]complex128, n)
+	}
+	for _, tx := range txs {
+		if tx.StartSample >= n {
+			continue
+		}
+		env := tx.Envelope
+		if len(env) > n-tx.StartSample {
+			env = env[:n-tx.StartSample]
+		}
+		turn := 2 * math.Pi * tx.CFO / cfg.SampleRate
+		w0 := cmplx.Exp(complex(0, tx.Phase)) * cmplx.Exp(complex(0, turn*float64(tx.StartSample)))
+		step := cmplx.Exp(complex(0, turn))
+		for a, el := range arr.Elements {
+			h := Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0)
+			w := w0
+			for s, e := range env {
+				switch e {
+				case 0:
+				case 1:
+					out[a][tx.StartSample+s] += h * w
+				default:
+					out[a][tx.StartSample+s] += h * complex(e, 0) * w
+				}
+				w *= step
+			}
+		}
+	}
+	return out
+}
+
+// TestPairedPassMatchesSerialOracle: the pass adds transmissions two at
+// a time, splitting each pair into the samples only one of them reaches
+// and the samples both do. Every way two envelopes can lie against each
+// other — nested either way, touching, starting together, clipped to one
+// sample — and a transmission left without a partner must give the
+// serial oracle's bits, on all antennas and on the reference alone.
+func TestPairedPassMatchesSerialOracle(t *testing.T) {
+	cfg, arr, txs := triangleScene(t, 31, 9)
+	n := cfg.NumSamples
+	shapes := []struct{ start, length int }{
+		{0, n}, {100, 300}, // the second inside the first
+		{500, 200}, {40, 1500}, // the first inside the second
+		{0, 700}, {700, 900}, // touching: no sample hears both
+		{300, 1000}, {300, 1200}, // starting together
+		{n - 1, 40}, // alone, clipped to one sample
+	}
+	for i, sh := range shapes {
+		frame := txs[i].Envelope
+		env := make([]float64, sh.length)
+		for s := range env {
+			env[s] = frame[s%len(frame)]
+			if i == 3 { // the fractional arm, inside a pair
+				env[s] *= 0.5 - 0.5*math.Cos(2*math.Pi*float64(s)/float64(len(env)))
+			}
+		}
+		txs[i].Envelope, txs[i].StartSample = env, sh.start
+	}
+	want := serialCapture(cfg, arr, txs)
+	rng := rand.New(rand.NewSource(1))
+	full, err := Capture(cfg, arr, txs, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref MultiCapture
+	if err := CaptureInto(&ref, 1, cfg, arr, txs, rng); err != nil {
+		t.Fatal(err)
+	}
+	for _, mc := range []*MultiCapture{full, &ref} {
+		for a, s := range mc.Antennas {
+			for i, v := range s {
+				if !sameBits(v, want[a][i]) {
+					t.Fatalf("%d antennas kept: antenna %d sample %d is %v, the serial oracle's %v", len(mc.Antennas), a, i, v, want[a][i])
+				}
+			}
+		}
+	}
+}
+
+// TestCaptureConfigRefusesNonFinite: a NaN or infinite rate, wavelength
+// or noise level is refused when the configuration is validated, not
+// discovered later as a capture of NaN samples.
+func TestCaptureConfigRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		set  func(*CaptureConfig)
+	}{
+		{"SampleRate NaN", func(c *CaptureConfig) { c.SampleRate = nan }},
+		{"SampleRate +Inf", func(c *CaptureConfig) { c.SampleRate = inf }},
+		{"SampleRate -Inf", func(c *CaptureConfig) { c.SampleRate = -inf }},
+		{"Wavelength NaN", func(c *CaptureConfig) { c.Wavelength = nan }},
+		{"Wavelength +Inf", func(c *CaptureConfig) { c.Wavelength = inf }},
+		{"NoiseSigma NaN", func(c *CaptureConfig) { c.NoiseSigma = nan }},
+		{"NoiseSigma +Inf", func(c *CaptureConfig) { c.NoiseSigma = inf }},
+		{"NoiseSigma -Inf", func(c *CaptureConfig) { c.NoiseSigma = -inf }},
+	} {
+		cfg := testConfig()
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	if cfg := testConfig(); cfg.Validate() != nil {
+		t.Errorf("the test configuration is refused: %v", cfg.Validate())
+	}
+}
+
 func TestCaptureRejectsBadInput(t *testing.T) {
 	arr := NewPairArray(geom.V(0, 0, 4), geom.V(1, 0, 0), 0.16)
 	rng := rand.New(rand.NewSource(10))
@@ -209,5 +324,11 @@ func TestCaptureRejectsBadInput(t *testing.T) {
 	negNoise.NoiseSigma = -1
 	if _, err := Capture(negNoise, arr, nil, rng); err == nil {
 		t.Error("negative noise accepted")
+	}
+	var mc MultiCapture
+	for _, keep := range []int{0, len(arr.Elements) + 1} {
+		if err := CaptureInto(&mc, keep, cfg, arr, nil, rng); err == nil {
+			t.Errorf("keeping %d of %d antennas accepted", keep, len(arr.Elements))
+		}
 	}
 }

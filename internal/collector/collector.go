@@ -7,6 +7,7 @@
 package collector
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -35,10 +36,13 @@ type Server struct {
 	// Logf, if set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 	// IdleTimeout bounds the wait for the next frame on a connection;
-	// an idle connection is closed. The deadline covers a whole frame,
-	// not each read: a peer that trickles a frame slower than this is
-	// closed too. NewServer sets DefaultIdleTimeout; ≤ 0 disables the
-	// deadline (a half-open peer then pins its goroutine until Stop).
+	// an idle connection is closed. The deadline is armed by the first
+	// read of a frame that has to wait on the socket and covers the rest
+	// of that frame, not each read: a peer that trickles a frame slower
+	// than this is closed too. Frames already in the connection's buffer
+	// arm nothing and are ingested even once the socket has closed.
+	// NewServer sets DefaultIdleTimeout; ≤ 0 disables the deadline (a
+	// half-open peer then pins its goroutine until Stop).
 	IdleTimeout time.Duration
 
 	ln     net.Listener
@@ -129,22 +133,27 @@ func (s *Server) acceptLoop(ctx context.Context) {
 	}
 }
 
-// serveConn ingests frames from one reader connection. A corrupt frame
-// aborts the connection (the framing cannot be resynchronized safely);
-// the reader's client reconnects and retries.
+// connBufferSize is the read buffer of one collector connection: a
+// burst of small frames arrives in one read, and each is parsed where
+// it lies.
+const connBufferSize = 64 << 10
+
+// serveConn ingests frames from one reader connection through one
+// buffered reader, so a burst of frames costs one read syscall rather
+// than two per frame (header, then body). A corrupt frame aborts the
+// connection (the framing cannot be resynchronized safely); the
+// reader's client reconnects and retries.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	// Unblock reads on shutdown; released when the connection ends, so a
 	// long-lived server does not accumulate one watcher per past reader.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
+	src := &idleReader{conn: conn, timeout: s.IdleTimeout}
+	br := bufio.NewReaderSize(src, connBufferSize)
 	for {
-		if s.IdleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-				return
-			}
-		}
-		rs, err := telemetry.ReadBatch(conn)
+		src.armed = false
+		rs, err := telemetry.ReadBatch(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && ctx.Err() == nil {
 				if os.IsTimeout(err) {
@@ -157,6 +166,27 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		}
 		s.Store.AddBatch(rs)
 	}
+}
+
+// idleReader is a connection's read side under the idle deadline: the
+// first read of a frame that reaches the socket arms it, and it then
+// covers the rest of that frame. A frame the buffer already holds never
+// gets here, so it pays no timer update, and it is not lost to a
+// deadline that can no longer be set on a closed connection.
+type idleReader struct {
+	conn    net.Conn
+	timeout time.Duration
+	armed   bool // for the frame being read; serveConn clears it per frame
+}
+
+func (r *idleReader) Read(p []byte) (int, error) {
+	if !r.armed && r.timeout > 0 {
+		if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
+			return 0, err
+		}
+		r.armed = true
+	}
+	return r.conn.Read(p)
 }
 
 // Stop shuts the server down and waits for connections to drain.
@@ -247,7 +277,11 @@ type Client struct {
 	// client was built with.
 	redial func() (net.Conn, error)
 
-	pending  []*telemetry.Report
+	pending []*telemetry.Report
+	// one is Send's batch of one and frame the encoded frame in flight,
+	// both kept so that a send allocates nothing.
+	one      [1]*telemetry.Report
+	frame    []byte
 	stats    ClientStats
 	degraded bool
 }
@@ -282,24 +316,35 @@ func (c *Client) armDeadline() error {
 
 // Send uploads one report as a frame of its own.
 func (c *Client) Send(r *telemetry.Report) error {
-	return c.deliver([]*telemetry.Report{r})
+	c.one[0] = r
+	err := c.deliver(c.one[:])
+	c.one[0] = nil // the client does not pin a sent report
+	return err
 }
 
-// deliver writes one frame carrying rs, redialing and rewriting per
-// the retry policy. Its only error is ErrUplinkDegraded.
+// deliver encodes one frame carrying rs into the client's frame buffer
+// and writes it, redialing and rewriting per the retry policy. A batch
+// that does not encode is dropped and its error returned, the uplink
+// untouched; otherwise the only error is ErrUplinkDegraded.
 func (c *Client) deliver(rs []*telemetry.Report) error {
 	if c.degraded {
 		c.stats.Dropped += len(rs)
 		return ErrUplinkDegraded
 	}
+	frame, err := telemetry.AppendBatch(c.frame[:0], rs)
+	if err != nil {
+		c.stats.Dropped += len(rs)
+		return fmt.Errorf("collector: send: %w", err)
+	}
+	c.frame = frame
 	write := func() error {
 		if err := c.armDeadline(); err != nil {
 			return fmt.Errorf("collector: send: %w", err)
 		}
-		return telemetry.WriteBatch(c.conn, rs)
+		_, err := c.conn.Write(frame)
+		return err
 	}
-	err := write()
-	if err == nil {
+	if err = write(); err == nil {
 		c.stats.Delivered += len(rs)
 		return nil
 	}

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"runtime"
@@ -156,6 +157,164 @@ func TestServeConnReleasesWatcher(t *testing.T) {
 	if got := runtime.NumGoroutine(); got > base+slack {
 		t.Errorf("%d goroutines after %d connect/close cycles, %d before — closed connections left watchers behind", got, cycles, base)
 	}
+}
+
+// stormReport is a reader's report as the ingest storm sends it: eight
+// spikes of three channels, one per antenna of the triangle array.
+func stormReport(seq uint32) *telemetry.Report {
+	r := &telemetry.Report{ReaderID: 1, Seq: seq, Timestamp: at(int(seq) % 60), Count: 8}
+	for i := 0; i < 8; i++ {
+		r.Spikes = append(r.Spikes, telemetry.SpikeRecord{
+			FreqHz:   float64(50_000 * (i + 1)),
+			Channels: []complex128{complex(float64(i), 1), 2 - 1i, complex(0.5, float64(-i))},
+		})
+	}
+	return r
+}
+
+// discardConn is an uplink that takes every write and keeps nothing.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error)        { return len(b), nil }
+func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
+func (discardConn) Close() error                       { return nil }
+
+// TestClientSendAllocs: a warmed Send allocates nothing. The client
+// encodes into a frame buffer it keeps, and its batch of one is a field;
+// the parent allocated both per send.
+func TestClientSendAllocs(t *testing.T) {
+	c, err := DialFunc(func() (net.Conn, error) { return discardConn{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := stormReport(1)
+	got := testing.AllocsPerRun(100, func() { // the warm-up run grows the frame buffer
+		if err := c.Send(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("Send allocates %.0f objects per report, want 0", got)
+	}
+}
+
+// readCountingConn counts the reads a server makes of its connection.
+type readCountingConn struct {
+	net.Conn
+	reads atomic.Int32
+}
+
+func (c *readCountingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestServerReadsPerBurst: frames that arrive together are read
+// together. A hundred frames in one write cost the server a read or two
+// of the connection (the last one waits for the next burst), where
+// reading a header and then a body off the bare connection cost two
+// reads per frame.
+func TestServerReadsPerBurst(t *testing.T) {
+	const frames = 100
+	var batches [][]*telemetry.Report
+	for seq := uint32(1); seq <= frames; seq++ {
+		batches = append(batches, []*telemetry.Report{stormReport(seq)})
+	}
+	burst := fuzzFrames(t, batches...)
+
+	store := NewStore(frames)
+	srv := NewServer(store)
+	srv.Logf = t.Logf
+	ln := &pipeListener{conns: make(chan net.Conn, 1), closed: make(chan struct{})}
+	client, server := net.Pipe()
+	conn := &readCountingConn{Conn: server}
+	ln.conns <- conn
+	srv.ServeListener(ln)
+	defer srv.Stop()
+	defer client.Close()
+
+	if _, err := client.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WaitHighWater(map[uint32]uint32{1: frames}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := conn.reads.Load(); got > 4 {
+		t.Errorf("%d frames in one write cost %d reads of the connection, ceiling 4", frames, got)
+	}
+}
+
+// TestServerIngestsFrameLargerThanBuffer: a frame several times the
+// connection's read buffer is read past it, not refused.
+func TestServerIngestsFrameLargerThanBuffer(t *testing.T) {
+	store := NewStore(100)
+	srv := NewServer(store)
+	srv.Logf = t.Logf
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	c, err := Dial(addr.String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var last *telemetry.Report
+	for seq := uint32(1); seq <= 40; seq++ { // 40 × 64 spikes × 8 channels ≈ 370 KB
+		last = &telemetry.Report{ReaderID: 2, Seq: seq, Timestamp: at(int(seq))}
+		for i := 0; i < 64; i++ {
+			last.Spikes = append(last.Spikes, telemetry.SpikeRecord{FreqHz: float64(i), Channels: make([]complex128, 8)})
+		}
+		c.Queue(last)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WaitHighWater(map[uint32]uint32{2: 40}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := last.Marshal()
+	got, err := store.Latest(2).Marshal()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the last report of a large frame reads back differently (%v)", err)
+	}
+}
+
+// BenchmarkServerIngest is one round of the ingest storm: 128
+// single-report frames from one client over loopback TCP into a
+// Server, then the high-water barrier that shows them all stored.
+func BenchmarkServerIngest(b *testing.B) {
+	const perRound = 128
+	store := NewStore(2 * perRound)
+	srv := NewServer(store)
+	srv.Logf = b.Logf
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Stop()
+	c, err := Dial(addr.String(), time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	r := stormReport(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < perRound; k++ {
+			r.Seq++
+			if err := c.Send(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := store.WaitHighWater(map[uint32]uint32{1: r.Seq}, 10*time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*perRound)/b.Elapsed().Seconds(), "reports/s")
 }
 
 // TestClientWriteDeadline: a peer that never drains must fail the send

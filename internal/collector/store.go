@@ -176,15 +176,14 @@ func (lg *readerLog) insert(r *telemetry.Report, keep int) {
 		copy(h[i+1:], h[i:n])
 		h[i] = r
 	}
-	if len(h) > keep {
-		// Trim by copying the tail to the front of the backing array.
-		// A plain re-slice (h = h[len(h)-keep:]) walks the retained
-		// window down the array instead, pinning every dropped report
-		// until the slice next reallocates — at a busy reader that is
-		// up to keep dead reports (spikes and all) held live at a time.
-		n := copy(h, h[len(h)-keep:])
-		clear(h[n:]) // drop stale pointers beyond the window
-		h = h[:n]
+	if drop := len(h) - keep; drop > 0 {
+		// Trim by clearing the slots leaving the window, then re-slicing
+		// past them. The window walks up the backing array until append
+		// regrows it, copying only the live window, so a trim costs O(1)
+		// amortized. Clearing first keeps the array's head from pinning
+		// every dropped report (spikes and all) until that regrowth.
+		clear(h[:drop])
+		h = h[drop:]
 	}
 	lg.history = h
 }

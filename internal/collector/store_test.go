@@ -5,7 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
+	"weak"
 
 	"caraoke/internal/telemetry"
 )
@@ -30,45 +30,46 @@ func (s *Store) historyFor(readerID uint32) []*telemetry.Report {
 	return s.entry(readerID).history
 }
 
-// TestStoreAddTrimsWithCopy is the regression test for the history
-// retention fix: trimming must copy the retained tail down the backing
-// array, not re-slice. A re-slice leaves every dropped report reachable
-// through the array head until the slice happens to reallocate, which
-// with a steady-state window never happens again.
-func TestStoreAddTrimsWithCopy(t *testing.T) {
+// addTracked adds a report and returns a weak pointer to it, from a
+// frame of its own so that no stack slot of the caller keeps it alive.
+//
+//go:noinline
+func addTracked(s *Store, readerID, seq uint32) weak.Pointer[telemetry.Report] {
+	r := &telemetry.Report{ReaderID: readerID, Seq: seq, Timestamp: at(int(seq))}
+	s.Add(r)
+	return weak.Make(r)
+}
+
+// TestTrimReleasesDroppedReports: a report trimmed out of a full window
+// is garbage. The trim re-slices past the dropped slots, so the
+// backing array's head outlives them until append regrows it; the
+// slots must be cleared, or every dropped report (spikes and all) would
+// stay reachable through that head. The window itself must hold the
+// newest keep reports in a backing array of at most twice keep.
+func TestTrimReleasesDroppedReports(t *testing.T) {
 	const keep = 4
 	s := NewStore(keep)
-	freed := make(chan struct{})
-	for i := 0; i < keep+2; i++ {
-		r := &telemetry.Report{ReaderID: 7, Seq: uint32(i), Timestamp: at(i)}
-		if i == 0 {
-			runtime.SetFinalizer(r, func(*telemetry.Report) { close(freed) })
-		}
-		s.Add(r)
+	first := addTracked(s, 7, 1)
+	for seq := uint32(2); seq <= keep+2; seq++ {
+		s.Add(&telemetry.Report{ReaderID: 7, Seq: seq, Timestamp: at(int(seq))})
 	}
 	h := s.historyFor(7)
 	if len(h) != keep {
 		t.Fatalf("retained %d reports, keep is %d", len(h), keep)
 	}
-	if h[0].Seq != 2 || h[keep-1].Seq != keep+1 {
-		t.Fatalf("window holds seqs %d..%d, want 2..%d", h[0].Seq, h[keep-1].Seq, keep+1)
+	if h[0].Seq != 3 || h[keep-1].Seq != keep+2 {
+		t.Fatalf("window holds seqs %d..%d, want 3..%d", h[0].Seq, h[keep-1].Seq, keep+2)
 	}
 	if c := cap(h); c > 2*keep {
 		t.Errorf("backing array grew to cap %d for keep %d", c, keep)
 	}
-	// The two dropped reports must now be collectable: nothing may pin
-	// them through the backing array.
-	deadline := time.After(5 * time.Second)
-	for {
+	for i := 0; i < 3 && first.Value() != nil; i++ {
 		runtime.GC()
-		select {
-		case <-freed:
-			return
-		case <-deadline:
-			t.Fatal("dropped report still reachable after trim — backing array pins history")
-		case <-time.After(10 * time.Millisecond):
-		}
 	}
+	if first.Value() != nil {
+		t.Fatal("a report trimmed out of the window is still reachable")
+	}
+	runtime.KeepAlive(s) // the store, not only the report, must outlive the collections
 }
 
 // TestStoreConcurrent hammers every Store entry point from parallel
@@ -125,8 +126,8 @@ func TestStoreConcurrent(t *testing.T) {
 }
 
 // TestStoreTrimSteadyState confirms the window keeps sliding correctly
-// long after the first trim (the copy-down path runs on every Add once
-// saturated).
+// long after the first trim (a trim runs on every Add once saturated,
+// and append regrows the backing array every few of them).
 func TestStoreTrimSteadyState(t *testing.T) {
 	const keep = 8
 	s := NewStore(keep)

@@ -44,6 +44,11 @@ func AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params) ([]Spike, error) {
 // before any result buffer is touched. The result obeys the Scratch
 // ownership contract.
 //
+// Of a window of several captures it reads antenna 0 of every capture
+// and the other antennas of the last one alone (their channels); the
+// captures before the last may hold the reference antenna only. A lone
+// capture goes to AnalyzeCapture, which reads every antenna.
+//
 // The third argument is ignored: analysis is serial. It is kept, as
 // reader.Config.Workers and city.Config.Workers are, for callers built
 // against the worker-pool signature.

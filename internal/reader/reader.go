@@ -114,7 +114,10 @@ func (r *Reader) query(mc *rfsim.MultiCapture, keep int, devs []*transponder.Dev
 // Measure performs one duty-cycle active window: `queries` back-to-back
 // queries (§10 allows up to 10 per 10 ms window), multi-query spike
 // analysis, and the §5 count. The window's captures are the reader's,
-// reused from one window to the next.
+// reused from one window to the next. Analysis reads the reference
+// antenna of every capture and the others of the last alone, so only
+// the last query synthesizes every antenna; the RNG advances as full
+// queries advance it.
 func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand) (core.CountResult, error) {
 	if queries <= 0 {
 		return core.CountResult{}, fmt.Errorf("reader %d: queries must be positive", r.ID)
@@ -123,8 +126,12 @@ func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand
 		r.window = append(r.window, new(rfsim.MultiCapture))
 	}
 	mcs := r.window[:queries]
-	for _, mc := range mcs {
-		if err := r.query(mc, len(r.Array.Elements), devs, rng); err != nil {
+	for i, mc := range mcs {
+		keep := 1
+		if i == len(mcs)-1 {
+			keep = len(r.Array.Elements)
+		}
+		if err := r.query(mc, keep, devs, rng); err != nil {
 			return core.CountResult{}, err
 		}
 	}

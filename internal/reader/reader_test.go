@@ -187,6 +187,55 @@ func TestMeasureAllocBudget(t *testing.T) {
 	}
 }
 
+// TestMeasureMatchesFullCaptures: Measure synthesizes the reference
+// antenna alone for all but its last query, and its result is still
+// bit-equal to analysing ten full Query captures drawn from the same
+// seed — the spikes, their Multiple verdicts and channels, the count.
+func TestMeasureMatchesFullCaptures(t *testing.T) {
+	const queries = 10
+	for _, seed := range []int64{1, 2, 3} {
+		// The devices spend replies, so each side gets its own copy.
+		measured := testReader(t, 1, geom.V(0, -5, 0))
+		got, err := measured.Measure(inRange(t, measured, 24, rand.New(rand.NewSource(seed))), queries, rand.New(rand.NewSource(seed+100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := testReader(t, 1, geom.V(0, -5, 0))
+		devs := inRange(t, full, 24, rand.New(rand.NewSource(seed)))
+		rng := rand.New(rand.NewSource(seed + 100))
+		var mcs []*rfsim.MultiCapture
+		for q := 0; q < queries; q++ {
+			mc, err := full.Query(devs, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mcs = append(mcs, mc)
+		}
+		spikes, err := core.AnalyzeCaptures(mcs, full.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.CountFromSpikes(spikes)
+		if got.Count != want.Count || len(got.Spikes) != len(want.Spikes) {
+			t.Fatalf("seed %d: Measure counts %d in %d spikes, full captures %d in %d",
+				seed, got.Count, len(got.Spikes), want.Count, len(want.Spikes))
+		}
+		for i, g := range got.Spikes {
+			w := want.Spikes[i]
+			same := math.Float64bits(g.Freq) == math.Float64bits(w.Freq) && g.Bin == w.Bin &&
+				math.Float64bits(g.Mag) == math.Float64bits(w.Mag) && g.Multiple == w.Multiple &&
+				len(g.Channels) == len(w.Channels)
+			for a := 0; same && a < len(g.Channels); a++ {
+				same = math.Float64bits(real(g.Channels[a])) == math.Float64bits(real(w.Channels[a])) &&
+					math.Float64bits(imag(g.Channels[a])) == math.Float64bits(imag(w.Channels[a]))
+			}
+			if !same {
+				t.Errorf("seed %d, spike %d: Measure %+v, full captures %+v", seed, i, g, w)
+			}
+		}
+	}
+}
+
 // TestDecodeIDsAllocsFlat: DecodeIDs synthesizes every decode query into
 // the reader's one reference stream, so what it allocates does not grow
 // with the query budget. The targets sit between the devices' carriers

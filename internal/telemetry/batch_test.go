@@ -1,11 +1,13 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -149,5 +151,145 @@ func TestBatchCorruptionDetected(t *testing.T) {
 func TestBatchLimits(t *testing.T) {
 	if err := WriteBatch(&bytes.Buffer{}, make([]*Report, MaxBatchReports+1)); err == nil {
 		t.Error("oversized batch accepted")
+	}
+}
+
+// readerReport is shaped like a reader's: spikes of three channels, one
+// per antenna of the triangle array.
+func readerReport(spikes int) *Report {
+	r := &Report{ReaderID: 3, Seq: 9, Timestamp: time.Unix(0, 1439798401000000500), Count: spikes}
+	for i := 0; i < spikes; i++ {
+		r.Spikes = append(r.Spikes, SpikeRecord{
+			FreqHz:    float64(1000 * i),
+			Multiple:  i%3 == 0,
+			Channels:  []complex128{complex(float64(i), 1), complex(2, float64(-i)), 3i},
+			DecodedID: uint64(i),
+		})
+	}
+	return r
+}
+
+// TestMarshalAllocatesOnce: Marshal reserves the payload's exact size.
+// The old estimate, 64 bytes per spike, fell short of a three-channel
+// spike's 66 once a report passed 20 spikes, and the buffer regrew.
+func TestMarshalAllocatesOnce(t *testing.T) {
+	r := readerReport(40)
+	var b []byte
+	got := testing.AllocsPerRun(100, func() {
+		var err error
+		if b, err = r.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Errorf("Marshal of a 40-spike report allocates %.0f objects, want 1", got)
+	}
+	if len(b) != r.size() || cap(b) < r.size() {
+		t.Errorf("payload is %d bytes (cap %d), size says %d", len(b), cap(b), r.size())
+	}
+}
+
+// TestUnmarshalReportAllocs: a parsed report is three objects — the
+// report, its spikes, and one array all their channels share — whatever
+// its spike count. One slice per spike's channels made it 22 at 20
+// spikes.
+func TestUnmarshalReportAllocs(t *testing.T) {
+	b, err := readerReport(20).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalReport(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 3 {
+		t.Errorf("UnmarshalReport of a 20-spike report allocates %.0f objects, ceiling 3", got)
+	}
+}
+
+// TestUnmarshalChannelsDoNotAlias: the spikes' channels share one array,
+// but an append to one spike's never writes into the next spike's.
+func TestUnmarshalChannelsDoNotAlias(t *testing.T) {
+	b, err := readerReport(3).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := UnmarshalReport(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Spikes[1].Channels[0]
+	r.Spikes[0].Channels = append(r.Spikes[0].Channels, 99)
+	if got := r.Spikes[1].Channels[0]; got != want {
+		t.Errorf("append to spike 0 rewrote spike 1's first channel: %v, was %v", got, want)
+	}
+}
+
+// TestReadBatchBuffered: through a bufio.Reader, ReadBatch reads the
+// same frames as from the bare stream — frames that fit the buffer and
+// frames that do not — and reports an end of stream inside a frame as
+// io.ErrUnexpectedEOF and one between frames as io.EOF.
+func TestReadBatchBuffered(t *testing.T) {
+	var stream bytes.Buffer
+	var want []*Report
+	for _, spikes := range []int{0, 1, 20, 200, 3} { // 200 spikes: past the 4096-byte buffer
+		r := readerReport(spikes)
+		r.Seq = uint32(spikes)
+		want = append(want, r)
+		if err := WriteBatch(&stream, []*Report{r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := stream.Bytes()
+	br := bufio.NewReaderSize(bytes.NewReader(raw), 4096)
+	for i, w := range want {
+		got, err := ReadBatch(br)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(normalize(got[0]), normalize(w)) {
+			t.Fatalf("frame %d reads back as %+v", i, got)
+		}
+	}
+	if _, err := ReadBatch(br); err != io.EOF {
+		t.Errorf("after the last frame: %v, want io.EOF", err)
+	}
+	for _, cut := range []int{4, headerSize, headerSize + 3, len(raw) - 1} {
+		short := bufio.NewReaderSize(bytes.NewReader(raw[:cut]), 4096)
+		var err error
+		for err == nil {
+			_, err = ReadBatch(short)
+		}
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("stream cut at byte %d: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
+// TestReadBatchHeaderReservesNothing: a header that claims the largest
+// frame and is followed by nothing must not reserve that frame. The
+// payload buffer grows as bytes arrive; allocating the claimed length
+// up front let nine bytes pin 16 MiB per connection.
+func TestReadBatchHeaderReservesNothing(t *testing.T) {
+	head := make([]byte, headerSize)
+	le.PutUint32(head, Magic)
+	head[4] = BatchVersion
+	le.PutUint32(head[5:], MaxBatchFrameSize)
+	for _, name := range []string{"plain", "bufio"} {
+		var rd io.Reader = bytes.NewReader(head)
+		if name == "bufio" {
+			rd = bufio.NewReader(rd)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBatch(rd)
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("%s: header alone reads as %v, want io.ErrUnexpectedEOF", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: a bare header claiming %d bytes allocated %d", name, MaxBatchFrameSize, got)
+		}
 	}
 }

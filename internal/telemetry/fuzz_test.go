@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"testing"
@@ -74,8 +75,9 @@ func FuzzReportRoundTrip(f *testing.F) {
 // FuzzFrameRoundTrip drives the framed wire format the collector
 // actually reads (magic, version, length, batch payload, CRC): it must
 // never panic, a frame of any version but BatchVersion must be
-// rejected, and whatever ReadBatch accepts must re-frame to an equal
-// report list.
+// rejected, whatever ReadBatch accepts must re-frame to an equal report
+// list, and a bufio.Reader — one that holds the frame, one too small
+// to — changes nothing ReadBatch returns.
 func FuzzFrameRoundTrip(f *testing.F) {
 	seeds := fuzzSeedReports()
 	frames := [][]*Report{nil, seeds}
@@ -93,6 +95,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{0x41, 0x52, 0x41, 0x43}) // magic, truncated
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, err := ReadBatch(bytes.NewReader(data))
+		for _, size := range []int{16, 4096} {
+			buffered, berr := ReadBatch(bufio.NewReaderSize(bytes.NewReader(data), size))
+			if (berr == nil) != (err == nil) {
+				t.Fatalf("%d-byte bufio.Reader: error %v, bare stream %v", size, berr, err)
+			}
+			sameReports(t, rs, buffered)
+		}
 		if err != nil {
 			return
 		}
@@ -107,15 +116,22 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-framed batch rejected: %v", err)
 		}
-		if len(rs2) != len(rs) {
-			t.Fatalf("frame round trip changed the batch: %d reports, then %d", len(rs), len(rs2))
-		}
-		for i := range rs {
-			b1, err1 := rs[i].Marshal()
-			b2, err2 := rs2[i].Marshal()
-			if err1 != nil || err2 != nil || !bytes.Equal(b1, b2) {
-				t.Fatalf("frame round trip changed report %d: %x vs %x (%v, %v)", i, b1, b2, err1, err2)
-			}
-		}
+		sameReports(t, rs, rs2)
 	})
+}
+
+// sameReports fails t unless a and b marshal to the same bytes, report
+// by report.
+func sameReports(t *testing.T, a, b []*Report) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%d reports, then %d", len(a), len(b))
+	}
+	for i := range a {
+		b1, err1 := a[i].Marshal()
+		b2, err2 := b[i].Marshal()
+		if err1 != nil || err2 != nil || !bytes.Equal(b1, b2) {
+			t.Fatalf("report %d differs: %x vs %x (%v, %v)", i, b1, b2, err1, err2)
+		}
+	}
 }

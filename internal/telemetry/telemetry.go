@@ -14,12 +14,14 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -78,12 +80,24 @@ func appendF64(b []byte, v float64) []byte {
 
 // Marshal serializes the report payload (without framing).
 func (r *Report) Marshal() ([]byte, error) {
-	return r.appendTo(make([]byte, 0, r.sizeHint()))
+	return r.appendTo(make([]byte, 0, r.size()))
 }
 
-// sizeHint is a cheap estimate of the payload size, an upper bound for
-// the usual report (up to two antennas per spike).
-func (r *Report) sizeHint() int { return 64 + len(r.Spikes)*64 }
+// Payload sizes: a report's fixed fields, then per spike its fixed
+// fields and 16 bytes per channel.
+const (
+	reportFixedSize = 4 + 4 + 8 + 4 + 4 // reader, seq, timestamp, count, spike count
+	spikeFixedSize  = 8 + 1 + 8 + 1     // CFO, Multiple, decoded id, channel count
+)
+
+// size is the exact length of the report's payload.
+func (r *Report) size() int {
+	n := reportFixedSize + len(r.Spikes)*spikeFixedSize
+	for i := range r.Spikes {
+		n += 16 * len(r.Spikes[i].Channels)
+	}
+	return n
+}
 
 // appendTo appends the report payload to b.
 func (r *Report) appendTo(b []byte) ([]byte, error) {
@@ -116,7 +130,9 @@ func (r *Report) appendTo(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalReport parses a report payload.
+// UnmarshalReport parses a report payload. The report is three objects
+// whatever its spike count: itself, its spikes, and one array every
+// spike's channels are cut from.
 func UnmarshalReport(b []byte) (*Report, error) {
 	rd := byteReader{buf: b}
 	r := &Report{}
@@ -131,9 +147,14 @@ func UnmarshalReport(b []byte) (*Report, error) {
 	if n > maxSpikes {
 		return nil, fmt.Errorf("telemetry: spike count %d exceeds limit", n)
 	}
-	r.Spikes = make([]SpikeRecord, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var s SpikeRecord
+	r.Spikes = make([]SpikeRecord, n)
+	// What the spikes' fixed fields leave of the payload is channels, so
+	// this capacity is exact for a well-formed report. A malformed one
+	// that outgrows it only costs a regrowth: spikes already cut keep the
+	// old array.
+	chans := make([]complex128, 0, max(len(b)-rd.off-int(n)*spikeFixedSize, 0)/16)
+	for i := range r.Spikes {
+		s := &r.Spikes[i]
 		s.FreqHz = rd.f64()
 		s.Multiple = rd.u8() != 0
 		s.DecodedID = rd.u64()
@@ -141,16 +162,18 @@ func UnmarshalReport(b []byte) (*Report, error) {
 		if rd.err != nil {
 			return nil, rd.err
 		}
-		s.Channels = make([]complex128, 0, nc)
+		start := len(chans)
 		for c := 0; c < nc; c++ {
 			re := rd.f64()
 			im := rd.f64()
-			s.Channels = append(s.Channels, complex(re, im))
+			chans = append(chans, complex(re, im))
 		}
 		if rd.err != nil {
 			return nil, rd.err
 		}
-		r.Spikes = append(r.Spikes, s)
+		// The full-slice form keeps an append to one spike's channels
+		// out of the next spike's.
+		s.Channels = chans[start:len(chans):len(chans)]
 	}
 	if len(rd.buf) != rd.off {
 		return nil, fmt.Errorf("telemetry: %d trailing bytes in report", len(rd.buf)-rd.off)
@@ -206,56 +229,93 @@ func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteBatch writes one frame carrying rs. The frame is built in one
-// buffer — header reserved up front, each report appended behind its
-// length prefix — and goes out in a single Write: one syscall, and —
-// load-bearing for the fault-injection layer — a frame is atomic at the
-// net.Conn boundary, so an injected drop or kill loses or duplicates
-// whole frames and can never desynchronize the stream mid-frame.
+// buffer (AppendBatch) and goes out in a single Write: one syscall, and
+// — load-bearing for the fault-injection layer — a frame is atomic at
+// the net.Conn boundary, so an injected drop or kill loses or
+// duplicates whole frames and can never desynchronize the stream
+// mid-frame.
 func WriteBatch(w io.Writer, rs []*Report) error {
+	frame, err := AppendBatch(nil, rs)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
+// AppendBatch appends one frame carrying rs to b and returns the
+// extended buffer; on error b comes back unextended. The frame's exact
+// size is reserved up front, the header is filled in last and each
+// report is appended behind its length prefix, so a sender that keeps
+// its buffer from one frame to the next allocates nothing.
+func AppendBatch(b []byte, rs []*Report) ([]byte, error) {
 	if len(rs) > MaxBatchReports {
-		return fmt.Errorf("telemetry: %d reports exceeds batch limit %d", len(rs), MaxBatchReports)
+		return b, fmt.Errorf("telemetry: %d reports exceeds batch limit %d", len(rs), MaxBatchReports)
 	}
 	size := headerSize + 4 + 4
 	for _, r := range rs {
-		size += 4 + r.sizeHint()
+		size += 4 + r.size()
 	}
-	frame := make([]byte, headerSize, size)
+	b = slices.Grow(b, size)
+	start := len(b)
+	frame := b[:start+headerSize] // the header is written last
 	frame = le.AppendUint32(frame, uint32(len(rs)))
 	for i, r := range rs {
 		prefix := len(frame)
 		frame = le.AppendUint32(frame, 0)
 		var err error
 		if frame, err = r.appendTo(frame); err != nil {
-			return fmt.Errorf("telemetry: batch report %d: %w", i, err)
+			return b, fmt.Errorf("telemetry: batch report %d: %w", i, err)
 		}
 		n := len(frame) - prefix - 4
 		if n > MaxFrameSize {
-			return fmt.Errorf("telemetry: batch report %d: %w", i, ErrTooLarge)
+			return b, fmt.Errorf("telemetry: batch report %d: %w", i, ErrTooLarge)
 		}
 		le.PutUint32(frame[prefix:], uint32(n))
 	}
-	payload := frame[headerSize:]
+	payload := frame[start+headerSize:]
 	if len(payload) > MaxBatchFrameSize {
-		return ErrTooLarge
+		return b, ErrTooLarge
 	}
-	le.PutUint32(frame[0:], Magic)
-	frame[4] = BatchVersion
-	le.PutUint32(frame[5:], uint32(len(payload)))
-	frame = le.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(frame)
-	return err
+	le.PutUint32(frame[start:], Magic)
+	frame[start+4] = BatchVersion
+	le.PutUint32(frame[start+5:], uint32(len(payload)))
+	return le.AppendUint32(frame, crc32.Checksum(payload, castagnoli)), nil
 }
+
+// readChunk is the most payload ReadBatch asks of a stream at a time
+// when the frame does not lie whole in a bufio.Reader's buffer.
+const readChunk = 64 << 10
 
 // ReadBatch reads the next frame, verifies its CRC and returns its
 // reports — the ingest entry point of a collector. A version other
 // than BatchVersion is refused straight after the header, before the
 // payload length is trusted or a byte of payload is requested, and the
-// length is checked against MaxBatchFrameSize before the payload
-// buffer is allocated.
+// length is checked against MaxBatchFrameSize before any of it is read.
+//
+// From a *bufio.Reader, a frame that fits the buffer is parsed where it
+// lies (Peek, then Discard): a burst of frames costs the stream one
+// read, and no frame copies its payload out. Otherwise the payload
+// buffer grows as its bytes arrive, readChunk at a time, so a header
+// claiming MaxBatchFrameSize reserves nothing until the bytes come.
 func ReadBatch(rd io.Reader) ([]*Report, error) {
-	var head [headerSize]byte
-	if _, err := io.ReadFull(rd, head[:]); err != nil {
-		return nil, err
+	br, _ := rd.(*bufio.Reader)
+	var head []byte
+	if br != nil {
+		h, err := br.Peek(headerSize)
+		if err != nil {
+			if len(h) > 0 {
+				return nil, midFrame(err)
+			}
+			return nil, err
+		}
+		head = h
+	} else {
+		var h [headerSize]byte
+		if _, err := io.ReadFull(rd, h[:]); err != nil {
+			return nil, err
+		}
+		head = h[:]
 	}
 	if le.Uint32(head[:4]) != Magic {
 		return nil, ErrBadMagic
@@ -267,10 +327,44 @@ func ReadBatch(rd io.Reader) ([]*Report, error) {
 	if n > MaxBatchFrameSize {
 		return nil, ErrTooLarge
 	}
-	body := make([]byte, n+4) // payload, then its CRC
-	if _, err := io.ReadFull(rd, body); err != nil {
-		return nil, err
+	want := int(n) + 4 // payload, then its CRC
+	if br != nil {
+		if size := headerSize + want; size <= br.Size() {
+			frame, err := br.Peek(size)
+			if err != nil {
+				return nil, midFrame(err)
+			}
+			rs, err := parseFrame(frame[headerSize:])
+			br.Discard(size)
+			return rs, err
+		}
+		br.Discard(headerSize)
 	}
+	var body []byte
+	for len(body) < want {
+		k := min(want-len(body), readChunk)
+		body = slices.Grow(body, k)
+		if _, err := io.ReadFull(rd, body[len(body):len(body)+k]); err != nil {
+			return nil, midFrame(err)
+		}
+		body = body[:len(body)+k]
+	}
+	return parseFrame(body)
+}
+
+// midFrame is err as a read that stops inside a frame reports it: an
+// end of stream there is unexpected.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// parseFrame checks a frame's payload against the CRC that follows it
+// in body and parses it.
+func parseFrame(body []byte) ([]*Report, error) {
+	n := len(body) - 4
 	payload := body[:n]
 	if crc32.Checksum(payload, castagnoli) != le.Uint32(body[n:]) {
 		return nil, ErrBadCRC

@@ -102,8 +102,12 @@ func Analyze(mc *MultiCapture, p Params) ([]Spike, error) {
 }
 
 // EstimateAoA converts a spike's inter-antenna phases into an angle of
-// arrival using the reader's array geometry.
+// arrival using the reader's array geometry. p must pass
+// Params.Validate.
 func EstimateAoA(s Spike, r *Reader, p Params) (AoAMeasurement, error) {
+	if err := p.Validate(); err != nil {
+		return AoAMeasurement{}, err
+	}
 	return core.EstimateAoA(s, r.Array, p.Wavelength)
 }
 

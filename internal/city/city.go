@@ -185,6 +185,12 @@ func (c *Config) validate() error {
 	if c.Batch < 0 {
 		return fmt.Errorf("city: batch %d must be non-negative", c.Batch)
 	}
+	if c.DecodeBudget < 0 {
+		return fmt.Errorf("city: decode budget %d must be non-negative", c.DecodeBudget)
+	}
+	if c.Keep < 0 {
+		return fmt.Errorf("city: keep %d must be non-negative", c.Keep)
+	}
 	if c.Partitions < 0 {
 		return fmt.Errorf("city: partitions %d must be non-negative", c.Partitions)
 	}
@@ -864,10 +870,9 @@ func (s *Sim) snapshot(p *post, devs []*transponder.Device) ([]*transponder.Devi
 	if len(devs) == 0 {
 		return nil, nil
 	}
-	fs := p.rd.Capture.SampleRate
 	out := make([]*transponder.Device, len(devs))
 	for i, d := range devs {
-		cp, err := d.Snapshot(fs)
+		cp, err := d.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("city: reader %d: %w", p.rd.ID, err)
 		}

@@ -189,6 +189,9 @@ func TestConfigValidation(t *testing.T) {
 		{Readers: 2, Vehicles: -1},
 		{Readers: 2, UnequippedFrac: 1.5},
 		{Readers: 2, Duration: time.Millisecond}, // < epoch
+		{Readers: 2, DecodeBudget: -1},
+		{Readers: 2, Vehicles: 0, DecodeBudget: -1}, // refused on an empty road too
+		{Readers: 2, Keep: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSim(cfg); err == nil {

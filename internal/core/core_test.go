@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,8 +32,8 @@ func newTestScene(t testing.TB, seed int64) *testScene {
 	return &testScene{
 		t: t,
 		cfg: rfsim.CaptureConfig{
-			SampleRate: param.SampleRate,
-			NumSamples: phy.SamplesPerResponse(param.SampleRate),
+			SampleRate: phy.SampleRate,
+			NumSamples: phy.ResponseSamples,
 			Wavelength: param.Wavelength,
 			NoiseSigma: 2e-6,
 		},
@@ -71,20 +72,36 @@ func (s *testScene) collide(devs []*transponder.Device) *rfsim.MultiCapture {
 	return mc
 }
 
+// TestParamsValidate: the default front end passes; any other sample
+// rate, a non-finite LO, and a wavelength that is not finite and
+// positive are refused.
 func TestParamsValidate(t *testing.T) {
 	p := DefaultParams()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultParams()
-	bad.SampleRate = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero sample rate accepted")
-	}
-	bad = DefaultParams()
-	bad.Wavelength = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative wavelength accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Params)
+	}{
+		{"zero sample rate", func(p *Params) { p.SampleRate = 0 }},
+		{"8 MHz", func(p *Params) { p.SampleRate = 8e6 }},
+		{"NaN sample rate", func(p *Params) { p.SampleRate = nan }},
+		{"negative wavelength", func(p *Params) { p.Wavelength = -1 }},
+		{"zero wavelength", func(p *Params) { p.Wavelength = 0 }},
+		{"NaN wavelength", func(p *Params) { p.Wavelength = nan }},
+		{"+Inf wavelength", func(p *Params) { p.Wavelength = inf }},
+		{"-Inf wavelength", func(p *Params) { p.Wavelength = -inf }},
+		{"NaN LO", func(p *Params) { p.ReaderLO = nan }},
+		{"+Inf LO", func(p *Params) { p.ReaderLO = inf }},
+		{"-Inf LO", func(p *Params) { p.ReaderLO = -inf }},
+	} {
+		bad := DefaultParams()
+		tc.edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -109,8 +126,10 @@ func TestAnalyzeCaptureErrors(t *testing.T) {
 	if _, err := AnalyzeCapture(&rfsim.MultiCapture{}, p); err == nil {
 		t.Error("empty capture accepted")
 	}
-	mc := &rfsim.MultiCapture{Antennas: [][]complex128{nil}}
-	if _, err := AnalyzeCapture(mc, p); err == nil {
-		t.Error("zero-length stream accepted")
+	for _, n := range []int{0, 1024, 2047, 2049, 4096} {
+		mc := &rfsim.MultiCapture{Antennas: [][]complex128{make([]complex128, n)}}
+		if _, err := AnalyzeCapture(mc, p); err == nil {
+			t.Errorf("%d-sample stream accepted", n)
+		}
 	}
 }

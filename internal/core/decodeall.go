@@ -18,7 +18,12 @@ import (
 // collision every still-undecoded target re-attempts its decode from
 // the shared set. The result maps each requested CFO to its decode,
 // with Queries recording how many collisions that id needed.
+// sampleRate must be phy.SampleRate, checked before the first query,
+// and every capture one response long; either mismatch is an error.
 func DecodeAll(src CaptureSource, sampleRate float64, targetFreqs []float64, maxQueries int) (map[float64]DecodeResult, error) {
+	if sampleRate != phy.SampleRate {
+		return nil, fmt.Errorf("core: sample rate %g Hz: %w", sampleRate, phy.ErrSampleRate)
+	}
 	if maxQueries <= 0 {
 		return nil, fmt.Errorf("core: maxQueries %d must be positive", maxQueries)
 	}
@@ -42,6 +47,9 @@ func DecodeAll(src CaptureSource, sampleRate float64, targetFreqs []float64, max
 	remaining := len(targetFreqs)
 	for q := 0; q < maxQueries && remaining > 0; q++ {
 		capture, err := src()
+		if err == nil {
+			err = checkLen(len(capture))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: query %d: %w", q, err)
 		}

@@ -31,13 +31,11 @@ import (
 // in the tests as the oracle: the two differ by rounding in the last
 // bits of an accumulator entry, never in a bit decision.
 type Decoder struct {
-	sampleRate float64
+	sampleRate float64 // phy.SampleRate, or every capture is refused
 	target     float64 // refined CFO of the target transponder, Hz
-	spc        int     // samples per chip at sampleRate; < 1 is undecodable
-	captureLen int     // samples in the first capture; every later one must match
 	n          int
 	// acc[c] is Σ_q real(U_c/ĥ_q), the chip energies TryDecode decides
-	// on: one entry per whole chip a capture holds, a frame's at most.
+	// on: one entry per chip of the frame.
 	acc []float64
 	// sweep receives one capture's chip sums between the walk and the
 	// accumulation, real parts in its first phy.FrameChips entries and
@@ -54,6 +52,8 @@ var ErrNeedMoreCollisions = errors.New("core: frame not yet decodable, combine m
 
 // NewDecoder creates a decoder for the transponder whose CFO spike sits
 // at targetFreq Hz (use the refined frequency from AnalyzeCapture).
+// sampleRate must be phy.SampleRate: a decoder at any other refuses
+// every capture.
 func NewDecoder(sampleRate, targetFreq float64) *Decoder {
 	buf := make([]float64, 3*phy.FrameChips)
 	d := makeDecoder(sampleRate, targetFreq, buf[:phy.FrameChips])
@@ -67,50 +67,40 @@ func makeDecoder(sampleRate, targetFreq float64, acc []float64) Decoder {
 	return Decoder{
 		sampleRate: sampleRate,
 		target:     targetFreq,
-		spc:        phy.SamplesPerChip(sampleRate),
-		acc:        acc[:0:phy.FrameChips],
+		acc:        acc[:phy.FrameChips:phy.FrameChips],
 	}
 }
 
 // N returns how many collision captures have been combined.
 func (d *Decoder) N() int { return d.n }
 
-// Add combines one more collision capture (a single antenna's stream,
-// frame-aligned: the response begins at sample 0). Samples past the
-// frame's last chip, or short of a whole chip, inform the channel
-// estimate only. A capture the target's spike is absent from, or
-// whose estimate is not finite (a NaN or Inf sample), is refused with
-// the combined state untouched.
+// Add combines one more collision capture: a single antenna's stream,
+// frame-aligned (the response begins at sample 0) and one response
+// long, phy.ResponseSamples. A capture of any other length, every
+// capture of a decoder not at phy.SampleRate, a capture the target's
+// spike is absent from, and one whose estimate is not finite (a NaN or
+// Inf sample) are refused with the combined state untouched.
 func (d *Decoder) Add(capture []complex128) error {
 	return d.add(capture, d.sweep)
 }
 
 // add is Add with the sweep buffer (2·phy.FrameChips entries) supplied.
 func (d *Decoder) add(capture []complex128, sweep []float64) error {
-	if len(capture) == 0 {
-		return fmt.Errorf("core: empty capture")
+	if d.sampleRate != phy.SampleRate {
+		return fmt.Errorf("core: decoder at %g Hz: %w", d.sampleRate, phy.ErrSampleRate)
 	}
-	if d.n > 0 && len(capture) != d.captureLen {
-		return fmt.Errorf("core: capture length %d differs from first capture %d", len(capture), d.captureLen)
+	if err := checkLen(len(capture)); err != nil {
+		return fmt.Errorf("core: capture: %w", err)
 	}
-	chips := 0
-	if d.spc >= 1 {
-		chips = min(len(capture)/d.spc, phy.FrameChips)
-	}
-	re, im := sweep[:chips], sweep[phy.FrameChips:phy.FrameChips+chips]
+	re, im := sweep[:phy.FrameChips], sweep[phy.FrameChips:]
 	// Per-query channel estimate from the spike: ĥ = 2·R(Δf)/N.
-	spike := dsp.GoertzelChips(capture, d.target/d.sampleRate, d.spc, re, im)
+	spike := dsp.GoertzelChips(capture, d.target/d.sampleRate, re, im)
 	h := spike * complex(2/float64(len(capture)), 0)
 	switch mag := cmplx.Abs(h); {
 	case mag == 0:
 		return fmt.Errorf("core: target spike absent from capture")
 	case math.IsNaN(mag) || math.IsInf(mag, 0):
 		return fmt.Errorf("core: channel estimate %v is not finite", h)
-	}
-	if d.n == 0 {
-		d.captureLen = len(capture)
-		d.acc = d.acc[:chips]
-		clear(d.acc)
 	}
 	// Accumulate real(U_c/ĥ) — §8's averaging step, a chip at a time.
 	inv := 1 / h
@@ -132,9 +122,6 @@ func (d *Decoder) TryDecode() (*phy.Frame, error) {
 	if d.n == 0 {
 		return nil, fmt.Errorf("core: no captures combined yet")
 	}
-	if d.spc < 1 {
-		return nil, phy.ErrLowSampleRate
-	}
 	// After channel correction the target's contribution is real and
 	// non-negative (its envelope); interference is complex residue.
 	f, err := phy.DemodulateChips(d.acc)
@@ -151,7 +138,7 @@ func (d *Decoder) TryDecode() (*phy.Frame, error) {
 
 // CaptureSource yields successive collision captures, one per reader
 // query. Implementations trigger a query and return the digitized
-// response window (a single antenna stream).
+// response window: a single antenna stream, phy.ResponseSamples long.
 //
 // Who owns the returned stream depends on the consumer. DecodeAll reads
 // a capture only until it calls the source again, so a source may hand

@@ -26,14 +26,8 @@ type oracleDecoder struct {
 }
 
 func (d *oracleDecoder) Add(capture []complex128) error {
-	if len(capture) == 0 {
-		return fmt.Errorf("core: empty capture")
-	}
-	if len(d.sum) == 0 {
-		d.sum = make([]complex128, len(capture))
-	}
 	if len(capture) != len(d.sum) {
-		return fmt.Errorf("core: capture length %d differs from first capture %d", len(capture), len(d.sum))
+		return fmt.Errorf("core: capture of %d samples, want %d", len(capture), len(d.sum))
 	}
 	spike := dsp.Goertzel(capture, d.target/d.sampleRate)
 	h := spike * complex(2/float64(len(capture)), 0)
@@ -73,15 +67,11 @@ func (d *oracleDecoder) TryDecode() (*phy.Frame, error) {
 }
 
 // chipEnergies integrates the oracle's accumulated real envelope over
-// each whole chip — what the chip-domain accumulator should hold.
+// each chip — what the chip-domain accumulator should hold.
 func (d *oracleDecoder) chipEnergies() []float64 {
-	spc := phy.SamplesPerChip(d.sampleRate)
-	if spc < 1 {
-		return nil
-	}
-	out := make([]float64, min(len(d.sum)/spc, phy.FrameChips))
+	out := make([]float64, phy.FrameChips)
 	for c := range out {
-		for _, s := range d.sum[c*spc : (c+1)*spc] {
+		for _, s := range d.sum[c*phy.ChipSamples : (c+1)*phy.ChipSamples] {
 			out[c] += real(s)
 		}
 	}
@@ -97,7 +87,7 @@ func (d *oracleDecoder) chipEnergies() []float64 {
 func runAgainstOracle(t *testing.T, what string, sampleRate, target float64, stream [][]complex128) (*phy.Frame, int) {
 	t.Helper()
 	dec := NewDecoder(sampleRate, target)
-	ora := &oracleDecoder{sampleRate: sampleRate, target: target}
+	ora := &oracleDecoder{sampleRate: sampleRate, target: target, sum: make([]complex128, phy.ResponseSamples)}
 	var frame *phy.Frame
 	for q, c := range stream {
 		errNew, errOld := dec.Add(c), ora.Add(c)
@@ -207,66 +197,62 @@ func TestDecoderMatchesPerSampleOracle(t *testing.T) {
 	}
 }
 
-// TestDecoderCaptureShapes covers what a capture may look like besides
-// 2048 samples at 4 MHz, each against the oracle: eight samples per
-// chip, lengths that are no multiple of the chip, captures running
-// past the frame's end or stopping short of it, and a sample rate too
-// low to hold a chip (which no transponder model replies at, so that
-// capture is a bare tone).
+// TestDecoderCaptureShapes: a capture is one response at 4 MHz or it is
+// refused. Each row is a shape the decoder once combined — another
+// rate, a capture running past the frame or stopping short of it — and
+// must now be refused by Add with the combined state untouched: the
+// count, every chip of the accumulator, and what TryDecode answers.
 func TestDecoderCaptureShapes(t *testing.T) {
-	t.Run("0.5MHz", func(t *testing.T) {
-		tone := make([]complex128, 256)
-		for i := range tone {
-			tone[i] = complex(1, 0)
+	const target = 250e3
+	tone := func(n int) []complex128 {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = cmplx.Exp(complex(0, 2*math.Pi*target*float64(i)/phy.SampleRate))
 		}
-		runAgainstOracle(t, "0.5 MHz", 0.5e6, 0, [][]complex128{tone, tone})
-		dec := NewDecoder(0.5e6, 0)
-		if err := dec.Add(tone); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dec.TryDecode(); err != phy.ErrLowSampleRate {
-			t.Errorf("TryDecode returned %v, want bare phy.ErrLowSampleRate", err)
-		}
-	})
+		return x
+	}
 	for _, tc := range []struct {
 		name       string
 		sampleRate float64
 		samples    int
-		tryErr     error // what TryDecode keeps returning, nil for a decode
 	}{
-		{"4MHz/frame+2", 4e6, 2050, nil},
-		{"4MHz/frame+tail", 4e6, 3000, nil},
-		{"4MHz/short", 4e6, 1000, phy.ErrShortEnvelope},
-		{"4MHz/short-odd", 4e6, 2047, phy.ErrShortEnvelope},
-		{"8MHz/frame", 8e6, 4096, nil},
-		{"8MHz/frame+3", 8e6, 4099, nil},
-		{"5MHz/frame+1", 5e6, 2561, nil},
-		{"1MHz/frame", 1e6, 512, nil},
+		{"0.5MHz", 0.5e6, 256},
+		{"4MHz/frame+2", 4e6, 2050},
+		{"4MHz/frame+tail", 4e6, 3000},
+		{"4MHz/short", 4e6, 1000},
+		{"4MHz/short-odd", 4e6, 2047},
+		{"8MHz/frame", 8e6, 4096},
+		{"8MHz/frame+3", 8e6, 4099},
+		{"5MHz/frame+1", 5e6, 2561},
+		{"1MHz/frame", 1e6, 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newTestScene(t, 9301)
-			s.param.SampleRate, s.cfg.SampleRate, s.cfg.NumSamples = tc.sampleRate, tc.sampleRate, tc.samples
-			devs := s.placedDevices(2)
-			devs[0].CarrierHz = s.param.ReaderLO + 0.11*tc.sampleRate
-			devs[1].CarrierHz = s.param.ReaderLO + 0.23*tc.sampleRate
-			var stream [][]complex128
-			for q := 0; q < 20; q++ {
-				stream = append(stream, s.collide(devs).Reference())
-			}
-			for _, d := range devs {
-				frame, _ := runAgainstOracle(t, tc.name, tc.sampleRate, d.CFO(s.param.ReaderLO), stream)
-				if tc.tryErr == nil && (frame == nil || frame.ID() != d.ID()) {
-					t.Errorf("decoded %v, want id %#x", frame, d.ID())
-				}
-			}
-			if tc.tryErr != nil {
-				dec := NewDecoder(tc.sampleRate, devs[0].CFO(s.param.ReaderLO))
-				if err := dec.Add(stream[0]); err != nil {
+			dec := NewDecoder(tc.sampleRate, target)
+			if tc.sampleRate == phy.SampleRate {
+				// A decoder with one good capture combined already.
+				if err := dec.Add(tone(phy.ResponseSamples)); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := dec.TryDecode(); err != tc.tryErr {
-					t.Errorf("TryDecode returned %v, want bare %v", err, tc.tryErr)
+			}
+			n, acc := dec.N(), append([]float64(nil), dec.acc...)
+			_, tryBefore := dec.TryDecode()
+			err := dec.Add(tone(tc.samples))
+			if err == nil {
+				t.Fatal("capture accepted")
+			}
+			if tc.sampleRate != phy.SampleRate && !errors.Is(err, phy.ErrSampleRate) {
+				t.Errorf("Add returned %v, want phy.ErrSampleRate", err)
+			}
+			if dec.N() != n || len(dec.acc) != phy.FrameChips {
+				t.Fatalf("refused capture changed the decoder: %d captures, %d chips", dec.N(), len(dec.acc))
+			}
+			for c, v := range acc {
+				if dec.acc[c] != v {
+					t.Fatalf("refused capture changed chip %d of the accumulator", c)
 				}
+			}
+			if _, tryAfter := dec.TryDecode(); fmt.Sprint(tryAfter) != fmt.Sprint(tryBefore) {
+				t.Errorf("TryDecode answered %v before the refused capture, %v after", tryBefore, tryAfter)
 			}
 		})
 	}

@@ -143,7 +143,7 @@ func TestDecoderErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := dec.Add(make([]complex128, 100)); err == nil {
-		t.Error("length change accepted")
+		t.Error("short capture accepted")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"caraoke/internal/dsp"
+	"caraoke/internal/phy"
 	"caraoke/internal/rfsim"
 )
 
@@ -83,17 +84,8 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, _ int) (
 // and leave in sc.job — with sc.chans sized to match — everything
 // refinePeak needs.
 func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
-	n := 0
 	for i, mc := range mcs {
-		if mc == nil || len(mc.Antennas) == 0 || len(mc.Antennas[0]) == 0 {
-			return fmt.Errorf("core: capture %d is empty", i)
-		}
-		if n == 0 {
-			n = len(mc.Antennas[0])
-		} else if len(mc.Antennas[0]) != n {
-			return fmt.Errorf("core: capture %d length %d differs from %d", i, len(mc.Antennas[0]), n)
-		}
-		if err := checkRagged(mc); err != nil {
+		if err := checkShape(mc); err != nil {
 			return fmt.Errorf("core: capture %d: %w", i, err)
 		}
 	}
@@ -122,6 +114,7 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 	if !finiteStreams(last.Antennas[1:]) {
 		return fmt.Errorf("core: capture %d: %w", len(mcs)-1, ErrNonFiniteCapture)
 	}
+	const n = phy.ResponseSamples
 	acc := grow(sc.acc, n)
 	sc.acc = acc
 	clear(acc)
@@ -155,7 +148,6 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 		binW:      avg.BinWidth(),
 		strongest: strongestMag(peaks),
 		nAnt:      nAnt,
-		n:         n,
 	}
 	return nil
 }
@@ -170,7 +162,6 @@ type peakJob struct {
 	binW      float64
 	strongest float64
 	nAnt      int
-	n         int
 }
 
 // refinePeak runs the full per-peak chain — median refined frequency,
@@ -206,7 +197,7 @@ func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 		Mag:      pk.Mag,
 		Channels: sc.chans[pi*nAnt : (pi+1)*nAnt : (pi+1)*nAnt],
 	}
-	scale := complex(2/float64(job.n), 0)
+	scale := complex(2/float64(phy.ResponseSamples), 0)
 	for a, stream := range job.last.Antennas {
 		s.Channels[a] = dsp.Goertzel(stream, freq/rate) * scale
 	}
@@ -224,7 +215,7 @@ func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 	// captures (CFOs are fixed; only phases change) — all of them, vote
 	// settled or not, unless the vote already says Multiple.
 	bank := &sc.bank
-	bank.Tune(rate, freq, job.n)
+	bank.Tune(rate, freq, phy.ResponseSamples)
 	centres := grow(sc.centres, len(mcs))
 	sc.centres = centres
 	votes := 0

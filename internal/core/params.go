@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"caraoke/internal/dsp"
 	"caraoke/internal/geom"
@@ -18,7 +19,8 @@ import (
 // Params holds the three physical values of a reader's front end. The
 // detector has no settings: §5's thresholds are the constants below.
 type Params struct {
-	// SampleRate of the captures, Hz (prototype: 4 MHz).
+	// SampleRate of the captures, Hz: the front end's one rate,
+	// phy.SampleRate (4 MHz); Validate refuses any other.
 	SampleRate float64
 	// ReaderLO is the receive local-oscillator frequency. Caraoke pins
 	// it at the bottom of the transponder band so every CFO is
@@ -32,19 +34,23 @@ type Params struct {
 // at 914.3 MHz, λ at 915 MHz.
 func DefaultParams() Params {
 	return Params{
-		SampleRate: 4e6,
+		SampleRate: phy.SampleRate,
 		ReaderLO:   phy.BandLow,
 		Wavelength: geom.Wavelength(phy.NominalCarrier),
 	}
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters: the sample rate is phy.SampleRate,
+// the LO is finite, and the wavelength finite and positive.
 func (p *Params) Validate() error {
-	if p.SampleRate <= 0 {
-		return fmt.Errorf("core: sample rate %g must be positive", p.SampleRate)
+	if p.SampleRate != phy.SampleRate {
+		return fmt.Errorf("core: sample rate %g Hz: %w", p.SampleRate, phy.ErrSampleRate)
 	}
-	if p.Wavelength <= 0 {
-		return fmt.Errorf("core: wavelength %g must be positive", p.Wavelength)
+	if math.IsNaN(p.ReaderLO) || math.IsInf(p.ReaderLO, 0) {
+		return fmt.Errorf("core: reader LO %g must be finite", p.ReaderLO)
+	}
+	if !(p.Wavelength > 0) || math.IsInf(p.Wavelength, 0) {
+		return fmt.Errorf("core: wavelength %g must be finite and positive", p.Wavelength)
 	}
 	return nil
 }

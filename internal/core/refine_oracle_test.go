@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"caraoke/internal/dsp"
+	"caraoke/internal/phy"
 )
 
 // refinePeakOracle is the per-peak chain as it ran before the probe
@@ -27,7 +28,7 @@ func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 	freq := freqs[len(freqs)/2]
 
 	s := Spike{Freq: freq, Bin: pk.Bin, Mag: pk.Mag, Channels: make([]complex128, job.nAnt)}
-	scale := complex(2/float64(job.n), 0)
+	scale := complex(2/float64(phy.ResponseSamples), 0)
 	for a, stream := range job.last.Antennas {
 		s.Channels[a] = dsp.Goertzel(stream, freq/rate) * scale
 	}

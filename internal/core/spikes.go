@@ -7,6 +7,7 @@ import (
 	"math/cmplx"
 
 	"caraoke/internal/dsp"
+	"caraoke/internal/phy"
 	"caraoke/internal/rfsim"
 )
 
@@ -46,17 +47,10 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if mc == nil || len(mc.Antennas) == 0 {
-		return nil, fmt.Errorf("core: capture has no antenna streams")
-	}
-	ref := mc.Antennas[0]
-	n := len(ref)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty capture")
-	}
-	if err := checkRagged(mc); err != nil {
+	if err := checkShape(mc); err != nil {
 		return nil, fmt.Errorf("core: capture: %w", err)
 	}
+	ref := mc.Antennas[0]
 	sc.plan.SpectrumInto(&sc.spec, ref, p.SampleRate)
 	spec := &sc.spec
 	if !finitePow(spec.Pows[0]) || !finiteStreams(mc.Antennas[1:]) {
@@ -89,7 +83,7 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 		}
 		// ĥ = 2·R(Δf)/N: the spike value is half the channel times the
 		// capture length (Manchester's 0.5-mean envelope).
-		scale := complex(2/float64(n), 0)
+		scale := complex(2/float64(phy.ResponseSamples), 0)
 		for a, stream := range mc.Antennas {
 			s.Channels[a] = dsp.Goertzel(stream, freq/p.SampleRate) * scale
 		}
@@ -159,13 +153,24 @@ func suppressResolvedNeighbors(spikes []Spike, binWidth float64) {
 	}
 }
 
-// checkRagged refuses a capture whose antenna streams differ in length:
-// the channel estimates scale every stream by 2/n of antenna 0's n.
-func checkRagged(mc *rfsim.MultiCapture) error {
+// checkShape refuses a capture that is not the front end's one shape:
+// every antenna stream one response, phy.ResponseSamples, long.
+func checkShape(mc *rfsim.MultiCapture) error {
+	if mc == nil || len(mc.Antennas) == 0 {
+		return errors.New("no antenna streams")
+	}
 	for a, st := range mc.Antennas {
-		if len(st) != len(mc.Antennas[0]) {
-			return fmt.Errorf("antenna %d has %d samples, antenna 0 has %d", a, len(st), len(mc.Antennas[0]))
+		if err := checkLen(len(st)); err != nil {
+			return fmt.Errorf("antenna %d: %w", a, err)
 		}
+	}
+	return nil
+}
+
+// checkLen refuses a stream that is not one response long.
+func checkLen(n int) error {
+	if n != phy.ResponseSamples {
+		return fmt.Errorf("%d samples, want %d (one response at 4 MHz)", n, phy.ResponseSamples)
 	}
 	return nil
 }

@@ -27,9 +27,8 @@ import (
 // permutation. Each fused stage reads one contiguous, stage-major
 // twiddle table sequentially — (w, w², w³) triples in butterfly order —
 // instead of striding a shared table. Lengths 1, 2, 4, and 8 are fully
-// unrolled. There is no inverse kernel: IDFT(x) = conj(DFT(conj(x)))/N,
-// and the one caller that needs it (the Bluestein convolution) folds the
-// conjugations into loops it already runs.
+// unrolled. There is no inverse kernel: the pipeline only transforms
+// forward, and IDFT(x) = conj(DFT(conj(x)))/N wherever a test needs one.
 //
 // Radix-4 reorders the butterfly additions relative to the classic
 // radix-2 kernel, so bins agree with it only to rounding error (a few
@@ -304,9 +303,8 @@ func binPow(v complex128) float64 {
 }
 
 // fftPlans caches one immutable FFTPlan per power-of-two length for
-// the whole process: the convenience FFT entry point and
-// Bluestein padding reuse them instead of rebuilding twiddle and
-// bit-reversal tables per call.
+// the whole process: FFT and every Plan reuse them instead of
+// rebuilding twiddle and bit-reversal tables per call.
 var fftPlans sync.Map // int -> *FFTPlan
 
 // cachedPlan returns the process-wide shared plan for power-of-two
@@ -324,21 +322,20 @@ func cachedPlan(n int) (*FFTPlan, error) {
 	return v.(*FFTPlan), nil
 }
 
-// FFT computes the forward DFT of x, returning a fresh slice. Power-of-two
-// lengths use the cached radix-4 plan for the length; any other length
-// runs the Bluestein chirp-z algorithm through a throwaway Plan. A
-// zero-length input yields a zero-length output.
+// FFT computes the forward DFT of x, returning a fresh slice, on the
+// cached radix-4 plan for its length. len(x) must be a power of two, as
+// for every Plan; FFT panics otherwise. A zero-length input yields a
+// zero-length output.
 func FFT(x []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
-	out := make([]complex128, n)
-	if n&(n-1) == 0 {
-		p, _ := cachedPlan(n)
-		p.Transform(out, x)
-		return out
+	p, err := cachedPlan(n)
+	if err != nil {
+		panic(fmt.Sprintf("dsp: %v", err))
 	}
-	new(Plan).FFTInto(out, x)
+	out := make([]complex128, n)
+	p.Transform(out, x)
 	return out
 }

@@ -69,57 +69,38 @@ func Goertzel(x []complex128, f float64) complex128 {
 
 // GoertzelChips is Goertzel with its partial sums kept. In one walk
 // over x it writes, for every chip c < len(re), the sum of that chip's
-// spc de-rotated samples
+// four de-rotated samples
 //
-//	U_c = Σ_{t=c·spc}^{(c+1)·spc−1} x[t]·e^{−2πi f t}
+//	U_c = Σ_{t=4c}^{4c+3} x[t]·e^{−2πi f t}
 //
-// into re[c], im[c], and returns Σ_t x[t]·e^{−2πi f t} over all of x —
-// the chips plus whatever tail lies beyond them — which is what
-// Goertzel(x, f) returns. The §8 decoder needs exactly these two
-// things from a capture: the spike (its channel estimate) and the
-// per-chip sums its Manchester decisions integrate.
+// into re[c], im[c], and returns their total Σ_t x[t]·e^{−2πi f t},
+// which is what Goertzel(x, f) returns. The §8 decoder needs exactly
+// these two things from a capture: the spike (its channel estimate)
+// and the per-chip sums its Manchester decisions integrate.
 //
-// im must be as long as re, and x must hold len(re)·spc samples. At
-// four samples per chip (Caraoke's 4 MHz) a chip is one of Goertzel's
-// four-sample groups: the walk costs the same five multiplies per four
-// samples and the returned spike is bit-identical to Goertzel's. Any
-// other spc takes the per-sample recurrence.
-func GoertzelChips(x []complex128, f float64, spc int, re, im []float64) complex128 {
+// x must hold exactly 4·len(re) samples — four per chip, the front
+// end's one shape — and im as many entries as re. A chip is then one of
+// Goertzel's four-sample groups: the walk costs the same five
+// multiplies per four samples, and from 16 samples up the returned
+// spike is bit-identical to Goertzel's.
+func GoertzelChips(x []complex128, f float64, re, im []float64) complex128 {
 	s, c := math.Sincos(-2 * math.Pi * f)
 	step := complex(c, s)
+	step2 := step * step
+	step3 := step2 * step
+	step4 := step2 * step2
 	w := complex(1, 0)
 	var sum complex128
 	im = im[:len(re)]
-	if spc == 4 {
-		step2 := step * step
-		step3 := step2 * step
-		step4 := step2 * step2
-		for c := range re {
-			g := x[4*c : 4*c+4 : 4*c+4]
-			u := w * (g[0] + step*g[1] + step2*g[2] + step3*g[3])
-			w *= step4
-			re[c], im[c] = real(u), imag(u)
-			sum += u
-			if c&255 == 255 { // every 1024 samples, as Goertzel does
-				w = renormPhasor(w)
-			}
+	for c := range re {
+		g := x[4*c : 4*c+4 : 4*c+4]
+		u := w * (g[0] + step*g[1] + step2*g[2] + step3*g[3])
+		w *= step4
+		re[c], im[c] = real(u), imag(u)
+		sum += u
+		if c&255 == 255 { // every 1024 samples, as Goertzel does
+			w = renormPhasor(w)
 		}
-	} else {
-		for c := range re {
-			var u complex128
-			for _, v := range x[c*spc : (c+1)*spc] {
-				u += v * w
-				w *= step
-			}
-			re[c], im[c] = real(u), imag(u)
-			sum += u
-			if c&255 == 255 {
-				w = renormPhasor(w)
-			}
-		}
-	}
-	if tail := x[len(re)*spc:]; len(tail) > 0 {
-		sum += w * Goertzel(tail, f)
 	}
 	return sum
 }

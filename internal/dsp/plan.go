@@ -6,25 +6,24 @@ import (
 )
 
 // Plan is a per-worker DSP scratch: it caches FFT twiddle/bit-reversal
-// tables (and Bluestein chirp tables for non-power-of-two lengths) by
-// transform length and owns the reusable magnitude, sort, neighborhood,
-// and peak buffers, and the occupancy probe bank, the spectral pipeline
-// otherwise allocates per call. Once a plan has seen a capture shape,
-// re-running the same shape through FFTInto, SpectrumInto, FindPeaks,
-// and ClassifyBin allocates nothing.
+// tables by transform length (a power of two; the program transforms
+// one, its 2048-sample capture) and owns the reusable magnitude, sort,
+// neighborhood, and peak buffers, and the occupancy probe bank, the
+// spectral pipeline otherwise allocates per call. Once a plan has seen
+// a capture length, re-running it through SpectrumInto, FindPeaks, and
+// ClassifyBin allocates nothing.
 //
 // Every pooled method is bit-identical to its allocating package-level
-// counterpart (FFT, NewSpectrum, FindPeaks, ClassifyBin): those are
-// thin one-shot wrappers over the same implementation, so only the
-// buffer lifetimes differ.
+// counterpart (NewSpectrum, FindPeaks, ClassifyBin): those are thin
+// one-shot wrappers over the same implementation, so only the buffer
+// lifetimes differ.
 //
 // A Plan is NOT safe for concurrent use: give each worker goroutine its
 // own. The zero value is ready to use. Slices returned by FindPeaks are
 // owned by the plan and are valid only until its next call; callers
 // that retain them must copy.
 type Plan struct {
-	ffts  map[int]*FFTPlan
-	blues map[int]*bluesteinPlan
+	ffts map[int]*FFTPlan
 
 	mags   []float64 // per-bin magnitude cache, bin order
 	sorted []float64 // sort scratch for the noise-floor median
@@ -53,59 +52,15 @@ func (pl *Plan) fftPlan(n int) *FFTPlan {
 	return p
 }
 
-// bluePlan returns the cached Bluestein plan for an arbitrary length n.
-func (pl *Plan) bluePlan(n int) *bluesteinPlan {
-	if p, ok := pl.blues[n]; ok {
-		return p
-	}
-	p := newBluesteinPlan(n)
-	if pl.blues == nil {
-		pl.blues = make(map[int]*bluesteinPlan)
-	}
-	pl.blues[n] = p
-	return p
-}
-
-// FFTInto computes the forward DFT of src into dst (both length
-// len(src)), bit-identical to FFT(src) at any length: power-of-two
-// lengths run the cached Cooley-Tukey plan, others the cached Bluestein
-// chirp-z tables. dst and src may alias only for power-of-two lengths.
-func (pl *Plan) FFTInto(dst, src []complex128) {
-	n := len(src)
-	if len(dst) != n {
-		panic(fmt.Sprintf("dsp: FFTInto dst length %d, src length %d", len(dst), n))
-	}
-	if n == 0 {
-		return
-	}
-	if n&(n-1) == 0 {
-		pl.fftPlan(n).Transform(dst, src)
-		return
-	}
-	pl.bluePlan(n).forward(dst, src)
-}
-
 // SpectrumInto computes the spectrum of a capture into s, reusing
 // s.Bins when its capacity suffices, and fills the s.Mags/s.Pows
-// derived caches in the same pass: power-of-two lengths write them
-// from the final butterfly stage while the outputs are still in
-// registers, Bluestein lengths from the final unchirp loop. Bins are
-// bit-identical to NewSpectrum(samples, sampleRate), and the caches
-// equal math.Sqrt(binPow(bin)) / binPow(bin) exactly.
+// derived caches in the same pass, from the final butterfly stage
+// while the outputs are still in registers. Bins are bit-identical to
+// NewSpectrum(samples, sampleRate), and the caches equal
+// math.Sqrt(binPow(bin)) / binPow(bin) exactly. len(samples) must be a
+// power of two.
 func (pl *Plan) SpectrumInto(s *Spectrum, samples []complex128, sampleRate float64) {
-	n := len(samples)
-	s.SampleRate = sampleRate
-	s.Bins = growComplexSlice(s.Bins, n)
-	s.Mags = growFloatSlice(s.Mags, n)
-	s.Pows = growFloatSlice(s.Pows, n)
-	if n == 0 {
-		return
-	}
-	if n&(n-1) == 0 {
-		pl.fftPlan(n).transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
-		return
-	}
-	pl.bluePlan(n).forwardSpectrum(s.Bins, s.Mags, s.Pows, samples)
+	pl.fftPlan(len(samples)).spectrumInto(s, samples, sampleRate)
 }
 
 // SpectrumManyInto computes one spectrum per capture, the batched
@@ -120,21 +75,20 @@ func (pl *Plan) SpectrumManyInto(specs []Spectrum, captures [][]complex128, samp
 	}
 	var fp *FFTPlan
 	for i, samples := range captures {
-		n := len(samples)
-		if n == 0 || n&(n-1) != 0 {
-			pl.SpectrumInto(&specs[i], samples, sampleRate)
-			continue
+		if fp == nil || fp.n != len(samples) {
+			fp = pl.fftPlan(len(samples))
 		}
-		s := &specs[i]
-		s.SampleRate = sampleRate
-		s.Bins = growComplexSlice(s.Bins, n)
-		s.Mags = growFloatSlice(s.Mags, n)
-		s.Pows = growFloatSlice(s.Pows, n)
-		if fp == nil || fp.n != n {
-			fp = pl.fftPlan(n)
-		}
-		fp.transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
+		fp.spectrumInto(&specs[i], samples, sampleRate)
 	}
+}
+
+// spectrumInto is SpectrumInto on the plan of the capture's length.
+func (p *FFTPlan) spectrumInto(s *Spectrum, samples []complex128, sampleRate float64) {
+	s.SampleRate = sampleRate
+	s.Bins = growComplexSlice(s.Bins, p.n)
+	s.Mags = growFloatSlice(s.Mags, p.n)
+	s.Pows = growFloatSlice(s.Pows, p.n)
+	p.transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
 }
 
 // FindPeaks is the pooled equivalent of the package-level FindPeaks:
@@ -237,104 +191,6 @@ func (pl *Plan) ClassifyBin(samples []complex128, sampleRate, freqHz float64) Oc
 	pl.bank.Tune(sampleRate, freqHz, len(samples))
 	pl.bank.Load(samples)
 	return pl.bank.Occupancy()
-}
-
-// bluesteinPlan caches the length-dependent tables of the forward
-// Bluestein chirp-z transform: the chirp sequence and the FFT of the
-// convolution kernel, plus the two length-m work buffers. One plan
-// serves one transform length.
-type bluesteinPlan struct {
-	n     int
-	chirp []complex128 // e^{-πi k²/n}
-	fb    []complex128 // FFT of the kernel sequence b
-	a     []complex128 // work: chirp-premultiplied, zero-padded input
-	fa    []complex128 // work: forward FFT / conjugate of m× the convolution
-	fft   *FFTPlan     // power-of-two plan of the padded length m
-}
-
-// newBluesteinPlan precomputes the chirp and kernel tables for length n.
-func newBluesteinPlan(n int) *bluesteinPlan {
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// Reduce k² mod 2n before multiplying to avoid precision loss
-		// for large n.
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		s, c := math.Sincos(-math.Pi * float64(kk) / float64(n))
-		chirp[k] = complex(c, s)
-	}
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		cc := complex(real(chirp[k]), -imag(chirp[k]))
-		b[k] = cc
-		if k > 0 {
-			b[m-k] = cc
-		}
-	}
-	fft, err := cachedPlan(m)
-	if err != nil {
-		panic(fmt.Sprintf("dsp: %v", err))
-	}
-	fb := make([]complex128, m)
-	fft.Transform(fb, b)
-	return &bluesteinPlan{
-		n:     n,
-		chirp: chirp,
-		fb:    fb,
-		a:     make([]complex128, m),
-		fa:    make([]complex128, m),
-		fft:   fft,
-	}
-}
-
-// forward evaluates the forward DFT of src into dst, reusing the
-// cached tables. dst and src must both have length n and not alias.
-func (bp *bluesteinPlan) forward(dst, src []complex128) {
-	bp.convolve(src)
-	for k := 0; k < bp.n; k++ {
-		dst[k] = bp.bin(k)
-	}
-}
-
-// forwardSpectrum is forward with the magnitude/power stores fused
-// into the final unchirp loop — the Bluestein arm of the fused
-// SpectrumInto pass. Bins are identical to forward's.
-func (bp *bluesteinPlan) forwardSpectrum(dst []complex128, mags, pows []float64, src []complex128) {
-	bp.convolve(src)
-	for k := 0; k < bp.n; k++ {
-		v := bp.bin(k)
-		dst[k] = v
-		pw := binPow(v)
-		pows[k] = pw
-		mags[k] = math.Sqrt(pw)
-	}
-}
-
-// convolve runs the shared chirp-premultiply → FFT → kernel product →
-// inverse FFT steps. The inverse is conj(DFT(conj(·)))/m over the one
-// forward kernel: the first conjugation rides the kernel product here,
-// the second and the 1/m ride bin's unchirp multiply.
-func (bp *bluesteinPlan) convolve(src []complex128) {
-	for k := 0; k < bp.n; k++ {
-		bp.a[k] = src[k] * bp.chirp[k]
-	}
-	clear(bp.a[bp.n:])
-	bp.fft.Transform(bp.fa, bp.a)
-	for i := range bp.fa {
-		v := bp.fa[i] * bp.fb[i]
-		bp.fa[i] = complex(real(v), -imag(v))
-	}
-	bp.fft.Transform(bp.fa, bp.fa)
-}
-
-// bin returns DFT bin k of convolve's input: the convolution result,
-// unchirped.
-func (bp *bluesteinPlan) bin(k int) complex128 {
-	inv := 1 / float64(len(bp.fa))
-	return complex(real(bp.fa[k])*inv, -imag(bp.fa[k])*inv) * bp.chirp[k]
 }
 
 // growComplexSlice returns x resized to length n, reusing its backing

@@ -29,27 +29,23 @@ func randSignal(rng *rand.Rand, n int, tones int) []complex128 {
 }
 
 // TestPlanFFTMatchesFFT proves the pooled transform is bit-identical to
-// the cached-plan FFT at power-of-two lengths, with one plan reused
-// across every length in interleaved order — the cross-capture-length
-// reuse the decode pipeline relies on. At arbitrary (Bluestein) lengths
-// FFT itself runs through a Plan, so the reused plan is held to the
-// naive DFT instead.
+// FFT at every length, with one plan reused across the lengths in
+// interleaved order, and that the plan serves the process-wide table
+// set rather than building its own.
 func TestPlanFFTMatchesFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pl := new(Plan)
-	lengths := []int{1, 2, 8, 256, 1000, 1024, 1536, 2048, 2500, 3000}
+	lengths := []int{1, 2, 8, 256, 1024, 2048, 4096}
 	// Two passes so every cached table is exercised after creation.
 	for pass := 0; pass < 2; pass++ {
 		for _, n := range lengths {
 			x := randSignal(rng, n, 3)
 			got := make([]complex128, n)
-			pl.FFTInto(got, x)
-			if n&(n-1) != 0 {
-				if d, tol := maxBinDiff(got, DFTNaive(x)), naiveTol(x); d > tol {
-					t.Fatalf("pass %d n=%d: pooled vs naive DFT max bin diff %g > %g", pass, n, d, tol)
-				}
-				continue
+			p := pl.fftPlan(n)
+			if shared, _ := cachedPlan(n); p != shared {
+				t.Fatalf("n=%d: plan built its own tables", n)
 			}
+			p.Transform(got, x)
 			want := FFT(x)
 			for k := range want {
 				if got[k] != want[k] {
@@ -60,20 +56,20 @@ func TestPlanFFTMatchesFFT(t *testing.T) {
 	}
 }
 
-// TestPlanFFTSteadyStateAllocs: once a plan has seen a length — even a
-// Bluestein (non-power-of-two) one — repeating it allocates nothing.
+// TestPlanFFTSteadyStateAllocs: once a plan has seen a length, the
+// fused spectrum pass over it allocates nothing.
 func TestPlanFFTSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pl := new(Plan)
-	for _, n := range []int{2048, 2500} {
+	var s Spectrum
+	for _, n := range []int{2048, 512} {
 		x := randSignal(rng, n, 2)
-		dst := make([]complex128, n)
-		pl.FFTInto(dst, x) // warm the tables
+		pl.SpectrumInto(&s, x, 4e6) // warm the tables and the spectrum
 		allocs := testing.AllocsPerRun(20, func() {
-			pl.FFTInto(dst, x)
+			pl.SpectrumInto(&s, x, 4e6)
 		})
 		if allocs != 0 {
-			t.Errorf("n=%d: steady-state FFTInto allocates %.1f objects/op, want 0", n, allocs)
+			t.Errorf("n=%d: steady-state SpectrumInto allocates %.1f objects/op, want 0", n, allocs)
 		}
 	}
 }
@@ -147,7 +143,7 @@ func TestPlanClassifyBinMatches(t *testing.T) {
 }
 
 // TestPlanSpectrumReuseAcrossLengths: one plan alternating between
-// capture lengths (power-of-two and Bluestein) keeps producing spectra
+// power-of-two capture lengths keeps producing spectra
 // identical to fresh NewSpectrum calls — buffer reuse never leaks one
 // length's bins into another's.
 func TestPlanSpectrumReuseAcrossLengths(t *testing.T) {
@@ -155,7 +151,7 @@ func TestPlanSpectrumReuseAcrossLengths(t *testing.T) {
 	pl := new(Plan)
 	var spec Spectrum
 	for trial := 0; trial < 3; trial++ {
-		for _, n := range []int{2048, 1000, 512, 2500} {
+		for _, n := range []int{2048, 1024, 512, 4096} {
 			x := randSignal(rng, n, 2)
 			pl.SpectrumInto(&spec, x, 4e6)
 			want := NewSpectrum(x, 4e6)
@@ -254,30 +250,23 @@ func TestGoertzelWindowSubBin(t *testing.T) {
 }
 
 // BenchmarkPlanFFT compares pooled against allocating transforms at the
-// capture length the decode path uses.
+// capture length.
 func BenchmarkPlanFFT(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{2048, 2500} {
-		x := randSignal(rng, n, 3)
-		name := "pow2"
-		if n&(n-1) != 0 {
-			name = "bluestein"
+	const n = 2048
+	x := randSignal(rng, n, 3)
+	b.Run("alloc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			FFT(x)
 		}
-		b.Run(name+"/alloc", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				FFT(x)
-			}
-		})
-		b.Run(name+"/pooled", func(b *testing.B) {
-			pl := new(Plan)
-			dst := make([]complex128, n)
-			pl.FFTInto(dst, x)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pl.FFTInto(dst, x)
-			}
-		})
-	}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		pl := new(Plan)
+		dst := make([]complex128, n)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pl.fftPlan(n).Transform(dst, x)
+		}
+	})
 }

@@ -62,8 +62,13 @@ const phasorBlock = 64
 // block starts — and one product of the two per entry, so an entry is
 // at most phasorBlock + n/phasorBlock roundings from exact (under a
 // hundred at 2048 samples) where a single recurrence along the capture
-// would be n.
+// would be n. n must be a multiple of 16, so that the capture and its
+// quarter-length occupancy windows all fold into four classes
+// (nearBins); Tune panics otherwise.
 func (b *ProbeBank) Tune(sampleRate, freqHz float64, n int) {
+	if n%16 != 0 {
+		panic(fmt.Sprintf("dsp: ProbeBank length %d is not a multiple of 16", n))
+	}
 	b.sampleRate, b.freqHz = sampleRate, freqHz
 	b.ph = growComplexSlice(b.ph, n)
 	b.y = b.y[:0]
@@ -130,20 +135,12 @@ func (b *ProbeBank) Occupancy() Occupancy {
 	if n == 0 {
 		return OccupancySingle
 	}
+	// With n a multiple of 16 (Tune), every window is a whole quarter of
+	// the capture, a multiple of four, and starts inside it.
 	winLen := int(float64(n) * OccupancyWindowFrac)
-	if winLen < 4 {
-		winLen = n
-	}
 	starts := [3]int{0}
 	for i, frac := range occShifts {
-		start := int(float64(n) * frac)
-		if start+winLen > n {
-			start = n - winLen
-		}
-		if start <= 0 {
-			return OccupancySingle
-		}
-		starts[i+1] = start
+		starts[i+1] = int(float64(n) * frac)
 	}
 
 	// A reference frequency outside (0, 1) cycles per sample is dropped
@@ -219,23 +216,19 @@ func (b *ProbeBank) Shoulder() (centre, side float64) {
 // and the inner sum depends on k only through k mod 4: four folded
 // classes, built with additions alone, serve every bin, each bin then
 // costing an M-term dot product against a fixed twiddle row. Bins +k
-// and −k share a row (one conjugated), so one pass yields both. A
-// length that four does not divide skips the fold: every class is z
-// itself and the rows run the full length.
+// and −k share a row (one conjugated), so one pass yields both.
 func (b *ProbeBank) nearBins(z []complex128, kLo, kHi int) complex128 {
 	tw := b.twiddles(len(z))
-	m, classes, mask := tw.m, z, 0
-	if m != len(z) {
-		b.fold = growComplexSlice(b.fold, len(z))
-		fold4(b.fold, z)
-		classes, mask = b.fold, 3
-	}
+	m := tw.m
+	b.fold = growComplexSlice(b.fold, len(z))
+	classes := b.fold
+	fold4(classes, z)
 	var sum complex128
 	for _, v := range classes[:m] { // class 0: Σ_r z[j+rM]
 		sum += v
 	}
 	for k := kLo; k <= kHi; k++ {
-		cp, cn := (k&mask)*m, (-k&mask)*m
+		cp, cn := (k&3)*m, (-k&3)*m
 		b.pos[k], b.neg[k] = dotPair(classes[cp:cp+m], classes[cn:cn+m], tw.row(k))
 	}
 	return sum
@@ -274,9 +267,9 @@ func dotPair(a, b, t []complex128) (complex128, complex128) {
 	return complex(pr, pi), complex(nr, ni)
 }
 
-// probeTwiddles holds the rows e^{-2πi k j/L}, j < m, for k = 1…
-// maxProbeBin of one DFT length L: m = L/4 when four divides L (the
-// folded dot products), m = L otherwise.
+// probeTwiddles holds the rows e^{-2πi k j/L}, j < m = L/4, for k = 1…
+// maxProbeBin of one DFT length L: what nearBins's folded dot products
+// run against.
 type probeTwiddles struct {
 	m int
 	w []complex128 // row k at w[(k-1)·m : k·m]
@@ -285,10 +278,7 @@ type probeTwiddles struct {
 func (tw *probeTwiddles) row(k int) []complex128 { return tw.w[(k-1)*tw.m : k*tw.m] }
 
 func newProbeTwiddles(l int) *probeTwiddles {
-	m := l
-	if l%4 == 0 {
-		m = l / 4
-	}
+	m := l / 4
 	tw := &probeTwiddles{m: m, w: make([]complex128, maxProbeBin*m)}
 	for k := 1; k <= maxProbeBin; k++ {
 		row := tw.row(k)

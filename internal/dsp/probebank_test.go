@@ -97,12 +97,11 @@ type bankCase struct {
 	freq       float64 // Hz, at 4 MHz
 }
 
-// bankCases covers window lengths four divides (512, 128, 1024) and does
-// not (511, 250, 614, 6), a full-length window (a set fraction of 1, and
-// what the occupancy test falls back to below 16 samples), captures below
-// Goertzel's 16-sample grouped path, and probe frequencies within five
-// window bins of 0 and of the sample rate, where reference probes drop
-// out.
+// bankCases covers capture lengths that are multiples of 16 (Tune's
+// precondition) from 16 to 4096, windows from a full capture down to
+// four samples (below Goertzel's 16-sample grouped path), and probe
+// frequencies within five window bins of 0 and of the sample rate,
+// where reference probes drop out.
 func bankCases(rng *rand.Rand) []bankCase {
 	const fs = 4e6
 	var cases []bankCase
@@ -110,8 +109,8 @@ func bankCases(rng *rand.Rand) []bankCase {
 		n    int
 		frac float64
 	}{
-		{2048, 0.25}, {2047, 0.25}, {1000, 0.25}, {512, 0.25}, {2456, 0.25}, {4096, 0.25},
-		{2048, 0.3}, {2048, 0.5}, {2048, 1}, {12, 0.5}, {15, 0.3}, {9, 0.25}, {12, 0.25},
+		{2048, 0.25}, {1024, 0.25}, {512, 0.25}, {2464, 0.25}, {4096, 0.25},
+		{2048, 0.125}, {2048, 0.5}, {2048, 1}, {16, 0.5}, {48, 0.25}, {16, 0.25},
 	} {
 		winBin := fs / (float64(shape.n) * shape.frac)
 		freqs := []float64{
@@ -250,7 +249,7 @@ func TestProbeBankRetune(t *testing.T) {
 	if got := reused.Occupancy(); got != OccupancySingle {
 		t.Errorf("zero bank classified as %v", got)
 	}
-	for _, n := range []int{2048, 600, 2048, 1000} {
+	for _, n := range []int{2048, 512, 2048, 1024} {
 		freq := (0.05 + 0.2*rng.Float64()) * 4e6
 		x := bankSignal(rng, n, freq)
 		var fresh ProbeBank
@@ -274,7 +273,7 @@ func TestProbeBankRetune(t *testing.T) {
 // alternating between two capture lengths included.
 func TestProbeBankSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
-	xs := [][]complex128{randSignal(rng, 2048, 2), randSignal(rng, 1000, 2)}
+	xs := [][]complex128{randSignal(rng, 2048, 2), randSignal(rng, 1024, 2)}
 	var b ProbeBank
 	run := func() {
 		for _, x := range xs {

@@ -11,11 +11,11 @@ import (
 // checksum passes), hit once per query per in-flight decode.
 var (
 	// ErrShortEnvelope is returned when the envelope does not hold a
-	// full 256-bit frame at the given sample rate.
+	// full 256-bit frame.
 	ErrShortEnvelope = errors.New("phy: envelope shorter than one frame")
-	// ErrLowSampleRate is returned when the sample rate is below one
-	// sample per chip.
-	ErrLowSampleRate = errors.New("phy: sample rate below one sample per chip")
+	// ErrSampleRate is returned for a sample rate other than the front
+	// end's SampleRate.
+	ErrSampleRate = errors.New("phy: sample rate is not the front end's 4 MHz")
 )
 
 // DemodScratch owns the chip-energy buffer DemodulateFrame integrates
@@ -30,16 +30,15 @@ type DemodScratch struct {
 }
 
 // DemodulateFrame runs envelope → chip energies → Manchester decisions
-// → frame parse with CRC check. The frame is returned by value; on
-// steady-state reuse the call allocates nothing. Errors are the bare
-// sentinels ErrLowSampleRate, ErrShortEnvelope, ErrBadPreamble, and
-// ErrBadCRC.
+// → frame parse with CRC check, at SampleRate. The frame is returned by
+// value; on steady-state reuse the call allocates nothing. Errors are
+// the bare sentinels ErrSampleRate, ErrShortEnvelope, ErrBadPreamble,
+// and ErrBadCRC.
 func (ds *DemodScratch) DemodulateFrame(env []float64, sampleRate float64) (Frame, error) {
-	spc := SamplesPerChip(sampleRate)
-	if spc < 1 {
-		return Frame{}, ErrLowSampleRate
+	if sampleRate != SampleRate {
+		return Frame{}, ErrSampleRate
 	}
-	if len(env) < FrameChips*spc {
+	if len(env) < ResponseSamples {
 		return Frame{}, ErrShortEnvelope
 	}
 	if cap(ds.energy) < FrameChips {
@@ -48,7 +47,7 @@ func (ds *DemodScratch) DemodulateFrame(env []float64, sampleRate float64) (Fram
 	energy := ds.energy[:FrameChips]
 	for c := range energy {
 		var sum float64
-		for _, v := range env[c*spc : (c+1)*spc] {
+		for _, v := range env[c*ChipSamples : (c+1)*ChipSamples] {
 			sum += v
 		}
 		energy[c] = sum

@@ -36,7 +36,7 @@ func TestDemodScratchMatchesDemodulateFrame(t *testing.T) {
 				env[i] += 0.3 * rng.NormFloat64()
 			}
 		}
-		want, wantErr := DemodulateFrame(env, rate)
+		want, wantErr := DemodulateFrame(env, ChipSamples)
 		got, gotErr := ds.DemodulateFrame(env, rate)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: oracle err %v, scratch err %v", trial, wantErr, gotErr)
@@ -63,15 +63,17 @@ func TestDemodScratchSentinels(t *testing.T) {
 	if _, err := ds.DemodulateFrame(make([]float64, 16), 4e6); !errors.Is(err, ErrShortEnvelope) {
 		t.Errorf("short envelope: got %v, want ErrShortEnvelope", err)
 	}
-	if _, err := ds.DemodulateFrame(make([]float64, 16), 1); !errors.Is(err, ErrLowSampleRate) {
-		t.Errorf("low rate: got %v, want ErrLowSampleRate", err)
+	for _, rate := range []float64{1, 8e6} {
+		if _, err := ds.DemodulateFrame(make([]float64, ResponseSamples), rate); err != ErrSampleRate {
+			t.Errorf("%g Hz: got %v, want bare ErrSampleRate", rate, err)
+		}
 	}
 	env, err := ModulateFrame(scratchTestFrame(rand.New(rand.NewSource(1))), 4e6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the payload: CRC must fail with the bare sentinel.
-	spc := SamplesPerChip(4e6)
+	const spc = ChipSamples
 	for i := 0; i < 4*ChipsPerBit*spc; i++ {
 		env[(PreambleBits+20)*ChipsPerBit*spc+i] = 1 - env[(PreambleBits+20)*ChipsPerBit*spc+i]
 	}

@@ -23,7 +23,6 @@ func chipBytes(energy []float64) []byte {
 // per chip. Both must return the same frame or the same failure, as the
 // bare ErrShortEnvelope, ErrBadPreamble or ErrBadCRC, and never panic.
 func FuzzDemodulateChips(f *testing.F) {
-	const oneSamplePerChip = 1.5e6 // SamplesPerChip rounds 1.5 down to 1
 	bits, err := (&Frame{Agency: 0x23, Serial: 0xABCDEF, Factory: math.MaxUint64}).Encode()
 	if err != nil {
 		f.Fatal(err)
@@ -59,7 +58,7 @@ func FuzzDemodulateChips(f *testing.F) {
 			energy[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 		got, gotErr := DemodulateChips(energy)
-		want, wantErr := DemodulateFrame(energy, oneSamplePerChip)
+		want, wantErr := DemodulateFrame(energy, 1)
 		switch {
 		case wantErr == nil:
 			if gotErr != nil || got != *want {

@@ -23,17 +23,16 @@ func Envelope(chips Bits, samplesPerChip int) []float64 {
 	return env
 }
 
-// ModulateFrame encodes a frame and returns its baseband OOK envelope
-// at the given sample rate. The envelope length equals
-// SamplesPerResponse(sampleRate).
+// ModulateFrame encodes a frame and returns its baseband OOK envelope,
+// ResponseSamples long. The sample rate must be SampleRate; any other
+// is ErrSampleRate.
 func ModulateFrame(f *Frame, sampleRate float64) ([]float64, error) {
+	if sampleRate != SampleRate {
+		return nil, ErrSampleRate
+	}
 	bits, err := f.Encode()
 	if err != nil {
 		return nil, err
 	}
-	spc := SamplesPerChip(sampleRate)
-	if spc < 1 {
-		return nil, fmt.Errorf("phy: sample rate %g Hz below one sample per chip", sampleRate)
-	}
-	return Envelope(ManchesterEncode(bits), spc), nil
+	return Envelope(ManchesterEncode(bits), ChipSamples), nil
 }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,14 +10,11 @@ import (
 const testSampleRate = 4e6
 
 // DemodulateEnvelope integrates a recovered real-valued envelope over
-// each chip period and makes per-bit Manchester decisions. The envelope
-// must be frame-aligned (the reader knows the response starts exactly
-// TurnaroundDelay after its query) and hold one full frame.
-func DemodulateEnvelope(env []float64, sampleRate float64) (Bits, error) {
-	spc := SamplesPerChip(sampleRate)
-	if spc < 1 {
-		return nil, fmt.Errorf("phy: sample rate %g Hz below one sample per chip", sampleRate)
-	}
+// each chip period of spc samples and makes per-bit Manchester
+// decisions. The envelope must be frame-aligned (the reader knows the
+// response starts exactly TurnaroundDelay after its query) and hold one
+// full frame.
+func DemodulateEnvelope(env []float64, spc int) (Bits, error) {
 	chips := FrameBits * ChipsPerBit
 	if len(env) < chips*spc {
 		return nil, fmt.Errorf("phy: envelope holds %d samples, a frame needs %d", len(env), chips*spc)
@@ -35,8 +33,8 @@ func DemodulateEnvelope(env []float64, sampleRate float64) (Bits, error) {
 // DemodulateFrame is the allocating oracle of DemodScratch.DemodulateFrame:
 // envelope → chip energies → Manchester decisions → frame parse with CRC
 // check, each stage its own allocation and its own error text.
-func DemodulateFrame(env []float64, sampleRate float64) (*Frame, error) {
-	bits, err := DemodulateEnvelope(env, sampleRate)
+func DemodulateFrame(env []float64, spc int) (*Frame, error) {
+	bits, err := DemodulateEnvelope(env, spc)
 	if err != nil {
 		return nil, err
 	}
@@ -47,11 +45,12 @@ func TestTimingConstantsConsistent(t *testing.T) {
 	if got := FrameBits * BitDuration; got != ResponseDuration {
 		t.Errorf("FrameBits×BitDuration = %v, want %v", got, ResponseDuration)
 	}
-	if got := SamplesPerResponse(testSampleRate); got != 2048 {
-		t.Errorf("SamplesPerResponse(4 MHz) = %d, want 2048", got)
+	if SampleRate != testSampleRate || ChipSamples != 4 || ResponseSamples != 2048 {
+		t.Errorf("front end %g Hz, %d samples per chip, %d per response; want 4 MHz, 4, 2048",
+			SampleRate, ChipSamples, ResponseSamples)
 	}
-	if got := SamplesPerChip(testSampleRate); got != 4 {
-		t.Errorf("SamplesPerChip(4 MHz) = %d, want 4", got)
+	if got := SampleRate * ResponseDuration.Seconds(); got != ResponseSamples {
+		t.Errorf("one response at SampleRate is %g samples, want %d", got, ResponseSamples)
 	}
 	if CarrierSenseWindow <= QueryDuration+TurnaroundDelay-1 {
 		t.Error("carrier-sense window shorter than query+turnaround (§9)")
@@ -64,8 +63,8 @@ func TestModulateFrameLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(env) != SamplesPerResponse(testSampleRate) {
-		t.Fatalf("envelope %d samples, want %d", len(env), SamplesPerResponse(testSampleRate))
+	if len(env) != ResponseSamples {
+		t.Fatalf("envelope %d samples, want %d", len(env), ResponseSamples)
 	}
 	// Envelope is exactly 0/1 valued and half-on (Manchester balance).
 	on := 0
@@ -90,7 +89,7 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DemodulateFrame(env, testSampleRate)
+		got, err := DemodulateFrame(env, ChipSamples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +112,7 @@ func TestDemodulateWithNoiseAndScale(t *testing.T) {
 	for i := range env {
 		noisy[i] = 3.7*env[i] + rng.NormFloat64()*0.4
 	}
-	got, err := DemodulateFrame(noisy, testSampleRate)
+	got, err := DemodulateFrame(noisy, ChipSamples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +122,19 @@ func TestDemodulateWithNoiseAndScale(t *testing.T) {
 }
 
 func TestDemodulateEnvelopeShortInput(t *testing.T) {
-	if _, err := DemodulateEnvelope(make([]float64, 100), testSampleRate); err == nil {
+	if _, err := DemodulateEnvelope(make([]float64, 100), ChipSamples); err == nil {
 		t.Error("short envelope accepted")
 	}
 }
 
+// TestModulateFrameLowSampleRate: every rate but the front end's is
+// refused, below the chip rate or not.
 func TestModulateFrameLowSampleRate(t *testing.T) {
 	f := &Frame{}
-	if _, err := ModulateFrame(f, 1e5); err == nil {
-		t.Error("sample rate below chip rate accepted")
+	for _, rate := range []float64{1e5, 1e6, 3.9e6, 8e6, 0} {
+		if _, err := ModulateFrame(f, rate); !errors.Is(err, ErrSampleRate) {
+			t.Errorf("%g Hz: got %v, want ErrSampleRate", rate, err)
+		}
 	}
 }
 

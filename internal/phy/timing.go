@@ -54,15 +54,16 @@ const (
 	NominalCarrier = 915e6 // Hz
 )
 
-// SamplesPerResponse returns the number of complex samples a response
-// occupies at the given sample rate. At Caraoke's 4 MHz this is 2048,
-// giving the 1.95 kHz FFT resolution of Eq 6.
-func SamplesPerResponse(sampleRate float64) int {
-	return int(sampleRate * ResponseDuration.Seconds())
-}
-
-// SamplesPerChip returns the number of complex samples per Manchester
-// chip at the given sample rate (4 at 4 MHz).
-func SamplesPerChip(sampleRate float64) int {
-	return int(sampleRate * ChipDuration.Seconds())
-}
+// The front end's one capture shape (§3, §5): the reader digitizes one
+// 512 µs response at 4 MHz, four complex samples per Manchester chip,
+// 2048 in all — the 1.95 kHz FFT bin of Eq 6. Every capture, envelope
+// and decoder in the program has this shape; the boundaries that take
+// one from outside refuse any other.
+const (
+	// ChipSamples is the number of complex samples per chip.
+	ChipSamples = 4
+	// SampleRate is the front end's complex sample rate, Hz.
+	SampleRate = ChipSamples * float64(time.Second/ChipDuration)
+	// ResponseSamples is the length of one capture: a whole response.
+	ResponseSamples = FrameChips * ChipSamples
+)

@@ -65,8 +65,8 @@ func New(cfg Config) (*Reader, error) {
 		Array:  arr,
 		Params: params,
 		Capture: rfsim.CaptureConfig{
-			SampleRate: params.SampleRate,
-			NumSamples: phy.SamplesPerResponse(params.SampleRate),
+			SampleRate: phy.SampleRate,
+			NumSamples: phy.ResponseSamples,
 			Wavelength: params.Wavelength,
 			NoiseSigma: cfg.NoiseSigma,
 		},

@@ -17,7 +17,7 @@ func TestSnapshotSharesEnvelopeIndependentState(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	d := NewRandomDevice(DefaultPopulationParams(), 11, geom.V(3, 4, 0), rng)
 
-	snap, err := d.Snapshot(4e6)
+	snap, err := d.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSnapshotDeadDevice(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	d := NewRandomDevice(DefaultPopulationParams(), 12, geom.V(0, 0, 0), rng)
 	d.RepliesLeft = 0
-	snap, err := d.Snapshot(4e6)
+	snap, err := d.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,7 @@ type Device struct {
 	// silent once it reaches zero.
 	RepliesLeft int64
 
-	envelope   []float64 // cached modulated frame
-	envelopeFs float64
+	envelope []float64 // cached modulated frame, at phy.SampleRate
 }
 
 // New creates a device with the given identity and carrier, positioned
@@ -94,34 +93,33 @@ func (d *Device) TriggeredFrom(queryPos geom.Vec3, txAmp, wavelength float64) bo
 	return d.Triggered(txAmp * rfsim.FreeSpaceAmplitude(dist, wavelength))
 }
 
-// PrepareEnvelope builds (or rebuilds, after a sample-rate change) the
-// cached modulated frame. Reply calls it lazily; a harness that hands
-// out Snapshot copies calls it up front so every copy shares one
-// immutable envelope instead of each re-modulating the frame.
-func (d *Device) PrepareEnvelope(sampleRate float64) error {
-	if d.envelope != nil && d.envelopeFs == sampleRate {
+// PrepareEnvelope builds the cached modulated frame, at the front end's
+// one rate, phy.SampleRate. Reply calls it lazily; Snapshot calls it up
+// front so every copy shares one immutable envelope instead of each
+// re-modulating the frame.
+func (d *Device) PrepareEnvelope() error {
+	if d.envelope != nil {
 		return nil
 	}
-	env, err := phy.ModulateFrame(&d.Frame, sampleRate)
+	env, err := phy.ModulateFrame(&d.Frame, phy.SampleRate)
 	if err != nil {
 		return fmt.Errorf("transponder %s: %w", d.Frame.String(), err)
 	}
 	d.envelope = env
-	d.envelopeFs = sampleRate
 	return nil
 }
 
 // Snapshot returns a working copy of the device frozen at its current
 // position and battery budget, sharing the modulated-envelope cache
-// (which is immutable once built — the copy never re-modulates at the
-// same sample rate). It is the per-epoch hand-off a pipelined harness
-// gives a reader goroutine: the copy can be measured while the original
-// moves on to later epochs, with no shared mutable state between them.
+// (which is immutable once built — the copy never re-modulates). It is
+// the per-epoch hand-off a pipelined harness gives a reader goroutine:
+// the copy can be measured while the original moves on to later
+// epochs, with no shared mutable state between them.
 // Battery draw against a snapshot stays on the snapshot; at the default
 // 50M-reply budget that bookkeeping loss is unobservable over any
 // simulated run.
-func (d *Device) Snapshot(sampleRate float64) (*Device, error) {
-	if err := d.PrepareEnvelope(sampleRate); err != nil {
+func (d *Device) Snapshot() (*Device, error) {
+	if err := d.PrepareEnvelope(); err != nil {
 		return nil, err
 	}
 	cp := *d
@@ -133,12 +131,16 @@ func (d *Device) Snapshot(sampleRate float64) (*Device, error) {
 // phase — the property the coherent-combining decoder relies on (§8) —
 // and consumes one reply from the battery budget. startSample places
 // the response within the reader capture window (0 when the capture
-// starts at the response, per the fixed 100 µs turnaround).
+// starts at the response, per the fixed 100 µs turnaround). sampleRate
+// must be phy.SampleRate; any other is phy.ErrSampleRate.
 func (d *Device) Reply(readerLO, sampleRate float64, startSample int, rng *rand.Rand) (rfsim.Transmission, error) {
+	if sampleRate != phy.SampleRate {
+		return rfsim.Transmission{}, fmt.Errorf("transponder %s: %g Hz: %w", d.Frame.String(), sampleRate, phy.ErrSampleRate)
+	}
 	if !d.Alive() {
 		return rfsim.Transmission{}, fmt.Errorf("transponder %s: battery exhausted", d.Frame.String())
 	}
-	if err := d.PrepareEnvelope(sampleRate); err != nil {
+	if err := d.PrepareEnvelope(); err != nil {
 		return rfsim.Transmission{}, err
 	}
 	d.RepliesLeft--

@@ -1,6 +1,7 @@
 package transponder
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,19 +37,20 @@ func TestReplyRandomPhaseAndCachedEnvelope(t *testing.T) {
 	if &r1.Envelope[0] != &r2.Envelope[0] {
 		t.Error("envelope not cached between replies")
 	}
-	if len(r1.Envelope) != phy.SamplesPerResponse(4e6) {
-		t.Errorf("envelope %d samples, want %d", len(r1.Envelope), phy.SamplesPerResponse(4e6))
+	if len(r1.Envelope) != phy.ResponseSamples {
+		t.Errorf("envelope %d samples, want %d", len(r1.Envelope), phy.ResponseSamples)
 	}
 	if r1.CFO != d.CFO(phy.BandLow) {
 		t.Errorf("reply CFO %g, device CFO %g", r1.CFO, d.CFO(phy.BandLow))
 	}
-	// Envelope cache must refresh when the sample rate changes.
-	r3, err := d.Reply(phy.BandLow, 8e6, 0, rng)
-	if err != nil {
-		t.Fatal(err)
+	// The envelope exists at the front end's rate only: any other is
+	// refused before the battery is charged.
+	left := d.RepliesLeft
+	if _, err := d.Reply(phy.BandLow, 8e6, 0, rng); !errors.Is(err, phy.ErrSampleRate) {
+		t.Errorf("8 MHz reply: got %v, want phy.ErrSampleRate", err)
 	}
-	if len(r3.Envelope) != phy.SamplesPerResponse(8e6) {
-		t.Errorf("resampled envelope %d samples, want %d", len(r3.Envelope), phy.SamplesPerResponse(8e6))
+	if d.RepliesLeft != left {
+		t.Errorf("refused reply charged the battery: %d -> %d", left, d.RepliesLeft)
 	}
 }
 

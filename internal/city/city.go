@@ -17,14 +17,14 @@
 // batches keyed by (ReaderID, Seq).
 //
 // The harness is deterministic: all randomness flows from Config.Seed
-// through per-subsystem RNG streams (one for city construction, one per
-// reader), each reader consumes its stream in epoch order against
-// frozen snapshots, and every cross-goroutine merge happens in a fixed
-// order — two runs with the same configuration produce identical
-// per-intersection counts and identical decoded-id sets however the
-// scheduler interleaves the readers (the tests prove it against a
-// per-epoch barrier), which is what makes the harness usable as a
-// regression scenario and not just a demo.
+// through per-subsystem RNG streams (city construction; per reader,
+// counting and §8 decoding), each reader consumes its streams in epoch
+// order against frozen snapshots, and every cross-goroutine merge
+// happens in a fixed order — two runs with the same configuration
+// produce identical per-intersection counts and identical decoded-id
+// sets however the scheduler interleaves the readers (the tests prove it
+// against a per-epoch barrier), which is what makes the harness usable
+// as a regression scenario and not just a demo.
 package city
 
 import (
@@ -219,13 +219,14 @@ type vehicle struct {
 	speed  float64 // m/s, constant per vehicle
 }
 
-// post is one deployed reader with its private RNG stream (what keeps
+// post is one deployed reader with its private RNG streams (what keep
 // the concurrent measurement fan-out deterministic), decode log, and
 // run statistics. Everything here is touched only by this reader's
 // long-lived measurement goroutine.
 type post struct {
 	rd           *reader.Reader
-	rng          *rand.Rand
+	rng          *rand.Rand // Measure's queries
+	decodeRNG    *rand.Rand // §8 decode queries alone: decoding never moves a count
 	intersection int
 	decoded      map[uint64]float64 // transponder id → CFO when decoded
 
@@ -324,7 +325,8 @@ func NewSim(cfg Config) (*Sim, error) {
 		}
 		s.posts = append(s.posts, &post{
 			rd:           rd,
-			rng:          rand.New(rand.NewSource(cfg.Seed ^ int64(j+1)*0x9E3779B9)),
+			rng:          newSeededRand(cfg.Seed ^ int64(j+1)*0x9E3779B9),
+			decodeRNG:    newSeededRand(cfg.Seed ^ int64(j+1)*0x2545F4914F6CDD1D),
 			intersection: ix,
 			decoded:      make(map[uint64]float64),
 		})
@@ -758,7 +760,7 @@ func drainTimeout(epochs, readers int) time.Duration {
 // and nothing ever waits for another reader. Determinism holds because
 // every mutable thing is owned by exactly one loop: the coordinator
 // mutates vehicles and real devices, each reader consumes its private
-// RNG stream in epoch order against frozen snapshots and writes its
+// RNG streams in epoch order against frozen snapshots and writes its
 // uplink in that same order, and the store keys ingest by
 // (ReaderID, Seq). The lockstep test hook makes the coordinator wait,
 // after dispatching each epoch, until every reader it fed has uplinked
@@ -884,7 +886,7 @@ func (s *Sim) snapshot(p *post, devs []*transponder.Device) ([]*transponder.Devi
 // measureEpoch runs one reader's epoch: a §10 active window (ten
 // back-to-back queries, multi-query analysis, §5 count) and optionally
 // a §8 decode pass over the single-occupancy spikes. Everything it
-// touches — the post's reader, RNG, statistics, and the epoch's device
+// touches — the post's reader, RNGs, statistics, and the epoch's device
 // set — is private to the calling goroutine.
 func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 	if s.cfg.measureDelay != nil {
@@ -916,7 +918,7 @@ func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 				freqs = append(freqs, sp.Freq)
 			}
 		}
-		out, err := p.rd.DecodeIDs(job.devs, freqs, s.cfg.DecodeBudget, p.rng)
+		out, err := p.rd.DecodeIDs(job.devs, freqs, s.cfg.DecodeBudget, p.decodeRNG)
 		if err != nil {
 			return nil, fmt.Errorf("city: reader %d decode: %w", p.rd.ID, err)
 		}

@@ -85,6 +85,46 @@ func TestCityDecodesAndFindsCars(t *testing.T) {
 	}
 }
 
+// TestDecodeDoesNotPerturbCounts: §8 decoding draws its queries from a
+// stream of its own, so a reader that never decodes, one that decodes
+// every epoch and one that decodes every fifth count the same cars —
+// the same per-intersection statistics and the same stored count of
+// every report.
+func TestDecodeDoesNotPerturbCounts(t *testing.T) {
+	run := func(every int) *Result {
+		t.Helper()
+		res, err := Run(Config{Readers: 4, Vehicles: 40, Parked: 6, Duration: 8 * time.Second, Seed: 11, DecodeEvery: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	counts := func(res *Result) map[uint32][]int {
+		out := make(map[uint32][]int)
+		for _, id := range res.Store.Readers() {
+			_, out[id] = res.Store.CountSeries(id, res.Start, res.End)
+		}
+		return out
+	}
+	base := run(-1)
+	if len(base.Decoded) != 0 {
+		t.Fatalf("DecodeEvery -1 decoded %d cars", len(base.Decoded))
+	}
+	want := counts(base)
+	for _, every := range []int{1, 5} {
+		res := run(every)
+		if len(res.Decoded) == 0 {
+			t.Fatalf("DecodeEvery %d decoded no car: the check is vacuous", every)
+		}
+		if !reflect.DeepEqual(res.PerIntersection, base.PerIntersection) {
+			t.Errorf("DecodeEvery %d: per-intersection stats %+v, without decoding %+v", every, res.PerIntersection, base.PerIntersection)
+		}
+		if got := counts(res); !reflect.DeepEqual(got, want) {
+			t.Errorf("DecodeEvery %d: stored counts %v, without decoding %v", every, got, want)
+		}
+	}
+}
+
 // TestDecodedIDsAreFleetIDs scores the §8 decodes of a reference-shaped
 // city (8 readers, 200 vehicles, 8 parked) against the simulator's
 // truth: every id a reader reports decoded must belong to an equipped

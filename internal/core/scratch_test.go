@@ -247,6 +247,70 @@ func TestAnalyzeRefusesNonFiniteCapture(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCapturesReadSet: a window's analysis reads antenna 0 of
+// every capture and the other antennas of the last alone, the read set
+// that lets a reader synthesize the reference antenna only for all but
+// its last query. NaN in antennas ≥ 1 of every earlier capture leaves
+// the result bit-identical; NaN in the last capture's antenna 1 is
+// still refused.
+func TestAnalyzeCapturesReadSet(t *testing.T) {
+	s := newTestScene(t, 4031)
+	mcs := s.collideQueries(s.placedDevices(12), 10)
+	var sc Scratch
+	want, err := sc.AnalyzeCaptures(mcs, s.param, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture found no spikes")
+	}
+	want = copySpikes(want)
+	last := len(mcs) - 1
+	window := append([]*rfsim.MultiCapture(nil), mcs...)
+	for i, mc := range mcs[:last] {
+		cp := &rfsim.MultiCapture{SampleRate: mc.SampleRate, Antennas: [][]complex128{mc.Antennas[0]}}
+		for range mc.Antennas[1:] {
+			st := make([]complex128, len(mc.Antennas[0]))
+			for j := range st {
+				st[j] = complex(math.NaN(), math.NaN())
+			}
+			cp.Antennas = append(cp.Antennas, st)
+		}
+		window[i] = cp
+	}
+	got, err := sc.AnalyzeCaptures(window, s.param, 1)
+	if err != nil {
+		t.Fatalf("NaN outside the read set refused: %v", err)
+	}
+	if !sameSpikes(got, want) {
+		t.Errorf("NaN outside the read set moved the result:\n got %+v\nwant %+v", got, want)
+	}
+	window[last] = poisoned(mcs[last], 1, math.NaN())
+	if spikes, err := sc.AnalyzeCaptures(window, s.param, 1); !errors.Is(err, ErrNonFiniteCapture) || spikes != nil {
+		t.Errorf("NaN in the last capture's antenna 1: got %d spikes, err %v; want ErrNonFiniteCapture", len(spikes), err)
+	}
+}
+
+// sameSpikes reports whether a and b agree to the bit.
+func sameSpikes(a, b []Spike) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := range a {
+		x, y := a[i], b[i]
+		if !same(x.Freq, y.Freq) || x.Bin != y.Bin || !same(x.Mag, y.Mag) || x.Multiple != y.Multiple || len(x.Channels) != len(y.Channels) {
+			return false
+		}
+		for k := range x.Channels {
+			if !same(real(x.Channels[k]), real(y.Channels[k])) || !same(imag(x.Channels[k]), imag(y.Channels[k])) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestAllocBudget is the CI regression gate for the perf trajectory:
 // the three steady-state hot paths — single-capture analysis, warmed
 // multi-query analysis, and the per-query decode attempt — allocate

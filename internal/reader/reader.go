@@ -93,8 +93,8 @@ func (r *Reader) Query(devs []*transponder.Device, rng *rand.Rand) (*rfsim.Multi
 
 // query triggers every in-range transponder once and synthesizes the
 // collision into mc's first keep antennas. Out-of-range or battery-dead
-// devices stay silent (§3). Whatever keep is, rng advances as a full
-// capture advances it.
+// devices stay silent (§3). Only the kept antennas draw noise: rng
+// advances as a Query on the first keep elements would advance it.
 func (r *Reader) query(mc *rfsim.MultiCapture, keep int, devs []*transponder.Device, rng *rand.Rand) error {
 	r.txs = r.txs[:0]
 	center := r.Center()
@@ -116,8 +116,8 @@ func (r *Reader) query(mc *rfsim.MultiCapture, keep int, devs []*transponder.Dev
 // analysis, and the §5 count. The window's captures are the reader's,
 // reused from one window to the next. Analysis reads the reference
 // antenna of every capture and the others of the last alone, so only
-// the last query synthesizes every antenna; the RNG advances as full
-// queries advance it.
+// the last query synthesizes every antenna, and only the last draws
+// every antenna's noise from rng.
 func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand) (core.CountResult, error) {
 	if queries <= 0 {
 		return core.CountResult{}, fmt.Errorf("reader %d: queries must be positive", r.ID)
@@ -158,8 +158,8 @@ func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand
 // never cost the fast ones extra queries.
 //
 // The decoder reads the reference antenna alone, so each query
-// synthesizes only that stream, into one the reader reuses: DecodeAll
-// reads a capture only until it asks for the next.
+// synthesizes only that stream and its noise, into one the reader
+// reuses: DecodeAll reads a capture only until it asks for the next.
 func (r *Reader) DecodeIDs(devs []*transponder.Device, freqs []float64, maxQueries int, rng *rand.Rand) (map[float64]core.DecodeResult, error) {
 	if len(freqs) == 0 {
 		return nil, nil

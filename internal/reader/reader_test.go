@@ -188,15 +188,18 @@ func TestMeasureAllocBudget(t *testing.T) {
 }
 
 // TestMeasureMatchesFullCaptures: Measure synthesizes the reference
-// antenna alone for all but its last query, and its result is still
-// bit-equal to analysing ten full Query captures drawn from the same
-// seed — the spikes, their Multiple verdicts and channels, the count.
+// antenna alone for all but its last query, and its result is bit-equal
+// to an oracle built from rfsim.Capture: devices triggered from the full
+// array's centre, queries 0…K−2 captured on element 0 alone and query
+// K−1 on the whole array, all from one RNG — the spikes, their Multiple
+// verdicts and channels, the count, and where the RNG ends.
 func TestMeasureMatchesFullCaptures(t *testing.T) {
 	const queries = 10
 	for _, seed := range []int64{1, 2, 3} {
 		// The devices spend replies, so each side gets its own copy.
 		measured := testReader(t, 1, geom.V(0, -5, 0))
-		got, err := measured.Measure(inRange(t, measured, 24, rand.New(rand.NewSource(seed))), queries, rand.New(rand.NewSource(seed+100)))
+		mrng := rand.New(rand.NewSource(seed + 100))
+		got, err := measured.Measure(inRange(t, measured, 24, rand.New(rand.NewSource(seed))), queries, mrng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,11 +208,29 @@ func TestMeasureMatchesFullCaptures(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 100))
 		var mcs []*rfsim.MultiCapture
 		for q := 0; q < queries; q++ {
-			mc, err := full.Query(devs, rng)
+			var txs []rfsim.Transmission
+			for _, d := range devs {
+				if !d.TriggeredFrom(full.Center(), full.QueryAmplitude, full.Capture.Wavelength) {
+					continue
+				}
+				tx, err := d.Reply(full.Params.ReaderLO, full.Params.SampleRate, 0, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				txs = append(txs, tx)
+			}
+			arr := full.Array
+			if q < queries-1 {
+				arr = rfsim.Array{Elements: arr.Elements[:1]}
+			}
+			mc, err := rfsim.Capture(full.Capture, arr, txs, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
 			mcs = append(mcs, mc)
+		}
+		if mrng.Int63() != rng.Int63() {
+			t.Errorf("seed %d: Measure leaves the RNG elsewhere than the oracle's captures", seed)
 		}
 		spikes, err := core.AnalyzeCaptures(mcs, full.Params)
 		if err != nil {
@@ -217,7 +238,7 @@ func TestMeasureMatchesFullCaptures(t *testing.T) {
 		}
 		want := core.CountFromSpikes(spikes)
 		if got.Count != want.Count || len(got.Spikes) != len(want.Spikes) {
-			t.Fatalf("seed %d: Measure counts %d in %d spikes, full captures %d in %d",
+			t.Fatalf("seed %d: Measure counts %d in %d spikes, the oracle %d in %d",
 				seed, got.Count, len(got.Spikes), want.Count, len(want.Spikes))
 		}
 		for i, g := range got.Spikes {
@@ -230,7 +251,7 @@ func TestMeasureMatchesFullCaptures(t *testing.T) {
 					math.Float64bits(imag(g.Channels[a])) == math.Float64bits(imag(w.Channels[a]))
 			}
 			if !same {
-				t.Errorf("seed %d, spike %d: Measure %+v, full captures %+v", seed, i, g, w)
+				t.Errorf("seed %d, spike %d: Measure %+v, the oracle %+v", seed, i, g, w)
 			}
 		}
 	}

@@ -91,11 +91,11 @@ func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand)
 //	r_a(t) += h_{a,i} · A_i · env_i(t−t0_i) · e^{j(2π·CFO_i·t + φ_i)}
 //
 // with h the geometric channel (free-space plus reflectors). AWGN
-// follows, drawn from the caller's RNG in antenna order. The noise of
-// antennas [keep, len) is drawn too and dropped, so rng ends exactly
-// where a full Capture leaves it and the kept streams are bit-equal to
-// Capture's: a caller that needs only the reference antenna (keep = 1)
-// pays for one stream and consumes the same random numbers.
+// follows, drawn from the caller's RNG in antenna order for the kept
+// antennas alone: the streams and the RNG's end state are bit-equal to
+// Capture on an array of the first keep elements, so a caller that needs
+// only the reference antenna (keep = 1) pays for one stream's synthesis
+// and one stream's noise.
 //
 // The streams are cut from one backing array that mc keeps: a later
 // call reuses it when it is large enough and grows it otherwise, and
@@ -157,11 +157,6 @@ func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs
 	if cfg.NoiseSigma > 0 {
 		for _, s := range mc.Antennas {
 			addNoise(s, cfg.NoiseSigma, rng)
-		}
-		// The dropped antennas' noise: drawn and discarded.
-		for range (len(array.Elements) - keep) * n {
-			rng.NormFloat64()
-			rng.NormFloat64()
 		}
 	}
 	return nil

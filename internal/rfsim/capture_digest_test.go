@@ -111,21 +111,27 @@ func TestCaptureDigest(t *testing.T) {
 
 // TestCaptureIntoMatchesCapture pins CaptureInto's stream contract on
 // digestScene: for every kept prefix of the array, into streams dirtied
-// by an earlier call, the kept streams are bit-equal to Capture's and
-// the caller's RNG ends where Capture leaves it, so a reader that keeps
-// only the reference antenna draws the same random numbers after it.
+// by an earlier call, the kept streams and the caller's RNG end state
+// are bit-equal to Capture's on an array of the kept elements alone, so
+// a reader that keeps only the reference antenna draws only that
+// antenna's noise. Noise goes in antenna order, so the kept streams are
+// also bit-equal to the first streams of a full Capture.
 func TestCaptureIntoMatchesCapture(t *testing.T) {
 	cfg, arr, txs := digestScene(t)
 	var mc MultiCapture
 	for _, sigma := range []float64{0, 1e-5} {
 		cfg.NoiseSigma = sigma
-		rng := rand.New(rand.NewSource(9))
-		full, err := Capture(cfg, arr, txs, rng)
+		full, err := Capture(cfg, arr, txs, rand.New(rand.NewSource(9)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := rng.Int63()
 		for keep := 1; keep <= len(arr.Elements); keep++ {
+			rng := rand.New(rand.NewSource(9))
+			want, err := Capture(cfg, Array{Elements: arr.Elements[:keep]}, txs, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := rng.Int63()
 			// The first call dirties mc, growing or shrinking it to keep
 			// streams; the second reuses them.
 			dirty := rand.New(rand.NewSource(int64(keep)))
@@ -141,13 +147,16 @@ func TestCaptureIntoMatchesCapture(t *testing.T) {
 			}
 			for a, s := range mc.Antennas {
 				for i, v := range s {
+					if w := want.Antennas[a][i]; !sameBits(v, w) {
+						t.Fatalf("sigma %g keep %d: antenna %d sample %d is %v, Capture's on %d elements %v", sigma, keep, a, i, v, keep, w)
+					}
 					if w := full.Antennas[a][i]; !sameBits(v, w) {
-						t.Fatalf("sigma %g keep %d: antenna %d sample %d is %v, Capture's %v", sigma, keep, a, i, v, w)
+						t.Fatalf("sigma %g keep %d: antenna %d sample %d is %v, a full Capture's %v", sigma, keep, a, i, v, w)
 					}
 				}
 			}
 			if got.Int63() != next {
-				t.Errorf("sigma %g keep %d: the RNG ends elsewhere than after Capture", sigma, keep)
+				t.Errorf("sigma %g keep %d: the RNG ends elsewhere than after Capture on %d elements", sigma, keep, keep)
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -50,6 +51,9 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (any scenario; profiling does not affect results)")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
 	flag.Parse()
+	if !(*speedLimit > 0 && *speedLimit <= math.MaxFloat64) {
+		log.Fatalf("caraoke-sim: speed limit %g m/s must be finite and positive", *speedLimit)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -15,6 +15,7 @@ package city
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -80,11 +81,11 @@ func (c Chaos) validate() error {
 	if err := c.faultConfig(0).Validate(); err != nil {
 		return err
 	}
-	if c.ChurnRate < 0 || c.ChurnRate > 1 {
+	if !(c.ChurnRate >= 0 && c.ChurnRate <= 1) { // NaN included
 		return fmt.Errorf("city: churn rate %g outside [0,1]", c.ChurnRate)
 	}
-	if c.DriftPPM < 0 || c.ResyncEvery < 0 {
-		return fmt.Errorf("city: drift %g ppm and resync interval %d must be non-negative", c.DriftPPM, c.ResyncEvery)
+	if !(c.DriftPPM >= 0 && c.DriftPPM <= math.MaxFloat64) || c.ResyncEvery < 0 {
+		return fmt.Errorf("city: drift %g ppm must be finite and non-negative, resync interval %d non-negative", c.DriftPPM, c.ResyncEvery)
 	}
 	if c.KillPartition < 0 {
 		return fmt.Errorf("city: kill partition %d must be non-negative", c.KillPartition)

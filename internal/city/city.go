@@ -179,7 +179,7 @@ func (c *Config) validate() error {
 	if c.Duration < epochLen {
 		return fmt.Errorf("city: duration %v is shorter than one %v epoch", c.Duration, epochLen)
 	}
-	if c.UnequippedFrac < 0 || c.UnequippedFrac > 1 {
+	if !(c.UnequippedFrac >= 0 && c.UnequippedFrac <= 1) { // NaN included
 		return fmt.Errorf("city: unequipped fraction %g outside [0,1]", c.UnequippedFrac)
 	}
 	if c.Batch < 0 {

@@ -1,6 +1,7 @@
 package city
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -232,6 +233,11 @@ func TestConfigValidation(t *testing.T) {
 		{Readers: 2, DecodeBudget: -1},
 		{Readers: 2, Vehicles: 0, DecodeBudget: -1}, // refused on an empty road too
 		{Readers: 2, Keep: -1},
+		{Readers: 2, UnequippedFrac: math.NaN()},
+		{Readers: 2, Chaos: Chaos{ChurnRate: math.NaN()}},
+		{Readers: 2, Chaos: Chaos{DriftPPM: math.NaN()}},
+		{Readers: 2, Chaos: Chaos{DriftPPM: math.Inf(1)}},
+		{Readers: 2, Chaos: Chaos{DropRate: math.NaN()}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSim(cfg); err == nil {

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 // TestAnalyzeCapturesSteadyStateAllocs: the multi-query analysis on a
-// warmed Scratch — the batched fused-spectrum stage included —
+// warmed Scratch — the per-capture fused-spectrum stage included —
 // allocates nothing in steady state.
 func TestAnalyzeCapturesSteadyStateAllocs(t *testing.T) {
 	s := newTestScene(t, 4101)

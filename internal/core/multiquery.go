@@ -37,7 +37,7 @@ func AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params) ([]Spike, error) {
 }
 
 // AnalyzeCaptures is the pooled implementation behind the package-level
-// AnalyzeCaptures: one batched FFT pass over the captures, then the
+// AnalyzeCaptures: one FFT per capture, then the
 // per-peak refinement/occupancy chain (one de-rotation per peak per
 // capture through a dsp.ProbeBank; see refinePeak), all on the calling
 // goroutine. A ragged capture (antenna streams of different lengths) or
@@ -89,21 +89,13 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 			return fmt.Errorf("core: capture %d: %w", i, err)
 		}
 	}
-	// Root-mean-square magnitude spectrum across queries. The batched
-	// SpectrumManyInto amortizes the plan lookup and keeps the stage
-	// tables cache-resident from one capture to the next.
+	// Root-mean-square magnitude spectrum across queries.
 	for len(sc.specs) < len(mcs) {
 		sc.specs = append(sc.specs, dsp.Spectrum{})
 	}
 	specs := sc.specs[:len(mcs)]
-	views := grow(sc.views, len(mcs))
-	sc.views = views
 	for i, mc := range mcs {
-		views[i] = mc.Antennas[0]
-	}
-	sc.plan.SpectrumManyInto(specs, views, p.SampleRate)
-	for i := range views {
-		views[i] = nil // don't pin the captures past this call
+		sc.plan.SpectrumInto(&specs[i], mc.Antennas[0], p.SampleRate)
 	}
 	last := mcs[len(mcs)-1]
 	for i := range specs {
@@ -215,7 +207,7 @@ func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 	// captures (CFOs are fixed; only phases change) — all of them, vote
 	// settled or not, unless the vote already says Multiple.
 	bank := &sc.bank
-	bank.Tune(rate, freq, phy.ResponseSamples)
+	bank.Tune(rate, freq)
 	centres := grow(sc.centres, len(mcs))
 	sc.centres = centres
 	votes := 0

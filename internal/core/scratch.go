@@ -3,13 +3,13 @@ package core
 import "caraoke/internal/dsp"
 
 // Scratch owns every reusable buffer of the capture-analysis and decode
-// hot path: the DSP plan (FFT twiddle/bit-reversal tables, spectral
-// scratch), per-capture spectrum rows for the multi-query averager, the
-// candidate-bin sets of the relaxed-sharpness sweep, the
-// channel-estimate arena backing Spike.Channels, and the probe bank of
-// the per-peak gates. A zero Scratch is ready to use; buffers grow on
-// first use and are retained, so the steady state — every capture one
-// response long, epoch after epoch — allocates nothing.
+// hot path: the DSP plan (spectral scratch), per-capture spectrum rows
+// for the multi-query averager, the candidate-bin sets of the
+// relaxed-sharpness sweep, the channel-estimate arena backing
+// Spike.Channels, and the probe bank of the per-peak gates. A zero
+// Scratch is ready to use; buffers grow on first use and are retained,
+// so the steady state — every capture one response long, epoch after
+// epoch — allocates nothing.
 //
 // Contract: results returned by Scratch methods (the []Spike slice AND
 // the Channels slices inside each Spike) are backed by scratch memory
@@ -23,11 +23,10 @@ import "caraoke/internal/dsp"
 // decodes on its own goroutine, one window at a time, with its own
 // Scratch.
 type Scratch struct {
-	plan dsp.Plan     // DSP tables and buffers
+	plan dsp.Plan     // DSP buffers
 	spec dsp.Spectrum // single-capture spectrum
 
 	specs []dsp.Spectrum // per-capture spectra (multi-query averaging)
-	views [][]complex128 // per-capture sample views for the batched FFT stage (cleared after use)
 	acc   []float64      // power accumulator across captures
 	avg   dsp.Spectrum   // RMS-averaged spectrum
 

@@ -38,37 +38,46 @@ func naiveTol(x []complex128) float64 {
 	return 1e-11 * (scale + 1)
 }
 
+// randomSupport returns a capture whose samples are seeded complex
+// Gaussian noise on a prefix of random power-of-two length and zero
+// after it — the shapes of a short burst at the start of a capture.
+func randomSupport(rng *rand.Rand) []complex128 {
+	x := make([]complex128, captureSamples)
+	copy(x, kernelSignal(rng, 1<<rng.Intn(12)))
+	return x
+}
+
 // TestKernelMatchesNaiveRandomLengths is the property test of the
-// overhaul: at every power-of-two length up to the capture's, and at
-// random ones among them, the radix-4 transform must match the O(n²)
-// naive DFT, and the inverse must round-trip.
+// kernel: on captures carrying signal over random power-of-two lengths
+// (zero after, up to whole captures) across seeds, the radix-4 transform
+// must match the O(n²) naive DFT, and the inverse must round-trip.
 func TestKernelMatchesNaiveRandomLengths(t *testing.T) {
-	rng := rand.New(rand.NewSource(1001))
-	lengths := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}
-	for i := 0; i < 12; i++ {
-		lengths = append(lengths, 1<<rng.Intn(12))
-	}
-	for _, n := range lengths {
-		x := kernelSignal(rng, n)
+	for seed := int64(1001); seed < 1009; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := kernelSignal(rng, captureSamples)
+		if seed&1 == 1 {
+			x = randomSupport(rng)
+		}
 		got := FFT(x)
 		want := DFTNaive(x)
 		tol := naiveTol(x)
 		if d := maxBinDiff(got, want); d > tol {
-			t.Errorf("n=%d: FFT vs naive DFT max bin diff %g > %g", n, d, tol)
+			t.Errorf("seed %d: FFT vs naive DFT max bin diff %g > %g", seed, d, tol)
 		}
 		back := ifft(got)
 		if d := maxBinDiff(back, x); d > tol {
-			t.Errorf("n=%d: IFFT(FFT(x)) round-trip max diff %g > %g", n, d, tol)
+			t.Errorf("seed %d: IFFT(FFT(x)) round-trip max diff %g > %g", seed, d, tol)
 		}
 	}
 }
 
 // TestKernelParsevalRandomLengths checks energy conservation
-// Σ|x|² = (1/n)Σ|X|² from the smallest fused stage to the capture length.
+// Σ|x|² = (1/n)Σ|X|² on captures carrying signal over random
+// power-of-two lengths.
 func TestKernelParsevalRandomLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(1002))
-	for _, n := range []int{8, 32, 64, 128, 512, 1024, 2048} {
-		x := kernelSignal(rng, n)
+	for trial := 0; trial < 12; trial++ {
+		x := randomSupport(rng)
 		X := FFT(x)
 		var et, ef float64
 		for _, v := range x {
@@ -77,9 +86,9 @@ func TestKernelParsevalRandomLengths(t *testing.T) {
 		for _, v := range X {
 			ef += real(v)*real(v) + imag(v)*imag(v)
 		}
-		ef /= float64(n)
+		ef /= captureSamples
 		if math.Abs(et-ef) > 1e-9*(et+1) {
-			t.Errorf("n=%d: Parseval violated: time %g vs freq %g", n, et, ef)
+			t.Errorf("trial %d: Parseval violated: time %g vs freq %g", trial, et, ef)
 		}
 	}
 }
@@ -90,19 +99,13 @@ func TestKernelParsevalRandomLengths(t *testing.T) {
 // conjugation on the inverse path. Only the bit-reversal permutation is
 // borrowed from the production plan.
 type radix2Oracle struct {
-	p       *FFTPlan
 	twiddle []complex128 // e^{-2πi k/n} for k in [0, n/2)
 }
 
-func newRadix2Oracle(tb testing.TB, n int) *radix2Oracle {
-	tb.Helper()
-	p, err := NewFFTPlan(n)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	o := &radix2Oracle{p: p, twiddle: make([]complex128, n/2)}
+func newRadix2Oracle() *radix2Oracle {
+	o := &radix2Oracle{twiddle: make([]complex128, captureSamples/2)}
 	for k := range o.twiddle {
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		s, c := math.Sincos(-2 * math.Pi * float64(k) / captureSamples)
 		o.twiddle[k] = complex(c, s)
 	}
 	return o
@@ -112,15 +115,17 @@ func (o *radix2Oracle) transform(dst, src []complex128) { o.run(dst, src, false)
 
 func (o *radix2Oracle) inverse(dst, src []complex128) {
 	o.run(dst, src, true)
-	inv := complex(1/float64(o.p.n), 0)
+	inv := complex(1/float64(captureSamples), 0)
 	for i := range dst {
 		dst[i] *= inv
 	}
 }
 
 func (o *radix2Oracle) run(dst, src []complex128, inverse bool) {
-	n := o.p.n
-	o.p.bitrev(dst, src)
+	const n = captureSamples
+	for i, j := range capturePlan.rev {
+		dst[i] = src[j]
+	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		step := n / size
@@ -142,28 +147,29 @@ func (o *radix2Oracle) run(dst, src []complex128, inverse bool) {
 
 // TestKernelVsRadix2OracleULP pins the radix-4 kernel to the radix-2
 // reference within a tight rounding-error envelope, forward and
-// inverse, at every power-of-two size the pipeline uses. The bound is
+// inverse, on captures of noise and of short bursts. The bound is
 // relative to the spectrum's largest magnitude — a few dozen ULPs, far
 // below anything a detection threshold can see.
 func TestKernelVsRadix2OracleULP(t *testing.T) {
 	rng := rand.New(rand.NewSource(1003))
-	for n := 1; n <= 4096; n <<= 1 {
-		o := newRadix2Oracle(t, n)
-		p := o.p
-		x := kernelSignal(rng, n)
-		fwd := make([]complex128, n)
-		ref := make([]complex128, n)
-		p.Transform(fwd, x)
+	o := newRadix2Oracle()
+	for trial := 0; trial < 12; trial++ {
+		x := kernelSignal(rng, captureSamples)
+		if trial&1 == 1 {
+			x = randomSupport(rng)
+		}
+		fwd := FFT(x)
+		ref := make([]complex128, captureSamples)
 		o.transform(ref, x)
 		tol := 64 * 0x1p-52 * (maxAbs(ref) + 1)
 		if d := maxBinDiff(fwd, ref); d > tol {
-			t.Errorf("n=%d forward: radix-4 vs radix-2 max bin diff %g > %g", n, d, tol)
+			t.Errorf("trial %d forward: radix-4 vs radix-2 max bin diff %g > %g", trial, d, tol)
 		}
 		inv := ifft(fwd)
-		invRef := make([]complex128, n)
+		invRef := make([]complex128, captureSamples)
 		o.inverse(invRef, ref)
 		if d := maxBinDiff(inv, invRef); d > 64*0x1p-52*(maxAbs(invRef)+1) {
-			t.Errorf("n=%d inverse: radix-4 vs radix-2 max diff %g", n, d)
+			t.Errorf("trial %d inverse: radix-4 vs radix-2 max diff %g", trial, d)
 		}
 	}
 }
@@ -178,42 +184,45 @@ func maxAbs(x []complex128) float64 {
 	return m
 }
 
-// TestFFTRegistryConcurrency hammers the process-wide plan registry
-// from many goroutines across a mix of fresh lengths (first-use
-// publication races) and shared ones. Run under -race this is the
-// registry's data-race test; results are checked against a serially
-// computed reference.
+// TestFFTRegistryConcurrency runs the package's shared tables — the
+// transform plan and both probe twiddle tables — from 16 goroutines at
+// once, each with its own Plan, through SpectrumInto and ClassifyBin.
+// Under -race this is the tables' data-race test; every result must
+// equal a serial run to the bit.
 func TestFFTRegistryConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(1005))
-	lengths := []int{16384, 8192, 2048, 64, 128, 32}
-	inputs := make([][]complex128, len(lengths))
-	want := make([][]complex128, len(lengths))
-	for i, n := range lengths {
-		inputs[i] = kernelSignal(rng, n)
-		want[i] = FFT(inputs[i])
+	const inputs = 6
+	xs := make([][]complex128, inputs)
+	freqs := make([]float64, inputs)
+	want := make([]Spectrum, inputs)
+	wantOcc := make([]Occupancy, inputs)
+	var serial Plan
+	for i := range xs {
+		xs[i] = randSignal(rng, captureSamples, 1+i%3)
+		freqs[i] = (0.02 + 0.25*rng.Float64()) * 4e6
+		serial.SpectrumInto(&want[i], xs[i], 4e6)
+		wantOcc[i] = serial.ClassifyBin(xs[i], 4e6, freqs[i])
 	}
 	var wg sync.WaitGroup
-	errs := make(chan string, 64)
+	errs := make(chan string, 16)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for rep := 0; rep < 4; rep++ {
-				i := (g + rep) % len(lengths)
-				got := FFT(inputs[i])
-				for k := range got {
-					if got[k] != want[i][k] {
-						errs <- "concurrent FFT result differs from serial"
+			var pl Plan
+			var s Spectrum
+			for rep := 0; rep < 2*inputs; rep++ {
+				i := (g + rep) % inputs
+				pl.SpectrumInto(&s, xs[i], 4e6)
+				for k := range s.Bins {
+					if s.Bins[k] != want[i].Bins[k] || s.Mags[k] != want[i].Mags[k] || s.Pows[k] != want[i].Pows[k] {
+						errs <- "concurrent SpectrumInto result differs from serial"
 						return
 					}
 				}
-				back := ifft(got)
-				tol := 1e-9 * float64(lengths[i])
-				for k := range back {
-					if cmplx.Abs(back[k]-inputs[i][k]) > tol {
-						errs <- "concurrent IFFT round-trip out of tolerance"
-						return
-					}
+				if pl.ClassifyBin(xs[i], 4e6, freqs[i]) != wantOcc[i] {
+					errs <- "concurrent ClassifyBin verdict differs from serial"
+					return
 				}
 			}
 		}(g)
@@ -227,27 +236,26 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 
 // TestSpectrumIntoFusedCaches checks the fused pass contract: bins
 // bit-identical to the allocating NewSpectrum, and the Mags/Pows caches
-// exactly equal to the one canonical magnitude expression — on the
-// unrolled lengths and the fused stages alike.
+// exactly equal to the one canonical magnitude expression.
 func TestSpectrumIntoFusedCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(1006))
-	for _, n := range []int{2048, 8, 4, 512} {
-		x := kernelSignal(rng, n)
-		pl := new(Plan)
-		var s Spectrum
+	pl := new(Plan)
+	var s Spectrum
+	for trial := 0; trial < 4; trial++ {
+		x := kernelSignal(rng, captureSamples)
 		pl.SpectrumInto(&s, x, 4e6)
-		if len(s.Mags) != n || len(s.Pows) != n {
-			t.Fatalf("n=%d: caches not filled (%d/%d)", n, len(s.Mags), len(s.Pows))
+		if len(s.Mags) != captureSamples || len(s.Pows) != captureSamples {
+			t.Fatalf("trial %d: caches not filled (%d/%d)", trial, len(s.Mags), len(s.Pows))
 		}
 		for k, v := range s.Bins {
 			if pw := binPow(v); s.Pows[k] != pw || s.Mags[k] != math.Sqrt(pw) {
-				t.Fatalf("n=%d bin %d: cache mismatch", n, k)
+				t.Fatalf("trial %d bin %d: cache mismatch", trial, k)
 			}
 		}
 		ref := NewSpectrum(x, 4e6)
 		for k := range ref.Bins {
 			if s.Bins[k] != ref.Bins[k] {
-				t.Fatalf("n=%d bin %d: fused bins %v != NewSpectrum %v", n, k, s.Bins[k], ref.Bins[k])
+				t.Fatalf("trial %d bin %d: fused bins %v != NewSpectrum %v", trial, k, s.Bins[k], ref.Bins[k])
 			}
 		}
 	}
@@ -258,15 +266,13 @@ func TestSpectrumIntoFusedCaches(t *testing.T) {
 // at the capture length.
 func BenchmarkFFTPlan(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
-	const n = 2048
-	oracle := newRadix2Oracle(b, n)
-	p := oracle.p
-	src := kernelSignal(rng, n)
-	dst := make([]complex128, n)
+	oracle := newRadix2Oracle()
+	src := kernelSignal(rng, captureSamples)
+	dst := make([]complex128, captureSamples)
 	b.Run("radix4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p.Transform(dst, src)
+			capturePlan.transform(dst, src)
 		}
 	})
 	b.Run("radix2ref", func(b *testing.B) {
@@ -281,8 +287,7 @@ func BenchmarkFFTPlan(b *testing.B) {
 // against the unfused transform-then-sweep it replaced.
 func BenchmarkSpectrumInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
-	const n = 2048
-	src := kernelSignal(rng, n)
+	src := kernelSignal(rng, captureSamples)
 	pl := new(Plan)
 	var s Spectrum
 	pl.SpectrumInto(&s, src, 4e6)
@@ -296,10 +301,7 @@ func BenchmarkSpectrumInto(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.SampleRate = 4e6
-			s.Bins = growComplexSlice(s.Bins, n)
-			pl.fftPlan(n).Transform(s.Bins, src)
-			s.Mags = growFloatSlice(s.Mags, n)
-			s.Pows = growFloatSlice(s.Pows, n)
+			capturePlan.transform(s.Bins, src)
 			for k, v := range s.Bins {
 				pw := binPow(v)
 				s.Pows[k] = pw

@@ -29,16 +29,21 @@ func maxDiff(a, b []complex128) float64 {
 }
 
 // DFTNaive computes the DFT by direct summation: the O(n²) reference
-// every transform in this package is tested against.
+// every transform in this package is tested against. The angle of each
+// term is reduced mod n in integers, so every factor is one exact
+// Sincos of an angle in (−2π, 0].
 func DFTNaive(x []complex128) []complex128 {
 	n := len(x)
+	roots := make([]complex128, n)
+	for m := range roots {
+		s, c := math.Sincos(-2 * math.Pi * float64(m) / float64(n))
+		roots[m] = complex(c, s)
+	}
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var sum complex128
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			s, c := math.Sincos(ang)
-			sum += x[t] * complex(c, s)
+		for t, v := range x {
+			sum += v * roots[k*t%n]
 		}
 		out[k] = sum
 	}
@@ -47,19 +52,19 @@ func DFTNaive(x []complex128) []complex128 {
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 256, 1024} {
-		x := randomSignal(rng, n)
+	for seed := 0; seed < 3; seed++ {
+		x := randomSignal(rng, captureSamples)
 		got := FFT(x)
 		want := DFTNaive(x)
-		if d := maxDiff(got, want); d > fftTol*float64(n) {
-			t.Errorf("n=%d: FFT differs from naive DFT by %g", n, d)
+		if d := maxDiff(got, want); d > fftTol*captureSamples {
+			t.Errorf("signal %d: FFT differs from naive DFT by %g", seed, d)
 		}
 	}
 }
 
 // ifft is the inverse DFT (scaled by 1/N) the round-trip tests check the
-// forward kernels against: the identity IDFT(x) = conj(DFT(conj(x)))/N
-// over FFT, at any power-of-two length.
+// forward kernel against: the identity IDFT(x) = conj(DFT(conj(x)))/N
+// over FFT.
 func ifft(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	for i, v := range x {
@@ -75,66 +80,49 @@ func ifft(x []complex128) []complex128 {
 
 func TestIFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 8, 128, 512, 2048} {
-		x := randomSignal(rng, n)
+	for seed := 0; seed < 6; seed++ {
+		x := randomSignal(rng, captureSamples)
 		back := ifft(FFT(x))
 		if d := maxDiff(back, x); d > 1e-8 {
-			t.Errorf("n=%d: IFFT(FFT(x)) differs from x by %g", n, d)
+			t.Errorf("signal %d: IFFT(FFT(x)) differs from x by %g", seed, d)
 		}
 	}
 }
 
-func TestFFTInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 256
-	x := randomSignal(rng, n)
-	want := FFT(x)
-	p, err := NewFFTPlan(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]complex128, n)
-	copy(buf, x)
-	p.Transform(buf, buf)
-	if d := maxDiff(buf, want); d > fftTol*float64(n) {
-		t.Errorf("in-place transform differs by %g", d)
-	}
-	if d := maxDiff(ifft(buf), x); d > 1e-8 {
-		t.Errorf("inverse of the in-place transform differs by %g", d)
-	}
-}
-
-func TestNewFFTPlanRejectsBadLengths(t *testing.T) {
-	for _, n := range []int{-4, -1, 0, 3, 6, 100, 1023} {
-		if _, err := NewFFTPlan(n); err == nil {
-			t.Errorf("NewFFTPlan(%d): expected error", n)
-		}
-	}
-	for _, n := range []int{1, 2, 4, 4096} {
-		if _, err := NewFFTPlan(n); err != nil {
-			t.Errorf("NewFFTPlan(%d): unexpected error %v", n, err)
-		}
-	}
-}
-
-func TestFFTEmptyInput(t *testing.T) {
-	if out := FFT(nil); out != nil {
-		t.Errorf("FFT(nil) = %v, want nil", out)
-	}
-}
-
-// TestFFTPanicsOnOtherLengths: a length that is not a power of two is a
-// broken internal precondition, not an input to transform.
+// TestFFTPanicsOnOtherLengths: every entry that takes a capture refuses
+// any length but the one capture shape — a broken internal
+// precondition, not an input to transform. core refuses such captures
+// with errors before they reach dsp.
 func TestFFTPanicsOnOtherLengths(t *testing.T) {
-	for _, n := range []int{3, 100, 2047} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("FFT of %d samples did not panic", n)
-				}
+	entries := map[string]func(x []complex128){
+		"FFT":         func(x []complex128) { FFT(x) },
+		"NewSpectrum": func(x []complex128) { NewSpectrum(x, 4e6) },
+		"Plan.SpectrumInto": func(x []complex128) {
+			var pl Plan
+			var s Spectrum
+			pl.SpectrumInto(&s, x, 4e6)
+		},
+		"ProbeBank.Load": func(x []complex128) {
+			var b ProbeBank
+			b.Tune(4e6, 3e5)
+			b.Load(x)
+		},
+		"Plan.ClassifyBin": func(x []complex128) {
+			var pl Plan
+			pl.ClassifyBin(x, 4e6, 3e5)
+		},
+	}
+	for name, entry := range entries {
+		for _, n := range []int{0, captureSamples / 2, captureSamples - 1, 2 * captureSamples} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s of %d samples did not panic", name, n)
+					}
+				}()
+				entry(make([]complex128, n))
 			}()
-			FFT(make([]complex128, n))
-		}()
+		}
 	}
 }
 
@@ -143,7 +131,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 64
+		const n = captureSamples
 		x := randomSignal(r, n)
 		y := randomSignal(r, n)
 		a := complex(r.NormFloat64(), r.NormFloat64())
@@ -171,7 +159,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 func TestFFTParsevalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 128
+		const n = captureSamples
 		x := randomSignal(r, n)
 		var timeE float64
 		for _, v := range x {
@@ -193,7 +181,7 @@ func TestFFTParsevalProperty(t *testing.T) {
 func TestFFTShiftTheoremProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 128
+		const n = captureSamples
 		shift := 1 + r.Intn(n-1)
 		x := randomSignal(r, n)
 		shifted := make([]complex128, n)
@@ -206,8 +194,9 @@ func TestFFTShiftTheoremProperty(t *testing.T) {
 			if math.Abs(cmplx.Abs(fx[k])-cmplx.Abs(fs[k])) > 1e-8 {
 				return false
 			}
-			// Phase rotated by exactly 2πk·shift/n.
-			want := fx[k] * cmplx.Exp(complex(0, 2*math.Pi*float64(k)*float64(shift)/float64(n)))
+			// Phase rotated by exactly 2πk·shift/n (reduced mod n, so
+			// the expected rotation carries no angle rounding).
+			want := fx[k] * cmplx.Exp(complex(0, 2*math.Pi*float64(k*shift%n)/float64(n)))
 			if cmplx.Abs(want-fs[k]) > 1e-7 {
 				return false
 			}
@@ -220,33 +209,33 @@ func TestFFTShiftTheoremProperty(t *testing.T) {
 }
 
 func TestFFTPureToneSpike(t *testing.T) {
-	n := 1024
-	bin := 37
-	x := make([]complex128, n)
-	for t := range x {
-		ang := 2 * math.Pi * float64(bin) * float64(t) / float64(n)
-		x[t] = cmplx.Exp(complex(0, ang))
-	}
-	out := FFT(x)
-	for k := range out {
-		want := 0.0
-		if k == bin {
-			want = float64(n)
+	const n = captureSamples
+	for _, bin := range []int{0, 37, 614, n/2 + 1, n - 1} {
+		x := make([]complex128, n)
+		for t := range x {
+			ang := 2 * math.Pi * float64(bin*t%n) / float64(n)
+			x[t] = cmplx.Exp(complex(0, ang))
 		}
-		if math.Abs(cmplx.Abs(out[k])-want) > 1e-7 {
-			t.Fatalf("bin %d: |X|=%g want %g", k, cmplx.Abs(out[k]), want)
+		out := FFT(x)
+		for k := range out {
+			want := 0.0
+			if k == bin {
+				want = float64(n)
+			}
+			if math.Abs(cmplx.Abs(out[k])-want) > 1e-7 {
+				t.Fatalf("tone at bin %d, bin %d: |X|=%g want %g", bin, k, cmplx.Abs(out[k]), want)
+			}
 		}
 	}
 }
 
 func BenchmarkFFT2048(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
-	x := randomSignal(rng, 2048)
-	p, _ := NewFFTPlan(2048)
-	out := make([]complex128, 2048)
+	x := randomSignal(rng, captureSamples)
+	out := make([]complex128, captureSamples)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Transform(out, x)
+		capturePlan.transform(out, x)
 	}
 }

@@ -9,10 +9,10 @@ import (
 
 func TestGoertzelMatchesFFTBins(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n := 512
+	const n = captureSamples
 	x := randomSignal(rng, n)
 	want := FFT(x)
-	for _, k := range []int{0, 1, 7, 100, 255, 511} {
+	for _, k := range []int{0, 1, 7, 100, 255, 511, 614, 1024, 2047} {
 		got := Goertzel(x, float64(k)/float64(n))
 		if cmplx.Abs(got-want[k]) > 1e-7 {
 			t.Errorf("bin %d: Goertzel=%v FFT=%v", k, got, want[k])

@@ -18,6 +18,9 @@ const (
 	// of the capture. Shorter windows allow larger shifts, which
 	// amplify the beat between two close tones.
 	OccupancyWindowFrac = 0.25
+	// occWindowSamples is that window in samples: a whole quarter of
+	// the capture.
+	occWindowSamples = int(captureSamples * OccupancyWindowFrac)
 	// occRelTolerance is the minimum relative magnitude change beyond
 	// which the bin is declared multi-occupied. Single tones change
 	// only by interference and noise; two tones beat against each

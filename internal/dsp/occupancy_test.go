@@ -77,12 +77,6 @@ func TestClassifyBinTwoTonesStatistical(t *testing.T) {
 	}
 }
 
-func TestClassifyBinEmptyInput(t *testing.T) {
-	if got := ClassifyBin(nil, 4e6, 100e3); got != OccupancySingle {
-		t.Errorf("empty input classified as %v", got)
-	}
-}
-
 // cis returns e^{i·phase}.
 func cis(phase float64) complex128 {
 	return cmplx.Exp(complex(0, phase))

@@ -1,16 +1,12 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Plan is a per-worker DSP scratch: it caches FFT twiddle/bit-reversal
-// tables by transform length (a power of two; the program transforms
-// one, its 2048-sample capture) and owns the reusable magnitude, sort,
-// neighborhood, and peak buffers, and the occupancy probe bank, the
-// spectral pipeline otherwise allocates per call. Once a plan has seen
-// a capture length, re-running it through SpectrumInto, FindPeaks, and
+// Plan is a per-worker DSP scratch: it owns the reusable magnitude,
+// sort, neighborhood, and peak buffers, and the occupancy probe bank,
+// the spectral pipeline otherwise allocates per call; the transform
+// tables it runs on are the package's one shared set. Once its buffers
+// have grown, re-running it through SpectrumInto, FindPeaks, and
 // ClassifyBin allocates nothing.
 //
 // Every pooled method is bit-identical to its allocating package-level
@@ -23,8 +19,6 @@ import (
 // owned by the plan and are valid only until its next call; callers
 // that retain them must copy.
 type Plan struct {
-	ffts map[int]*FFTPlan
-
 	mags   []float64 // per-bin magnitude cache, bin order
 	sorted []float64 // sort scratch for the noise-floor median
 	neigh  []float64 // FindPeaks neighborhood statistics
@@ -33,62 +27,20 @@ type Plan struct {
 	bank ProbeBank // ClassifyBin phasor, de-rotation and fold buffers
 }
 
-// fftPlan returns the power-of-two plan for length n. The plan-local
-// map is a lock-free fast path over the process-wide registry, so
-// workers share one immutable table set per length instead of each
-// building their own.
-func (pl *Plan) fftPlan(n int) *FFTPlan {
-	if p, ok := pl.ffts[n]; ok {
-		return p
-	}
-	p, err := cachedPlan(n)
-	if err != nil {
-		panic(fmt.Sprintf("dsp: %v", err))
-	}
-	if pl.ffts == nil {
-		pl.ffts = make(map[int]*FFTPlan)
-	}
-	pl.ffts[n] = p
-	return p
-}
-
 // SpectrumInto computes the spectrum of a capture into s, reusing
 // s.Bins when its capacity suffices, and fills the s.Mags/s.Pows
 // derived caches in the same pass, from the final butterfly stage
 // while the outputs are still in registers. Bins are bit-identical to
 // NewSpectrum(samples, sampleRate), and the caches equal
-// math.Sqrt(binPow(bin)) / binPow(bin) exactly. len(samples) must be a
-// power of two.
+// math.Sqrt(binPow(bin)) / binPow(bin) exactly. SpectrumInto panics
+// unless len(samples) is phy.ResponseSamples.
 func (pl *Plan) SpectrumInto(s *Spectrum, samples []complex128, sampleRate float64) {
-	pl.fftPlan(len(samples)).spectrumInto(s, samples, sampleRate)
-}
-
-// SpectrumManyInto computes one spectrum per capture, the batched
-// detection-path entry point: the FFT plan is resolved once per run of
-// equal-length captures (instead of one map probe per capture) and the
-// stage-major twiddle tables stay cache-resident from one capture to
-// the next. Each specs[i] gets the identical result SpectrumInto would
-// produce for captures[i]. len(specs) must equal len(captures).
-func (pl *Plan) SpectrumManyInto(specs []Spectrum, captures [][]complex128, sampleRate float64) {
-	if len(specs) != len(captures) {
-		panic(fmt.Sprintf("dsp: SpectrumManyInto specs length %d, captures length %d", len(specs), len(captures)))
-	}
-	var fp *FFTPlan
-	for i, samples := range captures {
-		if fp == nil || fp.n != len(samples) {
-			fp = pl.fftPlan(len(samples))
-		}
-		fp.spectrumInto(&specs[i], samples, sampleRate)
-	}
-}
-
-// spectrumInto is SpectrumInto on the plan of the capture's length.
-func (p *FFTPlan) spectrumInto(s *Spectrum, samples []complex128, sampleRate float64) {
+	mustBeCapture(samples, "spectrum")
 	s.SampleRate = sampleRate
-	s.Bins = growComplexSlice(s.Bins, p.n)
-	s.Mags = growFloatSlice(s.Mags, p.n)
-	s.Pows = growFloatSlice(s.Pows, p.n)
-	p.transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
+	s.Bins = growComplexSlice(s.Bins, captureSamples)
+	s.Mags = growFloatSlice(s.Mags, captureSamples)
+	s.Pows = growFloatSlice(s.Pows, captureSamples)
+	capturePlan.transformSpectrum(s.Bins, s.Mags, s.Pows, samples)
 }
 
 // FindPeaks is the pooled equivalent of the package-level FindPeaks:
@@ -188,7 +140,7 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 // (tune to freqHz, de-rotate the capture once, read every window and
 // reference probe of ProbeBank.Occupancy off the result).
 func (pl *Plan) ClassifyBin(samples []complex128, sampleRate, freqHz float64) Occupancy {
-	pl.bank.Tune(sampleRate, freqHz, len(samples))
+	pl.bank.Tune(sampleRate, freqHz)
 	pl.bank.Load(samples)
 	return pl.bank.Occupancy()
 }

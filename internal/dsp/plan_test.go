@@ -28,49 +28,37 @@ func randSignal(rng *rand.Rand, n int, tones int) []complex128 {
 	return x
 }
 
-// TestPlanFFTMatchesFFT proves the pooled transform is bit-identical to
-// FFT at every length, with one plan reused across the lengths in
-// interleaved order, and that the plan serves the process-wide table
-// set rather than building its own.
+// TestPlanFFTMatchesFFT proves the pooled fused transform is
+// bit-identical to FFT, one plan reused across signals.
 func TestPlanFFTMatchesFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pl := new(Plan)
-	lengths := []int{1, 2, 8, 256, 1024, 2048, 4096}
-	// Two passes so every cached table is exercised after creation.
-	for pass := 0; pass < 2; pass++ {
-		for _, n := range lengths {
-			x := randSignal(rng, n, 3)
-			got := make([]complex128, n)
-			p := pl.fftPlan(n)
-			if shared, _ := cachedPlan(n); p != shared {
-				t.Fatalf("n=%d: plan built its own tables", n)
-			}
-			p.Transform(got, x)
-			want := FFT(x)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("pass %d n=%d: bin %d pooled %v, oracle %v", pass, n, k, got[k], want[k])
-				}
+	var s Spectrum
+	for trial := 0; trial < 6; trial++ {
+		x := randSignal(rng, captureSamples, 1+trial%4)
+		pl.SpectrumInto(&s, x, 4e6)
+		want := FFT(x)
+		for k := range want {
+			if s.Bins[k] != want[k] {
+				t.Fatalf("trial %d: bin %d pooled %v, oracle %v", trial, k, s.Bins[k], want[k])
 			}
 		}
 	}
 }
 
-// TestPlanFFTSteadyStateAllocs: once a plan has seen a length, the
-// fused spectrum pass over it allocates nothing.
+// TestPlanFFTSteadyStateAllocs: once a spectrum's buffers have grown,
+// the fused spectrum pass allocates nothing.
 func TestPlanFFTSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pl := new(Plan)
 	var s Spectrum
-	for _, n := range []int{2048, 512} {
-		x := randSignal(rng, n, 2)
-		pl.SpectrumInto(&s, x, 4e6) // warm the tables and the spectrum
-		allocs := testing.AllocsPerRun(20, func() {
-			pl.SpectrumInto(&s, x, 4e6)
-		})
-		if allocs != 0 {
-			t.Errorf("n=%d: steady-state SpectrumInto allocates %.1f objects/op, want 0", n, allocs)
-		}
+	x := randSignal(rng, captureSamples, 2)
+	pl.SpectrumInto(&s, x, 4e6) // grow the spectrum
+	allocs := testing.AllocsPerRun(20, func() {
+		pl.SpectrumInto(&s, x, 4e6)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state SpectrumInto allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -142,37 +130,13 @@ func TestPlanClassifyBinMatches(t *testing.T) {
 	}
 }
 
-// TestPlanSpectrumReuseAcrossLengths: one plan alternating between
-// power-of-two capture lengths keeps producing spectra
-// identical to fresh NewSpectrum calls — buffer reuse never leaks one
-// length's bins into another's.
-func TestPlanSpectrumReuseAcrossLengths(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	pl := new(Plan)
-	var spec Spectrum
-	for trial := 0; trial < 3; trial++ {
-		for _, n := range []int{2048, 1024, 512, 4096} {
-			x := randSignal(rng, n, 2)
-			pl.SpectrumInto(&spec, x, 4e6)
-			want := NewSpectrum(x, 4e6)
-			if spec.SampleRate != want.SampleRate || len(spec.Bins) != len(want.Bins) {
-				t.Fatalf("n=%d: shape mismatch", n)
-			}
-			for k := range want.Bins {
-				if spec.Bins[k] != want.Bins[k] {
-					t.Fatalf("trial %d n=%d: bin %d pooled %v, oracle %v", trial, n, k, spec.Bins[k], want.Bins[k])
-				}
-			}
-		}
-	}
-}
-
 // TestGoertzelAgreesWithDenseFFTBins: at integer bins the Goertzel
 // probe must reproduce the dense FFT bin (the §5/§8 channel estimate
 // contract), to a relative tolerance set by the recurrence's rounding.
 func TestGoertzelAgreesWithDenseFFTBins(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for _, n := range []int{256, 1024, 2048} {
+	const n = captureSamples
+	for trial := 0; trial < 3; trial++ {
 		x := randSignal(rng, n, 3)
 		bins := FFT(x)
 		scale := 0.0
@@ -184,7 +148,7 @@ func TestGoertzelAgreesWithDenseFFTBins(t *testing.T) {
 		for k := 0; k < n/4; k += 7 {
 			g := Goertzel(x, float64(k)/float64(n))
 			if diff := cmplx.Abs(g - bins[k]); diff > 1e-8*scale {
-				t.Errorf("n=%d bin %d: Goertzel %v, FFT %v (|Δ| %.3g)", n, k, g, bins[k], diff)
+				t.Errorf("trial %d bin %d: Goertzel %v, FFT %v (|Δ| %.3g)", trial, k, g, bins[k], diff)
 			}
 		}
 	}
@@ -253,8 +217,7 @@ func TestGoertzelWindowSubBin(t *testing.T) {
 // capture length.
 func BenchmarkPlanFFT(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	const n = 2048
-	x := randSignal(rng, n, 3)
+	x := randSignal(rng, captureSamples, 3)
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -262,11 +225,10 @@ func BenchmarkPlanFFT(b *testing.B) {
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
-		pl := new(Plan)
-		dst := make([]complex128, n)
+		dst := make([]complex128, captureSamples)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pl.fftPlan(n).Transform(dst, x)
+			capturePlan.transform(dst, x)
 		}
 	})
 }

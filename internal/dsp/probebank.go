@@ -1,10 +1,8 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 )
 
 // ProbeBank evaluates every §5 gate quantity of one spectral peak — the
@@ -46,8 +44,6 @@ type ProbeBank struct {
 
 	// pos[k] and neg[k] are DFT bins +k and −k of nearBins's last input.
 	pos, neg [maxProbeBin + 1]complex128
-
-	tws map[int]*probeTwiddles // lock-free view of probeTwiddleTables
 }
 
 // maxProbeBin is the farthest DFT bin nearBins reaches: the occupancy
@@ -57,19 +53,15 @@ const maxProbeBin = 5
 // phasorBlock is the stride of Tune's two-level phasor table.
 const phasorBlock = 64
 
-// Tune points the bank at the tone freqHz in captures of n samples.
-// The table is two short recurrences deep — offsets within a block,
-// block starts — and one product of the two per entry, so an entry is
-// at most phasorBlock + n/phasorBlock roundings from exact (under a
-// hundred at 2048 samples) where a single recurrence along the capture
-// would be n. n must be a multiple of 16, so that the capture and its
-// quarter-length occupancy windows all fold into four classes
-// (nearBins); Tune panics otherwise.
-func (b *ProbeBank) Tune(sampleRate, freqHz float64, n int) {
-	if n%16 != 0 {
-		panic(fmt.Sprintf("dsp: ProbeBank length %d is not a multiple of 16", n))
-	}
+// Tune points the bank at the tone freqHz in captures sampled at
+// sampleRate. The table is two short recurrences deep — offsets within a
+// block, block starts — and one product of the two per entry, so an
+// entry is at most phasorBlock + N/phasorBlock roundings from exact
+// (under a hundred at 2048 samples) where a single recurrence along the
+// capture would be N.
+func (b *ProbeBank) Tune(sampleRate, freqHz float64) {
 	b.sampleRate, b.freqHz = sampleRate, freqHz
+	const n = captureSamples
 	b.ph = growComplexSlice(b.ph, n)
 	b.y = b.y[:0]
 	w := -2 * math.Pi * (freqHz / sampleRate)
@@ -92,13 +84,12 @@ func (b *ProbeBank) Tune(sampleRate, freqHz float64, n int) {
 	}
 }
 
-// Load de-rotates one capture of the tuned length by the tuned
-// frequency. Occupancy and Shoulder read the result.
+// Load de-rotates one capture by the tuned frequency. Occupancy and
+// Shoulder read the result. Load panics unless len(x) is
+// phy.ResponseSamples.
 func (b *ProbeBank) Load(x []complex128) {
-	if len(x) != len(b.ph) {
-		panic(fmt.Sprintf("dsp: ProbeBank tuned for %d samples, loaded %d", len(b.ph), len(x)))
-	}
-	b.y = growComplexSlice(b.y, len(x))
+	mustBeCapture(x, "ProbeBank.Load")
+	b.y = growComplexSlice(b.y, captureSamples)
 	y, ph := b.y, b.ph
 	for t, v := range x {
 		y[t] = v * ph[t]
@@ -131,16 +122,11 @@ func (b *ProbeBank) Load(x []complex128) {
 // removed: ρᵢ = Sᵢ/S₀ carries only the residual (true minus probe)
 // rotation. The reference probes are DFT bins ±2…±5 of each window.
 func (b *ProbeBank) Occupancy() Occupancy {
-	n := len(b.y)
-	if n == 0 {
-		return OccupancySingle
-	}
-	// With n a multiple of 16 (Tune), every window is a whole quarter of
-	// the capture, a multiple of four, and starts inside it.
-	winLen := int(float64(n) * OccupancyWindowFrac)
+	// Every window is a whole quarter of the capture and starts inside it.
+	const winLen = occWindowSamples
 	starts := [3]int{0}
 	for i, frac := range occShifts {
-		starts[i+1] = int(float64(n) * frac)
+		starts[i+1] = int(captureSamples * frac)
 	}
 
 	// A reference frequency outside (0, 1) cycles per sample is dropped
@@ -153,11 +139,12 @@ func (b *ProbeBank) Occupancy() Occupancy {
 		useNeg[k] = validProbeFreq((b.freqHz - float64(k)*winBin) / b.sampleRate)
 	}
 
+	y := b.loaded()
 	var r [3]complex128
 	var m [3]float64
 	refs := b.refs[:0]
 	for i, start := range starts {
-		r[i] = b.nearBins(b.y[start:start+winLen], 2, maxProbeBin)
+		r[i] = b.nearBins(y[start:start+winLen], windowTwiddles, 2, maxProbeBin)
 		m[i] = cmplx.Abs(r[i])
 		for k := 2; k <= maxProbeBin; k++ {
 			if useNeg[k] {
@@ -195,6 +182,15 @@ func (b *ProbeBank) Occupancy() Occupancy {
 	return OccupancySingle
 }
 
+// loaded returns the de-rotated capture. It panics when the bank has
+// been tuned since its last Load, rather than read the previous capture.
+func (b *ProbeBank) loaded() []complex128 {
+	if len(b.y) != captureSamples {
+		panic("dsp: ProbeBank read before Load")
+	}
+	return b.y
+}
+
 func validProbeFreq(f float64) bool { return f > 0 && f < 1 }
 
 // Shoulder returns the magnitude of the loaded capture's DFT at the
@@ -202,12 +198,12 @@ func validProbeFreq(f float64) bool { return f > 0 && f < 1 }
 // bin to either side (side). The DFT of a lone carrier has an exact
 // null there; a second tone merged into the same peak fills it.
 func (b *ProbeBank) Shoulder() (centre, side float64) {
-	centre = cmplx.Abs(b.nearBins(b.y, 1, 1))
+	centre = cmplx.Abs(b.nearBins(b.loaded(), captureTwiddles, 1, 1))
 	return centre, max(cmplx.Abs(b.neg[1]), cmplx.Abs(b.pos[1]))
 }
 
 // nearBins returns Σ z — DFT bin 0 — and leaves DFT bins ±kLo…±kHi of z
-// in b.pos and b.neg.
+// in b.pos and b.neg. tw is the twiddle table of z's length.
 //
 // With L = len(z) = 4M, splitting the index as j + rM gives
 //
@@ -217,8 +213,7 @@ func (b *ProbeBank) Shoulder() (centre, side float64) {
 // classes, built with additions alone, serve every bin, each bin then
 // costing an M-term dot product against a fixed twiddle row. Bins +k
 // and −k share a row (one conjugated), so one pass yields both.
-func (b *ProbeBank) nearBins(z []complex128, kLo, kHi int) complex128 {
-	tw := b.twiddles(len(z))
+func (b *ProbeBank) nearBins(z []complex128, tw *probeTwiddles, kLo, kHi int) complex128 {
 	m := tw.m
 	b.fold = growComplexSlice(b.fold, len(z))
 	classes := b.fold
@@ -267,6 +262,14 @@ func dotPair(a, b, t []complex128) (complex128, complex128) {
 	return complex(pr, pi), complex(nr, ni)
 }
 
+// windowTwiddles and captureTwiddles are nearBins's two tables, built
+// when the package initializes and only read after: one for the
+// occupancy windows, one for the whole capture (Shoulder).
+var (
+	windowTwiddles  = newProbeTwiddles(occWindowSamples)
+	captureTwiddles = newProbeTwiddles(captureSamples)
+)
+
 // probeTwiddles holds the rows e^{-2πi k j/L}, j < m = L/4, for k = 1…
 // maxProbeBin of one DFT length L: what nearBins's folded dot products
 // run against.
@@ -289,26 +292,5 @@ func newProbeTwiddles(l int) *probeTwiddles {
 			row[j] = complex(c, s)
 		}
 	}
-	return tw
-}
-
-// probeTwiddleTables caches one immutable table per DFT length for the
-// whole process; each bank keeps a plain map in front of it so the
-// steady state takes no lock (and boxes no key).
-var probeTwiddleTables sync.Map // int -> *probeTwiddles
-
-func (b *ProbeBank) twiddles(l int) *probeTwiddles {
-	if tw, ok := b.tws[l]; ok {
-		return tw
-	}
-	v, ok := probeTwiddleTables.Load(l)
-	if !ok {
-		v, _ = probeTwiddleTables.LoadOrStore(l, newProbeTwiddles(l))
-	}
-	if b.tws == nil {
-		b.tws = make(map[int]*probeTwiddles)
-	}
-	tw := v.(*probeTwiddles)
-	b.tws[l] = tw
 	return tw
 }

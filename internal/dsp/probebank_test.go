@@ -87,51 +87,53 @@ func classifyBinOracle(samples []complex128, sampleRate, freqHz float64) (Occupa
 	return OccupancySingle, refs
 }
 
-// bankCase is one capture shape and probe frequency of the oracle
-// sweep. windowFrac sizes the windows TestProbeBankMatchesGoertzel reads
-// through nearBins; the occupancy test's window is OccupancyWindowFrac,
-// so its oracle sweep takes only the cases at that fraction.
+// bankCase is one probe window and frequency of the oracle sweep.
+// window is the length TestProbeBankMatchesGoertzel reads through
+// nearBins: an occupancy window or the whole capture, the two lengths
+// with a twiddle table. The occupancy test's window is fixed, so its
+// oracle sweep takes only the cases at that length.
 type bankCase struct {
-	n          int
-	windowFrac float64
-	freq       float64 // Hz, at 4 MHz
+	window int
+	freq   float64 // Hz, at 4 MHz
 }
 
-// bankCases covers capture lengths that are multiples of 16 (Tune's
-// precondition) from 16 to 4096, windows from a full capture down to
-// four samples (below Goertzel's 16-sample grouped path), and probe
-// frequencies within five window bins of 0 and of the sample rate,
-// where reference probes drop out.
+// bankTwiddles returns nearBins's table for a bankCase window.
+func bankTwiddles(window int) *probeTwiddles {
+	if window == occWindowSamples {
+		return windowTwiddles
+	}
+	return captureTwiddles
+}
+
+// bankCases covers both window lengths at probe frequencies mid-band,
+// in the upper half, and within five window bins of 0 and of the sample
+// rate, where reference probes drop out.
 func bankCases(rng *rand.Rand) []bankCase {
 	const fs = 4e6
 	var cases []bankCase
-	for _, shape := range []struct {
-		n    int
-		frac float64
-	}{
-		{2048, 0.25}, {1024, 0.25}, {512, 0.25}, {2464, 0.25}, {4096, 0.25},
-		{2048, 0.125}, {2048, 0.5}, {2048, 1}, {16, 0.5}, {48, 0.25}, {16, 0.25},
-	} {
-		winBin := fs / (float64(shape.n) * shape.frac)
+	for _, window := range []int{occWindowSamples, captureSamples} {
+		winBin := fs / float64(window)
 		freqs := []float64{
+			(0.02 + 0.25*rng.Float64()) * fs,                                   // mid-band
 			(0.02 + 0.25*rng.Float64()) * fs,                                   // mid-band
 			(0.55 + 0.3*rng.Float64()) * fs,                                    // upper half
 			0.4 * winBin, 1.7 * winBin, 2 * winBin, 3.3 * winBin, 4.9 * winBin, // near 0
-			fs - 0.6*winBin, fs - 2.5*winBin, fs - 4.2*winBin, // near fs
+			fs - 0.6*winBin, fs - 2*winBin, fs - 2.5*winBin, fs - 4.2*winBin, // near fs
 		}
 		for _, f := range freqs {
-			cases = append(cases, bankCase{shape.n, shape.frac, f})
+			cases = append(cases, bankCase{window, f})
 		}
 	}
 	return cases
 }
 
 // bankSignal draws a capture of one or two tones near freq in noise.
-func bankSignal(rng *rand.Rand, n int, freq float64) []complex128 {
-	tones := []Tone{{Freq: freq, Amp: complex(float64(n), 0) * cis(rng.Float64()*6.28)}}
+func bankSignal(rng *rand.Rand, freq float64) []complex128 {
+	const n = captureSamples
+	tones := []Tone{{Freq: freq, Amp: complex(n, 0) * cis(rng.Float64()*6.28)}}
 	if rng.Intn(2) == 0 {
-		sep := (0.15 + 0.8*rng.Float64()) * 4e6 / float64(n)
-		tones = append(tones, Tone{Freq: freq + sep, Amp: complex(float64(n), 0) * cis(rng.Float64()*6.28)})
+		sep := (0.15 + 0.8*rng.Float64()) * 4e6 / n
+		tones = append(tones, Tone{Freq: freq + sep, Amp: complex(n, 0) * cis(rng.Float64()*6.28)})
 	}
 	return toneSignal(rng, n, 4e6, 0.05, tones)
 }
@@ -145,40 +147,42 @@ func TestProbeBankMatchesGoertzel(t *testing.T) {
 	const fs = 4e6
 	rng := rand.New(rand.NewSource(71))
 	var b ProbeBank
-	for _, tc := range bankCases(rng) {
-		x := bankSignal(rng, tc.n, tc.freq)
-		var l1 float64
-		for _, v := range x {
-			l1 += cmplx.Abs(v)
-		}
-		tol := 1e-9 * l1
-		fNorm := tc.freq / fs
-		b.Tune(fs, tc.freq, tc.n)
-		b.Load(x)
+	for round := 0; round < 3; round++ {
+		for _, tc := range bankCases(rng) {
+			x := bankSignal(rng, tc.freq)
+			var l1 float64
+			for _, v := range x {
+				l1 += cmplx.Abs(v)
+			}
+			tol := 1e-9 * l1
+			fNorm := tc.freq / fs
+			b.Tune(fs, tc.freq)
+			b.Load(x)
 
-		winLen := int(float64(tc.n) * tc.windowFrac)
-		for _, start := range []int{0, (tc.n - winLen) / 3, tc.n - winLen} {
-			rot := cmplx.Exp(complex(0, -2*math.Pi*fNorm*float64(start)))
-			sum := b.nearBins(b.y[start:start+winLen], 1, maxProbeBin)
-			check := func(k int, got complex128) {
-				want := rot * GoertzelWindow(x, fNorm+float64(k)/float64(winLen), start, winLen)
-				if d := cmplx.Abs(got - want); d > tol {
-					t.Errorf("%+v window [%d,+%d) bin %+d: bank %v, Goertzel %v (|Δ| %.3g > %.3g)",
-						tc, start, winLen, k, got, want, d, tol)
+			winLen := tc.window
+			for _, start := range []int{0, (captureSamples - winLen) / 3, captureSamples - winLen} {
+				rot := cmplx.Exp(complex(0, -2*math.Pi*fNorm*float64(start)))
+				sum := b.nearBins(b.y[start:start+winLen], bankTwiddles(winLen), 1, maxProbeBin)
+				check := func(k int, got complex128) {
+					want := rot * GoertzelWindow(x, fNorm+float64(k)/float64(winLen), start, winLen)
+					if d := cmplx.Abs(got - want); d > tol {
+						t.Errorf("%+v window [%d,+%d) bin %+d: bank %v, Goertzel %v (|Δ| %.3g > %.3g)",
+							tc, start, winLen, k, got, want, d, tol)
+					}
+				}
+				check(0, sum)
+				for k := 1; k <= maxProbeBin; k++ {
+					check(k, b.pos[k])
+					check(-k, b.neg[k])
 				}
 			}
-			check(0, sum)
-			for k := 1; k <= maxProbeBin; k++ {
-				check(k, b.pos[k])
-				check(-k, b.neg[k])
-			}
-		}
 
-		centre, side := b.Shoulder()
-		wantCentre := cmplx.Abs(Goertzel(x, fNorm))
-		wantSide := math.Max(cmplx.Abs(Goertzel(x, fNorm-1/float64(tc.n))), cmplx.Abs(Goertzel(x, fNorm+1/float64(tc.n))))
-		if math.Abs(centre-wantCentre) > tol || math.Abs(side-wantSide) > tol {
-			t.Errorf("%+v: Shoulder (%g, %g), Goertzel (%g, %g)", tc, centre, side, wantCentre, wantSide)
+			centre, side := b.Shoulder()
+			wantCentre := cmplx.Abs(Goertzel(x, fNorm))
+			wantSide := math.Max(cmplx.Abs(Goertzel(x, fNorm-1.0/captureSamples)), cmplx.Abs(Goertzel(x, fNorm+1.0/captureSamples)))
+			if math.Abs(centre-wantCentre) > tol || math.Abs(side-wantSide) > tol {
+				t.Errorf("%+v: Shoulder (%g, %g), Goertzel (%g, %g)", tc, centre, side, wantCentre, wantSide)
+			}
 		}
 	}
 }
@@ -186,26 +190,26 @@ func TestProbeBankMatchesGoertzel(t *testing.T) {
 // TestProbeBankOccupancyMatchesOracle: the bank reaches the 27-Goertzel
 // oracle's verdict from the same reference probes — the same number of
 // them (near 0 and the sample rate some drop out) with the same
-// magnitudes — on every shape and frequency of the sweep, and both
-// verdicts occur.
+// magnitudes — on every frequency of the sweep, and both verdicts
+// occur.
 func TestProbeBankOccupancyMatchesOracle(t *testing.T) {
 	const fs = 4e6
 	rng := rand.New(rand.NewSource(72))
 	var b ProbeBank
 	verdicts := map[Occupancy]int{}
 	dropped := 0
-	for round := 0; round < 4; round++ {
+	for round := 0; round < 24; round++ {
 		for _, tc := range bankCases(rng) {
-			if tc.windowFrac != OccupancyWindowFrac {
+			if tc.window != occWindowSamples {
 				continue // a nearBins shape; the test's window is fixed
 			}
-			x := bankSignal(rng, tc.n, tc.freq)
+			x := bankSignal(rng, tc.freq)
 			var l1 float64
 			for _, v := range x {
 				l1 += cmplx.Abs(v)
 			}
 			want, wantRefs := classifyBinOracle(x, fs, tc.freq)
-			b.Tune(fs, tc.freq, tc.n)
+			b.Tune(fs, tc.freq)
 			b.Load(x)
 			got := b.Occupancy()
 			verdicts[got]++
@@ -240,44 +244,51 @@ func TestProbeBankOccupancyMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestProbeBankRetune: a bank moved between frequencies and capture
-// lengths answers as a fresh one does, and an unloaded bank reads as an
-// empty capture.
+// TestProbeBankRetune: a bank moved between frequencies answers as a
+// fresh one does, and a bank tuned but not yet loaded refuses to
+// classify rather than read the previous capture.
 func TestProbeBankRetune(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	var reused ProbeBank
-	if got := reused.Occupancy(); got != OccupancySingle {
-		t.Errorf("zero bank classified as %v", got)
-	}
-	for _, n := range []int{2048, 512, 2048, 1024} {
+	for trial := 0; trial < 6; trial++ {
 		freq := (0.05 + 0.2*rng.Float64()) * 4e6
-		x := bankSignal(rng, n, freq)
+		x := bankSignal(rng, freq)
 		var fresh ProbeBank
-		fresh.Tune(4e6, freq, n)
-		reused.Tune(4e6, freq, n)
-		if got := reused.Occupancy(); got != OccupancySingle {
-			t.Errorf("n=%d: tuned but unloaded bank classified as %v", n, got)
+		fresh.Tune(4e6, freq)
+		reused.Tune(4e6, freq)
+		for name, read := range map[string]func(){
+			"Occupancy": func() { reused.Occupancy() },
+			"Shoulder":  func() { reused.Shoulder() },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("trial %d: %s read a tuned but unloaded bank", trial, name)
+					}
+				}()
+				read()
+			}()
 		}
 		fresh.Load(x)
 		reused.Load(x)
 		fc, fs := fresh.Shoulder()
 		rc, rs := reused.Shoulder()
 		if fresh.Occupancy() != reused.Occupancy() || fc != rc || fs != rs {
-			t.Errorf("n=%d: reused bank diverges from a fresh one", n)
+			t.Errorf("trial %d: reused bank diverges from a fresh one", trial)
 		}
 	}
 }
 
 // TestProbeBankSteadyStateAllocs: a warmed bank — phasor table,
-// de-rotation and fold buffers, twiddle lookups — allocates nothing,
-// alternating between two capture lengths included.
+// de-rotation and fold buffers — allocates nothing, moved between
+// frequencies and captures included.
 func TestProbeBankSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
-	xs := [][]complex128{randSignal(rng, 2048, 2), randSignal(rng, 1024, 2)}
+	xs := [][]complex128{randSignal(rng, captureSamples, 2), randSignal(rng, captureSamples, 2)}
 	var b ProbeBank
 	run := func() {
-		for _, x := range xs {
-			b.Tune(4e6, 3e5, len(x))
+		for i, x := range xs {
+			b.Tune(4e6, 3e5+float64(i)*1e5)
 			b.Load(x)
 			b.Occupancy()
 			b.Shoulder()
@@ -365,7 +376,7 @@ func BenchmarkClassifyBin(b *testing.B) {
 	})
 	b.Run("bank-tuned", func(b *testing.B) {
 		var bank ProbeBank
-		bank.Tune(4e6, 3e5, len(x))
+		bank.Tune(4e6, 3e5)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			bank.Load(x)

@@ -68,7 +68,7 @@ func (c Config) Active() bool {
 
 // Validate rejects configs outside the model.
 func (c Config) Validate() error {
-	if c.DropRate < 0 || c.DropRate > 1 {
+	if !(c.DropRate >= 0 && c.DropRate <= 1) { // NaN included
 		return fmt.Errorf("faults: drop rate %g outside [0,1]", c.DropRate)
 	}
 	if c.KillEvery < 0 {

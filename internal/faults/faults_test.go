@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -234,7 +235,7 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	for _, bad := range []Config{{DropRate: -0.1}, {DropRate: 1.5}, {KillEvery: -1}} {
+	for _, bad := range []Config{{DropRate: -0.1}, {DropRate: 1.5}, {DropRate: math.NaN()}, {KillEvery: -1}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("config %+v accepted", bad)
 		}

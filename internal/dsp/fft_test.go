@@ -89,6 +89,41 @@ func TestIFFTRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewFFTPlanRejectsBadLengths: the one transform plan serves the
+// capture length only. Lengths a general plan would have refused, and
+// powers of two other than the capture length, are refused alike; the
+// capture length itself transforms.
+func TestNewFFTPlanRejectsBadLengths(t *testing.T) {
+	p := newFFTPlan()
+	if len(p.rev) != captureSamples {
+		t.Fatalf("plan permutation has %d entries, want %d", len(p.rev), captureSamples)
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 6, 100, 1023, 4096} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FFT of %d samples did not panic", n)
+				}
+			}()
+			FFT(make([]complex128, n))
+		}()
+	}
+	if out := FFT(make([]complex128, captureSamples)); len(out) != captureSamples {
+		t.Errorf("FFT of a capture returned %d bins, want %d", len(out), captureSamples)
+	}
+}
+
+// TestFFTEmptyInput: an empty capture is a broken precondition, not an
+// empty spectrum.
+func TestFFTEmptyInput(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("FFT(nil) did not panic")
+		}
+	}()
+	FFT(nil)
+}
+
 // TestFFTPanicsOnOtherLengths: every entry that takes a capture refuses
 // any length but the one capture shape — a broken internal
 // precondition, not an input to transform. core refuses such captures

@@ -77,6 +77,16 @@ func TestClassifyBinTwoTonesStatistical(t *testing.T) {
 	}
 }
 
+// TestClassifyBinEmptyInput: an empty capture is refused, not classified.
+func TestClassifyBinEmptyInput(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("empty input was classified, want a panic")
+		}
+	}()
+	ClassifyBin(nil, 4e6, 100e3)
+}
+
 // cis returns e^{i·phase}.
 func cis(phase float64) complex128 {
 	return cmplx.Exp(complex(0, phase))

@@ -122,7 +122,7 @@ func TestFrontEndShapeRefused(t *testing.T) {
 	p := DefaultParams()
 	// resized returns good cut or zero-padded to n samples per antenna.
 	resized := func(n int) *MultiCapture {
-		mc := &MultiCapture{SampleRate: good.SampleRate}
+		mc := &MultiCapture{}
 		for _, st := range good.Antennas {
 			mc.Antennas = append(mc.Antennas, append(make([]complex128, 0, n), st[:min(n, len(st))]...)[:n])
 		}
@@ -139,7 +139,7 @@ func TestFrontEndShapeRefused(t *testing.T) {
 		want[i].Channels = append([]complex128(nil), s.Channels...)
 	}
 	target := want[0].Freq
-	dec := core.NewDecoder(phy.SampleRate, target)
+	dec := core.NewDecoder(target)
 	if err := dec.Add(good.Antennas[0]); err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	only := flag.String("only", "", "run a single experiment ("+strings.Join(names, ", ")+")")
 	flag.Parse()
+	if *runs < 1 {
+		log.Fatalf("caraoke-bench: -runs %d must be at least 1", *runs)
+	}
 
 	todo := experiments.All
 	if *only != "" {

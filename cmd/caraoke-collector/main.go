@@ -17,6 +17,9 @@ func main() {
 	addr := flag.String("listen", "127.0.0.1:7415", "listen address")
 	interval := flag.Duration("interval", 5*time.Second, "status print interval")
 	flag.Parse()
+	if *interval <= 0 {
+		log.Fatalf("caraoke-collector: -interval %v must be positive", *interval)
+	}
 
 	store := collector.NewStore(8192)
 	srv := collector.NewServer(store)

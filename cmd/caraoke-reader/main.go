@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -21,6 +22,12 @@ func main() {
 	cars := flag.Int("cars", 6, "transponders in the scene")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	flag.Parse()
+	if *id > math.MaxUint32 {
+		log.Fatalf("caraoke-reader: -id %d does not fit a 32-bit reader id", *id)
+	}
+	if *cars < 0 {
+		log.Fatalf("caraoke-reader: -cars %d must not be negative", *cars)
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	rd, err := caraoke.NewReader(caraoke.ReaderConfig{

@@ -253,7 +253,7 @@ type Sim struct {
 	parked   []*transponder.Device
 	posts    []*post
 	poles    map[uint32]geom.Vec2
-	gw, gh   int // street-grid columns and rows
+	gw       int // street-grid columns
 	k        int // intersections with readers
 }
 
@@ -269,7 +269,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	k := (cfg.Readers + 1) / 2
 	gw := int(math.Ceil(math.Sqrt(float64(k))))
 	gh := (k + gw - 1) / gw
-	s := &Sim{cfg: cfg, gw: gw, gh: gh, k: k, poles: make(map[uint32]geom.Vec2)}
+	s := &Sim{cfg: cfg, gw: gw, k: k, poles: make(map[uint32]geom.Vec2)}
 
 	hLen := float64(gw-1)*blockM + 2*margin
 	vLen := float64(gh-1)*blockM + 2*margin
@@ -372,28 +372,27 @@ func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
 // measurement goroutines race-free (a device's position, envelope
 // cache, and battery budget are only touched by its claiming reader).
 //
-// The candidate set per reader comes from a uniform-grid spatial index
-// (cell size = interrogation range) rebuilt each epoch, so the claim
-// step costs O(vehicles + readers × in-range density) instead of
-// O(readers × vehicles). Candidates are visited in fleet order —
-// vehicles first, then parked cars — which is exactly the linear
-// scan's order, so the partition is identical (the linear scan lives
-// on in grid_test.go as the equality oracle).
+// The claim is one linear scan: readers in id order, each over every
+// device in fleet order — vehicles first, then parked cars — so a
+// reader's claims come in that order too. Its O(readers × devices)
+// per epoch is small beside what the same readers spend analyzing
+// their captures.
 //
 // active is the churn mask: a reader marked inactive this epoch claims
 // nothing, so its in-range devices fall to a later (overlapping) reader
 // in id order or go unread — exactly what a departed parked-car RSU's
 // zone looks like. A nil mask means every reader is on.
 func (s *Sim) claimMask(active []bool) [][]*transponder.Device {
-	idx := newClaimIndex(rangeM, s.activeDevices())
+	devs := s.activeDevices()
 	claims := make([][]*transponder.Device, len(s.posts))
 	taken := make(map[*transponder.Device]bool)
 	for i, p := range s.posts {
 		if active != nil && !active[i] {
 			continue
 		}
-		for _, d := range idx.within(p.rd.Center(), rangeM) {
-			if !taken[d] {
+		center := p.rd.Center()
+		for _, d := range devs {
+			if d.Pos.Dist(center) <= rangeM && !taken[d] {
 				claims[i] = append(claims[i], d)
 				taken[d] = true
 			}

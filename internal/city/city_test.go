@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"caraoke/internal/transponder"
 )
 
 // testConfig is small enough for -race CI yet still exercises the
@@ -161,27 +163,120 @@ func TestDecodedIDsAreFleetIDs(t *testing.T) {
 	}
 }
 
-// TestClaimDisjoint: the §9 CSMA claim step must hand each transponder
-// to at most one reader per epoch — that exclusivity is what makes the
-// concurrent measurement fan-out race-free.
+// TestClaimDisjoint holds the §9 claim step to its specification, on
+// several city shapes (parked cars, unequipped vehicles) over epochs of
+// a moving fleet, with every reader on and with reader 1 switched off by
+// churn: every equipped vehicle or parked device within rangeM of an
+// active reader's centre is claimed exactly once, by the lowest-id such
+// reader, and nothing else is claimed. That exclusivity is what makes
+// the concurrent measurement fan-out race-free. Each reader's claims
+// come in fleet order: vehicles first, then parked cars.
 func TestClaimDisjoint(t *testing.T) {
-	s, err := NewSim(Config{Readers: 8, Vehicles: 120, Parked: 6, Duration: time.Second, Seed: 3})
+	shapes := []Config{
+		{Readers: 3, Vehicles: 40, Duration: time.Second, Seed: 11},
+		{Readers: 8, Vehicles: 150, Parked: 9, Duration: time.Second, Seed: 12},
+		{Readers: 13, Vehicles: 400, Parked: 4, Duration: time.Second, Seed: 13, UnequippedFrac: 0.2},
+		{Readers: 2, Vehicles: 0, Parked: 7, Duration: time.Second, Seed: 14},
+	}
+	spilled := 0 // devices in reader 1's range a later reader took under churn
+	for ci, cfg := range shapes {
+		s, err := NewSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// order is a device's place in the fleet: equipped vehicles in
+		// fleet order, then parked cars in spot order.
+		order := make(map[*transponder.Device]int)
+		for _, v := range s.vehicles {
+			if v.dev != nil {
+				order[v.dev] = len(order)
+			}
+		}
+		for _, d := range s.parked {
+			order[d] = len(order)
+		}
+		churned := make([]bool, len(s.posts))
+		for i := range churned {
+			churned[i] = i != 0
+		}
+		for tick := 0; tick < 6; tick++ {
+			s.step(1500 * time.Millisecond)
+			for _, active := range [][]bool{nil, churned} {
+				claims := s.claimMask(active)
+				if len(claims) != len(s.posts) {
+					t.Fatalf("shape %d tick %d: claims for %d readers, want %d", ci, tick, len(claims), len(s.posts))
+				}
+				owner := make(map[*transponder.Device]int)
+				for ri, devs := range claims {
+					last := -1
+					for _, d := range devs {
+						o, ok := order[d]
+						if !ok {
+							t.Fatalf("shape %d tick %d: reader %d claims a device outside the fleet", ci, tick, ri+1)
+						}
+						if o <= last {
+							t.Fatalf("shape %d tick %d: reader %d claims out of fleet order", ci, tick, ri+1)
+						}
+						last = o
+						if prev, dup := owner[d]; dup {
+							t.Fatalf("shape %d tick %d: device %#x claimed by readers %d and %d",
+								ci, tick, d.ID(), prev+1, ri+1)
+						}
+						owner[d] = ri
+					}
+				}
+				for d := range order {
+					want := -1
+					for ri, p := range s.posts {
+						if (active == nil || active[ri]) && d.Pos.Dist(p.rd.Center()) <= rangeM {
+							want = ri
+							break
+						}
+					}
+					got, claimed := owner[d]
+					switch {
+					case want < 0 && claimed:
+						t.Fatalf("shape %d tick %d: device %#x out of every active reader's range, claimed by reader %d",
+							ci, tick, d.ID(), got+1)
+					case want >= 0 && (!claimed || got != want):
+						t.Fatalf("shape %d tick %d: device %#x claimed by reader %d (claimed %v), want reader %d",
+							ci, tick, d.ID(), got+1, claimed, want+1)
+					}
+					if active != nil && claimed && d.Pos.Dist(s.posts[0].rd.Center()) <= rangeM {
+						spilled++
+					}
+				}
+			}
+		}
+	}
+	if spilled == 0 {
+		t.Error("no device fell from the switched-off reader to an overlapping one: the churn mask went untested")
+	}
+}
+
+// TestCityBatchAndShardsDeterministic: batching uplinks is a wire
+// change only — a run with it cranked up must match the default run's
+// results exactly.
+func TestCityBatchAndShardsDeterministic(t *testing.T) {
+	base, err := Run(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tick := 0; tick < 5; tick++ {
-		s.step(2 * time.Second)
-		claims := s.claimMask(nil)
-		seen := make(map[uint64]int)
-		for ri, devs := range claims {
-			for _, d := range devs {
-				if prev, dup := seen[d.ID()]; dup {
-					t.Fatalf("tick %d: device %#x claimed by readers %d and %d",
-						tick, d.ID(), prev+1, ri+1)
-				}
-				seen[d.ID()] = ri
-			}
-		}
+	cfg := testConfig()
+	cfg.Batch = 4
+	batched, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.TotalReports != batched.TotalReports {
+		t.Fatalf("report counts diverge: %d vs %d", base.TotalReports, batched.TotalReports)
+	}
+	if !reflect.DeepEqual(base.PerIntersection, batched.PerIntersection) {
+		t.Errorf("batching changed results:\nbase:    %+v\nbatched: %+v",
+			base.PerIntersection, batched.PerIntersection)
+	}
+	if !reflect.DeepEqual(base.Decoded, batched.Decoded) {
+		t.Errorf("decoded sets diverge: %v vs %v", base.Decoded, batched.Decoded)
 	}
 }
 

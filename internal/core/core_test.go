@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"caraoke/internal/geom"
-	"caraoke/internal/phy"
 	"caraoke/internal/rfsim"
 	"caraoke/internal/transponder"
 )
@@ -32,8 +31,6 @@ func newTestScene(t testing.TB, seed int64) *testScene {
 	return &testScene{
 		t: t,
 		cfg: rfsim.CaptureConfig{
-			SampleRate: phy.SampleRate,
-			NumSamples: phy.ResponseSamples,
 			Wavelength: param.Wavelength,
 			NoiseSigma: 2e-6,
 		},

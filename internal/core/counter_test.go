@@ -42,7 +42,7 @@ func TestCountWellSeparatedTransponders(t *testing.T) {
 func TestCountSameBinPairViaOccupancy(t *testing.T) {
 	s := newTestScene(t, 202)
 	devs := s.placedDevices(3)
-	binW := s.param.SampleRate / float64(s.cfg.NumSamples)
+	binW := phy.SampleRate / float64(phy.ResponseSamples)
 	devs[0].CarrierHz = phy.BandLow + 300e3
 	devs[1].CarrierHz = phy.BandLow + 300e3 + 0.55*binW // same bin as devs[0]
 	devs[2].CarrierHz = phy.BandLow + 800e3

@@ -41,7 +41,7 @@ func DecodeAll(src CaptureSource, sampleRate float64, targetFreqs []float64, max
 	}
 	targets := make([]target, len(targetFreqs))
 	for i, f := range targetFreqs {
-		targets[i].dec = makeDecoder(sampleRate, f, buf[i*chips:(i+1)*chips])
+		targets[i].dec = makeDecoder(f, buf[i*chips:(i+1)*chips])
 	}
 	out := make(map[float64]DecodeResult, len(targetFreqs))
 	remaining := len(targetFreqs)

@@ -31,9 +31,8 @@ import (
 // in the tests as the oracle: the two differ by rounding in the last
 // bits of an accumulator entry, never in a bit decision.
 type Decoder struct {
-	sampleRate float64 // phy.SampleRate, or every capture is refused
-	target     float64 // refined CFO of the target transponder, Hz
-	n          int
+	target float64 // refined CFO of the target transponder, Hz
+	n      int
 	// acc[c] is Σ_q real(U_c/ĥ_q), the chip energies TryDecode decides
 	// on: one entry per chip of the frame.
 	acc []float64
@@ -51,23 +50,21 @@ type Decoder struct {
 var ErrNeedMoreCollisions = errors.New("core: frame not yet decodable, combine more collisions")
 
 // NewDecoder creates a decoder for the transponder whose CFO spike sits
-// at targetFreq Hz (use the refined frequency from AnalyzeCapture).
-// sampleRate must be phy.SampleRate: a decoder at any other refuses
-// every capture.
-func NewDecoder(sampleRate, targetFreq float64) *Decoder {
+// at targetFreq Hz (use the refined frequency from AnalyzeCapture) in
+// captures at phy.SampleRate.
+func NewDecoder(targetFreq float64) *Decoder {
 	buf := make([]float64, 3*phy.FrameChips)
-	d := makeDecoder(sampleRate, targetFreq, buf[:phy.FrameChips])
+	d := makeDecoder(targetFreq, buf[:phy.FrameChips])
 	d.sweep = buf[phy.FrameChips:]
 	return &d
 }
 
 // makeDecoder aims a decoder that accumulates into acc, which holds
 // phy.FrameChips entries; the caller supplies the sweep buffer.
-func makeDecoder(sampleRate, targetFreq float64, acc []float64) Decoder {
+func makeDecoder(targetFreq float64, acc []float64) Decoder {
 	return Decoder{
-		sampleRate: sampleRate,
-		target:     targetFreq,
-		acc:        acc[:phy.FrameChips:phy.FrameChips],
+		target: targetFreq,
+		acc:    acc[:phy.FrameChips:phy.FrameChips],
 	}
 }
 
@@ -76,25 +73,22 @@ func (d *Decoder) N() int { return d.n }
 
 // Add combines one more collision capture: a single antenna's stream,
 // frame-aligned (the response begins at sample 0) and one response
-// long, phy.ResponseSamples. A capture of any other length, every
-// capture of a decoder not at phy.SampleRate, a capture the target's
-// spike is absent from, and one whose estimate is not finite (a NaN or
-// Inf sample) are refused with the combined state untouched.
+// long, phy.ResponseSamples. A capture of any other length, a capture
+// the target's spike is absent from, and one whose estimate is not
+// finite (a NaN or Inf sample) are refused with the combined state
+// untouched.
 func (d *Decoder) Add(capture []complex128) error {
 	return d.add(capture, d.sweep)
 }
 
 // add is Add with the sweep buffer (2·phy.FrameChips entries) supplied.
 func (d *Decoder) add(capture []complex128, sweep []float64) error {
-	if d.sampleRate != phy.SampleRate {
-		return fmt.Errorf("core: decoder at %g Hz: %w", d.sampleRate, phy.ErrSampleRate)
-	}
 	if err := checkLen(len(capture)); err != nil {
 		return fmt.Errorf("core: capture: %w", err)
 	}
 	re, im := sweep[:phy.FrameChips], sweep[phy.FrameChips:]
 	// Per-query channel estimate from the spike: ĥ = 2·R(Δf)/N.
-	spike := dsp.GoertzelChips(capture, d.target/d.sampleRate, re, im)
+	spike := dsp.GoertzelChips(capture, d.target/phy.SampleRate, re, im)
 	h := spike * complex(2/float64(len(capture)), 0)
 	switch mag := cmplx.Abs(h); {
 	case mag == 0:

@@ -18,23 +18,22 @@ import (
 // envelope demodulator. It was the production Decoder until the
 // chip-domain rebuild, which must agree with it decision for decision.
 type oracleDecoder struct {
-	sampleRate float64
-	target     float64
-	sum        []complex128
-	n          int
-	demod      phy.DemodScratch
+	target float64
+	sum    []complex128
+	n      int
+	demod  phy.DemodScratch
 }
 
 func (d *oracleDecoder) Add(capture []complex128) error {
 	if len(capture) != len(d.sum) {
 		return fmt.Errorf("core: capture of %d samples, want %d", len(capture), len(d.sum))
 	}
-	spike := dsp.Goertzel(capture, d.target/d.sampleRate)
+	spike := dsp.Goertzel(capture, d.target/phy.SampleRate)
 	h := spike * complex(2/float64(len(capture)), 0)
 	if cmplx.Abs(h) == 0 {
 		return fmt.Errorf("core: target spike absent from capture")
 	}
-	rot := cmplx.Exp(complex(0, -2*math.Pi*d.target/d.sampleRate))
+	rot := cmplx.Exp(complex(0, -2*math.Pi*d.target/phy.SampleRate))
 	w := complex(1, 0)
 	inv := 1 / h
 	for i, s := range capture {
@@ -56,7 +55,7 @@ func (d *oracleDecoder) TryDecode() (*phy.Frame, error) {
 	for i, s := range d.sum {
 		env[i] = real(s)
 	}
-	f, err := d.demod.DemodulateFrame(env, d.sampleRate)
+	f, err := d.demod.DemodulateFrame(env, phy.SampleRate)
 	if err != nil {
 		if errors.Is(err, phy.ErrBadCRC) || errors.Is(err, phy.ErrBadPreamble) {
 			return nil, ErrNeedMoreCollisions
@@ -84,10 +83,10 @@ func (d *oracleDecoder) chipEnergies() []float64 {
 // decodes or the stream ends, and then chip accumulators equal to
 // 1e-9 of the largest entry. It returns the decoded frame (nil if
 // none) and the captures combined.
-func runAgainstOracle(t *testing.T, what string, sampleRate, target float64, stream [][]complex128) (*phy.Frame, int) {
+func runAgainstOracle(t *testing.T, what string, target float64, stream [][]complex128) (*phy.Frame, int) {
 	t.Helper()
-	dec := NewDecoder(sampleRate, target)
-	ora := &oracleDecoder{sampleRate: sampleRate, target: target, sum: make([]complex128, phy.ResponseSamples)}
+	dec := NewDecoder(target)
+	ora := &oracleDecoder{target: target, sum: make([]complex128, phy.ResponseSamples)}
 	var frame *phy.Frame
 	for q, c := range stream {
 		errNew, errOld := dec.Add(c), ora.Add(c)
@@ -171,7 +170,7 @@ func TestDecoderMatchesPerSampleOracle(t *testing.T) {
 			want := make(map[float64]DecodeResult)
 			for _, f := range freqs {
 				what := fmt.Sprintf("%d devices, seed %d, target %.0f Hz", devs, seed, f)
-				if frame, queries := runAgainstOracle(t, what, s.param.SampleRate, f, stream); frame != nil {
+				if frame, queries := runAgainstOracle(t, what, f, stream); frame != nil {
 					want[f] = DecodeResult{Frame: frame, Queries: queries}
 				}
 			}
@@ -198,10 +197,11 @@ func TestDecoderMatchesPerSampleOracle(t *testing.T) {
 }
 
 // TestDecoderCaptureShapes: a capture is one response at 4 MHz or it is
-// refused. Each row is a shape the decoder once combined — another
-// rate, a capture running past the frame or stopping short of it — and
-// must now be refused by Add with the combined state untouched: the
-// count, every chip of the accumulator, and what TryDecode answers.
+// refused. Each row is a length the decoder once combined — one
+// response at another rate, which names the row, or a 4 MHz capture
+// running past the frame or stopping short of it — and must now be
+// refused by Add with the combined state untouched: the count, every
+// chip of the accumulator, and what TryDecode answers.
 func TestDecoderCaptureShapes(t *testing.T) {
 	const target = 250e3
 	tone := func(n int) []complex128 {
@@ -212,36 +212,30 @@ func TestDecoderCaptureShapes(t *testing.T) {
 		return x
 	}
 	for _, tc := range []struct {
-		name       string
-		sampleRate float64
-		samples    int
+		name    string
+		samples int
 	}{
-		{"0.5MHz", 0.5e6, 256},
-		{"4MHz/frame+2", 4e6, 2050},
-		{"4MHz/frame+tail", 4e6, 3000},
-		{"4MHz/short", 4e6, 1000},
-		{"4MHz/short-odd", 4e6, 2047},
-		{"8MHz/frame", 8e6, 4096},
-		{"8MHz/frame+3", 8e6, 4099},
-		{"5MHz/frame+1", 5e6, 2561},
-		{"1MHz/frame", 1e6, 512},
+		{"0.5MHz", 256},
+		{"4MHz/frame+2", 2050},
+		{"4MHz/frame+tail", 3000},
+		{"4MHz/short", 1000},
+		{"4MHz/short-odd", 2047},
+		{"8MHz/frame", 4096},
+		{"8MHz/frame+3", 4099},
+		{"5MHz/frame+1", 2561},
+		{"1MHz/frame", 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dec := NewDecoder(tc.sampleRate, target)
-			if tc.sampleRate == phy.SampleRate {
-				// A decoder with one good capture combined already.
-				if err := dec.Add(tone(phy.ResponseSamples)); err != nil {
-					t.Fatal(err)
-				}
+			// A decoder with one good capture combined already.
+			dec := NewDecoder(target)
+			if err := dec.Add(tone(phy.ResponseSamples)); err != nil {
+				t.Fatal(err)
 			}
 			n, acc := dec.N(), append([]float64(nil), dec.acc...)
 			_, tryBefore := dec.TryDecode()
 			err := dec.Add(tone(tc.samples))
 			if err == nil {
 				t.Fatal("capture accepted")
-			}
-			if tc.sampleRate != phy.SampleRate && !errors.Is(err, phy.ErrSampleRate) {
-				t.Errorf("Add returned %v, want phy.ErrSampleRate", err)
 			}
 			if dec.N() != n || len(dec.acc) != phy.FrameChips {
 				t.Fatalf("refused capture changed the decoder: %d captures, %d chips", dec.N(), len(dec.acc))
@@ -277,7 +271,7 @@ func TestDecoderRejectsNonFiniteCapture(t *testing.T) {
 	bad := [][]complex128{poisoned(complex(nan, 0)), poisoned(complex(0, inf)), poisoned(complex(-inf, nan))}
 
 	decode := func(stream [][]complex128) (*phy.Frame, int, []float64) {
-		dec := NewDecoder(param.SampleRate, freqs[0])
+		dec := NewDecoder(freqs[0])
 		for _, c := range stream {
 			before, n := append([]float64(nil), dec.acc...), dec.N()
 			if err := dec.Add(c); err != nil {
@@ -303,7 +297,7 @@ func TestDecoderRejectsNonFiniteCapture(t *testing.T) {
 		t.Fatalf("fixture decodes after %d captures; the bad ones would never be seen", wantN)
 	}
 	for _, b := range bad {
-		if err := NewDecoder(param.SampleRate, freqs[0]).Add(b); err == nil {
+		if err := NewDecoder(freqs[0]).Add(b); err == nil {
 			t.Fatal("capture with a non-finite sample accepted")
 		}
 	}

@@ -107,7 +107,7 @@ func TestDecoderMoreAveragingHelps(t *testing.T) {
 	if err != nil || len(spikes) != 4 {
 		t.Fatalf("spikes: %v %d", err, len(spikes))
 	}
-	dec := NewDecoder(s.param.SampleRate, spikes[0].Freq)
+	dec := NewDecoder(spikes[0].Freq)
 	failuresEarly := 0
 	for q := 0; q < 30; q++ {
 		if err := dec.Add(s.collide(devs).Antennas[0]); err != nil {
@@ -125,7 +125,7 @@ func TestDecoderMoreAveragingHelps(t *testing.T) {
 }
 
 func TestDecoderErrors(t *testing.T) {
-	dec := NewDecoder(4e6, 500e3)
+	dec := NewDecoder(500e3)
 	if _, err := dec.TryDecode(); err == nil {
 		t.Error("TryDecode with no captures accepted")
 	}

@@ -95,7 +95,7 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 	}
 	specs := sc.specs[:len(mcs)]
 	for i, mc := range mcs {
-		sc.plan.SpectrumInto(&specs[i], mc.Antennas[0], p.SampleRate)
+		sc.plan.SpectrumInto(&specs[i], mc.Antennas[0], phy.SampleRate)
 	}
 	last := mcs[len(mcs)-1]
 	for i := range specs {
@@ -117,7 +117,7 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 			acc[k] += pw
 		}
 	}
-	sc.avg.SampleRate = p.SampleRate
+	sc.avg.SampleRate = phy.SampleRate
 	sc.avg.Bins = grow(sc.avg.Bins, n)
 	sc.avg.Mags = grow(sc.avg.Mags, n)
 	sc.avg.Pows = sc.avg.Pows[:0] // not maintained for the synthetic average
@@ -134,7 +134,6 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 	sc.chans = grow(sc.chans, len(peaks)*nAnt)
 	sc.job = peakJob{
 		mcs:       mcs,
-		rate:      p.SampleRate,
 		peaks:     peaks,
 		last:      last,
 		binW:      avg.BinWidth(),
@@ -148,7 +147,6 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 // from detectPeaks to refinePeak.
 type peakJob struct {
 	mcs       []*rfsim.MultiCapture
-	rate      float64
 	peaks     []dsp.Peak
 	last      *rfsim.MultiCapture
 	binW      float64
@@ -172,12 +170,12 @@ type peakJob struct {
 // does not come from the bank.
 func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 	job := &sc.job
-	mcs, rate := job.mcs, job.rate
+	mcs := job.mcs
 	pk := job.peaks[pi]
 	// Median refined frequency across captures.
 	freqs := sc.freqs[:0]
 	for _, mc := range mcs {
-		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], rate, pk))
+		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], pk))
 	}
 	sc.freqs = freqs
 	freq := dsp.SelectFloat(freqs, len(freqs)/2)
@@ -191,7 +189,7 @@ func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 	}
 	scale := complex(2/float64(phy.ResponseSamples), 0)
 	for a, stream := range job.last.Antennas {
-		s.Channels[a] = dsp.Goertzel(stream, freq/rate) * scale
+		s.Channels[a] = dsp.Goertzel(stream, freq/phy.SampleRate) * scale
 	}
 	// Vote over the per-capture occupancy tests. Oscillator phases
 	// re-randomize between queries, so a pair invisible in one
@@ -207,7 +205,7 @@ func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 	// captures (CFOs are fixed; only phases change) — all of them, vote
 	// settled or not, unless the vote already says Multiple.
 	bank := &sc.bank
-	bank.Tune(rate, freq)
+	bank.Tune(freq)
 	centres := grow(sc.centres, len(mcs))
 	sc.centres = centres
 	votes := 0
@@ -247,7 +245,7 @@ func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 	if !s.Multiple && pk.Mag < purityMaxRel*job.strongest {
 		pure := 0
 		for qi, mc := range mcs {
-			if purity(centres[qi], mc.Antennas[0], rate, freq, job.binW) >= purityMin {
+			if purity(centres[qi], mc.Antennas[0], freq, job.binW) >= purityMin {
 				pure++
 			}
 		}

@@ -38,7 +38,7 @@ func TestAnalyzeCapturesErrors(t *testing.T) {
 	want := copySpikes(before)
 	for _, tc := range []struct{ capture, antenna, delta int }{{0, 1, -1}, {2, 2, +5}, {3, 1, -100}} {
 		window := append([]*rfsim.MultiCapture(nil), mcs...)
-		ragged := &rfsim.MultiCapture{SampleRate: mcs[tc.capture].SampleRate}
+		ragged := &rfsim.MultiCapture{}
 		for a, st := range mcs[tc.capture].Antennas {
 			if a == tc.antenna {
 				st = append(st[:len(st):len(st)], make([]complex128, 100)...)[:len(st)+tc.delta]

@@ -19,10 +19,11 @@ import (
 // spike and whether it is kept.
 func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 	job := &sc.job
-	mcs, rate, pk := job.mcs, job.rate, job.peaks[pi]
+	const rate = phy.SampleRate
+	mcs, pk := job.mcs, job.peaks[pi]
 	var freqs []float64
 	for _, mc := range mcs {
-		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], rate, pk))
+		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], pk))
 	}
 	sort.Float64s(freqs)
 	freq := freqs[len(freqs)/2]
@@ -34,7 +35,7 @@ func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 	}
 	votes := 0
 	for _, mc := range mcs {
-		if dsp.ClassifyBin(mc.Antennas[0], rate, freq) == dsp.OccupancyMultiple {
+		if dsp.ClassifyBin(mc.Antennas[0], freq) == dsp.OccupancyMultiple {
 			votes++
 		}
 	}
@@ -73,7 +74,7 @@ func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 		pure := 0
 		for _, mc := range mcs {
 			st := mc.Antennas[0]
-			if purity(centreMag(st, rate, freq), st, rate, freq, job.binW) >= purityMin {
+			if purity(centreMag(st, freq), st, freq, job.binW) >= purityMin {
 				pure++
 			}
 		}

@@ -101,7 +101,7 @@ func TestTryDecodeSteadyStateAllocs(t *testing.T) {
 	devs := s.placedDevices(6)
 	// Aim at a frequency none of the devices occupy: every TryDecode
 	// fails its checksum, exercising the steady-state path forever.
-	dec := NewDecoder(s.param.SampleRate, 987e3)
+	dec := NewDecoder(987e3)
 	cap1 := s.collide(devs).Reference()
 	if err := dec.Add(cap1); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestDecodeWithSICScratchReuse(t *testing.T) {
 // poisoned returns a deep copy of mc with one sample of the given
 // antenna replaced by v.
 func poisoned(mc *rfsim.MultiCapture, antenna int, v float64) *rfsim.MultiCapture {
-	out := &rfsim.MultiCapture{SampleRate: mc.SampleRate}
+	out := &rfsim.MultiCapture{}
 	for _, st := range mc.Antennas {
 		out.Antennas = append(out.Antennas, append([]complex128(nil), st...))
 	}
@@ -268,7 +268,7 @@ func TestAnalyzeCapturesReadSet(t *testing.T) {
 	last := len(mcs) - 1
 	window := append([]*rfsim.MultiCapture(nil), mcs...)
 	for i, mc := range mcs[:last] {
-		cp := &rfsim.MultiCapture{SampleRate: mc.SampleRate, Antennas: [][]complex128{mc.Antennas[0]}}
+		cp := &rfsim.MultiCapture{Antennas: [][]complex128{mc.Antennas[0]}}
 		for range mc.Antennas[1:] {
 			st := make([]complex128, len(mc.Antennas[0]))
 			for j := range st {
@@ -342,7 +342,7 @@ func TestAllocBudget(t *testing.T) {
 	}); got > analyzeCapturesBudget {
 		t.Errorf("AnalyzeCaptures: %.1f allocs/op exceeds budget %d", got, analyzeCapturesBudget)
 	}
-	dec := NewDecoder(s.param.SampleRate, 987e3)
+	dec := NewDecoder(987e3)
 	if err := dec.Add(mc.Reference()); err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +386,8 @@ func BenchmarkAnalyzeCapture(b *testing.B) {
 // target's accumulator — the sweep that is most of DecodeAll. Same
 // fixture as BenchmarkTryDecode.
 func BenchmarkDecoderAdd(b *testing.B) {
-	caps, freqs, _, param := decodeFixture(b, 907, 4, 8)
-	dec := NewDecoder(param.SampleRate, freqs[0])
+	caps, freqs, _, _ := decodeFixture(b, 907, 4, 8)
+	dec := NewDecoder(freqs[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -408,12 +408,12 @@ func BenchmarkTryDecode(b *testing.B) { benchTryDecode(b, true) }
 func BenchmarkTryDecodeMiss(b *testing.B) { benchTryDecode(b, false) }
 
 func benchTryDecode(b *testing.B, hit bool) {
-	caps, freqs, _, param := decodeFixture(b, 907, 4, 8)
+	caps, freqs, _, _ := decodeFixture(b, 907, 4, 8)
 	target := 987e3
 	if hit {
 		target = freqs[0]
 	}
-	dec := NewDecoder(param.SampleRate, target)
+	dec := NewDecoder(target)
 	if err := dec.Add(caps[0].Reference()); err != nil {
 		b.Fatal(err)
 	}

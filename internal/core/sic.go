@@ -27,16 +27,16 @@ import (
 // subtracted as it is synthesized, never materialized, and the SIC loop
 // modulates each decoded frame once instead of once per capture. The
 // unfused synthesize-then-subtract pair is its oracle in sic_test.go.
-func cancelEnvelope(capture []complex128, env []float64, freq, sampleRate float64) (complex128, error) {
+func cancelEnvelope(capture []complex128, env []float64, freq float64) (complex128, error) {
 	if len(capture) == 0 {
 		return 0, fmt.Errorf("core: empty capture")
 	}
-	spike := dsp.Goertzel(capture, freq/sampleRate)
+	spike := dsp.Goertzel(capture, freq/phy.SampleRate)
 	h := spike * complex(2/float64(len(capture)), 0)
 	if cmplx.Abs(h) == 0 {
 		return 0, fmt.Errorf("core: no spike at %g Hz to cancel", freq)
 	}
-	rot := cmplx.Exp(complex(0, 2*math.Pi*freq/sampleRate))
+	rot := cmplx.Exp(complex(0, 2*math.Pi*freq/phy.SampleRate))
 	w := complex(1, 0)
 	for i := range capture {
 		if i < len(env) && env[i] != 0 {
@@ -90,7 +90,7 @@ func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQuer
 		captures = append(captures, c)
 	}
 	res := SICDecodeResult{Decoded: make(map[float64]DecodeResult)}
-	mc := &rfsim.MultiCapture{SampleRate: p.SampleRate, Antennas: [][]complex128{nil}}
+	mc := &rfsim.MultiCapture{Antennas: [][]complex128{nil}}
 	for round := 0; round < maxRounds; round++ {
 		res.Rounds = round + 1
 		// Detect spikes on the (progressively cleaned) first capture.
@@ -119,7 +119,7 @@ func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQuer
 			return captures[next-1], nil
 		}
 		// A decode error only says this target did not decode.
-		decoded, _ := DecodeAll(replay, p.SampleRate, []float64{target.Freq}, len(captures))
+		decoded, _ := DecodeAll(replay, phy.SampleRate, []float64{target.Freq}, len(captures))
 		dr, ok := decoded[target.Freq]
 		if !ok {
 			break // the strongest remaining spike is undecodable; stop
@@ -127,12 +127,12 @@ func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQuer
 		res.Decoded[target.Freq] = dr
 		// Cancel it from every capture: modulate the decoded frame once,
 		// subtract its envelope from each.
-		env, err := phy.ModulateFrame(dr.Frame, p.SampleRate)
+		env, err := phy.ModulateFrame(dr.Frame, phy.SampleRate)
 		if err != nil {
 			return res, err
 		}
 		for _, c := range captures {
-			if _, err := cancelEnvelope(c, env, target.Freq, p.SampleRate); err != nil {
+			if _, err := cancelEnvelope(c, env, target.Freq); err != nil {
 				// Spike absent in this capture; nothing to cancel.
 				continue
 			}

@@ -75,7 +75,7 @@ func TestCancelEnvelopeMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := append([]complex128(nil), mc.Reference()...)
-			hGot, err := cancelEnvelope(got, env, freq, s.param.SampleRate)
+			hGot, err := cancelEnvelope(got, env, freq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestReconstructTransmissionMatchesCapture(t *testing.T) {
 	devs[0].CarrierHz = phy.BandLow + 500e3
 	mc := s.collide(devs)
 	stream := mc.Antennas[0]
-	freq := dsp.RefineFreq(stream, s.param.SampleRate, dsp.Peak{Freq: 500e3})
+	freq := dsp.RefineFreq(stream, dsp.Peak{Freq: 500e3})
 	spike := dsp.Goertzel(stream, freq/s.param.SampleRate)
 	h := spike * complex(2/float64(len(stream)), 0)
 	recon, err := ReconstructTransmission(&devs[0].Frame, freq, h, s.param.SampleRate, len(stream))
@@ -199,10 +199,10 @@ func TestSICValidation(t *testing.T) {
 	if _, err := DecodeWithSIC(src, DefaultParams(), 1, 0); err == nil {
 		t.Error("zero queries accepted")
 	}
-	if _, err := cancelEnvelope(nil, nil, 1e5, 4e6); err == nil {
+	if _, err := cancelEnvelope(nil, nil, 1e5); err == nil {
 		t.Error("empty capture accepted")
 	}
-	if _, err := cancelEnvelope(make([]complex128, 2048), nil, 1e5, 4e6); err == nil {
+	if _, err := cancelEnvelope(make([]complex128, 2048), nil, 1e5); err == nil {
 		t.Error("zero-spike capture accepted")
 	}
 }

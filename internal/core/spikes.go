@@ -51,7 +51,7 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 		return nil, fmt.Errorf("core: capture: %w", err)
 	}
 	ref := mc.Antennas[0]
-	sc.plan.SpectrumInto(&sc.spec, ref, p.SampleRate)
+	sc.plan.SpectrumInto(&sc.spec, ref, phy.SampleRate)
 	spec := &sc.spec
 	if !finitePow(spec.Pows[0]) || !finiteStreams(mc.Antennas[1:]) {
 		return nil, ErrNonFiniteCapture
@@ -74,7 +74,7 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 	sc.chans = chans
 	spikes := sc.spikes[:0]
 	for pi, pk := range peaks {
-		freq := dsp.RefineFreq(ref, p.SampleRate, pk)
+		freq := dsp.RefineFreq(ref, pk)
 		s := Spike{
 			Freq:     freq,
 			Bin:      pk.Bin,
@@ -85,19 +85,19 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 		// capture length (Manchester's 0.5-mean envelope).
 		scale := complex(2/float64(phy.ResponseSamples), 0)
 		for a, stream := range mc.Antennas {
-			s.Channels[a] = dsp.Goertzel(stream, freq/p.SampleRate) * scale
+			s.Channels[a] = dsp.Goertzel(stream, freq/phy.SampleRate) * scale
 		}
 		// The occupancy test self-calibrates its tolerances from the
 		// capture so other transponders' data does not masquerade as a
 		// same-bin collision.
-		s.Multiple = sc.plan.ClassifyBin(ref, p.SampleRate, freq) == dsp.OccupancyMultiple
+		s.Multiple = sc.plan.ClassifyBin(ref, freq) == dsp.OccupancyMultiple
 		if !sc.strict[pk.Bin] && !s.Multiple &&
-			purity(centreMag(ref, p.SampleRate, freq), ref, p.SampleRate, freq, binW) < purityMin {
+			purity(centreMag(ref, freq), ref, freq, binW) < purityMin {
 			continue // neither tone-like nor a beating pair
 		}
 		spikes = append(spikes, s)
 	}
-	spikes = rejectImpureGhosts(ref, p.SampleRate, binW, spikes)
+	spikes = rejectImpureGhosts(ref, binW, spikes)
 	suppressResolvedNeighbors(spikes, binW)
 	sc.spikes = spikes
 	return spikes, nil
@@ -177,17 +177,17 @@ func checkLen(n int) error {
 
 // centreMag is the DFT magnitude of ref at freq: purity's numerator
 // where no probe bank already holds it.
-func centreMag(ref []complex128, sampleRate, freq float64) float64 {
-	return cmplx.Abs(dsp.Goertzel(ref, freq/sampleRate))
+func centreMag(ref []complex128, freq float64) float64 {
+	return cmplx.Abs(dsp.Goertzel(ref, freq/phy.SampleRate))
 }
 
 // purity measures how tone-like the signal at freq is: the ratio of
 // center, the DFT magnitude at freq, to the larger of the magnitudes
 // 0.75 bins to either side. A pure tone scores ≈1/|sinc(0.75)| ≈ 3.3;
 // broadband data humps score ≈1.
-func purity(center float64, ref []complex128, sampleRate, freq, binWidth float64) float64 {
-	lo := cmplx.Abs(dsp.Goertzel(ref, (freq-0.75*binWidth)/sampleRate))
-	hi := cmplx.Abs(dsp.Goertzel(ref, (freq+0.75*binWidth)/sampleRate))
+func purity(center float64, ref []complex128, freq, binWidth float64) float64 {
+	lo := cmplx.Abs(dsp.Goertzel(ref, (freq-0.75*binWidth)/phy.SampleRate))
+	hi := cmplx.Abs(dsp.Goertzel(ref, (freq+0.75*binWidth)/phy.SampleRate))
 	side := lo
 	if hi > side {
 		side = hi
@@ -204,7 +204,7 @@ func purity(center float64, ref []complex128, sampleRate, freq, binWidth float64
 // broadband data hump stays roughly flat. Only spikes below
 // purityMaxRel of the strongest are tested, so the occupancy-based
 // same-bin counting of §5 is untouched for real devices.
-func rejectImpureGhosts(ref []complex128, sampleRate, binWidth float64, spikes []Spike) []Spike {
+func rejectImpureGhosts(ref []complex128, binWidth float64, spikes []Spike) []Spike {
 	var strongest float64
 	for _, s := range spikes {
 		if s.Mag > strongest {
@@ -214,7 +214,7 @@ func rejectImpureGhosts(ref []complex128, sampleRate, binWidth float64, spikes [
 	out := spikes[:0]
 	for _, s := range spikes {
 		if !s.Multiple && s.Mag < purityMaxRel*strongest &&
-			purity(centreMag(ref, sampleRate, s.Freq), ref, sampleRate, s.Freq, binWidth) < purityMin {
+			purity(centreMag(ref, s.Freq), ref, s.Freq, binWidth) < purityMin {
 			continue // broadband ghost, not a carrier
 		}
 		out = append(out, s)

@@ -201,7 +201,7 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 		xs[i] = randSignal(rng, captureSamples, 1+i%3)
 		freqs[i] = (0.02 + 0.25*rng.Float64()) * 4e6
 		serial.SpectrumInto(&want[i], xs[i], 4e6)
-		wantOcc[i] = serial.ClassifyBin(xs[i], 4e6, freqs[i])
+		wantOcc[i] = serial.ClassifyBin(xs[i], freqs[i])
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -220,7 +220,7 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 						return
 					}
 				}
-				if pl.ClassifyBin(xs[i], 4e6, freqs[i]) != wantOcc[i] {
+				if pl.ClassifyBin(xs[i], freqs[i]) != wantOcc[i] {
 					errs <- "concurrent ClassifyBin verdict differs from serial"
 					return
 				}

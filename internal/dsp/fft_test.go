@@ -139,12 +139,12 @@ func TestFFTPanicsOnOtherLengths(t *testing.T) {
 		},
 		"ProbeBank.Load": func(x []complex128) {
 			var b ProbeBank
-			b.Tune(4e6, 3e5)
+			b.Tune(3e5)
 			b.Load(x)
 		},
 		"Plan.ClassifyBin": func(x []complex128) {
 			var pl Plan
-			pl.ClassifyBin(x, 4e6, 3e5)
+			pl.ClassifyBin(x, 3e5)
 		},
 	}
 	for name, entry := range entries {

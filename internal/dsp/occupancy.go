@@ -48,7 +48,7 @@ var occShifts = [2]float64{0.375, 0.75}
 // ProbeBank.Occupancy) to the tone at frequency freqHz within the
 // capture. It is a thin allocating wrapper over Plan.ClassifyBin, the
 // pooled variant per-worker hot paths use.
-func ClassifyBin(samples []complex128, sampleRate, freqHz float64) Occupancy {
+func ClassifyBin(samples []complex128, freqHz float64) Occupancy {
 	var pl Plan
-	return pl.ClassifyBin(samples, sampleRate, freqHz)
+	return pl.ClassifyBin(samples, freqHz)
 }

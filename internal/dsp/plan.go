@@ -113,7 +113,7 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 				}
 			}
 		}
-		peaks = append(peaks, Peak{Bin: k, Freq: s.BinFreq(k), Val: s.Bins[k], Mag: m})
+		peaks = append(peaks, Peak{Bin: k, Freq: s.BinFreq(k), Mag: m})
 	}
 	if len(peaks) > 1 {
 		var strongest float64
@@ -139,8 +139,8 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 // ClassifyBin: identical classification, on the plan's probe bank
 // (tune to freqHz, de-rotate the capture once, read every window and
 // reference probe of ProbeBank.Occupancy off the result).
-func (pl *Plan) ClassifyBin(samples []complex128, sampleRate, freqHz float64) Occupancy {
-	pl.bank.Tune(sampleRate, freqHz)
+func (pl *Plan) ClassifyBin(samples []complex128, freqHz float64) Occupancy {
+	pl.bank.Tune(freqHz)
 	pl.bank.Load(samples)
 	return pl.bank.Occupancy()
 }

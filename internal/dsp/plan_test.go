@@ -114,16 +114,16 @@ func TestPlanClassifyBinMatches(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		x := randSignal(rng, 2048, 1+trial%3)
 		freq := (0.02 + 0.1*rng.Float64()) * 4e6
-		want := ClassifyBin(x, 4e6, freq)
-		got := pl.ClassifyBin(x, 4e6, freq)
+		want := ClassifyBin(x, freq)
+		got := pl.ClassifyBin(x, freq)
 		if got != want {
 			t.Errorf("trial %d freq %.0f: pooled %v, oracle %v", trial, freq, got, want)
 		}
 	}
 	x := randSignal(rng, 2048, 2)
-	pl.ClassifyBin(x, 4e6, 3e5)
+	pl.ClassifyBin(x, 3e5)
 	allocs := testing.AllocsPerRun(20, func() {
-		pl.ClassifyBin(x, 4e6, 3e5)
+		pl.ClassifyBin(x, 3e5)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state ClassifyBin allocates %.1f objects/op, want 0", allocs)

@@ -3,6 +3,8 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
+
+	"caraoke/internal/phy"
 )
 
 // ProbeBank evaluates every §5 gate quantity of one spectral peak — the
@@ -35,12 +37,11 @@ import (
 // Buffers grow on first use and are retained, so a warmed bank
 // allocates nothing.
 type ProbeBank struct {
-	sampleRate float64
-	freqHz     float64
-	ph         []complex128 // e^{-2πi f t}, f = freqHz/sampleRate
-	y          []complex128 // the loaded capture, de-rotated
-	fold       []complex128 // nearBins: the four folded classes
-	refs       []float64    // Occupancy: reference-probe magnitudes
+	freqHz float64
+	ph     []complex128 // e^{-2πi f t}, f = freqHz/phy.SampleRate
+	y      []complex128 // the loaded capture, de-rotated
+	fold   []complex128 // nearBins: the four folded classes
+	refs   []float64    // Occupancy: reference-probe magnitudes
 
 	// pos[k] and neg[k] are DFT bins +k and −k of nearBins's last input.
 	pos, neg [maxProbeBin + 1]complex128
@@ -54,17 +55,17 @@ const maxProbeBin = 5
 const phasorBlock = 64
 
 // Tune points the bank at the tone freqHz in captures sampled at
-// sampleRate. The table is two short recurrences deep — offsets within a
-// block, block starts — and one product of the two per entry, so an
-// entry is at most phasorBlock + N/phasorBlock roundings from exact
-// (under a hundred at 2048 samples) where a single recurrence along the
-// capture would be N.
-func (b *ProbeBank) Tune(sampleRate, freqHz float64) {
-	b.sampleRate, b.freqHz = sampleRate, freqHz
+// phy.SampleRate. The table is two short recurrences deep — offsets
+// within a block, block starts — and one product of the two per entry,
+// so an entry is at most phasorBlock + N/phasorBlock roundings from
+// exact (under a hundred at 2048 samples) where a single recurrence
+// along the capture would be N.
+func (b *ProbeBank) Tune(freqHz float64) {
+	b.freqHz = freqHz
 	const n = captureSamples
 	b.ph = growComplexSlice(b.ph, n)
 	b.y = b.y[:0]
-	w := -2 * math.Pi * (freqHz / sampleRate)
+	w := -2 * math.Pi * (freqHz / phy.SampleRate)
 	s, c := math.Sincos(w)
 	step := complex(c, s)
 	s, c = math.Sincos(w * phasorBlock)
@@ -132,11 +133,11 @@ func (b *ProbeBank) Occupancy() Occupancy {
 	// A reference frequency outside (0, 1) cycles per sample is dropped
 	// rather than aliased; decide on the frequency itself, as a direct
 	// evaluation would.
-	winBin := b.sampleRate / float64(winLen)
+	winBin := phy.SampleRate / float64(winLen)
 	var usePos, useNeg [maxProbeBin + 1]bool
 	for k := 2; k <= maxProbeBin; k++ {
-		usePos[k] = validProbeFreq((b.freqHz + float64(k)*winBin) / b.sampleRate)
-		useNeg[k] = validProbeFreq((b.freqHz - float64(k)*winBin) / b.sampleRate)
+		usePos[k] = validProbeFreq((b.freqHz + float64(k)*winBin) / phy.SampleRate)
+		useNeg[k] = validProbeFreq((b.freqHz - float64(k)*winBin) / phy.SampleRate)
 	}
 
 	y := b.loaded()

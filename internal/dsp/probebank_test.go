@@ -156,7 +156,7 @@ func TestProbeBankMatchesGoertzel(t *testing.T) {
 			}
 			tol := 1e-9 * l1
 			fNorm := tc.freq / fs
-			b.Tune(fs, tc.freq)
+			b.Tune(tc.freq)
 			b.Load(x)
 
 			winLen := tc.window
@@ -209,7 +209,7 @@ func TestProbeBankOccupancyMatchesOracle(t *testing.T) {
 				l1 += cmplx.Abs(v)
 			}
 			want, wantRefs := classifyBinOracle(x, fs, tc.freq)
-			b.Tune(fs, tc.freq)
+			b.Tune(tc.freq)
 			b.Load(x)
 			got := b.Occupancy()
 			verdicts[got]++
@@ -254,8 +254,8 @@ func TestProbeBankRetune(t *testing.T) {
 		freq := (0.05 + 0.2*rng.Float64()) * 4e6
 		x := bankSignal(rng, freq)
 		var fresh ProbeBank
-		fresh.Tune(4e6, freq)
-		reused.Tune(4e6, freq)
+		fresh.Tune(freq)
+		reused.Tune(freq)
 		for name, read := range map[string]func(){
 			"Occupancy": func() { reused.Occupancy() },
 			"Shoulder":  func() { reused.Shoulder() },
@@ -288,7 +288,7 @@ func TestProbeBankSteadyStateAllocs(t *testing.T) {
 	var b ProbeBank
 	run := func() {
 		for i, x := range xs {
-			b.Tune(4e6, 3e5+float64(i)*1e5)
+			b.Tune(3e5 + float64(i)*1e5)
 			b.Load(x)
 			b.Occupancy()
 			b.Shoulder()
@@ -371,12 +371,12 @@ func BenchmarkClassifyBin(b *testing.B) {
 		pl := new(Plan)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pl.ClassifyBin(x, 4e6, 3e5)
+			pl.ClassifyBin(x, 3e5)
 		}
 	})
 	b.Run("bank-tuned", func(b *testing.B) {
 		var bank ProbeBank
-		bank.Tune(4e6, 3e5)
+		bank.Tune(3e5)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			bank.Load(x)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"caraoke/internal/phy"
 )
 
 // Spectrum is the frequency-domain view of a fixed-length capture. Bins
@@ -74,10 +76,9 @@ func (s *Spectrum) String() string {
 
 // Peak is a detected spectral spike.
 type Peak struct {
-	Bin  int        // FFT bin index
-	Freq float64    // bin center frequency, Hz
-	Val  complex128 // complex bin value (≈ h/2 for a transponder spike)
-	Mag  float64    // |Val|
+	Bin  int     // FFT bin index
+	Freq float64 // bin center frequency, Hz
+	Mag  float64 // magnitude of the bin value
 }
 
 // PeakParams is what differs between FindPeaks's callers: the strict
@@ -234,14 +235,15 @@ func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
 // the original capture. For a single tone at frequency f, the phase
 // advance between windows offset by Δt samples is 2π·f·Δt/fs; unwrapping
 // the advance relative to the bin-center prediction yields a sub-bin
-// correction. Returns the refined frequency in Hz.
-func RefineFreq(samples []complex128, sampleRate float64, p Peak) float64 {
+// correction. The capture is at phy.SampleRate. Returns the refined
+// frequency in Hz.
+func RefineFreq(samples []complex128, p Peak) float64 {
 	n := len(samples)
 	if n < 8 {
 		return p.Freq
 	}
 	half := n / 2
-	fNorm := p.Freq / sampleRate
+	fNorm := p.Freq / phy.SampleRate
 	a := Goertzel(samples[:half], fNorm)
 	b := Goertzel(samples[half:], fNorm)
 	if cmplx.Abs(a) == 0 || cmplx.Abs(b) == 0 {
@@ -253,6 +255,6 @@ func RefineFreq(samples []complex128, sampleRate float64, p Peak) float64 {
 	// frequency is advance/(2π·half) cycles per sample.
 	probe := cmplx.Exp(complex(0, -2*math.Pi*fNorm*float64(half)))
 	adv := cmplx.Phase(b * probe * cmplx.Conj(a))
-	df := adv / (2 * math.Pi * float64(half)) * sampleRate
+	df := adv / (2 * math.Pi * float64(half)) * phy.SampleRate
 	return p.Freq + df
 }

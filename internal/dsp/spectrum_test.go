@@ -156,7 +156,7 @@ func TestRefineFreqSubBinAccuracy(t *testing.T) {
 	if len(peaks) != 1 {
 		t.Fatalf("found %d peaks, want 1", len(peaks))
 	}
-	refined := RefineFreq(x, fs, peaks[0])
+	refined := RefineFreq(x, peaks[0])
 	if d := math.Abs(refined - trueFreq); d > 100 {
 		t.Errorf("refined frequency off by %g Hz (bin width %g)", d, s.BinWidth())
 	}

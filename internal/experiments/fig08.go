@@ -40,7 +40,7 @@ func RunFig08(seed int64, maxN int) (*Fig08Result, error) {
 	sp, found := spikeNear(spikes, targetCFO)
 	freq := sp.Freq
 	if !found {
-		freq = dsp.RefineFreq(mc0.Antennas[0], s.rd.Params.SampleRate, dsp.Peak{Freq: targetCFO})
+		freq = dsp.RefineFreq(mc0.Antennas[0], dsp.Peak{Freq: targetCFO})
 	}
 	env, err := devs[0].Reply(s.rd.Params.ReaderLO, s.rd.Params.SampleRate, 0, s.rng)
 	if err != nil {
@@ -48,7 +48,7 @@ func RunFig08(seed int64, maxN int) (*Fig08Result, error) {
 	}
 	truth := env.Envelope
 
-	dec := core.NewDecoder(s.rd.Params.SampleRate, freq)
+	dec := core.NewDecoder(freq)
 	res := &Fig08Result{}
 	sum := make([]float64, len(truth))
 	for n := 1; n <= maxN; n++ {

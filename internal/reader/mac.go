@@ -30,7 +30,6 @@ type MACStats struct {
 // macEvent is one reader's transaction on the medium.
 type macEvent struct {
 	start time.Duration // query start
-	id    int
 }
 
 const (
@@ -49,7 +48,7 @@ const (
 func SimulateMAC(readers int, span time.Duration, rate float64, withCSMA bool, rng *rand.Rand) MACStats {
 	// Draw all attempt times up front.
 	var attempts []macEvent
-	for id := 0; id < readers; id++ {
+	for range readers {
 		t := time.Duration(0)
 		for {
 			// Exponential inter-arrival.
@@ -58,7 +57,7 @@ func SimulateMAC(readers int, span time.Duration, rate float64, withCSMA bool, r
 			if t >= span {
 				break
 			}
-			attempts = append(attempts, macEvent{start: t, id: id})
+			attempts = append(attempts, macEvent{start: t})
 		}
 	}
 	sort.Slice(attempts, func(i, j int) bool { return attempts[i].start < attempts[j].start })

@@ -13,7 +13,6 @@ import (
 
 	"caraoke/internal/core"
 	"caraoke/internal/geom"
-	"caraoke/internal/phy"
 	"caraoke/internal/rfsim"
 	"caraoke/internal/telemetry"
 	"caraoke/internal/transponder"
@@ -65,8 +64,6 @@ func New(cfg Config) (*Reader, error) {
 		Array:  arr,
 		Params: params,
 		Capture: rfsim.CaptureConfig{
-			SampleRate: phy.SampleRate,
-			NumSamples: phy.ResponseSamples,
 			Wavelength: params.Wavelength,
 			NoiseSigma: cfg.NoiseSigma,
 		},

@@ -7,10 +7,11 @@ import (
 	"math/rand"
 
 	"caraoke/internal/geom"
+	"caraoke/internal/phy"
 )
 
 // Transmission is one transponder's reply as it leaves the device: an
-// OOK envelope at the scene sample rate, carried at CFO Hz above the
+// OOK envelope at phy.SampleRate, carried at CFO Hz above the
 // reader's local oscillator, with the oscillator's random starting
 // phase (the reason per-query channels look independent to the decoder,
 // §8) and an amplitude set by the device's transmit power.
@@ -24,10 +25,9 @@ type Transmission struct {
 }
 
 // CaptureConfig describes the reader's receive front end for one
-// capture window.
+// capture window. The window itself is fixed: one response,
+// phy.ResponseSamples long at phy.SampleRate.
 type CaptureConfig struct {
-	SampleRate float64 // complex samples per second (4 MHz prototype)
-	NumSamples int     // capture window length (2048 at 4 MHz/512 µs)
 	Wavelength float64 // carrier wavelength for geometric phase
 	NoiseSigma float64 // per-component AWGN sigma, linear
 	Reflectors []Reflector
@@ -36,12 +36,6 @@ type CaptureConfig struct {
 // Validate checks the configuration. A NaN or infinite value is
 // refused here: every sample synthesized from it would be NaN.
 func (c *CaptureConfig) Validate() error {
-	if !finite(c.SampleRate) || c.SampleRate <= 0 {
-		return fmt.Errorf("rfsim: sample rate %g must be positive and finite", c.SampleRate)
-	}
-	if c.NumSamples <= 0 {
-		return fmt.Errorf("rfsim: capture length %d must be positive", c.NumSamples)
-	}
 	if !finite(c.Wavelength) || c.Wavelength <= 0 {
 		return fmt.Errorf("rfsim: wavelength %g must be positive and finite", c.Wavelength)
 	}
@@ -57,8 +51,7 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // baseband streams, sampled simultaneously (the prototype's RF chains
 // share one clock, §11, so there is no inter-antenna CFO).
 type MultiCapture struct {
-	SampleRate float64
-	Antennas   [][]complex128
+	Antennas [][]complex128
 	// flat is the backing CaptureInto cut the streams from, antenna a
 	// at [a·n, (a+1)·n): the synthesis pass writes it with a stride.
 	flat []complex128
@@ -120,8 +113,7 @@ func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs
 			return fmt.Errorf("rfsim: transmission %d starts at negative sample %d", i, txs[i].StartSample)
 		}
 	}
-	n := cfg.NumSamples
-	mc.SampleRate = cfg.SampleRate
+	const n = phy.ResponseSamples
 	dst := mc.cut(keep, n)
 
 	// The channel rows of the pair in flight, hs[a] = h_{a,i} · A_i for
@@ -194,16 +186,16 @@ type tone struct {
 }
 
 // makeTone readies tx for the pass, its envelope clipped to the capture
-// window of cfg, and fills hs with its channel row to els.
+// window, and fills hs with its channel row to els under cfg.
 func makeTone(tx *Transmission, cfg CaptureConfig, els []geom.Vec3, hs []complex128) tone {
 	env := tx.Envelope
-	if len(env) > cfg.NumSamples-tx.StartSample {
-		env = env[:cfg.NumSamples-tx.StartSample]
+	if len(env) > phy.ResponseSamples-tx.StartSample {
+		env = env[:phy.ResponseSamples-tx.StartSample]
 	}
 	for a, el := range els {
 		hs[a] = Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0)
 	}
-	turn := 2 * math.Pi * tx.CFO / cfg.SampleRate // radians per sample
+	turn := 2 * math.Pi * tx.CFO / phy.SampleRate // radians per sample
 	w := cmplx.Exp(complex(0, tx.Phase))
 	// Advance to the start sample so CFO phase is continuous in capture
 	// time, not envelope time.

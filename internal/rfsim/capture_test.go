@@ -14,8 +14,6 @@ import (
 
 func testConfig() CaptureConfig {
 	return CaptureConfig{
-		SampleRate: 4e6,
-		NumSamples: 2048,
 		Wavelength: geom.Wavelength(915e6),
 		NoiseSigma: 0,
 	}
@@ -65,7 +63,7 @@ func TestCaptureSpikeAtCFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dsp.NewSpectrum(mc.Antennas[0], cfg.SampleRate)
+	spec := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
 	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
 	if len(peaks) == 0 {
 		t.Fatal("no peaks found")
@@ -78,7 +76,7 @@ func TestCaptureSpikeAtCFO(t *testing.T) {
 	// envelope a 0.5 mean).
 	h := Channel(tx.Pos, arr.Elements[0], cfg.Wavelength, nil) *
 		cmplx.Exp(complex(0, tx.Phase)) * complex(tx.Amplitude, 0)
-	want := cmplx.Abs(h) * 0.5 * float64(cfg.NumSamples)
+	want := cmplx.Abs(h) * 0.5 * float64(phy.ResponseSamples)
 	if math.Abs(top.Mag-want) > 0.05*want {
 		t.Errorf("spike magnitude %g, want ≈%g", top.Mag, want)
 	}
@@ -120,8 +118,8 @@ func TestCaptureInterAntennaPhaseRecoversAoA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s0 := dsp.NewSpectrum(mc.Antennas[0], cfg.SampleRate)
-		s1 := dsp.NewSpectrum(mc.Antennas[1], cfg.SampleRate)
+		s0 := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
+		s1 := dsp.NewSpectrum(mc.Antennas[1], phy.SampleRate)
 		k := s0.FreqBin(617e3)
 		dphi := geom.WrapPhase(cmplx.Phase(s1.Bins[k] / s0.Bins[k]))
 		got, _ := geom.AoAFromPhase(dphi, lambda/2, lambda)
@@ -147,7 +145,7 @@ func TestCaptureCollisionHasOneSpikePerTransponder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dsp.NewSpectrum(mc.Antennas[0], cfg.SampleRate)
+	spec := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
 	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
 	if len(peaks) < len(cfos) {
 		t.Fatalf("found %d peaks, want at least %d (Fig 4)", len(peaks), len(cfos))
@@ -165,7 +163,6 @@ func TestCaptureCollisionHasOneSpikePerTransponder(t *testing.T) {
 
 func TestCaptureStartSampleShiftsEnvelope(t *testing.T) {
 	cfg := testConfig()
-	cfg.NumSamples = 4096
 	arr := NewPairArray(geom.V(0, 0, 4), geom.V(1, 0, 0), cfg.Wavelength/2)
 	rng := rand.New(rand.NewSource(9))
 	f := testFrame(rng, 3, 4)
@@ -193,7 +190,7 @@ func TestCaptureStartSampleShiftsEnvelope(t *testing.T) {
 // at a time, each sweep running the oscillator from the start: the
 // oracle the paired pass must equal bit for bit.
 func serialCapture(cfg CaptureConfig, arr Array, txs []Transmission) [][]complex128 {
-	n := cfg.NumSamples
+	n := phy.ResponseSamples
 	out := make([][]complex128, len(arr.Elements))
 	for a := range out {
 		out[a] = make([]complex128, n)
@@ -206,7 +203,7 @@ func serialCapture(cfg CaptureConfig, arr Array, txs []Transmission) [][]complex
 		if len(env) > n-tx.StartSample {
 			env = env[:n-tx.StartSample]
 		}
-		turn := 2 * math.Pi * tx.CFO / cfg.SampleRate
+		turn := 2 * math.Pi * tx.CFO / phy.SampleRate
 		w0 := cmplx.Exp(complex(0, tx.Phase)) * cmplx.Exp(complex(0, turn*float64(tx.StartSample)))
 		step := cmplx.Exp(complex(0, turn))
 		for a, el := range arr.Elements {
@@ -235,7 +232,7 @@ func serialCapture(cfg CaptureConfig, arr Array, txs []Transmission) [][]complex
 // serial oracle's bits, on all antennas and on the reference alone.
 func TestPairedPassMatchesSerialOracle(t *testing.T) {
 	cfg, arr, txs := triangleScene(t, 31, 9)
-	n := cfg.NumSamples
+	n := phy.ResponseSamples
 	shapes := []struct{ start, length int }{
 		{0, n}, {100, 300}, // the second inside the first
 		{500, 200}, {40, 1500}, // the first inside the second
@@ -275,8 +272,8 @@ func TestPairedPassMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// TestCaptureConfigRefusesNonFinite: a NaN or infinite rate, wavelength
-// or noise level is refused when the configuration is validated, not
+// TestCaptureConfigRefusesNonFinite: a NaN or infinite wavelength or
+// noise level is refused when the configuration is validated, not
 // discovered later as a capture of NaN samples.
 func TestCaptureConfigRefusesNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -284,9 +281,6 @@ func TestCaptureConfigRefusesNonFinite(t *testing.T) {
 		name string
 		set  func(*CaptureConfig)
 	}{
-		{"SampleRate NaN", func(c *CaptureConfig) { c.SampleRate = nan }},
-		{"SampleRate +Inf", func(c *CaptureConfig) { c.SampleRate = inf }},
-		{"SampleRate -Inf", func(c *CaptureConfig) { c.SampleRate = -inf }},
 		{"Wavelength NaN", func(c *CaptureConfig) { c.Wavelength = nan }},
 		{"Wavelength +Inf", func(c *CaptureConfig) { c.Wavelength = inf }},
 		{"NoiseSigma NaN", func(c *CaptureConfig) { c.NoiseSigma = nan }},
@@ -308,9 +302,9 @@ func TestCaptureRejectsBadInput(t *testing.T) {
 	arr := NewPairArray(geom.V(0, 0, 4), geom.V(1, 0, 0), 0.16)
 	rng := rand.New(rand.NewSource(10))
 	bad := testConfig()
-	bad.SampleRate = 0
+	bad.Wavelength = 0
 	if _, err := Capture(bad, arr, nil, rng); err == nil {
-		t.Error("zero sample rate accepted")
+		t.Error("zero wavelength accepted")
 	}
 	cfg := testConfig()
 	if _, err := Capture(cfg, Array{}, nil, rng); err == nil {

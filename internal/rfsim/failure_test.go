@@ -8,6 +8,7 @@ import (
 
 	"caraoke/internal/dsp"
 	"caraoke/internal/geom"
+	"caraoke/internal/phy"
 )
 
 // Failure-injection tests: the pipeline's behavior under degraded
@@ -28,7 +29,7 @@ func TestCaptureLowSNRStillFindsStrongSpike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dsp.NewSpectrum(mc.Antennas[0], cfg.SampleRate)
+	spec := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
 	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
 	if len(peaks) == 0 {
 		t.Fatal("spike lost at 0 dB per-sample SNR (FFT gain should save it)")
@@ -51,7 +52,7 @@ func TestCaptureExtremeNoiseBuriesSpike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dsp.NewSpectrum(mc.Antennas[0], cfg.SampleRate)
+	spec := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
 	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
 	for _, p := range peaks {
 		if math.Abs(p.Freq-500e3) < spec.BinWidth() {
@@ -78,8 +79,8 @@ func TestMultipathShiftsAoAModestly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0 := dsp.NewSpectrum(mc.Antennas[0], cfg.SampleRate)
-	s1 := dsp.NewSpectrum(mc.Antennas[1], cfg.SampleRate)
+	s0 := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
+	s1 := dsp.NewSpectrum(mc.Antennas[1], phy.SampleRate)
 	k := s0.FreqBin(500e3)
 	dphi := geom.WrapPhase(cmplx.Phase(s1.Bins[k] / s0.Bins[k]))
 	got, _ := geom.AoAFromPhase(dphi, lambda/2, lambda)

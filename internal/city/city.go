@@ -1,30 +1,25 @@
 // Package city is the city-scale simulation harness the paper's §1 and
-// §4 motivate: not one reader at one intersection, but a seeded grid of
-// intersections whose pole-mounted readers run concurrently, each
-// synthesizing its own collision captures from the vehicles inside its
-// interrogation zone and streaming telemetry reports over real TCP
-// into the collector tier (internal/cluster, one partition by default).
-// It is the scaffold the production-scale load work drives: each reader
-// runs its measurement pipeline (capture synthesis → FFT → spike
-// extraction → §5 count → optional §8 collision decode → uplink) in
-// one goroutine of its own: it measures an epoch, ships the report, and
-// takes the next, and no reader ever waits on another — the paper's
-// §10/§12.5 deployment model, where every reader duty-cycles
-// independently and ships results over a cheap backhaul. A coordinator
-// goroutine owns the shared world (vehicle kinematics, the §9 claim
-// partition) and hands each reader per-epoch device snapshots through a
-// bounded queue; the collector ingests the resulting out-of-order
-// batches keyed by (ReaderID, Seq).
+// §4 motivate: a seeded grid of intersections whose readers each measure
+// an epoch (capture → FFT → §5 count → optional §8 decode), ship the
+// report over TCP to the collector tier (internal/cluster) and take the
+// next, never waiting on one another — the §10/§12.5 deployment model.
+//
+// The ground truth (streets, vehicles, parked cars) is a world.World;
+// Sim is the deployed system around one handle to it. NewSim builds the
+// world, and the coordinator in runPipelined alone advances it, claims
+// its devices (§9) and hands each reader snapshots of its claim through
+// a bounded queue: readers, uplinks and the collector never see the
+// world. The one known leak is summarize's World.Parked call, which
+// copies the parking answer from the truth (ROADMAP item 5 removes it);
+// TestSystemReadsNoTruth keeps every other function off the handle.
 //
 // The harness is deterministic: all randomness flows from Config.Seed
-// through per-subsystem RNG streams (city construction; per reader,
-// counting and §8 decoding), each reader consumes its streams in epoch
-// order against frozen snapshots, and every cross-goroutine merge
-// happens in a fixed order — two runs with the same configuration
-// produce identical per-intersection counts and identical decoded-id
-// sets however the scheduler interleaves the readers (the tests prove it
-// against a per-epoch barrier), which is what makes the harness usable
-// as a regression scenario and not just a demo.
+// through per-subsystem RNG streams (the world; per reader, counting and
+// §8 decoding), each reader consumes its streams in epoch order against
+// frozen snapshots, and every cross-goroutine merge happens in a fixed
+// order, so two runs with the same configuration produce identical
+// results however the scheduler interleaves the readers (the tests prove
+// it against a per-epoch barrier).
 package city
 
 import (
@@ -38,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"caraoke/internal/city/world"
 	"caraoke/internal/clock"
 	"caraoke/internal/cluster"
 	"caraoke/internal/collector"
@@ -50,13 +46,6 @@ import (
 // The city's fixed scales. They are constants, not Config fields: a run
 // is described by what changes its result or its wire traffic.
 const (
-	// margin is how far (meters) each street extends beyond its
-	// outermost intersection before wrapping; vehicles leaving one end
-	// re-enter the other, keeping the fleet size constant for the whole
-	// run.
-	margin = 60
-	// tick is the vehicle-kinematics step.
-	tick = 100 * time.Millisecond
 	// epochLen is the measurement cadence: every epoch each reader runs
 	// one §10 active window.
 	epochLen = time.Second
@@ -203,22 +192,6 @@ func (c *Config) validate() error {
 	return c.Chaos.validate()
 }
 
-// street is one road of the grid. Vehicles wrap at length; world
-// coordinate along the street is s − margin.
-type street struct {
-	horizontal bool
-	fixed      float64 // y (horizontal) or x (vertical)
-	length     float64
-}
-
-// vehicle is one circulating car.
-type vehicle struct {
-	dev    *transponder.Device // nil when unequipped
-	street int
-	s      float64 // position along the street, wraps at length
-	speed  float64 // m/s, constant per vehicle
-}
-
 // post is one deployed reader with its private RNG streams (what keep
 // the concurrent measurement fan-out deterministic), decode log, and
 // run statistics. Everything here is touched only by this reader's
@@ -247,20 +220,14 @@ type post struct {
 
 // Sim is a constructed city ready to run.
 type Sim struct {
-	cfg      Config
-	streets  []street
-	vehicles []*vehicle
-	parked   []*transponder.Device
-	posts    []*post
-	poles    map[uint32]geom.Vec2
-	gw       int // street-grid columns
-	k        int // intersections with readers
+	cfg   Config
+	world *world.World // the truth; see the package comment for who may read it
+	posts []*post
+	gw    int // street-grid columns
 }
 
-// NewSim lays out the city: ceil(Readers/2) intersections on a near-
-// square grid of streets, readers on poles beside their streets,
-// vehicles scattered over the grid, and parked cars curbside at
-// intersection 0.
+// NewSim lays out the city: the world on a near-square grid of
+// ceil(Readers/2) intersections, and readers on poles beside its streets.
 func NewSim(cfg Config) (*Sim, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -269,38 +236,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	k := (cfg.Readers + 1) / 2
 	gw := int(math.Ceil(math.Sqrt(float64(k))))
 	gh := (k + gw - 1) / gw
-	s := &Sim{cfg: cfg, gw: gw, k: k, poles: make(map[uint32]geom.Vec2)}
-
-	hLen := float64(gw-1)*blockM + 2*margin
-	vLen := float64(gh-1)*blockM + 2*margin
-	for row := 0; row < gh; row++ {
-		s.streets = append(s.streets, street{horizontal: true, fixed: float64(row) * blockM, length: hLen})
-	}
-	for col := 0; col < gw; col++ {
-		s.streets = append(s.streets, street{horizontal: false, fixed: float64(col) * blockM, length: vLen})
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pop := transponder.DefaultPopulationParams()
-	var serial uint64 // low bits of the next tag serial, counting from 1
-	for v := 0; v < cfg.Vehicles; v++ {
-		veh := &vehicle{
-			street: rng.Intn(len(s.streets)),
-			speed:  8 + 6*rng.Float64(), // 8–14 m/s urban free flow
-		}
-		veh.s = rng.Float64() * s.streets[veh.street].length
-		if rng.Float64() >= cfg.UnequippedFrac {
-			serial++
-			veh.dev = transponder.NewRandomDevice(pop, transponder.DenseSerial(rng, serial), geom.Vec3{}, rng)
-		}
-		s.vehicles = append(s.vehicles, veh)
-	}
-	for i := 0; i < cfg.Parked; i++ {
-		// Curbside rows of five, 6 m pitch, just inside reader 1's zone.
-		pos := geom.V(-22+6*float64(i%5), 8+3.5*float64(i/5), 0)
-		serial++
-		s.parked = append(s.parked, transponder.NewRandomDevice(pop, transponder.DenseSerial(rng, serial), pos, rng))
-	}
+	s := &Sim{cfg: cfg, gw: gw, world: world.New(gw, gh, blockM, cfg.Vehicles, cfg.Parked, cfg.UnequippedFrac, cfg.Seed)}
 
 	for j := 0; j < cfg.Readers; j++ {
 		ix := j / 2
@@ -330,41 +266,12 @@ func NewSim(cfg Config) (*Sim, error) {
 			intersection: ix,
 			decoded:      make(map[uint64]float64),
 		})
-		c := rd.Center()
-		s.poles[rc.ID] = geom.P(c.X, c.Y)
 	}
 	initClocks(cfg, s.posts)
 	return s, nil
 }
 
-// step advances vehicle kinematics by dt.
-func (s *Sim) step(dt time.Duration) {
-	sec := dt.Seconds()
-	for _, v := range s.vehicles {
-		v.s += v.speed * sec
-		if l := s.streets[v.street].length; v.s >= l {
-			// A single subtraction only unwinds one lap; a large step
-			// (or a short street) can overrun by several, leaving s out
-			// of range and vehiclePos off the map. Mod is exact for the
-			// common one-lap case (bit-identical to the subtraction)
-			// and correct for any step size.
-			v.s = math.Mod(v.s, l)
-		}
-	}
-}
-
-// vehiclePos maps a vehicle's 1-D street position to the road plane
-// (right-hand lane, 2 m from the centerline).
-func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
-	st := s.streets[v.street]
-	w := v.s - margin
-	if st.horizontal {
-		return geom.V(w, st.fixed-2, 0)
-	}
-	return geom.V(st.fixed+2, w, 0)
-}
-
-// claimMask refreshes transponder positions and assigns each equipped
+// claimMask takes the epoch's devices (world.Devices) and assigns each
 // device to at most one reader for the coming epoch — the §9 reader
 // CSMA guarantee that overlapping readers never query the same scene
 // simultaneously. Claiming in reader-id order keeps the partition
@@ -372,8 +279,8 @@ func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
 // measurement goroutines race-free (a device's position, envelope
 // cache, and battery budget are only touched by its claiming reader).
 //
-// The claim is one linear scan: readers in id order, each over every
-// device in fleet order — vehicles first, then parked cars — so a
+// The claim is one linear scan: readers in id order, each over devs in
+// their order (world.Devices: vehicles first, then parked cars), so a
 // reader's claims come in that order too. Its O(readers × devices)
 // per epoch is small beside what the same readers spend analyzing
 // their captures.
@@ -382,8 +289,7 @@ func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
 // nothing, so its in-range devices fall to a later (overlapping) reader
 // in id order or go unread — exactly what a departed parked-car RSU's
 // zone looks like. A nil mask means every reader is on.
-func (s *Sim) claimMask(active []bool) [][]*transponder.Device {
-	devs := s.activeDevices()
+func (s *Sim) claimMask(devs []*transponder.Device, active []bool) [][]*transponder.Device {
 	claims := make([][]*transponder.Device, len(s.posts))
 	taken := make(map[*transponder.Device]bool)
 	for i, p := range s.posts {
@@ -399,21 +305,6 @@ func (s *Sim) claimMask(active []bool) [][]*transponder.Device {
 		}
 	}
 	return claims
-}
-
-// activeDevices refreshes vehicle transponder positions and returns
-// every claimable device in claim-priority order: equipped vehicles in
-// fleet order, then parked cars in spot order.
-func (s *Sim) activeDevices() []*transponder.Device {
-	devs := make([]*transponder.Device, 0, len(s.vehicles)+len(s.parked))
-	for _, v := range s.vehicles {
-		if v.dev != nil {
-			v.dev.Pos = s.vehiclePos(v)
-			devs = append(devs, v.dev)
-		}
-	}
-	devs = append(devs, s.parked...)
-	return devs
 }
 
 // IntersectionStats summarizes one intersection's traffic over a run.
@@ -750,8 +641,8 @@ func drainTimeout(epochs, readers int) time.Duration {
 }
 
 // runPipelined is the run loop. The coordinator goroutine owns all
-// global state — vehicle kinematics and the claim partition — and walks
-// it epoch by epoch, handing each reader a snapshot of its claimed
+// global state — the world and the claim partition — and walks it
+// epoch by epoch, handing each reader a snapshot of its claimed
 // devices through a bounded work queue, up to lookahead epochs ahead of
 // the slowest reader. Each reader is one goroutine — the §10 device:
 // take a job, measure (capture → analyze → decode), uplink the report,
@@ -812,16 +703,13 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 	}
 
 	var coordErr error
-	now := time.Duration(0)
 coordinate:
 	for e := 0; e < epochs; e++ {
-		for t := 0; t < int(epochLen/tick); t++ {
-			s.step(tick)
-		}
-		now += epochLen
+		s.world.Advance(epochLen)
 		active := cr.activeMask(s.posts, e)
-		claims := s.claimMask(active)
-		job := epochJob{epoch: e, stamp: baseTime.Add(now), decode: s.decodeAt(e)}
+		claims := s.claimMask(s.world.Devices(), active)
+		job := epochJob{epoch: e, stamp: baseTime.Add(time.Duration(e+1) * epochLen)}
+		job.decode = s.cfg.DecodeEvery > 0 && e%s.cfg.DecodeEvery == 0
 		fed := 0
 		for i := range s.posts {
 			if active != nil && !active[i] {
@@ -856,11 +744,6 @@ coordinate:
 	}
 	wg.Wait()
 	return errors.Join(append(errs, coordErr)...)
-}
-
-// decodeAt reports whether epoch e runs the §8 collision decoder.
-func (s *Sim) decodeAt(e int) bool {
-	return s.cfg.DecodeEvery > 0 && e%s.cfg.DecodeEvery == 0
 }
 
 // snapshot freezes one reader's claimed devices for a pipelined epoch:
@@ -957,14 +840,14 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 		TotalReports: total,
 		ParkedSpots:  make(map[int]uint64),
 		Cluster:      cl,
-		Poles:        s.poles,
+		Poles:        make(map[uint32]geom.Vec2, len(s.posts)),
 		Start:        baseTime,
 		End:          baseTime.Add(time.Duration(epochs) * epochLen),
 	}
 	if cl.NumPartitions() == 1 {
 		res.Store = cl.Partition(0).Store
 	}
-	stats := make([]IntersectionStats, s.k)
+	stats := make([]IntersectionStats, (len(s.posts)+1)/2)
 	for ix := range stats {
 		col, row := ix%s.gw, ix/s.gw
 		stats[ix] = IntersectionStats{Index: ix, X: float64(col) * blockM, Y: float64(row) * blockM}
@@ -972,6 +855,8 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 	for _, p := range s.posts {
 		st := &stats[p.intersection]
 		st.Readers = append(st.Readers, p.rd.ID)
+		c := p.rd.Center()
+		res.Poles[p.rd.ID] = geom.P(c.X, c.Y)
 		// Producer-side accumulation, not a store scan: history trimmed
 		// by the keep window must not silently shrink the run summary
 		// (the store still backs the service queries below).
@@ -998,7 +883,8 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 		}
 	}
 	sort.Slice(res.Decoded, func(a, b int) bool { return res.Decoded[a].ID < res.Decoded[b].ID })
-	for spot, d := range s.parked {
+	// The truth leak ROADMAP item 5 removes: copied, not measured.
+	for spot, d := range s.world.Parked() {
 		if seen[d.ID()] {
 			res.ParkedSpots[spot] = d.ID()
 		}

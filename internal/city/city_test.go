@@ -140,12 +140,7 @@ func TestDecodedIDsAreFleetIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		fleet := make(map[uint64]bool)
-		for _, v := range s.vehicles {
-			if v.dev != nil {
-				fleet[v.dev.ID()] = true
-			}
-		}
-		for _, d := range s.parked {
+		for _, d := range s.world.Devices() {
 			fleet[d.ID()] = true
 		}
 		res, err := s.Run()
@@ -184,25 +179,21 @@ func TestClaimDisjoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// order is a device's place in the fleet: equipped vehicles in
-		// fleet order, then parked cars in spot order.
+		// order is a device's place in the fleet, in the claim-priority
+		// order Devices promises: equipped vehicles, then parked cars.
 		order := make(map[*transponder.Device]int)
-		for _, v := range s.vehicles {
-			if v.dev != nil {
-				order[v.dev] = len(order)
-			}
-		}
-		for _, d := range s.parked {
-			order[d] = len(order)
+		for i, d := range s.world.Devices() {
+			order[d] = i
 		}
 		churned := make([]bool, len(s.posts))
 		for i := range churned {
 			churned[i] = i != 0
 		}
 		for tick := 0; tick < 6; tick++ {
-			s.step(1500 * time.Millisecond)
+			s.world.Advance(1500 * time.Millisecond)
+			devs := s.world.Devices()
 			for _, active := range [][]bool{nil, churned} {
-				claims := s.claimMask(active)
+				claims := s.claimMask(devs, active)
 				if len(claims) != len(s.posts) {
 					t.Fatalf("shape %d tick %d: claims for %d readers, want %d", ci, tick, len(claims), len(s.posts))
 				}

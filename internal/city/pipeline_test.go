@@ -196,30 +196,6 @@ func TestLockstepBarrierHoldsReadersBack(t *testing.T) {
 	}
 }
 
-// TestStepWrapLargeStep: a step that carries a vehicle more than one
-// lap past the end of its street must still wrap into [0, length) —
-// the single-subtraction wrap left s out of range and broke
-// vehiclePos (regression).
-func TestStepWrapLargeStep(t *testing.T) {
-	s, err := NewSim(Config{Readers: 1, Vehicles: 50, Duration: time.Minute, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One intersection ⇒ streets are 2·margin = 120 m; at 8–14 m/s a
-	// 60 s step is 4–7 laps.
-	s.step(60 * time.Second)
-	for i, v := range s.vehicles {
-		l := s.streets[v.street].length
-		if v.s < 0 || v.s >= l {
-			t.Fatalf("vehicle %d at s=%g outside [0,%g) after a multi-lap step", i, v.s, l)
-		}
-	}
-	// And the claim geometry still works on top of wrapped positions.
-	if claims := s.claimMask(nil); len(claims) != 1 {
-		t.Fatalf("claims = %d sets", len(claims))
-	}
-}
-
 // TestDrainTimeoutScales: the end-of-run ingest deadline must grow
 // with the number of reports in flight instead of being a constant a
 // city-day run can outlive (regression for the hard-coded 10 s wait).

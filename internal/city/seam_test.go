@@ -1,0 +1,99 @@
+package city
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
+	"testing"
+)
+
+// TestSystemReadsNoTruth holds the world/system seam of the package
+// comment over this package's non-test files. Only NewSim, the
+// coordinator in runPipelined (not the reader goroutines it starts) and
+// summarize may name the world, as the Sim.world handle or the world
+// package; no other declaration may hold one. summarize's one use is
+// s.world.Parked(), the truth leak ROADMAP item 5 removes.
+func TestSystemReadsNoTruth(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// uses lists the identifiers named world under n: the handle (a
+	// field selector or a literal key) or the package qualifier.
+	uses := func(n ast.Node) (ids []*ast.Ident) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "world" {
+				ids = append(ids, id)
+			}
+			return true
+		})
+		return ids
+	}
+	refuse := func(ids []*ast.Ident, who string) {
+		for _, id := range ids {
+			t.Errorf("%s: %s names the world; only NewSim, runPipelined's coordinator and summarize's Parked call may",
+				fset.Position(id.Pos()), who)
+		}
+	}
+	handle := false // Sim has the world field this test keys on
+	for _, f := range pkgs["city"].Files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "Sim" {
+						for _, fld := range ts.Type.(*ast.StructType).Fields.List {
+							for _, name := range fld.Names {
+								handle = handle || name.Name == "world"
+							}
+						}
+						continue
+					}
+					refuse(uses(spec), "a package-level declaration")
+				}
+			case *ast.FuncDecl:
+				switch name := d.Name.Name; name {
+				case "NewSim":
+				case "runPipelined":
+					ast.Inspect(d.Body, func(n ast.Node) bool {
+						if lit, ok := n.(*ast.FuncLit); ok {
+							refuse(uses(lit), "a goroutine or closure in runPipelined")
+							return false
+						}
+						return true
+					})
+				case "summarize":
+					// The one leak: s.world.Parked() copies the parking
+					// answer from the truth. ROADMAP item 5 removes it.
+					parked := 0
+					ast.Inspect(d.Body, func(n ast.Node) bool {
+						call, ok := n.(*ast.CallExpr)
+						if !ok {
+							return true
+						}
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Parked" {
+							if h, ok := sel.X.(*ast.SelectorExpr); ok && h.Sel.Name == "world" {
+								parked++
+							}
+						}
+						return true
+					})
+					if ids := uses(d); len(ids) != parked || parked > 1 {
+						t.Errorf("summarize names the world %d times and calls s.world.Parked() %d times; Parked, once, is its only allowed use",
+							len(ids), parked)
+					}
+				default:
+					refuse(uses(d), name)
+				}
+			}
+		}
+	}
+	if !handle {
+		t.Fatal("Sim has no world field: the seam this test walks is gone or renamed")
+	}
+}

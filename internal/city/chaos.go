@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"sync"
 	"time"
 
@@ -89,6 +90,9 @@ func (c Chaos) validate() error {
 	}
 	if c.KillPartition < 0 {
 		return fmt.Errorf("city: kill partition %d must be non-negative", c.KillPartition)
+	}
+	if int64(c.KillAtSeq) > math.MaxUint32 { // the cut is a 32-bit report seq
+		return fmt.Errorf("city: kill at seq %d exceeds the 32-bit sequence space", c.KillAtSeq)
 	}
 	return nil
 }
@@ -174,6 +178,17 @@ func newChaosRun(cfg Config, epochs int, ids []uint32) *chaosRun {
 		}
 	}
 	return cr
+}
+
+// wrapDial returns the injector's wrap of reader id's uplink dial, for
+// cluster.Dial; nil on the clean path, which dials TCP directly.
+func (cr *chaosRun) wrapDial(id uint32) func(func() (net.Conn, error)) func() (net.Conn, error) {
+	if cr == nil {
+		return nil
+	}
+	return func(dial func() (net.Conn, error)) func() (net.Conn, error) {
+		return cr.inj.WrapDial(fmt.Sprintf("reader-%d", id), dial)
+	}
 }
 
 // faulted returns the seqs of a reader's reports inside dropped frames

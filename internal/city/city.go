@@ -13,6 +13,15 @@
 // copies the parking answer from the truth (ROADMAP item 5 removes it);
 // TestSystemReadsNoTruth keeps every other function off the handle.
 //
+// The collector tier (internal/cluster) owns the collector-side
+// decisions: Cluster.Dial routes each uplink to its reader's current
+// home partition, rerouting it after a failover cut, and Cluster.Drain
+// charges each reader's reports to the partitions that own them. The
+// city hands it only what readers know: each reader's grid cell, the
+// kill plan, the injector's dial wrap, and at the end one account per
+// reader (seqs sent, lost and duplicated on the wire, given up by the
+// client) with the drain timeout.
+//
 // The harness is deterministic: all randomness flows from Config.Seed
 // through per-subsystem RNG streams (the world; per reader, counting and
 // §8 decoding), each reader consumes its streams in epoch order against
@@ -28,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -383,8 +391,7 @@ type FailoverStats struct {
 	// Rehomed lists the readers moved to their ring successor, by id.
 	Rehomed []uint32
 	// DeadSeqs maps each rehomed reader to the last sequence number the
-	// dead partition owns — the recovery split per-partition drain
-	// barriers composed over.
+	// dead partition owns — the split the drain charges its reports by.
 	DeadSeqs map[uint32]uint32
 	// Reconnects and Redelivered sum the rehomed readers' client-side
 	// recovery work: redials performed and reports rewritten after the
@@ -441,7 +448,7 @@ func (s *Sim) Run() (*Result, error) {
 
 	clients := make([]*collector.Client, len(s.posts))
 	for i, p := range s.posts {
-		c, err := s.dialUplink(cr, cl, p)
+		c, err := cl.Dial(p.rd.ID, cr.wrapDial(p.rd.ID))
 		if err != nil {
 			return nil, fmt.Errorf("city: uplink %d: %w", i, err)
 		}
@@ -458,112 +465,37 @@ func (s *Sim) Run() (*Result, error) {
 	// history: a run longer than the store's keep window trims old
 	// reports, but every report still has to land — and no reader's
 	// surplus can mask another reader's missing uplink.
-	if err := s.drain(cr, cl, clients, epochs); err != nil {
-		return nil, err
+	if err := cl.Drain(s.accounts(cr, clients, epochs), drainTimeout(epochs, len(s.posts))); err != nil {
+		return nil, fmt.Errorf("city: %w", err)
 	}
 	produced := 0
 	for _, p := range s.posts {
 		produced += p.reports
 	}
 	res := s.summarize(cl, produced, epochs)
-	res.Failover = s.failoverStats(cl, cr, clients, epochs)
+	res.Failover = s.failoverStats(cl, clients)
 	if cr != nil {
 		res.Uplinks = cr.uplinkStats(s.posts, clients, cl, epochs)
 	}
 	return res, nil
 }
 
-// drain blocks until every uplinked report has landed in the collector
-// tier, and every wire copy with it. Each reader's expected seq set (the
-// epochs it was online for) splits by partition ownership
-// (cluster.OwnershipSplit: a rehomed reader's pre-cut prefix barriers on
-// the dead partition's store, its suffix on the successor), and each
-// partition waits, concurrently with the others, only for the seq ranges
-// it owns: distinct reports up to the accounted loss, then every copy
-// (duplicates included) so the dedupe counters are settled and
-// reproducible before anyone reads them. With one partition the split is
-// the identity.
-//
-// Every budget entry localizes by sequence number: the injector event
-// log records which seqs each dropped or killed frame carried, a
-// degraded client's give-ups are the contiguous tail of its seq space
-// (degradation is permanent and Close abandons only queued reports), and
-// a failover cut is a prefix split — so loss attributed to a partition
-// is exactly the loss that would have landed there. A clean run (nil cr)
-// has zero loss and duplicate budgets, which makes the barrier exactly
-// "every report landed".
-func (s *Sim) drain(cr *chaosRun, cl *cluster.Cluster, clients []*collector.Client, epochs int) error {
-	nparts := cl.NumPartitions()
-	want := make([]map[uint32]uint32, nparts)
-	budget := make([]map[uint32]int, nparts)
-	copies := make([]map[uint32]int, nparts)
-	for i := range want {
-		want[i] = make(map[uint32]uint32)
-		budget[i] = make(map[uint32]int)
-		copies[i] = make(map[uint32]int)
-	}
+// accounts is what each reader sent, for the tier's drain: the seqs of
+// the epochs it was online for, the seqs the injector saw lost and
+// duplicated, and the client's give-ups. A clean run (nil cr) has no
+// loss and no duplicates, which makes the drain exactly "every report
+// landed".
+func (s *Sim) accounts(cr *chaosRun, clients []*collector.Client, epochs int) map[uint32]cluster.Account {
+	out := make(map[uint32]cluster.Account, len(s.posts))
 	for i, p := range s.posts {
-		id := p.rd.ID
-		total, lost, dup := uint32(epochs), []uint32(nil), []uint32(nil)
+		a := cluster.Account{Total: uint32(epochs), Dropped: uint32(clients[i].Stats().Dropped)}
 		if cr != nil {
-			total = uint32(cr.sched.ActiveEpochs(id, epochs))
-			lost, dup = cr.faulted(id)
+			a.Total = uint32(cr.sched.ActiveEpochs(p.rd.ID, epochs))
+			a.Lost, a.Dup = cr.faulted(p.rd.ID)
 		}
-		if total == 0 {
-			continue
-		}
-		deliveredHi := uint32(0)
-		if dropped := uint32(clients[i].Stats().Dropped); dropped < total {
-			deliveredHi = total - dropped
-		}
-		for _, rg := range cl.OwnershipSplit(id, total) {
-			distinct := int(rg.Hi - rg.Lo + 1)
-			lostIn := countInRange(lost, rg.Lo, rg.Hi)
-			dupIn := countInRange(dup, rg.Lo, rg.Hi)
-			droppedIn := 0
-			if rg.Hi > deliveredHi {
-				droppedIn = int(rg.Hi - max(rg.Lo, deliveredHi+1) + 1)
-			}
-			want[rg.Part][id] = uint32(distinct)
-			budget[rg.Part][id] = lostIn + droppedIn
-			copies[rg.Part][id] = (distinct - droppedIn) - lostIn + dupIn
-		}
+		out[p.rd.ID] = a
 	}
-
-	timeout := drainTimeout(epochs, len(s.posts))
-	errs := make([]error, nparts)
-	var wg sync.WaitGroup
-	for i := 0; i < nparts; i++ {
-		if len(want[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st := cl.Partition(i).Store
-			if err := st.WaitDelivered(want[i], budget[i], timeout); err != nil {
-				errs[i] = fmt.Errorf("city: partition %d: %w", i, err)
-				return
-			}
-			if err := st.WaitCopies(copies[i], timeout); err != nil {
-				errs[i] = fmt.Errorf("city: partition %d: %w", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// countInRange counts the seqs in [lo, hi] (inclusive, duplicates
-// counted — a frame killed twice is two extra copies).
-func countInRange(seqs []uint32, lo, hi uint32) int {
-	n := 0
-	for _, s := range seqs {
-		if s >= lo && s <= hi {
-			n++
-		}
-	}
-	return n
+	return out
 }
 
 // cellOf returns the grid-cell key a reader homes by: its
@@ -574,57 +506,19 @@ func (s *Sim) cellOf(p *post) string {
 	return fmt.Sprintf("cell-%d-%d", p.intersection%s.gw, p.intersection/s.gw)
 }
 
-// dialUplink opens one reader's uplink against the collector tier. The
-// dial resolves the reader's current home on every (re)connect — that
-// re-resolution is the failover mechanism: a rehomed reader's redial
-// lands on the ring successor. Layering is client → failover guard →
-// fault injector (chaos runs only) → TCP, so a cut frame is never
-// charged to the injector's loss accounting and an injector-killed
-// frame retries against the same home until the cut is actually
-// crossed.
-func (s *Sim) dialUplink(cr *chaosRun, cl *cluster.Cluster, p *post) (*collector.Client, error) {
-	id := p.rd.ID
-	dial := func() (net.Conn, error) {
-		return net.DialTimeout("tcp", cl.AddrFor(id), 5*time.Second)
-	}
-	if cr != nil {
-		dial = cr.inj.WrapDial(fmt.Sprintf("reader-%d", id), dial)
-	}
-	return collector.DialFunc(func() (net.Conn, error) {
-		conn, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		return cl.GuardConn(id, conn), nil
-	})
-}
-
 // failoverStats reconciles the partition-kill summary after the drain;
 // nil when the run armed no kill.
-func (s *Sim) failoverStats(cl *cluster.Cluster, cr *chaosRun, clients []*collector.Client, epochs int) *FailoverStats {
-	plan, ok := cl.Plan()
-	if !ok {
+func (s *Sim) failoverStats(cl *cluster.Cluster, clients []*collector.Client) *FailoverStats {
+	dead, happened, deadSeqs, armed := cl.Failover()
+	if !armed {
 		return nil
 	}
-	fs := &FailoverStats{Partition: plan.Partition, DeadSeqs: make(map[uint32]uint32)}
-	_, fs.Happened = cl.KilledPartition()
-	fs.Rehomed = cl.Rehomed()
-	rehomed := make(map[uint32]bool, len(fs.Rehomed))
-	for _, id := range fs.Rehomed {
-		rehomed[id] = true
-	}
-	for i, p := range s.posts {
-		id := p.rd.ID
-		if !rehomed[id] {
+	fs := &FailoverStats{Partition: dead, Happened: happened, DeadSeqs: deadSeqs}
+	for i, p := range s.posts { // posts are in reader-id order
+		if _, ok := deadSeqs[p.rd.ID]; !ok {
 			continue
 		}
-		total := uint32(epochs)
-		if cr != nil {
-			total = uint32(cr.sched.ActiveEpochs(id, epochs))
-		}
-		if split := cl.OwnershipSplit(id, total); len(split) == 2 {
-			fs.DeadSeqs[id] = split[0].Hi
-		}
+		fs.Rehomed = append(fs.Rehomed, p.rd.ID)
 		st := clients[i].Stats()
 		fs.Reconnects += st.Reconnects
 		fs.Redelivered += st.Redelivered

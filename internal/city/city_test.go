@@ -324,6 +324,7 @@ func TestConfigValidation(t *testing.T) {
 		{Readers: 2, Chaos: Chaos{DriftPPM: math.NaN()}},
 		{Readers: 2, Chaos: Chaos{DriftPPM: math.Inf(1)}},
 		{Readers: 2, Chaos: Chaos{DropRate: math.NaN()}},
+		{Readers: 2, Partitions: 2, Chaos: Chaos{KillAtSeq: 1<<32 + 2}}, // a uint32 cut would read 2
 	}
 	for i, cfg := range bad {
 		if _, err := NewSim(cfg); err == nil {

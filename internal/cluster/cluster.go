@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,12 +12,12 @@ import (
 	"caraoke/internal/telemetry"
 )
 
-// ErrPartitionKilled is the error a guarded uplink connection returns
+// errPartitionKilled is the error a guarded uplink connection returns
 // when a write crosses the failover cut: the frame was NOT forwarded,
 // the reader has been rehomed to its ring successor, and the client's
 // reconnect path will redeliver the frame there. It reports like a dead
 // peer, not a timeout, so at-least-once clients take their redial path.
-var ErrPartitionKilled = errors.New("cluster: partition killed (failover cut)")
+var errPartitionKilled = errors.New("cluster: partition killed (failover cut)")
 
 // Config sizes a collector cluster. Zero fields take defaults.
 type Config struct {
@@ -143,16 +142,6 @@ func (c *Cluster) SetFailover(plan FailoverPlan) error {
 	return nil
 }
 
-// Plan returns the armed failover plan, if any.
-func (c *Cluster) Plan() (FailoverPlan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.plan == nil {
-		return FailoverPlan{}, false
-	}
-	return *c.plan, true
-}
-
 // Register homes a reader: its grid cell is hashed onto the ring and
 // the owning partition becomes the reader's home collector. Co-located
 // readers (same cell) share a home by construction.
@@ -180,48 +169,52 @@ func (c *Cluster) homeLocked(readerID uint32) int {
 	return part
 }
 
-// AddrFor returns the ingest address of the reader's current home — the
-// resolution step a reader's redial performs, which is how a rehomed
-// reader's reconnect lands on the successor.
-func (c *Cluster) AddrFor(readerID uint32) string {
-	return c.parts[c.HomeOf(readerID)].addr
+// Dial opens a reader's uplink client. Every dial and redial resolves
+// the reader's current home — that re-resolution is the failover
+// mechanism: a rehomed reader's redial lands on the ring successor.
+// wrap, if non-nil, wraps the TCP dial (a fault injector's WrapDial),
+// and the failover cut guards what it returns, so the layering is
+// client → cut → wrap → TCP: a cut frame is never seen by the
+// injector, and an injector-killed frame retries against the same home
+// until the cut is actually crossed.
+func (c *Cluster) Dial(readerID uint32, wrap func(dial func() (net.Conn, error)) func() (net.Conn, error)) (*collector.Client, error) {
+	dial := func() (net.Conn, error) {
+		return net.DialTimeout("tcp", c.parts[c.HomeOf(readerID)].addr, 5*time.Second)
+	}
+	if wrap != nil {
+		dial = wrap(dial)
+	}
+	return collector.DialFunc(func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return c.guard(readerID, conn), nil
+	})
 }
 
-// Rehomed lists the readers whose home changed (failover moved them),
-// sorted by id.
-func (c *Cluster) Rehomed() []uint32 {
+// Failover reports the armed plan (armed is false without one): the
+// doomed partition, whether some reader crossed the cut, and for each
+// reader the cut rehomed, the last seq the dead partition owns from it.
+func (c *Cluster) Failover() (dead int, happened bool, deadSeqs map[uint32]uint32, armed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var ids []uint32
+	if c.plan == nil {
+		return 0, false, nil, false
+	}
+	deadSeqs = make(map[uint32]uint32)
 	for id, h := range c.home {
 		if h != c.origin[id] {
-			ids = append(ids, id)
+			deadSeqs[id] = c.ownedOld[id]
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return c.plan.Partition, c.killed, deadSeqs, true
 }
 
-// KilledPartition returns the partition index the failover plan has
-// realized against, if the kill has happened (some reader crossed the
-// cut).
-func (c *Cluster) KilledPartition() (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.killed {
-		return 0, false
-	}
-	return c.plan.Partition, true
-}
-
-// GuardConn wraps a freshly dialed uplink connection with the failover
-// cut when the reader is currently homed on a doomed partition; other
-// connections pass through untouched. The caller dials the address
-// AddrFor returned (possibly through a fault injector) and guards the
-// result, so the cut sits above injected faults: a cut frame is never
-// seen by the injector, and an injector-killed frame retries against
-// the same home until the cut is actually crossed.
-func (c *Cluster) GuardConn(readerID uint32, conn net.Conn) net.Conn {
+// guard wraps a freshly dialed uplink connection with the failover cut
+// when the reader is currently homed on a doomed partition; other
+// connections pass through untouched.
+func (c *Cluster) guard(readerID uint32, conn net.Conn) net.Conn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.plan == nil || c.homeLocked(readerID) != c.plan.Partition {
@@ -260,7 +253,7 @@ func (w *cutConn) Write(b []byte) (int, error) {
 		}
 	}
 	if cut := w.c.admit(w.readerID, minSeq, maxSeq); cut {
-		return 0, ErrPartitionKilled
+		return 0, errPartitionKilled
 	}
 	return w.Conn.Write(b)
 }
@@ -292,19 +285,19 @@ func (c *Cluster) admit(readerID uint32, minSeq, maxSeq uint32) (cut bool) {
 	return false
 }
 
-// SeqRange says: reader seqs [Lo, Hi] (inclusive) were routed to
-// partition Part.
-type SeqRange struct {
-	Part   int
-	Lo, Hi uint32
+// seqRange says: reader seqs [lo, hi] (inclusive) were routed to
+// partition part.
+type seqRange struct {
+	part   int
+	lo, hi uint32
 }
 
-// OwnershipSplit returns how reader r's seqs 1..total split across
+// ownershipSplit returns how reader r's seqs 1..total split across
 // partitions — one range for an un-failed-over reader, two (doomed
 // prefix, successor suffix) for a rehomed one. It is the composition
-// key that turns per-partition drain barriers into a cluster-wide
-// drain: each partition waits only for the seq range it actually owns.
-func (c *Cluster) OwnershipSplit(readerID uint32, total uint32) []SeqRange {
+// key that turns per-partition barriers into a cluster-wide one: each
+// partition waits only for the seq range it actually owns.
+func (c *Cluster) ownershipSplit(readerID uint32, total uint32) []seqRange {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	home := c.homeLocked(readerID)
@@ -313,54 +306,124 @@ func (c *Cluster) OwnershipSplit(readerID uint32, total uint32) []SeqRange {
 		return nil
 	}
 	if home == orig {
-		return []SeqRange{{Part: home, Lo: 1, Hi: total}}
+		return []seqRange{{part: home, lo: 1, hi: total}}
 	}
-	old := c.ownedOld[readerID]
-	if old > total {
-		old = total
-	}
-	var out []SeqRange
+	old := min(c.ownedOld[readerID], total)
+	var out []seqRange
 	if old >= 1 {
-		out = append(out, SeqRange{Part: orig, Lo: 1, Hi: old})
+		out = append(out, seqRange{part: orig, lo: 1, hi: old})
 	}
 	if old < total {
-		out = append(out, SeqRange{Part: home, Lo: old + 1, Hi: total})
+		out = append(out, seqRange{part: home, lo: old + 1, hi: total})
 	}
 	return out
+}
+
+// fanOut runs wait on every partition concurrently and joins their
+// errors, each naming its partition: the one per-partition barrier
+// both WaitHighWater and Drain compose over.
+func (c *Cluster) fanOut(wait func(i int, st *collector.Store) error) error {
+	errs := make([]error, len(c.parts))
+	var wg sync.WaitGroup
+	for i, p := range c.parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := wait(i, p.Store); err != nil {
+				errs[i] = fmt.Errorf("cluster: partition %d: %w", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // WaitHighWater is the cluster-wide lossless drain barrier: every
 // reader in want must reach its mark, split per partition by ownership
 // (a rehomed reader's doomed prefix barriers on the doomed partition's
 // store — those frames were forwarded before the cut and must land —
-// and its suffix on the successor). Partitions drain concurrently; the
-// first failure wins.
+// and its suffix on the successor). Partitions drain concurrently.
 func (c *Cluster) WaitHighWater(want map[uint32]uint32, timeout time.Duration) error {
 	perPart := make([]map[uint32]uint32, len(c.parts))
 	for id, seq := range want {
-		for _, r := range c.OwnershipSplit(id, seq) {
-			if perPart[r.Part] == nil {
-				perPart[r.Part] = make(map[uint32]uint32)
+		for _, r := range c.ownershipSplit(id, seq) {
+			if perPart[r.part] == nil {
+				perPart[r.part] = make(map[uint32]uint32)
 			}
-			perPart[r.Part][id] = r.Hi
+			perPart[r.part][id] = r.hi
 		}
 	}
-	errs := make([]error, len(c.parts))
-	var wg sync.WaitGroup
-	for i, m := range perPart {
-		if len(m) == 0 {
-			continue
+	return c.fanOut(func(i int, st *collector.Store) error {
+		if len(perPart[i]) == 0 {
+			return nil
 		}
-		wg.Add(1)
-		go func(i int, m map[uint32]uint32) {
-			defer wg.Done()
-			if err := c.parts[i].Store.WaitHighWater(m, timeout); err != nil {
-				errs[i] = fmt.Errorf("cluster: partition %d: %w", i, err)
-			}
-		}(i, m)
+		return st.WaitHighWater(perPart[i], timeout)
+	})
+}
+
+// Account is one reader's uplink ledger, as Drain takes it: the reader
+// sent seqs 1..Total; Lost are the seqs inside frames the wire dropped
+// (never arrived), Dup one entry per extra copy of a seq inside a frame
+// that arrived and was then resent, and the client gave up on its last
+// Dropped seqs (degradation is permanent, and Close abandons only
+// queued reports, so its give-ups are the tail of its seq space).
+type Account struct {
+	Total   uint32
+	Lost    []uint32
+	Dup     []uint32
+	Dropped uint32
+}
+
+// Drain blocks until every account's reports have landed in the tier,
+// and every wire copy with them. Each account splits by ownership, and
+// each partition waits, concurrently with the others, only for the
+// ranges it owns: distinct reports up to the loss charged to it, then
+// every copy (duplicates included), so the dedupe counters are settled
+// and reproducible before anyone reads them. Every budget entry is
+// charged by sequence number, so the loss charged to a partition is
+// exactly the loss that would have landed there; an account with no
+// loss or duplicates makes the barrier exactly "every report landed".
+func (c *Cluster) Drain(sent map[uint32]Account, timeout time.Duration) error {
+	n := len(c.parts)
+	want, budget, copies := make([]map[uint32]uint32, n), make([]map[uint32]int, n), make([]map[uint32]int, n)
+	for i := range want {
+		want[i], budget[i], copies[i] = make(map[uint32]uint32), make(map[uint32]int), make(map[uint32]int)
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	for id, a := range sent {
+		deliveredHi := a.Total - min(a.Dropped, a.Total)
+		for _, rg := range c.ownershipSplit(id, a.Total) {
+			distinct := int(rg.hi - rg.lo + 1)
+			lostIn, dupIn := countInRange(a.Lost, rg.lo, rg.hi), countInRange(a.Dup, rg.lo, rg.hi)
+			droppedIn := 0
+			if rg.hi > deliveredHi {
+				droppedIn = int(rg.hi - max(rg.lo, deliveredHi+1) + 1)
+			}
+			want[rg.part][id] = uint32(distinct)
+			budget[rg.part][id] = lostIn + droppedIn
+			copies[rg.part][id] = distinct - droppedIn - lostIn + dupIn
+		}
+	}
+	return c.fanOut(func(i int, st *collector.Store) error {
+		if len(want[i]) == 0 {
+			return nil
+		}
+		if err := st.WaitDelivered(want[i], budget[i], timeout); err != nil {
+			return err
+		}
+		return st.WaitCopies(copies[i], timeout)
+	})
+}
+
+// countInRange counts the seqs in [lo, hi] (inclusive, duplicates
+// counted — a frame killed twice is two extra copies).
+func countInRange(seqs []uint32, lo, hi uint32) int {
+	n := 0
+	for _, s := range seqs {
+		if s >= lo && s <= hi {
+			n++
+		}
+	}
+	return n
 }
 
 // SeqsReceived sums the distinct reports landed from a reader across

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -73,18 +72,6 @@ func TestRingFailoverRemap(t *testing.T) {
 	}
 }
 
-// dialer builds the uplink dial function a reader uses against a
-// cluster: resolve the current home, dial, guard.
-func dialer(c *Cluster, id uint32) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		conn, err := net.DialTimeout("tcp", c.AddrFor(id), time.Second)
-		if err != nil {
-			return nil, err
-		}
-		return c.GuardConn(id, conn), nil
-	}
-}
-
 // sameSighting compares sightings with time.Time.Equal: the cluster
 // side round-trips timestamps through the wire (decoded as
 // time.Unix), so == would compare location pointers.
@@ -121,7 +108,7 @@ func TestClusterMatchesGlobalStore(t *testing.T) {
 	clients := make(map[uint32]*collector.Client)
 	for id := uint32(1); id <= readers; id++ {
 		c.Register(id, fmt.Sprintf("cell-%d", (id-1)/2)) // co-located pairs
-		cl, err := collector.DialFunc(dialer(c, id))
+		cl, err := c.Dial(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +194,7 @@ func TestCrossPartitionSpeedPair(t *testing.T) {
 	const freq = 5e3
 	send := func(id uint32, seq int, decoded uint64) {
 		t.Helper()
-		cl, err := collector.DialFunc(dialer(c, id))
+		cl, err := c.Dial(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +264,7 @@ func TestClusterFailoverCut(t *testing.T) {
 
 	clients := map[uint32]*collector.Client{}
 	for _, id := range []uint32{1, 2} {
-		cl, err := collector.DialFunc(dialer(c, id))
+		cl, err := c.Dial(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,11 +284,12 @@ func TestClusterFailoverCut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := c.Rehomed(); !reflect.DeepEqual(got, []uint32{1}) {
-		t.Fatalf("rehomed readers = %v, want [1]", got)
+	dead, happened, deadSeqs, armed := c.Failover()
+	if !armed || !happened || dead != doomed {
+		t.Fatalf("Failover = partition %d, happened %v, armed %v; want %d, true, true", dead, happened, armed, doomed)
 	}
-	if killed, ok := c.KilledPartition(); !ok || killed != doomed {
-		t.Fatalf("KilledPartition = %d/%v, want %d/true", killed, ok, doomed)
+	if want := map[uint32]uint32{1: cutAt}; !reflect.DeepEqual(deadSeqs, want) {
+		t.Fatalf("rehomed readers' dead prefixes = %v, want %v", deadSeqs, want)
 	}
 	if got := c.HomeOf(1); got != surv {
 		t.Fatalf("reader 1 rehomed to %d, want successor %d", got, surv)
@@ -316,10 +304,10 @@ func TestClusterFailoverCut(t *testing.T) {
 	if got := c.Partition(surv).Store.SeqsReceived(2); got != total {
 		t.Fatalf("unaffected reader 2 delivered %d of %d to its home", got, total)
 	}
-	split := c.OwnershipSplit(1, total)
-	wantSplit := []SeqRange{{Part: doomed, Lo: 1, Hi: cutAt}, {Part: surv, Lo: cutAt + 1, Hi: total}}
+	split := c.ownershipSplit(1, total)
+	wantSplit := []seqRange{{part: doomed, lo: 1, hi: cutAt}, {part: surv, lo: cutAt + 1, hi: total}}
 	if !reflect.DeepEqual(split, wantSplit) {
-		t.Fatalf("OwnershipSplit = %+v, want %+v", split, wantSplit)
+		t.Fatalf("ownershipSplit = %+v, want %+v", split, wantSplit)
 	}
 	st := clients[1].Stats()
 	if st.Reconnects != 1 || st.Redelivered != 1 || st.Dropped != 0 {
@@ -356,6 +344,61 @@ func TestClusterFailoverCut(t *testing.T) {
 			}
 		} else if ok {
 			t.Fatalf("car %#x last sighted pre-cut (seq %d) should be lost with the partition, got %+v", car, lastSeq, sgt)
+		}
+	}
+}
+
+// TestDrainChargesLossToOwner scripts a failed-over reader's account:
+// seq 3 never sent (a loss in the dead partition's prefix 1..5) and
+// seq 9 sent twice (a duplicate in the successor's suffix 6..12). Drain
+// settles promptly on the true account, and times out when either
+// budget is charged to the other partition — a drain that pooled the
+// budgets across partitions would pass all three.
+func TestDrainChargesLossToOwner(t *testing.T) {
+	c, err := New(Config{Partitions: 2, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	c.Register(1, "cell-a")
+	const cutAt, total = 5, 12
+	if err := c.SetFailover(FailoverPlan{Partition: c.HomeOf(1), AtSeq: cutAt}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := c.Dial(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Retry = collector.RetryPolicy{Attempts: 3, BackoffMin: time.Millisecond, BackoffMax: 2 * time.Millisecond}
+	for _, seq := range []int{1, 2, 4, 5, 6, 7, 8, 9, 9, 10, 11, 12} {
+		if err := cl.Send(clusterReport(1, seq)); err != nil {
+			t.Fatalf("seq %d: %v", seq, err)
+		}
+	}
+	if _, _, deadSeqs, _ := c.Failover(); deadSeqs[1] != cutAt {
+		t.Fatalf("dead prefixes = %v, want reader 1 at %d", deadSeqs, cutAt)
+	}
+
+	drain := func(lost, dup uint32, timeout time.Duration) error {
+		return c.Drain(map[uint32]Account{1: {Total: total, Lost: []uint32{lost}, Dup: []uint32{dup}}}, timeout)
+	}
+	start := time.Now()
+	if err := drain(3, 9, 10*time.Second); err != nil {
+		t.Fatalf("true account: %v", err)
+	}
+	if e := time.Since(start); e > 5*time.Second {
+		t.Fatalf("true account took %v to drain", e)
+	}
+	for _, moved := range []struct {
+		name      string
+		lost, dup uint32
+	}{
+		{"loss charged to the successor", 8, 9},
+		{"duplicate charged to the dead partition", 3, 4},
+	} {
+		if err := drain(moved.lost, moved.dup, 50*time.Millisecond); err == nil {
+			t.Errorf("%s: Drain returned nil", moved.name)
 		}
 	}
 }

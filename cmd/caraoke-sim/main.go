@@ -54,6 +54,14 @@ func main() {
 	if !(*speedLimit > 0 && *speedLimit <= math.MaxFloat64) {
 		log.Fatalf("caraoke-sim: speed limit %g m/s must be finite and positive", *speedLimit)
 	}
+	// city.Config reads 0 as "the default"; here it would silently mean
+	// 5 and 120, so only a negative -decode-every switches decoding off.
+	if *decodeEvery == 0 {
+		log.Fatalf("caraoke-sim: decode every 0 epochs: give k ≥ 1, or a negative k to disable decoding")
+	}
+	if *decodeBudget == 0 {
+		log.Fatalf("caraoke-sim: decode budget 0: give at least one collision")
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -202,6 +210,33 @@ func main() {
 	}
 	for _, ses := range park.Sessions() {
 		fmt.Printf("parking: spot %d held by %#x, billed %s\n", ses.Spot, ses.ID, res.End.Sub(ses.Since))
+	}
+
+	// The run scored against the simulator's truth: §5 per truth bin
+	// (claimed devices TriggeredFrom the reader), §8 over the decode
+	// epochs (triggered devices alone in their FFT bin). Seed-pure, so
+	// the CI determinism diffs cover these lines too.
+	for _, b := range res.Score.Count {
+		switch {
+		case b.Epochs == 0:
+			fmt.Printf("score: §5 truth %s: 0 reader-epochs\n", b.Name())
+		case b.Truth == 0:
+			fmt.Printf("score: §5 truth %s: %d reader-epochs, %d phantom cars\n", b.Name(), b.Epochs, b.AbsErr)
+		default:
+			fmt.Printf("score: §5 truth %s: %d reader-epochs, accuracy %.3f, bias %+.2f cars\n",
+				b.Name(), b.Epochs, b.Accuracy(), b.Bias())
+		}
+	}
+	if d := res.Score.Decode; d.Epochs > 0 {
+		recall := "n/a"
+		if d.Single > 0 {
+			recall = fmt.Sprintf("%.3f", d.Recall())
+		}
+		fmt.Printf("score: §8 %d decode epochs: recall %s (%d of %d single-occupancy devices), %d decodes, %d wrong ids\n",
+			d.Epochs, recall, d.Recalled, d.Single, d.Decodes, len(d.Wrong))
+		for _, id := range d.Wrong {
+			fmt.Printf("score: §8 wrong id %#x\n", id)
+		}
 	}
 
 	// The HTTP front end: -serve publishes the finished run's query

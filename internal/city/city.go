@@ -13,6 +13,14 @@
 // copies the parking answer from the truth (ROADMAP item 5 removes it);
 // TestSystemReadsNoTruth keeps every other function off the handle.
 //
+// The run scores itself against that truth (Result.Score). The
+// coordinator alone computes it, from the claim it already makes
+// (truthOf): it rides each epochJob to its reader, where post.score —
+// the only reader of job.truth — bins the report's count and decodes
+// against it after the report is built. Measurement, reports and the
+// uplink never read it, and summarize merges the posts' tallies in
+// reader order; TestSystemReadsNoTruth holds that too.
+//
 // The collector tier (internal/cluster) owns the collector-side
 // decisions: Cluster.Dial routes each uplink to its reader's current
 // home partition, rerouting it after a failover cut, and Cluster.Drain
@@ -176,6 +184,9 @@ func (c *Config) validate() error {
 	if c.Duration < epochLen {
 		return fmt.Errorf("city: duration %v is shorter than one %v epoch", c.Duration, epochLen)
 	}
+	if c.Duration%epochLen != 0 {
+		return fmt.Errorf("city: duration %v is not a whole number of %v epochs", c.Duration, epochLen)
+	}
 	if !(c.UnequippedFrac >= 0 && c.UnequippedFrac <= 1) { // NaN included
 		return fmt.Errorf("city: unequipped fraction %g outside [0,1]", c.UnequippedFrac)
 	}
@@ -224,6 +235,7 @@ type post struct {
 	reports    int
 	carSeconds int
 	peak       int
+	tally      Score // this reader's epochs scored against the truth
 }
 
 // Sim is a constructed city ready to run.
@@ -273,6 +285,7 @@ func NewSim(cfg Config) (*Sim, error) {
 			decodeRNG:    newSeededRand(cfg.Seed ^ int64(j+1)*0x2545F4914F6CDD1D),
 			intersection: ix,
 			decoded:      make(map[uint64]float64),
+			tally:        newScore(),
 		})
 	}
 	initClocks(cfg, s.posts)
@@ -364,6 +377,9 @@ type Result struct {
 	// Failover summarizes the partition kill of a run that armed one
 	// (Chaos.KillAtSeq > 0). Nil otherwise.
 	Failover *FailoverStats
+	// Score is the run scored against the simulator's truth, reader by
+	// reader as each report was produced.
+	Score Score
 }
 
 // Directory returns the run's sighting query surface: the single store
@@ -406,12 +422,14 @@ type FailoverStats struct {
 // simulated timestamp, whether this is a §8 decode epoch, and the
 // claimed devices snapshotted at claim time — frozen positions and
 // battery, shared immutable envelopes — so the reader can measure
-// epoch N while the coordinator's kinematics are already at N+k.
+// epoch N while the coordinator's kinematics are already at N+k. truth
+// rides along for post.score alone.
 type epochJob struct {
 	epoch  int
 	stamp  time.Time
 	decode bool
 	devs   []*transponder.Device
+	truth  truth
 }
 
 // Run executes the simulation: an in-process collector tier, one TCP
@@ -610,6 +628,7 @@ coordinate:
 				continue // churned out: the reader simply gets no job
 			}
 			j := job
+			j.truth = truthOf(s.posts[i], claims[i], job.decode)
 			j.devs, coordErr = s.snapshot(s.posts[i], claims[i])
 			if coordErr != nil {
 				break coordinate
@@ -687,6 +706,7 @@ func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 		stamp = p.clk.Now(job.stamp)
 	}
 	rep := p.rd.Report(res, stamp)
+	var decoded []uint64
 	if job.decode && len(job.devs) > 0 {
 		var freqs []float64
 		for _, sp := range res.Spikes {
@@ -700,11 +720,14 @@ func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 		}
 		for i := range rep.Spikes {
 			if dr, ok := out[rep.Spikes[i].FreqHz]; ok {
-				rep.Spikes[i].DecodedID = dr.Frame.ID()
-				p.decoded[dr.Frame.ID()] = rep.Spikes[i].FreqHz
+				id := dr.Frame.ID()
+				rep.Spikes[i].DecodedID = id
+				p.decoded[id] = rep.Spikes[i].FreqHz
+				decoded = append(decoded, id)
 			}
 		}
 	}
+	p.score(job, rep.Count, decoded)
 	p.reports++
 	p.carSeconds += rep.Count
 	if rep.Count > p.peak {
@@ -727,7 +750,7 @@ func (s *Sim) uplink(p *post, up *collector.Client, rep *telemetry.Report) error
 }
 
 // summarize folds the collector state into per-intersection statistics
-// and merges the per-reader decode logs in a fixed order.
+// and merges the per-reader decode logs and scores in a fixed order.
 func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 	res := &Result{
 		Epochs:       epochs,
@@ -737,6 +760,7 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 		Poles:        make(map[uint32]geom.Vec2, len(s.posts)),
 		Start:        baseTime,
 		End:          baseTime.Add(time.Duration(epochs) * epochLen),
+		Score:        newScore(),
 	}
 	if cl.NumPartitions() == 1 {
 		res.Store = cl.Partition(0).Store
@@ -759,6 +783,7 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 		if p.peak > st.Peak {
 			st.Peak = p.peak
 		}
+		res.Score.merge(p.tally)
 	}
 	res.PerIntersection = stats
 

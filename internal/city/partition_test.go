@@ -85,12 +85,18 @@ func queryFingerprint(t *testing.T, res *Result) string {
 // TestPartitionCountInvariance is the collector tier's correctness
 // contract: the same seeded city run against the default tier and
 // against one, two, and four partitions must produce identical run
-// statistics and answer every directory query identically — including
-// speed checks, whose sighting pairs may straddle partitions.
+// statistics and scores and answer every directory query identically —
+// including speed checks, whose sighting pairs may straddle partitions.
+// Measurement sits upstream of the wire, so a run with wire faults
+// alone (drops and kills, no churn or drift) scores what the clean run
+// scores.
 func TestPartitionCountInvariance(t *testing.T) {
 	base, err := Run(invarianceConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := base.Score.Decode; d.Decodes == 0 || len(d.Wrong) > 0 {
+		t.Fatalf("decode score %+v: want decodes, every one a claimed vehicle or parked device", d)
 	}
 	if base.Store == nil || base.Store != base.Cluster.Partition(0).Store {
 		t.Fatal("the default tier should be one partition whose store is Result.Store")
@@ -127,6 +133,9 @@ func TestPartitionCountInvariance(t *testing.T) {
 		if !reflect.DeepEqual(res.ParkedSpots, base.ParkedSpots) {
 			t.Errorf("partitions=%d: parked spots diverge", parts)
 		}
+		if !reflect.DeepEqual(res.Score, base.Score) {
+			t.Errorf("partitions=%d: scores diverge:\n%+v\n%+v", parts, res.Score, base.Score)
+		}
 		if got := queryFingerprint(t, res); got != want {
 			t.Errorf("partitions=%d: merged query answers diverge from the default tier:\n--- default\n%s--- partitions=%d\n%s", parts, want, parts, got)
 		}
@@ -159,6 +168,23 @@ func TestPartitionCountInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(def.Uplinks, one.Uplinks) || len(def.Uplinks) == 0 {
 		t.Errorf("chaos accounting differs between the default tier and partitions=1:\n%+v\n%+v", def.Uplinks, one.Uplinks)
+	}
+
+	wire := invarianceConfig()
+	wire.Chaos = Chaos{DropRate: 0.15, KillEvery: 3}
+	faulted, err := Run(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := 0
+	for _, u := range faulted.Uplinks {
+		hit += u.FramesLost + u.Kills
+	}
+	if hit == 0 {
+		t.Fatal("the wire-fault run injected nothing: the score check is vacuous")
+	}
+	if !reflect.DeepEqual(faulted.Score, base.Score) {
+		t.Errorf("wire faults moved the score:\nfaulted: %+v\nclean:   %+v", faulted.Score, base.Score)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // assertResultsEqual compares everything a Result summarizes — the
-// per-intersection statistics, decoded-id set, parked-spot map, and
-// run totals. Store internals and wall-clock are deliberately not
+// per-intersection statistics, decoded-id set, parked-spot map, score
+// and run totals. Store internals and wall-clock are deliberately not
 // compared; cross-reader arrival order is allowed to differ.
 func assertResultsEqual(t *testing.T, a, b *Result, what string) {
 	t.Helper()
@@ -27,6 +27,9 @@ func assertResultsEqual(t *testing.T, a, b *Result, what string) {
 	}
 	if !reflect.DeepEqual(a.ParkedSpots, b.ParkedSpots) {
 		t.Errorf("%s: parked spots diverge: %v vs %v", what, a.ParkedSpots, b.ParkedSpots)
+	}
+	if !reflect.DeepEqual(a.Score, b.Score) {
+		t.Errorf("%s: scores diverge:\n%+v\n%+v", what, a.Score, b.Score)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // coordinator in runPipelined (not the reader goroutines it starts) and
 // summarize may name the world, as the Sim.world handle or the world
 // package; no other declaration may hold one. summarize's one use is
-// s.world.Parked(), the truth leak ROADMAP item 5 removes.
+// s.world.Parked(), the truth leak ROADMAP item 5 removes. The score's
+// truth has the same seam: only the coordinator calls truthOf and sets
+// an epochJob's truth, and only post.score reads it.
 func TestSystemReadsNoTruth(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -40,6 +42,31 @@ func TestSystemReadsNoTruth(t *testing.T) {
 				fset.Position(id.Pos()), who)
 		}
 	}
+	// truths lists the places under n that touch a reader-epoch's truth:
+	// a call of truthOf, or the truth field of an epochJob.
+	truths := func(n ast.Node) (ids []*ast.Ident) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "truthOf" {
+					ids = append(ids, id)
+				}
+			case *ast.SelectorExpr:
+				if x.Sel.Name == "truth" {
+					ids = append(ids, x.Sel)
+				}
+			}
+			return true
+		})
+		return ids
+	}
+	refuseTruth := func(ids []*ast.Ident, who string) {
+		for _, id := range ids {
+			t.Errorf("%s: %s touches the score's truth; only runPipelined's coordinator may compute it and post.score read it",
+				fset.Position(id.Pos()), who)
+		}
+	}
+	scorer := false // post.score, the one reader of job.truth, exists
 	handle := false // Sim has the world field this test keys on
 	for _, f := range pkgs["city"].Files {
 		for _, decl := range f.Decls {
@@ -59,14 +86,25 @@ func TestSystemReadsNoTruth(t *testing.T) {
 			case *ast.FuncDecl:
 				switch name := d.Name.Name; name {
 				case "NewSim":
+					refuseTruth(truths(d), name)
 				case "runPipelined":
 					ast.Inspect(d.Body, func(n ast.Node) bool {
 						if lit, ok := n.(*ast.FuncLit); ok {
 							refuse(uses(lit), "a goroutine or closure in runPipelined")
+							refuseTruth(truths(lit), "a goroutine or closure in runPipelined")
 							return false
 						}
 						return true
 					})
+				case "score":
+					// The one reader of job.truth: it computes none.
+					scorer = d.Recv != nil
+					refuse(uses(d), name)
+					for _, id := range truths(d) {
+						if id.Name == "truthOf" {
+							refuseTruth([]*ast.Ident{id}, name)
+						}
+					}
 				case "summarize":
 					// The one leak: s.world.Parked() copies the parking
 					// answer from the truth. ROADMAP item 5 removes it.
@@ -87,13 +125,18 @@ func TestSystemReadsNoTruth(t *testing.T) {
 						t.Errorf("summarize names the world %d times and calls s.world.Parked() %d times; Parked, once, is its only allowed use",
 							len(ids), parked)
 					}
+					refuseTruth(truths(d), name)
 				default:
 					refuse(uses(d), name)
+					refuseTruth(truths(d), name)
 				}
 			}
 		}
 	}
 	if !handle {
 		t.Fatal("Sim has no world field: the seam this test walks is gone or renamed")
+	}
+	if !scorer {
+		t.Fatal("post has no score method: the truth seam this test walks is gone or renamed")
 	}
 }

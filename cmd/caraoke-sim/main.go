@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -24,7 +23,6 @@ import (
 
 	"caraoke/internal/api"
 	"caraoke/internal/city"
-	"caraoke/internal/collector"
 )
 
 func main() {
@@ -36,7 +34,6 @@ func main() {
 	decodeEvery := flag.Int("decode-every", 5, "run the §8 id decoder every k-th epoch (negative disables)")
 	decodeBudget := flag.Int("decode-budget", 120, "max collisions combined per decode run")
 	equipped := flag.Float64("equipped", 1, "fraction of cars carrying a transponder")
-	speedLimit := flag.Float64("speed-limit", 13, "speed-service limit, m/s")
 	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = one report per frame; results identical, only framing changes)")
 	partitions := flag.Int("partitions", 1, "collector partitions (1 = single collector; ≥2 spreads readers over a consistent-hash ring; query answers identical for any count)")
 	killPartition := flag.Int("kill-partition", 0, "with -partitions ≥2 and -kill-at-seq: the partition the failover drill kills")
@@ -51,9 +48,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (any scenario; profiling does not affect results)")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
 	flag.Parse()
-	if !(*speedLimit > 0 && *speedLimit <= math.MaxFloat64) {
-		log.Fatalf("caraoke-sim: speed limit %g m/s must be finite and positive", *speedLimit)
-	}
 	// city.Config reads 0 as "the default"; here it would silently mean
 	// 5 and 120, so only a negative -decode-every switches decoding off.
 	if *decodeEvery == 0 {
@@ -180,42 +174,29 @@ func main() {
 		}
 	}
 
-	// Speed service over reader pairs: any decoded car sighted at two
-	// poles yields a transit-time speed estimate (§7).
-	svc := collector.NewSpeedService(res.Directory(), *speedLimit)
-	for id, pos := range res.Poles {
-		svc.RegisterReader(id, pos)
-	}
-	span := res.End.Sub(res.Start)
-	for _, d := range res.Decoded {
-		v, over, err := svc.Check(d.FreqHz, 3e3, span, res.End)
-		if err != nil {
-			continue // sighted at fewer than two readers
-		}
+	// The run's speed answers: any decoded car sighted at two poles
+	// yields a transit-time speed estimate (§7).
+	for _, a := range res.Speeds {
 		tag := ""
-		if over {
+		if a.Speeding {
 			tag = "  SPEEDING"
 		}
 		fmt.Printf("speed: id %#x (CFO %.1f kHz) readers %d→%d: %.1f m/s%s\n",
-			d.ID, d.FreqHz/1e3, v.From, v.To, v.SpeedMPS, tag)
+			a.ID, a.FreqHz/1e3, a.From, a.To, a.SpeedMPS, tag)
 	}
 
-	// Parking service: decoded curbside occupants open billable
-	// sessions spanning the run; -serve keeps them open.
-	park := collector.NewParkingService()
-	for spot, id := range res.ParkedSpots {
-		if err := park.Arrive(spot, id, res.Start); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for _, ses := range park.Sessions() {
+	// Parking: decoded curbside occupants hold billable sessions
+	// spanning the run; -serve keeps them open.
+	for _, ses := range res.Parking.Sessions() {
 		fmt.Printf("parking: spot %d held by %#x, billed %s\n", ses.Spot, ses.ID, res.End.Sub(ses.Since))
 	}
 
 	// The run scored against the simulator's truth: §5 per truth bin
 	// (claimed devices TriggeredFrom the reader), §8 over the decode
-	// epochs (triggered devices alone in their FFT bin). Seed-pure, so
-	// the CI determinism diffs cover these lines too.
+	// epochs (triggered devices alone in their FFT bin), §7 per speed
+	// answer (the car's true speed, 0 when parked), and parking in runs
+	// that park cars. Seed-pure, so the CI determinism diffs cover these
+	// lines too.
 	for _, b := range res.Score.Count {
 		switch {
 		case b.Epochs == 0:
@@ -238,6 +219,15 @@ func main() {
 			fmt.Printf("score: §8 wrong id %#x\n", id)
 		}
 	}
+	if v := res.Score.Speed; v.Answers == 0 {
+		fmt.Println("score: §7 0 answers")
+	} else {
+		fmt.Printf("score: §7 %d answers: |error| p50 %.2f m/s, p90 %.2f m/s, %d SPEEDING (%d false), %d wrong ids\n",
+			v.Answers, v.P50, v.P90, v.Speeding, v.FalseSpeeding, v.WrongIDs)
+	}
+	if p := res.Score.Parking; p.Parked > 0 {
+		fmt.Printf("score: parking %d parked cars: %d spots answered, %d measured\n", p.Parked, p.Answered, p.Measured)
+	}
 
 	// The HTTP front end: -serve publishes the finished run's query
 	// surface with the clock frozen at the run's end, so speed max-age
@@ -245,8 +235,8 @@ func main() {
 	if *serveAddr != "" {
 		apiSrv := api.New(api.Config{
 			Directory: res.Directory(),
-			Speed:     svc,
-			Parking:   park,
+			Speed:     res.Speed,
+			Parking:   res.Parking,
 			Now:       func() time.Time { return res.End },
 		})
 		log.Printf("serving query API on %s (try /healthz, /car/{id}, /speed?freq=..., /parking)", *serveAddr)

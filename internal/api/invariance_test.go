@@ -13,29 +13,17 @@ import (
 	"time"
 
 	"caraoke/internal/city"
-	"caraoke/internal/collector"
 )
 
-// serveResult stands an API server up over a finished city run:
-// directory from the run's backend (store or cluster), speed service
-// over the run's poles, parking sessions replayed from the decoded
-// occupancy map, and the clock frozen at the run's end.
+// serveResult stands an API server up over a finished city run: the
+// run's directory (store or cluster), its speed and parking services,
+// and the clock frozen at the run's end.
 func serveResult(t *testing.T, res *city.Result) (*Server, *httptest.Server) {
 	t.Helper()
-	speed := collector.NewSpeedService(res.Directory(), 15)
-	for id, pos := range res.Poles {
-		speed.RegisterReader(id, pos)
-	}
-	parking := collector.NewParkingService()
-	for spot, id := range res.ParkedSpots {
-		if err := parking.Arrive(spot, id, res.Start); err != nil {
-			t.Fatal(err)
-		}
-	}
 	srv := New(Config{
 		Directory: res.Directory(),
-		Speed:     speed,
-		Parking:   parking,
+		Speed:     res.Speed,
+		Parking:   res.Parking,
 		Now:       func() time.Time { return res.End },
 	})
 	ts := httptest.NewServer(srv)

@@ -4,7 +4,7 @@ import "testing"
 
 // referenceScores memoizes the reference city's Result.Score per seed:
 // 8 readers, 200 vehicles, 30 s, default decoding. The §5 and §8 floor
-// tests read the same runs.
+// tests and the §7 ceilings read the same runs.
 var referenceScores = map[int64]Score{}
 
 func referenceScore(t *testing.T, seed int64) Score {
@@ -84,6 +84,47 @@ func TestDecodedIDsAreFleetIDs(t *testing.T) {
 		}
 		if r := d.Recall(); r < recallFloor {
 			t.Errorf("seed %d: recall %.3f under its floor %.3f", seed, r, recallFloor)
+		}
+	}
+}
+
+// TestSpeedErrorCeiling scores the §7 speed answers of the reference
+// city, seeds 1–5, read from Result.Score: per seed, |answer − true
+// speed| at p50 and p90, the share of answers flagged SPEEDING for a
+// car at or under the limit, and the answers whose decoded id names
+// another car. Each error and share ceiling is the worst seed plus the
+// seeds' spread, the wrong-id ceiling the worst seed. Lower a ceiling a
+// change beats; never raise one.
+func TestSpeedErrorCeiling(t *testing.T) {
+	// Measured at the ceilings' commit, seeds 1–5: answers 185 177 175
+	// 165 185; p50 3.06 2.88 2.83 3.12 2.71; p90 11.45 11.09 11.46 11.93
+	// 11.78; SPEEDING false/all 40/47 45/48 49/60 51/58 48/60; wrong ids
+	// 0 1 2 0 2.
+	const (
+		p50Ceiling        = 3.53
+		p90Ceiling        = 12.77
+		falseShareCeiling = 0.402
+		wrongIDCeiling    = 2
+	)
+	for seed := int64(1); seed <= 5; seed++ {
+		v := referenceScore(t, seed).Speed
+		if v.Answers == 0 {
+			t.Fatalf("seed %d: no speed answer: the check is vacuous", seed)
+		}
+		share := float64(v.FalseSpeeding) / float64(v.Answers)
+		t.Logf("seed %d: %d answers, |error| p50 %.2f p90 %.2f m/s, SPEEDING %d false of %d (share %.3f), %d wrong ids",
+			seed, v.Answers, v.P50, v.P90, v.FalseSpeeding, v.Speeding, share, v.WrongIDs)
+		if v.P50 > p50Ceiling {
+			t.Errorf("seed %d: |error| p50 %.2f m/s over its ceiling %.2f", seed, v.P50, p50Ceiling)
+		}
+		if v.P90 > p90Ceiling {
+			t.Errorf("seed %d: |error| p90 %.2f m/s over its ceiling %.2f", seed, v.P90, p90Ceiling)
+		}
+		if share > falseShareCeiling {
+			t.Errorf("seed %d: false SPEEDING share %.3f over its ceiling %.3f", seed, share, falseShareCeiling)
+		}
+		if v.WrongIDs > wrongIDCeiling {
+			t.Errorf("seed %d: %d answers name another car, ceiling %d", seed, v.WrongIDs, wrongIDCeiling)
 		}
 	}
 }

@@ -11,7 +11,8 @@
 // a bounded queue: readers, uplinks and the collector never see the
 // world. The one known leak is summarize's World.Parked call, which
 // copies the parking answer from the truth (ROADMAP item 5 removes it);
-// TestSystemReadsNoTruth keeps every other function off the handle.
+// TestSystemReadsNoTruth keeps every other function off the handle but
+// the §7 scorer (below).
 //
 // The run scores itself against that truth (Result.Score). The
 // coordinator alone computes it, from the claim it already makes
@@ -19,7 +20,10 @@
 // the only reader of job.truth — bins the report's count and decodes
 // against it after the report is built. Measurement, reports and the
 // uplink never read it, and summarize merges the posts' tallies in
-// reader order; TestSystemReadsNoTruth holds that too.
+// reader order. summarize also builds the run's speed and parking
+// services and answers a speed check per decoded car (Result.Speeds);
+// only then does scoreSpeeds, the §7 scorer, read the world's speed
+// view. TestSystemReadsNoTruth holds that too.
 //
 // The collector tier (internal/cluster) owns the collector-side
 // decisions: Cluster.Dial routes each uplink to its reader's current
@@ -81,6 +85,12 @@ const (
 	// keeps the snapshot working set proportional to readers × lookahead;
 	// results are identical for any depth.
 	lookahead = 4
+	// speedLimit is the §7 speed service's limit in m/s: answers above
+	// it are flagged SPEEDING. The fleet drives at 8–14 m/s (world.New).
+	speedLimit = 13.0
+	// speedTolHz is how far a sighting's CFO may sit from a decoded
+	// car's to count as that car in its speed check.
+	speedTolHz = 3e3
 )
 
 // baseTime anchors simulated timestamps (the morning of the paper's
@@ -377,9 +387,26 @@ type Result struct {
 	// Failover summarizes the partition kill of a run that armed one
 	// (Chaos.KillAtSeq > 0). Nil otherwise.
 	Failover *FailoverStats
+	// Speed is the run's §7 speed service over Directory, every pole
+	// registered, limit speedLimit; Parking holds one session per
+	// ParkedSpots entry, opened at Start. Both serve the HTTP API.
+	Speed   *collector.SpeedService
+	Parking *collector.ParkingService
+	// Speeds is Speed's answer for each decoded car two readers
+	// sighted, in Decoded order: its CFO within speedTolHz, sightings
+	// from the whole run, the clock at End.
+	Speeds []SpeedAnswer
 	// Score is the run scored against the simulator's truth, reader by
 	// reader as each report was produced.
 	Score Score
+}
+
+// SpeedAnswer is the speed service's answer for one decoded car: the
+// reader pair, the m/s between them, and the SPEEDING flag.
+type SpeedAnswer struct {
+	ID uint64 // the decoded car checked
+	collector.Violation
+	Speeding bool
 }
 
 // Directory returns the run's sighting query surface: the single store
@@ -490,7 +517,10 @@ func (s *Sim) Run() (*Result, error) {
 	for _, p := range s.posts {
 		produced += p.reports
 	}
-	res := s.summarize(cl, produced, epochs)
+	res, err := s.summarize(cl, produced, epochs)
+	if err != nil {
+		return nil, err
+	}
 	res.Failover = s.failoverStats(cl, clients)
 	if cr != nil {
 		res.Uplinks = cr.uplinkStats(s.posts, clients, cl, epochs)
@@ -749,9 +779,10 @@ func (s *Sim) uplink(p *post, up *collector.Client, rep *telemetry.Report) error
 	return nil
 }
 
-// summarize folds the collector state into per-intersection statistics
-// and merges the per-reader decode logs and scores in a fixed order.
-func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
+// summarize folds the collector state into per-intersection statistics,
+// merges the per-reader decode logs and scores in a fixed order, builds
+// the run's speed and parking services and scores their answers.
+func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) (*Result, error) {
 	res := &Result{
 		Epochs:       epochs,
 		TotalReports: total,
@@ -765,6 +796,7 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 	if cl.NumPartitions() == 1 {
 		res.Store = cl.Partition(0).Store
 	}
+	res.Speed = collector.NewSpeedService(res.Directory(), speedLimit)
 	stats := make([]IntersectionStats, (len(s.posts)+1)/2)
 	for ix := range stats {
 		col, row := ix%s.gw, ix/s.gw
@@ -774,7 +806,9 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 		st := &stats[p.intersection]
 		st.Readers = append(st.Readers, p.rd.ID)
 		c := p.rd.Center()
-		res.Poles[p.rd.ID] = geom.P(c.X, c.Y)
+		pole := geom.P(c.X, c.Y)
+		res.Poles[p.rd.ID] = pole
+		res.Speed.RegisterReader(p.rd.ID, pole)
 		// Producer-side accumulation, not a store scan: history trimmed
 		// by the keep window must not silently shrink the run summary
 		// (the store still backs the service queries below).
@@ -802,13 +836,29 @@ func (s *Sim) summarize(cl *cluster.Cluster, total, epochs int) *Result {
 		}
 	}
 	sort.Slice(res.Decoded, func(a, b int) bool { return res.Decoded[a].ID < res.Decoded[b].ID })
+	for _, d := range res.Decoded {
+		v, over, err := res.Speed.Check(d.FreqHz, speedTolHz, res.End.Sub(res.Start), res.End)
+		if err != nil {
+			continue // sighted at fewer than two readers
+		}
+		res.Speeds = append(res.Speeds, SpeedAnswer{ID: d.ID, Violation: v, Speeding: over})
+	}
+	res.Score.Speed = s.scoreSpeeds(res.Speeds)
+
 	// The truth leak ROADMAP item 5 removes: copied, not measured.
-	for spot, d := range s.world.Parked() {
-		if seen[d.ID()] {
-			res.ParkedSpots[spot] = d.ID()
+	res.Parking = collector.NewParkingService()
+	parked := s.world.Parked()
+	for spot, d := range parked {
+		if !seen[d.ID()] {
+			continue
+		}
+		res.ParkedSpots[spot] = d.ID()
+		if err := res.Parking.Arrive(spot, d.ID(), res.Start); err != nil {
+			return nil, fmt.Errorf("city: %w", err)
 		}
 	}
-	return res
+	res.Score.Parking = ParkingScore{Parked: len(parked), Answered: len(res.ParkedSpots)}
+	return res, nil
 }
 
 // Run builds and executes a city in one call.

@@ -32,9 +32,11 @@ func invarianceConfig() Config {
 // queryFingerprint canonicalizes every service answer the run's
 // directory gives: find-my-car per decoded id, decoded-id and
 // per-reader sighting lookups per decoded CFO, a speed check per
-// decoded CFO, and the parking map. Two runs answer identically iff
-// their fingerprints are byte-equal; times print as UnixNano so wire
-// round-trips (which drop the zone) cannot alias a real difference.
+// decoded CFO through the run's own speed service (at 500 Hz and 1 h,
+// where Result.Speeds asks at 3 kHz), and the parking sessions. Two
+// runs answer identically iff their fingerprints are byte-equal; times
+// print as UnixNano so wire round-trips (which drop the zone) cannot
+// alias a real difference.
 func queryFingerprint(t *testing.T, res *Result) string {
 	t.Helper()
 	dir := res.Directory()
@@ -47,10 +49,6 @@ func queryFingerprint(t *testing.T, res *Result) string {
 		}
 	}
 	const tol = 500.0
-	svc := collector.NewSpeedService(dir, 15)
-	for id, pos := range res.Poles {
-		svc.RegisterReader(id, pos)
-	}
 	for _, d := range res.Decoded {
 		fmt.Fprintf(&b, "cfo %.6f: id %#x\n", d.FreqHz, dir.DecodedIDAt(d.FreqHz, tol))
 		sightings := dir.SightingsByCFO(d.FreqHz, tol)
@@ -63,7 +61,7 @@ func queryFingerprint(t *testing.T, res *Result) string {
 			s := sightings[id]
 			fmt.Fprintf(&b, "  reader %d at %d freq %.6f\n", id, s.Seen.UnixNano(), s.FreqHz)
 		}
-		v, over, err := svc.Check(d.FreqHz, tol, time.Hour, res.End)
+		v, over, err := res.Speed.Check(d.FreqHz, tol, time.Hour, res.End)
 		if err != nil {
 			fmt.Fprintf(&b, "  speed: err %v\n", err)
 		} else {
@@ -71,13 +69,8 @@ func queryFingerprint(t *testing.T, res *Result) string {
 				v.SpeedMPS, over, v.From, v.To, v.At.UnixNano(), v.DecodedID)
 		}
 	}
-	spots := make([]int, 0, len(res.ParkedSpots))
-	for spot := range res.ParkedSpots {
-		spots = append(spots, spot)
-	}
-	sort.Ints(spots)
-	for _, spot := range spots {
-		fmt.Fprintf(&b, "spot %d: %#x\n", spot, res.ParkedSpots[spot])
+	for _, ses := range res.Parking.Sessions() {
+		fmt.Fprintf(&b, "spot %d: %#x since %d\n", ses.Spot, ses.ID, ses.Since.UnixNano())
 	}
 	return b.String()
 }
@@ -85,11 +78,13 @@ func queryFingerprint(t *testing.T, res *Result) string {
 // TestPartitionCountInvariance is the collector tier's correctness
 // contract: the same seeded city run against the default tier and
 // against one, two, and four partitions must produce identical run
-// statistics and scores and answer every directory query identically —
-// including speed checks, whose sighting pairs may straddle partitions.
-// Measurement sits upstream of the wire, so a run with wire faults
-// alone (drops and kills, no churn or drift) scores what the clean run
-// scores.
+// statistics, speed answers and scores and answer every directory query
+// identically — including speed checks, whose sighting pairs may
+// straddle partitions. Measurement sits upstream of the wire, so a run
+// with wire faults alone (drops and kills, no churn or drift) scores
+// the §5 counts and §8 decodes the clean run scores. Its §7 and parking
+// scores may move: they are read off the delivered reports, downstream
+// of the wire.
 func TestPartitionCountInvariance(t *testing.T) {
 	base, err := Run(invarianceConfig())
 	if err != nil {
@@ -102,8 +97,8 @@ func TestPartitionCountInvariance(t *testing.T) {
 		t.Fatal("the default tier should be one partition whose store is Result.Store")
 	}
 	want := queryFingerprint(t, base)
-	if len(base.Decoded) == 0 {
-		t.Fatal("no cars decoded — the invariance check is vacuous")
+	if len(base.Decoded) == 0 || len(base.Speeds) == 0 {
+		t.Fatalf("%d cars decoded, %d speed answers — the invariance check is vacuous", len(base.Decoded), len(base.Speeds))
 	}
 	for _, parts := range []int{1, 2, 4} {
 		cfg := invarianceConfig()
@@ -132,6 +127,9 @@ func TestPartitionCountInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.ParkedSpots, base.ParkedSpots) {
 			t.Errorf("partitions=%d: parked spots diverge", parts)
+		}
+		if !reflect.DeepEqual(res.Speeds, base.Speeds) {
+			t.Errorf("partitions=%d: speed answers diverge:\n%+v\n%+v", parts, res.Speeds, base.Speeds)
 		}
 		if !reflect.DeepEqual(res.Score, base.Score) {
 			t.Errorf("partitions=%d: scores diverge:\n%+v\n%+v", parts, res.Score, base.Score)
@@ -183,8 +181,9 @@ func TestPartitionCountInvariance(t *testing.T) {
 	if hit == 0 {
 		t.Fatal("the wire-fault run injected nothing: the score check is vacuous")
 	}
-	if !reflect.DeepEqual(faulted.Score, base.Score) {
-		t.Errorf("wire faults moved the score:\nfaulted: %+v\nclean:   %+v", faulted.Score, base.Score)
+	if !reflect.DeepEqual(faulted.Score.Count, base.Score.Count) || !reflect.DeepEqual(faulted.Score.Decode, base.Score.Decode) {
+		t.Errorf("wire faults moved the §5/§8 score:\nfaulted: %+v %+v\nclean:   %+v %+v",
+			faulted.Score.Count, faulted.Score.Decode, base.Score.Count, base.Score.Decode)
 	}
 }
 

@@ -19,13 +19,15 @@ import (
 const fftBinHz = phy.SampleRate / phy.ResponseSamples
 
 // Score is a run scored against the simulator's truth: the §5 count of
-// every reader-epoch, binned by its truth, and the §8 decodes of every
-// decode epoch.
+// every reader-epoch, binned by its truth, the §8 decodes of every
+// decode epoch, the §7 speed answers and the parking answer.
 type Score struct {
 	// Count bins the reader-epochs by truth: 0, 1–4, 5–12, 13–24 and
 	// > 24 triggered devices.
-	Count  [5]CountBin
-	Decode DecodeScore
+	Count   [5]CountBin
+	Decode  DecodeScore
+	Speed   SpeedScore
+	Parking ParkingScore
 }
 
 // CountBin is the §5 count's error over the reader-epochs whose truth —
@@ -72,6 +74,28 @@ type DecodeScore struct {
 // Recall is the share of single-occupancy devices decoded.
 func (d DecodeScore) Recall() float64 { return float64(d.Recalled) / float64(d.Single) }
 
+// SpeedScore is §7: the run's speed answers (Result.Speeds) against
+// each checked car's true speed — its constant speed, 0 when parked.
+type SpeedScore struct {
+	Answers int
+	// P50 and P90 are |answer − true speed| in m/s at the nearest rank:
+	// index round(q·(n−1)) of the sorted errors; 0 with no answer.
+	P50, P90      float64
+	Speeding      int // answers flagged SPEEDING (over speedLimit)
+	FalseSpeeding int // of those, cars whose true speed is ≤ speedLimit
+	WrongIDs      int // answers whose DecodedID is not the checked car
+}
+
+// ParkingScore is the parking answer (Result.ParkedSpots) against the
+// cars parked curbside.
+type ParkingScore struct {
+	Parked   int // cars parked curbside
+	Answered int // spots the run answers
+	// Measured counts answered spots read off reports rather than
+	// copied from the truth: 0 until ROADMAP item 5 measures them.
+	Measured int
+}
+
 // newScore is an empty score with its count bins' bounds set.
 func newScore() Score {
 	return Score{Count: [5]CountBin{
@@ -93,6 +117,38 @@ func (s *Score) merge(o Score) {
 	s.Decode.Recalled += o.Decode.Recalled
 	s.Decode.Decodes += o.Decode.Decodes
 	s.Decode.Wrong = append(s.Decode.Wrong, o.Decode.Wrong...)
+}
+
+// scoreSpeeds is the §7 scorer, the one reader of the world's speed
+// view; summarize calls it once the answers exist. An answer whose
+// checked id is no fleet device has no true speed and leaves the error
+// and the false flags alone: §8 already names that id wrong.
+func (s *Sim) scoreSpeeds(answers []SpeedAnswer) SpeedScore {
+	speeds := s.world.Speeds()
+	sc := SpeedScore{Answers: len(answers)}
+	var errs []float64
+	for _, a := range answers {
+		if a.Speeding {
+			sc.Speeding++
+		}
+		if a.DecodedID != a.ID {
+			sc.WrongIDs++
+		}
+		v, ok := speeds[a.ID]
+		if !ok {
+			continue
+		}
+		errs = append(errs, math.Abs(a.SpeedMPS-v))
+		if a.Speeding && v <= speedLimit {
+			sc.FalseSpeeding++
+		}
+	}
+	if n := len(errs); n > 0 {
+		slices.Sort(errs)
+		rank := func(q float64) float64 { return errs[int(math.Round(q*float64(n-1)))] }
+		sc.P50, sc.P90 = rank(0.5), rank(0.9)
+	}
+	return sc
 }
 
 // truth is what the coordinator knows of one reader-epoch that the

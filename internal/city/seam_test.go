@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,10 @@ import (
 // package; no other declaration may hold one. summarize's one use is
 // s.world.Parked(), the truth leak ROADMAP item 5 removes. The score's
 // truth has the same seam: only the coordinator calls truthOf and sets
-// an epochJob's truth, and only post.score reads it.
+// an epochJob's truth, and only post.score reads it. The world's speed
+// view has one reader, the §7 scorer: Sim.scoreSpeeds names the world
+// once, to call Speeds, and nothing else calls a Speeds method or
+// selects one off a world handle.
 func TestSystemReadsNoTruth(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -66,8 +70,33 @@ func TestSystemReadsNoTruth(t *testing.T) {
 				fset.Position(id.Pos()), who)
 		}
 	}
-	scorer := false // post.score, the one reader of job.truth, exists
-	handle := false // Sim has the world field this test keys on
+	// speedViews lists the reads of the world's speed view under n: a
+	// call of any method named Speeds, or a Speeds selected off a world
+	// handle (a method value).
+	speedViews := func(n ast.Node) (ids []*ast.Ident) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			var sel *ast.SelectorExpr
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				sel, _ = x.Fun.(*ast.SelectorExpr)
+			case *ast.SelectorExpr:
+				if h, ok := x.X.(*ast.Ident); ok && h.Name == "world" {
+					sel = x
+				}
+				if h, ok := x.X.(*ast.SelectorExpr); ok && h.Sel.Name == "world" {
+					sel = x
+				}
+			}
+			if sel != nil && sel.Sel.Name == "Speeds" && !slices.Contains(ids, sel.Sel) {
+				ids = append(ids, sel.Sel)
+			}
+			return true
+		})
+		return ids
+	}
+	scorer := false      // post.score, the one reader of job.truth, exists
+	speedScorer := false // Sim.scoreSpeeds, the one reader of the speed view, exists
+	handle := false      // Sim has the world field this test keys on
 	for _, f := range pkgs["city"].Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -84,6 +113,12 @@ func TestSystemReadsNoTruth(t *testing.T) {
 					refuse(uses(spec), "a package-level declaration")
 				}
 			case *ast.FuncDecl:
+				if d.Name.Name != "scoreSpeeds" {
+					for _, id := range speedViews(d) {
+						t.Errorf("%s: %s reads the world's speed view; only the §7 scorer, Sim.scoreSpeeds, may",
+							fset.Position(id.Pos()), d.Name.Name)
+					}
+				}
 				switch name := d.Name.Name; name {
 				case "NewSim":
 					refuseTruth(truths(d), name)
@@ -105,6 +140,15 @@ func TestSystemReadsNoTruth(t *testing.T) {
 							refuseTruth([]*ast.Ident{id}, name)
 						}
 					}
+				case "scoreSpeeds":
+					// The §7 scorer: its one use of the world is the
+					// speed view, read once.
+					speedScorer = d.Recv != nil
+					if views, ids := speedViews(d), uses(d); len(views) != 1 || len(ids) != 1 {
+						t.Errorf("scoreSpeeds names the world %d times and reads its speed view %d times; one s.world.Speeds() is its only allowed use",
+							len(ids), len(views))
+					}
+					refuseTruth(truths(d), name)
 				case "summarize":
 					// The one leak: s.world.Parked() copies the parking
 					// answer from the truth. ROADMAP item 5 removes it.
@@ -138,5 +182,8 @@ func TestSystemReadsNoTruth(t *testing.T) {
 	}
 	if !scorer {
 		t.Fatal("post has no score method: the truth seam this test walks is gone or renamed")
+	}
+	if !speedScorer {
+		t.Fatal("Sim has no scoreSpeeds method: the speed-view seam this test walks is gone or renamed")
 	}
 }

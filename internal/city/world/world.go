@@ -130,3 +130,18 @@ func (w *World) Devices() []*transponder.Device {
 
 // Parked returns the parked cars' transponders in spot order.
 func (w *World) Parked() []*transponder.Device { return w.parked }
+
+// Speeds maps every transponder id to its car's true speed in m/s: a
+// vehicle's constant speed, 0 for a parked car.
+func (w *World) Speeds() map[uint64]float64 {
+	out := make(map[uint64]float64, len(w.vehicles)+len(w.parked))
+	for _, v := range w.vehicles {
+		if v.dev != nil {
+			out[v.dev.ID()] = v.speed
+		}
+	}
+	for _, d := range w.parked {
+		out[d.ID()] = 0
+	}
+	return out
+}

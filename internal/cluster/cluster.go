@@ -505,12 +505,13 @@ func (c *Cluster) FindCar(id uint64) (collector.CarSighting, bool) {
 	return best, found
 }
 
-// DecodedIDAt returns the smallest decoded id whose globally-latest
-// sighting is within tol of freq. The per-id latest must be resolved
-// across partitions BEFORE the tolerance filter — a partition-local
-// latest can sit inside tol while the car's true latest sighting (on
-// another partition) does not — so each partition contributes its whole
-// index snapshot and the filter runs on the merged maxima.
+// DecodedIDAt returns the decoded id whose globally-latest sighting is
+// nearest freq, within tol (collector.NearestID, the store's rule). The
+// per-id latest must be resolved across partitions BEFORE the rule runs
+// — a partition-local latest can sit inside tol while the car's true
+// latest sighting (on another partition) does not — so each partition
+// contributes its whole index snapshot and the rule runs on the merged
+// maxima.
 func (c *Cluster) DecodedIDAt(freq, tol float64) uint64 {
 	merged := make(map[uint64]collector.CarSighting)
 	for _, p := range c.livePartitions() {
@@ -520,17 +521,7 @@ func (c *Cluster) DecodedIDAt(freq, tol float64) uint64 {
 			}
 		}
 	}
-	best := uint64(0)
-	for id, sgt := range merged {
-		d := sgt.FreqHz - freq
-		if d < 0 {
-			d = -d
-		}
-		if d <= tol && (best == 0 || id < best) {
-			best = id
-		}
-	}
-	return best
+	return collector.NearestID(merged, freq, tol)
 }
 
 // SightingsByCFO merges the per-reader latest-spike maps of every live

@@ -178,37 +178,10 @@ func TestCrossPartitionSpeedPair(t *testing.T) {
 	}
 	defer c.Stop()
 
-	// Find one cell per partition so the two readers are guaranteed to
-	// live apart.
-	ring, _ := NewRing(2)
-	cellOn := map[int]string{}
-	for i := 0; len(cellOn) < 2 && i < 1000; i++ {
-		cell := fmt.Sprintf("speed-cell-%d", i)
-		if _, ok := cellOn[ring.Owner(cell)]; !ok {
-			cellOn[ring.Owner(cell)] = cell
-		}
-	}
-	c.Register(1, cellOn[0])
-	c.Register(2, cellOn[1])
-
+	registerApart(c)
 	const freq = 5e3
-	send := func(id uint32, seq int, decoded uint64) {
-		t.Helper()
-		cl, err := c.Dial(id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		rep := &telemetry.Report{
-			ReaderID: id, Seq: uint32(seq), Timestamp: at(seq), Count: 1,
-			Spikes: []telemetry.SpikeRecord{{FreqHz: freq + float64(id), DecodedID: decoded}},
-		}
-		if err := cl.Send(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(1, 1, 0x111) // the car at reader 1, t=1s
-	send(2, 3, 0x111) // the same car at reader 2, t=3s, 60 m away
+	sendSpike(t, c, 1, 1, freq+1, 0x111) // the car at reader 1, t=1s
+	sendSpike(t, c, 2, 3, freq+2, 0x111) // the same car at reader 2, t=3s, 60 m away
 	if err := c.WaitHighWater(map[uint32]uint32{1: 1, 2: 3}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +207,68 @@ func TestCrossPartitionSpeedPair(t *testing.T) {
 	}
 	if v.DecodedID != 0x111 {
 		t.Fatalf("violation carries id %#x, want 0x111", v.DecodedID)
+	}
+}
+
+// registerApart homes reader 1 on partition 0 and reader 2 on partition
+// 1 of a two-partition cluster, so their reports are guaranteed to live
+// apart.
+func registerApart(c *Cluster) {
+	ring, _ := NewRing(2)
+	cellOn := map[int]string{}
+	for i := 0; len(cellOn) < 2 && i < 1000; i++ {
+		cell := fmt.Sprintf("speed-cell-%d", i)
+		if _, ok := cellOn[ring.Owner(cell)]; !ok {
+			cellOn[ring.Owner(cell)] = cell
+		}
+	}
+	c.Register(1, cellOn[0])
+	c.Register(2, cellOn[1])
+}
+
+// sendSpike uplinks one report from reader id at second seq holding one
+// spike at freq, decoded as decoded (0 = undecoded).
+func sendSpike(t *testing.T, c *Cluster, id uint32, seq int, freq float64, decoded uint64) {
+	t.Helper()
+	cl, err := c.Dial(id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rep := &telemetry.Report{
+		ReaderID: id, Seq: uint32(seq), Timestamp: at(seq), Count: 1,
+		Spikes: []telemetry.SpikeRecord{{FreqHz: freq, DecodedID: decoded}},
+	}
+	if err := cl.Send(rep); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodedIDAtNearestAcrossPartitions: two decoded cars within tol
+// of the queried CFO, their sightings on different partitions, and the
+// larger id nearer. The merged answer names the nearer car, as one
+// store would (collector's TestDecodedIDAtNearest), not the smaller id.
+func TestDecodedIDAtNearestAcrossPartitions(t *testing.T) {
+	c, err := New(Config{Partitions: 2, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	registerApart(c)
+	const freq = 5e3
+	sendSpike(t, c, 1, 1, freq-900, 0x111)
+	sendSpike(t, c, 2, 1, freq+200, 0x999)
+	if err := c.WaitHighWater(map[uint32]uint32{1: 1, 2: 1}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if c.HomeOf(1) == c.HomeOf(2) {
+		t.Fatalf("both readers homed on partition %d — the merge went unexercised", c.HomeOf(1))
+	}
+	if got := c.DecodedIDAt(freq, 1e3); got != 0x999 {
+		t.Errorf("DecodedIDAt(%g, 1 kHz) = %#x, want 0x999 (200 Hz off, 0x111 is 900 Hz off)", freq, got)
+	}
+	if got := c.DecodedIDAt(freq-900, 500); got != 0x111 {
+		t.Errorf("DecodedIDAt(%g, 500 Hz) = %#x, want 0x111", freq-900, got)
 	}
 }
 

@@ -62,6 +62,27 @@ func TestFindCar(t *testing.T) {
 	}
 }
 
+// TestDecodedIDAtNearest: of the decoded ids within tol of a CFO,
+// DecodedIDAt names the one sighted nearest it — the car a speed check
+// at that CFO measured — not the smallest; an exact tie goes to the
+// smaller id, and nothing within tol is zero.
+func TestDecodedIDAtNearest(t *testing.T) {
+	s := NewStore(100)
+	s.Add(&telemetry.Report{ReaderID: 1, Timestamp: at(0), Spikes: []telemetry.SpikeRecord{
+		{FreqHz: 100e3 - 900, DecodedID: 0x111}, {FreqHz: 100e3 + 200, DecodedID: 0x999}}})
+	if got := s.DecodedIDAt(100e3, 1e3); got != 0x999 {
+		t.Errorf("DecodedIDAt = %#x, want 0x999 (200 Hz off; 0x111 is 900 Hz off)", got)
+	}
+	s.Add(&telemetry.Report{ReaderID: 2, Timestamp: at(1), Spikes: []telemetry.SpikeRecord{
+		{FreqHz: 100e3 - 200, DecodedID: 0x555}}})
+	if got := s.DecodedIDAt(100e3, 1e3); got != 0x555 {
+		t.Errorf("DecodedIDAt on a 200 Hz tie = %#x, want the smaller id 0x555", got)
+	}
+	if got := s.DecodedIDAt(100e3, 100); got != 0 {
+		t.Errorf("DecodedIDAt with nothing within 100 Hz = %#x, want 0", got)
+	}
+}
+
 func TestSightingsByCFO(t *testing.T) {
 	s := NewStore(100)
 	s.Add(&telemetry.Report{ReaderID: 1, Timestamp: at(0),

@@ -19,8 +19,8 @@ import (
 type Directory interface {
 	// FindCar locates the latest sighting of a decoded transponder id.
 	FindCar(id uint64) (CarSighting, bool)
-	// DecodedIDAt returns the smallest decoded id whose latest
-	// sighting's CFO is within tol of freq, or zero.
+	// DecodedIDAt returns the decoded id whose latest sighting's CFO is
+	// nearest freq, within tol (ties to the smaller id), or zero.
 	DecodedIDAt(freq, tol float64) uint64
 	// SightingsByCFO returns, per reader, its most recent spike within
 	// tol of freq.
@@ -59,7 +59,7 @@ func (s *SpeedService) RegisterReader(id uint32, pos geom.Vec2) {
 type Violation struct {
 	FreqHz    float64 // the car's CFO (identity follows via decoding)
 	SpeedMPS  float64
-	DecodedID uint64 // nonzero if some report carried the decoded id
+	DecodedID uint64 // the decoded id sighted nearest FreqHz, within Check's tol; 0 if none
 	From, To  uint32 // reader pair
 	At        time.Time
 }
@@ -104,19 +104,14 @@ func (s *SpeedService) Check(freq, tol float64, maxAge time.Duration, now time.T
 		return Violation{}, false, err
 	}
 	v := Violation{
-		FreqHz:   freq,
-		SpeedMPS: est.Speed,
-		From:     a.id,
-		To:       b.id,
-		At:       b.sgt.Seen,
+		FreqHz:    freq,
+		SpeedMPS:  est.Speed,
+		From:      a.id,
+		To:        b.id,
+		At:        b.sgt.Seen,
+		DecodedID: s.dir.DecodedIDAt(freq, tol),
 	}
-	v.DecodedID = s.decodedID(freq, tol)
 	return v, est.Speed > s.LimitMPS, nil
-}
-
-// decodedID looks for a decoded transponder id sighted at this CFO.
-func (s *SpeedService) decodedID(freq, tol float64) uint64 {
-	return s.dir.DecodedIDAt(freq, tol)
 }
 
 // ParkingService tracks per-spot occupancy from decoded parked-car

@@ -442,23 +442,27 @@ func (s *Store) FindCar(id uint64) (CarSighting, bool) {
 	return sight, ok
 }
 
-// DecodedIDAt returns the smallest decoded transponder id whose last
-// sighting's CFO is within tol of freq, or zero — the association step
-// that attaches an identity to a CFO-keyed speed violation. Reading the
-// index instead of scanning history makes it O(decoded ids) and, by
-// taking the smallest match, deterministic when several ids share a
-// CFO bin.
+// DecodedIDAt returns the decoded transponder id whose latest
+// sighting's CFO is nearest freq, within tol, or zero — the association
+// step that attaches an identity to a CFO-keyed speed violation. It
+// reads the index instead of scanning history (NearestID has the rule).
 func (s *Store) DecodedIDAt(freq, tol float64) uint64 {
 	s.idMu.RLock()
 	defer s.idMu.RUnlock()
-	best := uint64(0)
-	for id, sgt := range s.byID {
-		d := sgt.FreqHz - freq
-		if d < 0 {
-			d = -d
-		}
-		if d <= tol && (best == 0 || id < best) {
-			best = id
+	return NearestID(s.byID, freq, tol)
+}
+
+// NearestID is the one rule DecodedIDAt answers by, over an index of
+// latest sightings: the id whose CFO is nearest freq and within tol,
+// ties to the smaller id, or zero. Nearest, not smallest: in a city
+// several decoded cars often sit within a speed check's tolerance, and
+// the nearest CFO is the car the check measured.
+func NearestID(index map[uint64]CarSighting, freq, tol float64) uint64 {
+	best, bestD := uint64(0), math.Inf(1)
+	for id, sgt := range index {
+		d := math.Abs(sgt.FreqHz - freq)
+		if d <= tol && (d < bestD || d == bestD && id < best) {
+			best, bestD = id, d
 		}
 	}
 	return best
@@ -468,8 +472,8 @@ func (s *Store) DecodedIDAt(freq, tol float64) uint64 {
 // sighting index. It is the raw material a multi-collector query router
 // merges: per-id maxima under SightingWins folded across partitions
 // equal the index one global store would have built, so answers that
-// depend on "the latest sighting of id X" (DecodedIDAt's tolerance
-// filter, find-my-car) stay partition-count independent.
+// depend on "the latest sighting of id X" (DecodedIDAt's nearest-CFO
+// rule, find-my-car) stay partition-count independent.
 func (s *Store) SightingsSnapshot() map[uint64]CarSighting {
 	s.idMu.RLock()
 	defer s.idMu.RUnlock()

@@ -56,6 +56,16 @@ func main() {
 	if *decodeBudget == 0 {
 		log.Fatalf("caraoke-sim: decode budget 0: give at least one collision")
 	}
+	// The failure model's settings mean nothing without -chaos; a run
+	// given one alone would silently be the clean run.
+	if !*chaos {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "loss", "kill-interval", "churn", "drift-ppm", "resync-every":
+				log.Fatalf("caraoke-sim: -%s %s without -chaos: it only sets the failure model -chaos switches on", f.Name, f.Value)
+			}
+		})
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

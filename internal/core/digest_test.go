@@ -4,21 +4,48 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"sort"
 	"testing"
+
+	"caraoke/internal/dsp"
+	"caraoke/internal/phy"
+	"caraoke/internal/rfsim"
 )
 
 // decisionDigest is the FNV-1a hash TestDecisionDigest computes,
-// recorded on commit 2039bbc — the last one whose §5 gates ran ~32
-// separate Goertzel walks per (peak, capture). A kernel change may move
-// the gate quantities by rounding; it may not move a decision.
-const decisionDigest = 0xc24c7d74674b12da
+// recorded on commit 85d3919, whose windows refined every peak with two
+// half-capture Goertzel walks per capture. A kernel change may move the
+// gate quantities and a window's refined Freq by rounding; it may not
+// move a decision.
+const decisionDigest = 0x59521dd8e852b34e
+
+// digestScene is one seeded scene of the digest fixture: a 10-query
+// window of nDevs placed devices.
+type digestScene struct {
+	param Params
+	mcs   []*rfsim.MultiCapture
+}
+
+// digestScenes returns the digest's seeded 4/12/24/40-device scenes,
+// six of each.
+func digestScenes(t testing.TB) []digestScene {
+	var scenes []digestScene
+	for _, nDevs := range []int{4, 12, 24, 40} {
+		for seed := int64(0); seed < 6; seed++ {
+			s := newTestScene(t, 9000+10*int64(nDevs)+seed)
+			scenes = append(scenes, digestScene{s.param, s.collideQueries(s.placedDevices(nDevs), 10)})
+		}
+	}
+	return scenes
+}
 
 // TestDecisionDigest hashes every decision the analysis makes — which
-// peaks survive (kept), in which Bin, at which refined Freq (to the
-// bit), and whether the bin is Multiple — over seeded 4/12/24/40-device
-// scenes, as 10-query windows (each analyzed twice on one Scratch, cold
-// then warm) and as single captures, and compares against the pinned
-// constant.
+// peaks survive (kept), in which Bin, and whether the bin is Multiple —
+// over the digest's scenes, as 10-query windows (each analyzed twice on
+// one Scratch, cold then warm) and as single captures, and compares
+// against the pinned constant. The single-capture path also hashes its
+// refined Freq to the bit; a window's Freq is held by
+// TestWindowFreqMatchesRefineFreq instead.
 func TestDecisionDigest(t *testing.T) {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -26,11 +53,13 @@ func TestDecisionDigest(t *testing.T) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	putSpikes := func(spikes []Spike) {
+	putSpikes := func(spikes []Spike, freq bool) {
 		put(uint64(len(spikes)))
 		for _, s := range spikes {
 			put(uint64(s.Bin))
-			put(math.Float64bits(s.Freq))
+			if freq {
+				put(math.Float64bits(s.Freq))
+			}
 			if s.Multiple {
 				put(1)
 			} else {
@@ -39,30 +68,26 @@ func TestDecisionDigest(t *testing.T) {
 		}
 	}
 	multiples := 0
-	for _, nDevs := range []int{4, 12, 24, 40} {
-		for seed := int64(0); seed < 6; seed++ {
-			s := newTestScene(t, 9000+10*int64(nDevs)+seed)
-			mcs := s.collideQueries(s.placedDevices(nDevs), 10)
-			var sc Scratch
-			for range 2 {
-				spikes, err := sc.AnalyzeCaptures(mcs, s.param, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				putSpikes(spikes)
-				for _, sp := range spikes {
-					if sp.Multiple {
-						multiples++
-					}
+	for _, sn := range digestScenes(t) {
+		var sc Scratch
+		for range 2 {
+			spikes, err := sc.AnalyzeCaptures(sn.mcs, sn.param, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putSpikes(spikes, false)
+			for _, sp := range spikes {
+				if sp.Multiple {
+					multiples++
 				}
 			}
-			for _, mc := range mcs[:3] {
-				spikes, err := sc.AnalyzeCapture(mc, s.param)
-				if err != nil {
-					t.Fatal(err)
-				}
-				putSpikes(spikes)
+		}
+		for _, mc := range sn.mcs[:3] {
+			spikes, err := sc.AnalyzeCapture(mc, sn.param)
+			if err != nil {
+				t.Fatal(err)
 			}
+			putSpikes(spikes, true)
 		}
 	}
 	if multiples == 0 {
@@ -71,4 +96,40 @@ func TestDecisionDigest(t *testing.T) {
 	if got := h.Sum64(); got != decisionDigest {
 		t.Errorf("decision digest %#x, want %#x: a §5 decision moved", got, uint64(decisionDigest))
 	}
+}
+
+// TestWindowFreqMatchesRefineFreq: every spike a window reports — on
+// the digest's scenes — lies within 1e-6 Hz of the median of
+// dsp.RefineFreq over the window's captures at the spike's bin, the
+// per-capture half-window Goertzel refinement. The window refines from
+// its transforms instead; only rounding separates the two.
+func TestWindowFreqMatchesRefineFreq(t *testing.T) {
+	const binW = phy.SampleRate / float64(phy.ResponseSamples)
+	var sc Scratch
+	n, worst := 0, 0.0
+	for _, sn := range digestScenes(t) {
+		spikes, err := sc.AnalyzeCaptures(sn.mcs, sn.param, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range spikes {
+			pk := dsp.Peak{Bin: s.Bin, Freq: float64(s.Bin) * binW}
+			freqs := make([]float64, len(sn.mcs))
+			for qi, mc := range sn.mcs {
+				freqs[qi] = dsp.RefineFreq(mc.Antennas[0], pk)
+			}
+			sort.Float64s(freqs)
+			want := freqs[len(freqs)/2]
+			d := math.Abs(s.Freq - want)
+			if d > 1e-6 {
+				t.Errorf("bin %d: window Freq %.9f Hz, median RefineFreq %.9f Hz (|Δ| %.3g Hz)", s.Bin, s.Freq, want, d)
+			}
+			n++
+			worst = max(worst, d)
+		}
+	}
+	if n == 0 {
+		t.Fatal("fixture reports no spike")
+	}
+	t.Logf("%d spikes, worst |Δ| %.3g Hz", n, worst)
 }

@@ -37,13 +37,14 @@ func AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params) ([]Spike, error) {
 }
 
 // AnalyzeCaptures is the pooled implementation behind the package-level
-// AnalyzeCaptures: one FFT per capture, then the
-// per-peak refinement/occupancy chain (one de-rotation per peak per
-// capture through a dsp.ProbeBank; see refinePeak), all on the calling
-// goroutine. A ragged capture (antenna streams of different lengths) or
-// one holding a non-finite sample (ErrNonFiniteCapture) is refused
-// before any result buffer is touched. The result obeys the Scratch
-// ownership contract.
+// AnalyzeCaptures: two transforms per capture — the capture and its
+// first half (detectPeaks) — then the per-peak refinement/occupancy
+// chain (a refined frequency read off the two transforms, one
+// de-rotation per peak per capture through a dsp.ProbeBank; see
+// refinePeak), all on the calling goroutine. A ragged capture (antenna
+// streams of different lengths) or one holding a non-finite sample
+// (ErrNonFiniteCapture) is refused before any result buffer is touched.
+// The result obeys the Scratch ownership contract.
 //
 // Of a window of several captures it reads antenna 0 of every capture
 // and the other antennas of the last one alone (their channels); the
@@ -81,8 +82,9 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, _ int) (
 
 // detectPeaks is the first stage of AnalyzeCaptures: validate the
 // window, transform every capture, average the spectra, find the peaks,
-// and leave in sc.job — with sc.chans sized to match — everything
-// refinePeak needs.
+// transform every capture's first half, and leave in sc.job — with
+// sc.chans sized to match, the transforms in sc.specs and the first
+// halves' peak bins in sc.firsts — everything refinePeak needs.
 func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 	for i, mc := range mcs {
 		if err := checkShape(mc); err != nil {
@@ -130,6 +132,18 @@ func (sc *Scratch) detectPeaks(mcs []*rfsim.MultiCapture, p Params) error {
 	}
 	peaks := rejectClockImages(sc.plan.FindPeaks(avg, averagedPeaks), avg.BinWidth())
 
+	// Each capture's first-half transform, kept at the peaks' bins only:
+	// firsts[pi·K + qi] is bin peaks[pi].Bin of capture qi's.
+	k := len(mcs)
+	sc.half = grow(sc.half, n)
+	sc.firsts = grow(sc.firsts, len(peaks)*k)
+	for qi, mc := range mcs {
+		dsp.HalfTransform(sc.half, mc.Antennas[0])
+		for pi, pk := range peaks {
+			sc.firsts[pi*k+qi] = sc.half[pk.Bin]
+		}
+	}
+
 	nAnt := len(last.Antennas)
 	sc.chans = grow(sc.chans, len(peaks)*nAnt)
 	sc.job = peakJob{
@@ -159,23 +173,32 @@ type peakJob struct {
 // peak pi, and reports its spike and whether it survived the gates.
 // Inputs come from sc.job; see peakJob.
 //
+// A capture's refined frequency is dsp.RefineFromBins of the peak's bin
+// in the capture's transform and in its first half's, both made by
+// detectPeaks: O(1) per (peak, capture), where walking the two halves
+// at the bin frequency cost about 2 560 complex multiplies.
+//
 // Every gate quantity is a DFT of antenna 0 at the refined frequency
 // plus a small fixed offset, so the scratch's dsp.ProbeBank is tuned to
 // that frequency once per peak and each capture is de-rotated once:
 // the occupancy test's window and reference probes and the shoulder's
 // centre and ±1-bin probes are then sums and near-zero DFT bins of the
 // de-rotated capture (exactly — see ProbeBank), and the centre doubles
-// as the purity test's. Only purity's two off-grid ±0.75-bin probes
-// remain Goertzel walks. What a spike reports — Freq, Mag, Channels —
-// does not come from the bank.
+// as the purity test's. The occupancy test reads its reference probes
+// only when its fixed tolerances leave the verdict open. Only purity's
+// two off-grid ±0.75-bin probes remain Goertzel walks, the +0.75 one
+// only when the −0.75 one leaves the capture's verdict open (isPure),
+// and the purity vote stops once it is decided. What a spike reports —
+// Freq, Mag, Channels — does not come from the bank.
 func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 	job := &sc.job
 	mcs := job.mcs
 	pk := job.peaks[pi]
 	// Median refined frequency across captures.
 	freqs := sc.freqs[:0]
-	for _, mc := range mcs {
-		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], pk))
+	firsts := sc.firsts[pi*len(mcs) : (pi+1)*len(mcs)]
+	for qi, first := range firsts {
+		freqs = append(freqs, dsp.RefineFromBins(pk, sc.specs[qi].Bins[pk.Bin], first))
 	}
 	sc.freqs = freqs
 	freq := dsp.SelectFloat(freqs, len(freqs)/2)
@@ -241,15 +264,22 @@ func (sc *Scratch) refinePeak(pi int) (Spike, bool) {
 		}
 	}
 	// Tone-purity vote for weak spikes that look single: a carrier
-	// is pure in every capture; a data-floor maximum is not.
+	// is pure in every capture; a data-floor maximum is not. The vote
+	// stops once a strict majority is pure (kept) or half the window
+	// is not (dropped).
 	if !s.Multiple && pk.Mag < purityMaxRel*job.strongest {
-		pure := 0
+		k, pure, impure := len(mcs), 0, 0
 		for qi, mc := range mcs {
-			if purity(centres[qi], mc.Antennas[0], freq, job.binW) >= purityMin {
+			if isPure(centres[qi], mc.Antennas[0], freq, job.binW) {
 				pure++
+			} else {
+				impure++
+			}
+			if pure*2 > k || impure*2 >= k {
+				break
 			}
 		}
-		if pure*2 <= len(mcs) {
+		if pure*2 <= k {
 			return Spike{}, false
 		}
 	}

@@ -172,7 +172,7 @@ func TestCountAcrossQueriesMatchesGroundTruth(t *testing.T) {
 }
 
 // BenchmarkAnalyzeCaptures measures the multi-query DSP chain
-// (per-capture FFT, then per-peak refinement) that Reader.Measure runs
+// (per-capture transforms, then per-peak refinement) that Reader.Measure runs
 // in the city harness. A persistent Scratch mirrors the reader's steady
 // state: tables and buffers are warm after the first iteration.
 func BenchmarkAnalyzeCaptures(b *testing.B) {
@@ -182,6 +182,21 @@ func BenchmarkAnalyzeCaptures(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := sc.AnalyzeCaptures(mcs, s.param, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDetectPeaks measures AnalyzeCaptures' first stage alone on
+// the same window: two transforms per capture (the capture and its
+// first half), the averaged spectrum and the peak search.
+func BenchmarkDetectPeaks(b *testing.B) {
+	s := newTestScene(b, 811)
+	mcs := s.collideQueries(s.placedDevices(24), 10)
+	var sc Scratch
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := sc.detectPeaks(mcs, s.param); err != nil {
 			b.Fatal(err)
 		}
 	}

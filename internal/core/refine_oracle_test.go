@@ -15,15 +15,21 @@ import (
 // bank, for the job detectPeaks left in sc.job: every capture
 // classified (an exhaustive vote, each through a ClassifyBin of its
 // own), three full-length Goertzel walks per capture for the shoulder
-// and three more for purity, full sorts for the medians. It returns the
-// spike and whether it is kept.
+// and three more for purity in every capture, full sorts for the
+// medians. Each capture's refined frequency comes from the same
+// two-bin helper refinePeak uses, on bins of fresh transforms of the
+// capture and of its zero-padded first half. It returns the spike and
+// whether it is kept.
 func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 	job := &sc.job
 	const rate = phy.SampleRate
 	mcs, pk := job.mcs, job.peaks[pi]
 	var freqs []float64
 	for _, mc := range mcs {
-		freqs = append(freqs, dsp.RefineFreq(mc.Antennas[0], pk))
+		st := mc.Antennas[0]
+		padded := make([]complex128, len(st))
+		copy(padded, st[:len(st)/2])
+		freqs = append(freqs, dsp.RefineFromBins(pk, dsp.FFT(st)[pk.Bin], dsp.FFT(padded)[pk.Bin]))
 	}
 	sort.Float64s(freqs)
 	freq := freqs[len(freqs)/2]
@@ -74,7 +80,9 @@ func (sc *Scratch) refinePeakOracle(pi int) (Spike, bool) {
 		pure := 0
 		for _, mc := range mcs {
 			st := mc.Antennas[0]
-			if purity(centreMag(st, freq), st, freq, job.binW) >= purityMin {
+			lo := cmplx.Abs(dsp.Goertzel(st, (freq-0.75*job.binW)/rate))
+			hi := cmplx.Abs(dsp.Goertzel(st, (freq+0.75*job.binW)/rate))
+			if side := math.Max(lo, hi); side == 0 || centreMag(st, freq)/side >= purityMin {
 				pure++
 			}
 		}

@@ -4,7 +4,8 @@ import "caraoke/internal/dsp"
 
 // Scratch owns every reusable buffer of the capture-analysis and decode
 // hot path: the DSP plan (spectral scratch), per-capture spectrum rows
-// for the multi-query averager, the candidate-bin sets of the
+// for the multi-query averager, a first-half transform row and its
+// peak bins for the refinement, the candidate-bin sets of the
 // relaxed-sharpness sweep, the channel-estimate arena backing
 // Spike.Channels, and the probe bank of the per-peak gates. A zero
 // Scratch is ready to use; buffers grow on first use and are retained,
@@ -26,9 +27,11 @@ type Scratch struct {
 	plan dsp.Plan     // DSP buffers
 	spec dsp.Spectrum // single-capture spectrum
 
-	specs []dsp.Spectrum // per-capture spectra (multi-query averaging)
-	acc   []float64      // power accumulator across captures
-	avg   dsp.Spectrum   // RMS-averaged spectrum
+	specs  []dsp.Spectrum // per-capture spectra (multi-query averaging)
+	half   []complex128   // one capture's first-half DFT (refinement)
+	firsts []complex128   // its bins at each peak: [peak·K + capture]
+	acc    []float64      // power accumulator across captures
+	avg    dsp.Spectrum   // RMS-averaged spectrum
 
 	strict map[int]bool // bins found by the strict sharpness sweep
 

@@ -92,7 +92,7 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 		// same-bin collision.
 		s.Multiple = sc.plan.ClassifyBin(ref, freq) == dsp.OccupancyMultiple
 		if !sc.strict[pk.Bin] && !s.Multiple &&
-			purity(centreMag(ref, freq), ref, freq, binW) < purityMin {
+			!isPure(centreMag(ref, freq), ref, freq, binW) {
 			continue // neither tone-like nor a beating pair
 		}
 		spikes = append(spikes, s)
@@ -175,27 +175,34 @@ func checkLen(n int) error {
 	return nil
 }
 
-// centreMag is the DFT magnitude of ref at freq: purity's numerator
+// centreMag is the DFT magnitude of ref at freq: isPure's numerator
 // where no probe bank already holds it.
 func centreMag(ref []complex128, freq float64) float64 {
 	return cmplx.Abs(dsp.Goertzel(ref, freq/phy.SampleRate))
 }
 
-// purity measures how tone-like the signal at freq is: the ratio of
-// center, the DFT magnitude at freq, to the larger of the magnitudes
-// 0.75 bins to either side. A pure tone scores ≈1/|sinc(0.75)| ≈ 3.3;
-// broadband data humps score ≈1.
-func purity(center float64, ref []complex128, freq, binWidth float64) float64 {
+// isPure reports whether the signal at freq is tone-like: whether its
+// purity — center, the DFT magnitude at freq, over the larger of the
+// magnitudes 0.75 bins to either side — reaches purityMin. A pure tone
+// scores ≈1/|sinc(0.75)| ≈ 3.3; broadband data humps score ≈1. The
+// +0.75-bin walk is skipped when center over the −0.75-bin side alone
+// already falls short: a larger side only lowers the ratio, and
+// correctly rounded division is monotone, so the verdict is the full
+// test's.
+func isPure(center float64, ref []complex128, freq, binWidth float64) bool {
 	lo := cmplx.Abs(dsp.Goertzel(ref, (freq-0.75*binWidth)/phy.SampleRate))
+	if center/lo < purityMin {
+		return false
+	}
 	hi := cmplx.Abs(dsp.Goertzel(ref, (freq+0.75*binWidth)/phy.SampleRate))
 	side := lo
 	if hi > side {
 		side = hi
 	}
 	if side == 0 {
-		return math.Inf(1)
+		return true // an infinite purity
 	}
-	return center / side
+	return center/side >= purityMin
 }
 
 // rejectImpureGhosts drops weak single-looking spikes that fail the
@@ -214,7 +221,7 @@ func rejectImpureGhosts(ref []complex128, binWidth float64, spikes []Spike) []Sp
 	out := spikes[:0]
 	for _, s := range spikes {
 		if !s.Multiple && s.Mag < purityMaxRel*strongest &&
-			purity(centreMag(ref, s.Freq), ref, s.Freq, binWidth) < purityMin {
+			!isPure(centreMag(ref, s.Freq), ref, s.Freq, binWidth) {
 			continue // broadband ghost, not a carrier
 		}
 		out = append(out, s)

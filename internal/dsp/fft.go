@@ -6,9 +6,9 @@
 // All routines operate on complex baseband samples represented as
 // []complex128. A capture is one 512 µs response at 4 MHz,
 // phy.ResponseSamples long; every entry that takes one (FFT,
-// NewSpectrum, Plan.SpectrumInto, Plan.ClassifyBin, ProbeBank.Load)
-// panics on any other length, an internal precondition the callers in
-// core enforce with errors first. The transform and probe tables are
+// HalfTransform, NewSpectrum, Plan.SpectrumInto, Plan.ClassifyBin,
+// ProbeBank.Load) panics on any other length, an internal precondition
+// the callers in core enforce with errors first. The transform and probe tables are
 // built once, for that length, when the package initializes; nothing on
 // a hot path allocates once a Plan's buffers have grown.
 package dsp
@@ -111,6 +111,19 @@ func (p *fftPlan) transform(dst, src []complex128) {
 	forwardStages(dst, p.stages)
 }
 
+// transformHalf is transform of src's first half zero-padded to the
+// capture length. Bit reversal sends an index below n/2 to an even
+// position and one above to an odd one, so the copy reads src[:n/2]
+// alone and the base pass meets each sample with the padding's zero —
+// the same additions transform makes on the padded copy.
+func (p *fftPlan) transformHalf(dst, src []complex128) {
+	for i := 0; i < len(dst); i += 2 {
+		a, b := src[p.rev[i]], complex(0, 0)
+		dst[i], dst[i+1] = a+b, a-b
+	}
+	forwardStages(dst, p.stages)
+}
+
 // forwardStages runs the fused radix-4 stages over their tables.
 // Per quarter-block index j the butterfly combines a, b, c, d at
 // strides m using the stage-major triple (w, w², w³):
@@ -203,4 +216,17 @@ func FFT(x []complex128) []complex128 {
 	out := make([]complex128, captureSamples)
 	capturePlan.transform(out, x)
 	return out
+}
+
+// HalfTransform writes to dst the DFT of the first half of capture x,
+// zero-padded to the capture length: dst[k] = Σ_{t<N/2} x[t]·e^{-2πi kt/N},
+// bit-identical to FFT of that padded copy. It is the plain transform,
+// with no magnitude caches, and reads x[:N/2] alone. Bin k of it and of
+// the whole capture's DFT are the two sums RefineFromBins refines a peak
+// at bin k from. HalfTransform panics unless both slices are
+// phy.ResponseSamples long.
+func HalfTransform(dst, x []complex128) {
+	mustBeCapture(x, "HalfTransform")
+	mustBeCapture(dst, "HalfTransform output")
+	capturePlan.transformHalf(dst, x)
 }

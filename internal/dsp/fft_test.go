@@ -130,7 +130,13 @@ func TestFFTEmptyInput(t *testing.T) {
 // with errors before they reach dsp.
 func TestFFTPanicsOnOtherLengths(t *testing.T) {
 	entries := map[string]func(x []complex128){
-		"FFT":         func(x []complex128) { FFT(x) },
+		"FFT": func(x []complex128) { FFT(x) },
+		"HalfTransform": func(x []complex128) {
+			HalfTransform(make([]complex128, captureSamples), x)
+		},
+		"HalfTransform output": func(x []complex128) {
+			HalfTransform(x, make([]complex128, captureSamples))
+		},
 		"NewSpectrum": func(x []complex128) { NewSpectrum(x, 4e6) },
 		"Plan.SpectrumInto": func(x []complex128) {
 			var pl Plan

@@ -24,9 +24,16 @@ import (
 // The occupancy test's reference probes are offset by integer multiples
 // of the window bin by construction (they sit on the nulls of a tone at
 // f), and the shoulder probes by one capture bin, so both are DFT bins
-// of y a handful of steps from zero. nearBins computes such bins after
-// one multiplier-free radix-4 decimation-in-frequency fold, which cuts
-// each to a dot product a quarter of the window long.
+// of y a handful of steps from zero. Such bins are read after one
+// multiplier-free radix-4 decimation-in-frequency fold, which cuts each
+// to a dot product a quarter of the window long: nearBins folds an
+// occupancy window, and Load folds the whole capture for the shoulder
+// in the pass that de-rotates it.
+//
+// Nothing is computed that no verdict reads. Load keeps only the three
+// fold classes the shoulder uses, and Occupancy measures its reference
+// probes only when the fixed tolerances alone do not already pass the
+// bin as single.
 //
 // Only rounding separates the bank from the Goertzel walks it replaces
 // (both sum the same products, in a different order and with the phasor
@@ -40,8 +47,9 @@ type ProbeBank struct {
 	freqHz float64
 	ph     []complex128 // e^{-2πi f t}, f = freqHz/phy.SampleRate
 	y      []complex128 // the loaded capture, de-rotated
+	whole  []complex128 // Load: fold classes 0, 1 and 3 of y (Shoulder)
 	fold   []complex128 // nearBins: the four folded classes
-	refs   []float64    // Occupancy: reference-probe magnitudes
+	refs   []float64    // referenceProbes: reference-probe magnitudes
 
 	// pos[k] and neg[k] are DFT bins +k and −k of nearBins's last input.
 	pos, neg [maxProbeBin + 1]complex128
@@ -85,15 +93,31 @@ func (b *ProbeBank) Tune(freqHz float64) {
 	}
 }
 
-// Load de-rotates one capture by the tuned frequency. Occupancy and
-// Shoulder read the result. Load panics unless len(x) is
+// Load de-rotates one capture by the tuned frequency and, in the same
+// pass, folds it as fold4 would (see nearBins) into the three classes
+// Shoulder reads: class 0, whose sum is the centre, and classes 1 and
+// 3, whose dot products are the bins one capture bin to either side.
+// Occupancy and Shoulder read the result. Load panics unless len(x) is
 // phy.ResponseSamples.
 func (b *ProbeBank) Load(x []complex128) {
 	mustBeCapture(x, "ProbeBank.Load")
+	const m = captureSamples / 4
 	b.y = growComplexSlice(b.y, captureSamples)
+	b.whole = growComplexSlice(b.whole, 3*m)
 	y, ph := b.y, b.ph
-	for t, v := range x {
-		y[t] = v * ph[t]
+	g0, g1, g3 := b.whole[:m], b.whole[m:2*m], b.whole[2*m:3*m]
+	for j := range m {
+		y0 := x[j] * ph[j]
+		y1 := x[j+m] * ph[j+m]
+		y2 := x[j+2*m] * ph[j+2*m]
+		y3 := x[j+3*m] * ph[j+3*m]
+		y[j], y[j+m], y[j+2*m], y[j+3*m] = y0, y1, y2, y3
+		s02, d02 := y0+y2, y0-y2
+		s13, d13 := y1+y3, y1-y3
+		rot := complex(imag(d13), -real(d13)) // −i·d13
+		g0[j] = s02 + s13
+		g1[j] = d02 + rot
+		g3[j] = d02 - rot
 	}
 }
 
@@ -122,47 +146,31 @@ func (b *ProbeBank) Load(x []complex128) {
 // probe frequency itself accrues between window starts is already
 // removed: ρᵢ = Sᵢ/S₀ carries only the residual (true minus probe)
 // rotation. The reference probes are DFT bins ±2…±5 of each window.
+//
+// Each gate is the wider of its fixed tolerance and its calibrated one,
+// so a bin whose changes stay within the fixed tolerances passes
+// whatever the floor: the test measures W (referenceProbes) only when
+// they do not, and then decides exactly as if it always had.
 func (b *ProbeBank) Occupancy() Occupancy {
-	// Every window is a whole quarter of the capture and starts inside it.
-	const winLen = occWindowSamples
-	starts := [3]int{0}
-	for i, frac := range occShifts {
-		starts[i+1] = int(captureSamples * frac)
-	}
-
-	// A reference frequency outside (0, 1) cycles per sample is dropped
-	// rather than aliased; decide on the frequency itself, as a direct
-	// evaluation would.
-	winBin := phy.SampleRate / float64(winLen)
-	var usePos, useNeg [maxProbeBin + 1]bool
-	for k := 2; k <= maxProbeBin; k++ {
-		usePos[k] = validProbeFreq((b.freqHz + float64(k)*winBin) / phy.SampleRate)
-		useNeg[k] = validProbeFreq((b.freqHz - float64(k)*winBin) / phy.SampleRate)
-	}
-
 	y := b.loaded()
 	var r [3]complex128
 	var m [3]float64
-	refs := b.refs[:0]
-	for i, start := range starts {
-		r[i] = b.nearBins(y[start:start+winLen], windowTwiddles, 2, maxProbeBin)
+	for i, start := range occStarts {
+		r[i] = windowSum(y[start : start+occWindowSamples])
 		m[i] = cmplx.Abs(r[i])
-		for k := 2; k <= maxProbeBin; k++ {
-			if useNeg[k] {
-				refs = append(refs, cmplx.Abs(b.neg[k]))
-			}
-			if usePos[k] {
-				refs = append(refs, cmplx.Abs(b.pos[k]))
-			}
-		}
 	}
-	b.refs = refs
 	if m[0] == 0 {
 		return OccupancySingle
 	}
-	w := medianFloat(refs)
+	rho1, rho2 := r[1]/r[0], r[2]/r[0]
+	cons := cmplx.Abs(rho2 - rho1*rho1)
+	magTol := occRelTolerance * m[0]
+	if math.Abs(m[1]-m[0]) <= magTol && math.Abs(m[2]-m[0]) <= magTol && cons <= occConsistencyTol {
+		return OccupancySingle
+	}
+	w := medianFloat(b.referenceProbes())
 
-	magGate := occRelTolerance * m[0]
+	magGate := magTol
 	if g := occKMag * w; g > magGate {
 		magGate = g
 	}
@@ -176,11 +184,47 @@ func (b *ProbeBank) Occupancy() Occupancy {
 	if g := occKCons * w / m[0]; g > consGate {
 		consGate = g
 	}
-	rho1, rho2 := r[1]/r[0], r[2]/r[0]
-	if cmplx.Abs(rho2-rho1*rho1) > consGate {
+	if cons > consGate {
 		return OccupancyMultiple
 	}
 	return OccupancySingle
+}
+
+// occStarts are the occupancy windows' start samples: the base window
+// at 0, then the occShifts. Every window is a whole quarter of the
+// capture and starts inside it.
+var occStarts = [3]int{0, int(captureSamples * occShifts[0]), int(captureSamples * occShifts[1])}
+
+// referenceProbes returns the magnitudes of the occupancy test's
+// reference probes on the loaded capture — DFT bins ±2…±5 of each
+// window, in window order, −k before +k — from which Occupancy takes
+// its interference floor. The slice is the bank's and valid until the
+// next call.
+func (b *ProbeBank) referenceProbes() []float64 {
+	// A reference frequency outside (0, 1) cycles per sample is dropped
+	// rather than aliased; decide on the frequency itself, as a direct
+	// evaluation would.
+	winBin := phy.SampleRate / float64(occWindowSamples)
+	var usePos, useNeg [maxProbeBin + 1]bool
+	for k := 2; k <= maxProbeBin; k++ {
+		usePos[k] = validProbeFreq((b.freqHz + float64(k)*winBin) / phy.SampleRate)
+		useNeg[k] = validProbeFreq((b.freqHz - float64(k)*winBin) / phy.SampleRate)
+	}
+	y := b.loaded()
+	refs := b.refs[:0]
+	for _, start := range occStarts {
+		b.nearBins(y[start:start+occWindowSamples], windowTwiddles, 2, maxProbeBin)
+		for k := 2; k <= maxProbeBin; k++ {
+			if useNeg[k] {
+				refs = append(refs, cmplx.Abs(b.neg[k]))
+			}
+			if usePos[k] {
+				refs = append(refs, cmplx.Abs(b.pos[k]))
+			}
+		}
+	}
+	b.refs = refs
+	return refs
 }
 
 // loaded returns the de-rotated capture. It panics when the bank has
@@ -199,12 +243,30 @@ func validProbeFreq(f float64) bool { return f > 0 && f < 1 }
 // bin to either side (side). The DFT of a lone carrier has an exact
 // null there; a second tone merged into the same peak fills it.
 func (b *ProbeBank) Shoulder() (centre, side float64) {
-	centre = cmplx.Abs(b.nearBins(b.loaded(), captureTwiddles, 1, 1))
-	return centre, max(cmplx.Abs(b.neg[1]), cmplx.Abs(b.pos[1]))
+	b.loaded()
+	const m = captureSamples / 4
+	var sum complex128
+	for _, v := range b.whole[:m] { // class 0: Σ_r y[j+rM]
+		sum += v
+	}
+	pos, neg := dotPair(b.whole[m:2*m], b.whole[2*m:3*m], captureTwiddles.row(1))
+	return cmplx.Abs(sum), max(cmplx.Abs(neg), cmplx.Abs(pos))
 }
 
-// nearBins returns Σ z — DFT bin 0 — and leaves DFT bins ±kLo…±kHi of z
-// in b.pos and b.neg. tw is the twiddle table of z's length.
+// windowSum returns Σ z — DFT bin 0 — in the order nearBins's fold
+// would: fold class 0, (z[j]+z[j+2M]) + (z[j+M]+z[j+3M]), summed over j.
+func windowSum(z []complex128) complex128 {
+	m := len(z) / 4
+	z0, z1, z2, z3 := z[:m], z[m:2*m], z[2*m:3*m], z[3*m:4*m]
+	var sum complex128
+	for j := range z0 {
+		sum += (z0[j] + z2[j]) + (z1[j] + z3[j])
+	}
+	return sum
+}
+
+// nearBins leaves DFT bins ±kLo…±kHi of z in b.pos and b.neg. tw is
+// the twiddle table of z's length.
 //
 // With L = len(z) = 4M, splitting the index as j + rM gives
 //
@@ -214,20 +276,15 @@ func (b *ProbeBank) Shoulder() (centre, side float64) {
 // classes, built with additions alone, serve every bin, each bin then
 // costing an M-term dot product against a fixed twiddle row. Bins +k
 // and −k share a row (one conjugated), so one pass yields both.
-func (b *ProbeBank) nearBins(z []complex128, tw *probeTwiddles, kLo, kHi int) complex128 {
+func (b *ProbeBank) nearBins(z []complex128, tw *probeTwiddles, kLo, kHi int) {
 	m := tw.m
 	b.fold = growComplexSlice(b.fold, len(z))
 	classes := b.fold
 	fold4(classes, z)
-	var sum complex128
-	for _, v := range classes[:m] { // class 0: Σ_r z[j+rM]
-		sum += v
-	}
 	for k := kLo; k <= kHi; k++ {
 		cp, cn := (k&3)*m, (-k&3)*m
 		b.pos[k], b.neg[k] = dotPair(classes[cp:cp+m], classes[cn:cn+m], tw.row(k))
 	}
-	return sum
 }
 
 // fold4 writes the four radix-4 decimation-in-frequency classes of z

@@ -162,7 +162,9 @@ func TestProbeBankMatchesGoertzel(t *testing.T) {
 			winLen := tc.window
 			for _, start := range []int{0, (captureSamples - winLen) / 3, captureSamples - winLen} {
 				rot := cmplx.Exp(complex(0, -2*math.Pi*fNorm*float64(start)))
-				sum := b.nearBins(b.y[start:start+winLen], bankTwiddles(winLen), 1, maxProbeBin)
+				z := b.y[start : start+winLen]
+				b.nearBins(z, bankTwiddles(winLen), 1, maxProbeBin)
+				sum := windowSum(z)
 				check := func(k int, got complex128) {
 					want := rot * GoertzelWindow(x, fNorm+float64(k)/float64(winLen), start, winLen)
 					if d := cmplx.Abs(got - want); d > tol {
@@ -188,10 +190,10 @@ func TestProbeBankMatchesGoertzel(t *testing.T) {
 }
 
 // TestProbeBankOccupancyMatchesOracle: the bank reaches the 27-Goertzel
-// oracle's verdict from the same reference probes — the same number of
-// them (near 0 and the sample rate some drop out) with the same
-// magnitudes — on every frequency of the sweep, and both verdicts
-// occur.
+// oracle's verdict on every frequency of the sweep, and both verdicts
+// occur. Its reference probes, measured after Load whether or not
+// Occupancy needed them, are the oracle's — the same number of them
+// (near 0 and the sample rate some drop out) with the same magnitudes.
 func TestProbeBankOccupancyMatchesOracle(t *testing.T) {
 	const fs = 4e6
 	rng := rand.New(rand.NewSource(72))
@@ -219,7 +221,7 @@ func TestProbeBankOccupancyMatchesOracle(t *testing.T) {
 			if wantRefs == nil {
 				continue // the oracle returned before probing
 			}
-			gotRefs := append([]float64(nil), b.refs...)
+			gotRefs := append([]float64(nil), b.referenceProbes()...)
 			if len(gotRefs) != len(wantRefs) {
 				t.Errorf("%+v: bank kept %d reference probes, oracle %d", tc, len(gotRefs), len(wantRefs))
 				continue
@@ -241,6 +243,104 @@ func TestProbeBankOccupancyMatchesOracle(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Error("sweep never drops a reference probe")
+	}
+}
+
+// occupancyEager is ProbeBank.Occupancy with the interference floor
+// always measured: the three window sums, the median of every reference
+// probe, then both calibrated gates.
+func occupancyEager(b *ProbeBank) Occupancy {
+	y := b.loaded()
+	var r [3]complex128
+	var m [3]float64
+	for i, start := range occStarts {
+		r[i] = windowSum(y[start : start+occWindowSamples])
+		m[i] = cmplx.Abs(r[i])
+	}
+	w := medianFloat(b.referenceProbes())
+	if m[0] == 0 {
+		return OccupancySingle
+	}
+	magGate := occRelTolerance * m[0]
+	if g := occKMag * w; g > magGate {
+		magGate = g
+	}
+	consGate := occConsistencyTol
+	if g := occKCons * w / m[0]; g > consGate {
+		consGate = g
+	}
+	rho1, rho2 := r[1]/r[0], r[2]/r[0]
+	if math.Abs(m[1]-m[0]) > magGate || math.Abs(m[2]-m[0]) > magGate || cmplx.Abs(rho2-rho1*rho1) > consGate {
+		return OccupancyMultiple
+	}
+	return OccupancySingle
+}
+
+// TestOccupancyLazyFloorMatchesEager: Occupancy, which measures the
+// floor only when the fixed tolerances do not already pass the bin,
+// returns the always-measured verdict on every capture of a sweep of
+// one and two tones in noise — including captures within a quarter of
+// each fixed tolerance on either side of it, and captures past a fixed
+// tolerance that the calibrated gate still passes.
+func TestOccupancyLazyFloorMatchesEager(t *testing.T) {
+	const fs, n = 4e6, captureSamples
+	rng := rand.New(rand.NewSource(78))
+	var b ProbeBank
+	// sides counts captures just under ([0]) and just over ([1]) each
+	// fixed tolerance: the magnitude change, then the consistency.
+	var magSides, consSides [2]int
+	floorPassed, skipped := 0, 0
+	for trial := 0; trial < 1200; trial++ {
+		freq := (0.02 + 0.25*rng.Float64()) * fs
+		tones := []Tone{{Freq: freq, Amp: complex(n, 0) * cis(rng.Float64()*6.28)}}
+		if rng.Intn(4) > 0 {
+			sep := (0.05 + rng.Float64()) * fs / n
+			amp := 0.5 * rng.Float64()
+			tones = append(tones, Tone{Freq: freq + sep, Amp: complex(amp*n, 0) * cis(rng.Float64()*6.28)})
+		}
+		noise := []float64{0.02, 0.3, 1, 3}[rng.Intn(4)]
+		x := toneSignal(rng, n, fs, noise, tones)
+		b.Tune(freq)
+		b.Load(x)
+		got, want := b.Occupancy(), occupancyEager(&b)
+		if got != want {
+			t.Fatalf("trial %d: lazy floor %v, eager %v", trial, got, want)
+		}
+
+		y := b.loaded()
+		var r [3]complex128
+		for i, start := range occStarts {
+			r[i] = windowSum(y[start : start+occWindowSamples])
+		}
+		m0 := cmplx.Abs(r[0])
+		mag := max(math.Abs(cmplx.Abs(r[1])-m0), math.Abs(cmplx.Abs(r[2])-m0)) / m0
+		rho1, rho2 := r[1]/r[0], r[2]/r[0]
+		cons := cmplx.Abs(rho2 - rho1*rho1)
+		near := func(v, tol float64, sides *[2]int) {
+			if v > 0.75*tol && v <= tol {
+				sides[0]++
+			} else if v > tol && v <= 1.25*tol {
+				sides[1]++
+			}
+		}
+		near(mag, occRelTolerance, &magSides)
+		near(cons, occConsistencyTol, &consSides)
+		if mag <= occRelTolerance && cons <= occConsistencyTol {
+			skipped++
+		} else if want == OccupancySingle {
+			floorPassed++
+		}
+	}
+	t.Logf("magnitude sides %v, consistency sides %v, %d floors skipped, %d passed by the floor alone",
+		magSides, consSides, skipped, floorPassed)
+	for _, sides := range [][2]int{magSides, consSides} {
+		if sides[0] == 0 || sides[1] == 0 {
+			t.Errorf("sweep misses a side of a fixed tolerance: magnitude %v, consistency %v", magSides, consSides)
+			break
+		}
+	}
+	if skipped == 0 || floorPassed == 0 {
+		t.Errorf("sweep is one-sided: %d floors skipped, %d bins passed by the floor alone", skipped, floorPassed)
 	}
 }
 

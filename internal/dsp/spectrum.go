@@ -246,15 +246,34 @@ func RefineFreq(samples []complex128, p Peak) float64 {
 	fNorm := p.Freq / phy.SampleRate
 	a := Goertzel(samples[:half], fNorm)
 	b := Goertzel(samples[half:], fNorm)
+	// Goertzel references phase to its window start; the probe
+	// frequency's rotation across `half` samples moves b's reference to
+	// the capture start, where a's is.
+	probe := cmplx.Exp(complex(0, -2*math.Pi*fNorm*float64(half)))
+	return refineHalves(p, a, b*probe, half)
+}
+
+// RefineFromBins is RefineFreq for a peak on the capture's bin grid
+// (p.Freq is bin p.Bin's centre), from two bins the caller already
+// holds: whole, bin p.Bin of the capture's DFT, and first, the same bin
+// of HalfTransform of the capture. The first half's sum at the bin
+// frequency is first, and the second half's, referenced to the capture
+// start, is whole − first, so no walk over the samples is needed: the
+// two agree with RefineFreq's Goertzel walks to rounding.
+func RefineFromBins(p Peak, whole, first complex128) float64 {
+	return refineHalves(p, first, whole-first, captureSamples/2)
+}
+
+// refineHalves returns p.Freq corrected by the residual rotation
+// between a and b, the sums at p.Freq over two consecutive windows of
+// half samples, both referenced to the first window's start. The
+// residual frequency is advance/(2π·half) cycles per sample. A zero sum
+// leaves p.Freq as it is.
+func refineHalves(p Peak, a, b complex128, half int) float64 {
 	if cmplx.Abs(a) == 0 || cmplx.Abs(b) == 0 {
 		return p.Freq
 	}
-	// Goertzel references phase to its window start, so b carries the
-	// tone's full rotation across `half` samples; remove the probe
-	// frequency's share, leaving the residual advance. The residual
-	// frequency is advance/(2π·half) cycles per sample.
-	probe := cmplx.Exp(complex(0, -2*math.Pi*fNorm*float64(half)))
-	adv := cmplx.Phase(b * probe * cmplx.Conj(a))
+	adv := cmplx.Phase(b * cmplx.Conj(a))
 	df := adv / (2 * math.Pi * float64(half)) * phy.SampleRate
 	return p.Freq + df
 }

@@ -144,6 +144,64 @@ func TestMedianMag(t *testing.T) {
 	}
 }
 
+// TestHalfTransformMatchesPaddedFFT: HalfTransform is FFT of the
+// capture's first half zero-padded, to the bit, and never reads the
+// second half (NaN there moves nothing).
+func TestHalfTransformMatchesPaddedFFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	got := make([]complex128, captureSamples)
+	for trial := 0; trial < 8; trial++ {
+		x := randomSignal(rng, captureSamples)
+		padded := append(append([]complex128(nil), x[:captureSamples/2]...), make([]complex128, captureSamples/2)...)
+		want := FFT(padded)
+		for i := captureSamples / 2; i < captureSamples; i++ {
+			x[i] = complex(math.NaN(), math.NaN())
+		}
+		HalfTransform(got, x)
+		for k := range want {
+			if math.Float64bits(real(got[k])) != math.Float64bits(real(want[k])) ||
+				math.Float64bits(imag(got[k])) != math.Float64bits(imag(want[k])) {
+				t.Fatalf("trial %d bin %d: HalfTransform %v, padded FFT %v", trial, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestRefineFromBinsMatchesRefineFreq: refining a peak from its bin of
+// the capture's DFT and of HalfTransform lands within 1e-6 Hz of
+// RefineFreq's two Goertzel walks, on one and two tones in noise, at
+// every detected peak and at bins of noise alone.
+func TestRefineFromBinsMatchesRefineFreq(t *testing.T) {
+	const fs = 4e6
+	rng := rand.New(rand.NewSource(27))
+	half := make([]complex128, captureSamples)
+	worst := 0.0
+	for trial := 0; trial < 40; trial++ {
+		var tones []Tone
+		for range 1 + rng.Intn(2) {
+			tones = append(tones, Tone{Freq: rng.Float64() * 0.3 * fs, Amp: complex(captureSamples, 0) * cis(rng.Float64()*6.28)})
+		}
+		x := toneSignal(rng, captureSamples, fs, 0.3, tones)
+		s := NewSpectrum(x, fs)
+		HalfTransform(half, x)
+		peaks := FindPeaks(s, DefaultPeakParams())
+		for range 4 {
+			k := rng.Intn(captureSamples)
+			peaks = append(peaks, Peak{Bin: k, Freq: s.BinFreq(k)})
+		}
+		for _, pk := range peaks {
+			got := RefineFromBins(pk, s.Bins[pk.Bin], half[pk.Bin])
+			want := RefineFreq(x, pk)
+			d := math.Abs(got - want)
+			if d > 1e-6 {
+				t.Errorf("trial %d bin %d: RefineFromBins %.9f Hz, RefineFreq %.9f Hz", trial, pk.Bin, got, want)
+			}
+			worst = max(worst, d)
+		}
+	}
+	t.Logf("worst |Δ| %.3g Hz", worst)
+}
+
 func TestRefineFreqSubBinAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	n := 2048

@@ -56,6 +56,22 @@ func main() {
 	if *decodeBudget == 0 {
 		log.Fatalf("caraoke-sim: decode budget 0: give at least one collision")
 	}
+	// The same for -duration (30 s) and -partitions (one collector).
+	if *duration == 0 {
+		log.Fatalf("caraoke-sim: duration 0s: give at least one 1s epoch")
+	}
+	if *partitions == 0 {
+		log.Fatalf("caraoke-sim: partitions 0: give at least one collector partition")
+	}
+	// -kill-partition names the partition the failover drill kills; a
+	// run without -kill-at-seq arms no drill and would be the clean run.
+	if *killAtSeq <= 0 {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "kill-partition" {
+				log.Fatalf("caraoke-sim: -kill-partition %s without -kill-at-seq: it only names the partition -kill-at-seq kills", f.Value)
+			}
+		})
+	}
 	// The failure model's settings mean nothing without -chaos; a run
 	// given one alone would silently be the clean run.
 	if !*chaos {
@@ -201,42 +217,10 @@ func main() {
 		fmt.Printf("parking: spot %d held by %#x, billed %s\n", ses.Spot, ses.ID, res.End.Sub(ses.Since))
 	}
 
-	// The run scored against the simulator's truth: §5 per truth bin
-	// (claimed devices TriggeredFrom the reader), §8 over the decode
-	// epochs (triggered devices alone in their FFT bin), §7 per speed
-	// answer (the car's true speed, 0 when parked), and parking in runs
-	// that park cars. Seed-pure, so the CI determinism diffs cover these
-	// lines too.
-	for _, b := range res.Score.Count {
-		switch {
-		case b.Epochs == 0:
-			fmt.Printf("score: §5 truth %s: 0 reader-epochs\n", b.Name())
-		case b.Truth == 0:
-			fmt.Printf("score: §5 truth %s: %d reader-epochs, %d phantom cars\n", b.Name(), b.Epochs, b.AbsErr)
-		default:
-			fmt.Printf("score: §5 truth %s: %d reader-epochs, accuracy %.3f, bias %+.2f cars\n",
-				b.Name(), b.Epochs, b.Accuracy(), b.Bias())
-		}
-	}
-	if d := res.Score.Decode; d.Epochs > 0 {
-		recall := "n/a"
-		if d.Single > 0 {
-			recall = fmt.Sprintf("%.3f", d.Recall())
-		}
-		fmt.Printf("score: §8 %d decode epochs: recall %s (%d of %d single-occupancy devices), %d decodes, %d wrong ids\n",
-			d.Epochs, recall, d.Recalled, d.Single, d.Decodes, len(d.Wrong))
-		for _, id := range d.Wrong {
-			fmt.Printf("score: §8 wrong id %#x\n", id)
-		}
-	}
-	if v := res.Score.Speed; v.Answers == 0 {
-		fmt.Println("score: §7 0 answers")
-	} else {
-		fmt.Printf("score: §7 %d answers: |error| p50 %.2f m/s, p90 %.2f m/s, %d SPEEDING (%d false), %d wrong ids\n",
-			v.Answers, v.P50, v.P90, v.Speeding, v.FalseSpeeding, v.WrongIDs)
-	}
-	if p := res.Score.Parking; p.Parked > 0 {
-		fmt.Printf("score: parking %d parked cars: %d spots answered, %d measured\n", p.Parked, p.Answered, p.Measured)
+	// The run scored against the simulator's truth (city.Score.Lines).
+	// Seed-pure, so the CI determinism diffs cover these lines too.
+	for _, l := range res.Score.Lines() {
+		fmt.Println(l)
 	}
 
 	// The HTTP front end: -serve publishes the finished run's query

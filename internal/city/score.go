@@ -96,6 +96,46 @@ type ParkingScore struct {
 	Measured int
 }
 
+// Lines renders the score as caraoke-sim prints it, one "score:" line
+// each: §5 per truth bin, §8 over the decode epochs with every wrong id
+// named, §7 over the speed answers, and parking in runs that park cars.
+func (s Score) Lines() []string {
+	var out []string
+	line := func(format string, args ...any) { out = append(out, fmt.Sprintf("score: "+format, args...)) }
+	for _, b := range s.Count {
+		switch {
+		case b.Epochs == 0:
+			line("§5 truth %s: 0 reader-epochs", b.Name())
+		case b.Truth == 0:
+			line("§5 truth %s: %d reader-epochs, %d phantom cars", b.Name(), b.Epochs, b.AbsErr)
+		default:
+			line("§5 truth %s: %d reader-epochs, accuracy %.3f, bias %+.2f cars",
+				b.Name(), b.Epochs, b.Accuracy(), b.Bias())
+		}
+	}
+	if d := s.Decode; d.Epochs > 0 {
+		recall := "n/a"
+		if d.Single > 0 {
+			recall = fmt.Sprintf("%.3f", d.Recall())
+		}
+		line("§8 %d decode epochs: recall %s (%d of %d single-occupancy devices), %d decodes, %d wrong ids",
+			d.Epochs, recall, d.Recalled, d.Single, d.Decodes, len(d.Wrong))
+		for _, id := range d.Wrong {
+			line("§8 wrong id %#x", id)
+		}
+	}
+	if v := s.Speed; v.Answers == 0 {
+		line("§7 0 answers")
+	} else {
+		line("§7 %d answers: |error| p50 %.2f m/s, p90 %.2f m/s, %d SPEEDING (%d false), %d wrong ids",
+			v.Answers, v.P50, v.P90, v.Speeding, v.FalseSpeeding, v.WrongIDs)
+	}
+	if p := s.Parking; p.Parked > 0 {
+		line("parking %d parked cars: %d spots answered, %d measured", p.Parked, p.Answered, p.Measured)
+	}
+	return out
+}
+
 // newScore is an empty score with its count bins' bounds set.
 func newScore() Score {
 	return Score{Count: [5]CountBin{

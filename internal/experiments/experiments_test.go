@@ -92,7 +92,8 @@ func TestFig11Shape(t *testing.T) {
 	// Floors on the ring, pinned with margin under what this seed reads
 	// (1.000, 0.967, 0.900 at m = 5, 20, 40; seeds 5 and 6 read within
 	// 0.07 of that). The paper claims over 99 % below 40: the gap at 40
-	// is ROADMAP item 1, and these floors keep it from widening unseen.
+	// is what ROADMAP item 14 measures, and these floors keep it from
+	// widening unseen.
 	for i, floor := range []float64{0.95, 0.90, 0.80} {
 		if r.Accuracy[i] < floor {
 			t.Errorf("accuracy at m=%d is %.3f, want ≥%.2f", r.M[i], r.Accuracy[i], floor)
@@ -103,8 +104,8 @@ func TestFig11Shape(t *testing.T) {
 	// and 0.517 at m = 5 and 20 (seeds 5 and 6: 0.700/0.458 and
 	// 0.867/0.700); `caraoke-bench -only fig11 -runs 25` dips to 39.6 %
 	// at m = 10 with a mean bias of +6.2 cars, the relaxed sweep's
-	// ghosts (ROADMAP item 1, "the single-capture path"). Floors with
-	// margin, so 1c starts from a number that cannot widen unseen.
+	// ghosts (ROADMAP item 12, the single-capture detector). Floors with
+	// margin, so item 12 starts from a number that cannot widen unseen.
 	for i, floor := range []float64{0.70, 0.40} {
 		if r.AccuracySingle[i] < floor {
 			t.Errorf("1-query accuracy at m=%d is %.3f, want ≥%.2f", r.M[i], r.AccuracySingle[i], floor)

@@ -262,7 +262,9 @@ func TestMeasureMatchesFullCaptures(t *testing.T) {
 // with the query budget. The targets sit between the devices' carriers
 // and never decode, so every budget is spent in full; 66a6458, which
 // synthesized all three antennas into fresh streams per query, read 9
-// objects at one query and 86 at twenty.
+// objects at one query and 86 at twenty. Under -race the fixture is
+// checked but the counts are not compared: the detector's own
+// allocations land on either budget at random.
 func TestDecodeIDsAllocsFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	r := testReader(t, 1, geom.V(0, -5, 0))
@@ -281,7 +283,7 @@ func TestDecodeIDsAllocsFlat(t *testing.T) {
 	}
 	one, twenty := allocs(1), allocs(20)
 	t.Logf("DecodeIDs allocates %.0f objects at a budget of 1 query, %.0f at 20", one, twenty)
-	if twenty > one {
+	if !raceEnabled && twenty > one {
 		t.Error("allocations grow with the query budget")
 	}
 }

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Rewrites the reference outputs in this directory from the source tree:
 # the five caraoke-sim scenarios CI runs (wall-clock lines dropped),
-# caraoke-bench -runs 2, and the five examples. All of them are seeded,
+# caraoke-bench -runs 2, the five examples, and score.txt: the reference
+# city's `score:` lines for seeds 1-5, each prefixed `seed N `
+# (internal/city's TestScoreLedger holds the file to its runs, and
+# ratchet.sh prints its diff against a parent). All of them are seeded,
 # so the files only change when a code change moves bytes; then
 # `git diff -- testdata/golden` shows the lines that moved, and CI fails
 # on that diff.
@@ -20,6 +23,9 @@ sim -readers 8 -vehicles 200 -seed 1 -chaos -loss 0.1 -kill-interval 10 -churn 0
 sim -readers 8 -vehicles 30 -parked 6 -duration 6s -seed 7 -decode-every 2 -partitions 1 > "$out/part1.txt"
 sim -readers 8 -vehicles 20 -duration 8s -seed 11 -partitions 2 -kill-partition 0 -kill-at-seq 3 > "$out/kill1.txt"
 sim -readers 8 -vehicles 20 -duration 8s -seed 11 -chaos -partitions 2 -kill-partition 0 -kill-at-seq 2 > "$out/chaoskill1.txt"
+for seed in 1 2 3 4 5; do
+	sim -readers 8 -vehicles 200 -seed "$seed" | sed -n "s/^score: /seed $seed &/p"
+done > "$out/score.txt"
 "$bin/caraoke-bench" -runs 2 > "$out/bench.txt"
 for ex in city intersection parking quickstart speedtrap; do
 	"$bin/$ex" > "$out/example-$ex.txt"

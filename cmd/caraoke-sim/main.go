@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -19,10 +20,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"time"
 
 	"caraoke/internal/api"
 	"caraoke/internal/city"
+	"caraoke/internal/cluster"
 )
 
 func main() {
@@ -36,51 +39,41 @@ func main() {
 	equipped := flag.Float64("equipped", 1, "fraction of cars carrying a transponder")
 	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = one report per frame; results identical, only framing changes)")
 	partitions := flag.Int("partitions", 1, "collector partitions (1 = single collector; ≥2 spreads readers over a consistent-hash ring; query answers identical for any count)")
-	killPartition := flag.Int("kill-partition", 0, "with -partitions ≥2 and -kill-at-seq: the partition the failover drill kills")
-	killAtSeq := flag.Int("kill-at-seq", 0, "kill -kill-partition once an uplink frame opens past this seq; its readers rehome to the ring successor (0 = no kill)")
+	var failover cluster.FailoverPlan
+	flag.IntVar(&failover.Partition, "kill-partition", 0, "with -kill-at-seq: the partition the failover drill kills")
+	flag.Func("kill-at-seq", "kill -kill-partition once an uplink frame opens past this report seq; its readers rehome to the ring successor (default 0 = no kill)", func(v string) error {
+		seq, err := strconv.ParseUint(v, 10, 32)
+		if err != nil {
+			return errors.New("not a 32-bit report seq: give 0 (no kill) up to 4294967295")
+		}
+		failover.AtSeq = uint32(seq)
+		return nil
+	})
 	serveAddr := flag.String("serve", "", "after the run, serve the HTTP query API on this address (e.g. :8080) with the clock frozen at the run's end")
-	chaos := flag.Bool("chaos", false, "switch on the failure model (seeded fault injection; same seed ⇒ identical loss/recovery stats)")
-	loss := flag.Float64("loss", 0.05, "with -chaos: per-frame probability an uplink frame is silently dropped")
-	killInterval := flag.Int("kill-interval", 25, "with -chaos: kill each uplink connection on every k-th frame (0 never)")
-	churn := flag.Float64("churn", 0.1, "with -chaos: per-reader-epoch probability of going offline for a span (parked-car RSU churn)")
-	driftPPM := flag.Float64("drift-ppm", 50, "with -chaos: per-reader clock drift bound, parts per million")
-	resyncEvery := flag.Int("resync-every", 10, "with -chaos: NTP-style clock resync every k-th epoch (0 never)")
+	loss := flag.Float64("loss", 0, "per-frame probability an uplink frame is silently dropped")
+	killInterval := flag.Int("kill-interval", 0, "kill each uplink connection on every k-th frame (0 never)")
+	churn := flag.Float64("churn", 0, "per-reader-epoch probability of going offline for a span (parked-car RSU churn)")
+	driftPPM := flag.Float64("drift-ppm", 0, "per-reader clock drift bound, parts per million (0 = perfect clocks)")
+	resyncEvery := flag.Int("resync-every", 0, "NTP-style clock resync every k-th epoch (0 never; needs -drift-ppm)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (any scenario; profiling does not affect results)")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
 	flag.Parse()
-	// city.Config reads 0 as "the default"; here it would silently mean
-	// 5 and 120, so only a negative -decode-every switches decoding off.
-	if *decodeEvery == 0 {
-		log.Fatalf("caraoke-sim: decode every 0 epochs: give k ≥ 1, or a negative k to disable decoding")
-	}
-	if *decodeBudget == 0 {
-		log.Fatalf("caraoke-sim: decode budget 0: give at least one collision")
-	}
-	// The same for -duration (30 s) and -partitions (one collector).
-	if *duration == 0 {
-		log.Fatalf("caraoke-sim: duration 0s: give at least one 1s epoch")
-	}
-	if *partitions == 0 {
-		log.Fatalf("caraoke-sim: partitions 0: give at least one collector partition")
-	}
-	// -kill-partition names the partition the failover drill kills; a
-	// run without -kill-at-seq arms no drill and would be the clean run.
-	if *killAtSeq <= 0 {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "kill-partition" {
-				log.Fatalf("caraoke-sim: -kill-partition %s without -kill-at-seq: it only names the partition -kill-at-seq kills", f.Value)
-			}
-		})
-	}
-	// The failure model's settings mean nothing without -chaos; a run
-	// given one alone would silently be the clean run.
-	if !*chaos {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "loss", "kill-interval", "churn", "drift-ppm", "resync-every":
-				log.Fatalf("caraoke-sim: -%s %s without -chaos: it only sets the failure model -chaos switches on", f.Name, f.Value)
-			}
-		})
+	// city.Config reads 0 in these fields as its default, so an explicit
+	// 0 would silently run the default: that alone is refused here, and
+	// every other range is city.Config's to check.
+	for _, z := range []struct {
+		zero bool
+		msg  string
+	}{
+		{*decodeEvery == 0, "decode every 0 epochs: give k ≥ 1, or a negative k to disable decoding"},
+		{*decodeBudget == 0, "decode budget 0: give at least one collision"},
+		{*duration == 0, "duration 0s: give at least one 1s epoch"},
+		{*partitions == 0, "partitions 0: give at least one collector partition"},
+		{*batch == 0, "batch 0: give at least one report per frame"},
+	} {
+		if z.zero {
+			log.Fatalf("caraoke-sim: %s", z.msg)
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -119,19 +112,14 @@ func main() {
 		UnequippedFrac: 1 - *equipped,
 		Batch:          *batch,
 		Partitions:     *partitions,
-	}
-	if *chaos {
-		cfg.Chaos = city.Chaos{
+		Chaos: city.Chaos{
 			DropRate:    *loss,
 			KillEvery:   *killInterval,
 			ChurnRate:   *churn,
 			DriftPPM:    *driftPPM,
 			ResyncEvery: *resyncEvery,
-		}
-	}
-	if *killAtSeq > 0 {
-		cfg.Chaos.KillPartition = *killPartition
-		cfg.Chaos.KillAtSeq = *killAtSeq
+		},
+		Failover: failover,
 	}
 	start := time.Now()
 	res, err := city.Run(cfg)
@@ -183,7 +171,7 @@ func main() {
 	// same seed ⇒ identical lines — the CI failover smoke diffs them.
 	if f := res.Failover; f != nil {
 		fmt.Printf("failover: kill partition %d after seq %d: happened %v, %d readers rehomed\n",
-			f.Partition, *killAtSeq, f.Happened, len(f.Rehomed))
+			f.Partition, failover.AtSeq, f.Happened, len(f.Rehomed))
 		for _, id := range f.Rehomed {
 			fmt.Printf("failover reader %d: dead partition kept seqs 1..%d, successor took the rest\n",
 				id, f.DeadSeqs[id])

@@ -52,20 +52,9 @@ type Chaos struct {
 	// ResyncEvery runs an NTP-style clock.Sync on every drifting reader
 	// each k-th epoch, bounding the drift the speed service sees to the
 	// sync accuracy (tens of ms, §6). 0 never resyncs: clocks wander
-	// for the whole run.
+	// for the whole run. It needs DriftPPM > 0: a perfect clock has
+	// nothing to resync.
 	ResyncEvery int
-	// KillPartition and KillAtSeq arm a deterministic collector crash in
-	// a partitioned run (Config.Partitions ≥ 2): partition KillPartition
-	// stops ingesting from each homed reader once that reader's uplink
-	// crosses report sequence KillAtSeq, the reader rehomes to its ring
-	// successor, and its at-least-once client redelivers the cut frame
-	// there. Keying the kill to sequence numbers — never wall-clock —
-	// makes the crash, the reroute, and every recovery counter
-	// seed-reproducible. KillAtSeq ≤ 0 arms nothing. The kill alone does
-	// not make Chaos.Active() true: it loses no reports, so a
-	// failover-only run drains with zero loss and duplicate budgets.
-	KillPartition int
-	KillAtSeq     int
 }
 
 // Active reports whether any part of the failure model is switched on.
@@ -88,11 +77,8 @@ func (c Chaos) validate() error {
 	if !(c.DriftPPM >= 0 && c.DriftPPM <= math.MaxFloat64) || c.ResyncEvery < 0 {
 		return fmt.Errorf("city: drift %g ppm must be finite and non-negative, resync interval %d non-negative", c.DriftPPM, c.ResyncEvery)
 	}
-	if c.KillPartition < 0 {
-		return fmt.Errorf("city: kill partition %d must be non-negative", c.KillPartition)
-	}
-	if int64(c.KillAtSeq) > math.MaxUint32 { // the cut is a 32-bit report seq
-		return fmt.Errorf("city: kill at seq %d exceeds the 32-bit sequence space", c.KillAtSeq)
+	if c.ResyncEvery > 0 && c.DriftPPM == 0 {
+		return fmt.Errorf("city: resync every %d epochs with drift 0 ppm: a perfect clock has nothing to resync", c.ResyncEvery)
 	}
 	return nil
 }

@@ -150,6 +150,11 @@ type Config struct {
 	// reader churn, and clock drift (see chaos.go). The zero value is
 	// the clean run — bit-identical to a build without this field.
 	Chaos Chaos
+	// Failover arms the partitioned tier's seed-reproducible crash
+	// drill (see cluster.FailoverPlan); the zero value arms none. The
+	// drill loses no reports, so it is no part of Chaos: a failover-only
+	// run drains with zero loss and duplicate budgets.
+	Failover cluster.FailoverPlan
 
 	// measureDelay, when set, injects wall-clock latency into a
 	// reader's epoch before it measures — the test/bench hook that
@@ -212,11 +217,10 @@ func (c *Config) validate() error {
 	if c.Partitions < 0 {
 		return fmt.Errorf("city: partitions %d must be non-negative", c.Partitions)
 	}
-	if c.Chaos.KillAtSeq > 0 && c.Partitions < 2 {
-		return fmt.Errorf("city: killing a partition needs a partitioned run (partitions %d)", c.Partitions)
-	}
-	if c.Chaos.KillAtSeq > 0 && c.Chaos.KillPartition >= c.Partitions {
-		return fmt.Errorf("city: kill partition %d outside [0,%d)", c.Chaos.KillPartition, c.Partitions)
+	if c.Failover != (cluster.FailoverPlan{}) {
+		if err := c.Failover.Validate(c.Partitions); err != nil {
+			return fmt.Errorf("city: %w", err)
+		}
 	}
 	return c.Chaos.validate()
 }
@@ -385,7 +389,7 @@ type Result struct {
 	// a clean run.
 	Uplinks []UplinkStats
 	// Failover summarizes the partition kill of a run that armed one
-	// (Chaos.KillAtSeq > 0). Nil otherwise.
+	// (Config.Failover). Nil otherwise.
 	Failover *FailoverStats
 	// Speed is the run's §7 speed service over Directory, every pole
 	// registered, limit speedLimit; Parking holds one session per
@@ -429,7 +433,7 @@ type FailoverStats struct {
 	// Partition is the partition the plan targeted.
 	Partition int
 	// Happened reports whether some reader actually crossed the cut
-	// (a short run can end before any uplink passes KillAtSeq).
+	// (a short run can end before any uplink passes the plan's AtSeq).
 	Happened bool
 	// Rehomed lists the readers moved to their ring successor, by id.
 	Rehomed []uint32
@@ -484,9 +488,8 @@ func (s *Sim) Run() (*Result, error) {
 	for _, p := range s.posts {
 		cl.Register(p.rd.ID, s.cellOf(p))
 	}
-	if s.cfg.Chaos.KillAtSeq > 0 {
-		plan := cluster.FailoverPlan{Partition: s.cfg.Chaos.KillPartition, AtSeq: uint32(s.cfg.Chaos.KillAtSeq)}
-		if err := cl.SetFailover(plan); err != nil {
+	if s.cfg.Failover != (cluster.FailoverPlan{}) {
+		if err := cl.SetFailover(s.cfg.Failover); err != nil {
 			return nil, fmt.Errorf("city: %w", err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"caraoke/internal/cluster"
 	"caraoke/internal/transponder"
 )
 
@@ -301,14 +302,23 @@ func TestConfigValidation(t *testing.T) {
 		{Readers: 2, Chaos: Chaos{DriftPPM: math.NaN()}},
 		{Readers: 2, Chaos: Chaos{DriftPPM: math.Inf(1)}},
 		{Readers: 2, Chaos: Chaos{DropRate: math.NaN()}},
-		{Readers: 2, Partitions: 2, Chaos: Chaos{KillAtSeq: 1<<32 + 2}}, // a uint32 cut would read 2
+		{Readers: 2, Chaos: Chaos{DriftPPM: 0, ResyncEvery: 2}},                              // nothing to resync
+		{Readers: 2, Failover: cluster.FailoverPlan{Partition: 3}},                           // seq 0: no cut
+		{Readers: 2, Failover: cluster.FailoverPlan{AtSeq: 3}},                               // one partition: no successor
+		{Readers: 2, Partitions: 2, Failover: cluster.FailoverPlan{Partition: 2, AtSeq: 3}},  // no partition 2
+		{Readers: 2, Partitions: 2, Failover: cluster.FailoverPlan{Partition: -1, AtSeq: 3}}, // negative partition
 	}
 	for i, cfg := range bad {
 		if _, err := NewSim(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := NewSim(Config{Readers: 5, Vehicles: 10}); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, cfg := range []Config{
+		{Readers: 5, Vehicles: 10},
+		{Readers: 5, Vehicles: 10, Partitions: 2, Failover: cluster.FailoverPlan{Partition: 1, AtSeq: 3}},
+	} {
+		if _, err := NewSim(cfg); err != nil {
+			t.Errorf("valid config rejected: %v", err)
+		}
 	}
 }

@@ -200,8 +200,7 @@ func failoverConfig(t *testing.T) (Config, int, []uint32) {
 	doomed := ring.Owner("cell-0-0")
 	cfg := testConfig() // 3 readers: 1,2 on cell-0-0; 3 on cell-1-0
 	cfg.Partitions = 2
-	cfg.Chaos.KillPartition = doomed
-	cfg.Chaos.KillAtSeq = 3
+	cfg.Failover = cluster.FailoverPlan{Partition: doomed, AtSeq: 3}
 	sim, err := NewSim(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,19 +246,20 @@ func TestPartitionFailoverDeterministic(t *testing.T) {
 		t.Fatal("no reader was homed on the doomed partition; test proves nothing")
 	}
 	dead := res.Cluster.Partition(doomed).Store
+	cut := cfg.Failover.AtSeq
 	for _, id := range fo.Rehomed {
-		if got := fo.DeadSeqs[id]; got != uint32(cfg.Chaos.KillAtSeq) {
-			t.Errorf("reader %d: dead partition owns seqs 1..%d, want 1..%d", id, got, cfg.Chaos.KillAtSeq)
+		if got := fo.DeadSeqs[id]; got != cut {
+			t.Errorf("reader %d: dead partition owns seqs 1..%d, want 1..%d", id, got, cut)
 		}
-		if got := dead.SeqsReceived(id); got != cfg.Chaos.KillAtSeq {
-			t.Errorf("reader %d: dead store landed %d seqs, want %d", id, got, cfg.Chaos.KillAtSeq)
+		if got := dead.SeqsReceived(id); got != int(cut) {
+			t.Errorf("reader %d: dead store landed %d seqs, want %d", id, got, cut)
 		}
 		succ := res.Cluster.HomeOf(id)
 		if succ == doomed {
 			t.Fatalf("reader %d still homed on the dead partition", id)
 		}
-		if got := res.Cluster.Partition(succ).Store.SeqsReceived(id); got != epochs-cfg.Chaos.KillAtSeq {
-			t.Errorf("reader %d: successor landed %d seqs, want %d", id, got, epochs-cfg.Chaos.KillAtSeq)
+		if got := res.Cluster.Partition(succ).Store.SeqsReceived(id); got != epochs-int(cut) {
+			t.Errorf("reader %d: successor landed %d seqs, want %d", id, got, epochs-int(cut))
 		}
 	}
 	if fo.Reconnects != len(fo.Rehomed) || fo.Redelivered != len(fo.Rehomed) {
@@ -296,8 +296,7 @@ func TestPartitionFailoverUnderChaos(t *testing.T) {
 	}
 	cfg := chaosConfig()
 	cfg.Partitions = 2
-	cfg.Chaos.KillPartition = ring.Owner("cell-0-0")
-	cfg.Chaos.KillAtSeq = 2
+	cfg.Failover = cluster.FailoverPlan{Partition: ring.Owner("cell-0-0"), AtSeq: 2}
 	run := func(cfg Config) *Result {
 		t.Helper()
 		res, err := Run(cfg)

@@ -38,7 +38,8 @@ type Config struct {
 // delivers the frame there. Keying the cut to sequence numbers instead
 // of wall-clock is what makes a crash seed-reproducible: the doomed
 // partition ends every run owning exactly the same per-reader seq
-// prefix.
+// prefix. The zero plan is no drill (Validate refuses it): a caller
+// whose drill is optional arms only a plan that is not the zero value.
 type FailoverPlan struct {
 	// Partition is the index of the partition to kill.
 	Partition int
@@ -124,17 +125,28 @@ func (c *Cluster) NumPartitions() int { return len(c.parts) }
 // Partition returns partition i.
 func (c *Cluster) Partition(i int) *Partition { return c.parts[i] }
 
+// Validate reports whether the plan can run on a tier of partitions
+// collectors: the cut leaves the doomed partition at least seq 1, the
+// partition exists, and some other partition survives to take its
+// readers.
+func (p FailoverPlan) Validate(partitions int) error {
+	if p.AtSeq < 1 {
+		return fmt.Errorf("cluster: failover of partition %d at seq %d; the cut must leave the partition at least seq 1", p.Partition, p.AtSeq)
+	}
+	if p.Partition < 0 || p.Partition >= partitions {
+		return fmt.Errorf("cluster: failover partition %d outside [0,%d)", p.Partition, partitions)
+	}
+	if partitions < 2 {
+		return fmt.Errorf("cluster: cannot fail over a %d-partition cluster (no successor)", partitions)
+	}
+	return nil
+}
+
 // SetFailover arms a failover plan. It must be set before the readers
 // it affects start uplinking.
 func (c *Cluster) SetFailover(plan FailoverPlan) error {
-	if plan.Partition < 0 || plan.Partition >= len(c.parts) {
-		return fmt.Errorf("cluster: failover partition %d outside [0,%d)", plan.Partition, len(c.parts))
-	}
-	if plan.AtSeq < 1 {
-		return fmt.Errorf("cluster: failover at seq %d; the cut must leave the partition at least seq 1", plan.AtSeq)
-	}
-	if len(c.parts) < 2 {
-		return fmt.Errorf("cluster: cannot fail over a %d-partition cluster (no successor)", len(c.parts))
+	if err := plan.Validate(len(c.parts)); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

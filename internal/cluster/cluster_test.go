@@ -272,6 +272,38 @@ func TestDecodedIDAtNearestAcrossPartitions(t *testing.T) {
 	}
 }
 
+// TestFailoverPlanValidate: SetFailover arms exactly the plans Validate
+// accepts, on a one- and a two-partition tier.
+func TestFailoverPlanValidate(t *testing.T) {
+	for _, tc := range []struct {
+		partitions int
+		plan       FailoverPlan
+		ok         bool
+	}{
+		{2, FailoverPlan{Partition: 0, AtSeq: 1}, true},
+		{2, FailoverPlan{Partition: 1, AtSeq: 1<<32 - 1}, true},
+		{2, FailoverPlan{}, false},                        // seq 0: the zero plan, no drill
+		{2, FailoverPlan{Partition: 1}, false},            // seq 0
+		{2, FailoverPlan{Partition: 2, AtSeq: 3}, false},  // no partition 2
+		{2, FailoverPlan{Partition: -1, AtSeq: 3}, false}, // negative partition
+		{1, FailoverPlan{Partition: 0, AtSeq: 3}, false},  // no successor
+		{1, FailoverPlan{Partition: 1, AtSeq: 3}, false},
+	} {
+		c, err := New(Config{Partitions: tc.partitions, Logf: func(string, ...any) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		verr, serr := tc.plan.Validate(tc.partitions), c.SetFailover(tc.plan)
+		c.Stop()
+		if (verr == nil) != tc.ok || (serr == nil) != tc.ok {
+			t.Errorf("%d partitions, %+v: Validate = %v, SetFailover = %v; want ok = %v", tc.partitions, tc.plan, verr, serr, tc.ok)
+		}
+		if _, _, _, armed := c.Failover(); armed != tc.ok {
+			t.Errorf("%d partitions, %+v: armed = %v after SetFailover, want %v", tc.partitions, tc.plan, armed, tc.ok)
+		}
+	}
+}
+
 // TestClusterFailoverCut: killing a partition at seq K leaves it owning
 // exactly seqs 1..K from each of its readers, reroutes them to the ring
 // successor carrying K+1.., counts one reconnect+redelivery on each

@@ -39,8 +39,14 @@ func main() {
 		case <-tick.C:
 			for _, id := range store.Readers() {
 				if r := store.Latest(id); r != nil {
-					fmt.Printf("reader %d: count=%d spikes=%d at %s\n",
-						id, r.Count, len(r.Spikes), r.Timestamp.Format(time.RFC3339))
+					ids := 0 // spikes the reader's §8 decode gave an id
+					for _, sp := range r.Spikes {
+						if sp.DecodedID != 0 {
+							ids++
+						}
+					}
+					fmt.Printf("reader %d: count=%d spikes=%d ids=%d at %s\n",
+						id, r.Count, len(r.Spikes), ids, r.Timestamp.Format(time.RFC3339))
 				}
 			}
 		case <-stop:

@@ -1,6 +1,7 @@
-// caraoke-reader runs one simulated reader agent: it measures a small
-// synthetic street scene once per second (the §10 duty cycle) and
-// uploads reports to a collector over TCP.
+// caraoke-reader runs one simulated reader agent: once per second (the
+// §10 duty cycle) it runs a reader epoch on a small synthetic street
+// scene — the ten-query window, the §5 count and the §8 id decode — and
+// uploads the report to a collector over TCP.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 
 	"caraoke"
 	"caraoke/internal/collector"
+	"caraoke/internal/reader"
 )
 
 func main() {
@@ -29,7 +31,10 @@ func main() {
 		log.Fatalf("caraoke-reader: -cars %d must not be negative", *cars)
 	}
 
+	// Counting and decoding draw from separate streams, as a city
+	// reader's do, so decoding never moves a count.
 	rng := rand.New(rand.NewSource(*seed))
+	decodeRNG := rand.New(rand.NewSource(*seed ^ int64(*id)*0x2545F4914F6CDD1D))
 	rd, err := caraoke.NewReader(caraoke.ReaderConfig{
 		ID: uint32(*id), PoleBase: caraoke.V(0, -5, 0), PoleHeight: 3.8,
 		RoadDir: caraoke.V(1, 0, 0), TiltDeg: 60, NoiseSigma: 2e-6})
@@ -55,14 +60,14 @@ func main() {
 	for {
 		select {
 		case <-tick.C:
-			res, err := rd.Measure(devs, 10, rng)
+			rep, err := rd.Epoch(devs, time.Now(), reader.DecodeBudget, rng, decodeRNG)
 			if err != nil {
-				log.Printf("measure: %v", err)
+				log.Printf("epoch: %v", err)
 				continue
 			}
 			// Send redials a lost collector itself; an error means the
 			// retry budget is spent and reports are being dropped.
-			if err := up.Send(rd.Report(res, time.Now())); err != nil {
+			if err := up.Send(rep); err != nil {
 				log.Fatalf("uplink: %v; %+v", err, up.Stats())
 			}
 		case <-stop:

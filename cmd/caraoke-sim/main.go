@@ -21,11 +21,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"caraoke/internal/api"
 	"caraoke/internal/city"
 	"caraoke/internal/cluster"
+	"caraoke/internal/reader"
 )
 
 func main() {
@@ -35,19 +37,14 @@ func main() {
 	duration := flag.Duration("duration", 30*time.Second, "simulated time")
 	seed := flag.Int64("seed", 1, "RNG seed; same seed ⇒ identical run")
 	decodeEvery := flag.Int("decode-every", 5, "run the §8 id decoder every k-th epoch (negative disables)")
-	decodeBudget := flag.Int("decode-budget", 120, "max collisions combined per decode run")
+	decodeBudget := flag.Int("decode-budget", reader.DecodeBudget, "max collisions combined per decode run")
 	equipped := flag.Float64("equipped", 1, "fraction of cars carrying a transponder")
 	batch := flag.Int("batch", 1, "telemetry reports coalesced per uplink frame (1 = one report per frame; results identical, only framing changes)")
 	partitions := flag.Int("partitions", 1, "collector partitions (1 = single collector; ≥2 spreads readers over a consistent-hash ring; query answers identical for any count)")
 	var failover cluster.FailoverPlan
-	flag.IntVar(&failover.Partition, "kill-partition", 0, "with -kill-at-seq: the partition the failover drill kills")
-	flag.Func("kill-at-seq", "kill -kill-partition once an uplink frame opens past this report seq; its readers rehome to the ring successor (default 0 = no kill)", func(v string) error {
-		seq, err := strconv.ParseUint(v, 10, 32)
-		if err != nil {
-			return errors.New("not a 32-bit report seq: give 0 (no kill) up to 4294967295")
-		}
-		failover.AtSeq = uint32(seq)
-		return nil
+	flag.Func("kill", "failover drill P@S: kill partition P once an uplink frame opens past report seq S ≥ 1; its readers rehome to the ring successor (default no drill)", func(v string) (err error) {
+		failover, err = parseKill(v)
+		return err
 	})
 	serveAddr := flag.String("serve", "", "after the run, serve the HTTP query API on this address (e.g. :8080) with the clock frozen at the run's end")
 	loss := flag.Float64("loss", 0, "per-frame probability an uplink frame is silently dropped")
@@ -224,4 +221,17 @@ func main() {
 		log.Printf("serving query API on %s (try /healthz, /car/{id}, /speed?freq=..., /parking)", *serveAddr)
 		log.Fatal(http.ListenAndServe(*serveAddr, apiSrv))
 	}
+}
+
+// parseKill reads -kill's P@S into the whole failover plan. S is at
+// least 1, so a given -kill is never the zero plan (no drill);
+// cluster.FailoverPlan.Validate keeps the range rules.
+func parseKill(v string) (cluster.FailoverPlan, error) {
+	p, s, _ := strings.Cut(v, "@")
+	part, perr := strconv.Atoi(p)
+	seq, serr := strconv.ParseUint(s, 10, 32)
+	if perr != nil || part < 0 || serr != nil || seq == 0 {
+		return cluster.FailoverPlan{}, errors.New("give P@S: a partition P ≥ 0 and a 32-bit report seq S from 1 to 4294967295")
+	}
+	return cluster.FailoverPlan{Partition: part, AtSeq: uint32(seq)}, nil
 }

@@ -62,17 +62,16 @@ func main() {
 		next += time.Second
 		devs := ix.DevicesNear(1, 30)
 		truth := len(devs)
-		res, err := rd.Measure(devs, 10, rng)
+		rep, err := rd.Epoch(devs, base.Add(ix.Now()), 0, rng, nil) // budget 0: count only
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := rd.Report(res, base.Add(ix.Now()))
 		if err := up.Send(rep); err != nil {
 			log.Fatal(err)
 		}
 		sent = rep.Seq
 		_, pC := cfg.Timing.PhaseAt(ix.Now())
-		fmt.Printf("%4.0f  %-6s %4d  %7d\n", (ix.Now() - warm).Seconds(), pC, truth, res.Count)
+		fmt.Printf("%4.0f  %-6s %4d  %7d\n", (ix.Now() - warm).Seconds(), pC, truth, rep.Count)
 	}
 
 	// Once the last report is ingested, read the series back from the

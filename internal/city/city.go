@@ -69,10 +69,6 @@ const (
 	// epochLen is the measurement cadence: every epoch each reader runs
 	// one §10 active window.
 	epochLen = time.Second
-	// windowQueries is the §10 active window: ten queries in 10 ms. The
-	// window detector's gates are calibrated for it — fewer queries
-	// count cars on an empty road (reader's TestEmptyRoadCountsZero).
-	windowQueries = 10
 	// blockM is the street-grid spacing in meters.
 	blockM = 200.0
 	// rangeM is the interrogation radius in meters a reader claims
@@ -178,7 +174,7 @@ func (c Config) withDefaults() Config {
 		c.DecodeEvery = 5
 	}
 	if c.DecodeBudget == 0 {
-		c.DecodeBudget = 120
+		c.DecodeBudget = reader.DecodeBudget
 	}
 	if c.Keep == 0 {
 		c.Keep = 8192
@@ -711,20 +707,16 @@ func (s *Sim) snapshot(p *post, devs []*transponder.Device) ([]*transponder.Devi
 	return out, nil
 }
 
-// measureEpoch runs one reader's epoch: a §10 active window (ten
-// back-to-back queries, multi-query analysis, §5 count) and optionally
-// a §8 decode pass over the single-occupancy spikes. Everything it
-// touches — the post's reader, RNGs, statistics, and the epoch's device
-// set — is private to the calling goroutine.
+// measureEpoch runs one reader's epoch (reader.Epoch: the §10 active
+// window, the §5 count and, on decode epochs, the §8 decode) stamped
+// with the reader's clock, and reads the decoded ids back off the
+// report. Everything it touches — the post's reader, RNGs, statistics,
+// and the epoch's device set — is private to the calling goroutine.
 func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 	if s.cfg.measureDelay != nil {
 		if d := s.cfg.measureDelay(p.rd.ID, job.epoch); d > 0 {
 			time.Sleep(d)
 		}
-	}
-	res, err := p.rd.Measure(job.devs, windowQueries, p.rng)
-	if err != nil {
-		return nil, fmt.Errorf("city: reader %d: %w", p.rd.ID, err)
 	}
 	stamp := job.stamp
 	if p.clk != nil {
@@ -738,26 +730,19 @@ func (s *Sim) measureEpoch(p *post, job epochJob) (*telemetry.Report, error) {
 		}
 		stamp = p.clk.Now(job.stamp)
 	}
-	rep := p.rd.Report(res, stamp)
+	budget := 0
+	if job.decode {
+		budget = s.cfg.DecodeBudget
+	}
+	rep, err := p.rd.Epoch(job.devs, stamp, budget, p.rng, p.decodeRNG)
+	if err != nil {
+		return nil, fmt.Errorf("city: reader %d: %w", p.rd.ID, err)
+	}
 	var decoded []uint64
-	if job.decode && len(job.devs) > 0 {
-		var freqs []float64
-		for _, sp := range res.Spikes {
-			if !sp.Multiple { // same-bin pairs don't combine coherently
-				freqs = append(freqs, sp.Freq)
-			}
-		}
-		out, err := p.rd.DecodeIDs(job.devs, freqs, s.cfg.DecodeBudget, p.decodeRNG)
-		if err != nil {
-			return nil, fmt.Errorf("city: reader %d decode: %w", p.rd.ID, err)
-		}
-		for i := range rep.Spikes {
-			if dr, ok := out[rep.Spikes[i].FreqHz]; ok {
-				id := dr.Frame.ID()
-				rep.Spikes[i].DecodedID = id
-				p.decoded[id] = rep.Spikes[i].FreqHz
-				decoded = append(decoded, id)
-			}
+	for _, sp := range rep.Spikes {
+		if sp.DecodedID != 0 {
+			p.decoded[sp.DecodedID] = sp.FreqHz
+			decoded = append(decoded, sp.DecodedID)
 		}
 	}
 	p.score(job, rep.Count, decoded)

@@ -136,7 +136,7 @@ func (d *Decoder) TryDecode() (*phy.Frame, error) {
 //
 // Who owns the returned stream depends on the consumer. DecodeAll reads
 // a capture only until it calls the source again, so a source may hand
-// it one buffer overwritten by every query, as Reader.DecodeIDs does.
+// it one buffer overwritten by every query, as a reader's Epoch does.
 // DecodeWithSIC keeps every capture it fetches and cancels decoded
 // transponders out of them in place, so its source must return
 // distinct slices it may modify.

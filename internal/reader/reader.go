@@ -18,6 +18,16 @@ import (
 	"caraoke/internal/transponder"
 )
 
+const (
+	// windowQueries is the §10 active window an Epoch runs: ten queries
+	// in 10 ms. The window detector's gates are calibrated for it —
+	// fewer queries count cars on an empty road (TestEmptyRoadCountsZero).
+	windowQueries = 10
+	// DecodeBudget is the default cap on the collisions an Epoch's §8
+	// decode combines.
+	DecodeBudget = 120
+)
+
 // Reader is one pole-mounted Caraoke unit.
 type Reader struct {
 	ID      uint32
@@ -32,7 +42,7 @@ type Reader struct {
 	seq uint32
 	txs []rfsim.Transmission // the latest query's replies; captures do not retain them
 	// window holds Measure's captures, every antenna, and ref the one
-	// reference stream DecodeIDs decodes; each query overwrites its own.
+	// reference stream decodeIDs decodes; each query overwrites its own.
 	window  []*rfsim.MultiCapture
 	ref     rfsim.MultiCapture
 	analyze *core.Scratch
@@ -146,7 +156,41 @@ func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand
 	return core.CountFromSpikes(spikes), nil
 }
 
-// DecodeIDs runs the §8 collision decoder against the current scene:
+// Epoch runs one reader epoch, the device loop of §10 and §8: the
+// windowQueries-query active window and its §5 count (Measure, drawing
+// from rng), the report stamped stamp, and, when budget > 0 and devs is
+// not empty, the §8 decode of the report's single-occupancy spikes
+// within budget queries, drawing from decodeRNG alone so that decoding
+// never moves a count. Each decoded id is written into its spike's
+// DecodedID; a spike left at 0 carries no id.
+func (r *Reader) Epoch(devs []*transponder.Device, stamp time.Time, budget int, rng, decodeRNG *rand.Rand) (*telemetry.Report, error) {
+	res, err := r.Measure(devs, windowQueries, rng)
+	if err != nil {
+		return nil, err
+	}
+	rep := r.Report(res, stamp)
+	if budget <= 0 || len(devs) == 0 {
+		return rep, nil
+	}
+	var freqs []float64
+	for _, sp := range rep.Spikes {
+		if !sp.Multiple { // same-bin pairs don't combine coherently
+			freqs = append(freqs, sp.FreqHz)
+		}
+	}
+	out, err := r.decodeIDs(devs, freqs, budget, decodeRNG)
+	if err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	for i := range rep.Spikes {
+		if dr, ok := out[rep.Spikes[i].FreqHz]; ok {
+			rep.Spikes[i].DecodedID = dr.Frame.ID()
+		}
+	}
+	return rep, nil
+}
+
+// decodeIDs runs the §8 collision decoder against the current scene:
 // it keeps issuing fresh queries (each a new shared collision) and
 // coherently combines them per target CFO until every target's frame
 // passes its checksum or maxQueries runs out. Targets that stay
@@ -157,7 +201,7 @@ func (r *Reader) Measure(devs []*transponder.Device, queries int, rng *rand.Rand
 // The decoder reads the reference antenna alone, so each query
 // synthesizes only that stream and its noise, into one the reader
 // reuses: DecodeAll reads a capture only until it asks for the next.
-func (r *Reader) DecodeIDs(devs []*transponder.Device, freqs []float64, maxQueries int, rng *rand.Rand) (map[float64]core.DecodeResult, error) {
+func (r *Reader) decodeIDs(devs []*transponder.Device, freqs []float64, maxQueries int, rng *rand.Rand) (map[float64]core.DecodeResult, error) {
 	if len(freqs) == 0 {
 		return nil, nil
 	}

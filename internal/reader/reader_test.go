@@ -1,6 +1,7 @@
 package reader
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,7 +101,7 @@ func TestEmptyRoadCountsZero(t *testing.T) {
 	r := testReader(t, 1, geom.V(0, -5, 0))
 	rng := rand.New(rand.NewSource(4))
 	for w := 0; w < 200; w++ {
-		res, err := r.Measure(nil, 10, rng)
+		res, err := r.Measure(nil, windowQueries, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestMeasureMatchesFullCaptures(t *testing.T) {
 	}
 }
 
-// TestDecodeIDsAllocsFlat: DecodeIDs synthesizes every decode query into
+// Test_decodeIDsAllocsFlat: decodeIDs synthesizes every decode query into
 // the reader's one reference stream, so what it allocates does not grow
 // with the query budget. The targets sit between the devices' carriers
 // and never decode, so every budget is spent in full; 66a6458, which
@@ -265,14 +266,14 @@ func TestMeasureMatchesFullCaptures(t *testing.T) {
 // objects at one query and 86 at twenty. Under -race the fixture is
 // checked but the counts are not compared: the detector's own
 // allocations land on either budget at random.
-func TestDecodeIDsAllocsFlat(t *testing.T) {
+func Test_decodeIDsAllocsFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	r := testReader(t, 1, geom.V(0, -5, 0))
 	devs := inRange(t, r, 24, rng)
 	freqs := []float64{123.4e3, 456.7e3, 789.1e3}
 	allocs := func(budget int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			out, err := r.DecodeIDs(devs, freqs, budget, rng)
+			out, err := r.decodeIDs(devs, freqs, budget, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,9 +283,85 @@ func TestDecodeIDsAllocsFlat(t *testing.T) {
 		})
 	}
 	one, twenty := allocs(1), allocs(20)
-	t.Logf("DecodeIDs allocates %.0f objects at a budget of 1 query, %.0f at 20", one, twenty)
+	t.Logf("decodeIDs allocates %.0f objects at a budget of 1 query, %.0f at 20", one, twenty)
 	if !raceEnabled && twenty > one {
 		t.Error("allocations grow with the query budget")
+	}
+}
+
+// epochScene is the caraoke-reader daemon's street: n transponders
+// beside the pole, every one in range.
+func epochScene(n int, seed int64) []*transponder.Device {
+	devs := transponder.NewPopulation(transponder.DefaultPopulationParams(), n, 100, rand.New(rand.NewSource(seed)))
+	for i, d := range devs {
+		d.Pos = geom.V(6+4*float64(i), -2+float64(i%3), 0)
+	}
+	return devs
+}
+
+// TestEpochWithoutBudgetIsMeasureAndReport: an Epoch that decodes
+// nothing is the ten-query Measure and its Report, to the byte.
+func TestEpochWithoutBudgetIsMeasureAndReport(t *testing.T) {
+	stamp := time.Date(2015, 8, 17, 8, 0, 0, 0, time.UTC)
+	for _, seed := range []int64{1, 2, 3} {
+		r := testReader(t, 1, geom.V(0, -5, 0))
+		rep, err := r.Epoch(epochScene(6, seed), stamp, 0, rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(-seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rep.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := testReader(t, 1, geom.V(0, -5, 0))
+		res, err := oracle.Measure(epochScene(6, seed), windowQueries, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.Report(res, stamp).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %d: Epoch at budget 0 marshals to %d bytes unlike Measure and Report's %d", seed, len(got), len(want))
+		}
+	}
+}
+
+// TestEpochDecodesSingleSpikesOnly: an Epoch's §8 decode targets the
+// single-occupancy spikes alone. Two of the scene's carriers share one
+// FFT bin, so the window flags a Multiple spike; it carries no id, and
+// every id written belongs to a device of the scene.
+func TestEpochDecodesSingleSpikesOnly(t *testing.T) {
+	r := testReader(t, 1, geom.V(0, -5, 0))
+	devs := epochScene(6, 1)
+	devs[1].CarrierHz = devs[0].CarrierHz + 400 // same 1953 Hz bin
+	rep, err := r.Epoch(devs, time.Time{}, DecodeBudget, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make(map[uint64]bool)
+	for _, d := range devs {
+		ids[d.ID()] = true
+	}
+	multiple, decoded := 0, 0
+	for _, sp := range rep.Spikes {
+		switch {
+		case sp.Multiple:
+			multiple++
+			if sp.DecodedID != 0 {
+				t.Errorf("Multiple spike at %.1f kHz carries id %#x", sp.FreqHz/1e3, sp.DecodedID)
+			}
+		case sp.DecodedID != 0:
+			decoded++
+			if !ids[sp.DecodedID] {
+				t.Errorf("spike at %.1f kHz carries id %#x, no device of the scene", sp.FreqHz/1e3, sp.DecodedID)
+			}
+		}
+	}
+	t.Logf("%d spikes: %d Multiple, %d decoded", len(rep.Spikes), multiple, decoded)
+	if multiple == 0 || decoded == 0 {
+		t.Fatalf("fixture: %d Multiple spikes and %d decoded ids, want both", multiple, decoded)
 	}
 }
 

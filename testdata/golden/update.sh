@@ -21,8 +21,8 @@ sim() { "$bin/caraoke-sim" "$@" | grep -v wall; }
 sim -readers 8 -vehicles 200 -seed 1 > "$out/run1.txt"
 sim -readers 8 -vehicles 200 -seed 1 -loss 0.1 -kill-interval 10 -churn 0.15 -drift-ppm 50 -resync-every 10 > "$out/chaos1.txt"
 sim -readers 8 -vehicles 30 -parked 6 -duration 6s -seed 7 -decode-every 2 -partitions 1 > "$out/part1.txt"
-sim -readers 8 -vehicles 20 -duration 8s -seed 11 -partitions 2 -kill-partition 0 -kill-at-seq 3 > "$out/kill1.txt"
-sim -readers 8 -vehicles 20 -duration 8s -seed 11 -loss 0.05 -kill-interval 25 -churn 0.1 -drift-ppm 50 -resync-every 10 -partitions 2 -kill-partition 0 -kill-at-seq 2 > "$out/chaoskill1.txt"
+sim -readers 8 -vehicles 20 -duration 8s -seed 11 -partitions 2 -kill 0@3 > "$out/kill1.txt"
+sim -readers 8 -vehicles 20 -duration 8s -seed 11 -loss 0.05 -kill-interval 25 -churn 0.1 -drift-ppm 50 -resync-every 10 -partitions 2 -kill 0@2 > "$out/chaoskill1.txt"
 for seed in 1 2 3 4 5; do
 	sim -readers 8 -vehicles 200 -seed "$seed" | sed -n "s/^score: /seed $seed &/p"
 done > "$out/score.txt"

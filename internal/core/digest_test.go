@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -12,12 +13,22 @@ import (
 	"caraoke/internal/rfsim"
 )
 
-// decisionDigest is the FNV-1a hash TestDecisionDigest computes,
-// recorded on commit 85d3919, whose windows refined every peak with two
-// half-capture Goertzel walks per capture. A kernel change may move the
-// gate quantities and a window's refined Freq by rounding; it may not
-// move a decision.
-const decisionDigest = 0x59521dd8e852b34e
+// decisionDigest is the FNV-1a hash of every decision TestDecisionDigest
+// sees. It was split out of one hash of decisions and Freq bits, pinned
+// on commit 85d3919 (whose windows refined every peak with two
+// half-capture Goertzel walks per capture), and recorded on 4c8a9f8, the
+// last commit whose simulator stepped an oscillator per sample; the
+// cached reply waves left it as it was. A kernel or a simulator change
+// may move the gate quantities and a refined Freq by rounding; it may
+// not move a decision. If it moves, find the window: do not re-pin.
+const decisionDigest = 0x2c361d8f3d7f270a
+
+// singleFreqDigest is the FNV-1a hash of the single captures' refined
+// Freq bits. It moves with any rounding change to the samples, and only
+// then: the cached reply waves re-pinned it from 0xfbf1a4fe8ebc8335,
+// while decisionDigest held. A change that means to move the synthesized
+// bits re-pins it; any other that moves it moved a sample or a Freq.
+const singleFreqDigest = 0x49ec4ef05f0900b0
 
 // digestScene is one seeded scene of the digest fixture: a 10-query
 // window of nDevs placed devices.
@@ -43,27 +54,27 @@ func digestScenes(t testing.TB) []digestScene {
 // peaks survive (kept), in which Bin, and whether the bin is Multiple —
 // over the digest's scenes, as 10-query windows (each analyzed twice on
 // one Scratch, cold then warm) and as single captures, and compares
-// against the pinned constant. The single-capture path also hashes its
-// refined Freq to the bit; a window's Freq is held by
+// against decisionDigest. The single captures' refined Freq bits go to a
+// second hash, held to singleFreqDigest; a window's Freq is held by
 // TestWindowFreqMatchesRefineFreq instead.
 func TestDecisionDigest(t *testing.T) {
-	h := fnv.New64a()
+	decisions, freqs := fnv.New64a(), fnv.New64a()
 	var buf [8]byte
-	put := func(v uint64) {
+	put := func(h hash.Hash64, v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
 	putSpikes := func(spikes []Spike, freq bool) {
-		put(uint64(len(spikes)))
+		put(decisions, uint64(len(spikes)))
 		for _, s := range spikes {
-			put(uint64(s.Bin))
+			put(decisions, uint64(s.Bin))
 			if freq {
-				put(math.Float64bits(s.Freq))
+				put(freqs, math.Float64bits(s.Freq))
 			}
 			if s.Multiple {
-				put(1)
+				put(decisions, 1)
 			} else {
-				put(0)
+				put(decisions, 0)
 			}
 		}
 	}
@@ -93,8 +104,11 @@ func TestDecisionDigest(t *testing.T) {
 	if multiples == 0 {
 		t.Fatal("fixture never exercises a Multiple decision")
 	}
-	if got := h.Sum64(); got != decisionDigest {
+	if got := decisions.Sum64(); got != decisionDigest {
 		t.Errorf("decision digest %#x, want %#x: a §5 decision moved", got, uint64(decisionDigest))
+	}
+	if got := freqs.Sum64(); got != singleFreqDigest {
+		t.Errorf("single-capture Freq digest %#x, want %#x: a refined Freq moved by rounding", got, uint64(singleFreqDigest))
 	}
 }
 

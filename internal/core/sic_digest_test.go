@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -12,12 +13,21 @@ import (
 	"caraoke/internal/transponder"
 )
 
-// sicDigest is the FNV-1a hash TestSICDigest computes, recorded on the
-// commit before DecodeWithSIC's per-round decode became a replay through
-// DecodeAll. If it moves, a round decoded a different id, needed a
-// different number of collisions, or the sweep stopped at another round:
-// find the scene, do not re-pin.
-const sicDigest = 0x175e3ebe33f9212
+// sicDigest is the FNV-1a hash of what TestSICDigest decides — rounds,
+// ids and query counts. It was split out of one hash that also held the
+// CFO bits, pinned on the commit before DecodeWithSIC's per-round decode
+// became a replay through DecodeAll, and recorded on 4c8a9f8, the last
+// commit whose simulator stepped an oscillator per sample. If it moves,
+// a round decoded a different id, needed a different number of
+// collisions, or the sweep stopped at another round: find the scene, do
+// not re-pin.
+const sicDigest = 0xb706f099f7910997
+
+// sicCFODigest is the FNV-1a hash of the decoded entries' CFO bits,
+// recorded on 4c8a9f8; the cached reply waves left it as it was. It may
+// move with a rounding change to the samples — a change that means to
+// move the synthesized bits re-pins it while sicDigest holds.
+const sicCFODigest = 0xad9dba508ec3b0c4
 
 // nearFarPair places a strong transponder close to the pole and a weak
 // one far from it, 15 dB under: the weak spike hides in the strong
@@ -33,14 +43,15 @@ func nearFarPair(s *testScene) []*transponder.Device {
 	return devs
 }
 
-// TestSICDigest hashes what DecodeWithSIC reports — its round count and,
-// in CFO order, every decoded entry's CFO (to the bit), id and query
-// count — over the near-far pair and seeded 4/8/12-device collisions,
-// and compares against the pinned constant.
+// TestSICDigest hashes what DecodeWithSIC reports over the near-far pair
+// and seeded 4/8/12-device collisions: its round count and, in CFO
+// order, every decoded entry's id and query count into one hash, held to
+// sicDigest, and the entries' CFOs, to the bit, into another, held to
+// sicCFODigest.
 func TestSICDigest(t *testing.T) {
-	h := fnv.New64a()
+	decoded, cfoBits := fnv.New64a(), fnv.New64a()
 	var buf [8]byte
-	put := func(v uint64) {
+	put := func(h hash.Hash64, v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
@@ -49,8 +60,8 @@ func TestSICDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		put(uint64(res.Rounds))
-		put(uint64(len(res.Decoded)))
+		put(decoded, uint64(res.Rounds))
+		put(decoded, uint64(len(res.Decoded)))
 		cfos := make([]float64, 0, len(res.Decoded))
 		for f := range res.Decoded {
 			cfos = append(cfos, f)
@@ -58,9 +69,9 @@ func TestSICDigest(t *testing.T) {
 		slices.Sort(cfos)
 		for _, f := range cfos {
 			d := res.Decoded[f]
-			put(math.Float64bits(f))
-			put(d.Frame.ID())
-			put(uint64(d.Queries))
+			put(cfoBits, math.Float64bits(f))
+			put(decoded, d.Frame.ID())
+			put(decoded, uint64(d.Queries))
 		}
 	}
 	s := newTestScene(t, 802)
@@ -71,7 +82,10 @@ func TestSICDigest(t *testing.T) {
 			sweep(s, s.placedDevices(m), m+2, 40)
 		}
 	}
-	if got := h.Sum64(); got != sicDigest {
+	if got := decoded.Sum64(); got != sicDigest {
 		t.Errorf("SIC digest %#x, want %#x: a decode or a round moved", got, uint64(sicDigest))
+	}
+	if got := cfoBits.Sum64(); got != sicCFODigest {
+		t.Errorf("SIC CFO digest %#x, want %#x: a decoded CFO moved by rounding", got, uint64(sicCFODigest))
 	}
 }

@@ -14,7 +14,9 @@ import (
 // OOK envelope at phy.SampleRate, carried at CFO Hz above the
 // reader's local oscillator, with the oscillator's random starting
 // phase (the reason per-query channels look independent to the decoder,
-// §8) and an amplitude set by the device's transmit power.
+// §8) and an amplitude set by the device's transmit power. Wave is the
+// envelope on its carrier as the synthesis reads it, NewWave(Envelope,
+// CFO): the device builds it once and every reply carries the same one.
 type Transmission struct {
 	Envelope    []float64 // 0/1 OOK chips expanded to samples
 	CFO         float64   // Hz above reader LO
@@ -22,7 +24,51 @@ type Transmission struct {
 	Amplitude   float64   // transmit amplitude (sqrt of power), linear
 	Pos         geom.Vec3 // transponder position
 	StartSample int       // sample index where the envelope begins
+	Wave        *Wave     // Envelope on its CFO carrier, at zero phase
 }
+
+// Wave is a reply's baseband waveform at zero oscillator phase,
+//
+//	x(u) = env(u) · e^{j2π·CFO·u/fs},
+//
+// kept as the chips of phy.ChipSamples samples, counted from the
+// envelope's first, in which the envelope is on anywhere (a Manchester
+// frame is on in exactly half its chips, and off in the rest). It is
+// immutable once built, so copies of a device, and the goroutines that
+// hold them, share one.
+type Wave struct {
+	cfo     float64
+	chips   []int        // first envelope sample of each kept chip, ascending
+	samples []complex128 // x over the kept chips, phy.ChipSamples each
+}
+
+// NewWave builds the waveform of env carried at cfo Hz. It steps the
+// oscillator once per envelope sample from e^{j0}, silent samples
+// included, as a transmitter's would run.
+func NewWave(env []float64, cfo float64) *Wave {
+	w := &Wave{cfo: cfo}
+	step := cmplx.Exp(complex(0, 2*math.Pi*cfo/phy.SampleRate))
+	osc := complex(1, 0)
+	for at := 0; at < len(env); at += phy.ChipSamples {
+		var x [phy.ChipSamples]complex128 // past the envelope's end, off
+		on := false
+		for u := range x {
+			if at+u < len(env) && env[at+u] != 0 {
+				e := env[at+u] // e·osc is exact for a unit sample
+				x[u], on = complex(e*real(osc), e*imag(osc)), true
+			}
+			osc *= step
+		}
+		if on {
+			w.chips = append(w.chips, at)
+			w.samples = append(w.samples, x[:]...)
+		}
+	}
+	return w
+}
+
+// CFO returns the carrier offset the wave was built at, Hz.
+func (w *Wave) CFO() float64 { return w.cfo }
 
 // CaptureConfig describes the reader's receive front end for one
 // capture window. The window itself is fixed: one response,
@@ -53,7 +99,7 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 type MultiCapture struct {
 	Antennas [][]complex128
 	// flat is the backing CaptureInto cut the streams from, antenna a
-	// at [a·n, (a+1)·n): the synthesis pass writes it with a stride.
+	// at [a·n, (a+1)·n), kept so a later call can reuse it.
 	flat []complex128
 }
 
@@ -81,23 +127,23 @@ func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand)
 // CaptureInto synthesizes antennas [0, keep) of the array into mc. For
 // transmission i and antenna a:
 //
-//	r_a(t) += h_{a,i} · A_i · env_i(t−t0_i) · e^{j(2π·CFO_i·t + φ_i)}
+//	r_a(t) += h_{a,i} · A_i · e^{j(φ_i + 2π·CFO_i·t0_i/fs)} · x_i(t−t0_i)
 //
-// with h the geometric channel (free-space plus reflectors). AWGN
-// follows, drawn from the caller's RNG in antenna order for the kept
-// antennas alone: the streams and the RNG's end state are bit-equal to
-// Capture on an array of the first keep elements, so a caller that needs
-// only the reference antenna (keep = 1) pays for one stream's synthesis
-// and one stream's noise.
+// with h the geometric channel (free-space plus reflectors) and x_i the
+// transmission's Wave: one complex coefficient per antenna scales the
+// waveform the device built once. AWGN follows, drawn from the caller's
+// RNG in antenna order for the kept antennas alone: the streams and the
+// RNG's end state are bit-equal to Capture on an array of the first keep
+// elements, so a caller that needs only the reference antenna (keep = 1)
+// pays for one stream's synthesis and one stream's noise.
 //
 // The streams are cut from one backing array that mc keeps: a later
 // call reuses it when it is large enough and grows it otherwise, and
 // clears it before the pass. Streams taken from mc earlier are
 // overwritten; nothing else in mc is read.
 //
-// Synthesis is one pass over the transmissions, two at a time (see
-// addPair). A sample of a stream is the sum of its transmissions added
-// in index order, so the pass order fixes every bit of the output.
+// A sample of a stream is the sum of its transmissions added in index
+// order, so that order fixes every bit of the output.
 func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -112,23 +158,12 @@ func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs
 		if txs[i].StartSample < 0 {
 			return fmt.Errorf("rfsim: transmission %d starts at negative sample %d", i, txs[i].StartSample)
 		}
-	}
-	const n = phy.ResponseSamples
-	dst := mc.cut(keep, n)
-
-	// The channel rows of the pair in flight, hs[a] = h_{a,i} · A_i for
-	// each kept antenna: on the stack for arrays of up to four elements.
-	var stack [2][4]complex128
-	var row [2][]complex128
-	for k := range row {
-		if keep <= len(stack[k]) {
-			row[k] = stack[k][:keep]
-		} else {
-			row[k] = make([]complex128, keep)
+		if w := txs[i].Wave; w == nil || w.cfo != txs[i].CFO {
+			return fmt.Errorf("rfsim: transmission %d carries no wave at its CFO %g Hz", i, txs[i].CFO)
 		}
 	}
-	var pair [2]tone
-	k := 0 // transmissions waiting in pair
+	const n = phy.ResponseSamples
+	mc.cut(keep, n)
 	for i := range txs {
 		tx := &txs[i]
 		// A transmission starting at or beyond the window's end adds
@@ -136,14 +171,17 @@ func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs
 		if tx.StartSample >= n {
 			continue
 		}
-		pair[k] = makeTone(tx, cfg, array.Elements[:keep], row[k])
-		if k++; k == 2 {
-			addPair(dst, n, &pair[0], &pair[1])
-			k = 0
+		// The oscillator at the start sample, so CFO phase is
+		// continuous in capture time, not envelope time.
+		w0 := cmplx.Exp(complex(0, tx.Phase))
+		if tx.StartSample != 0 {
+			turn := 2 * math.Pi * tx.CFO / phy.SampleRate // radians per sample
+			w0 *= cmplx.Exp(complex(0, turn*float64(tx.StartSample)))
 		}
-	}
-	if k == 1 {
-		addPair(dst, n, &pair[0], &tone{})
+		for a, el := range array.Elements[:keep] {
+			c := Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0) * w0
+			tx.Wave.addTo(mc.Antennas[a][tx.StartSample:], c)
+		}
 	}
 
 	if cfg.NoiseSigma > 0 {
@@ -154,10 +192,9 @@ func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs
 	return nil
 }
 
-// cut shapes mc as keep cleared streams of n samples and returns their
-// backing. The full-slice form keeps an append to one stream out of its
-// neighbour.
-func (mc *MultiCapture) cut(keep, n int) []complex128 {
+// cut shapes mc as keep cleared streams of n samples. The full-slice
+// form keeps an append to one stream out of its neighbour.
+func (mc *MultiCapture) cut(keep, n int) {
 	if cap(mc.flat) < keep*n {
 		mc.flat = make([]complex128, keep*n)
 	}
@@ -170,128 +207,26 @@ func (mc *MultiCapture) cut(keep, n int) []complex128 {
 	for a := range mc.Antennas {
 		mc.Antennas[a] = mc.flat[a*n : (a+1)*n : (a+1)*n]
 	}
-	return mc.flat
 }
 
-// tone is one transmission as the pass adds it: its envelope clipped to
-// the window, the sample it starts at, its channel row (one coefficient
-// per kept antenna), and its oscillator as a running value — w at the
-// next sample to add, multiplied by step after every sample, silent
-// chips included.
-type tone struct {
-	env     []float64
-	start   int
-	hs      []complex128
-	w, step complex128
-}
-
-// makeTone readies tx for the pass, its envelope clipped to the capture
-// window, and fills hs with its channel row to els under cfg.
-func makeTone(tx *Transmission, cfg CaptureConfig, els []geom.Vec3, hs []complex128) tone {
-	env := tx.Envelope
-	if len(env) > phy.ResponseSamples-tx.StartSample {
-		env = env[:phy.ResponseSamples-tx.StartSample]
-	}
-	for a, el := range els {
-		hs[a] = Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0)
-	}
-	turn := 2 * math.Pi * tx.CFO / phy.SampleRate // radians per sample
-	w := cmplx.Exp(complex(0, tx.Phase))
-	// Advance to the start sample so CFO phase is continuous in capture
-	// time, not envelope time.
-	w *= cmplx.Exp(complex(0, turn*float64(tx.StartSample)))
-	return tone{env: env, start: tx.StartSample, hs: hs, w: w, step: cmplx.Exp(complex(0, turn))}
-}
-
-// addPair adds two transmissions into dst, whose antenna a stream
-// starts at a·stride. Where both are on the air it advances them
-// together, one sample of each per iteration: the two oscillator
-// recurrences are independent, so the loop is no longer bound by one
-// multiply's latency. Each sample still receives a before b, and each
-// oscillator still takes one step per sample, so every bit equals adding
-// a and then b one at a time.
-func addPair(dst []complex128, stride int, a, b *tone) {
-	aEnd, bEnd := a.start+len(a.env), b.start+len(b.env)
-	lo, hi := max(a.start, b.start), min(aEnd, bEnd)
-	if lo >= hi { // no sample hears both
-		a.add(dst, stride, a.start, aEnd)
-		b.add(dst, stride, b.start, bEnd)
-		return
-	}
-	a.add(dst, stride, a.start, lo)
-	b.add(dst, stride, b.start, lo)
-	wa, wb := a.w, b.w
-	ea, eb := a.env[lo-a.start:hi-a.start], b.env[lo-b.start:hi-b.start]
-	eb = eb[:len(ea)]
-	if len(a.hs) == 1 {
-		// One stream, as a decode query keeps: the two channels stay in
-		// registers, where addChip reloads them after every store (a
-		// write into dst might alias hs). That is a fifth of this loop.
-		ha, hb := a.hs[0], b.hs[0]
-		d := dst[lo:hi]
-		d = d[:len(ea)]
-		for s, e := range ea {
-			addOne(&d[s], ha, e, wa)
-			addOne(&d[s], hb, eb[s], wb)
-			wa *= a.step
-			wb *= b.step
+// addTo adds c·x into dst, which starts at the wave's first sample, one
+// kept chip at a time; samples past dst's end are clipped.
+func (w *Wave) addTo(dst []complex128, c complex128) {
+	const cs = phy.ChipSamples
+	x := w.samples
+	for _, at := range w.chips {
+		if at+cs > len(dst) { // the window ends inside or before this chip
+			for i := at; i < len(dst); i++ {
+				dst[i] += c * x[i-at]
+			}
+			return
 		}
-	} else {
-		for s, e := range ea {
-			addChip(dst, lo+s, stride, a.hs, e, wa)
-			addChip(dst, lo+s, stride, b.hs, eb[s], wb)
-			wa *= a.step
-			wb *= b.step
-		}
-	}
-	a.w, b.w = wa, wb
-	a.add(dst, stride, hi, aEnd)
-	b.add(dst, stride, hi, bEnd)
-}
-
-// add adds t's samples [from, to) of the capture, t.start ≤ from ≤ to,
-// and leaves its oscillator at sample to.
-func (t *tone) add(dst []complex128, stride, from, to int) {
-	w := t.w
-	for s, e := range t.env[from-t.start : to-t.start] {
-		addChip(dst, from+s, stride, t.hs, e, w)
-		w *= t.step
-	}
-	t.w = w
-}
-
-// addChip adds hs[a]·e·w, one envelope sample of one transmission, into
-// dst[at + a·stride] for every antenna a. It decides on e once, outside
-// the antenna loop; addOne is the same decision for one stream.
-func addChip(dst []complex128, at, stride int, hs []complex128, e float64, w complex128) {
-	switch e {
-	case 0:
-	case 1:
-		// OOK chips are 0/1; multiplying h by complex(1, 0) is exact in
-		// IEEE arithmetic, so skipping it changes no bit and drops a
-		// complex multiply per antenna from the hottest loop in the
-		// simulator.
-		for _, h := range hs {
-			dst[at] += h * w
-			at += stride
-		}
-	default:
-		for _, h := range hs {
-			dst[at] += h * complex(e, 0) * w
-			at += stride
-		}
-	}
-}
-
-// addOne adds h·e·w into *d, skipping silent samples and the exact
-// multiply by a unit chip as addChip does.
-func addOne(d *complex128, h complex128, e float64, w complex128) {
-	switch e {
-	case 0:
-	case 1:
-		*d += h * w
-	default:
-		*d += h * complex(e, 0) * w
+		d, x4 := dst[at:at+cs:at+cs], x[:cs:cs]
+		d[0] += c * x4[0]
+		d[1] += c * x4[1]
+		d[2] += c * x4[2]
+		d[3] += c * x4[3]
+		x = x[cs:]
 	}
 }
 

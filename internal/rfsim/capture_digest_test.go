@@ -34,30 +34,36 @@ func triangleScene(tb testing.TB, seed int64, n int) (CaptureConfig, Array, []Tr
 		if err != nil {
 			tb.Fatal(err)
 		}
-		txs = append(txs, Transmission{
+		txs = append(txs, withWave(Transmission{
 			Envelope:    env,
 			CFO:         50e3 + float64(i)*17e3,
 			Phase:       rng.Float64() * 6.28,
 			Amplitude:   0.5 + rng.Float64(),
 			Pos:         geom.V(-20+rng.Float64()*40, 2+rng.Float64()*8, 0),
 			StartSample: rng.Intn(32),
-		})
+		}))
 	}
 	return cfg, arr, txs
 }
 
-// captureDigest is the FNV-1a hash TestCaptureDigest computes, recorded
-// on commit 9e18237 — the last one whose Capture stored each
-// transmission's oscillator rotation and swept it once per antenna. A
-// rewrite of the synthesis loop may reorder memory traffic; it may not
-// move a bit of any sample.
-const captureDigest = 0xdde2dfdb0a4b58c7
+// captureDigest is the FNV-1a hash TestCaptureDigest computes, re-pinned
+// when each transmission came to carry its device's cached Wave and the
+// synthesis became one coefficient per antenna times that wave, and the
+// shaped envelope grew from 700 samples to 701 (it was
+// 0xdde2dfdb0a4b58c7 while an oscillator stepped per sample): the
+// samples moved by rounding alone, within recurrenceTolerance of the
+// per-sample oracle (TestCaptureMatchesRecurrenceOracle). A rewrite of
+// the synthesis loop may reorder memory traffic; it may not move a bit
+// of any sample. If it moves, an addition changed order or a clip
+// changed: find it, do not re-pin.
+const captureDigest = 0xf072a86dcd491ec7
 
 // digestScene is the scene TestCaptureDigest hashes: 24 frames whose
 // staggered tails clip, one transmission starting five samples before
 // the window ends, one starting exactly at its end and one beyond it
 // (both add nothing, and must not panic), and one envelope holding
-// fractional values.
+// fractional values whose length is no whole number of chips, so its
+// wave pads the last chip.
 func digestScene(tb testing.TB) (CaptureConfig, Array, []Transmission) {
 	cfg, arr, txs := triangleScene(tb, 2411, 24)
 	late := txs[3]
@@ -68,13 +74,16 @@ func digestScene(tb testing.TB) (CaptureConfig, Array, []Transmission) {
 	beyond.CFO, beyond.StartSample = 87e3, phy.ResponseSamples+40
 	shaped := txs[11]
 	shaped.CFO, shaped.StartSample = 99e3, 17
-	shaped.Envelope = make([]float64, 700)
+	shaped.Envelope = make([]float64, 701)
 	for s := range shaped.Envelope {
-		// A raised-cosine burst: all but the first and the middle
-		// sample take the fractional arm.
+		// A raised-cosine burst: zero at its first sample, fractional
+		// at every other.
 		shaped.Envelope[s] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(s)/float64(len(shaped.Envelope)))
 	}
-	return cfg, arr, append(txs, late, atEnd, beyond, shaped)
+	for _, tx := range []Transmission{late, atEnd, beyond, shaped} {
+		txs = append(txs, withWave(tx))
+	}
+	return cfg, arr, txs
 }
 
 // TestCaptureDigest hashes math.Float64bits of every sample of seeded

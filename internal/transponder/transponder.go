@@ -48,7 +48,8 @@ type Device struct {
 	// silent once it reaches zero.
 	RepliesLeft int64
 
-	envelope []float64 // cached modulated frame, at phy.SampleRate
+	envelope []float64   // cached modulated frame, at phy.SampleRate
+	wave     *rfsim.Wave // cached envelope on this device's carrier
 }
 
 // New creates a device with the given identity and carrier, positioned
@@ -93,11 +94,13 @@ func (d *Device) TriggeredFrom(queryPos geom.Vec3, txAmp, wavelength float64) bo
 	return d.Triggered(txAmp * rfsim.FreeSpaceAmplitude(dist, wavelength))
 }
 
-// PrepareEnvelope builds the cached modulated frame, at the front end's
-// one rate, phy.SampleRate. Reply calls it lazily; Snapshot calls it up
-// front so every copy shares one immutable envelope instead of each
-// re-modulating the frame.
-func (d *Device) PrepareEnvelope() error {
+// prepare builds the cached modulated frame, at the front end's one
+// rate, phy.SampleRate, and its reply waveform at the carrier offset a
+// reader with its LO at the bottom of the band hears (phy.BandLow, the
+// reader's default). Reply calls it lazily; Snapshot calls it up front
+// so every copy shares one immutable envelope and waveform instead of
+// each rebuilding them.
+func (d *Device) prepare() error {
 	if d.envelope != nil {
 		return nil
 	}
@@ -106,20 +109,21 @@ func (d *Device) PrepareEnvelope() error {
 		return fmt.Errorf("transponder %s: %w", d.Frame.String(), err)
 	}
 	d.envelope = env
+	d.wave = rfsim.NewWave(env, d.CFO(phy.BandLow))
 	return nil
 }
 
 // Snapshot returns a working copy of the device frozen at its current
-// position and battery budget, sharing the modulated-envelope cache
-// (which is immutable once built — the copy never re-modulates). It is
-// the per-epoch hand-off a pipelined harness gives a reader goroutine:
-// the copy can be measured while the original moves on to later
-// epochs, with no shared mutable state between them.
+// position and battery budget, sharing the modulated-envelope and
+// waveform caches (immutable once built — the copy never rebuilds
+// them). It is the per-epoch hand-off a pipelined harness gives a
+// reader goroutine: the copy can be measured while the original moves
+// on to later epochs, with no shared mutable state between them.
 // Battery draw against a snapshot stays on the snapshot; at the default
 // 50M-reply budget that bookkeeping loss is unobservable over any
 // simulated run.
 func (d *Device) Snapshot() (*Device, error) {
-	if err := d.PrepareEnvelope(); err != nil {
+	if err := d.prepare(); err != nil {
 		return nil, err
 	}
 	cp := *d
@@ -132,7 +136,9 @@ func (d *Device) Snapshot() (*Device, error) {
 // and consumes one reply from the battery budget. startSample places
 // the response within the reader capture window (0 when the capture
 // starts at the response, per the fixed 100 µs turnaround). sampleRate
-// must be phy.SampleRate; any other is phy.ErrSampleRate.
+// must be phy.SampleRate; any other is phy.ErrSampleRate. The reply
+// carries the device's cached waveform; a reader LO, or a carrier, other
+// than the one it was built for rebuilds it, on this copy of the device.
 func (d *Device) Reply(readerLO, sampleRate float64, startSample int, rng *rand.Rand) (rfsim.Transmission, error) {
 	if sampleRate != phy.SampleRate {
 		return rfsim.Transmission{}, fmt.Errorf("transponder %s: %g Hz: %w", d.Frame.String(), sampleRate, phy.ErrSampleRate)
@@ -140,16 +146,21 @@ func (d *Device) Reply(readerLO, sampleRate float64, startSample int, rng *rand.
 	if !d.Alive() {
 		return rfsim.Transmission{}, fmt.Errorf("transponder %s: battery exhausted", d.Frame.String())
 	}
-	if err := d.PrepareEnvelope(); err != nil {
+	if err := d.prepare(); err != nil {
 		return rfsim.Transmission{}, err
+	}
+	cfo := d.CFO(readerLO)
+	if d.wave.CFO() != cfo {
+		d.wave = rfsim.NewWave(d.envelope, cfo)
 	}
 	d.RepliesLeft--
 	return rfsim.Transmission{
 		Envelope:    d.envelope,
-		CFO:         d.CFO(readerLO),
+		CFO:         cfo,
 		Phase:       rng.Float64() * 2 * math.Pi,
 		Amplitude:   d.TxAmplitude,
 		Pos:         d.Pos,
 		StartSample: startSample,
+		Wave:        d.wave,
 	}, nil
 }

@@ -43,6 +43,9 @@ func TestReplyRandomPhaseAndCachedEnvelope(t *testing.T) {
 	if r1.CFO != d.CFO(phy.BandLow) {
 		t.Errorf("reply CFO %g, device CFO %g", r1.CFO, d.CFO(phy.BandLow))
 	}
+	if r1.Wave == nil || r1.Wave != r2.Wave || r1.Wave.CFO() != r1.CFO {
+		t.Error("the reply waveform is not cached at the reply's CFO")
+	}
 	// The envelope exists at the front end's rate only: any other is
 	// refused before the battery is charged.
 	left := d.RepliesLeft
@@ -51,6 +54,33 @@ func TestReplyRandomPhaseAndCachedEnvelope(t *testing.T) {
 	}
 	if d.RepliesLeft != left {
 		t.Errorf("refused reply charged the battery: %d -> %d", left, d.RepliesLeft)
+	}
+}
+
+// TestReplyWaveFollowsLO: the cached waveform is built for a reader LO
+// at the bottom of the band; a reply to a reader with another LO carries
+// a waveform at its own CFO, and a copy taken before keeps the old one.
+func TestReplyWaveFollowsLO(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	d := NewRandomDevice(DefaultPopulationParams(), 9, geom.V(0, 0, 0), rng)
+	snap, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := phy.BandLow + 100e3
+	r, err := d.Reply(lo, 4e6, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Wave.CFO() != d.CFO(lo) || r.CFO != d.CFO(lo) {
+		t.Errorf("reply at LO %g: wave CFO %g, reply CFO %g, want %g", lo, r.Wave.CFO(), r.CFO, d.CFO(lo))
+	}
+	s, err := snap.Reply(phy.BandLow, 4e6, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Wave.CFO() != snap.CFO(phy.BandLow) {
+		t.Errorf("the snapshot's wave moved to %g Hz with the original's LO", s.Wave.CFO())
 	}
 }
 

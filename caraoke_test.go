@@ -106,7 +106,7 @@ func TestFacadeEndToEndDecode(t *testing.T) {
 
 // TestFrontEndShapeRefused: the front end has one capture shape, one
 // 512 µs response at 4 MHz (2048 samples, four per chip). Every boundary
-// that takes a capture, a capture source, a rate or Params from outside
+// that takes a capture, a capture source, a rate, a reply start or Params from outside
 // refuses any other with an error, never a panic, before it touches
 // state: a warmed Scratch keeps its last result, a decoder its combined
 // captures, and DecodeAll issues no query at a wrong rate.
@@ -191,6 +191,10 @@ func TestFrontEndShapeRefused(t *testing.T) {
 		}, 0},
 		{"Reply/8MHz", func() error {
 			_, err := devs[0].Reply(p.ReaderLO, 8e6, 0, rand.New(rand.NewSource(1)))
+			return err
+		}, 0},
+		{"Reply/start 1", func() error {
+			_, err := devs[0].Reply(p.ReaderLO, phy.SampleRate, 1, rand.New(rand.NewSource(1)))
 			return err
 		}, 0},
 	} {

@@ -254,9 +254,6 @@ func (w *cutConn) Write(b []byte) (int, error) {
 	}
 	minSeq, maxSeq := uint32(0), uint32(0)
 	for _, r := range rs {
-		if r.Seq == 0 {
-			continue // pre-sequencing sender: treated as below any cut
-		}
 		if minSeq == 0 || r.Seq < minSeq {
 			minSeq = r.Seq
 		}
@@ -270,10 +267,10 @@ func (w *cutConn) Write(b []byte) (int, error) {
 	return w.Conn.Write(b)
 }
 
-// admit decides one frame's fate under the plan: a frame whose
-// sequenced reports all sit past AtSeq crosses the cut — the reader is
-// rehomed and the frame rejected — while any earlier frame is forwarded
-// and recorded as owned by the doomed partition.
+// admit decides one frame's fate under the plan: a frame whose reports
+// all sit past AtSeq crosses the cut — the reader is rehomed and the
+// frame rejected — while any earlier frame, or an empty one, is
+// forwarded and recorded as owned by the doomed partition.
 func (c *Cluster) admit(readerID uint32, minSeq, maxSeq uint32) (cut bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -14,10 +14,10 @@ func at(sec int) time.Time {
 func TestStoreAddLatestAndSeries(t *testing.T) {
 	s := NewStore(100)
 	for i := 0; i < 5; i++ {
-		s.Add(&telemetry.Report{ReaderID: 7, Seq: uint32(i), Timestamp: at(i), Count: i * 2})
+		s.Add(&telemetry.Report{ReaderID: 7, Seq: uint32(i + 1), Timestamp: at(i), Count: i * 2})
 	}
-	s.Add(&telemetry.Report{ReaderID: 9, Timestamp: at(0), Count: 1})
-	if got := s.Latest(7); got == nil || got.Seq != 4 {
+	s.Add(&telemetry.Report{ReaderID: 9, Seq: 1, Timestamp: at(0), Count: 1})
+	if got := s.Latest(7); got == nil || got.Seq != 5 {
 		t.Fatalf("Latest = %+v", got)
 	}
 	if got := s.Latest(42); got != nil {
@@ -36,22 +36,22 @@ func TestStoreAddLatestAndSeries(t *testing.T) {
 func TestStoreEviction(t *testing.T) {
 	s := NewStore(3)
 	for i := 0; i < 10; i++ {
-		s.Add(&telemetry.Report{ReaderID: 1, Seq: uint32(i), Timestamp: at(i)})
+		s.Add(&telemetry.Report{ReaderID: 1, Seq: uint32(i + 1), Timestamp: at(i)})
 	}
 	ts, _ := s.CountSeries(1, at(0), at(100))
 	if len(ts) != 3 {
 		t.Fatalf("kept %d reports, want 3", len(ts))
 	}
-	if got := s.Latest(1); got.Seq != 9 {
+	if got := s.Latest(1); got.Seq != 10 {
 		t.Fatalf("latest after eviction = %d", got.Seq)
 	}
 }
 
 func TestFindCar(t *testing.T) {
 	s := NewStore(100)
-	s.Add(&telemetry.Report{ReaderID: 1, Timestamp: at(0),
+	s.Add(&telemetry.Report{ReaderID: 1, Seq: 1, Timestamp: at(0),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 100e3, DecodedID: 0xABC}}})
-	s.Add(&telemetry.Report{ReaderID: 2, Timestamp: at(5),
+	s.Add(&telemetry.Report{ReaderID: 2, Seq: 1, Timestamp: at(5),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 101e3, DecodedID: 0xABC}}})
 	sight, ok := s.FindCar(0xABC)
 	if !ok || sight.ReaderID != 2 || !sight.Seen.Equal(at(5)) {
@@ -68,12 +68,12 @@ func TestFindCar(t *testing.T) {
 // smaller id, and nothing within tol is zero.
 func TestDecodedIDAtNearest(t *testing.T) {
 	s := NewStore(100)
-	s.Add(&telemetry.Report{ReaderID: 1, Timestamp: at(0), Spikes: []telemetry.SpikeRecord{
+	s.Add(&telemetry.Report{ReaderID: 1, Seq: 1, Timestamp: at(0), Spikes: []telemetry.SpikeRecord{
 		{FreqHz: 100e3 - 900, DecodedID: 0x111}, {FreqHz: 100e3 + 200, DecodedID: 0x999}}})
 	if got := s.DecodedIDAt(100e3, 1e3); got != 0x999 {
 		t.Errorf("DecodedIDAt = %#x, want 0x999 (200 Hz off; 0x111 is 900 Hz off)", got)
 	}
-	s.Add(&telemetry.Report{ReaderID: 2, Timestamp: at(1), Spikes: []telemetry.SpikeRecord{
+	s.Add(&telemetry.Report{ReaderID: 2, Seq: 1, Timestamp: at(1), Spikes: []telemetry.SpikeRecord{
 		{FreqHz: 100e3 - 200, DecodedID: 0x555}}})
 	if got := s.DecodedIDAt(100e3, 1e3); got != 0x555 {
 		t.Errorf("DecodedIDAt on a 200 Hz tie = %#x, want the smaller id 0x555", got)
@@ -85,11 +85,11 @@ func TestDecodedIDAtNearest(t *testing.T) {
 
 func TestSightingsByCFO(t *testing.T) {
 	s := NewStore(100)
-	s.Add(&telemetry.Report{ReaderID: 1, Timestamp: at(0),
+	s.Add(&telemetry.Report{ReaderID: 1, Seq: 1, Timestamp: at(0),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 500e3}}})
-	s.Add(&telemetry.Report{ReaderID: 1, Timestamp: at(2),
+	s.Add(&telemetry.Report{ReaderID: 1, Seq: 2, Timestamp: at(2),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 500.4e3}}})
-	s.Add(&telemetry.Report{ReaderID: 2, Timestamp: at(3),
+	s.Add(&telemetry.Report{ReaderID: 2, Seq: 1, Timestamp: at(3),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 499.8e3}, {FreqHz: 900e3}}})
 	got := s.SightingsByCFO(500e3, 1e3)
 	if len(got) != 2 {
@@ -123,7 +123,7 @@ func TestServerEndToEndTCP(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r := &telemetry.Report{
 				ReaderID:  readerID,
-				Seq:       uint32(i),
+				Seq:       uint32(i + 1),
 				Timestamp: at(i),
 				Count:     i,
 				Spikes:    []telemetry.SpikeRecord{{FreqHz: 300e3, Channels: []complex128{1 + 2i}}},
@@ -145,14 +145,14 @@ func TestServerEndToEndTCP(t *testing.T) {
 	// Ingest is asynchronous; poll briefly.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if a, b := store.Latest(10), store.Latest(11); a != nil && b != nil && a.Seq == 19 && b.Seq == 19 {
+		if a, b := store.Latest(10), store.Latest(11); a != nil && b != nil && a.Seq == 20 && b.Seq == 20 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	for _, id := range []uint32{10, 11} {
 		got := store.Latest(id)
-		if got == nil || got.Seq != 19 {
+		if got == nil || got.Seq != 20 {
 			t.Fatalf("reader %d: latest = %+v", id, got)
 		}
 		if len(got.Spikes) != 1 || got.Spikes[0].Channels[0] != 1+2i {

@@ -65,7 +65,9 @@ func FuzzServerStream(f *testing.F) {
 		nil,
 		one,
 		batch,
-		fuzzFrames(f, []*telemetry.Report{robustReport(1, 1)}, []*telemetry.Report{robustReport(1, 1), robustReport(1, 0), robustReport(1, 0)}),
+		fuzzFrames(f, []*telemetry.Report{robustReport(1, 1)}, []*telemetry.Report{robustReport(1, 1), robustReport(1, 2), robustReport(1, 2)}),
+		// A seq-0 report is refused, and its frame ends the stream.
+		fuzzFrames(f, []*telemetry.Report{robustReport(1, 1)}, []*telemetry.Report{robustReport(2, 0)}, []*telemetry.Report{robustReport(1, 2)}),
 		append(slices.Clone(one), badCRC...),
 		append(slices.Clone(batch), v1...),
 		append(slices.Clone(one), huge...),
@@ -75,8 +77,7 @@ func FuzzServerStream(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The model. Seq 0 marks a pre-sequencing sender and bypasses
-		// dedupe, as in the store.
+		// The model.
 		type key struct{ reader, seq uint32 }
 		seen := map[key]bool{}
 		want := map[uint32][][]byte{} // reader → its accepted reports, marshaled
@@ -87,12 +88,14 @@ func FuzzServerStream(f *testing.F) {
 				break
 			}
 			for _, r := range rs {
-				if k := (key{r.ReaderID, r.Seq}); r.Seq != 0 {
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
+				if r.Seq == 0 {
+					t.Fatalf("ReadBatch accepted a seq-0 report: %+v", r)
 				}
+				k := key{r.ReaderID, r.Seq}
+				if seen[k] {
+					continue
+				}
+				seen[k] = true
 				b, err := r.Marshal()
 				if err != nil {
 					t.Fatalf("accepted report does not marshal: %v", err)

@@ -81,10 +81,10 @@ func TestStoreConcurrentBarrier(t *testing.T) {
 	want := make(map[uint32]uint32)
 	for w := range plans {
 		for i := 0; i < perWriter; i++ {
-			r := ledgerReport(uint32((w*perWriter+i)%readerIDs)+1, i)
+			r := ledgerReport(uint32((w*perWriter+i)%readerIDs)+1, i+1)
 			frame := []*telemetry.Report{r}
 			if i%10 == 0 {
-				frame = append(frame, ledgerReport(r.ReaderID, i+perWriter))
+				frame = append(frame, ledgerReport(r.ReaderID, i+1+perWriter))
 				i++ // the frame carries two
 			}
 			plans[w] = append(plans[w], frame)
@@ -163,24 +163,22 @@ func TestWaitHighWaterTimesOut(t *testing.T) {
 
 // TestStoreMatchesModel drives the ledger with everything an
 // at-least-once uplink can do to it — shuffled, duplicated and
-// out-of-order reports for several sequenced readers, Seq-0 reports for
-// readers that do not stamp sequences, split over concurrent Add and
-// AddBatch callers while other goroutines query — and then compares
+// out-of-order reports for several readers, split over concurrent Add
+// and AddBatch callers while other goroutines query — and then compares
 // every counter and each reader's retained history with a map-based
 // model of what was sent.
 func TestStoreMatchesModel(t *testing.T) {
 	const (
-		keep      = 48
-		sequenced = 4   // reader ids 1..4 stamp seqs
-		unstamped = 2   // reader ids 5..6 send Seq 0 only
-		maxSeq    = 150 // per sequenced reader
-		writers   = 6
+		keep    = 48
+		readers = 6   // reader ids 1..6
+		maxSeq  = 150 // per reader
+		writers = 6
 	)
 	rng := rand.New(rand.NewSource(20))
 	var arrivals []*telemetry.Report
 	distinct := make(map[uint32]map[uint32]bool) // the model: reader → seqs sent
 	copies := make(map[uint32]int)               // reader → arrivals
-	for id := uint32(1); id <= sequenced; id++ {
+	for id := uint32(1); id <= readers; id++ {
 		distinct[id] = make(map[uint32]bool)
 		for seq := 1; seq <= maxSeq; seq++ {
 			if rng.Intn(10) == 0 {
@@ -192,12 +190,6 @@ func TestStoreMatchesModel(t *testing.T) {
 				arrivals = append(arrivals, r)
 				copies[id]++
 			}
-		}
-	}
-	for id := uint32(sequenced + 1); id <= sequenced+unstamped; id++ {
-		for n := 20 + rng.Intn(keep); n > 0; n-- {
-			arrivals = append(arrivals, ledgerReport(id, 0))
-			copies[id]++
 		}
 	}
 	rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
@@ -249,7 +241,7 @@ func TestStoreMatchesModel(t *testing.T) {
 
 	var wantReaders []uint32
 	wantTotal := 0
-	for id := uint32(1); id <= sequenced+unstamped; id++ {
+	for id := uint32(1); id <= readers; id++ {
 		wantReaders = append(wantReaders, id)
 		var sent, missing []uint32
 		for seq := uint32(1); seq <= maxSeq; seq++ {
@@ -259,13 +251,7 @@ func TestStoreMatchesModel(t *testing.T) {
 				missing = append(missing, seq)
 			}
 		}
-		wantRecv, wantHigh := len(sent), uint32(0)
-		if id > sequenced {
-			wantRecv = copies[id] // Seq 0 bypasses dedupe: every arrival lands
-			sent = make([]uint32, wantRecv)
-		} else {
-			wantHigh = sent[len(sent)-1]
-		}
+		wantRecv, wantHigh := len(sent), sent[len(sent)-1]
 		retained := sent[max(len(sent)-keep, 0):] // the keep largest seqs, ascending
 		wantTotal += len(retained)
 

@@ -49,17 +49,6 @@ func TestStoreDedupesRedelivery(t *testing.T) {
 	if got := s.SeqsReceived(7); got != 2 {
 		t.Errorf("SeqsReceived(7) = %d, want 2", got)
 	}
-	// Seq 0 marks a legacy sender with no sequence numbering: it must
-	// bypass dedupe entirely, or two legacy reports would alias.
-	legacy := robustReport(9, 0)
-	s.Add(legacy)
-	s.Add(legacy)
-	if got := s.SeqsReceived(9); got != 2 {
-		t.Errorf("SeqsReceived(9) = %d, want 2 (seq 0 bypasses dedupe)", got)
-	}
-	if got := s.Deduped(9); got != 0 {
-		t.Errorf("Deduped(9) = %d, want 0", got)
-	}
 }
 
 // TestWaitDeliveredLossBudget: the gap-tolerant drain must release on

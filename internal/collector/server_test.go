@@ -348,7 +348,7 @@ func TestClientWriteDeadline(t *testing.T) {
 
 	// A report big enough that repeated sends must overflow the kernel
 	// buffers of an unread connection.
-	big := &telemetry.Report{ReaderID: 1, Timestamp: at(0)}
+	big := &telemetry.Report{ReaderID: 1, Seq: 1, Timestamp: at(0)}
 	for i := 0; i < 256; i++ {
 		big.Spikes = append(big.Spikes, telemetry.SpikeRecord{
 			FreqHz:   float64(i),

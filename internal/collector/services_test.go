@@ -18,9 +18,9 @@ func TestSpeedServiceCheck(t *testing.T) {
 	// A car at 45 mph covers 61 m in ≈3.03 s.
 	v := core.MetersPerSecond(45)
 	dt := time.Duration(61 / v * float64(time.Second))
-	store.Add(&telemetry.Report{ReaderID: 1, Timestamp: at(0),
+	store.Add(&telemetry.Report{ReaderID: 1, Seq: 1, Timestamp: at(0),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 500e3, DecodedID: 0xBEEF}}})
-	store.Add(&telemetry.Report{ReaderID: 2, Timestamp: at(0).Add(dt),
+	store.Add(&telemetry.Report{ReaderID: 2, Seq: 1, Timestamp: at(0).Add(dt),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 500.3e3}}})
 
 	viol, speeding, err := svc.Check(500e3, 1e3, time.Minute, at(10))
@@ -45,14 +45,14 @@ func TestSpeedServiceInsufficientSightings(t *testing.T) {
 	store := NewStore(10)
 	svc := NewSpeedService(store, 15)
 	svc.RegisterReader(1, geom.P(0, 0))
-	store.Add(&telemetry.Report{ReaderID: 1, Timestamp: at(0),
+	store.Add(&telemetry.Report{ReaderID: 1, Seq: 1, Timestamp: at(0),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 500e3}}})
 	if _, _, err := svc.Check(500e3, 1e3, time.Minute, at(5)); err == nil {
 		t.Error("single sighting accepted")
 	}
 	// A second reader but stale sighting.
 	svc.RegisterReader(2, geom.P(61, 0))
-	store.Add(&telemetry.Report{ReaderID: 2, Timestamp: at(1),
+	store.Add(&telemetry.Report{ReaderID: 2, Seq: 1, Timestamp: at(1),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 500e3}}})
 	if _, _, err := svc.Check(500e3, 1e3, time.Second, at(3600)); err == nil {
 		t.Error("stale sightings accepted")
@@ -60,9 +60,9 @@ func TestSpeedServiceInsufficientSightings(t *testing.T) {
 	// Unregistered reader sightings don't count.
 	store2 := NewStore(10)
 	svc2 := NewSpeedService(store2, 15)
-	store2.Add(&telemetry.Report{ReaderID: 9, Timestamp: at(0),
+	store2.Add(&telemetry.Report{ReaderID: 9, Seq: 1, Timestamp: at(0),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 500e3}}})
-	store2.Add(&telemetry.Report{ReaderID: 8, Timestamp: at(1),
+	store2.Add(&telemetry.Report{ReaderID: 8, Seq: 1, Timestamp: at(1),
 		Spikes: []telemetry.SpikeRecord{{FreqHz: 500e3}}})
 	if _, _, err := svc2.Check(500e3, 1e3, time.Minute, at(5)); err == nil {
 		t.Error("unregistered readers accepted")

@@ -58,8 +58,7 @@ func (s *seqSet) add(seq uint32) bool {
 type readerLog struct {
 	// history is the retained window, in Seq order (see insert).
 	history []*telemetry.Report
-	// seen dedupes (ReaderID, Seq). Seq 0 marks pre-sequencing senders
-	// and bypasses it (every such report is accepted).
+	// seen dedupes (ReaderID, Seq).
 	seen seqSet
 	// high is the largest Report.Seq ingested — the completion mark
 	// WaitHighWater checks, robust to out-of-order arrival across
@@ -147,7 +146,7 @@ func (s *Store) AddBatch(rs []*telemetry.Report) {
 			s.readers[r.ReaderID] = lg
 		}
 		lg.copies++
-		if r.Seq != 0 && !lg.seen.add(r.Seq) {
+		if !lg.seen.add(r.Seq) {
 			lg.deduped++
 			continue
 		}
@@ -169,9 +168,8 @@ func (lg *readerLog) insert(r *telemetry.Report, keep int) {
 	// A report can arrive behind its reader's tail (a retried batch, a
 	// reader re-uplinking over a second path). Sequence-keyed insertion
 	// keeps each reader's retained window in Seq order so CountSeries
-	// and Latest stay correct under out-of-order ingest; Seq 0 marks
-	// pre-sequencing senders and keeps plain arrival order.
-	if n := len(h) - 1; n > 0 && r.Seq != 0 && h[n-1].Seq > r.Seq {
+	// and Latest stay correct under out-of-order ingest.
+	if n := len(h) - 1; n > 0 && h[n-1].Seq > r.Seq {
 		i := sort.Search(n, func(k int) bool { return h[k].Seq > r.Seq })
 		copy(h[i+1:], h[i:n])
 		h[i] = r

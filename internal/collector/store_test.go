@@ -89,7 +89,7 @@ func TestStoreConcurrent(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				s.Add(&telemetry.Report{
 					ReaderID:  uint32(w % 3),
-					Seq:       uint32(i),
+					Seq:       uint32(i + 1),
 					Timestamp: at(i % 60),
 					Count:     i,
 					Spikes: []telemetry.SpikeRecord{
@@ -132,10 +132,10 @@ func TestStoreTrimSteadyState(t *testing.T) {
 	const keep = 8
 	s := NewStore(keep)
 	for i := 0; i < 10*keep; i++ {
-		s.Add(&telemetry.Report{ReaderID: 1, Seq: uint32(i), Timestamp: at(i % 60)})
+		s.Add(&telemetry.Report{ReaderID: 1, Seq: uint32(i + 1), Timestamp: at(i % 60)})
 	}
-	if got := s.Latest(1).Seq; got != 10*keep-1 {
-		t.Errorf("latest seq %d, want %d", got, 10*keep-1)
+	if got := s.Latest(1).Seq; got != 10*keep {
+		t.Errorf("latest seq %d, want %d", got, 10*keep)
 	}
 	if got := s.SeqsReceived(1); got != 10*keep {
 		t.Errorf("received counter %d, want %d (must not be capped by retention)", got, 10*keep)
@@ -145,7 +145,7 @@ func TestStoreTrimSteadyState(t *testing.T) {
 	}
 	h := s.historyFor(1)
 	for i, r := range h {
-		if want := uint32(10*keep - keep + i); r.Seq != want {
+		if want := uint32(10*keep - keep + i + 1); r.Seq != want {
 			t.Fatalf("window[%d] holds seq %d, want %d (%s)", i, r.Seq, want,
 				fmt.Sprintf("full window %v", seqs(h)))
 		}

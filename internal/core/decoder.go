@@ -133,13 +133,9 @@ func (d *Decoder) TryDecode() (*phy.Frame, error) {
 // CaptureSource yields successive collision captures, one per reader
 // query. Implementations trigger a query and return the digitized
 // response window: a single antenna stream, phy.ResponseSamples long.
-//
-// Who owns the returned stream depends on the consumer. DecodeAll reads
-// a capture only until it calls the source again, so a source may hand
-// it one buffer overwritten by every query, as a reader's Epoch does.
-// DecodeWithSIC keeps every capture it fetches and cancels decoded
-// transponders out of them in place, so its source must return
-// distinct slices it may modify.
+// A capture stays valid until the next call, so a source may hand out
+// one buffer that every query overwrites, as a reader's Epoch does; a
+// consumer that keeps a capture longer copies it.
 type CaptureSource func() ([]complex128, error)
 
 // DecodeResult reports a successful collision decode.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"caraoke/internal/dsp"
 	"caraoke/internal/phy"
@@ -20,34 +19,17 @@ import (
 // neighbor (the near-far regime where plain spike counting loses
 // devices).
 
-// cancelEnvelope subtracts a transponder's known OOK envelope from a
-// capture in place, estimating its per-capture channel from the spike
-// at freq first: the reconstruction — the envelope carried at freq with
-// that channel, a phasor recurrence renormalized every 1024 samples — is
-// subtracted as it is synthesized, never materialized, and the SIC loop
-// modulates each decoded frame once instead of once per capture. The
-// unfused synthesize-then-subtract pair is its oracle in sic_test.go.
-func cancelEnvelope(capture []complex128, env []float64, freq float64) (complex128, error) {
-	if len(capture) == 0 {
-		return 0, fmt.Errorf("core: empty capture")
+// cancel subtracts a decoded transponder from a capture in place and
+// returns its channel estimate: ĥ is read off the spike at the wave's
+// CFO, as the decoder reads it, and ĥ times the wave is subtracted
+// through the synthesizer's own kernel. A capture with no spike there
+// has nothing to cancel and is left as it is.
+func cancel(capture []complex128, w *rfsim.Wave) complex128 {
+	h := dsp.Goertzel(capture, w.CFO()/phy.SampleRate) * complex(2/float64(len(capture)), 0)
+	if h != 0 {
+		w.AddTo(capture, -h)
 	}
-	spike := dsp.Goertzel(capture, freq/phy.SampleRate)
-	h := spike * complex(2/float64(len(capture)), 0)
-	if cmplx.Abs(h) == 0 {
-		return 0, fmt.Errorf("core: no spike at %g Hz to cancel", freq)
-	}
-	rot := cmplx.Exp(complex(0, 2*math.Pi*freq/phy.SampleRate))
-	w := complex(1, 0)
-	for i := range capture {
-		if i < len(env) && env[i] != 0 {
-			capture[i] -= h * w
-		}
-		w *= rot
-		if i&1023 == 1023 {
-			w /= complex(cmplx.Abs(w), 0)
-		}
-	}
-	return h, nil
+	return h
 }
 
 // SICDecodeResult is the outcome of a full decode-and-cancel sweep.
@@ -70,9 +52,10 @@ func DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQueries int) (SICD
 
 // DecodeWithSIC is the pooled SIC sweep: spike detection runs through
 // the scratch's buffers, each round replays the stored captures through
-// DecodeAll for its one target, and each decoded frame is modulated once
-// and cancelled from all captures via the fused envelope subtraction.
-// Results are identical to the allocating entry point.
+// DecodeAll for its one target, and each decoded frame becomes one
+// rfsim.Wave, cancelled from every capture. Results are identical to the
+// allocating entry point. The sweep keeps a copy of every capture it
+// fetches, so src may hand it one buffer that each query overwrites.
 func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQueries int) (SICDecodeResult, error) {
 	if err := p.Validate(); err != nil {
 		return SICDecodeResult{}, err
@@ -80,14 +63,21 @@ func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQuer
 	if maxRounds <= 0 || maxQueries <= 0 {
 		return SICDecodeResult{}, fmt.Errorf("core: rounds and queries must be positive")
 	}
-	// Fetch the shared collisions once.
-	var captures [][]complex128
-	for q := 0; q < maxQueries; q++ {
+	// Fetch the shared collisions once, each into the sweep's own
+	// stream: the cancellation rewrites them.
+	const n = phy.ResponseSamples
+	flat := make([]complex128, maxQueries*n)
+	captures := make([][]complex128, maxQueries)
+	for q := range captures {
 		c, err := src()
+		if err == nil {
+			err = checkLen(len(c))
+		}
 		if err != nil {
 			return SICDecodeResult{}, fmt.Errorf("core: query %d: %w", q, err)
 		}
-		captures = append(captures, c)
+		captures[q] = flat[q*n : (q+1)*n : (q+1)*n]
+		copy(captures[q], c)
 	}
 	res := SICDecodeResult{Decoded: make(map[float64]DecodeResult)}
 	mc := &rfsim.MultiCapture{Antennas: [][]complex128{nil}}
@@ -125,17 +115,15 @@ func (sc *Scratch) DecodeWithSIC(src CaptureSource, p Params, maxRounds, maxQuer
 			break // the strongest remaining spike is undecodable; stop
 		}
 		res.Decoded[target.Freq] = dr
-		// Cancel it from every capture: modulate the decoded frame once,
-		// subtract its envelope from each.
+		// Cancel it from every capture: one wave of the decoded frame,
+		// scaled by each capture's own channel.
 		env, err := phy.ModulateFrame(dr.Frame, phy.SampleRate)
 		if err != nil {
 			return res, err
 		}
+		w := rfsim.NewWave(env, target.Freq)
 		for _, c := range captures {
-			if _, err := cancelEnvelope(c, env, target.Freq); err != nil {
-				// Spike absent in this capture; nothing to cancel.
-				continue
-			}
+			cancel(c, w)
 		}
 	}
 	return res, nil

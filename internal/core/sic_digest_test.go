@@ -23,11 +23,15 @@ import (
 // not re-pin.
 const sicDigest = 0xb706f099f7910997
 
-// sicCFODigest is the FNV-1a hash of the decoded entries' CFO bits,
-// recorded on 4c8a9f8; the cached reply waves left it as it was. It may
-// move with a rounding change to the samples — a change that means to
-// move the synthesized bits re-pins it while sicDigest holds.
-const sicCFODigest = 0xad9dba508ec3b0c4
+// sicCFODigest is the FNV-1a hash of the decoded entries' CFO bits. It
+// was re-pinned when the cancellation came to subtract the decoded
+// frame's rfsim.Wave instead of stepping its own oscillator, which it
+// renormalized every 1024 samples (it was 0xad9dba508ec3b0c4): the
+// residuals, and so the later rounds' CFOs, moved by rounding alone,
+// while sicDigest held. It may move with a rounding change to the
+// samples — a change that means to move the synthesized or cancelled
+// bits re-pins it while sicDigest holds.
+const sicCFODigest = 0xd43e5028e6619fcc
 
 // nearFarPair places a strong transponder close to the pole and a weak
 // one far from it, 15 dB under: the weak spike hides in the strong

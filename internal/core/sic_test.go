@@ -1,94 +1,24 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"math/cmplx"
+	"slices"
 	"testing"
 
 	"caraoke/internal/dsp"
 	"caraoke/internal/phy"
+	"caraoke/internal/rfsim"
 )
 
-// ReconstructTransmission synthesizes the baseband samples a decoded
-// transponder contributed to a capture: its Manchester/OOK envelope
-// carried at freq with the given complex channel, starting at sample 0.
-// With CancelTransponder it is the unfused oracle of cancelEnvelope.
-func ReconstructTransmission(frame *phy.Frame, freq float64, channel complex128, sampleRate float64, n int) ([]complex128, error) {
-	env, err := phy.ModulateFrame(frame, sampleRate)
+// waveOf is the wave a decoded transponder's frame gives at freq, as
+// the SIC sweep builds it.
+func waveOf(t *testing.T, f *phy.Frame, freq float64) *rfsim.Wave {
+	t.Helper()
+	env, err := phy.ModulateFrame(f, phy.SampleRate)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	out := make([]complex128, n)
-	rot := cmplx.Exp(complex(0, 2*math.Pi*freq/sampleRate))
-	w := complex(1, 0)
-	for i := 0; i < n; i++ {
-		if i < len(env) && env[i] != 0 {
-			out[i] = channel * w
-		}
-		w *= rot
-		if i&1023 == 1023 {
-			w /= complex(cmplx.Abs(w), 0)
-		}
-	}
-	return out, nil
-}
-
-// CancelTransponder subtracts a decoded transponder from a capture in
-// place: the channel is estimated from the spike at freq, exactly as the
-// decoder does, then ReconstructTransmission's samples are subtracted.
-// It returns the channel estimate.
-func CancelTransponder(capture []complex128, frame *phy.Frame, freq, sampleRate float64) (complex128, error) {
-	if len(capture) == 0 {
-		return 0, fmt.Errorf("core: empty capture")
-	}
-	h := dsp.Goertzel(capture, freq/sampleRate) * complex(2/float64(len(capture)), 0)
-	if cmplx.Abs(h) == 0 {
-		return 0, fmt.Errorf("core: no spike at %g Hz to cancel", freq)
-	}
-	recon, err := ReconstructTransmission(frame, freq, h, sampleRate, len(capture))
-	if err != nil {
-		return 0, err
-	}
-	for i := range capture {
-		capture[i] -= recon[i]
-	}
-	return h, nil
-}
-
-// TestCancelEnvelopeMatchesOracle: the fused cancellation leaves the
-// same residual, to the bit, and reports the same channel as
-// synthesizing the reconstruction and subtracting it.
-func TestCancelEnvelopeMatchesOracle(t *testing.T) {
-	s := newTestScene(t, 804)
-	devs := s.placedDevices(3)
-	for _, mc := range s.collideQueries(devs, 3) {
-		for _, d := range devs {
-			freq := d.CFO(s.param.ReaderLO)
-			want := append([]complex128(nil), mc.Reference()...)
-			hWant, err := CancelTransponder(want, &d.Frame, freq, s.param.SampleRate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env, err := phy.ModulateFrame(&d.Frame, s.param.SampleRate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := append([]complex128(nil), mc.Reference()...)
-			hGot, err := cancelEnvelope(got, env, freq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hGot != hWant {
-				t.Fatalf("channel %v, oracle %v", hGot, hWant)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("residual sample %d: %v, oracle %v", i, got[i], want[i])
-				}
-			}
-		}
-	}
+	return rfsim.NewWave(env, freq)
 }
 
 func TestCancelTransponderRemovesSignal(t *testing.T) {
@@ -111,11 +41,7 @@ func TestCancelTransponderRemovesSignal(t *testing.T) {
 	if err != nil || len(spikes) != 1 {
 		t.Fatalf("spikes: %v %d", err, len(spikes))
 	}
-	h, err := CancelTransponder(stream, &devs[0].Frame, spikes[0].Freq, s.param.SampleRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(h) == 0 {
+	if h := cancel(stream, waveOf(t, &devs[0].Frame, spikes[0].Freq)); h == 0 {
 		t.Fatal("zero channel estimate")
 	}
 	after := energy(stream)
@@ -164,9 +90,45 @@ func TestDecodeWithSICRecoversNearFar(t *testing.T) {
 	}
 }
 
+// TestDecodeWithSICReusedBuffer: a capture source keeps a capture valid
+// only until its next call. Over a source that overwrites one buffer per
+// query, as a reader's decode queries do, the sweep decodes exactly what
+// it decodes over fresh buffers: the same rounds, CFOs, ids and query
+// counts on the near-far pair.
+func TestDecodeWithSICReusedBuffer(t *testing.T) {
+	sweep := func(reuse bool) SICDecodeResult {
+		s := newTestScene(t, 802)
+		src := s.collisionSource(nearFarPair(s))
+		if reuse {
+			buf, fresh := make([]complex128, phy.ResponseSamples), src
+			src = func() ([]complex128, error) {
+				c, err := fresh()
+				copy(buf, c)
+				return buf, err
+			}
+		}
+		res, err := DecodeWithSIC(src, s.param, 4, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want, got := sweep(false), sweep(true)
+	if got.Rounds != want.Rounds || len(got.Decoded) != len(want.Decoded) {
+		t.Errorf("reused buffer: %d rounds, %d decoded; fresh buffers: %d rounds, %d decoded",
+			got.Rounds, len(got.Decoded), want.Rounds, len(want.Decoded))
+	}
+	for f, w := range want.Decoded {
+		g, ok := got.Decoded[f]
+		if !ok || g.Frame.ID() != w.Frame.ID() || g.Queries != w.Queries {
+			t.Errorf("fresh buffers decode id %d at %.0f Hz in %d queries; the reused buffer does not", w.Frame.ID(), f, w.Queries)
+		}
+	}
+}
+
 func TestReconstructTransmissionMatchesCapture(t *testing.T) {
-	// Reconstruction with the true channel must reproduce a noiseless
-	// single-transponder capture almost exactly.
+	// The decoded frame's wave, scaled by the estimated channel, must
+	// reproduce a noiseless single-transponder capture almost exactly.
 	s := newTestScene(t, 803)
 	s.cfg.NoiseSigma = 0
 	devs := s.placedDevices(1)
@@ -176,10 +138,8 @@ func TestReconstructTransmissionMatchesCapture(t *testing.T) {
 	freq := dsp.RefineFreq(stream, dsp.Peak{Freq: 500e3})
 	spike := dsp.Goertzel(stream, freq/s.param.SampleRate)
 	h := spike * complex(2/float64(len(stream)), 0)
-	recon, err := ReconstructTransmission(&devs[0].Frame, freq, h, s.param.SampleRate, len(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
+	recon := make([]complex128, len(stream))
+	waveOf(t, &devs[0].Frame, freq).AddTo(recon, h)
 	var num, den float64
 	for i := range stream {
 		d := stream[i] - recon[i]
@@ -199,10 +159,14 @@ func TestSICValidation(t *testing.T) {
 	if _, err := DecodeWithSIC(src, DefaultParams(), 1, 0); err == nil {
 		t.Error("zero queries accepted")
 	}
-	if _, err := cancelEnvelope(nil, nil, 1e5); err == nil {
-		t.Error("empty capture accepted")
+	short := func() ([]complex128, error) { return make([]complex128, 2047), nil }
+	if _, err := DecodeWithSIC(short, DefaultParams(), 1, 10); err == nil {
+		t.Error("a 2047-sample capture accepted")
 	}
-	if _, err := cancelEnvelope(make([]complex128, 2048), nil, 1e5); err == nil {
-		t.Error("zero-spike capture accepted")
+	// A capture with no spike at the target has nothing to cancel.
+	empty := make([]complex128, phy.ResponseSamples)
+	w := rfsim.NewWave(make([]float64, phy.ResponseSamples), 1e5)
+	if h := cancel(empty, w); h != 0 || slices.ContainsFunc(empty, func(v complex128) bool { return v != 0 }) {
+		t.Errorf("cancelling from a silent capture: channel %v, residual moved", h)
 	}
 }

@@ -10,51 +10,54 @@ import (
 	"caraoke/internal/phy"
 )
 
-// Transmission is one transponder's reply as it leaves the device: an
-// OOK envelope at phy.SampleRate, carried at CFO Hz above the
-// reader's local oscillator, with the oscillator's random starting
-// phase (the reason per-query channels look independent to the decoder,
-// §8) and an amplitude set by the device's transmit power. Wave is the
-// envelope on its carrier as the synthesis reads it, NewWave(Envelope,
-// CFO): the device builds it once and every reply carries the same one.
+// Transmission is one transponder's reply as it leaves the device: its
+// whole frame from the first sample of the capture window (a reply
+// follows the query after a fixed turnaround, §3), with the oscillator's
+// random starting phase (the reason per-query channels look independent
+// to the decoder, §8) and an amplitude set by the device's transmit
+// power. Wave is the envelope on the device's carrier offset as the
+// synthesis reads it, NewWave(Envelope, cfo), and the one place the CFO
+// is kept: the device builds it once and every reply carries the same
+// one. Envelope is what the reply sent, for callers that score against it.
 type Transmission struct {
-	Envelope    []float64 // 0/1 OOK chips expanded to samples
-	CFO         float64   // Hz above reader LO
-	Phase       float64   // oscillator phase at capture sample 0, radians
-	Amplitude   float64   // transmit amplitude (sqrt of power), linear
-	Pos         geom.Vec3 // transponder position
-	StartSample int       // sample index where the envelope begins
-	Wave        *Wave     // Envelope on its CFO carrier, at zero phase
+	Envelope  []float64 // 0/1 OOK chips expanded to samples, one response
+	Phase     float64   // oscillator phase at capture sample 0, radians
+	Amplitude float64   // transmit amplitude (sqrt of power), linear
+	Pos       geom.Vec3 // transponder position
+	Wave      *Wave     // Envelope on its CFO carrier, at zero phase
 }
 
 // Wave is a reply's baseband waveform at zero oscillator phase,
 //
 //	x(u) = env(u) · e^{j2π·CFO·u/fs},
 //
-// kept as the chips of phy.ChipSamples samples, counted from the
-// envelope's first, in which the envelope is on anywhere (a Manchester
-// frame is on in exactly half its chips, and off in the rest). It is
-// immutable once built, so copies of a device, and the goroutines that
-// hold them, share one.
+// kept as the chips of phy.ChipSamples samples in which the envelope is
+// on anywhere (a Manchester frame is on in exactly half its chips, and
+// off in the rest). It is immutable once built, so copies of a device,
+// and the goroutines that hold them, share one.
 type Wave struct {
 	cfo     float64
-	chips   []int        // first envelope sample of each kept chip, ascending
+	chips   []int        // first sample of each kept chip, ascending
 	samples []complex128 // x over the kept chips, phy.ChipSamples each
 }
 
 // NewWave builds the waveform of env carried at cfo Hz. It steps the
 // oscillator once per envelope sample from e^{j0}, silent samples
-// included, as a transmitter's would run.
+// included, as a transmitter's would run. env is one response,
+// phy.ResponseSamples long; any other length is a caller's bug and
+// panics.
 func NewWave(env []float64, cfo float64) *Wave {
+	if len(env) != phy.ResponseSamples {
+		panic(fmt.Sprintf("rfsim: a wave of %d samples, want %d", len(env), phy.ResponseSamples))
+	}
 	w := &Wave{cfo: cfo}
 	step := cmplx.Exp(complex(0, 2*math.Pi*cfo/phy.SampleRate))
 	osc := complex(1, 0)
 	for at := 0; at < len(env); at += phy.ChipSamples {
-		var x [phy.ChipSamples]complex128 // past the envelope's end, off
+		var x [phy.ChipSamples]complex128
 		on := false
-		for u := range x {
-			if at+u < len(env) && env[at+u] != 0 {
-				e := env[at+u] // e·osc is exact for a unit sample
+		for u, e := range env[at : at+phy.ChipSamples] {
+			if e != 0 { // e·osc is exact for a unit sample
 				x[u], on = complex(e*real(osc), e*imag(osc)), true
 			}
 			osc *= step
@@ -70,13 +73,33 @@ func NewWave(env []float64, cfo float64) *Wave {
 // CFO returns the carrier offset the wave was built at, Hz.
 func (w *Wave) CFO() float64 { return w.cfo }
 
+// AddTo adds c·x into dst, a window of one response whose first sample
+// is the wave's, one kept chip at a time. It is the one synthesis
+// kernel: a capture adds each reply through it, and successive
+// interference cancellation subtracts a decoded one (c = −ĥ). A dst off
+// phy.ResponseSamples is a caller's bug and panics.
+func (w *Wave) AddTo(dst []complex128, c complex128) {
+	if len(dst) != phy.ResponseSamples {
+		panic(fmt.Sprintf("rfsim: a stream of %d samples, want %d", len(dst), phy.ResponseSamples))
+	}
+	const cs = phy.ChipSamples
+	x := w.samples
+	for _, at := range w.chips {
+		d, x4 := dst[at:at+cs:at+cs], x[:cs:cs]
+		d[0] += c * x4[0]
+		d[1] += c * x4[1]
+		d[2] += c * x4[2]
+		d[3] += c * x4[3]
+		x = x[cs:]
+	}
+}
+
 // CaptureConfig describes the reader's receive front end for one
 // capture window. The window itself is fixed: one response,
 // phy.ResponseSamples long at phy.SampleRate.
 type CaptureConfig struct {
 	Wavelength float64 // carrier wavelength for geometric phase
 	NoiseSigma float64 // per-component AWGN sigma, linear
-	Reflectors []Reflector
 }
 
 // Validate checks the configuration. A NaN or infinite value is
@@ -127,15 +150,15 @@ func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand)
 // CaptureInto synthesizes antennas [0, keep) of the array into mc. For
 // transmission i and antenna a:
 //
-//	r_a(t) += h_{a,i} · A_i · e^{j(φ_i + 2π·CFO_i·t0_i/fs)} · x_i(t−t0_i)
+//	r_a(t) += h_{a,i} · A_i · e^{jφ_i} · x_i(t)
 //
-// with h the geometric channel (free-space plus reflectors) and x_i the
-// transmission's Wave: one complex coefficient per antenna scales the
-// waveform the device built once. AWGN follows, drawn from the caller's
-// RNG in antenna order for the kept antennas alone: the streams and the
-// RNG's end state are bit-equal to Capture on an array of the first keep
-// elements, so a caller that needs only the reference antenna (keep = 1)
-// pays for one stream's synthesis and one stream's noise.
+// with h the free-space channel and x_i the transmission's Wave: one
+// complex coefficient per antenna scales the waveform the device built
+// once. AWGN follows, drawn from the caller's RNG in antenna order for
+// the kept antennas alone: the streams and the RNG's end state are
+// bit-equal to Capture on an array of the first keep elements, so a
+// caller that needs only the reference antenna (keep = 1) pays for one
+// stream's synthesis and one stream's noise.
 //
 // The streams are cut from one backing array that mc keeps: a later
 // call reuses it when it is large enough and grows it otherwise, and
@@ -155,32 +178,17 @@ func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs
 		return fmt.Errorf("rfsim: keep %d antennas of %d", keep, len(array.Elements))
 	}
 	for i := range txs {
-		if txs[i].StartSample < 0 {
-			return fmt.Errorf("rfsim: transmission %d starts at negative sample %d", i, txs[i].StartSample)
-		}
-		if w := txs[i].Wave; w == nil || w.cfo != txs[i].CFO {
-			return fmt.Errorf("rfsim: transmission %d carries no wave at its CFO %g Hz", i, txs[i].CFO)
+		if txs[i].Wave == nil {
+			return fmt.Errorf("rfsim: transmission %d carries no wave", i)
 		}
 	}
-	const n = phy.ResponseSamples
-	mc.cut(keep, n)
+	mc.cut(keep)
 	for i := range txs {
 		tx := &txs[i]
-		// A transmission starting at or beyond the window's end adds
-		// nothing.
-		if tx.StartSample >= n {
-			continue
-		}
-		// The oscillator at the start sample, so CFO phase is
-		// continuous in capture time, not envelope time.
 		w0 := cmplx.Exp(complex(0, tx.Phase))
-		if tx.StartSample != 0 {
-			turn := 2 * math.Pi * tx.CFO / phy.SampleRate // radians per sample
-			w0 *= cmplx.Exp(complex(0, turn*float64(tx.StartSample)))
-		}
 		for a, el := range array.Elements[:keep] {
-			c := Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0) * w0
-			tx.Wave.addTo(mc.Antennas[a][tx.StartSample:], c)
+			c := Channel(tx.Pos, el, cfg.Wavelength, nil) * complex(tx.Amplitude, 0) * w0
+			tx.Wave.AddTo(mc.Antennas[a], c)
 		}
 	}
 
@@ -192,9 +200,10 @@ func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs
 	return nil
 }
 
-// cut shapes mc as keep cleared streams of n samples. The full-slice
-// form keeps an append to one stream out of its neighbour.
-func (mc *MultiCapture) cut(keep, n int) {
+// cut shapes mc as keep cleared streams of one response each. The
+// full-slice form keeps an append to one stream out of its neighbour.
+func (mc *MultiCapture) cut(keep int) {
+	const n = phy.ResponseSamples
 	if cap(mc.flat) < keep*n {
 		mc.flat = make([]complex128, keep*n)
 	}
@@ -206,27 +215,6 @@ func (mc *MultiCapture) cut(keep, n int) {
 	mc.Antennas = mc.Antennas[:keep]
 	for a := range mc.Antennas {
 		mc.Antennas[a] = mc.flat[a*n : (a+1)*n : (a+1)*n]
-	}
-}
-
-// addTo adds c·x into dst, which starts at the wave's first sample, one
-// kept chip at a time; samples past dst's end are clipped.
-func (w *Wave) addTo(dst []complex128, c complex128) {
-	const cs = phy.ChipSamples
-	x := w.samples
-	for _, at := range w.chips {
-		if at+cs > len(dst) { // the window ends inside or before this chip
-			for i := at; i < len(dst); i++ {
-				dst[i] += c * x[i-at]
-			}
-			return
-		}
-		d, x4 := dst[at:at+cs:at+cs], x[:cs:cs]
-		d[0] += c * x4[0]
-		d[1] += c * x4[1]
-		d[2] += c * x4[2]
-		d[3] += c * x4[3]
-		x = x[cs:]
 	}
 }
 

@@ -41,20 +41,13 @@ func frameTransmission(t *testing.T, f *phy.Frame, cfo, phase, amp float64, pos 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return withWave(Transmission{
-		Envelope:  env,
-		CFO:       cfo,
-		Phase:     phase,
-		Amplitude: amp,
-		Pos:       pos,
-	})
+	return reply(env, cfo, phase, amp, pos)
 }
 
-// withWave returns tx carrying the wave of its envelope and CFO, as a
-// device's Reply builds it.
-func withWave(tx Transmission) Transmission {
-	tx.Wave = NewWave(tx.Envelope, tx.CFO)
-	return tx
+// reply is the Transmission a device's Reply returns: env on the wave
+// it builds at cfo.
+func reply(env []float64, cfo, phase, amp float64, pos geom.Vec3) Transmission {
+	return Transmission{Envelope: env, Phase: phase, Amplitude: amp, Pos: pos, Wave: NewWave(env, cfo)}
 }
 
 func TestCaptureSpikeAtCFO(t *testing.T) {
@@ -168,59 +161,24 @@ func TestCaptureCollisionHasOneSpikePerTransponder(t *testing.T) {
 	}
 }
 
-func TestCaptureStartSampleShiftsEnvelope(t *testing.T) {
-	cfg := testConfig()
-	arr := NewPairArray(geom.V(0, 0, 4), geom.V(1, 0, 0), cfg.Wavelength/2)
-	rng := rand.New(rand.NewSource(9))
-	f := testFrame(rng, 3, 4)
-	tx := frameTransmission(t, f, 300e3, 0, 1, geom.V(10, 0, 0))
-	tx.StartSample = 1000
-	mc, err := Capture(cfg, arr, []Transmission{tx}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if mc.Antennas[0][i] != 0 {
-			t.Fatalf("sample %d nonzero before transmission start", i)
-		}
-	}
-	var energy float64
-	for _, s := range mc.Antennas[0][1000:] {
-		energy += real(s)*real(s) + imag(s)*imag(s)
-	}
-	if energy == 0 {
-		t.Error("no energy after transmission start")
-	}
-}
-
 // recurrenceCapture is the synthesis as a transmitter runs it: each
 // transmission's oscillator stepped once per sample, silent samples
-// included, from its phase at the start sample, one transmission and one
-// antenna at a time, then the noise of each antenna in order. It is the
-// oracle the cached waves must match to rounding.
+// included, from its phase at sample 0, one transmission and one antenna
+// at a time, then the noise of each antenna in order. It is the oracle
+// the cached waves must match to rounding.
 func recurrenceCapture(cfg CaptureConfig, els []geom.Vec3, txs []Transmission, rng *rand.Rand) [][]complex128 {
-	n := phy.ResponseSamples
 	out := make([][]complex128, len(els))
 	for a := range out {
-		out[a] = make([]complex128, n)
+		out[a] = make([]complex128, phy.ResponseSamples)
 	}
 	for _, tx := range txs {
-		if tx.StartSample >= n {
-			continue
-		}
-		env := tx.Envelope
-		if len(env) > n-tx.StartSample {
-			env = env[:n-tx.StartSample]
-		}
-		turn := 2 * math.Pi * tx.CFO / phy.SampleRate
-		w0 := cmplx.Exp(complex(0, tx.Phase)) * cmplx.Exp(complex(0, turn*float64(tx.StartSample)))
-		step := cmplx.Exp(complex(0, turn))
+		step := cmplx.Exp(complex(0, 2*math.Pi*tx.Wave.CFO()/phy.SampleRate))
 		for a, el := range els {
-			h := Channel(tx.Pos, el, cfg.Wavelength, cfg.Reflectors) * complex(tx.Amplitude, 0)
-			w := w0
-			for s, e := range env {
+			h := Channel(tx.Pos, el, cfg.Wavelength, nil) * complex(tx.Amplitude, 0)
+			w := cmplx.Exp(complex(0, tx.Phase))
+			for s, e := range tx.Envelope {
 				if e != 0 {
-					out[a][tx.StartSample+s] += h * complex(e, 0) * w
+					out[a][s] += h * complex(e, 0) * w
 				}
 				w *= step
 			}
@@ -240,13 +198,11 @@ func recurrenceCapture(cfg CaptureConfig, els []geom.Vec3, txs []Transmission, r
 // multiplies lands.
 const recurrenceTolerance = 1e-13
 
-// TestCaptureMatchesRecurrenceOracle: on digestScene — staggered starts,
-// clipped tails, starts at and past the window's end, a fractional
-// raised-cosine envelope — every sample a capture keeping the reference
-// antenna or the whole array synthesizes sits within recurrenceTolerance
-// of the per-sample recurrence's. With noise on, the noise is drawn in
-// the oracle's order: the samples still agree and the RNG ends where the
-// oracle leaves it.
+// TestCaptureMatchesRecurrenceOracle: on digestScene every sample a
+// capture keeping the reference antenna or the whole array synthesizes
+// sits within recurrenceTolerance of the per-sample recurrence's. With
+// noise on, the noise is drawn in the oracle's order: the samples still
+// agree and the RNG ends where the oracle leaves it.
 func TestCaptureMatchesRecurrenceOracle(t *testing.T) {
 	cfg, arr, txs := digestScene(t)
 	var mc MultiCapture
@@ -314,18 +270,9 @@ func TestCaptureRejectsBadInput(t *testing.T) {
 	if _, err := Capture(cfg, Array{}, nil, rng); err == nil {
 		t.Error("empty array accepted")
 	}
-	tx := withWave(Transmission{Envelope: []float64{1}, StartSample: -1, Amplitude: 1, Pos: geom.V(1, 0, 0)})
-	if _, err := Capture(cfg, arr, []Transmission{tx}, rng); err == nil {
-		t.Error("negative start sample accepted")
-	}
-	tx.StartSample = 0
-	bare, stale := tx, tx
-	bare.Wave = nil
-	stale.CFO++
-	for name, tx := range map[string]Transmission{"no wave": bare, "a wave at another CFO": stale} {
-		if _, err := Capture(cfg, arr, []Transmission{tx}, rng); err == nil {
-			t.Errorf("a transmission with %s accepted", name)
-		}
+	bare := Transmission{Envelope: make([]float64, phy.ResponseSamples), Amplitude: 1, Pos: geom.V(1, 0, 0)}
+	if _, err := Capture(cfg, arr, []Transmission{bare}, rng); err == nil {
+		t.Error("a transmission with no wave accepted")
 	}
 	negNoise := testConfig()
 	negNoise.NoiseSigma = -1
@@ -336,6 +283,29 @@ func TestCaptureRejectsBadInput(t *testing.T) {
 	for _, keep := range []int{0, len(arr.Elements) + 1} {
 		if err := CaptureInto(&mc, keep, cfg, arr, nil, rng); err == nil {
 			t.Errorf("keeping %d of %d antennas accepted", keep, len(arr.Elements))
+		}
+	}
+}
+
+// TestNewWavePanicsOnOtherLengths: a wave is one response, as the window
+// it is added into is. An envelope or a stream of any other length is a
+// caller's bug, and NewWave and AddTo panic on it, as dsp's transforms
+// do off 2048 samples.
+func TestNewWavePanicsOnOtherLengths(t *testing.T) {
+	w := NewWave(make([]float64, phy.ResponseSamples), 1e5)
+	for _, n := range []int{0, 701, 4096} {
+		for name, entry := range map[string]func(){
+			"NewWave": func() { NewWave(make([]float64, n), 1e5) },
+			"AddTo":   func() { w.AddTo(make([]complex128, n), 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on %d samples did not panic", name, n)
+					}
+				}()
+				entry()
+			}()
 		}
 	}
 }

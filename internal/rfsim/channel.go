@@ -1,8 +1,9 @@
 // Package rfsim synthesizes the complex-baseband captures a Caraoke
 // reader would digitize: transponder OOK envelopes carried on
-// device-specific carrier offsets, propagated over free-space (plus
-// optional specular multipath) to each antenna of the reader's array,
-// with additive white Gaussian noise.
+// device-specific carrier offsets, propagated over free space to each
+// antenna of the reader's array, with additive white Gaussian noise.
+// Channel also sums specular multipath, for the localizers that model
+// it.
 //
 // It substitutes for the paper's over-the-air campus deployment. The
 // Caraoke algorithms consume only per-antenna baseband samples; this

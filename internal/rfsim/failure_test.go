@@ -63,28 +63,21 @@ func TestCaptureExtremeNoiseBuriesSpike(t *testing.T) {
 
 func TestMultipathShiftsAoAModestly(t *testing.T) {
 	// A weak reflector perturbs but does not destroy the AoA (§12.2's
-	// outdoor LoS argument).
-	cfg := testConfig()
-	cfg.NoiseSigma = 1e-6
-	lambda := cfg.Wavelength
+	// outdoor LoS argument): the phase across the pair of the channel
+	// with one 0.2-coefficient bounce still names the true angle.
+	lambda := geom.Wavelength(915e6)
 	center := geom.V(0, 0, 4)
 	arr := NewPairArray(center, geom.V(1, 0, 0), lambda/2)
-	rng := rand.New(rand.NewSource(24))
 	alpha := geom.Radians(75)
 	pos := center.Add(geom.V(math.Cos(alpha)*25, math.Sin(alpha)*25, 0))
-	cfg.Reflectors = []Reflector{{Point: geom.V(5, -10, 1), Coeff: complex(0.2, 0)}}
-	f := testFrame(rng, 2, 2)
-	tx := frameTransmission(t, f, 500e3, 0.7, 1, pos)
-	mc, err := Capture(cfg, arr, []Transmission{tx}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
-	s1 := dsp.NewSpectrum(mc.Antennas[1], phy.SampleRate)
-	k := s0.FreqBin(500e3)
-	dphi := geom.WrapPhase(cmplx.Phase(s1.Bins[k] / s0.Bins[k]))
+	refl := []Reflector{{Point: geom.V(5, -10, 1), Coeff: complex(0.2, 0)}}
+	h0 := Channel(pos, arr.Elements[0], lambda, refl)
+	h1 := Channel(pos, arr.Elements[1], lambda, refl)
+	dphi := geom.WrapPhase(cmplx.Phase(h1 / h0))
 	got, _ := geom.AoAFromPhase(dphi, lambda/2, lambda)
-	if err := math.Abs(geom.Degrees(got) - 75); err > 12 {
+	err := math.Abs(geom.Degrees(got) - 75)
+	if err > 12 {
 		t.Errorf("AoA error %.1f° under 0.2-coefficient multipath", err)
 	}
+	t.Logf("AoA error %.2f° under 0.2-coefficient multipath", err)
 }

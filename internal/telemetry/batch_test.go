@@ -235,7 +235,7 @@ func TestReadBatchBuffered(t *testing.T) {
 	var want []*Report
 	for _, spikes := range []int{0, 1, 20, 200, 3} { // 200 spikes: past the 4096-byte buffer
 		r := readerReport(spikes)
-		r.Seq = uint32(spikes)
+		r.Seq = uint32(spikes) + 1
 		want = append(want, r)
 		if err := WriteBatch(&stream, []*Report{r}); err != nil {
 			t.Fatal(err)

@@ -9,12 +9,13 @@ import (
 )
 
 // fuzzSeedReports are the hand-picked shapes the fuzzer mutates from:
-// empty, typical, and edge-of-format reports. They are also marshaled
+// empty (a reader's first seq and nothing else), typical, and
+// edge-of-format reports. They are also marshaled
 // into the checked-in seed corpus under testdata/fuzz (regenerate with
 // `go run gen_seed_corpus.go` from this directory).
 func fuzzSeedReports() []*Report {
 	return []*Report{
-		{},
+		{Seq: 1},
 		{
 			ReaderID:  7,
 			Seq:       42,
@@ -36,9 +37,10 @@ func fuzzSeedReports() []*Report {
 }
 
 // FuzzReportRoundTrip feeds arbitrary bytes to the report parser: it
-// must never panic, and any payload it accepts must survive a
-// marshal → unmarshal → marshal cycle byte-identically (byte-level
-// comparison makes the check NaN-safe).
+// must never panic, it must refuse a payload whose Seq (bytes 4–7) is
+// 0, and any payload it accepts must survive a marshal → unmarshal →
+// marshal cycle byte-identically (byte-level comparison makes the check
+// NaN-safe).
 func FuzzReportRoundTrip(f *testing.F) {
 	for _, r := range fuzzSeedReports() {
 		b, err := r.Marshal()
@@ -53,6 +55,9 @@ func FuzzReportRoundTrip(f *testing.F) {
 		r, err := UnmarshalReport(data)
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
+		}
+		if r.Seq == 0 {
+			t.Fatalf("accepted a report with seq 0: %+v", r)
 		}
 		out, err := r.Marshal()
 		if err != nil {

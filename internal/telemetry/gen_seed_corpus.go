@@ -5,7 +5,7 @@
 //
 //	go run gen_seed_corpus.go
 //
-// The seeds mirror fuzzSeedReports in fuzz_test.go: an empty report, a
+// The seeds mirror fuzzSeedReports in fuzz_test.go: an empty report at seq 1, a
 // typical multi-spike report, and an extreme-values report, in both
 // payload (FuzzReportRoundTrip) and framed (FuzzFrameRoundTrip) form —
 // each as a frame of one, all three as one frame, and the typical
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	reports := []*telemetry.Report{
-		{},
+		{Seq: 1},
 		{
 			ReaderID:  7,
 			Seq:       42,

@@ -8,10 +8,18 @@ import (
 
 // TestSeqRoundTripExtremes: Seq is the epoch index the collector keys
 // out-of-order ingest on, so the wire format must carry it exactly at
-// the boundaries — including 0, which the store treats as "unset".
+// the boundaries. A reader's seqs count from 1: a report with Seq 0 is
+// written, as any report is, and refused when it is read.
 func TestSeqRoundTripExtremes(t *testing.T) {
 	stamp := time.Date(2026, 8, 7, 9, 0, 0, 0, time.UTC)
-	for _, seq := range []uint32{0, 1, 1<<31 - 1, 1<<32 - 1} {
+	var buf bytes.Buffer
+	if err := WriteBatch(&buf, []*Report{{ReaderID: 3, Timestamp: stamp}}); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := ReadBatch(&buf); err == nil {
+		t.Errorf("a seq-0 report read back as %+v", out)
+	}
+	for _, seq := range []uint32{1, 1<<31 - 1, 1<<32 - 1} {
 		in := &Report{ReaderID: 3, Seq: seq, Timestamp: stamp, Count: 2}
 		var buf bytes.Buffer
 		if err := WriteBatch(&buf, []*Report{in}); err != nil {

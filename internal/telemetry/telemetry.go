@@ -132,7 +132,8 @@ func (r *Report) appendTo(b []byte) ([]byte, error) {
 
 // UnmarshalReport parses a report payload. The report is three objects
 // whatever its spike count: itself, its spikes, and one array every
-// spike's channels are cut from.
+// spike's channels are cut from. A reader's seqs count from 1, so a
+// report with Seq 0 is refused.
 func UnmarshalReport(b []byte) (*Report, error) {
 	rd := byteReader{buf: b}
 	r := &Report{}
@@ -143,6 +144,9 @@ func UnmarshalReport(b []byte) (*Report, error) {
 	n := rd.u32()
 	if rd.err != nil {
 		return nil, rd.err
+	}
+	if r.Seq == 0 {
+		return nil, fmt.Errorf("telemetry: reader %d report has seq 0; seqs count from 1", r.ReaderID)
 	}
 	if n > maxSpikes {
 		return nil, fmt.Errorf("telemetry: spike count %d exceeds limit", n)

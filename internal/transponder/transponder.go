@@ -133,15 +133,18 @@ func (d *Device) Snapshot() (*Device, error) {
 // Reply produces this device's response as a transmission ready for
 // the channel simulator. Each call draws a fresh random oscillator
 // phase — the property the coherent-combining decoder relies on (§8) —
-// and consumes one reply from the battery budget. startSample places
-// the response within the reader capture window (0 when the capture
-// starts at the response, per the fixed 100 µs turnaround). sampleRate
-// must be phy.SampleRate; any other is phy.ErrSampleRate. The reply
-// carries the device's cached waveform; a reader LO, or a carrier, other
-// than the one it was built for rebuilds it, on this copy of the device.
+// and consumes one reply from the battery budget. The response is the
+// whole frame from the capture window's first sample (the fixed 100 µs
+// turnaround): startSample must be 0 and sampleRate phy.SampleRate, and
+// any other is an error. The reply carries the device's cached
+// waveform; a reader LO, or a carrier, other than the one it was built
+// for rebuilds it, on this copy of the device.
 func (d *Device) Reply(readerLO, sampleRate float64, startSample int, rng *rand.Rand) (rfsim.Transmission, error) {
 	if sampleRate != phy.SampleRate {
 		return rfsim.Transmission{}, fmt.Errorf("transponder %s: %g Hz: %w", d.Frame.String(), sampleRate, phy.ErrSampleRate)
+	}
+	if startSample != 0 {
+		return rfsim.Transmission{}, fmt.Errorf("transponder %s: a reply starts the capture window, not at sample %d", d.Frame.String(), startSample)
 	}
 	if !d.Alive() {
 		return rfsim.Transmission{}, fmt.Errorf("transponder %s: battery exhausted", d.Frame.String())
@@ -149,18 +152,15 @@ func (d *Device) Reply(readerLO, sampleRate float64, startSample int, rng *rand.
 	if err := d.prepare(); err != nil {
 		return rfsim.Transmission{}, err
 	}
-	cfo := d.CFO(readerLO)
-	if d.wave.CFO() != cfo {
+	if cfo := d.CFO(readerLO); d.wave.CFO() != cfo {
 		d.wave = rfsim.NewWave(d.envelope, cfo)
 	}
 	d.RepliesLeft--
 	return rfsim.Transmission{
-		Envelope:    d.envelope,
-		CFO:         cfo,
-		Phase:       rng.Float64() * 2 * math.Pi,
-		Amplitude:   d.TxAmplitude,
-		Pos:         d.Pos,
-		StartSample: startSample,
-		Wave:        d.wave,
+		Envelope:  d.envelope,
+		Phase:     rng.Float64() * 2 * math.Pi,
+		Amplitude: d.TxAmplitude,
+		Pos:       d.Pos,
+		Wave:      d.wave,
 	}, nil
 }

@@ -40,17 +40,18 @@ func TestReplyRandomPhaseAndCachedEnvelope(t *testing.T) {
 	if len(r1.Envelope) != phy.ResponseSamples {
 		t.Errorf("envelope %d samples, want %d", len(r1.Envelope), phy.ResponseSamples)
 	}
-	if r1.CFO != d.CFO(phy.BandLow) {
-		t.Errorf("reply CFO %g, device CFO %g", r1.CFO, d.CFO(phy.BandLow))
+	if r1.Wave == nil || r1.Wave != r2.Wave || r1.Wave.CFO() != d.CFO(phy.BandLow) {
+		t.Error("the reply waveform is not cached at the device's CFO")
 	}
-	if r1.Wave == nil || r1.Wave != r2.Wave || r1.Wave.CFO() != r1.CFO {
-		t.Error("the reply waveform is not cached at the reply's CFO")
-	}
-	// The envelope exists at the front end's rate only: any other is
-	// refused before the battery is charged.
+	// The envelope exists at the front end's rate only, and a reply
+	// starts the window: any other rate or start is refused before the
+	// battery is charged.
 	left := d.RepliesLeft
 	if _, err := d.Reply(phy.BandLow, 8e6, 0, rng); !errors.Is(err, phy.ErrSampleRate) {
 		t.Errorf("8 MHz reply: got %v, want phy.ErrSampleRate", err)
+	}
+	if _, err := d.Reply(phy.BandLow, 4e6, 1, rng); err == nil {
+		t.Error("a reply starting at sample 1 accepted")
 	}
 	if d.RepliesLeft != left {
 		t.Errorf("refused reply charged the battery: %d -> %d", left, d.RepliesLeft)
@@ -72,8 +73,8 @@ func TestReplyWaveFollowsLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Wave.CFO() != d.CFO(lo) || r.CFO != d.CFO(lo) {
-		t.Errorf("reply at LO %g: wave CFO %g, reply CFO %g, want %g", lo, r.Wave.CFO(), r.CFO, d.CFO(lo))
+	if r.Wave.CFO() != d.CFO(lo) {
+		t.Errorf("reply at LO %g: wave CFO %g, want %g", lo, r.Wave.CFO(), d.CFO(lo))
 	}
 	s, err := snap.Reply(phy.BandLow, 4e6, 0, rng)
 	if err != nil {

@@ -161,6 +161,38 @@ func TestServerEndToEndTCP(t *testing.T) {
 	}
 }
 
+// TestClientRefusesSeqZero: a Seq-0 report is refused at the sender —
+// Send returns the encode error and counts it dropped, the uplink
+// untouched — so a report sent after it on the same client lands. Were
+// it written, the server would refuse it and drop the connection.
+func TestClientRefusesSeqZero(t *testing.T) {
+	store := NewStore(10)
+	srv := NewServer(store)
+	srv.Logf = t.Logf
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	c, err := Dial(addr.String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send(robustReport(1, 0)); err == nil {
+		t.Error("Send of a seq-0 report returned no error")
+	}
+	if got := c.Stats().Dropped; got != 1 {
+		t.Errorf("Stats().Dropped = %d after a seq-0 send, want 1", got)
+	}
+	if err := c.Send(robustReport(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WaitHighWater(map[uint32]uint32{1: 2}, 3*time.Second); err != nil {
+		t.Fatalf("the report after the seq-0 one did not land: %v", err)
+	}
+}
+
 func TestServerStopUnblocks(t *testing.T) {
 	srv := NewServer(NewStore(10))
 	srv.Logf = t.Logf

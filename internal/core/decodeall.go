@@ -31,7 +31,8 @@ func DecodeAll(src CaptureSource, sampleRate float64, targetFreqs []float64, max
 		return nil, fmt.Errorf("core: no targets")
 	}
 	// One slice holds every target's chip accumulator and, after them,
-	// the sweep buffer they share.
+	// the sweep buffer they share; each target's chip table lives in
+	// its Decoder, inside the one targets slice.
 	const chips = phy.FrameChips
 	buf := make([]float64, (len(targetFreqs)+2)*chips)
 	sweep := buf[len(targetFreqs)*chips:]
@@ -41,7 +42,7 @@ func DecodeAll(src CaptureSource, sampleRate float64, targetFreqs []float64, max
 	}
 	targets := make([]target, len(targetFreqs))
 	for i, f := range targetFreqs {
-		targets[i].dec = makeDecoder(f, buf[i*chips:(i+1)*chips])
+		targets[i].dec.aim(f, buf[i*chips:(i+1)*chips])
 	}
 	out := make(map[float64]DecodeResult, len(targetFreqs))
 	remaining := len(targetFreqs)

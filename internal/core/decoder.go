@@ -25,14 +25,15 @@ import (
 // chip. Both steps are linear, so they commute: with U_c the sum of a
 // chip's de-rotated samples, Σ_{t∈c} real(u_t/ĥ) = real(U_c/ĥ). The
 // decoder therefore keeps one real number per chip, not one complex
-// number per sample. One dsp.GoertzelChips walk over a capture yields
-// every U_c and, as their total, the spike ĥ is read from; the
-// accumulator takes real(U_c/ĥ). The per-sample formulation lives on
-// in the tests as the oracle: the two differ by rounding in the last
-// bits of an accumulator entry, never in a bit decision.
+// number per sample. Its dsp.ChipTable, tuned to the target's CFO
+// once, yields every U_c of a capture and, as their total, the spike ĥ
+// is read from; the accumulator takes real(U_c/ĥ). The per-sample
+// formulation lives on in the tests as the oracle: the two differ by
+// rounding in the last bits of an accumulator entry, never in a bit
+// decision.
 type Decoder struct {
-	target float64 // refined CFO of the target transponder, Hz
-	n      int
+	table dsp.ChipTable // the target's de-rotation, per chip
+	n     int
 	// acc[c] is Σ_q real(U_c/ĥ_q), the chip energies TryDecode decides
 	// on: one entry per chip of the frame.
 	acc []float64
@@ -54,18 +55,18 @@ var ErrNeedMoreCollisions = errors.New("core: frame not yet decodable, combine m
 // captures at phy.SampleRate.
 func NewDecoder(targetFreq float64) *Decoder {
 	buf := make([]float64, 3*phy.FrameChips)
-	d := makeDecoder(targetFreq, buf[:phy.FrameChips])
+	d := new(Decoder)
+	d.aim(targetFreq, buf[:phy.FrameChips])
 	d.sweep = buf[phy.FrameChips:]
-	return &d
+	return d
 }
 
-// makeDecoder aims a decoder that accumulates into acc, which holds
-// phy.FrameChips entries; the caller supplies the sweep buffer.
-func makeDecoder(targetFreq float64, acc []float64) Decoder {
-	return Decoder{
-		target: targetFreq,
-		acc:    acc[:phy.FrameChips:phy.FrameChips],
-	}
+// aim tunes d to the transponder at targetFreq Hz and has it accumulate
+// into acc, which holds phy.FrameChips entries; the caller supplies the
+// sweep buffer.
+func (d *Decoder) aim(targetFreq float64, acc []float64) {
+	d.table.Tune(targetFreq)
+	d.acc = acc[:phy.FrameChips:phy.FrameChips]
 }
 
 // N returns how many collision captures have been combined.
@@ -88,7 +89,7 @@ func (d *Decoder) add(capture []complex128, sweep []float64) error {
 	}
 	re, im := sweep[:phy.FrameChips], sweep[phy.FrameChips:]
 	// Per-query channel estimate from the spike: ĥ = 2·R(Δf)/N.
-	spike := dsp.GoertzelChips(capture, d.target/phy.SampleRate, re, im)
+	spike := d.table.Sums(capture, re, im)
 	h := spike * complex(2/float64(len(capture)), 0)
 	switch mag := cmplx.Abs(h); {
 	case mag == 0:

@@ -1,6 +1,10 @@
 package dsp
 
-import "math"
+import (
+	"math"
+
+	"caraoke/internal/phy"
+)
 
 // Goertzel evaluates the DFT of x at a single, possibly fractional,
 // normalized frequency f (cycles per sample, i.e. f = freqHz/sampleRate).
@@ -67,40 +71,53 @@ func Goertzel(x []complex128, f float64) complex128 {
 	return sum
 }
 
-// GoertzelChips is Goertzel with its partial sums kept. In one walk
-// over x it writes, for every chip c < len(re), the sum of that chip's
-// four de-rotated samples
+// ChipTable de-rotates a capture by one tone a chip at a time. For
+// every chip c of the frame it gives the sum of the chip's four
+// de-rotated samples,
 //
-//	U_c = Σ_{t=4c}^{4c+3} x[t]·e^{−2πi f t}
+//	U_c = Σ_{t=4c}^{4c+3} x[t]·e^{−2πi f t} = W_c·(x[4c] + s·x[4c+1] + s²·x[4c+2] + s³·x[4c+3]),
 //
-// into re[c], im[c], and returns their total Σ_t x[t]·e^{−2πi f t},
-// which is what Goertzel(x, f) returns. The §8 decoder needs exactly
-// these two things from a capture: the spike (its channel estimate)
-// and the per-chip sums its Manchester decisions integrate.
+// with s = e^{−2πi f} and W_c = e^{−2πi f·4c} the phasor at the chip's
+// first sample. Tune tabulates s, s², s³ and every W_c once per tone,
+// W by the same two-level table ProbeBank.Tune builds, so Sums costs
+// four complex multiplies per chip and carries no phasor from one chip
+// to the next: nothing to renormalize, and every U_c is as accurate as
+// its table entry. The §8 decoder needs exactly this from a capture:
+// the chip sums its Manchester decisions integrate, and their total,
+// the spike its channel estimate is read from.
 //
-// x must hold exactly 4·len(re) samples — four per chip, the front
-// end's one shape — and im as many entries as re. A chip is then one of
-// Goertzel's four-sample groups: the walk costs the same five
-// multiplies per four samples, and from 16 samples up the returned
-// spike is bit-identical to Goertzel's.
-func GoertzelChips(x []complex128, f float64, re, im []float64) complex128 {
-	s, c := math.Sincos(-2 * math.Pi * f)
+// A tuned table is only read, so goroutines may share one; the zero
+// value is tuned to 0 Hz.
+type ChipTable struct {
+	step  [3]complex128              // s, s², s³
+	start [phy.FrameChips]complex128 // W_c
+}
+
+// Tune points the table at the tone freqHz in captures sampled at
+// phy.SampleRate.
+func (t *ChipTable) Tune(freqHz float64) {
+	w := -2 * math.Pi * (freqHz / phy.SampleRate)
+	s, c := math.Sincos(w)
 	step := complex(c, s)
 	step2 := step * step
-	step3 := step2 * step
-	step4 := step2 * step2
-	w := complex(1, 0)
+	t.step = [3]complex128{step, step2, step2 * step}
+	fillPhasors(t.start[:], w*phy.ChipSamples)
+}
+
+// Sums writes every chip's U_c into re[c], im[c] and returns their
+// total, Σ_t x[t]·e^{−2πi f t}: Goertzel(x, f) to rounding. re and im
+// hold phy.FrameChips entries each. Sums panics unless len(x) is
+// phy.ResponseSamples.
+func (t *ChipTable) Sums(x []complex128, re, im []float64) complex128 {
+	mustBeCapture(x, "ChipTable.Sums")
+	re, im = re[:phy.FrameChips], im[:phy.FrameChips]
+	s1, s2, s3 := t.step[0], t.step[1], t.step[2]
 	var sum complex128
-	im = im[:len(re)]
-	for c := range re {
+	for c, w := range &t.start {
 		g := x[4*c : 4*c+4 : 4*c+4]
-		u := w * (g[0] + step*g[1] + step2*g[2] + step3*g[3])
-		w *= step4
+		u := w * (g[0] + s1*g[1] + s2*g[2] + s3*g[3])
 		re[c], im[c] = real(u), imag(u)
 		sum += u
-		if c&255 == 255 { // every 1024 samples, as Goertzel does
-			w = renormPhasor(w)
-		}
 	}
 	return sum
 }

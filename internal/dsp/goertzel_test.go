@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"caraoke/internal/phy"
 )
 
 func TestGoertzelMatchesFFTBins(t *testing.T) {
@@ -93,24 +95,25 @@ func BenchmarkGoertzel2048(b *testing.B) {
 	}
 }
 
-// TestGoertzelChips: for captures of four samples per chip, from none
-// to a whole response, every chip sum equals the direct
-// Σ x[t]·e^{−2πi f t} over that chip's samples, and the returned total
-// equals Goertzel's spike over the whole input — to the bit from 16
-// samples up, where the two walks are the same arithmetic.
-func TestGoertzelChips(t *testing.T) {
+// chipTableFreqs are the tones the chip-table tests tune to: the edges
+// of the CFO band, 0 and 1.2 MHz, and three values between.
+var chipTableFreqs = []float64{0, 123456.789, 494.5e3, 987654.321, 1.2e6}
+
+// TestChipTableSums: on whole captures, at every chipTableFreqs tone,
+// every chip sum is within 1e-10 of the direct Σ x[t]·e^{−2πi f t} over
+// that chip's samples, the returned total within 1e-10·len of
+// Goertzel's spike, and a call allocates nothing.
+func TestChipTableSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	const f = 0.1237
-	for _, chips := range []int{512, 300, 257, 5, 4, 1, 0} {
-		x := randomSignal(rng, 4*chips)
-		re, im := make([]float64, chips), make([]float64, chips)
-		got := GoertzelChips(x, f, re, im)
-		want := Goertzel(x, f)
-		if tol := 1e-10 * float64(len(x)); cmplx.Abs(got-want) > tol {
-			t.Errorf("%d chips: total %v, Goertzel %v", chips, got, want)
-		}
-		if len(x) >= 16 && got != want {
-			t.Errorf("%d chips: total %v is not Goertzel's %v to the bit", chips, got, want)
+	re, im := make([]float64, phy.FrameChips), make([]float64, phy.FrameChips)
+	var table ChipTable
+	for _, hz := range chipTableFreqs {
+		x := randomSignal(rng, captureSamples)
+		f := hz / phy.SampleRate
+		table.Tune(hz)
+		got := table.Sums(x, re, im)
+		if want := Goertzel(x, f); cmplx.Abs(got-want) > 1e-10*float64(len(x)) {
+			t.Errorf("%g Hz: total %v, Goertzel %v", hz, got, want)
 		}
 		for c := range re {
 			var direct complex128
@@ -118,24 +121,61 @@ func TestGoertzelChips(t *testing.T) {
 				direct += x[t] * cmplx.Exp(complex(0, -2*math.Pi*f*float64(t)))
 			}
 			if d := cmplx.Abs(complex(re[c], im[c]) - direct); d > 1e-10 {
-				t.Fatalf("%d chips: chip %d sums to %v, direct DFT %v", chips, c, complex(re[c], im[c]), direct)
+				t.Fatalf("%g Hz: chip %d sums to %v, direct DFT %v", hz, c, complex(re[c], im[c]), direct)
 			}
 		}
 	}
-	// The walk allocates nothing: it runs once per query per target.
-	x := randomSignal(rng, 2048)
-	re, im := make([]float64, 512), make([]float64, 512)
-	if allocs := testing.AllocsPerRun(20, func() { GoertzelChips(x, f, re, im) }); allocs != 0 {
-		t.Errorf("GoertzelChips allocates %.1f objects/op, want 0", allocs)
+	// Sums allocates nothing: it runs once per query per target.
+	x := randomSignal(rng, captureSamples)
+	if allocs := testing.AllocsPerRun(20, func() { table.Sums(x, re, im) }); allocs != 0 {
+		t.Errorf("ChipTable.Sums allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-func BenchmarkGoertzelChips2048(b *testing.B) {
+// TestPhasorTableAccuracy: every entry of the two tables fillPhasors
+// builds — a ChipTable's step powers and chip starts, a ProbeBank's
+// per-sample phasors — is within 1e-13 of math.Sincos of its exact
+// angle, at every chipTableFreqs tone.
+func TestPhasorTableAccuracy(t *testing.T) {
+	const tol = 1e-13
+	var table ChipTable
+	var bank ProbeBank
+	for _, hz := range chipTableFreqs {
+		w := -2 * math.Pi * (hz / phy.SampleRate)
+		table.Tune(hz)
+		bank.Tune(hz)
+		check := func(what string, got []complex128, angle float64) {
+			t.Helper()
+			for k, v := range got {
+				if d := cmplx.Abs(v - exactPhasor(angle, k)); d > tol {
+					t.Fatalf("%g Hz: %s entry %d is %v, %.3g from exact", hz, what, k, v, d)
+				}
+			}
+		}
+		check("ChipTable step", append([]complex128{1}, table.step[:]...), w)
+		check("ChipTable start", table.start[:], w*phy.ChipSamples)
+		check("ProbeBank phasor", bank.ph, w)
+	}
+}
+
+// exactPhasor is e^{i·angle·k} with the product angle·k taken exactly:
+// FMA recovers the product's rounding error lo, and the phasor of the
+// rounded product is turned by it (e^{i·lo} = 1 + i·lo to 1e-25).
+func exactPhasor(angle float64, k int) complex128 {
+	hi := angle * float64(k)
+	lo := math.FMA(angle, float64(k), -hi)
+	s, c := math.Sincos(hi)
+	return complex(c, s) * complex(1, lo)
+}
+
+func BenchmarkChipTableSums(b *testing.B) {
 	rng := rand.New(rand.NewSource(99))
-	x := randomSignal(rng, 2048)
-	re, im := make([]float64, 512), make([]float64, 512)
+	x := randomSignal(rng, captureSamples)
+	re, im := make([]float64, phy.FrameChips), make([]float64, phy.FrameChips)
+	var table ChipTable
+	table.Tune(0.123 * phy.SampleRate)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GoertzelChips(x, 0.123, re, im)
+		table.Sums(x, re, im)
 	}
 }

@@ -59,24 +59,28 @@ type ProbeBank struct {
 // test's reference probes sit 2…5 window bins from the peak.
 const maxProbeBin = 5
 
-// phasorBlock is the stride of Tune's two-level phasor table.
+// phasorBlock is the stride of fillPhasors's two-level table.
 const phasorBlock = 64
 
 // Tune points the bank at the tone freqHz in captures sampled at
-// phy.SampleRate. The table is two short recurrences deep — offsets
-// within a block, block starts — and one product of the two per entry,
-// so an entry is at most phasorBlock + N/phasorBlock roundings from
-// exact (under a hundred at 2048 samples) where a single recurrence
-// along the capture would be N.
+// phy.SampleRate.
 func (b *ProbeBank) Tune(freqHz float64) {
 	b.freqHz = freqHz
-	const n = captureSamples
-	b.ph = growComplexSlice(b.ph, n)
+	b.ph = growComplexSlice(b.ph, captureSamples)
 	b.y = b.y[:0]
-	w := -2 * math.Pi * (freqHz / phy.SampleRate)
-	s, c := math.Sincos(w)
+	fillPhasors(b.ph, -2*math.Pi*(freqHz/phy.SampleRate))
+}
+
+// fillPhasors writes e^{i·angle·k} into dst[k]. The table is two short
+// recurrences deep — offsets within a block of phasorBlock entries,
+// block starts — and one product of the two per entry, so an entry is
+// at most phasorBlock + len(dst)/phasorBlock roundings from exact
+// (under a hundred at 2048 entries) where a single recurrence along dst
+// would be len(dst).
+func fillPhasors(dst []complex128, angle float64) {
+	s, c := math.Sincos(angle)
 	step := complex(c, s)
-	s, c = math.Sincos(w * phasorBlock)
+	s, c = math.Sincos(angle * phasorBlock)
 	blockStep := complex(c, s)
 	var fine [phasorBlock]complex128
 	fine[0] = 1
@@ -84,8 +88,8 @@ func (b *ProbeBank) Tune(freqHz float64) {
 		fine[j] = fine[j-1] * step
 	}
 	base := complex(1, 0)
-	for t0 := 0; t0 < n; t0 += phasorBlock {
-		blk := b.ph[t0:min(t0+phasorBlock, n)]
+	for t0 := 0; t0 < len(dst); t0 += phasorBlock {
+		blk := dst[t0:min(t0+phasorBlock, len(dst))]
 		for j := range blk {
 			blk[j] = base * fine[j]
 		}

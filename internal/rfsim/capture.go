@@ -50,24 +50,40 @@ func NewWave(env []float64, cfo float64) *Wave {
 	if len(env) != phy.ResponseSamples {
 		panic(fmt.Sprintf("rfsim: a wave of %d samples, want %d", len(env), phy.ResponseSamples))
 	}
-	w := &Wave{cfo: cfo}
+	const cs = phy.ChipSamples
+	on := 0
+	for at := 0; at < len(env); at += cs {
+		if chipOn(env[at : at+cs]) {
+			on++
+		}
+	}
+	w := &Wave{cfo: cfo, chips: make([]int, 0, on), samples: make([]complex128, 0, on*cs)}
 	step := cmplx.Exp(complex(0, 2*math.Pi*cfo/phy.SampleRate))
 	osc := complex(1, 0)
-	for at := 0; at < len(env); at += phy.ChipSamples {
-		var x [phy.ChipSamples]complex128
-		on := false
-		for u, e := range env[at : at+phy.ChipSamples] {
+	for at := 0; at < len(env); at += cs {
+		var x [cs]complex128
+		for u, e := range env[at : at+cs] {
 			if e != 0 { // e·osc is exact for a unit sample
-				x[u], on = complex(e*real(osc), e*imag(osc)), true
+				x[u] = complex(e*real(osc), e*imag(osc))
 			}
 			osc *= step
 		}
-		if on {
+		if chipOn(env[at : at+cs]) {
 			w.chips = append(w.chips, at)
 			w.samples = append(w.samples, x[:]...)
 		}
 	}
 	return w
+}
+
+// chipOn reports whether the envelope is on anywhere in chip.
+func chipOn(chip []float64) bool {
+	for _, e := range chip {
+		if e != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // CFO returns the carrier offset the wave was built at, Hz.
@@ -161,9 +177,9 @@ func Capture(cfg CaptureConfig, array Array, txs []Transmission, rng *rand.Rand)
 // stream's synthesis and one stream's noise.
 //
 // The streams are cut from one backing array that mc keeps: a later
-// call reuses it when it is large enough and grows it otherwise, and
-// clears it before the pass. Streams taken from mc earlier are
-// overwritten; nothing else in mc is read.
+// call reuses it when it is large enough, clearing it before the pass,
+// and otherwise replaces it with a fresh, zero one. Streams taken from
+// mc earlier are overwritten; nothing else in mc is read.
 //
 // A sample of a stream is the sum of its transmissions added in index
 // order, so that order fixes every bit of the output.
@@ -205,10 +221,11 @@ func CaptureInto(mc *MultiCapture, keep int, cfg CaptureConfig, array Array, txs
 func (mc *MultiCapture) cut(keep int) {
 	const n = phy.ResponseSamples
 	if cap(mc.flat) < keep*n {
-		mc.flat = make([]complex128, keep*n)
+		mc.flat = make([]complex128, keep*n) // already zero
+	} else {
+		mc.flat = mc.flat[:keep*n]
+		clear(mc.flat)
 	}
-	mc.flat = mc.flat[:keep*n]
-	clear(mc.flat)
 	if cap(mc.Antennas) < keep {
 		mc.Antennas = make([][]complex128, keep)
 	}

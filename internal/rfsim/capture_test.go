@@ -309,3 +309,24 @@ func TestNewWavePanicsOnOtherLengths(t *testing.T) {
 		}
 	}
 }
+
+// TestNewWaveSizedExactly: a wave is three objects — itself, its chip
+// starts and its samples — each slice exactly as long as the on-chips
+// it holds, so building one never regrows a slice.
+func TestNewWaveSizedExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	env, err := phy.ModulateFrame(testFrame(rng, 7, 1234), phy.SampleRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWave(env, 3e5)
+	if len(w.chips) != phy.FrameChips/2 || cap(w.chips) != len(w.chips) {
+		t.Errorf("%d chip starts in capacity %d, want %d exactly", len(w.chips), cap(w.chips), phy.FrameChips/2)
+	}
+	if cap(w.samples) != len(w.chips)*phy.ChipSamples || len(w.samples) != cap(w.samples) {
+		t.Errorf("%d samples in capacity %d, want %d exactly", len(w.samples), cap(w.samples), len(w.chips)*phy.ChipSamples)
+	}
+	if got := testing.AllocsPerRun(20, func() { NewWave(env, 3e5) }); got != 3 {
+		t.Errorf("NewWave allocates %.0f objects, want 3", got)
+	}
+}

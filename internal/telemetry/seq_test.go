@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"hash/crc32"
+	"strings"
 	"testing"
 	"time"
 )
@@ -9,15 +11,26 @@ import (
 // TestSeqRoundTripExtremes: Seq is the epoch index the collector keys
 // out-of-order ingest on, so the wire format must carry it exactly at
 // the boundaries. A reader's seqs count from 1: a report with Seq 0 is
-// written, as any report is, and refused when it is read.
+// refused by every encoder before it writes a byte, and by ReadBatch
+// when a stream carries one anyway.
 func TestSeqRoundTripExtremes(t *testing.T) {
 	stamp := time.Date(2026, 8, 7, 9, 0, 0, 0, time.UTC)
+	zero := &Report{ReaderID: 3, Timestamp: stamp}
 	var buf bytes.Buffer
-	if err := WriteBatch(&buf, []*Report{{ReaderID: 3, Timestamp: stamp}}); err != nil {
-		t.Fatal(err)
+	if err := WriteBatch(&buf, []*Report{zero}); err == nil || buf.Len() != 0 {
+		t.Errorf("WriteBatch of a seq-0 report: error %v, %d bytes written", err, buf.Len())
 	}
-	if out, err := ReadBatch(&buf); err == nil {
+	prefix := []byte("kept")
+	if b, err := AppendBatch(prefix, []*Report{{ReaderID: 3, Seq: 1}, zero}); err == nil || string(b) != "kept" {
+		t.Errorf("AppendBatch with a seq-0 report: error %v, buffer %q", err, b)
+	}
+	if b, err := zero.Marshal(); err == nil || b != nil {
+		t.Errorf("Marshal of a seq-0 report: error %v, %d bytes", err, len(b))
+	}
+	if out, err := ReadBatch(bytes.NewReader(seqZeroFrame(t, zero))); err == nil {
 		t.Errorf("a seq-0 report read back as %+v", out)
+	} else if !strings.Contains(err.Error(), "seq 0") {
+		t.Errorf("a seq-0 frame refused for another reason: %v", err)
 	}
 	for _, seq := range []uint32{1, 1<<31 - 1, 1<<32 - 1} {
 		in := &Report{ReaderID: 3, Seq: seq, Timestamp: stamp, Count: 2}
@@ -61,4 +74,20 @@ func TestBatchPreservesSeqOrder(t *testing.T) {
 			t.Errorf("report %d: seq %d, want %d (order must be preserved)", i, r.Seq, rs[i].Seq)
 		}
 	}
+}
+
+// seqZeroFrame is one frame carrying r with its Seq patched to 0 and
+// the CRC recomputed: bytes no encoder writes, but a stream may carry.
+func seqZeroFrame(tb testing.TB, r *Report) []byte {
+	tb.Helper()
+	one := *r
+	one.Seq = 1
+	b, err := AppendBatch(nil, []*Report{&one})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const seqAt = headerSize + 4 + 4 + 4 // report count, length prefix, reader id
+	le.PutUint32(b[seqAt:], 0)
+	le.PutUint32(b[len(b)-4:], crc32.Checksum(b[headerSize:len(b)-4], castagnoli))
+	return b
 }

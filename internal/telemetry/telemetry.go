@@ -99,8 +99,13 @@ func (r *Report) size() int {
 	return n
 }
 
-// appendTo appends the report payload to b.
+// appendTo appends the report payload to b. A report every reader of
+// the wire would refuse — Seq 0, or more spikes than maxSpikes — is
+// refused here, before a byte of it is appended.
 func (r *Report) appendTo(b []byte) ([]byte, error) {
+	if r.Seq == 0 {
+		return nil, errSeqZero(r.ReaderID)
+	}
 	if len(r.Spikes) > maxSpikes {
 		return nil, fmt.Errorf("telemetry: %d spikes exceeds limit %d", len(r.Spikes), maxSpikes)
 	}
@@ -146,7 +151,7 @@ func UnmarshalReport(b []byte) (*Report, error) {
 		return nil, rd.err
 	}
 	if r.Seq == 0 {
-		return nil, fmt.Errorf("telemetry: reader %d report has seq 0; seqs count from 1", r.ReaderID)
+		return nil, errSeqZero(r.ReaderID)
 	}
 	if n > maxSpikes {
 		return nil, fmt.Errorf("telemetry: spike count %d exceeds limit", n)
@@ -183,6 +188,12 @@ func UnmarshalReport(b []byte) (*Report, error) {
 		return nil, fmt.Errorf("telemetry: %d trailing bytes in report", len(rd.buf)-rd.off)
 	}
 	return r, nil
+}
+
+// errSeqZero refuses a report of reader id with Seq 0: a reader's seqs
+// count from 1, on both sides of the wire.
+func errSeqZero(id uint32) error {
+	return fmt.Errorf("telemetry: reader %d report has seq 0; seqs count from 1", id)
 }
 
 type byteReader struct {

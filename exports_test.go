@@ -28,7 +28,7 @@ var testOnlyAllowed = map[string]string{
 	"core.EstimateSpeedTrack":         "reserved by ROADMAP item 5: the collector-side locate step feeds it a car's > 2 sightings",
 	"collector.ParkingService.Depart": "reserved by ROADMAP item 5: the locate step closes a session when a spot's holder is no longer sighted there",
 	"dsp.FindPeaks":                   "ROADMAP item 10 leaves alone the thin wrappers that share one implementation with their pooled form",
-	"dsp.ClassifyBin":                 "ROADMAP item 10 leaves alone the thin wrappers that share one implementation with their pooled form",
+	"dsp.ClassifyBin":                 "ROADMAP item 10 leaves it alone: a fresh ProbeBank's Tune, Load and Occupancy, the steps the analysis runs on the bank it keeps",
 }
 
 // program is every non-test package of the root module and of

@@ -24,11 +24,16 @@ import (
 const decisionDigest = 0x2c361d8f3d7f270a
 
 // singleFreqDigest is the FNV-1a hash of the single captures' refined
-// Freq bits. It moves with any rounding change to the samples, and only
-// then: the cached reply waves re-pinned it from 0xfbf1a4fe8ebc8335,
-// while decisionDigest held. A change that means to move the synthesized
-// bits re-pins it; any other that moves it moved a sample or a Freq.
-const singleFreqDigest = 0x49ec4ef05f0900b0
+// Freq bits. It moves with any rounding change to the samples or to the
+// refinement, and only then: the cached reply waves re-pinned it from
+// 0xfbf1a4fe8ebc8335, and a lone capture's refinement moving from two
+// half-capture Goertzel walks (dsp.RefineFreq) to its spectrum bin and
+// first-half transform bin (dsp.RefineFromBins, as a window refines)
+// re-pinned it from 0x49ec4ef05f0900b0, each time while decisionDigest
+// held. A change that means to move the synthesized bits or the
+// refinement's arithmetic re-pins it; any other that moves it moved a
+// sample or a Freq.
+const singleFreqDigest = 0x41ce0df62cf71d7d
 
 // digestScene is one seeded scene of the digest fixture: a 10-query
 // window of nDevs placed devices.

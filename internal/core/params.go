@@ -55,16 +55,14 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// The three peak sweeps of the analysis.
+// The two peak sweeps of the analysis.
 var (
-	// strictPeaks finds a capture's unambiguous carriers.
-	strictPeaks = dsp.DefaultPeakParams()
-	// relaxedPeaks is the second sweep of the same spectrum. In large
-	// collisions the aggregate data floor rises with √m and a genuine
-	// carrier may clear its local neighborhood by less than the strict
-	// sharpness ratio; candidates only this sweep finds are kept when
-	// they prove themselves a tone (purity ≥ purityMin) or a beating
-	// same-bin pair (occupancy multiple).
+	// relaxedPeaks sweeps a lone capture's spectrum. In large collisions
+	// the aggregate data floor rises with √m and a genuine carrier may
+	// clear its local neighborhood by less than strictSharpness; a peak
+	// short of that ratio is kept only when it proves itself a tone
+	// (purity ≥ purityMin) or a beating same-bin pair (occupancy
+	// multiple).
 	relaxedPeaks = dsp.PeakParams{Threshold: 4, Sharpness: 2.2, SharpRadius: 10}
 	// averagedPeaks sweeps the spectrum averaged over a window's K
 	// queries. There the floor is smooth (variance shrinks with K), so
@@ -76,6 +74,14 @@ var (
 )
 
 const (
+	// strictSharpness marks a lone capture's unambiguous carriers: a
+	// peak standing this many times above its local median
+	// (dsp.Peak.Local; see isStrict). The ratio is set just above the
+	// reach of Rayleigh-tail fluctuations of the colored OOK data
+	// spectrum (P(bin > 4× local median) ≈ e⁻¹¹ per bin), so data humps
+	// essentially never reach it while carrier spikes — √N ≈ 45× above
+	// the per-bin data level for a lone transponder — always do.
+	strictSharpness = 4
 	// clockImageRatio is the largest weak/strong magnitude ratio at
 	// which a spike one Manchester bit rate (500 kHz) from a stronger
 	// one is dropped as that transponder's residual clock line.

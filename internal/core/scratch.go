@@ -5,8 +5,7 @@ import "caraoke/internal/dsp"
 // Scratch owns every reusable buffer of the capture-analysis and decode
 // hot path: the DSP plan (spectral scratch), per-capture spectrum rows
 // for the multi-query averager, a first-half transform row and its
-// peak bins for the refinement, the candidate-bin sets of the
-// relaxed-sharpness sweep, the channel-estimate arena backing
+// peak bins for the refinement, the channel-estimate arena backing
 // Spike.Channels, and the probe bank of the per-peak gates. A zero
 // Scratch is ready to use; buffers grow on first use and are retained,
 // so the steady state — every capture one response long, epoch after
@@ -33,8 +32,6 @@ type Scratch struct {
 	acc    []float64      // power accumulator across captures
 	avg    dsp.Spectrum   // RMS-averaged spectrum
 
-	strict map[int]bool // bins found by the strict sharpness sweep
-
 	chans  []complex128 // arena backing Spike.Channels
 	spikes []Spike      // result buffer
 
@@ -42,7 +39,7 @@ type Scratch struct {
 
 	bank    dsp.ProbeBank // per-peak gates: phasor, de-rotation and fold buffers
 	freqs   []float64     // per-capture refined frequencies, for the median
-	centres []float64     // per-capture |DFT| at the refined frequency
+	centres []float64     // |DFT| at the refined frequency: per capture, or per spike of a lone capture
 	vals    []float64     // localFloor neighborhood magnitudes
 }
 

@@ -28,10 +28,14 @@ const sicDigest = 0xb706f099f7910997
 // frame's rfsim.Wave instead of stepping its own oscillator, which it
 // renormalized every 1024 samples (it was 0xad9dba508ec3b0c4): the
 // residuals, and so the later rounds' CFOs, moved by rounding alone,
-// while sicDigest held. It may move with a rounding change to the
-// samples — a change that means to move the synthesized or cancelled
+// while sicDigest held. It was re-pinned again from 0xd43e5028e6619fcc
+// when AnalyzeCapture, which finds each round's targets, came to refine
+// a spike from its transform bins (dsp.RefineFromBins) instead of two
+// Goertzel walks: the CFOs moved by rounding alone, sicDigest held. It
+// may move with a rounding change to the samples or to the refinement —
+// a change that means to move the synthesized, cancelled or refined
 // bits re-pins it while sicDigest holds.
-const sicCFODigest = 0xd43e5028e6619fcc
+const sicCFODigest = 0xdf39af17f93e773e
 
 // nearFarPair places a strong transponder close to the pole and a weak
 // one far from it, 15 dB under: the weak spike hides in the strong

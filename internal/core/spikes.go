@@ -36,13 +36,14 @@ func AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, error) {
 	return sc.AnalyzeCapture(mc, p)
 }
 
-// AnalyzeCapture is the pooled single-capture analysis. It is
-// bit-identical to the package-level function — the same detection,
-// refinement, channel-estimation, and occupancy arithmetic in the same
-// order — but every intermediate (spectrum, magnitudes, peak
-// neighborhoods, occupancy probes, channel estimates, the spike slice
-// itself) lives in the Scratch. The result is valid until the next
-// call on sc; see the Scratch contract.
+// AnalyzeCapture is the pooled single-capture analysis: the
+// package-level function's arithmetic, every intermediate in the
+// Scratch. The result is valid until the next call on sc; see the
+// Scratch contract. The spectrum is swept once, at relaxedPeaks (see
+// isStrict); each peak is refined and gated as refinePeak does a
+// window's, from its transform bins (dsp.RefineFromBins) and one
+// de-rotation in the probe bank, and channels are estimated only for
+// the peaks the gates keep.
 func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -57,29 +58,38 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 		return nil, ErrNonFiniteCapture
 	}
 	binW := spec.BinWidth()
-	// Record the strict sweep's winners first: the relaxed sweep reuses
-	// the plan's peak buffer. What only the relaxed sweep finds —
-	// carriers barely above a large collision's data floor — must later
-	// prove itself a tone or a beating pair.
-	if sc.strict == nil {
-		sc.strict = make(map[int]bool)
-	}
-	clear(sc.strict)
-	for _, pk := range sc.plan.FindPeaks(spec, strictPeaks) {
-		sc.strict[pk.Bin] = true
-	}
 	peaks := rejectClockImages(sc.plan.FindPeaks(spec, relaxedPeaks), binW)
+	sc.half = grow(sc.half, phy.ResponseSamples)
+	dsp.HalfTransform(sc.half, ref)
 	nAnt := len(mc.Antennas)
 	chans := grow(sc.chans, len(peaks)*nAnt)
 	sc.chans = chans
-	spikes := sc.spikes[:0]
+	spikes, centres := sc.spikes[:0], sc.centres[:0]
+	bank := &sc.bank
 	for pi, pk := range peaks {
-		freq := dsp.RefineFreq(ref, pk)
+		freq := dsp.RefineFromBins(pk, spec.Bins[pk.Bin], sc.half[pk.Bin])
+		// The occupancy test self-calibrates its tolerances from the
+		// capture so other transponders' data does not masquerade as a
+		// same-bin collision.
+		bank.Tune(freq)
+		bank.Load(ref)
+		multiple := bank.Occupancy() == dsp.OccupancyMultiple
+		centre := -1.0 // no purity test left: Multiple, or found pure
+		if !multiple {
+			centre, _ = bank.Shoulder()
+			if !isStrict(pk) {
+				if !isPure(centre, ref, freq, binW) {
+					continue // neither tone-like nor a beating pair
+				}
+				centre = -1
+			}
+		}
 		s := Spike{
 			Freq:     freq,
 			Bin:      pk.Bin,
 			Mag:      pk.Mag,
 			Channels: chans[pi*nAnt : (pi+1)*nAnt : (pi+1)*nAnt],
+			Multiple: multiple,
 		}
 		// ĥ = 2·R(Δf)/N: the spike value is half the channel times the
 		// capture length (Manchester's 0.5-mean envelope).
@@ -87,20 +97,24 @@ func (sc *Scratch) AnalyzeCapture(mc *rfsim.MultiCapture, p Params) ([]Spike, er
 		for a, stream := range mc.Antennas {
 			s.Channels[a] = dsp.Goertzel(stream, freq/phy.SampleRate) * scale
 		}
-		// The occupancy test self-calibrates its tolerances from the
-		// capture so other transponders' data does not masquerade as a
-		// same-bin collision.
-		s.Multiple = sc.plan.ClassifyBin(ref, freq) == dsp.OccupancyMultiple
-		if !sc.strict[pk.Bin] && !s.Multiple &&
-			!isPure(centreMag(ref, freq), ref, freq, binW) {
-			continue // neither tone-like nor a beating pair
-		}
 		spikes = append(spikes, s)
+		centres = append(centres, centre)
 	}
-	spikes = rejectImpureGhosts(ref, binW, spikes)
+	sc.centres = centres
+	spikes = rejectImpureGhosts(ref, binW, spikes, centres)
 	suppressResolvedNeighbors(spikes, binW)
 	sc.spikes = spikes
 	return spikes, nil
+}
+
+// isStrict reports whether pk, a peak of the relaxedPeaks sweep, also
+// clears strictSharpness times its local median: exactly whether a
+// sweep at that sharpness, otherwise as relaxedPeaks, would find it.
+// Such a sweep applies this same test to the same threshold, radius and
+// floor, and its strongest peak is never above the relaxed sweep's, so
+// its minRelToStrongest pruning drops no peak the relaxed sweep keeps.
+func isStrict(pk dsp.Peak) bool {
+	return !(pk.Local > 0 && pk.Mag < strictSharpness*pk.Local)
 }
 
 // ErrNonFiniteCapture reports a capture holding a NaN or ±Inf sample —
@@ -175,12 +189,6 @@ func checkLen(n int) error {
 	return nil
 }
 
-// centreMag is the DFT magnitude of ref at freq: isPure's numerator
-// where no probe bank already holds it.
-func centreMag(ref []complex128, freq float64) float64 {
-	return cmplx.Abs(dsp.Goertzel(ref, freq/phy.SampleRate))
-}
-
 // isPure reports whether the signal at freq is tone-like: whether its
 // purity — center, the DFT magnitude at freq, over the larger of the
 // magnitudes 0.75 bins to either side — reaches purityMin. A pure tone
@@ -210,18 +218,18 @@ func isPure(center float64, ref []complex128, freq, binWidth float64) bool {
 // genuine carrier falls to ≈30 % (Dirichlet sidelobe), while a
 // broadband data hump stays roughly flat. Only spikes below
 // purityMaxRel of the strongest are tested, so the occupancy-based
-// same-bin counting of §5 is untouched for real devices.
-func rejectImpureGhosts(ref []complex128, binWidth float64, spikes []Spike) []Spike {
+// same-bin counting of §5 is untouched for real devices. centres[i] is
+// spikes[i]'s DFT magnitude at its Freq, or −1 when the spike needs no
+// test: Multiple, or already found pure.
+func rejectImpureGhosts(ref []complex128, binWidth float64, spikes []Spike, centres []float64) []Spike {
 	var strongest float64
 	for _, s := range spikes {
-		if s.Mag > strongest {
-			strongest = s.Mag
-		}
+		strongest = max(strongest, s.Mag)
 	}
 	out := spikes[:0]
-	for _, s := range spikes {
-		if !s.Multiple && s.Mag < purityMaxRel*strongest &&
-			!isPure(centreMag(ref, s.Freq), ref, s.Freq, binWidth) {
+	for i, s := range spikes {
+		if c := centres[i]; c >= 0 && s.Mag < purityMaxRel*strongest &&
+			!isPure(c, ref, s.Freq, binWidth) {
 			continue // broadband ghost, not a carrier
 		}
 		out = append(out, s)

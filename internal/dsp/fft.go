@@ -6,8 +6,8 @@
 // All routines operate on complex baseband samples represented as
 // []complex128. A capture is one 512 µs response at 4 MHz,
 // phy.ResponseSamples long; every entry that takes one (FFT,
-// HalfTransform, NewSpectrum, Plan.SpectrumInto, Plan.ClassifyBin,
-// ProbeBank.Load) panics on any other length, an internal precondition
+// HalfTransform, NewSpectrum, Plan.SpectrumInto, ProbeBank.Load and so
+// ClassifyBin) panics on any other length, an internal precondition
 // the callers in core enforce with errors first. The transform and probe tables are
 // built once, for that length, when the package initializes; nothing on
 // a hot path allocates once a Plan's buffers have grown.

@@ -186,7 +186,8 @@ func maxAbs(x []complex128) float64 {
 
 // TestFFTRegistryConcurrency runs the package's shared tables — the
 // transform plan and both probe twiddle tables — from 16 goroutines at
-// once, each with its own Plan, through SpectrumInto and ClassifyBin.
+// once, each with its own Plan and ProbeBank, through SpectrumInto and
+// the bank's occupancy test.
 // Under -race this is the tables' data-race test; every result must
 // equal a serial run to the bit.
 func TestFFTRegistryConcurrency(t *testing.T) {
@@ -201,7 +202,7 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 		xs[i] = randSignal(rng, captureSamples, 1+i%3)
 		freqs[i] = (0.02 + 0.25*rng.Float64()) * 4e6
 		serial.SpectrumInto(&want[i], xs[i], 4e6)
-		wantOcc[i] = serial.ClassifyBin(xs[i], freqs[i])
+		wantOcc[i] = ClassifyBin(xs[i], freqs[i])
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -211,6 +212,7 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			var pl Plan
 			var s Spectrum
+			var bank ProbeBank
 			for rep := 0; rep < 2*inputs; rep++ {
 				i := (g + rep) % inputs
 				pl.SpectrumInto(&s, xs[i], 4e6)
@@ -220,8 +222,10 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 						return
 					}
 				}
-				if pl.ClassifyBin(xs[i], freqs[i]) != wantOcc[i] {
-					errs <- "concurrent ClassifyBin verdict differs from serial"
+				bank.Tune(freqs[i])
+				bank.Load(xs[i])
+				if bank.Occupancy() != wantOcc[i] {
+					errs <- "concurrent occupancy verdict differs from serial"
 					return
 				}
 			}

@@ -148,10 +148,7 @@ func TestFFTPanicsOnOtherLengths(t *testing.T) {
 			b.Tune(3e5)
 			b.Load(x)
 		},
-		"Plan.ClassifyBin": func(x []complex128) {
-			var pl Plan
-			pl.ClassifyBin(x, 3e5)
-		},
+		"ClassifyBin": func(x []complex128) { ClassifyBin(x, 3e5) },
 	}
 	for name, entry := range entries {
 		for _, n := range []int{0, captureSamples / 2, captureSamples - 1, 2 * captureSamples} {

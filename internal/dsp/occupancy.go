@@ -46,9 +46,12 @@ var occShifts = [2]float64{0.375, 0.75}
 
 // ClassifyBin applies the time-shift test of §5 (see
 // ProbeBank.Occupancy) to the tone at frequency freqHz within the
-// capture. It is a thin allocating wrapper over Plan.ClassifyBin, the
-// pooled variant per-worker hot paths use.
+// capture. It is a thin allocating wrapper over a fresh ProbeBank —
+// Tune, Load, Occupancy — the steps the analysis runs on the bank it
+// keeps.
 func ClassifyBin(samples []complex128, freqHz float64) Occupancy {
-	var pl Plan
-	return pl.ClassifyBin(samples, freqHz)
+	var b ProbeBank
+	b.Tune(freqHz)
+	b.Load(samples)
+	return b.Occupancy()
 }

@@ -3,16 +3,15 @@ package dsp
 import "math"
 
 // Plan is a per-worker DSP scratch: it owns the reusable magnitude,
-// sort, neighborhood, and peak buffers, and the occupancy probe bank,
-// the spectral pipeline otherwise allocates per call; the transform
-// tables it runs on are the package's one shared set. Once its buffers
-// have grown, re-running it through SpectrumInto, FindPeaks, and
-// ClassifyBin allocates nothing.
+// sort, neighborhood, and peak buffers the spectral pipeline otherwise
+// allocates per call; the transform tables it runs on are the package's
+// one shared set. Once its buffers have grown, re-running it through
+// SpectrumInto and FindPeaks allocates nothing.
 //
 // Every pooled method is bit-identical to its allocating package-level
-// counterpart (NewSpectrum, FindPeaks, ClassifyBin): those are thin
-// one-shot wrappers over the same implementation, so only the buffer
-// lifetimes differ.
+// counterpart (NewSpectrum, FindPeaks): those are thin one-shot
+// wrappers over the same implementation, so only the buffer lifetimes
+// differ.
 //
 // A Plan is NOT safe for concurrent use: give each worker goroutine its
 // own. The zero value is ready to use. Slices returned by FindPeaks are
@@ -23,8 +22,6 @@ type Plan struct {
 	sorted []float64 // sort scratch for the noise-floor median
 	neigh  []float64 // FindPeaks neighborhood statistics
 	peaks  []Peak    // FindPeaks result buffer
-
-	bank ProbeBank // ClassifyBin phasor, de-rotation and fold buffers
 }
 
 // SpectrumInto computes the spectrum of a capture into s, reusing
@@ -95,8 +92,9 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 				neighborhood = append(neighborhood, mags[k+d])
 			}
 		}
+		var local float64
 		if len(neighborhood) > 0 {
-			local := medianFloat(neighborhood)
+			local = medianFloat(neighborhood)
 			if p.Sharpness != 1 && local > 0 && m < p.Sharpness*local {
 				continue
 			}
@@ -113,7 +111,7 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 				}
 			}
 		}
-		peaks = append(peaks, Peak{Bin: k, Freq: s.BinFreq(k), Mag: m})
+		peaks = append(peaks, Peak{Bin: k, Freq: s.BinFreq(k), Mag: m, Local: local})
 	}
 	if len(peaks) > 1 {
 		var strongest float64
@@ -133,16 +131,6 @@ func (pl *Plan) FindPeaks(s *Spectrum, p PeakParams) []Peak {
 	pl.neigh = neighborhood[:0]
 	pl.peaks = peaks
 	return peaks
-}
-
-// ClassifyBin is the pooled equivalent of the package-level
-// ClassifyBin: identical classification, on the plan's probe bank
-// (tune to freqHz, de-rotate the capture once, read every window and
-// reference probe of ProbeBank.Occupancy off the result).
-func (pl *Plan) ClassifyBin(samples []complex128, freqHz float64) Occupancy {
-	pl.bank.Tune(freqHz)
-	pl.bank.Load(samples)
-	return pl.bank.Occupancy()
 }
 
 // growComplexSlice returns x resized to length n, reusing its backing

@@ -69,7 +69,7 @@ func TestPlanFindPeaksMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pl := new(Plan)
 	params := []PeakParams{
-		DefaultPeakParams(),
+		testPeaks,
 		{Threshold: 2, Sharpness: 1, ExcessSigma: 5, SharpRadius: 16},
 		{Threshold: 3, Sharpness: 3, SharpRadius: 8},
 	}
@@ -96,37 +96,13 @@ func TestPlanFindPeaksSteadyStateAllocs(t *testing.T) {
 	x := randSignal(rng, 2048, 4)
 	spec := NewSpectrum(x, 4e6)
 	pl := new(Plan)
-	p := DefaultPeakParams()
+	p := testPeaks
 	pl.FindPeaks(spec, p)
 	allocs := testing.AllocsPerRun(20, func() {
 		pl.FindPeaks(spec, p)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state FindPeaks allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestPlanClassifyBinMatches: the pooled dual-window occupancy test is
-// bit-identical to the allocating one, probe for probe.
-func TestPlanClassifyBinMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pl := new(Plan)
-	for trial := 0; trial < 8; trial++ {
-		x := randSignal(rng, 2048, 1+trial%3)
-		freq := (0.02 + 0.1*rng.Float64()) * 4e6
-		want := ClassifyBin(x, freq)
-		got := pl.ClassifyBin(x, freq)
-		if got != want {
-			t.Errorf("trial %d freq %.0f: pooled %v, oracle %v", trial, freq, got, want)
-		}
-	}
-	x := randSignal(rng, 2048, 2)
-	pl.ClassifyBin(x, 3e5)
-	allocs := testing.AllocsPerRun(20, func() {
-		pl.ClassifyBin(x, 3e5)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state ClassifyBin allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

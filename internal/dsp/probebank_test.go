@@ -379,6 +379,32 @@ func TestProbeBankRetune(t *testing.T) {
 	}
 }
 
+// TestReusedBankMatchesClassifyBin: one bank moved from capture to
+// capture and tone to tone — Tune, Load, Occupancy, as the analysis runs
+// it — returns the verdict of a fresh dsp.ClassifyBin, and once warm
+// allocates nothing.
+func TestReusedBankMatchesClassifyBin(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var b ProbeBank
+	classify := func(x []complex128, freq float64) Occupancy {
+		b.Tune(freq)
+		b.Load(x)
+		return b.Occupancy()
+	}
+	for trial := 0; trial < 8; trial++ {
+		x := randSignal(rng, 2048, 1+trial%3)
+		freq := (0.02 + 0.1*rng.Float64()) * 4e6
+		if got, want := classify(x, freq), ClassifyBin(x, freq); got != want {
+			t.Errorf("trial %d freq %.0f: reused bank %v, ClassifyBin %v", trial, freq, got, want)
+		}
+	}
+	x := randSignal(rng, 2048, 2)
+	classify(x, 3e5)
+	if allocs := testing.AllocsPerRun(20, func() { classify(x, 3e5) }); allocs != 0 {
+		t.Errorf("steady-state bank classification allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestProbeBankSteadyStateAllocs: a warmed bank — phasor table,
 // de-rotation and fold buffers — allocates nothing, moved between
 // frequencies and captures included.
@@ -457,8 +483,9 @@ func TestSelectFloat(t *testing.T) {
 
 // BenchmarkClassifyBin measures one dual-window occupancy test of a
 // 2048-sample capture: the 27-Goertzel oracle against the probe bank
-// (tune + de-rotate + classify, as Plan.ClassifyBin runs it), and the
-// bank's per-capture share once a peak's phasor is tabulated.
+// (tune + de-rotate + classify on one reused bank, as the single-capture
+// analysis runs it per peak), and the bank's per-capture share once a
+// peak's phasor is tabulated.
 func BenchmarkClassifyBin(b *testing.B) {
 	rng := rand.New(rand.NewSource(76))
 	x := randSignal(rng, 2048, 3)
@@ -468,10 +495,12 @@ func BenchmarkClassifyBin(b *testing.B) {
 		}
 	})
 	b.Run("bank", func(b *testing.B) {
-		pl := new(Plan)
+		var bank ProbeBank
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pl.ClassifyBin(x, 3e5)
+			bank.Tune(3e5)
+			bank.Load(x)
+			bank.Occupancy()
 		}
 	})
 	b.Run("bank-tuned", func(b *testing.B) {

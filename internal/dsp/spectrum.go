@@ -79,12 +79,14 @@ type Peak struct {
 	Bin  int     // FFT bin index
 	Freq float64 // bin center frequency, Hz
 	Mag  float64 // magnitude of the bin value
+	// Local is the median magnitude of the peak's sharpness
+	// neighborhood, what Sharpness compared Mag to; 0 when it has none.
+	Local float64
 }
 
-// PeakParams is what differs between FindPeaks's callers: the strict
-// and relaxed sweeps of one capture and the sweep of a spectrum averaged
-// over several queries (internal/core). What no caller varies is a
-// constant below.
+// PeakParams is what differs between FindPeaks's callers: the sweep of
+// one capture and the sweep of a spectrum averaged over several queries
+// (internal/core). What no caller varies is a constant below.
 type PeakParams struct {
 	// Threshold is the multiple of the noise floor a local maximum must
 	// exceed to count as a peak. The floor is the median bin magnitude,
@@ -124,17 +126,6 @@ const (
 	// so the gate removes data ghosts without losing real devices.
 	minRelToStrongest = 0.2
 )
-
-// DefaultPeakParams is the strict single-capture setting. The global
-// threshold self-scales with the aggregate data floor (median bin), and
-// the sharpness ratio is set just above the reach of Rayleigh-tail
-// fluctuations of the colored OOK data spectrum (P(bin > 4× local
-// median) ≈ e⁻¹¹ per bin), so data humps essentially never register
-// while carrier spikes — √N ≈ 45× above the per-bin data level for a
-// lone transponder — always do.
-func DefaultPeakParams() PeakParams {
-	return PeakParams{Threshold: 4, Sharpness: 4, SharpRadius: 10}
-}
 
 // FindPeaks locates one-bin-wide local maxima that stand above both the
 // global noise floor and their local neighborhood, returning them in

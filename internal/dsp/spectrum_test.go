@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// testPeaks is the sweep the peak tests run: threshold 4× the median
+// bin, sharpness 4× the local median of the bins 3–10 away.
+var testPeaks = PeakParams{Threshold: 4, Sharpness: 4, SharpRadius: 10}
+
 // Tone is one component of a toneSignal fixture: a complex amplitude on
 // the scale of a dense FFT bin value (amplitude × capture length) at a
 // continuous frequency in Hz.
@@ -72,7 +76,7 @@ func TestFindPeaksLocatesTones(t *testing.T) {
 	}
 	x := toneSignal(rng, n, fs, 0.05, tones)
 	s := NewSpectrum(x, fs)
-	peaks := FindPeaks(s, DefaultPeakParams())
+	peaks := FindPeaks(s, testPeaks)
 	if len(peaks) != len(tones) {
 		t.Fatalf("found %d peaks, want %d: %+v", len(peaks), len(tones), peaks)
 	}
@@ -93,7 +97,7 @@ func TestFindPeaksRespectsMaxFreq(t *testing.T) {
 	}
 	x := toneSignal(rng, n, fs, 0.02, tones)
 	s := NewSpectrum(x, fs)
-	peaks := FindPeaks(s, DefaultPeakParams())
+	peaks := FindPeaks(s, testPeaks)
 	if len(peaks) != 1 {
 		t.Fatalf("found %d peaks, want 1 (MaxFreq filter)", len(peaks))
 	}
@@ -104,7 +108,7 @@ func TestFindPeaksRespectsMaxFreq(t *testing.T) {
 
 func TestFindPeaksEmptySpectrum(t *testing.T) {
 	s := &Spectrum{Bins: nil, SampleRate: 4e6}
-	if got := FindPeaks(s, DefaultPeakParams()); got != nil {
+	if got := FindPeaks(s, testPeaks); got != nil {
 		t.Errorf("FindPeaks on empty spectrum = %v, want nil", got)
 	}
 }
@@ -113,7 +117,7 @@ func TestFindPeaksNoiseOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x := toneSignal(rng, 2048, 4e6, 1.0, nil)
 	s := NewSpectrum(x, 4e6)
-	peaks := FindPeaks(s, DefaultPeakParams())
+	peaks := FindPeaks(s, testPeaks)
 	if len(peaks) != 0 {
 		t.Errorf("noise-only capture produced %d peaks", len(peaks))
 	}
@@ -184,7 +188,7 @@ func TestRefineFromBinsMatchesRefineFreq(t *testing.T) {
 		x := toneSignal(rng, captureSamples, fs, 0.3, tones)
 		s := NewSpectrum(x, fs)
 		HalfTransform(half, x)
-		peaks := FindPeaks(s, DefaultPeakParams())
+		peaks := FindPeaks(s, testPeaks)
 		for range 4 {
 			k := rng.Intn(captureSamples)
 			peaks = append(peaks, Peak{Bin: k, Freq: s.BinFreq(k)})
@@ -210,7 +214,7 @@ func TestRefineFreqSubBinAccuracy(t *testing.T) {
 	trueFreq := 300e3 + 0.4*fs/float64(n)
 	x := toneSignal(rng, n, fs, 0.01, []Tone{{Freq: trueFreq, Amp: complex(float64(n), 0)}})
 	s := NewSpectrum(x, fs)
-	peaks := FindPeaks(s, DefaultPeakParams())
+	peaks := FindPeaks(s, testPeaks)
 	if len(peaks) != 1 {
 		t.Fatalf("found %d peaks, want 1", len(peaks))
 	}

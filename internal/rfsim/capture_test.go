@@ -64,7 +64,7 @@ func TestCaptureSpikeAtCFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
-	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
+	peaks := dsp.FindPeaks(spec, testPeaks)
 	if len(peaks) == 0 {
 		t.Fatal("no peaks found")
 	}
@@ -88,6 +88,10 @@ func TestCaptureSpikeAtCFO(t *testing.T) {
 		}
 	}
 }
+
+// testPeaks is the sweep these tests find spikes with: threshold 4× the
+// median bin, sharpness 4× the local median of the bins 3–10 away.
+var testPeaks = dsp.PeakParams{Threshold: 4, Sharpness: 4, SharpRadius: 10}
 
 func strongestPeak(peaks []dsp.Peak) dsp.Peak {
 	top := peaks[0]
@@ -146,7 +150,7 @@ func TestCaptureCollisionHasOneSpikePerTransponder(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
-	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
+	peaks := dsp.FindPeaks(spec, testPeaks)
 	if len(peaks) < len(cfos) {
 		t.Fatalf("found %d peaks, want at least %d (Fig 4)", len(peaks), len(cfos))
 	}

@@ -30,7 +30,7 @@ func TestCaptureLowSNRStillFindsStrongSpike(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
-	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
+	peaks := dsp.FindPeaks(spec, testPeaks)
 	if len(peaks) == 0 {
 		t.Fatal("spike lost at 0 dB per-sample SNR (FFT gain should save it)")
 	}
@@ -53,7 +53,7 @@ func TestCaptureExtremeNoiseBuriesSpike(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := dsp.NewSpectrum(mc.Antennas[0], phy.SampleRate)
-	peaks := dsp.FindPeaks(spec, dsp.DefaultPeakParams())
+	peaks := dsp.FindPeaks(spec, testPeaks)
 	for _, p := range peaks {
 		if math.Abs(p.Freq-500e3) < spec.BinWidth() {
 			t.Error("spike 'detected' 60 dB under the noise floor")
